@@ -41,9 +41,10 @@ from .continuous import (
     tikhonov_approximate,
 )
 from .discrete import (
-    estimate_from_block,
+    apriori_horizon_estimate,
     flatten,
     flatten_bounds,
+    solver_record,
     stack_functional,
     stack_observations,
     variational_estimate,
@@ -135,7 +136,11 @@ def _run_estimate(config, observations, grid) -> tuple:
             sigma_hat=rep.sigma_hat,
             feasible=rep.feasible,
             outputs={k: v for k, v in outputs.items() if v is not None},
-            diagnostics={"kind": config.kind, "mode": mode},
+            diagnostics={
+                "kind": config.kind,
+                "mode": mode,
+                "solver": solver_record("dense"),
+            },
         )
         code = EXIT_OK if rep.feasible else EXIT_INFEASIBLE
         return _finish(report, started), code
@@ -143,22 +148,20 @@ def _run_estimate(config, observations, grid) -> tuple:
     if config.kind == "discrete_dae":
         ell_seq = _ell_seq(config)
         if mode == "apriori":
-            model = flatten(config.model)
-            bounds = flatten_bounds(config.model, config.bounds, kind="apriori")
-            ell = stack_functional(config.model, ell_seq)
-            y = (
-                stack_observations(config.model, observations)
-                if observations is not None
-                else None
+            rep = apriori_horizon_estimate(
+                config.model, config.bounds, ell_seq, observations
             )
-            rep = apriori_estimate(model, bounds, ell, y=y)
             report = ResultReport(
                 command="estimate",
                 estimate=rep.estimate_value,
                 sigma_hat=rep.sigma_hat,
                 feasible=rep.feasible,
-                outputs={"u_hat": rep.u_hat} if rep.u_hat is not None else {},
-                diagnostics={"kind": config.kind, "mode": mode},
+                outputs=(
+                    {"u_hat": rep.u_hat_seq.reshape(-1)}
+                    if rep.u_hat_seq is not None
+                    else {}
+                ),
+                diagnostics={"kind": config.kind, "mode": mode, "solver": rep.solver},
             )
             return _finish(report, started), (
                 EXIT_OK if rep.feasible else EXIT_INFEASIBLE
@@ -166,23 +169,13 @@ def _run_estimate(config, observations, grid) -> tuple:
         if observations is None:
             raise InvalidInput("aposteriori estimation requires --observations")
         rep = variational_estimate(config.model, config.bounds, ell_seq, observations)
-        block = estimate_from_block(
-            config.model, config.bounds, ell_seq, observations
-        )
-        agreement = float(
-            np.max(np.abs(rep.x_hat_seq - block.x_hat_seq))
-        )
         report = ResultReport(
             command="estimate",
             estimate=rep.estimate_value,
             sigma_hat=rep.sigma_hat,
             feasible=rep.feasible,
             outputs={"x_hat_seq": rep.x_hat_seq},
-            diagnostics={
-                "kind": config.kind,
-                "mode": mode,
-                "block_path_max_center_gap": agreement,
-            },
+            diagnostics={"kind": config.kind, "mode": mode, "solver": rep.solver},
         )
         return _finish(report, started), (
             EXIT_OK if rep.feasible else EXIT_INFEASIBLE
@@ -208,7 +201,12 @@ def _run_estimate(config, observations, grid) -> tuple:
             if result.u_hat_samples is not None
             else {}
         ),
-        diagnostics={"kind": config.kind, "mode": mode, "grid_steps": grid.steps},
+        diagnostics={
+            "kind": config.kind,
+            "mode": mode,
+            "grid_steps": grid.steps,
+            "solver": result.solver,
+        },
     )
     return _finish(report, started), (
         EXIT_OK if result.feasible else EXIT_INFEASIBLE
@@ -356,12 +354,14 @@ def _run_validate(config, observations, grid, samples, seed) -> tuple:
         y = observations
         rep = aposteriori_estimate(model, bounds, ell, y)
         estimate, sigma = rep.estimate_value, rep.sigma_hat
+        solver = solver_record("dense")
     elif config.kind == "discrete_dae":
         if config.estimation.mode != "aposteriori":
             raise InvalidInput("validate covers aposteriori estimates")
         ell_seq = _ell_seq(config)
         traj = variational_estimate(config.model, config.bounds, ell_seq, observations)
         estimate, sigma = traj.estimate_value, traj.sigma_hat
+        solver = traj.solver
         model = flatten(config.model)
         bounds = flatten_bounds(config.model, config.bounds, KIND_APOSTERIORI)
         ell = stack_functional(config.model, ell_seq)
@@ -388,7 +388,8 @@ def _run_validate(config, observations, grid, samples, seed) -> tuple:
                 "max_abs_deviation": check.max_abs_deviation,
                 "attained_fraction": attained,
                 "seed": seed,
-            }
+            },
+            "solver": solver,
         },
     )
     code = EXIT_OK if check.violation_count == 0 else EXIT_ERROR

@@ -16,9 +16,10 @@ Four entry points:
 
 * ``discretize``           the implicit-Euler reduction itself,
 * ``apriori_estimate_continuous``  worst-case optimal readout of the
-  integral functional int (ell(t), x(t)) dt, via the flattened static
-  solver or via direct assembly of the discretized two-point boundary
-  value problem (both paths kept, they must agree),
+  integral functional int (ell(t), x(t)) dt, via the banded horizon
+  solver of :mod:`.discrete` on the discretized chain, or via dense
+  assembly of the discretized two-point boundary value problem (both
+  paths kept, they must agree),
 * ``tikhonov_approximate`` regularized solves for alpha -> 0, whose
   residual decay diagnoses whether the functional is representable,
 * ``riccati_filter``       forward integration of the descriptor Riccati
@@ -34,7 +35,15 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .discrete import DAEEllipsoid, DiscreteDAE, flatten, flatten_bounds
+from .discrete import (
+    DAEEllipsoid,
+    DiscreteDAE,
+    apriori_horizon_estimate,
+    flatten,
+    flatten_bounds,
+    horizon_saddle,
+    solver_record,
+)
 from .errors import (
     InvalidGrid,
     InvalidInput,
@@ -55,7 +64,7 @@ from .linalg import (
     spd_solve,
     symmetrize,
 )
-from .static import KIND_APRIORI, StaticModel, apriori_estimate, representable
+from .static import KIND_APRIORI
 
 # Gain norms above this level are treated as finite escape.
 RICCATI_NORM_CAP = 1e12
@@ -251,7 +260,9 @@ def discretize(
     disturbance h f(t_{k+1}) enters with weight h Q1(t_{k+1}) because
     int (Q1 f, f) dt ~ sum h (Q1(t_{k+1}) f_{k+1}, f_{k+1}); observation
     weights are h Q2(t_k) at every node. The initial row F x_0 = x0g
-    keeps its exact weight Q0.
+    keeps its exact weight Q0. Each weight value is checked SPD once; a
+    constant weight is checked once and its scaled matrix shared by all
+    steps.
     """
     _check_grid(system, grid)
     h = grid.h
@@ -269,8 +280,8 @@ def discretize(
         B_seq.append(h * np.eye(m))
     H_seq = [np.asarray(system.H(t), dtype=float) for t in ts]
 
-    Q1_seq = [h * require_spd(bounds.Q1(ts[k + 1]), "Q1(t)") for k in range(M)]
-    Q2_seq = [h * require_spd(bounds.Q2(t), "Q2(t)") for t in ts]
+    Q1_seq = _step_weights(bounds.Q1, ts[1:], h, "Q1(t)")
+    Q2_seq = _step_weights(bounds.Q2, ts, h, "Q2(t)")
 
     dae = DiscreteDAE(
         F_seq=tuple(F_seq),
@@ -279,8 +290,15 @@ def discretize(
         S=np.eye(m),
         H_seq=tuple(H_seq),
     )
-    dbounds = DAEEllipsoid(Q0=bounds.Q0, Q1_seq=tuple(Q1_seq), Q2_seq=tuple(Q2_seq))
+    dbounds = DAEEllipsoid.from_validated(bounds.Q0, Q1_seq, Q2_seq)
     return dae, dbounds
+
+
+def _step_weights(fn: TimeFunction, times: np.ndarray, h: float, name: str) -> tuple:
+    """h * fn(t) at each time, every distinct value checked SPD once."""
+    if isinstance(fn, ConstantFunction):
+        return (h * require_spd(fn.value, name),) * len(times)
+    return tuple(h * require_spd(fn(t), name) for t in times)
 
 
 def _sampled_functional(system: ContinuousDAE, ell, grid: TimeGrid) -> np.ndarray:
@@ -316,7 +334,8 @@ class ContinuousAprioriResult:
 
     ``sigma_hat`` is the worst-case mean-squared error of the readout
     int (u_hat(t), y(t)) dt against int (ell(t), x(t)) dt; infinite with
-    feasible=False when the functional is not representable.
+    feasible=False when the functional is not representable. ``solver``
+    records the solve path (see :func:`.discrete.solver_record`).
     """
 
     feasible: bool
@@ -325,6 +344,7 @@ class ContinuousAprioriResult:
     p_samples: Optional[np.ndarray] = None
     estimate_value: Optional[float] = None
     grid: Optional[TimeGrid] = None
+    solver: Optional[dict] = None
 
 
 def _bvp_system(system, bounds, grid):
@@ -383,9 +403,10 @@ def apriori_estimate_continuous(
 ) -> ContinuousAprioriResult:
     """Worst-case optimal readout of int (ell(t), x(t)) dt.
 
-    ``method='flattened'`` discretizes, stacks the horizon into one
-    static model and calls the static minimax solver. ``method='bvp'``
-    assembles the discretized optimality boundary value problem directly
+    ``method='flattened'`` discretizes and calls
+    :func:`.discrete.apriori_horizon_estimate`: one banded factorization,
+    with the flattened static solver as its fallback. ``method='bvp'``
+    assembles the discretized optimality boundary value problem densely
     from the continuous coefficients. Both produce the node values of
     the readout density u_hat(t) = Q2(t) H(t) p(t) and the radius
     sigma_hat = sum_k h (ell(t_k), p_k); they must agree to solver
@@ -405,15 +426,15 @@ def apriori_estimate_continuous(
 
     if method == "flattened":
         dae, dbounds = discretize(system, bounds, grid)
-        model = flatten(dae)
-        static_bounds = flatten_bounds(dae, dbounds, KIND_APRIORI)
-        report = apriori_estimate(model, static_bounds, ell_flat, tol=tol)
-        if not report.feasible:
+        horizon = apriori_horizon_estimate(dae, dbounds, h * ell_nodes, tol=tol)
+        solver = horizon.solver
+        if not horizon.feasible:
             return ContinuousAprioriResult(
-                feasible=False, sigma_hat=math.inf, grid=grid
+                feasible=False, sigma_hat=math.inf, grid=grid, solver=solver
             )
-        p_nodes = report.p.reshape(M + 1, n)
+        p_nodes = horizon.p_seq
     else:
+        solver = solver_record("dense")
         A = _bvp_system(system, bounds, grid)
         rhs = np.zeros(A.shape[0])
         rhs[(M + 1) * system.equation_dim :] = ell_nodes.reshape(-1)
@@ -421,7 +442,7 @@ def apriori_estimate_continuous(
         scale = 1.0 + float(np.linalg.norm(ell_nodes))
         if fit.residual_norm > _BVP_RESIDUAL_TOL * scale:
             return ContinuousAprioriResult(
-                feasible=False, sigma_hat=math.inf, grid=grid
+                feasible=False, sigma_hat=math.inf, grid=grid, solver=solver
             )
         p_nodes = fit.solution[: (M + 1) * n].reshape(M + 1, n)
 
@@ -441,6 +462,7 @@ def apriori_estimate_continuous(
         p_samples=p_nodes,
         estimate_value=estimate,
         grid=grid,
+        solver=solver,
     )
 
 
@@ -479,7 +501,10 @@ def tikhonov_approximate(
     """Regularized approximations of the a priori readout for alpha -> 0.
 
     For each alpha the singular optimality system gains alpha*h on the
-    diagonal of its primal block, making it uniquely solvable. When the
+    diagonal of its primal block, making it uniquely solvable; each alpha
+    gets one banded factorization (:func:`.discrete.horizon_saddle`),
+    with dense least squares on the flattened system as the fallback
+    when the factorization is not trusted. When the
     functional is representable the readouts converge to the minimax
     readout and residual_seq decays; otherwise residual_seq stays
     bounded away from zero.
@@ -499,34 +524,46 @@ def tikhonov_approximate(
     n = system.state_dim
 
     dae, dbounds = discretize(system, bounds, grid)
-    model = flatten(dae)
-    static_bounds = flatten_bounds(dae, dbounds, KIND_APRIORI)
-    gram = model.B @ spd_solve(static_bounds.Q1, model.B.T)
-    observed = model.H.T @ static_bounds.Q2 @ model.H
     ell_nodes = _sampled_functional(system, ell, grid)
     ell_flat = (h * ell_nodes).reshape(-1)
-    dim = model.F.shape[1]
-    rhs = np.concatenate([np.zeros(model.F.shape[0]), ell_flat])
+    flat = []  # F, gram and observed of the flattened model, built on first use
+
+    def dense_solve(alpha):
+        if not flat:
+            model = flatten(dae)
+            static_bounds = flatten_bounds(dae, dbounds, KIND_APRIORI)
+            flat.append(model.F)
+            flat.append(model.B @ spd_solve(static_bounds.Q1, model.B.T))
+            flat.append(model.H.T @ static_bounds.Q2 @ model.H)
+        F, gram, observed = flat
+        dim = F.shape[1]
+        A = np.block([[F, -gram], [observed + alpha * h * np.eye(dim), F.T]])
+        rhs = np.concatenate([np.zeros(F.shape[0]), ell_flat])
+        fit = solve_least_squares(A, rhs, tol)
+        return fit.solution[:dim].reshape(M + 1, n), fit.residual_norm
 
     u_list: List[np.ndarray] = []
     constraint = np.zeros(len(alphas))
     for j, alpha in enumerate(alphas):
-        A = np.block(
-            [[model.F, -gram], [observed + alpha * h * np.eye(dim), model.F.T]]
-        )
-        fit = solve_least_squares(A, rhs, tol)
-        if fit.residual_norm > 1e-6 * (1.0 + float(np.linalg.norm(ell_flat))):
+        saddle = horizon_saddle(dae, dbounds, tol, shift=alpha * h)
+        b = saddle.rhs((h * ell_nodes)[None])
+        solution = saddle.factor.solve(b)
+        if solution is not None:
+            p_nodes = saddle.states(solution)[0]
+            residual = float(saddle.factor.residual_norms(solution, b)[0])
+        else:
+            p_nodes, residual = dense_solve(alpha)
+        if residual > 1e-6 * (1.0 + float(np.linalg.norm(ell_flat))):
             raise SolveFailure(
                 f"regularized system at alpha={alpha} is numerically singular"
             )
-        p_nodes = fit.solution[:dim].reshape(M + 1, n)
         u_nodes = np.zeros((M + 1, system.observation_dim))
         for k, t in enumerate(ts):
             Hk = np.asarray(system.H(t), dtype=float)
             u_nodes[k] = np.asarray(bounds.Q2(t), dtype=float) @ (Hk @ p_nodes[k])
         u_list.append(u_nodes)
         # Dual-feasibility defect alpha*h*p per node, in the integral norm.
-        defect = alpha * h * fit.solution[:dim]
+        defect = alpha * h * p_nodes
         constraint[j] = float(np.linalg.norm(defect)) / math.sqrt(h)
 
     cauchy = np.zeros(max(len(alphas) - 1, 0))

@@ -10,17 +10,33 @@ with the joint ellipsoidal bound
 
     (Q0 x0g, x0g) + sum_k (Q1_k f_k, f_k) + sum_k (Q2_k g_k, g_k) <= 1.
 
-Stacking all states into one vector turns this into a static algebraic
-model, so every result from :mod:`.static` applies verbatim to
-trajectory functionals sum_k (ell_k, x_k). Two routes are implemented:
+Stacking all states into one vector (:func:`flatten`) turns this into a
+static algebraic model, so every result from :mod:`.static` applies
+verbatim to trajectory functionals sum_k (ell_k, x_k). The estimators
+here solve the same saddle-point system without forming it densely:
 
-* ``variational_estimate`` flattens and calls the static solver;
-* ``estimate_from_block`` assembles the coupled first-order conditions
-  step by step, never forming the flattened model.
+* **Band ordering.** Unknowns are ordered step by step as (x_k, w_k) and
+  rows as (dynamics_k, adjoint_k). Each row then touches only steps
+  k-1, k and k+1, so the (N+1)(n+m) square matrix is banded with
+  kl = n + 2m - 1 and ku = 2n + m - 1 (:func:`horizon_saddle`). It is
+  assembled straight from the step matrices and factored once by LAPACK
+  dgbtrf; every right-hand side (center, radius) is one dgbtrs pass.
+  Time and memory are linear in N.
+* **Regularity test.** The banded path is taken only when dgbtrf meets
+  no zero pivot, the estimated reciprocal condition number reaches
+  :data:`.linalg.RCOND_FLOOR`, and every solution passes the
+  deterministic size check of :meth:`.linalg.BandedFactor.solve`. The
+  floor rejects every matrix the dense minimum-norm least-squares solver
+  would treat as rank-deficient. A regular saddle matrix implies
+  ker F ∩ ker H = {0}, so every functional is representable and no
+  separate representability test is needed.
+* **Fallback.** Otherwise (singular dynamics, non-representable
+  functionals, rank-deficient [F_k; H_k] or [F_k, B_k] stacks) the
+  flattened model goes to the dense static solver, which decides rank
+  and representability by SVD. That path is cubic in N.
 
-The two must agree to solver precision; the second exists both as an
-independent check and because its block-bidiagonal structure is what a
-recursive filter discretizes.
+Each result carries a ``solver`` record (:func:`solver_record`) naming
+the path taken and the condition estimate that chose it.
 """
 
 from __future__ import annotations
@@ -31,13 +47,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InconsistentData, InvalidInput
+from .errors import InconsistentData, InvalidInput, NumericalBreakdown
 from .linalg import (
     DEFAULT_TOL,
+    NEGATIVE_FLOOR,
+    RCOND_FLOOR,
+    BandedFactor,
     as_matrix,
     block_diag,
+    factor_banded,
     require_spd,
-    solve_least_squares,
     spd_solve,
 )
 from .static import (
@@ -46,9 +65,8 @@ from .static import (
     StaticEllipsoid,
     StaticModel,
     aposteriori_estimate,
+    apriori_estimate,
 )
-
-_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -151,6 +169,15 @@ class DAEEllipsoid:
             tuple(require_spd(q, f"Q2_seq[{i}]") for i, q in enumerate(self.Q2_seq)),
         )
 
+    @classmethod
+    def from_validated(cls, Q0, Q1_seq: tuple, Q2_seq: tuple) -> "DAEEllipsoid":
+        """Wrap weight arrays the caller has already checked to be SPD."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "Q0", Q0)
+        object.__setattr__(out, "Q1_seq", Q1_seq)
+        object.__setattr__(out, "Q2_seq", Q2_seq)
+        return out
+
 
 def _check_bounds(dae: DiscreteDAE, bounds: DAEEllipsoid) -> None:
     if bounds.Q0.shape[0] != dae.equation_dim:
@@ -240,13 +267,152 @@ def stack_observations(dae: DiscreteDAE, y_seq: Sequence) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrajectoryEstimate:
-    """Chebyshev-center trajectory with the error radius of the functional."""
+    """Chebyshev-center trajectory with the error radius of the functional.
+
+    ``solver`` records how the saddle system was solved; see
+    :func:`solver_record`.
+    """
 
     feasible: bool
     sigma_hat: float
     estimate_value: float
     x_hat_seq: np.ndarray
     p_seq: Optional[np.ndarray] = None
+    solver: Optional[dict] = None
+
+
+@dataclass(frozen=True)
+class HorizonApriori:
+    """Minimax linear readout of a horizon functional, chosen before data.
+
+    ``sigma_hat`` is the worst-case mean-squared error (quadratic in the
+    functional), infinite with feasible=False when the functional is not
+    representable. ``u_hat_seq[k]`` weights observation y_k, so the
+    readout is sum_k (u_hat_seq[k], y_k).
+    """
+
+    feasible: bool
+    sigma_hat: float
+    u_hat_seq: Optional[np.ndarray] = None
+    p_seq: Optional[np.ndarray] = None
+    estimate_value: Optional[float] = None
+    solver: Optional[dict] = None
+
+
+def solver_record(path: str, factor: Optional[BandedFactor] = None) -> dict:
+    """The ``diagnostics.solver`` entry of a report.
+
+    ``path`` is "banded" or "dense"; ``rcond_estimate`` is the estimated
+    reciprocal condition number of the saddle matrix (None where no band
+    factorization was attempted) and ``rcond_floor`` the level it had to
+    reach for the banded path.
+    """
+    return {
+        "path": path,
+        "rcond_estimate": factor.rcond if factor is not None else None,
+        "rcond_floor": factor.floor if factor is not None else RCOND_FLOOR,
+    }
+
+
+@dataclass(frozen=True)
+class HorizonSaddle:
+    """The factored horizon saddle matrix.
+
+    Unknowns are ordered step by step as (x_0, w_0, x_1, w_1, ...), rows
+    as (dynamics_0, adjoint_0, dynamics_1, ...), so the matrix is banded.
+    """
+
+    factor: BandedFactor
+    n: int
+    m: int
+
+    def rhs(self, adjoint: np.ndarray) -> np.ndarray:
+        """Right-hand sides, one column per (N+1, n) block of ``adjoint``.
+
+        The dynamics rows are homogeneous; adjoint row k carries
+        adjoint[j, k] in column j.
+        """
+        count, steps = adjoint.shape[0], adjoint.shape[1]
+        b = np.zeros((steps, self.n + self.m, count))
+        b[:, self.m :, :] = np.moveaxis(adjoint, 0, -1)
+        return b.reshape(steps * (self.n + self.m), count)
+
+    def states(self, solution: np.ndarray) -> np.ndarray:
+        """The x_k blocks of each solution column, shape (count, N+1, n)."""
+        count = solution.shape[1]
+        blocks = solution.reshape(-1, self.n + self.m, count)[:, : self.n, :]
+        return np.moveaxis(blocks, -1, 0)
+
+
+def horizon_saddle(
+    dae: DiscreteDAE, bounds: DAEEllipsoid, tol: float = DEFAULT_TOL, shift: float = 0.0
+) -> HorizonSaddle:
+    """Assemble the horizon saddle matrix in band storage and factor it once.
+
+    The step blocks are those of the flattened static system
+    [[F, -G], [H'Q2H + shift I, F']], permuted to the step ordering of
+    :class:`HorizonSaddle`: dynamics row k reads F_k x_k - C_{k-1} x_{k-1}
+    - G_k w_k with G_0 = S Q0^{-1} S' and G_{k+1} = B_k Q1_k^{-1} B_k';
+    adjoint row k reads (H_k'Q2_k H_k + shift I) x_k + F_k' w_k -
+    C_k' w_{k+1}. With s = n + m the bandwidths are kl = n + 2m - 1 and
+    ku = 2n + m - 1 (both 5 for n = m = 2). Storage is O(N); nothing
+    quadratic in N is allocated.
+    """
+    n, m, N = dae.state_dim, dae.equation_dim, dae.horizon
+    s = n + m
+    dim = (N + 1) * s
+    kl, ku = (n + 2 * m - 1, 2 * n + m - 1) if N else (s - 1, s - 1)
+    band = np.zeros((2 * kl + ku + 1, dim), order="F")
+
+    F = np.stack(dae.F_seq)
+    H = np.stack(dae.H_seq)
+    W = np.swapaxes(H, 1, 2) @ np.stack(bounds.Q2_seq) @ H
+    if shift:
+        W = W + shift * np.eye(n)
+    G = np.empty((N + 1, m, m))
+    G[0] = dae.S @ spd_solve(bounds.Q0, dae.S.T)
+    if N:
+        B = np.stack(dae.B_seq)
+        G[1:] = B @ np.linalg.solve(np.stack(bounds.Q1_seq), np.swapaxes(B, 1, 2))
+
+    first = np.arange(N + 1)[:, None] * s
+    dyn = first + np.arange(m)          # rows of dynamics_k
+    adj = first + m + np.arange(n)      # rows of adjoint_k
+    xcol = first + np.arange(n)         # columns of x_k
+    wcol = first + n + np.arange(m)     # columns of w_k
+
+    def put(rows, cols, blocks):
+        r, c = rows[:, :, None], cols[:, None, :]
+        band[kl + ku + r - c, c] = blocks
+
+    put(dyn, xcol, F)
+    put(dyn, wcol, -G)
+    put(adj, xcol, W)
+    put(adj, wcol, np.swapaxes(F, 1, 2))
+    if N:
+        C = np.stack(dae.C_seq)
+        put(dyn[1:], xcol[:-1], -C)
+        put(adj[:-1], wcol[1:], -np.swapaxes(C, 1, 2))
+    return HorizonSaddle(factor_banded(band, kl, ku, tol), n, m)
+
+
+def _stacked_inputs(dae: DiscreteDAE, ell_seq: Sequence, y_seq) -> tuple:
+    """Validated functional and observations, flat and per step."""
+    n, l, N = dae.state_dim, dae.observation_dim, dae.horizon
+    ell = stack_functional(dae, ell_seq)
+    y = stack_observations(dae, y_seq) if y_seq is not None else None
+    return ell, y, ell.reshape(N + 1, n), (y.reshape(N + 1, l) if y is not None else None)
+
+
+def _banded_solve(dae, bounds, adjoint, tol):
+    """x-blocks of the saddle solutions for the given adjoint right-hand
+    sides, or None when the band factorization is not trusted; plus the
+    solver record either way."""
+    saddle = horizon_saddle(dae, bounds, tol)
+    solution = saddle.factor.solve(saddle.rhs(adjoint))
+    if solution is None:
+        return None, solver_record("dense", saddle.factor)
+    return saddle.states(solution), solver_record("banded", saddle.factor)
 
 
 def variational_estimate(
@@ -256,127 +422,105 @@ def variational_estimate(
     y_seq: Sequence,
     tol: float = DEFAULT_TOL,
 ) -> TrajectoryEstimate:
-    """Estimate sum_k (ell_k, x_k) by flattening to the static solver."""
-    _check_bounds(dae, bounds)
-    model = flatten(dae)
-    static_bounds = flatten_bounds(dae, bounds, KIND_APOSTERIORI)
-    ell = stack_functional(dae, ell_seq)
-    y = stack_observations(dae, y_seq)
-    report = aposteriori_estimate(model, static_bounds, ell, y, tol)
-    n, N = dae.state_dim, dae.horizon
-    x_seq = report.x_hat.reshape(N + 1, n)
-    p_seq = report.p.reshape(N + 1, n) if report.p is not None else None
-    return TrajectoryEstimate(
-        feasible=report.feasible,
-        sigma_hat=report.sigma_hat,
-        estimate_value=report.estimate_value,
-        x_hat_seq=x_seq,
-        p_seq=p_seq,
-    )
+    """Chebyshev-center estimate of sum_k (ell_k, x_k) over the horizon.
 
-
-def estimate_from_block(
-    dae: DiscreteDAE,
-    bounds: DAEEllipsoid,
-    ell_seq: Sequence,
-    y_seq: Sequence,
-    tol: float = DEFAULT_TOL,
-) -> TrajectoryEstimate:
-    """Estimate sum_k (ell_k, x_k) from the stepwise coupled conditions.
-
-    Assembles the block-bidiagonal first-order system directly: dynamics
-    rows driven by weighted multipliers, and adjoint rows
-
-        F_k' w_k - C_k' w_{k+1} = H_k' Q2_k (y_k - H_k x_k),   k < N
-        F_N' w_N               = H_N' Q2_N (y_N - H_N x_N),
-
-    plus the same system with right-hand side ell_k for the radius. No
-    flattened model is formed; agreement with ``variational_estimate``
-    is a structural identity the tests enforce.
+    Solves the saddle system twice on one band factorization: with the
+    data H_k'Q2_k y_k for the center x_hat, and with ell_k for the a
+    priori direction p. The radius is sqrt(slack) * sqrt((ell, p)) as in
+    :func:`.static.aposteriori_estimate`. A regular saddle matrix has
+    ker F ∩ ker H = {0}, so every functional is representable there.
+    When the band factorization is not trusted, the flattened model goes
+    to the dense static solver, which decides representability itself.
     """
     _check_bounds(dae, bounds)
-    n, m, N = dae.state_dim, dae.equation_dim, dae.horizon
-    if len(ell_seq) != N + 1 or len(y_seq) != N + 1:
-        raise InvalidInput("ell_seq and y_seq must both have horizon+1 entries")
-    ells = [np.asarray(e, dtype=float).reshape(-1) for e in ell_seq]
-    ys = [np.asarray(y, dtype=float).reshape(-1) for y in y_seq]
-    for k, v in enumerate(ells):
-        if v.shape[0] != n:
-            raise InvalidInput(f"ell_seq[{k}] has length {v.shape[0]}, expected {n}")
-    for k, v in enumerate(ys):
-        if v.shape[0] != dae.observation_dim:
-            raise InvalidInput(f"y_seq[{k}] has wrong length")
+    ell, y, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
+    H = np.stack(dae.H_seq)
+    q2y = np.einsum("kij,kj->ki", np.stack(bounds.Q2_seq), ys)
+    data = np.einsum("kji,kj->ki", H, q2y)
+    states, solver = _banded_solve(dae, bounds, np.stack([data, ells]), tol)
+    if states is None:
+        return _dense_variational(dae, bounds, ell, y, tol, solver)
 
-    dim = (N + 1) * (n + m)
-    A = np.zeros((dim, dim))
-    xoff = lambda k: k * n
-    woff = lambda k: (N + 1) * n + k * m
-
-    # Dynamics rows.
-    A[0:m, xoff(0) : xoff(0) + n] = dae.F_seq[0]
-    A[0:m, woff(0) : woff(0) + m] = -dae.S @ spd_solve(bounds.Q0, dae.S.T)
-    for k in range(N):
-        r0 = (k + 1) * m
-        A[r0 : r0 + m, xoff(k + 1) : xoff(k + 1) + n] = dae.F_seq[k + 1]
-        A[r0 : r0 + m, xoff(k) : xoff(k) + n] = -dae.C_seq[k]
-        A[r0 : r0 + m, woff(k + 1) : woff(k + 1) + m] = -dae.B_seq[k] @ spd_solve(
-            bounds.Q1_seq[k], dae.B_seq[k].T
-        )
-
-    # Adjoint rows, one group per state index.
-    base = (N + 1) * m
-    obs_gram = [
-        dae.H_seq[k].T @ bounds.Q2_seq[k] @ dae.H_seq[k] for k in range(N + 1)
-    ]
-    for k in range(N + 1):
-        r0 = base + k * n
-        A[r0 : r0 + n, xoff(k) : xoff(k) + n] = obs_gram[k]
-        A[r0 : r0 + n, woff(k) : woff(k) + m] = dae.F_seq[k].T
-        if k < N:
-            A[r0 : r0 + n, woff(k + 1) : woff(k + 1) + m] = -dae.C_seq[k].T
-
-    # Right-hand sides: data-driven for the center, functional for the radius.
-    rhs_data = np.zeros(dim)
-    rhs_ell = np.zeros(dim)
-    for k in range(N + 1):
-        r0 = base + k * n
-        rhs_data[r0 : r0 + n] = dae.H_seq[k].T @ (bounds.Q2_seq[k] @ ys[k])
-        rhs_ell[r0 : r0 + n] = ells[k]
-
-    ell_flat = np.concatenate(ells)
-    y_flat = np.concatenate(ys)
-
-    data_fit = solve_least_squares(A, rhs_data, tol)
-    x_flat = data_fit.solution[: (N + 1) * n]
-    x_seq = x_flat.reshape(N + 1, n)
-    estimate = float(ell_flat @ x_flat)
-
-    # Unused uncertainty budget; negative beyond rounding means bad data.
-    q2y = np.concatenate([bounds.Q2_seq[k] @ ys[k] for k in range(N + 1)])
-    hx = np.concatenate([dae.H_seq[k] @ x_seq[k] for k in range(N + 1)])
-    slack = 1.0 - float((y_flat - hx) @ q2y)
-    if slack < -1e-9:
+    x_seq, p_seq = states
+    slack = 1.0 - float(np.sum((ys - np.einsum("kij,kj->ki", H, x_seq)) * q2y))
+    if slack < -NEGATIVE_FLOOR:
         raise InconsistentData(
             f"observations are inconsistent with the disturbance bound "
             f"(energy overshoot {-slack:.3e})"
         )
-    slack = max(slack, 0.0)
-
-    radius_fit = solve_least_squares(A, rhs_ell, tol)
-    scale = 1.0 + float(np.linalg.norm(ell_flat))
-    if radius_fit.residual_norm > _RESIDUAL_TOL * scale:
-        return TrajectoryEstimate(
-            feasible=False,
-            sigma_hat=math.inf,
-            estimate_value=estimate,
-            x_hat_seq=x_seq,
-        )
-    p_flat = radius_fit.solution[: (N + 1) * n]
-    sigma_sq = max(float(ell_flat @ p_flat), 0.0)
+    sigma_sq = max(float(np.sum(ells * p_seq)), 0.0)
     return TrajectoryEstimate(
         feasible=True,
-        sigma_hat=math.sqrt(slack) * math.sqrt(sigma_sq),
-        estimate_value=estimate,
+        sigma_hat=math.sqrt(max(slack, 0.0)) * math.sqrt(sigma_sq),
+        estimate_value=float(np.sum(ells * x_seq)),
         x_hat_seq=x_seq,
-        p_seq=p_flat.reshape(N + 1, n),
+        p_seq=p_seq,
+        solver=solver,
+    )
+
+
+def _dense_variational(dae, bounds, ell, y, tol, solver) -> TrajectoryEstimate:
+    model = flatten(dae)
+    static_bounds = flatten_bounds(dae, bounds, KIND_APOSTERIORI)
+    report = aposteriori_estimate(model, static_bounds, ell, y, tol)
+    n, N = dae.state_dim, dae.horizon
+    return TrajectoryEstimate(
+        feasible=report.feasible,
+        sigma_hat=report.sigma_hat,
+        estimate_value=report.estimate_value,
+        x_hat_seq=report.x_hat.reshape(N + 1, n),
+        p_seq=report.p.reshape(N + 1, n) if report.p is not None else None,
+        solver=solver,
+    )
+
+
+def apriori_horizon_estimate(
+    dae: DiscreteDAE,
+    bounds: DAEEllipsoid,
+    ell_seq: Sequence,
+    y_seq: Optional[Sequence] = None,
+    tol: float = DEFAULT_TOL,
+) -> HorizonApriori:
+    """Minimax linear readout of sum_k (ell_k, x_k) chosen before data.
+
+    One banded solve with right-hand side ell gives p; the readout is
+    u_hat_k = Q2_k H_k p_k and its worst-case mean-squared error (ell, p).
+    When the band factorization is not trusted, the flattened model goes
+    to :func:`.static.apriori_estimate`. With ``y_seq`` the readout is
+    applied to the data as ``estimate_value``.
+    """
+    _check_bounds(dae, bounds)
+    ell, y, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
+    states, solver = _banded_solve(dae, bounds, ells[None], tol)
+    n, l, N = dae.state_dim, dae.observation_dim, dae.horizon
+    if states is None:
+        report = apriori_estimate(
+            flatten(dae), flatten_bounds(dae, bounds, KIND_APRIORI), ell, y, tol
+        )
+        if not report.feasible:
+            return HorizonApriori(feasible=False, sigma_hat=math.inf, solver=solver)
+        return HorizonApriori(
+            feasible=True,
+            sigma_hat=report.sigma_hat,
+            u_hat_seq=report.u_hat.reshape(N + 1, l),
+            p_seq=report.p.reshape(N + 1, n),
+            estimate_value=report.estimate_value,
+            solver=solver,
+        )
+
+    p_seq = states[0]
+    sigma_sq = float(np.sum(ells * p_seq))
+    if sigma_sq < -NEGATIVE_FLOOR * (float(ell @ ell) + 1.0):
+        raise NumericalBreakdown(
+            f"worst-case mean-squared error came out negative ({sigma_sq:.3e})"
+        )
+    hp = np.einsum("kij,kj->ki", np.stack(dae.H_seq), p_seq)
+    u_seq = np.einsum("kij,kj->ki", np.stack(bounds.Q2_seq), hp)
+    return HorizonApriori(
+        feasible=True,
+        sigma_hat=max(sigma_sq, 0.0),
+        u_hat_seq=u_seq,
+        p_seq=p_seq,
+        estimate_value=float(np.sum(u_seq * ys)) if ys is not None else None,
+        solver=solver,
     )

@@ -43,6 +43,7 @@ from .errors import InconsistentData, InvalidInput, NumericalBreakdown
 from .linalg import (
     DEFAULT_TOL,
     MEMBERSHIP_TOL,
+    NEGATIVE_FLOOR,
     as_matrix,
     as_vector,
     null_basis,
@@ -60,10 +61,6 @@ KIND_APOSTERIORI = "aposteriori"
 # A saddle-point residual above this (relative) level means the assembled
 # system was inconsistent beyond representability issues.
 _SOLVE_RESIDUAL_TOL = 1e-6
-
-# Tolerated negative floor for quantities that are nonnegative in exact
-# arithmetic, per unit of scale.
-_NEGATIVE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -232,7 +229,7 @@ def apriori_estimate(
     u_hat = bounds.Q2 @ (model.H @ p)
     sigma_sq = float(target @ p)
     scale = float(np.linalg.norm(target)) ** 2 + 1.0
-    if sigma_sq < -_NEGATIVE_FLOOR * scale:
+    if sigma_sq < -NEGATIVE_FLOOR * scale:
         raise NumericalBreakdown(
             f"worst-case mean-squared error came out negative ({sigma_sq:.3e})"
         )
@@ -289,7 +286,7 @@ def aposteriori_estimate(
     estimate = float(target @ x_hat)
 
     slack = 1.0 - float((y - model.H @ x_hat) @ (bounds.Q2 @ y))
-    if slack < -_NEGATIVE_FLOOR:
+    if slack < -NEGATIVE_FLOOR:
         raise InconsistentData(
             f"observations are inconsistent with the disturbance bound "
             f"(energy overshoot {-slack:.3e})"

@@ -397,3 +397,76 @@ def test_console_subprocess_round_trip(tmp_path):
     )
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# solver path reporting
+
+
+def test_chain_estimate_reports_banded_solver(tmp_path, capsys):
+    code = main(
+        [
+            "estimate",
+            "--config",
+            write_doc(tmp_path, chain_doc()),
+            "--observations",
+            write_obs(tmp_path, [[1.0], [1.0]]),
+        ]
+    )
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["estimate"] == pytest.approx(0.8)
+    solver = report["diagnostics"]["solver"]
+    assert solver["path"] == "banded"
+    assert solver["rcond_estimate"] >= solver["rcond_floor"] > 0
+    assert "block_path_max_center_gap" not in report["diagnostics"]
+
+
+def test_nonrepresentable_chain_falls_back_and_exits_2(tmp_path, capsys):
+    # x1 enters neither the dynamics nor the observations
+    doc = chain_doc()
+    doc["model"]["F_seq"] = [[[1.0]], [[0.0]]]
+    doc["model"]["H_seq"] = [[[1.0]], [[0.0]]]
+    doc["model"]["C"] = [[0.0]]
+    del doc["model"]["F"], doc["model"]["H"]
+    code = main(
+        [
+            "estimate",
+            "--config",
+            write_doc(tmp_path, doc),
+            "--observations",
+            write_obs(tmp_path, [[0.5], [0.0]]),
+        ]
+    )
+    assert code == EXIT_INFEASIBLE
+    report = json.loads(capsys.readouterr().out)
+    assert report["sigma_hat"] == "infinite"
+    solver = report["diagnostics"]["solver"]
+    assert solver["path"] == "dense"
+    assert solver["rcond_estimate"] < solver["rcond_floor"]
+
+
+def test_apriori_reports_carry_solver_path(tmp_path):
+    chain, code = run("estimate", parse_config(chain_doc("apriori")), np.ones((2, 1)))
+    assert code == EXIT_OK
+    assert chain.diagnostics["solver"]["path"] == "banded"
+    assert chain.outputs["u_hat"].shape == (2,)
+    continuous = {
+        "kind": "continuous_dae",
+        "model": {"F": [[1.0]], "C": [[0.0]], "H": [[1.0]], "t_start": 0.0, "t_end": 1.0},
+        "bounds": {"Q0": [[1.0]], "Q1": [[1.0]], "Q2": [[1.0]]},
+        "estimation": {"mode": "apriori", "ell": [1.0]},
+        "grid": {"start": 0.0, "end": 1.0, "steps": 32},
+    }
+    report, code = run("estimate", parse_config(continuous))
+    assert code == EXIT_OK
+    assert report.diagnostics["solver"]["path"] == "banded"
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    probe = "import sys, descriptor_minimax.cli; print('scipy.sparse' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

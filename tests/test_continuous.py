@@ -15,6 +15,7 @@ from descriptor_minimax import (
     ConstantFunction,
     ContinuousDAE,
     ContinuousEllipsoid,
+    InvalidBounds,
     InvalidGrid,
     InvalidInput,
     NotRepresentable,
@@ -116,6 +117,44 @@ def test_discretize_layout_and_weights():
     assert dbounds.Q0 == pytest.approx(np.eye(1))
     for k in range(5):
         assert dbounds.Q2_seq[k] == pytest.approx(h * np.eye(1))
+
+
+def test_discretize_checks_each_weight_once(monkeypatch):
+    import descriptor_minimax.continuous as continuous_mod
+    import descriptor_minimax.discrete as discrete_mod
+
+    system, bounds = scalar_system()
+    varying = ContinuousEllipsoid(
+        Q0=[[1.0]], Q1=lambda t: np.array([[1.0 + t]]), Q2=lambda t: np.array([[2.0 + t]])
+    )
+    names = []
+    real = continuous_mod.require_spd
+
+    def counted(q, name="weight"):
+        names.append(name)
+        return real(q, name)
+
+    monkeypatch.setattr(continuous_mod, "require_spd", counted)
+    monkeypatch.setattr(discrete_mod, "require_spd", counted)
+    grid = TimeGrid(0.0, 1.0, 8)
+    _, dbounds = discretize(system, bounds, grid)
+    # constant weights: one check each, one scaled matrix shared by all steps
+    assert sorted(names) == ["Q1(t)", "Q2(t)"]
+    assert all(q is dbounds.Q1_seq[0] for q in dbounds.Q1_seq)
+    assert len(dbounds.Q2_seq) == 9
+
+    names.clear()
+    _, dbounds = discretize(system, varying, grid)
+    # time-varying weights: one check per node
+    assert names.count("Q1(t)") == 8 and names.count("Q2(t)") == 9
+    assert dbounds.Q2_seq[4] == pytest.approx(grid.h * np.array([[2.5]]))
+
+
+def test_discretize_still_rejects_indefinite_weight():
+    system, _ = scalar_system()
+    bad = ContinuousEllipsoid(Q0=[[1.0]], Q1=lambda t: np.array([[t - 0.5]]), Q2=[[1.0]])
+    with pytest.raises(InvalidBounds):
+        discretize(system, bad, TimeGrid(0.0, 1.0, 4))
 
 
 def test_discretize_time_varying_transition():
@@ -244,6 +283,27 @@ def test_tikhonov_flags_nonrepresentable_functional():
     alphas = [2.0**-k for k in range(1, 11)]
     reg = tikhonov_approximate(system, bounds, ell_one, grid, alphas)
     assert all(r > 0.9 for r in reg.residual_seq)
+
+
+def test_banded_and_dense_fallback_agree(monkeypatch):
+    # An infinite floor rejects every band factorization, forcing the
+    # dense flattened route for both the a priori and the regularized solves
+    import descriptor_minimax.linalg as linalg_mod
+
+    system, bounds = scalar_system()
+    grid = TimeGrid(0.0, 1.0, 40)
+    alphas = [0.5, 0.05, 0.005]
+    banded = apriori_estimate_continuous(system, bounds, ell_one, grid)
+    reg_banded = tikhonov_approximate(system, bounds, ell_one, grid, alphas)
+    monkeypatch.setattr(linalg_mod, "RCOND_FLOOR", np.inf)
+    dense = apriori_estimate_continuous(system, bounds, ell_one, grid)
+    reg_dense = tikhonov_approximate(system, bounds, ell_one, grid, alphas)
+    assert banded.solver["path"] == "banded" and dense.solver["path"] == "dense"
+    assert banded.sigma_hat == pytest.approx(dense.sigma_hat, rel=1e-10)
+    assert banded.u_hat_samples == pytest.approx(dense.u_hat_samples, abs=1e-10)
+    for u_b, u_d in zip(reg_banded.u_samples_seq, reg_dense.u_samples_seq):
+        assert u_b == pytest.approx(u_d, abs=1e-10)
+    assert reg_banded.residual_seq == pytest.approx(reg_dense.residual_seq, abs=1e-10)
 
 
 def test_tikhonov_validates_alphas():

@@ -1,5 +1,10 @@
 """Discrete-time descriptor estimation over a horizon.
 
+The banded horizon solver is checked against the dense flattened static
+solver, which stays the reference, on random ensembles: regular chains
+(m != n included), descriptor chains, rank-deficient [F_k; H_k] stacks
+and non-representable functionals.
+
 The two-step scalar chain (x0 = xg0, x1 = x0 + f0, unit weights,
 observations y = (1, 1), functional picking x1) minimizes
 
@@ -20,7 +25,6 @@ from descriptor_minimax import (
     KIND_APOSTERIORI,
     NumericalBreakdown,
     aposteriori_estimate,
-    estimate_from_block,
     flatten,
     flatten_bounds,
     variational_estimate,
@@ -57,18 +61,64 @@ def test_chain_frozen_values_variational():
     )
 
 
-def test_chain_frozen_values_block_path():
+def test_chain_frozen_values_banded_path():
     dae, bounds = scalar_chain()
-    out = estimate_from_block(
+    out = variational_estimate(
         dae, bounds, [np.zeros(1), np.ones(1)], [np.ones(1), np.ones(1)]
     )
+    assert out.solver["path"] == "banded"
     assert out.feasible
     assert out.estimate_value == pytest.approx(0.8, abs=1e-12)
     assert out.sigma_hat == pytest.approx(SQRT024, abs=1e-12)
 
 
-def test_variational_equals_block_on_random_systems():
+def _dense_reference(dae, bounds, ell_seq, y_seq):
+    """The flattened static solver, the oracle for the banded path."""
+    return aposteriori_estimate(
+        flatten(dae),
+        flatten_bounds(dae, bounds),
+        stack_functional(dae, ell_seq),
+        stack_observations(dae, y_seq),
+    )
+
+
+def _outcome(solve):
+    """A finished estimate, or the name of the error that ended it."""
+    try:
+        return solve()
+    except (InconsistentData, NumericalBreakdown) as exc:
+        return type(exc).__name__
+
+
+def _compare_with_dense(dae, bounds, ell_seq, y_seq):
+    """Assert the banded estimate gives the dense verdict and values.
+
+    Returns (verdict, solver path): verdict is "finite", "infinite" or
+    the error name.
+    """
+    banded = _outcome(lambda: variational_estimate(dae, bounds, ell_seq, y_seq))
+    dense = _outcome(lambda: _dense_reference(dae, bounds, ell_seq, y_seq))
+    if isinstance(dense, str) or isinstance(banded, str):
+        assert banded == dense
+        return dense, None
+    assert banded.feasible == dense.feasible
+    scale = 1.0 + abs(dense.estimate_value)
+    assert abs(banded.estimate_value - dense.estimate_value) <= 1e-9 * scale
+    gap = np.max(np.abs(np.asarray(banded.x_hat_seq).reshape(-1) - dense.x_hat))
+    assert gap <= 1e-9 * (1.0 + np.max(np.abs(dense.x_hat)))
+    if not dense.feasible:
+        return "infinite", banded.solver["path"]
+    # compare squared radii: sigma is a square root, so roundoff near a
+    # genuinely zero radius would otherwise blow up to sqrt(eps)
+    assert abs(banded.sigma_hat**2 - dense.sigma_hat**2) <= 1e-9 * (
+        1.0 + dense.sigma_hat**2
+    )
+    return "finite", banded.solver["path"]
+
+
+def test_banded_equals_dense_on_random_systems():
     rng = rng_for(314)
+    paths = []
     done = 0
     while done < 100:
         n = int(rng.integers(1, 4))
@@ -79,25 +129,167 @@ def test_variational_equals_block_on_random_systems():
         dae, bounds = make_discrete(rng, n=n, m=m, p=p, l=l, N=N)
         ell_seq = [rng.standard_normal(n) * 0.5 for _ in range(N + 1)]
         y_seq = [rng.standard_normal(l) * 0.05 for _ in range(N + 1)]
-        try:
-            a = variational_estimate(dae, bounds, ell_seq, y_seq)
-            b = estimate_from_block(dae, bounds, ell_seq, y_seq)
-        except (InconsistentData, NumericalBreakdown):
+        verdict, path = _compare_with_dense(dae, bounds, ell_seq, y_seq)
+        if verdict in ("InconsistentData", "NumericalBreakdown"):
             continue  # empty set or numerically degenerate draw: redraw
-        assert a.feasible == b.feasible
-        if not a.feasible:
-            done += 1
-            continue
-        scale = 1.0 + abs(a.estimate_value)
-        assert abs(a.estimate_value - b.estimate_value) <= 1e-9 * scale
-        # compare squared radii: sigma is a square root, so roundoff near a
-        # genuinely zero radius would otherwise blow up to sqrt(eps)
-        assert abs(a.sigma_hat**2 - b.sigma_hat**2) <= 1e-9 * (1.0 + a.sigma_hat**2)
-        gap = max(
-            np.max(np.abs(np.asarray(a.x_hat_seq) - np.asarray(b.x_hat_seq))), 0.0
-        )
-        assert gap <= 1e-9 * (1.0 + np.max(np.abs(a.x_hat_seq)))
+        paths.append(path)
         done += 1
+    # the ensemble (m != n included) must mostly exercise the banded path
+    assert paths.count("banded") >= 50
+
+
+def _descriptor_chain(rng, n, l, N, blind_steps=()):
+    """Chain whose F_k all lose their smallest singular value.
+
+    H_k gets a unit component along ker F_k, so [F_k; H_k] keeps full
+    column rank, except at ``blind_steps``, where H_k is made blind to
+    ker F_k and [F_k; H_k] is rank-deficient. Returns the chain, its
+    bounds and the kernel directions.
+    """
+    dae, bounds = make_discrete(rng, n=n, m=n, l=l, N=N, identity_b=True)
+    F_seq, H_seq, kernels = [], [], []
+    for k, (F, H) in enumerate(zip(dae.F_seq, dae.H_seq)):
+        u, s, vt = np.linalg.svd(F)
+        s[-1] = 0.0
+        v = vt[-1]
+        H = H - np.outer(H @ v, v)
+        if k not in blind_steps:
+            e = rng.standard_normal(l)
+            H = H + np.outer(e / np.linalg.norm(e), v)
+        F_seq.append((u * s) @ vt)
+        H_seq.append(H)
+        kernels.append(v)
+    chain = DiscreteDAE(
+        F_seq=F_seq, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=H_seq
+    )
+    return chain, bounds, kernels
+
+
+def _observations(rng, l, N):
+    """Small data, or data far outside the bound (an inconsistent draw)."""
+    scale = 0.05 if rng.random() < 0.8 else 30.0
+    return [rng.standard_normal(l) * scale for _ in range(N + 1)]
+
+
+def test_descriptor_chains_match_dense():
+    rng = rng_for(1729)
+    verdicts = []
+    for _ in range(60):
+        n = int(rng.integers(2, 4))
+        l = int(rng.integers(1, 4))
+        N = int(rng.integers(1, 9))
+        dae, bounds, _ = _descriptor_chain(rng, n, l, N)
+        ell_seq = [rng.standard_normal(n) for _ in range(N + 1)]
+        verdicts.append(
+            _compare_with_dense(dae, bounds, ell_seq, _observations(rng, l, N))
+        )
+    assert ("finite", "banded") in verdicts
+    assert ("InconsistentData", None) in verdicts
+
+
+def test_rank_deficient_stacks_match_dense():
+    rng = rng_for(4242)
+    verdicts = []
+    for _ in range(60):
+        n = int(rng.integers(2, 4))
+        l = int(rng.integers(1, 4))
+        N = int(rng.integers(1, 9))
+        blind = set(rng.choice(N + 1, size=int(rng.integers(1, N + 2)), replace=False))
+        dae, bounds, _ = _descriptor_chain(rng, n, l, N, blind_steps=blind)
+        ell_seq = [rng.standard_normal(n) for _ in range(N + 1)]
+        verdicts.append(
+            _compare_with_dense(dae, bounds, ell_seq, _observations(rng, l, N))
+        )
+    # a blind terminal step leaves ker F_N ∩ ker H_N in the kernel of the
+    # saddle matrix: those draws must fall back and come out infinite
+    assert ("infinite", "dense") in verdicts
+    assert any(path == "banded" for _, path in verdicts)
+
+
+def test_nonrepresentable_functionals_match_dense():
+    rng = rng_for(8128)
+    infinite = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 4))
+        l = int(rng.integers(1, 4))
+        N = int(rng.integers(0, 9))
+        dae, bounds, kernels = _descriptor_chain(rng, n, l, N, blind_steps={N})
+        ell_seq = [rng.standard_normal(n) for _ in range(N + 1)]
+        ell_seq[N] = ell_seq[N] + kernels[N]
+        y_seq = _observations(rng, l, N)
+        verdict, path = _compare_with_dense(dae, bounds, ell_seq, y_seq)
+        assert verdict in ("infinite", "InconsistentData")
+        if verdict == "infinite":
+            assert path == "dense"
+            infinite += 1
+    assert infinite >= 10
+
+
+def _regular_chain(rng, N, n=2):
+    """F_k near the identity, contractive C_k: a well-conditioned chain."""
+    eye = np.eye(n)
+    F_seq = eye + 0.1 * rng.standard_normal((N + 1, n, n))
+    C_seq = 0.5 * rng.standard_normal((N, n, n)) / np.sqrt(n)
+    H_seq = rng.standard_normal((N + 1, n, n)) / np.sqrt(n)
+    dae = DiscreteDAE(
+        F_seq=F_seq, C_seq=C_seq, B_seq=np.broadcast_to(eye, (N, n, n)), S=eye, H_seq=H_seq
+    )
+    bounds = DAEEllipsoid(
+        Q0=eye, Q1_seq=np.broadcast_to(eye, (N, n, n)), Q2_seq=np.broadcast_to(eye, (N + 1, n, n))
+    )
+    return dae, bounds
+
+
+def test_regular_chain_makes_no_dense_solve(monkeypatch):
+    import descriptor_minimax.discrete as discrete_mod
+    import descriptor_minimax.linalg as linalg_mod
+    import descriptor_minimax.static as static_mod
+
+    calls = {"lstsq": 0, "factor": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    lstsq = counted("lstsq", linalg_mod.solve_least_squares)
+    monkeypatch.setattr(linalg_mod, "solve_least_squares", lstsq)
+    monkeypatch.setattr(static_mod, "solve_least_squares", lstsq)
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(
+        discrete_mod, "factor_banded", counted("factor", discrete_mod.factor_banded)
+    )
+    rng = rng_for(200)
+    N = 200
+    dae, bounds = _regular_chain(rng, N)
+    ell_seq = [rng.standard_normal(2) for _ in range(N + 1)]
+    y_seq = [rng.standard_normal(2) * 0.02 for _ in range(N + 1)]
+    out = variational_estimate(dae, bounds, ell_seq, y_seq)
+    assert out.solver["path"] == "banded"
+    assert out.feasible and np.isfinite(out.sigma_hat)
+    assert calls == {"lstsq": 0, "factor": 1}
+
+
+def test_long_horizon_allocates_linear_memory():
+    import tracemalloc
+
+    rng = rng_for(10_000)
+    N, n = 10_000, 2
+    dae, bounds = _regular_chain(rng, N, n)
+    ell_seq = np.zeros((N + 1, n))
+    ell_seq[-1] = 1.0
+    y_seq = rng.standard_normal((N + 1, n)) * 0.001
+    tracemalloc.start()
+    try:
+        out = variational_estimate(dae, bounds, ell_seq, y_seq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.solver["path"] == "banded"
+    dense_square = ((N + 1) * n) ** 2 * 8
+    assert peak < dense_square / 100
 
 
 def _normal_equations_trajectory(dae, bounds, y_seq):

@@ -7,8 +7,12 @@ from hypothesis import given, settings, strategies as st
 from descriptor_minimax import InvalidBounds, InvalidInput
 from descriptor_minimax.linalg import (
     DEFAULT_TOL,
+    RCOND_FLOOR,
     as_matrix,
     as_vector,
+    band_matvec,
+    factor_banded,
+    inverse_norm1_estimate,
     null_basis,
     pseudo_inverse,
     range_membership,
@@ -140,3 +144,82 @@ def test_symmetrize():
     s = symmetrize(a)
     assert np.array_equal(s, s.T)
     assert s[0, 1] == pytest.approx(1.0)
+
+
+def _to_band(a, kl, ku):
+    """LAPACK dgbtrf storage of the band part of a square matrix."""
+    dim = a.shape[0]
+    band = np.zeros((2 * kl + ku + 1, dim))
+    for i in range(dim):
+        for j in range(max(0, i - kl), min(dim, i + ku + 1)):
+            band[kl + ku + i - j, j] = a[i, j]
+    return band
+
+
+def _random_band(rng, dim, kl, ku, symmetric=False):
+    a = rng.standard_normal((dim, dim))
+    if symmetric:
+        a = a + a.T
+    rows, cols = np.indices(a.shape)
+    return np.where((rows - cols <= kl) & (cols - rows <= ku), a, 0.0)
+
+
+def test_band_matvec_matches_dense():
+    rng = np.random.default_rng(5)
+    for dim, kl, ku in ((1, 0, 0), (7, 2, 1), (12, 5, 5), (9, 0, 3)):
+        a = _random_band(rng, dim, kl, ku)
+        x = rng.standard_normal((dim, 3))
+        assert band_matvec(_to_band(a, kl, ku), kl, ku, x) == pytest.approx(a @ x)
+
+
+def test_inverse_norm_estimate_is_a_close_lower_bound():
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        dim = int(rng.integers(1, 30))
+        a = rng.standard_normal((dim, dim)) + 0.5 * np.eye(dim)
+        inv = np.linalg.inv(a)
+        exact = np.abs(inv).sum(axis=0).max()
+        est = inverse_norm1_estimate(lambda v: inv @ v, lambda v: inv.T @ v, dim)
+        assert est <= exact * (1 + 1e-12)
+        assert est >= exact / 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.sampled_from([0.0, 1e-15, 1e-13, 1e-11, DEFAULT_TOL, 1e-3, 0.1]),
+)
+def test_banded_factor_rejects_what_least_squares_truncates(seed, dim, gap):
+    # A symmetric band matrix shifted to put one eigenvalue at
+    # gap * sigma_max: its smallest singular value is set by the shift
+    rng = np.random.default_rng(seed)
+    kl = ku = int(rng.integers(0, 4))
+    a = _random_band(rng, dim, kl, ku, symmetric=True)
+    eig = np.linalg.eigvalsh(a)
+    j = int(rng.integers(dim))
+    a = a - eig[j] * np.eye(dim)
+    s = np.linalg.svd(a, compute_uv=False)
+    a = a + gap * s[0] * np.eye(dim)
+    s = np.linalg.svd(a, compute_uv=False)
+    factor = factor_banded(_to_band(a, kl, ku), kl, ku)
+    b = rng.standard_normal((dim, 2))
+    if s[-1] <= DEFAULT_TOL * s[0]:
+        assert not factor.regular
+        assert factor.solve(b) is None
+    if factor.regular:
+        assert factor.rcond >= RCOND_FLOOR
+        # norm estimates never exceed the truth, so neither does the
+        # condition estimate
+        inv = np.linalg.inv(a)
+        cond = max(
+            np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max(),
+            np.abs(a).sum(axis=1).max() * np.abs(inv).sum(axis=1).max(),
+        )
+        assert factor.rcond >= (1 - 1e-9) / cond
+        x = factor.solve(b)
+        assert x is not None
+        assert x == pytest.approx(np.linalg.solve(a, b), rel=1e-6, abs=1e-9)
+        assert factor.residual_norms(x, b) == pytest.approx(
+            np.linalg.norm(a @ x - b, axis=0), abs=1e-9
+        )
