@@ -37,7 +37,7 @@ from .continuous import (
     TableFunction,
     TimeGrid,
 )
-from .discrete import DAEEllipsoid, DiscreteDAE
+from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds
 from .errors import (
     DimensionError,
     EstimationError,
@@ -126,16 +126,40 @@ def _time_function(obj, path: str, vector: bool = False):
     raise SchemaError(f"{path}.type must be constant, table, or polynomial")
 
 
-def _matrix_seq(block: dict, name: str, count: int, path: str) -> List[np.ndarray]:
-    """Read ``name_seq`` (exact length) or replicate a single ``name``."""
+def _matrix_stack(raw: list, path: str):
+    """The matrices of ``raw`` as one (count, rows, cols) array.
+
+    One ``np.asarray`` for the whole list; only when that fails are the
+    entries read one by one, so a SchemaError names the first bad entry
+    (``model.F_seq[3] contains non-finite entries``). Entries that are
+    all valid but differ in shape come back as a tuple, and the model
+    constructor reports the first mismatch as a DimensionError, after
+    every field has passed its schema checks.
+    """
+    try:
+        a = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is not None and a.ndim == 3 and np.isfinite(a).all():
+        return a
+    return tuple(_matrix(m, f"{path}[{i}]") for i, m in enumerate(raw))
+
+
+def _matrix_seq(block: dict, name: str, count: int, path: str):
+    """Read ``name_seq`` (exact length) or broadcast a single ``name``.
+
+    A single matrix is validated once and repeated with stride 0, so the
+    model constructors check it once too.
+    """
     seq_key = f"{name}_seq"
     if seq_key in block:
         raw = block[seq_key]
         if not isinstance(raw, list) or len(raw) != count:
             raise SchemaError(f"{path}.{seq_key} must be a list of {count} matrices")
-        return [_matrix(m, f"{path}.{seq_key}[{i}]") for i, m in enumerate(raw)]
+        return _matrix_stack(raw, f"{path}.{seq_key}")
     if name in block:
-        return [_matrix(block[name], f"{path}.{name}")] * count
+        single = _matrix(block[name], f"{path}.{name}")
+        return np.broadcast_to(single, (count,) + single.shape)
     raise SchemaError(f"missing required field {path}.{name} or {path}.{seq_key}")
 
 
@@ -202,42 +226,28 @@ def _parse_discrete(model_block, bounds_block) -> tuple:
     if not isinstance(horizon, int) or horizon < 0:
         raise SchemaError("model.horizon must be a nonnegative integer")
     F_seq = _matrix_seq(model_block, "F", horizon + 1, "model")
-    C_seq = _matrix_seq(model_block, "C", horizon, "model") if horizon else []
-    B_seq = _matrix_seq(model_block, "B", horizon, "model") if horizon else []
+    C_seq = _matrix_seq(model_block, "C", horizon, "model") if horizon else ()
+    B_seq = _matrix_seq(model_block, "B", horizon, "model") if horizon else ()
     H_seq = _matrix_seq(model_block, "H", horizon + 1, "model")
-    m = F_seq[0].shape[0]
     S = (
         _matrix(model_block["S"], "model.S")
         if "S" in model_block
-        else np.eye(m)
+        else np.eye(np.shape(F_seq[0])[0])
     )
     try:
-        model = DiscreteDAE(
-            F_seq=tuple(F_seq),
-            C_seq=tuple(C_seq),
-            B_seq=tuple(B_seq),
-            S=S,
-            H_seq=tuple(H_seq),
-        )
+        model = DiscreteDAE(F_seq=F_seq, C_seq=C_seq, B_seq=B_seq, S=S, H_seq=H_seq)
     except InvalidInput as exc:
         raise DimensionError(f"model: {exc}") from exc
     Q0 = _matrix(_require(bounds_block, "Q0", "bounds"), "bounds.Q0")
-    Q1_seq = (
-        _matrix_seq(bounds_block, "Q1", horizon, "bounds") if horizon else []
-    )
+    Q1_seq = _matrix_seq(bounds_block, "Q1", horizon, "bounds") if horizon else ()
     Q2_seq = _matrix_seq(bounds_block, "Q2", horizon + 1, "bounds")
     try:
-        bounds = DAEEllipsoid(Q0=Q0, Q1_seq=tuple(Q1_seq), Q2_seq=tuple(Q2_seq))
+        bounds = DAEEllipsoid(Q0=Q0, Q1_seq=Q1_seq, Q2_seq=Q2_seq)
+        _check_bounds(model, bounds)
     except InvalidBounds as exc:
-        raise SchemaError(f"bounds: {exc}") from exc
-    if bounds.Q0.shape[0] != model.equation_dim:
-        raise DimensionError("bounds.Q0 does not match the equation dimension")
-    for i, q in enumerate(bounds.Q1_seq):
-        if q.shape[0] != model.disturbance_dim:
-            raise DimensionError(f"bounds.Q1_seq[{i}] does not match model.B columns")
-    for i, q in enumerate(bounds.Q2_seq):
-        if q.shape[0] != model.observation_dim:
-            raise DimensionError(f"bounds.Q2_seq[{i}] does not match model.H rows")
+        raise SchemaError(f"bounds.{exc}") from exc
+    except InvalidInput as exc:
+        raise DimensionError(f"bounds.{exc}") from exc
     return model, bounds
 
 
@@ -445,16 +455,16 @@ def serialize_config(config: ProblemConfig) -> Dict[str, Any]:
         model, bounds = config.model, config.bounds
         out["model"] = {
             "horizon": model.horizon,
-            "F_seq": [f.tolist() for f in model.F_seq],
-            "C_seq": [c.tolist() for c in model.C_seq],
-            "B_seq": [b.tolist() for b in model.B_seq],
+            "F_seq": model.F_seq.tolist(),
+            "C_seq": model.C_seq.tolist(),
+            "B_seq": model.B_seq.tolist(),
             "S": model.S.tolist(),
-            "H_seq": [h.tolist() for h in model.H_seq],
+            "H_seq": model.H_seq.tolist(),
         }
         out["bounds"] = {
             "Q0": bounds.Q0.tolist(),
-            "Q1_seq": [q.tolist() for q in bounds.Q1_seq],
-            "Q2_seq": [q.tolist() for q in bounds.Q2_seq],
+            "Q1_seq": bounds.Q1_seq.tolist(),
+            "Q2_seq": bounds.Q2_seq.tolist(),
         }
     else:
         model, bounds = config.model, config.bounds

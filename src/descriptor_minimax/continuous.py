@@ -42,9 +42,11 @@ from .discrete import (
     flatten,
     flatten_bounds,
     horizon_saddle,
+    observation_information,
     solver_record,
 )
 from .errors import (
+    InvalidBounds,
     InvalidGrid,
     InvalidInput,
     NotRepresentable,
@@ -55,13 +57,16 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
+    as_matrix_stack,
     as_vector,
+    per_entry,
     pseudo_inverse,
     range_membership,
     require_spd,
     solve_least_squares,
     spd_inverse,
     spd_solve,
+    spd_stack_error,
     symmetrize,
 )
 from .static import KIND_APRIORI
@@ -86,6 +91,10 @@ class ConstantFunction:
     def __call__(self, t: float) -> np.ndarray:
         return self.value
 
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """Values at every time as one stack: a stride-0 broadcast."""
+        return np.broadcast_to(self.value, (len(times),) + self.value.shape)
+
 
 class TableFunction:
     """Piecewise-constant lookup: value j applies on [times[j], times[j+1])."""
@@ -99,9 +108,16 @@ class TableFunction:
             raise InvalidInput("table breakpoints must be strictly increasing")
 
     def __call__(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.values) - 1)
-        return self.values[idx]
+        return self.values[int(self.index(t))]
+
+    def index(self, times) -> np.ndarray:
+        """Which value applies at each time (clamped to the table)."""
+        idx = np.searchsorted(self.times, times, side="right") - 1
+        return np.clip(idx, 0, len(self.values) - 1)
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """Values at every time as one stack."""
+        return np.stack(self.values)[self.index(times)]
 
 
 class PolynomialFunction:
@@ -117,11 +133,17 @@ class PolynomialFunction:
                 raise InvalidInput("polynomial coefficients must share one shape")
 
     def __call__(self, t: float) -> np.ndarray:
-        out = np.zeros_like(self.coefficients[0])
-        power = 1.0
+        return self.at(np.array([t]))[0]
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """Values at every time as one stack, summed in the same order
+        (constant term first, powers by repeated multiplication)."""
+        times = np.asarray(times, dtype=float)
+        out = np.zeros((times.shape[0],) + self.coefficients[0].shape)
+        power = np.ones(times.shape[0])
         for c in self.coefficients:
-            out = out + power * c
-            power *= t
+            out = out + power.reshape((-1,) + (1,) * c.ndim) * c
+            power = power * times
         return out
 
 
@@ -260,45 +282,97 @@ def discretize(
     disturbance h f(t_{k+1}) enters with weight h Q1(t_{k+1}) because
     int (Q1 f, f) dt ~ sum h (Q1(t_{k+1}) f_{k+1}, f_{k+1}); observation
     weights are h Q2(t_k) at every node. The initial row F x_0 = x0g
-    keeps its exact weight Q0. Each weight value is checked SPD once; a
-    constant weight is checked once and its scaled matrix shared by all
-    steps.
+    keeps its exact weight Q0. The stacks are built whole from the node
+    values (:func:`_nodes`); C_k, B_k and every constant coefficient are
+    stride-0 broadcasts of one matrix. Each distinct weight value is
+    checked SPD once (:func:`_weight_nodes`).
     """
     _check_grid(system, grid)
     h = grid.h
     ts = grid.nodes()
-    m = system.equation_dim
+    m, n = system.F.shape
     M = grid.steps
 
-    F_seq = [system.F]
-    C_seq = []
-    B_seq = []
-    for k in range(M):
-        t_next = ts[k + 1]
-        F_seq.append(system.F - h * np.asarray(system.C(t_next), dtype=float))
-        C_seq.append(system.F)
-        B_seq.append(h * np.eye(m))
-    H_seq = [np.asarray(system.H(t), dtype=float) for t in ts]
-
-    Q1_seq = _step_weights(bounds.Q1, ts[1:], h, "Q1(t)")
-    Q2_seq = _step_weights(bounds.Q2, ts, h, "Q2(t)")
-
+    F_seq = np.empty((M + 1, m, n))
+    F_seq[0] = system.F
+    F_seq[1:] = system.F - h * _nodes(system.C, ts[1:])
     dae = DiscreteDAE(
-        F_seq=tuple(F_seq),
-        C_seq=tuple(C_seq),
-        B_seq=tuple(B_seq),
+        F_seq=F_seq,
+        C_seq=np.broadcast_to(system.F, (M, m, n)),
+        B_seq=np.broadcast_to(h * np.eye(m), (M, m, m)),
         S=np.eye(m),
-        H_seq=tuple(H_seq),
+        H_seq=_nodes(system.H, ts),
     )
-    dbounds = DAEEllipsoid.from_validated(bounds.Q0, Q1_seq, Q2_seq)
+
+    def scaled(weight, times, name):
+        return per_entry(lambda Q: h * Q, _spd_nodes(weight, times, name))
+
+    dbounds = DAEEllipsoid(
+        Q0=bounds.Q0,
+        Q1_seq=scaled(bounds.Q1, ts[1:], "Q1(t)"),
+        Q2_seq=scaled(bounds.Q2, ts, "Q2(t)"),
+    )
     return dae, dbounds
 
 
-def _step_weights(fn: TimeFunction, times: np.ndarray, h: float, name: str) -> tuple:
-    """h * fn(t) at each time, every distinct value checked SPD once."""
+def _nodes(fn: TimeFunction, times: np.ndarray) -> np.ndarray:
+    """fn at every time as one float stack.
+
+    Constant, table and polynomial coefficients are evaluated whole
+    (a constant as a stride-0 broadcast); any other callable once per time.
+    """
+    if isinstance(fn, (ConstantFunction, TableFunction, PolynomialFunction)):
+        return fn.at(times)
+    return np.stack([np.asarray(fn(t), dtype=float) for t in times])
+
+
+def _weight_nodes(fn: TimeFunction, times: np.ndarray, name: str) -> tuple:
+    """A weight at every time, and where its SPD check first fails.
+
+    Returns (values, stop, error): the stack of values (see
+    :func:`_nodes`), the index of the first time whose value is not SPD
+    (len(times) when none is) and the InvalidBounds a check there
+    raises. Every distinct value is checked once: a constant once, a
+    table once per value that some time selects, a polynomial by one
+    batched test of its node values, and any other callable at each
+    time as it is sampled.
+    """
+    stop, error = len(times), None
+    if isinstance(fn, (TableFunction, PolynomialFunction)):
+        values = fn.at(times)
+        if isinstance(fn, TableFunction):
+            used, first_use = np.unique(fn.index(times), return_index=True)
+            label = lambda i: f"{name} table value {used[i]}"  # noqa: E731
+        else:
+            first_use = np.arange(len(times))
+            label = lambda i: f"{name} at t={times[i]:.6g}"  # noqa: E731
+        distinct = as_matrix_stack(values[first_use], name, label=label)
+        failure = spd_stack_error(distinct, label)
+        if failure is not None:
+            stop, error = int(first_use[failure[0]]), failure[1]
+        return values, stop, error
     if isinstance(fn, ConstantFunction):
-        return (h * require_spd(fn.value, name),) * len(times)
-    return tuple(h * require_spd(fn(t), name) for t in times)
+        try:
+            require_spd(fn.value, name)
+        except InvalidBounds as exc:
+            stop, error = 0, exc
+        return fn.at(times), stop, error
+    values = []
+    for j, t in enumerate(times):
+        try:
+            values.append(require_spd(fn(t), name))
+        except InvalidBounds as exc:
+            stop, error = j, exc
+            break
+    return np.stack(values) if values else np.zeros((0, 0, 0)), stop, error
+
+
+def _spd_nodes(fn: TimeFunction, times: np.ndarray, name: str) -> np.ndarray:
+    """:func:`_weight_nodes`, raising where a value is not SPD."""
+    values, _, error = _weight_nodes(fn, times, name)
+    if error is not None:
+        raise error
+    return values
 
 
 def _sampled_functional(system: ContinuousDAE, ell, grid: TimeGrid) -> np.ndarray:
@@ -392,6 +466,11 @@ def _bvp_system(system, bounds, grid):
     return A
 
 
+def _readout(Q2: np.ndarray, H: np.ndarray, p_nodes: np.ndarray) -> np.ndarray:
+    """Readout density u_k = Q2(t_k) H(t_k) p_k at every node."""
+    return np.einsum("kij,kj->ki", Q2, np.einsum("kij,kj->ki", H, p_nodes))
+
+
 def apriori_estimate_continuous(
     system: ContinuousDAE,
     bounds: ContinuousEllipsoid,
@@ -446,10 +525,7 @@ def apriori_estimate_continuous(
             )
         p_nodes = fit.solution[: (M + 1) * n].reshape(M + 1, n)
 
-    u_nodes = np.zeros((M + 1, system.observation_dim))
-    for k, t in enumerate(ts):
-        Hk = np.asarray(system.H(t), dtype=float)
-        u_nodes[k] = np.asarray(bounds.Q2(t), dtype=float) @ (Hk @ p_nodes[k])
+    u_nodes = _readout(_nodes(bounds.Q2, ts), _nodes(system.H, ts), p_nodes)
     sigma = float(ell_flat @ p_nodes.reshape(-1))
     sigma = max(sigma, 0.0)
     estimate = None
@@ -542,6 +618,7 @@ def tikhonov_approximate(
         fit = solve_least_squares(A, rhs, tol)
         return fit.solution[:dim].reshape(M + 1, n), fit.residual_norm
 
+    Q2_nodes, H_nodes = _nodes(bounds.Q2, ts), _nodes(system.H, ts)
     u_list: List[np.ndarray] = []
     constraint = np.zeros(len(alphas))
     for j, alpha in enumerate(alphas):
@@ -557,11 +634,7 @@ def tikhonov_approximate(
             raise SolveFailure(
                 f"regularized system at alpha={alpha} is numerically singular"
             )
-        u_nodes = np.zeros((M + 1, system.observation_dim))
-        for k, t in enumerate(ts):
-            Hk = np.asarray(system.H(t), dtype=float)
-            u_nodes[k] = np.asarray(bounds.Q2(t), dtype=float) @ (Hk @ p_nodes[k])
-        u_list.append(u_nodes)
+        u_list.append(_readout(Q2_nodes, H_nodes, p_nodes))
         # Dual-feasibility defect alpha*h*p per node, in the integral norm.
         defect = alpha * h * p_nodes
         constraint[j] = float(np.linalg.norm(defect)) / math.sqrt(h)
@@ -656,16 +729,28 @@ def riccati_filter(
     gains = np.empty((grid.steps + 1, n, n))
     gains[0] = Fp @ S
 
-    for j in range(grid.steps):
+    # Model-only terms for every step at once. A weight value that is not
+    # SPD stops the flow at the first step that uses it (Q2 is checked
+    # before Q1 within a step); the steps before it run as usual.
+    Q2, stop2, error2 = _weight_nodes(bounds.Q2, ts[1:], "Q2(t)")
+    Q1, stop1, error1 = _weight_nodes(bounds.Q1, ts[1:], "Q1(t)")
+    stop = min(stop1, stop2)
+    failure = error2 if stop2 <= stop1 else error1
+    if stop == 0:
+        raise failure
+    C = _nodes(system.C, ts[1 : stop + 1])
+    H = _nodes(system.H, ts[1 : stop + 1])
+    HtQ2, W = per_entry(observation_information, H, Q2[:stop])
+    h_Q1_inv = per_entry(lambda Q: h * symmetrize(np.linalg.inv(symmetrize(Q))), Q1[:stop])
+    data = h * np.einsum("kij,kj->ki", HtQ2, y[1 : stop + 1])
+    step_base = per_entry(lambda C: F - h * C, C)
+
+    for j in range(stop):
         t_next = ts[j + 1]
-        C_next = np.asarray(system.C(t_next), dtype=float)
-        H_next = np.asarray(system.H(t_next), dtype=float)
-        Q2_next = require_spd(bounds.Q2(t_next), "Q2(t)")
-        W = H_next.T @ Q2_next @ H_next
         K = Fp @ S
-        A_j = (C_next - 0.5 * (K.T @ W)) @ Fp
-        rhs = S + h * spd_inverse(require_spd(bounds.Q1(t_next), "Q1(t)"))
+        A_j = (C[j] - 0.5 * (K.T @ W[j])) @ Fp
         try:
+            rhs = S + h_Q1_inv[j]
             S = scipy.linalg.solve_sylvester(eye - h * A_j, -h * A_j.T, rhs)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise RankDeficient(
@@ -679,14 +764,15 @@ def riccati_filter(
                 f"gain norm {gain_norm:.3e} at t={t_next} exceeds {RICCATI_NORM_CAP}"
             )
         gains[j + 1] = K
-        step_mat = F - h * C_next + h * (K.T @ W)
-        rhs_x = F @ x_hat + h * (K.T @ (H_next.T @ (Q2_next @ y[j + 1])))
         try:
-            x_hat = np.linalg.solve(step_mat, rhs_x)
+            step_mat = step_base[j] + h * (K.T @ W[j])
+            x_hat = np.linalg.solve(step_mat, F @ x_hat + K.T @ data[j])
         except np.linalg.LinAlgError as exc:
             raise RankDeficient(
                 f"implicit state step matrix at t={t_next} is singular"
             ) from exc
+    if failure is not None:
+        raise failure
 
     v = Fp.T @ ell0
     sigma = float(v @ (S @ v))

@@ -54,9 +54,12 @@ from .linalg import (
     RCOND_FLOOR,
     BandedFactor,
     as_matrix,
+    as_matrix_stack,
     block_diag,
     factor_banded,
+    read_only,
     require_spd,
+    require_spd_stack,
     spd_solve,
 )
 from .static import (
@@ -73,132 +76,121 @@ from .static import (
 class DiscreteDAE:
     """Time-varying descriptor recursion over a finite horizon.
 
-    ``F_seq`` has N+1 entries (one per state), ``C_seq`` and ``B_seq``
-    have N entries (one per transition), ``H_seq`` has N+1 entries.
-    All F_k and C_k share the shape (m, n), all B_k share (m, p), all
-    H_k share (l, n), and S is (m, m). N = 0 is allowed: a single state
-    constrained by F_0 x_0 = S x0g and observed once.
+    Each per-step sequence is stored as one read-only stacked array:
+    ``F_seq`` (N+1, m, n) and ``H_seq`` (N+1, l, n), one entry per state;
+    ``C_seq`` (N, m, n) and ``B_seq`` (N, m, p), one per transition. S is
+    (m, m). The constructor accepts any sequence of matrices (or a 3-D
+    array) and validates each stack at once; a broadcast stack (one
+    matrix repeated with stride 0) stays a broadcast. N = 0 is allowed:
+    a single state constrained by F_0 x_0 = S x0g and observed once.
     """
 
-    F_seq: tuple
-    C_seq: tuple
-    B_seq: tuple
+    F_seq: np.ndarray
+    C_seq: np.ndarray
+    B_seq: np.ndarray
     S: np.ndarray
-    H_seq: tuple
+    H_seq: np.ndarray
 
     def __post_init__(self):
-        F_seq = tuple(as_matrix(f, f"F_seq[{i}]") for i, f in enumerate(self.F_seq))
-        C_seq = tuple(as_matrix(c, f"C_seq[{i}]") for i, c in enumerate(self.C_seq))
-        B_seq = tuple(as_matrix(b, f"B_seq[{i}]") for i, b in enumerate(self.B_seq))
-        H_seq = tuple(as_matrix(h, f"H_seq[{i}]") for i, h in enumerate(self.H_seq))
+        F = as_matrix_stack(self.F_seq, "F_seq")
+        C = as_matrix_stack(self.C_seq, "C_seq")
+        B = as_matrix_stack(self.B_seq, "B_seq")
+        H = as_matrix_stack(self.H_seq, "H_seq")
         S = as_matrix(self.S, "S")
-        if not F_seq:
+        if not F.shape[0]:
             raise InvalidInput("F_seq must contain at least one matrix")
-        horizon = len(F_seq) - 1
-        if len(C_seq) != horizon or len(B_seq) != horizon:
+        horizon = F.shape[0] - 1
+        if C.shape[0] != horizon or B.shape[0] != horizon:
             raise InvalidInput(
                 f"with {horizon + 1} state matrices there must be {horizon} "
-                f"transition matrices, got {len(C_seq)} C and {len(B_seq)} B"
+                f"transition matrices, got {C.shape[0]} C and {B.shape[0]} B"
             )
-        if len(H_seq) != horizon + 1:
+        if H.shape[0] != horizon + 1:
             raise InvalidInput(
-                f"expected {horizon + 1} observation matrices, got {len(H_seq)}"
+                f"expected {horizon + 1} observation matrices, got {H.shape[0]}"
             )
-        m, n = F_seq[0].shape
-        for i, f in enumerate(F_seq):
-            if f.shape != (m, n):
-                raise InvalidInput(f"F_seq[{i}] has shape {f.shape}, expected {(m, n)}")
-        for i, c in enumerate(C_seq):
-            if c.shape != (m, n):
-                raise InvalidInput(f"C_seq[{i}] has shape {c.shape}, expected {(m, n)}")
-        p = B_seq[0].shape[1] if B_seq else 0
-        for i, b in enumerate(B_seq):
-            if b.shape != (m, p):
-                raise InvalidInput(f"B_seq[{i}] has shape {b.shape}, expected {(m, p)}")
-        l = H_seq[0].shape[0]
-        for i, h in enumerate(H_seq):
-            if h.shape != (l, n):
-                raise InvalidInput(f"H_seq[{i}] has shape {h.shape}, expected {(l, n)}")
+        m, n = F.shape[1:]
+        if not horizon:
+            C = read_only(np.zeros((0, m, n)))
+            B = read_only(np.zeros((0, m, B.shape[2])))
+        _check_stack_shape(C, "C_seq", (m, n))
+        _check_stack_shape(B, "B_seq", (m, B.shape[2]))
+        _check_stack_shape(H, "H_seq", (H.shape[1], n))
         if S.shape != (m, m):
             raise InvalidInput(f"S has shape {S.shape}, expected {(m, m)}")
-        object.__setattr__(self, "F_seq", F_seq)
-        object.__setattr__(self, "C_seq", C_seq)
-        object.__setattr__(self, "B_seq", B_seq)
-        object.__setattr__(self, "H_seq", H_seq)
-        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "F_seq", F)
+        object.__setattr__(self, "C_seq", C)
+        object.__setattr__(self, "B_seq", B)
+        object.__setattr__(self, "H_seq", H)
+        object.__setattr__(self, "S", read_only(S, self.S))
 
     @property
     def horizon(self) -> int:
-        return len(self.F_seq) - 1
+        return self.F_seq.shape[0] - 1
 
     @property
     def state_dim(self) -> int:
-        return self.F_seq[0].shape[1]
+        return self.F_seq.shape[2]
 
     @property
     def equation_dim(self) -> int:
-        return self.F_seq[0].shape[0]
+        return self.F_seq.shape[1]
 
     @property
     def disturbance_dim(self) -> int:
-        return self.B_seq[0].shape[1] if self.B_seq else 0
+        return self.B_seq.shape[2]
 
     @property
     def observation_dim(self) -> int:
-        return self.H_seq[0].shape[0]
+        return self.H_seq.shape[1]
 
 
 @dataclass(frozen=True)
 class DAEEllipsoid:
-    """Joint bound on initial data, process and observation disturbances."""
+    """Joint bound on initial data, process and observation disturbances.
+
+    ``Q1_seq`` (N, p, p) and ``Q2_seq`` (N+1, l, l) are read-only stacks,
+    each checked SPD by one batched test (:func:`.linalg.require_spd_stack`).
+    """
 
     Q0: np.ndarray
-    Q1_seq: tuple
-    Q2_seq: tuple
+    Q1_seq: np.ndarray
+    Q2_seq: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Q0", require_spd(self.Q0, "Q0"))
-        object.__setattr__(
-            self,
-            "Q1_seq",
-            tuple(require_spd(q, f"Q1_seq[{i}]") for i, q in enumerate(self.Q1_seq)),
-        )
-        object.__setattr__(
-            self,
-            "Q2_seq",
-            tuple(require_spd(q, f"Q2_seq[{i}]") for i, q in enumerate(self.Q2_seq)),
-        )
+        object.__setattr__(self, "Q0", read_only(require_spd(self.Q0, "Q0"), self.Q0))
+        object.__setattr__(self, "Q1_seq", require_spd_stack(self.Q1_seq, "Q1_seq"))
+        object.__setattr__(self, "Q2_seq", require_spd_stack(self.Q2_seq, "Q2_seq"))
 
-    @classmethod
-    def from_validated(cls, Q0, Q1_seq: tuple, Q2_seq: tuple) -> "DAEEllipsoid":
-        """Wrap weight arrays the caller has already checked to be SPD."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "Q0", Q0)
-        object.__setattr__(out, "Q1_seq", Q1_seq)
-        object.__setattr__(out, "Q2_seq", Q2_seq)
-        return out
+
+def _check_stack_shape(stack: np.ndarray, name: str, shape: tuple) -> None:
+    """Every entry of a homogeneous stack has the entry shape of stack[0]."""
+    if stack.shape[0] and stack.shape[1:] != shape:
+        raise InvalidInput(f"{name}[0] has shape {stack.shape[1:]}, expected {shape}")
 
 
 def _check_bounds(dae: DiscreteDAE, bounds: DAEEllipsoid) -> None:
-    if bounds.Q0.shape[0] != dae.equation_dim:
+    """The weights match the model: one shape comparison per stack."""
+    m, p, l, N = dae.equation_dim, dae.disturbance_dim, dae.observation_dim, dae.horizon
+    if bounds.Q0.shape != (m, m):
         raise InvalidInput(
-            f"Q0 must be {dae.equation_dim}x{dae.equation_dim} to weight the "
-            f"initial data, got {bounds.Q0.shape}"
+            f"Q0 must be {m}x{m} to weight the initial data, got {bounds.Q0.shape}"
         )
-    if len(bounds.Q1_seq) != dae.horizon:
+    if bounds.Q1_seq.shape[0] != N:
+        raise InvalidInput(f"expected {N} process weights, got {bounds.Q1_seq.shape[0]}")
+    if bounds.Q2_seq.shape[0] != N + 1:
         raise InvalidInput(
-            f"expected {dae.horizon} process weights, got {len(bounds.Q1_seq)}"
+            f"expected {N + 1} observation weights, got {bounds.Q2_seq.shape[0]}"
         )
-    if len(bounds.Q2_seq) != dae.horizon + 1:
-        raise InvalidInput(
-            f"expected {dae.horizon + 1} observation weights, got {len(bounds.Q2_seq)}"
-        )
-    for i, q in enumerate(bounds.Q1_seq):
-        if q.shape[0] != dae.disturbance_dim:
-            raise InvalidInput(f"Q1_seq[{i}] has shape {q.shape}")
-    for i, q in enumerate(bounds.Q2_seq):
-        if q.shape[0] != dae.observation_dim:
-            raise InvalidInput(f"Q2_seq[{i}] has shape {q.shape}")
+    _check_stack_shape(bounds.Q1_seq, "Q1_seq", (p, p))
+    _check_stack_shape(bounds.Q2_seq, "Q2_seq", (l, l))
+
+
+def observation_information(H: np.ndarray, Q2: np.ndarray) -> tuple:
+    """Per step, H_k'Q2_k (which maps y_k to its information) and the
+    information H_k'Q2_kH_k of observation k."""
+    HtQ2 = np.swapaxes(H, 1, 2) @ Q2
+    return HtQ2, HtQ2 @ H
 
 
 def flatten(dae: DiscreteDAE) -> StaticModel:
@@ -235,34 +227,41 @@ def flatten_bounds(
     )
 
 
-def stack_functional(dae: DiscreteDAE, ell_seq: Sequence) -> np.ndarray:
-    n = dae.state_dim
-    if len(ell_seq) != dae.horizon + 1:
-        raise InvalidInput(
-            f"expected {dae.horizon + 1} functional blocks, got {len(ell_seq)}"
-        )
+def _stack_vectors(
+    seq: Sequence, count: int, width: int, what: str, name: str
+) -> np.ndarray:
+    """The per-step vectors of ``seq`` concatenated, each checked for length.
+
+    One ``np.asarray`` when ``seq`` is already a (count, width) array or
+    list of equal rows; otherwise the entries are flattened one by one.
+    """
+    if len(seq) != count:
+        raise InvalidInput(f"expected {count} {what}, got {len(seq)}")
+    try:
+        a = np.asarray(seq, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is not None and a.shape == (count, width):
+        return a.reshape(-1)
     blocks = []
-    for k, ell in enumerate(ell_seq):
-        v = np.asarray(ell, dtype=float).reshape(-1)
-        if v.shape[0] != n:
-            raise InvalidInput(f"ell_seq[{k}] has length {v.shape[0]}, expected {n}")
+    for k, v in enumerate(seq):
+        v = np.asarray(v, dtype=float).reshape(-1)
+        if v.shape[0] != width:
+            raise InvalidInput(f"{name}[{k}] has length {v.shape[0]}, expected {width}")
         blocks.append(v)
     return np.concatenate(blocks)
+
+
+def stack_functional(dae: DiscreteDAE, ell_seq: Sequence) -> np.ndarray:
+    return _stack_vectors(
+        ell_seq, dae.horizon + 1, dae.state_dim, "functional blocks", "ell_seq"
+    )
 
 
 def stack_observations(dae: DiscreteDAE, y_seq: Sequence) -> np.ndarray:
-    l = dae.observation_dim
-    if len(y_seq) != dae.horizon + 1:
-        raise InvalidInput(
-            f"expected {dae.horizon + 1} observation vectors, got {len(y_seq)}"
-        )
-    blocks = []
-    for k, y in enumerate(y_seq):
-        v = np.asarray(y, dtype=float).reshape(-1)
-        if v.shape[0] != l:
-            raise InvalidInput(f"y_seq[{k}] has length {v.shape[0]}, expected {l}")
-        blocks.append(v)
-    return np.concatenate(blocks)
+    return _stack_vectors(
+        y_seq, dae.horizon + 1, dae.observation_dim, "observation vectors", "y_seq"
+    )
 
 
 @dataclass(frozen=True)
@@ -364,16 +363,15 @@ def horizon_saddle(
     kl, ku = (n + 2 * m - 1, 2 * n + m - 1) if N else (s - 1, s - 1)
     band = np.zeros((2 * kl + ku + 1, dim), order="F")
 
-    F = np.stack(dae.F_seq)
-    H = np.stack(dae.H_seq)
-    W = np.swapaxes(H, 1, 2) @ np.stack(bounds.Q2_seq) @ H
+    F = dae.F_seq
+    _, W = observation_information(dae.H_seq, bounds.Q2_seq)
     if shift:
         W = W + shift * np.eye(n)
     G = np.empty((N + 1, m, m))
     G[0] = dae.S @ spd_solve(bounds.Q0, dae.S.T)
     if N:
-        B = np.stack(dae.B_seq)
-        G[1:] = B @ np.linalg.solve(np.stack(bounds.Q1_seq), np.swapaxes(B, 1, 2))
+        B = dae.B_seq
+        G[1:] = B @ np.linalg.solve(bounds.Q1_seq, np.swapaxes(B, 1, 2))
 
     first = np.arange(N + 1)[:, None] * s
     dyn = first + np.arange(m)          # rows of dynamics_k
@@ -390,7 +388,7 @@ def horizon_saddle(
     put(adj, xcol, W)
     put(adj, wcol, np.swapaxes(F, 1, 2))
     if N:
-        C = np.stack(dae.C_seq)
+        C = dae.C_seq
         put(dyn[1:], xcol[:-1], -C)
         put(adj[:-1], wcol[1:], -np.swapaxes(C, 1, 2))
     return HorizonSaddle(factor_banded(band, kl, ku, tol), n, m)
@@ -434,8 +432,8 @@ def variational_estimate(
     """
     _check_bounds(dae, bounds)
     ell, y, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
-    H = np.stack(dae.H_seq)
-    q2y = np.einsum("kij,kj->ki", np.stack(bounds.Q2_seq), ys)
+    H = dae.H_seq
+    q2y = np.einsum("kij,kj->ki", bounds.Q2_seq, ys)
     data = np.einsum("kji,kj->ki", H, q2y)
     states, solver = _banded_solve(dae, bounds, np.stack([data, ells]), tol)
     if states is None:
@@ -514,8 +512,8 @@ def apriori_horizon_estimate(
         raise NumericalBreakdown(
             f"worst-case mean-squared error came out negative ({sigma_sq:.3e})"
         )
-    hp = np.einsum("kij,kj->ki", np.stack(dae.H_seq), p_seq)
-    u_seq = np.einsum("kij,kj->ki", np.stack(bounds.Q2_seq), hp)
+    hp = np.einsum("kij,kj->ki", dae.H_seq, p_seq)
+    u_seq = np.einsum("kij,kj->ki", bounds.Q2_seq, hp)
     return HorizonApriori(
         feasible=True,
         sigma_hat=max(sigma_sq, 0.0),

@@ -20,13 +20,13 @@ Q' = B^{-T} Q1 B^{-1}, and the initial row likewise absorbs S into Q0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .discrete import DAEEllipsoid, DiscreteDAE
+from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds, observation_information
 from .errors import InvalidInput, NumericalBreakdown, RankDeficient
-from .linalg import DEFAULT_TOL, as_vector, spd_solve, symmetrize
+from .linalg import DEFAULT_TOL, as_vector, per_entry, symmetrize
 
 # Inner matrices are rejected as numerically singular below this
 # smallest-eigenvalue level (relative to unit scale).
@@ -49,52 +49,119 @@ class FilterRunResult:
     x_hat_seq: np.ndarray
 
 
+def _full_column_rank(F: np.ndarray, H: np.ndarray, tol: float) -> np.ndarray:
+    """Per step, whether [F_k; H_k] has full column rank: one batched SVD."""
+    stacked = np.concatenate([F, H], axis=1)
+    count, rows, cols = stacked.shape
+    if rows < cols:
+        return np.zeros(count, dtype=bool)
+    if cols == 0:
+        return np.ones(count, dtype=bool)
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return s[:, -1] > tol * s[:, 0]
+
+
 def rank_precondition(F_k, H_k, tol: float = DEFAULT_TOL) -> bool:
     """Whether the stacked matrix [F_k; H_k] has full column rank.
 
     This is what makes each filtered information matrix invertible, so
     the recursion can hand a finite P_k to the next step.
     """
-    stacked = np.vstack([np.asarray(F_k, dtype=float), np.asarray(H_k, dtype=float)])
-    if stacked.shape[0] < stacked.shape[1]:
-        return False
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s.size == 0:
-        return stacked.shape[1] == 0
-    return bool(s[-1] > tol * s[0])
+    F = np.atleast_2d(np.asarray(F_k, dtype=float))
+    H = np.atleast_2d(np.asarray(H_k, dtype=float))
+    return bool(_full_column_rank(F[None], H[None], tol)[0])
 
 
-def _effective_initial_weight(dae: DiscreteDAE, bounds: DAEEllipsoid) -> np.ndarray:
-    """Fold S into the initial weight: F_0 x_0 = v with (Q0' v, v) energy."""
-    m = dae.equation_dim
-    if np.allclose(dae.S, np.eye(m)):
-        return bounds.Q0
-    if np.linalg.matrix_rank(dae.S, tol=DEFAULT_TOL * np.linalg.norm(dae.S, 2)) < m:
-        raise InvalidInput(
-            "the recursive filter needs S identity or square invertible"
-        )
-    gram = dae.S @ spd_solve(bounds.Q0, dae.S.T)
-    return symmetrize(np.linalg.inv(gram))
+def _fold_weights(B: np.ndarray, Q: np.ndarray) -> tuple:
+    """Inverse effective weights of disturbances entering through B.
+
+    Per entry, f' = B f carries energy (Q' f', f') with Q' = B^{-T} Q B^{-1},
+    so the inverse weight is B Q^{-1} B'. Returns (usable, identity,
+    inverse): usable where B is square with full rank, identity where B
+    is the identity to np.allclose's default tolerance (there the
+    inverse weight is Q^{-1} itself); ``inverse`` is None when B is not
+    square.
+    """
+    count, m, p = B.shape
+    eye = np.eye(m)
+    if p != m:
+        no = np.zeros(count, dtype=bool)
+        return no, no, None
+    identity = np.all(np.abs(B - eye) <= 1e-8 + 1e-5 * eye, axis=(1, 2))
+    s = np.linalg.svd(B, compute_uv=False)
+    usable = identity | (s[:, -1] > DEFAULT_TOL * s[:, 0])
+    q_inv = symmetrize(np.linalg.inv(Q))
+    gram = symmetrize(B @ np.linalg.solve(Q, np.swapaxes(B, 1, 2)))
+    return usable, identity, np.where(identity[:, None, None], q_inv, gram)
 
 
-def _effective_process_weight(
-    dae: DiscreteDAE, bounds: DAEEllipsoid, k: int
-) -> np.ndarray:
-    """Fold B_k into the weight of transition k the same way."""
-    m = dae.equation_dim
-    B = dae.B_seq[k]
-    if B.shape == (m, m) and np.allclose(B, np.eye(m)):
-        return bounds.Q1_seq[k]
-    if B.shape != (m, m):
-        raise InvalidInput(
-            "the recursive filter needs each B_k identity or square invertible"
-        )
-    if np.linalg.matrix_rank(B, tol=DEFAULT_TOL * np.linalg.norm(B, 2)) < m:
-        raise InvalidInput(
-            "the recursive filter needs each B_k identity or square invertible"
-        )
-    gram = B @ spd_solve(bounds.Q1_seq[k], B.T)
-    return symmetrize(np.linalg.inv(gram))
+@dataclass(frozen=True)
+class FilterModel:
+    """Model-only terms of the filter, computed once for all steps.
+
+    ``rank_ok[k]`` says whether [F_k; H_k] has full column rank.
+    ``q0`` is the initial weight with S folded in (None when S is not
+    invertible). ``process_ok[k]`` says whether B_k is the identity or
+    square invertible, and ``q1_inv[k]`` is the inverse of the effective
+    weight of transition k, B_k Q1_k^{-1} B_k'. ``W[k]`` is H_k'Q2_kH_k
+    and ``HtQ2[k]`` is H_k'Q2_k, which maps y_k to its information.
+    Failed checks are kept, not raised, so each step raises the error of
+    the first check it fails, in the order of the recursion.
+    """
+
+    F: np.ndarray
+    C: np.ndarray
+    rank_ok: np.ndarray
+    q0: Optional[np.ndarray]
+    process_ok: np.ndarray
+    q1_inv: Optional[np.ndarray]
+    W: np.ndarray
+    HtQ2: np.ndarray
+
+    @property
+    def horizon(self) -> int:
+        return self.F.shape[0] - 1
+
+    @property
+    def observation_dim(self) -> int:
+        return self.HtQ2.shape[2]
+
+
+def prepare_filter(
+    dae: DiscreteDAE, bounds: DAEEllipsoid, tol: float = DEFAULT_TOL
+) -> FilterModel:
+    """Everything the filter needs that does not depend on the data.
+
+    One batched SVD decides the rank precondition of every step; S and
+    the B_k are checked and folded into effective weights in batched
+    form. The recursion of :func:`filter_init` and :func:`filter_step`
+    then only reads these arrays.
+    """
+    _check_bounds(dae, bounds)
+    Q0 = bounds.Q0
+    s_ok, s_identity, s_inv = _fold_weights(dae.S[None], Q0[None])
+    if s_identity[0]:
+        q0 = Q0
+    elif s_ok[0]:
+        q0 = symmetrize(np.linalg.inv(s_inv[0]))
+    else:
+        q0 = None
+    process_ok, _, q1_inv = per_entry(_fold_weights, dae.B_seq, bounds.Q1_seq)
+    HtQ2, W = per_entry(observation_information, dae.H_seq, bounds.Q2_seq)
+    rank_ok = per_entry(
+        lambda F, H: _full_column_rank(F, H, tol), dae.F_seq, dae.H_seq
+    )
+    return FilterModel(
+        F=dae.F_seq,
+        C=dae.C_seq,
+        rank_ok=rank_ok,
+        q0=q0,
+        process_ok=process_ok,
+        q1_inv=q1_inv,
+        W=W,
+        HtQ2=HtQ2,
+    )
+
 
 
 def _invert_information(info: np.ndarray, k: int) -> np.ndarray:
@@ -109,34 +176,32 @@ def _invert_information(info: np.ndarray, k: int) -> np.ndarray:
     return symmetrize(np.linalg.inv(info))
 
 
-def filter_init(
-    dae: DiscreteDAE, bounds: DAEEllipsoid, y0, tol: float = DEFAULT_TOL
-) -> FilterState:
+def _observation(model: FilterModel, y, name: str) -> np.ndarray:
+    y = as_vector(y, name)
+    if y.shape[0] != model.observation_dim:
+        raise InvalidInput(
+            f"{name} has length {y.shape[0]}, expected {model.observation_dim}"
+        )
+    return y
+
+
+def filter_init(model: FilterModel, y0) -> FilterState:
     """State after absorbing the initial constraint and the first observation.
 
     P_0 = (F_0' Q0 F_0 + H_0' Q2_0 H_0)^{-1}
     x_hat_0 = P_0 H_0' Q2_0 y_0
     """
-    y0 = as_vector(y0, "y0")
-    if y0.shape[0] != dae.observation_dim:
-        raise InvalidInput(f"y0 has length {y0.shape[0]}, expected {dae.observation_dim}")
-    if not rank_precondition(dae.F_seq[0], dae.H_seq[0], tol):
+    y0 = _observation(model, y0, "y0")
+    if not model.rank_ok[0]:
         raise RankDeficient("[F_0; H_0] does not have full column rank")
-    q0 = _effective_initial_weight(dae, bounds)
-    F0, H0 = dae.F_seq[0], dae.H_seq[0]
-    info = F0.T @ q0 @ F0 + H0.T @ bounds.Q2_seq[0] @ H0
-    P = _invert_information(info, 0)
-    x = P @ (H0.T @ (bounds.Q2_seq[0] @ y0))
-    return FilterState(k=0, x_hat=x, P=P)
+    if model.q0 is None:
+        raise InvalidInput("the recursive filter needs S identity or square invertible")
+    F0 = model.F[0]
+    P = _invert_information(F0.T @ model.q0 @ F0 + model.W[0], 0)
+    return FilterState(k=0, x_hat=P @ (model.HtQ2[0] @ y0), P=P)
 
 
-def filter_step(
-    state: FilterState,
-    dae: DiscreteDAE,
-    bounds: DAEEllipsoid,
-    y_next,
-    tol: float = DEFAULT_TOL,
-) -> FilterState:
+def filter_step(state: FilterState, model: FilterModel, y_next) -> FilterState:
     """Advance the filter by one transition and one observation.
 
     With D = (Q1_{k-1}^{-1} + C_{k-1} P_{k-1} C_{k-1}')^{-1},
@@ -146,20 +211,21 @@ def filter_step(
 
     D blends the fresh process uncertainty with the propagated shape of
     the previous estimate; the outer inversion is the usual information
-    update against the new observation.
+    update against the new observation. Q1^{-1} (with B folded in),
+    H'Q2H and H'Q2 come precomputed from :func:`prepare_filter`.
     """
     k = state.k + 1
-    if k > dae.horizon:
-        raise InvalidInput(f"step {k} exceeds horizon {dae.horizon}")
-    y = as_vector(y_next, "y_next")
-    if y.shape[0] != dae.observation_dim:
-        raise InvalidInput("y_next has the wrong length")
-    if not rank_precondition(dae.F_seq[k], dae.H_seq[k], tol):
+    if k > model.horizon:
+        raise InvalidInput(f"step {k} exceeds horizon {model.horizon}")
+    y = _observation(model, y_next, "y_next")
+    if not model.rank_ok[k]:
         raise RankDeficient(f"[F_{k}; H_{k}] does not have full column rank")
-
-    q1 = _effective_process_weight(dae, bounds, k - 1)
-    C_prev = dae.C_seq[k - 1]
-    inner = symmetrize(spd_solve(q1, np.eye(q1.shape[0])) + C_prev @ state.P @ C_prev.T)
+    if not model.process_ok[k - 1]:
+        raise InvalidInput(
+            "the recursive filter needs each B_k identity or square invertible"
+        )
+    C_prev = model.C[k - 1]
+    inner = symmetrize(model.q1_inv[k - 1] + C_prev @ state.P @ C_prev.T)
     inner_eigs = np.linalg.eigvalsh(inner)
     if inner_eigs[0] < BREAKDOWN_EIG_FLOOR:
         raise NumericalBreakdown(
@@ -167,11 +233,9 @@ def filter_step(
             f"{inner_eigs[0]:.3e} below {BREAKDOWN_EIG_FLOOR}"
         )
     D = symmetrize(np.linalg.inv(inner))
-
-    F_k, H_k = dae.F_seq[k], dae.H_seq[k]
-    info = F_k.T @ D @ F_k + H_k.T @ bounds.Q2_seq[k] @ H_k
-    P = _invert_information(info, k)
-    x = P @ (F_k.T @ (D @ (C_prev @ state.x_hat)) + H_k.T @ (bounds.Q2_seq[k] @ y))
+    F_k = model.F[k]
+    P = _invert_information(F_k.T @ D @ F_k + model.W[k], k)
+    x = P @ (F_k.T @ (D @ (C_prev @ state.x_hat)) + model.HtQ2[k] @ y)
     return FilterState(k=k, x_hat=x, P=P)
 
 
@@ -196,12 +260,13 @@ def filter_run(
     ell = as_vector(ell, "ell")
     if ell.shape[0] != dae.state_dim:
         raise InvalidInput(f"ell has length {ell.shape[0]}, expected {dae.state_dim}")
-    state = filter_init(dae, bounds, y_seq[0], tol)
-    history: List[FilterState] = [state]
+    model = prepare_filter(dae, bounds, tol)
+    state = filter_init(model, y_seq[0])
+    x_seq = np.empty((dae.horizon + 1, dae.state_dim))
+    x_seq[0] = state.x_hat
     for k in range(1, dae.horizon + 1):
-        state = filter_step(state, dae, bounds, y_seq[k], tol)
-        history.append(state)
-    x_seq = np.stack([s.x_hat for s in history])
+        state = filter_step(state, model, y_seq[k])
+        x_seq[k] = state.x_hat
     return FilterRunResult(
         estimate_value=float(ell @ state.x_hat),
         final=state,

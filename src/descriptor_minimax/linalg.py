@@ -69,21 +69,139 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _distinct(stack: np.ndarray) -> np.ndarray:
+    """The entries of a stack that can differ: one for a broadcast stack."""
+    if stack.shape[0] > 1 and stack.strides[0] == 0:
+        return stack[:1]
+    return stack
+
+
+def per_entry(fn: Callable, *stacks: np.ndarray):
+    """``fn(*stacks)`` for a batched ``fn`` of equally long stacks.
+
+    When every stack is a stride-0 broadcast of one matrix, ``fn`` runs
+    on that one entry and each result is broadcast back to the full
+    count, so a constant model costs O(1) time and memory. ``fn`` may
+    return one array or a tuple of arrays (or None).
+    """
+    count = stacks[0].shape[0]
+    if count < 2 or any(_distinct(s).shape[0] > 1 for s in stacks):
+        return fn(*stacks)
+
+    def spread(o):
+        return None if o is None else np.broadcast_to(o, (count,) + o.shape[1:])
+
+    out = fn(*(s[:1] for s in stacks))
+    return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
+
+
+def read_only(a: np.ndarray, source=None) -> np.ndarray:
+    """``a`` made read-only, copied first if it is ``source``, the caller's
+    own writeable array, so a frozen model never aliases mutable input."""
+    if a is source and a.flags.writeable:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def as_matrix_stack(
+    value,
+    name: str = "stack",
+    check: Callable = as_matrix,
+    label: Optional[Callable[[int], str]] = None,
+) -> np.ndarray:
+    """Validate a sequence of equally shaped finite matrices as one stack.
+
+    Returns a read-only float array of shape (count, rows, cols); an
+    empty sequence gives shape (0, 0, 0). A broadcast stack (one matrix
+    repeated with stride 0) stays a broadcast and is checked once. The
+    normal path is one ``np.asarray`` and one finiteness test. Only when
+    it fails are the entries scanned, each by ``check(entry, label(i))``
+    (default label ``name[i]``), so the error names the first offending
+    entry; entries that all pass but differ in shape are reported at the
+    first one whose shape differs from entry 0.
+    """
+    label = label or (lambda i: f"{name}[{i}]")
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is not None:
+        if a.ndim == 1 and a.shape[0] == 0:
+            return read_only(np.zeros((0, 0, 0)))
+        if a.ndim == 3 and np.isfinite(_distinct(a)).all():
+            return read_only(a, value)
+        if a.ndim == 0:
+            raise InvalidInput(f"{name} must be a sequence of matrices")
+    mats = [check(entry, label(i)) for i, entry in enumerate(value)]
+    for i, mat in enumerate(mats):
+        if mat.shape != mats[0].shape:
+            raise InvalidInput(
+                f"{label(i)} has shape {mat.shape}, expected {mats[0].shape}"
+            )
+    raise InvalidInput(f"{name} is not a stack of matrices")
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def spd_stack_error(stack: np.ndarray, label: Callable[[int], str]):
+    """The first entry of a finite stack that is not SPD, as (index, error).
+
+    None when every entry is symmetric positive definite. The tests are
+    those of :func:`require_spd`, run on the whole stack at once: one
+    square test, one symmetry test (to 1e-12 of each entry's scale) and
+    one batched Cholesky of the symmetrized entries. A broadcast stack is
+    tested once. The entries are scanned one by one only to find which
+    Cholesky failed.
+    """
+    if stack.shape[0] == 0:
+        return None
+    if stack.shape[1] != stack.shape[2]:
+        return 0, InvalidBounds(f"{label(0)} must be square, got shape {stack.shape[1:]}")
+    d = _distinct(stack)
+    scale = 1.0 + np.abs(d).max(axis=(1, 2), initial=0.0)
+    asym = np.abs(d - np.swapaxes(d, 1, 2)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
+    first_asym = int(np.argmax(asym)) if asym.any() else d.shape[0]
+    sym = symmetrize(d[:first_asym])
+    try:
+        np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        for i, entry in enumerate(sym):
+            try:
+                np.linalg.cholesky(entry)
+            except np.linalg.LinAlgError:
+                return i, InvalidBounds(f"{label(i)} is not positive definite")
+    if first_asym < d.shape[0]:
+        return first_asym, InvalidBounds(f"{label(first_asym)} is not symmetric")
+    return None
 
 
 def require_spd(q, name: str = "weight") -> np.ndarray:
     """Return ``q`` as an array after checking symmetric positive definiteness."""
     a = as_matrix(q, name)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidBounds(f"{name} must be square, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max())):
-        raise InvalidBounds(f"{name} is not symmetric")
-    try:
-        np.linalg.cholesky(symmetrize(a))
-    except np.linalg.LinAlgError as exc:
-        raise InvalidBounds(f"{name} is not positive definite") from exc
+    error = spd_stack_error(a[None], lambda i: name)
+    if error is not None:
+        raise error[1]
+    return a
+
+
+def require_spd_stack(value, name: str = "weights") -> np.ndarray:
+    """Validate a stack of SPD matrices at once; see :func:`spd_stack_error`.
+
+    Returns the read-only stack of :func:`as_matrix_stack`. An error
+    names the first offending entry, e.g. ``Q1_seq[17] is not positive
+    definite``; entries of different shapes are checked one by one, so
+    an entry that is not SPD is reported before the shape mismatch.
+    """
+    def label(i):
+        return f"{name}[{i}]"
+
+    a = as_matrix_stack(value, name, check=require_spd, label=label)
+    error = spd_stack_error(a, label)
+    if error is not None:
+        raise error[1]
     return a
 
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .discrete import DAEEllipsoid, DiscreteDAE
 from .errors import InvalidInput, SingularStep
+from .linalg import per_entry
 
 _MODES = ("boundary", "uniform", "zero")
 
@@ -44,14 +44,30 @@ class SimulationResult:
     quad_form: float          # energy actually spent, recomputed honestly
 
 
-def _solve_step(matrix: np.ndarray, rhs: np.ndarray, k: int) -> np.ndarray:
-    if matrix.shape[0] != matrix.shape[1]:
+def _unwhiten(Q: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Per entry, v = L^{-T} xi for Q = L L', so that (Q v, v) = ||xi||^2.
+
+    One batched Cholesky (one in all for a constant weight) and one
+    batched solve for the whole stack.
+    """
+    L = per_entry(np.linalg.cholesky, Q)
+    return np.linalg.solve(np.swapaxes(L, 1, 2), blocks[..., None])[..., 0]
+
+
+def _check_steps(F: np.ndarray) -> None:
+    """Raise SingularStep at the first F_k that cannot be solved forward."""
+    if F.shape[1] != F.shape[2]:
         raise SingularStep(
-            f"forward simulation needs square F_{k}, got shape {matrix.shape}"
+            f"forward simulation needs square F_0, got shape {F.shape[1:]}"
         )
-    if np.linalg.cond(matrix) > 1.0 / _STEP_RCOND:
+    singular = per_entry(np.linalg.cond, F) > 1.0 / _STEP_RCOND
+    if singular.any():
+        k = int(np.argmax(singular))
         raise SingularStep(f"F_{k} is singular; cannot propagate forward")
-    return np.linalg.solve(matrix, rhs)
+
+
+def _energy(Q: np.ndarray, v: np.ndarray) -> float:
+    return float(np.einsum("ki,kij,kj->", v, Q, v))
 
 
 def simulate(
@@ -60,7 +76,12 @@ def simulate(
     disturbance: str = "boundary",
     seed: int = 0,
 ) -> SimulationResult:
-    """Propagate one admissible disturbance draw through the recursion."""
+    """Propagate one admissible disturbance draw through the recursion.
+
+    Everything but the state recursion itself runs on whole stacks: the
+    unwhitening, the step regularity test, the forcing B_k f_k, the
+    observations and the energy.
+    """
     if disturbance not in _MODES:
         raise InvalidInput(f"disturbance must be one of {_MODES}, got {disturbance!r}")
     N = dae.horizon
@@ -80,39 +101,24 @@ def simulate(
             if disturbance == "uniform":
                 xi *= float(rng.random()) ** (1.0 / dim)
 
-    def unwhiten(Q: np.ndarray, block: np.ndarray) -> np.ndarray:
-        # (Q v, v) = ||L'v||^2 for Q = L L', so v = L^{-T} block.
-        L = np.linalg.cholesky(Q)
-        return scipy.linalg.solve_triangular(L.T, block, lower=False)
+    x0g = _unwhiten(bounds.Q0[None], xi[None, :m])[0]
+    process = _unwhiten(bounds.Q1_seq, xi[m : m + N * p].reshape(N, p))
+    noise = _unwhiten(bounds.Q2_seq, xi[m + N * p :].reshape(N + 1, l))
 
-    pos = 0
-    x0g = unwhiten(bounds.Q0, xi[pos : pos + m])
-    pos += m
-    process = np.zeros((N, p))
-    for k in range(N):
-        process[k] = unwhiten(bounds.Q1_seq[k], xi[pos : pos + p])
-        pos += p
-    noise = np.zeros((N + 1, l))
-    for k in range(N + 1):
-        noise[k] = unwhiten(bounds.Q2_seq[k], xi[pos : pos + l])
-        pos += l
-
+    _check_steps(dae.F_seq)
+    forcing = np.einsum("kij,kj->ki", dae.B_seq, process)
     states = np.zeros((N + 1, dae.state_dim))
-    states[0] = _solve_step(dae.F_seq[0], dae.S @ x0g, 0)
+    states[0] = np.linalg.solve(dae.F_seq[0], dae.S @ x0g)
     for k in range(N):
-        rhs = dae.C_seq[k] @ states[k] + dae.B_seq[k] @ process[k]
-        states[k + 1] = _solve_step(dae.F_seq[k + 1], rhs, k + 1)
+        rhs = dae.C_seq[k] @ states[k] + forcing[k]
+        states[k + 1] = np.linalg.solve(dae.F_seq[k + 1], rhs)
 
-    observations = np.zeros((N + 1, l))
-    for k in range(N + 1):
-        observations[k] = dae.H_seq[k] @ states[k] + noise[k]
-
-    energy = float(x0g @ (bounds.Q0 @ x0g))
-    for k in range(N):
-        energy += float(process[k] @ (bounds.Q1_seq[k] @ process[k]))
-    for k in range(N + 1):
-        energy += float(noise[k] @ (bounds.Q2_seq[k] @ noise[k]))
-
+    observations = np.einsum("kij,kj->ki", dae.H_seq, states) + noise
+    energy = (
+        float(x0g @ (bounds.Q0 @ x0g))
+        + _energy(bounds.Q1_seq, process)
+        + _energy(bounds.Q2_seq, noise)
+    )
     return SimulationResult(
         states=states,
         observations=observations,

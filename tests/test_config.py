@@ -164,6 +164,57 @@ def test_dimension_errors():
     assert issubclass(DimensionError, SchemaError)
 
 
+def _long_discrete_doc(N=20):
+    doc = discrete_doc()
+    doc["model"]["horizon"] = N
+    doc["model"]["F_seq"] = [[[1.0]] for _ in range(N + 1)]
+    del doc["model"]["F"]
+    doc["bounds"]["Q1_seq"] = [[[1.0]] for _ in range(N)]
+    del doc["bounds"]["Q1"]
+    doc["estimation"]["ell_seq"] = [[0.0] for _ in range(N + 1)]
+    return doc
+
+
+def test_parse_discrete_builds_stacks_and_broadcasts_single_matrices():
+    config = parse_config(_long_discrete_doc())
+    assert config.model.F_seq.shape == (21, 1, 1)
+    assert config.model.C_seq.strides[0] == 0  # one "C" repeated
+    assert config.bounds.Q2_seq.strides[0] == 0
+    with pytest.raises(ValueError):
+        config.model.F_seq[0][0, 0] = 2.0
+
+
+def test_interior_failures_keep_their_class_and_name_their_entry():
+    doc = _long_discrete_doc()
+    doc["model"]["F_seq"][3] = [[float("nan")]]
+    with pytest.raises(SchemaError, match=r"model\.F_seq\[3\] contains non-finite entries"):
+        parse_config(doc)
+    doc = _long_discrete_doc()
+    doc["model"]["F_seq"][4] = [1.0]
+    with pytest.raises(SchemaError, match=r"model\.F_seq\[4\] must be a nested"):
+        parse_config(doc)
+    doc = _long_discrete_doc()
+    doc["bounds"]["Q1_seq"][17] = [[-1.0]]
+    with pytest.raises(SchemaError, match=r"bounds\.Q1_seq\[17\] is not positive definite"):
+        parse_config(doc)
+    doc = _long_discrete_doc()
+    doc["model"]["F_seq"][2] = [[1.0, 0.0]]
+    with pytest.raises(DimensionError, match=r"F_seq\[2\] has shape \(1, 2\)"):
+        parse_config(doc)
+    doc = _long_discrete_doc()
+    doc["bounds"]["Q1_seq"][9] = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(DimensionError, match=r"Q1_seq\[9\] has shape \(2, 2\)"):
+        parse_config(doc)
+    doc = _long_discrete_doc()
+    doc["bounds"]["Q2"] = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(DimensionError, match=r"Q2_seq\[0\] has shape \(2, 2\), expected \(1, 1\)"):
+        parse_config(doc)
+    doc = _long_discrete_doc()
+    doc["bounds"]["Q0"] = [[1.0, 0.0], [0.0, 1.0]]
+    with pytest.raises(DimensionError, match="Q0"):
+        parse_config(doc)
+
+
 def test_parse_error_reports_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{\n  "kind": "static",\n  oops\n}\n')

@@ -10,6 +10,7 @@ e^{+-t}), giving sigma = 1 - (e - 1)/(2 e^2) - (1 - 1/e)/2.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from descriptor_minimax import (
     ConstantFunction,
@@ -31,6 +32,8 @@ from descriptor_minimax import (
     tikhonov_approximate,
     variational_estimate,
 )
+
+from descriptor_minimax.linalg import pseudo_inverse, require_spd, spd_inverse, symmetrize
 
 from conftest import rng_for
 
@@ -138,9 +141,10 @@ def test_discretize_checks_each_weight_once(monkeypatch):
     monkeypatch.setattr(discrete_mod, "require_spd", counted)
     grid = TimeGrid(0.0, 1.0, 8)
     _, dbounds = discretize(system, bounds, grid)
-    # constant weights: one check each, one scaled matrix shared by all steps
-    assert sorted(names) == ["Q1(t)", "Q2(t)"]
-    assert all(q is dbounds.Q1_seq[0] for q in dbounds.Q1_seq)
+    # constant weights: one check each (and the DAEEllipsoid constructor's
+    # check of Q0), one scaled matrix shared by all steps as a stride-0 stack
+    assert sorted(names) == ["Q0", "Q1(t)", "Q2(t)"]
+    assert dbounds.Q1_seq.strides[0] == 0 and dbounds.Q2_seq.strides[0] == 0
     assert len(dbounds.Q2_seq) == 9
 
     names.clear()
@@ -422,3 +426,104 @@ def test_riccati_estimate_reads_data():
     assert ric.estimate_value == pytest.approx(
         var.estimate_value, abs=20.0 * grid.h
     )
+
+
+# ---------------------------------------------------------------------------
+# node sampling hoisted out of the Riccati loop
+
+
+def test_node_sampling_matches_pointwise_evaluation():
+    times = np.linspace(-0.3, 2.0, 257)
+    rng = rng_for(13)
+    functions = [
+        ConstantFunction(rng.standard_normal((2, 3))),
+        TableFunction([0.0, 0.25, 0.6, 1.5], rng.standard_normal((4, 2, 2))),
+        PolynomialFunction(rng.standard_normal((4, 3, 2))),
+        PolynomialFunction(rng.standard_normal((3, 2))),  # vector-valued
+    ]
+    for fn in functions:
+        nodes = fn.at(times)
+        pointwise = np.stack([fn(t) for t in times])
+        assert nodes.shape == pointwise.shape
+        assert nodes == pytest.approx(pointwise, rel=1e-12, abs=1e-12)
+    poly = functions[2]
+    direct = sum(c * 0.7**j for j, c in enumerate(poly.coefficients))
+    assert poly(0.7) == pytest.approx(direct, rel=1e-12)
+
+
+def _reference_riccati(system, bounds, ell0, y, grid):
+    """The Riccati flow with every coefficient evaluated and checked at
+    its node inside the loop; the oracle for :func:`riccati_filter`."""
+    F = system.F
+    n = F.shape[1]
+    Fp = pseudo_inverse(F)
+    proj = F @ Fp
+    S = symmetrize(proj @ spd_inverse(bounds.Q0) @ proj)
+    x_hat = np.zeros(n)
+    h = grid.h
+    ts = grid.nodes()
+    gains = [Fp @ S]
+    for j in range(grid.steps):
+        t = ts[j + 1]
+        C, H = np.asarray(system.C(t), float), np.asarray(system.H(t), float)
+        Q2 = require_spd(bounds.Q2(t), "Q2(t)")
+        W = H.T @ Q2 @ H
+        K = Fp @ S
+        A = (C - 0.5 * (K.T @ W)) @ Fp
+        rhs = S + h * spd_inverse(require_spd(bounds.Q1(t), "Q1(t)"))
+        S = symmetrize(scipy.linalg.solve_sylvester(np.eye(n) - h * A, -h * A.T, rhs))
+        K = Fp @ S
+        gains.append(K)
+        rhs_x = F @ x_hat + h * (K.T @ (H.T @ (Q2 @ y[j + 1])))
+        x_hat = np.linalg.solve(F - h * C + h * (K.T @ W), rhs_x)
+    v = Fp.T @ np.asarray(ell0, float)
+    return np.array(gains), float(v @ S @ v), float((F @ x_hat) @ v)
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_riccati_with_table_and_polynomial_coefficients_matches_reference(singular):
+    rng = rng_for(21)
+    F = np.diag([1.0, 0.0]) if singular else np.eye(2)
+    system = ContinuousDAE(
+        F=F,
+        C=PolynomialFunction([[[-0.5, 0.2], [0.1, -1.2]], 0.3 * np.eye(2)]),
+        H=TableFunction([0.0, 0.4], [[[1.0, 0.5]], [[0.8, 1.0]]]),
+        t_start=0.0,
+        t_end=1.0,
+    )
+    bounds = ContinuousEllipsoid(
+        Q0=np.eye(2),
+        Q1=TableFunction([0.0, 0.3, 0.8], [np.eye(2), np.diag([2.0, 1.0]), np.diag([1.0, 3.0])]),
+        Q2=PolynomialFunction([[[1.0]], [[0.5]], [[0.25]]]),
+    )
+    grid = TimeGrid(0.0, 1.0, 300)
+    y = 0.1 * rng.standard_normal((301, 1))
+    ell0 = [1.0, 0.0]
+    gains, sigma, estimate = _reference_riccati(system, bounds, ell0, y, grid)
+    out = riccati_filter(system, bounds, ell0, y, grid)
+    assert out.K_nodes == pytest.approx(gains, rel=1e-12, abs=1e-12 * np.abs(gains).max())
+    assert out.sigma_hat == pytest.approx(sigma, rel=1e-12)
+    assert out.estimate_value == pytest.approx(estimate, rel=1e-12, abs=1e-14)
+
+
+def test_riccati_checks_each_used_table_value():
+    system, _ = scalar_system()
+    grid = TimeGrid(0.0, 1.0, 50)
+    y = np.zeros((51, 1))
+    bad = ContinuousEllipsoid(
+        Q0=[[1.0]], Q1=[[1.0]], Q2=TableFunction([0.0, 0.5], [[[1.0]], [[-1.0]]])
+    )
+    with pytest.raises(InvalidBounds, match="Q2\\(t\\) table value 1 is not positive definite"):
+        riccati_filter(system, bad, [1.0], y, grid)
+    # a value that no node selects is never used, so never checked
+    unused = ContinuousEllipsoid(
+        Q0=[[1.0]], Q1=[[1.0]], Q2=TableFunction([0.0, 2.0], [[[1.0]], [[-1.0]]])
+    )
+    riccati_filter(system, unused, [1.0], y, grid)
+    # a step that fails before the first bad weight value still decides
+    blowup = ContinuousDAE(F=[[1.0]], C=[[50.0]], H=[[0.0]], t_start=0.0, t_end=1.0)
+    late = ContinuousEllipsoid(
+        Q0=[[1.0]], Q1=[[1.0]], Q2=TableFunction([0.0, 0.9], [[[1.0]], [[-1.0]]])
+    )
+    with pytest.raises(RiccatiBlowup):
+        riccati_filter(blowup, late, [1.0], np.zeros((1001, 1)), TimeGrid(0.0, 1.0, 1000))

@@ -21,6 +21,7 @@ from descriptor_minimax import (
     DAEEllipsoid,
     DiscreteDAE,
     InconsistentData,
+    InvalidBounds,
     InvalidInput,
     KIND_APOSTERIORI,
     NumericalBreakdown,
@@ -383,6 +384,40 @@ def test_shape_validation():
             S=one,
             H_seq=np.stack([one, one]),
         )
+
+
+def test_models_store_read_only_stacks():
+    rng = rng_for(8)
+    dae, bounds = make_discrete(rng, n=2, l=2, N=5)
+    assert dae.F_seq.shape == (6, 2, 2) and dae.H_seq.shape == (6, 2, 2)
+    assert dae.C_seq.shape == (5, 2, 2) and dae.B_seq.shape == (5, 2, 2)
+    assert bounds.Q1_seq.shape == (5, 2, 2) and bounds.Q2_seq.shape == (6, 2, 2)
+    for array in (dae.F_seq, dae.C_seq, dae.B_seq, dae.H_seq, dae.S,
+                  bounds.Q0, bounds.Q1_seq, bounds.Q2_seq):
+        with pytest.raises(ValueError):
+            array[0][0] = 1.0
+    with pytest.raises(ValueError):
+        dae.F_seq[0][0, 0] = 1.0
+
+
+def test_interior_failures_name_their_index():
+    rng = rng_for(12)
+    dae, bounds = make_discrete(rng, n=2, l=2, N=20)
+    F = np.array(dae.F_seq)
+    F[3, 0, 1] = np.inf
+    with pytest.raises(InvalidInput, match=r"F_seq\[3\] contains non-finite entries"):
+        DiscreteDAE(F_seq=F, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=dae.H_seq)
+    H = list(dae.H_seq)
+    H[7] = np.ones((3, 2))
+    with pytest.raises(InvalidInput, match=r"H_seq\[7\] has shape \(3, 2\), expected \(2, 2\)"):
+        DiscreteDAE(F_seq=dae.F_seq, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=H)
+    Q1 = np.array(bounds.Q1_seq)
+    Q1[17] = np.diag([1.0, -1.0])
+    with pytest.raises(InvalidBounds, match=r"Q1_seq\[17\] is not positive definite"):
+        DAEEllipsoid(Q0=bounds.Q0, Q1_seq=Q1, Q2_seq=bounds.Q2_seq)
+    wide = DAEEllipsoid(Q0=bounds.Q0, Q1_seq=bounds.Q1_seq, Q2_seq=np.stack([np.eye(3)] * 21))
+    with pytest.raises(InvalidInput, match=r"Q2_seq\[0\] has shape \(3, 3\), expected \(2, 2\)"):
+        variational_estimate(dae, wide, [np.zeros(2)] * 21, [np.zeros(2)] * 21)
 
 
 def test_nonrepresentable_horizon_functional():

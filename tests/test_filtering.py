@@ -9,6 +9,11 @@ P_1 = (2/3 + 1)^-1 = 3/5, and x_hat_1 = P_1 (D x_hat_0 + y_1)
 import numpy as np
 import pytest
 
+import descriptor_minimax.continuous as continuous_mod
+import descriptor_minimax.discrete as discrete_mod
+import descriptor_minimax.filtering as filtering_mod
+import descriptor_minimax.linalg as linalg_mod
+import descriptor_minimax.simulate as simulate_mod
 from descriptor_minimax import (
     DAEEllipsoid,
     DiscreteDAE,
@@ -16,12 +21,19 @@ from descriptor_minimax import (
     InvalidInput,
     NumericalBreakdown,
     RankDeficient,
+    ContinuousDAE,
+    ContinuousEllipsoid,
+    TimeGrid,
     filter_init,
     filter_run,
     filter_step,
+    prepare_filter,
     rank_precondition,
+    riccati_filter,
+    simulate,
     variational_estimate,
 )
+from descriptor_minimax.linalg import spd_solve, symmetrize
 
 from conftest import make_discrete, random_spd, rng_for, scalar_chain
 
@@ -58,17 +70,14 @@ def test_covariance_symmetric_positive_definite_along_run():
         dae, bounds = make_discrete(rng, n=n, m=n, l=l, N=N, identity_b=True)
         if not _precondition_holds(dae):
             continue
-        state = filter_init(
-            dae, bounds, rng.standard_normal(l) * 0.1
-        )
+        model = prepare_filter(dae, bounds)
+        state = filter_init(model, rng.standard_normal(l) * 0.1)
         for k in range(1, N + 1):
             assert np.linalg.norm(state.P - state.P.T) <= 1e-12 * (
                 1.0 + np.linalg.norm(state.P)
             )
             assert np.min(np.linalg.eigvalsh(state.P)) > 0.0
-            state = filter_step(
-                state, dae, bounds, rng.standard_normal(l) * 0.1
-            )
+            state = filter_step(state, model, rng.standard_normal(l) * 0.1)
         assert state.k == N
 
 
@@ -225,3 +234,178 @@ def test_numerical_breakdown_on_vanishing_inner_matrix():
     )
     with pytest.raises(NumericalBreakdown):
         filter_run(dae, bounds, [np.zeros(1), np.zeros(1)], np.ones(1))
+
+
+# ---------------------------------------------------------------------------
+# The prepared filter against the per-step formulas
+
+
+def _reference_filter(dae, bounds, y_seq, tol=1e-10):
+    """The filter as one loop that re-derives every model term per step.
+
+    Kept as the oracle for :func:`prepare_filter`: the effective weights
+    fold S and B_k in per step (Q' = (B Q^{-1} B')^{-1}), and the rank
+    precondition is one SVD per step. Returns the centers and P_N, or
+    the exception class and the step at which the loop stopped.
+    """
+    m = dae.equation_dim
+
+    def fold(B, Q):
+        if B.shape == (m, m) and np.allclose(B, np.eye(m)):
+            return Q
+        if B.shape != (m, m) or np.linalg.matrix_rank(B, tol=1e-10 * np.linalg.norm(B, 2)) < m:
+            return None
+        return symmetrize(np.linalg.inv(B @ spd_solve(Q, B.T)))
+
+    def invert(info):
+        info = symmetrize(info)
+        eigs = np.linalg.eigvalsh(info)
+        if eigs[0] <= 1e-10 * max(float(eigs[-1]), 1.0):
+            raise RankDeficient
+        return symmetrize(np.linalg.inv(info))
+
+    xs = []
+    for k in range(dae.horizon + 1):
+        F, H, Q2 = dae.F_seq[k], dae.H_seq[k], bounds.Q2_seq[k]
+        if not rank_precondition(F, H, tol):
+            return RankDeficient, k
+        if k == 0:
+            q0 = fold(dae.S, bounds.Q0)
+            if q0 is None:
+                return InvalidInput, 0
+            P = invert(F.T @ q0 @ F + H.T @ Q2 @ H)
+            x = P @ (H.T @ (Q2 @ y_seq[0]))
+        else:
+            q1 = fold(dae.B_seq[k - 1], bounds.Q1_seq[k - 1])
+            if q1 is None:
+                return InvalidInput, k
+            C = dae.C_seq[k - 1]
+            inner = symmetrize(spd_solve(q1, np.eye(m)) + C @ P @ C.T)
+            D = symmetrize(np.linalg.inv(inner))
+            P = invert(F.T @ D @ F + H.T @ Q2 @ H)
+            x = P @ (F.T @ (D @ (C @ x)) + H.T @ (Q2 @ y_seq[k]))
+        xs.append(x)
+    return np.array(xs), P
+
+
+def _with_b(dae, B_seq):
+    return DiscreteDAE(F_seq=dae.F_seq, C_seq=dae.C_seq, B_seq=B_seq, S=dae.S, H_seq=dae.H_seq)
+
+
+def test_prepared_filter_matches_per_step_formulas():
+    rng = rng_for(2024)
+    checked = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 5))
+        l = int(rng.integers(1, 4))
+        N = int(rng.integers(1, 25))
+        dae, bounds = make_discrete(rng, n=n, m=n, p=n, l=l, N=N)  # S != I
+        if trial % 3:
+            dae = _with_b(dae, rng.standard_normal((N, n, n)) + 3.0 * np.eye(n))
+        else:
+            dae = _with_b(dae, np.broadcast_to(np.eye(n), (N, n, n)))
+        y_seq = [rng.standard_normal(l) * 0.1 for _ in range(N + 1)]
+        x_ref, P_ref = _reference_filter(dae, bounds, y_seq)
+        run = filter_run(dae, bounds, y_seq, np.ones(n))
+        assert run.x_hat_seq == pytest.approx(x_ref, rel=1e-11, abs=1e-11 * np.abs(x_ref).max())
+        assert run.final.P == pytest.approx(P_ref, rel=1e-11, abs=1e-11 * np.abs(P_ref).max())
+        checked += 1
+    assert checked == 60
+
+
+def test_prepared_filter_stops_where_the_loop_stops():
+    rng = rng_for(31)
+    n, l, N = 2, 1, 12
+    dae, bounds = make_discrete(rng, n=n, m=n, p=n, l=l, N=N, identity_b=True)
+    y_seq = [np.zeros(l)] * (N + 1)
+    # rank-deficient [F_k; H_k] at an interior step
+    F = np.array(dae.F_seq)
+    F[7] = np.outer(F[7][:, 0], [1.0, 0.0])
+    H = np.array(dae.H_seq)
+    H[7] = np.array([[1.0, 0.0]])
+    broken = DiscreteDAE(F_seq=F, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=H)
+    assert _reference_filter(broken, bounds, y_seq) == (RankDeficient, 7)
+    with pytest.raises(RankDeficient, match=r"\[F_7; H_7\]"):
+        filter_run(broken, bounds, y_seq, np.ones(n))
+    # singular B_k at an interior step, after a later rank failure: the
+    # earlier step decides
+    B = np.array(broken.B_seq)
+    B[4] = np.outer([1.0, 2.0], [1.0, 1.0])
+    broken_b = _with_b(broken, B)
+    assert _reference_filter(broken_b, bounds, y_seq) == (InvalidInput, 5)
+    with pytest.raises(InvalidInput, match="B_k identity or square invertible"):
+        filter_run(broken_b, bounds, y_seq, np.ones(n))
+    model = prepare_filter(broken_b, bounds)
+    state = filter_init(model, y_seq[0])
+    for k in range(1, 5):
+        state = filter_step(state, model, y_seq[k])
+    with pytest.raises(InvalidInput):
+        filter_step(state, model, y_seq[5])
+
+
+# ---------------------------------------------------------------------------
+# Model-only work stays out of the recursive loops
+
+
+def _count_checks(monkeypatch):
+    """Count calls of the per-matrix checks wherever a module binds them."""
+    counts = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("require_spd", "as_matrix"):
+        real = getattr(linalg_mod, name)
+        for module in (linalg_mod, discrete_mod, filtering_mod, simulate_mod, continuous_mod):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    monkeypatch.setattr(filtering_mod, "rank_precondition",
+                        counting("rank_precondition", filtering_mod.rank_precondition))
+    monkeypatch.setattr(np, "allclose", counting("allclose", np.allclose))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    return counts
+
+
+def _constant_chain(N):
+    eye = np.eye(2)
+    C = np.array([[0.9, 0.2], [-0.1, 0.8]])
+    dae = DiscreteDAE(
+        F_seq=np.broadcast_to(eye, (N + 1, 2, 2)),
+        C_seq=np.broadcast_to(C, (N, 2, 2)),
+        B_seq=np.broadcast_to(eye, (N, 2, 2)),
+        S=eye,
+        H_seq=np.broadcast_to(eye[:1], (N + 1, 1, 2)),
+    )
+    bounds = DAEEllipsoid(
+        Q0=eye,
+        Q1_seq=np.broadcast_to(2.0 * eye, (N, 2, 2)),
+        Q2_seq=np.broadcast_to(np.eye(1), (N + 1, 1, 1)),
+    )
+    return dae, bounds
+
+
+def test_per_matrix_checks_do_not_grow_with_the_horizon(monkeypatch):
+    system = ContinuousDAE(F=[[1.0]], C=[[-0.5]], H=[[1.0]], t_start=0.0, t_end=1.0)
+    cbounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[2.0]])
+    counts = _count_checks(monkeypatch)
+    seen = []
+    for N in (10, 1000):
+        dae, bounds = _constant_chain(N)
+        counts.clear()
+        filter_run(dae, bounds, np.zeros((N + 1, 1)), np.ones(2))
+        simulate(dae, bounds, seed=1)
+        riccati_filter(system, cbounds, [1.0], np.zeros((N + 1, 1)), TimeGrid(0.0, 1.0, N))
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert "allclose" not in seen[1] and "rank_precondition" not in seen[1]
+    assert all(count <= 5 for count in seen[1].values())
+
+
+def test_constant_model_terms_are_computed_once():
+    model = prepare_filter(*_constant_chain(1000))
+    for terms in (model.rank_ok, model.process_ok, model.q1_inv, model.W, model.HtQ2):
+        assert terms.shape[0] in (1000, 1001) and terms.strides[0] == 0

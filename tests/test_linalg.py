@@ -16,7 +16,10 @@ from descriptor_minimax.linalg import (
     null_basis,
     pseudo_inverse,
     range_membership,
+    as_matrix_stack,
+    per_entry,
     require_spd,
+    require_spd_stack,
     solve_least_squares,
     svd_subspaces,
     symmetrize,
@@ -223,3 +226,112 @@ def test_banded_factor_rejects_what_least_squares_truncates(seed, dim, gap):
         assert factor.residual_norms(x, b) == pytest.approx(
             np.linalg.norm(a @ x - b, axis=0), abs=1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# Batched stacks
+
+
+def _spd_stack(count, size=2):
+    rng = np.random.default_rng(count)
+    a = rng.standard_normal((count, size, size))
+    return a @ np.swapaxes(a, 1, 2) + 0.3 * np.eye(size)
+
+
+def test_as_matrix_stack_is_read_only_and_keeps_broadcasts():
+    source = _spd_stack(5)
+    stack = as_matrix_stack(source, "F_seq")
+    assert stack.shape == (5, 2, 2) and not stack.flags.writeable
+    source[0, 0, 0] = 99.0  # the stack holds its own copy
+    assert stack[0, 0, 0] != 99.0
+    with pytest.raises(ValueError):
+        stack[0][0, 0] = 1.0
+    shared = as_matrix_stack(np.broadcast_to(np.eye(2), (1000, 2, 2)), "C_seq")
+    assert shared.strides[0] == 0
+    assert as_matrix_stack((), "B_seq").shape == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "Q[3] contains non-finite entries"),
+        (np.ones(2), "Q[3] must be 2-D"),
+        (np.eye(3), "Q[3] has shape (3, 3), expected (2, 2)"),
+    ],
+)
+def test_as_matrix_stack_names_the_first_bad_entry(entry, message):
+    entries = list(_spd_stack(6))
+    entries[3] = entry
+    entries[5] = entry
+    with pytest.raises(InvalidInput) as err:
+        as_matrix_stack(entries, "Q")
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (np.diag([1.0, -1.0]), "Q1_seq[17] is not positive definite"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "Q1_seq[17] is not symmetric"),
+    ],
+)
+def test_require_spd_stack_names_the_first_bad_entry(entry, message):
+    stack = _spd_stack(40)
+    stack[17] = entry
+    stack[30] = entry
+    with pytest.raises(InvalidBounds) as err:
+        require_spd_stack(stack, "Q1_seq")
+    assert str(err.value) == message
+
+
+def test_require_spd_stack_agrees_with_per_entry_checks():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        stack = rng.standard_normal((6, 3, 3))
+        stack = 0.5 * (stack + np.swapaxes(stack, 1, 2)) + rng.uniform(0, 4) * np.eye(3)
+        if rng.random() < 0.3:
+            stack[int(rng.integers(6))] += 1e-6 * np.triu(np.ones((3, 3)), 1)
+        expected = None
+        for i, q in enumerate(stack):
+            try:
+                require_spd(q, f"Q[{i}]")
+            except InvalidBounds as exc:
+                expected = str(exc)
+                break
+        try:
+            require_spd_stack(stack, "Q")
+            got = None
+        except InvalidBounds as exc:
+            got = str(exc)
+        assert got == expected
+
+
+def test_require_spd_stack_checks_a_broadcast_once(monkeypatch):
+    calls = []
+    real = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    require_spd_stack(np.broadcast_to(2.0 * np.eye(2), (10_000, 2, 2)), "Q2_seq")
+    assert calls == [(1, 2, 2)]
+    with pytest.raises(InvalidBounds, match=r"Q2_seq\[0\] is not positive definite"):
+        require_spd_stack(np.broadcast_to(-np.eye(2), (10_000, 2, 2)), "Q2_seq")
+
+
+def test_per_entry_runs_once_on_broadcast_stacks():
+    shapes = []
+
+    def inverse_and_trace(a, b):
+        shapes.append(a.shape)
+        return np.linalg.inv(a @ b), np.trace(a, axis1=1, axis2=2)
+
+    a = np.broadcast_to(2.0 * np.eye(3), (500, 3, 3))
+    inv, trace = per_entry(inverse_and_trace, a, a)
+    assert shapes == [(1, 3, 3)] and inv.shape == (500, 3, 3) and inv.strides[0] == 0
+    assert inv[123] == pytest.approx(0.25 * np.eye(3)) and trace.shape == (500,)
+    varying = np.array(a)
+    inv, _ = per_entry(inverse_and_trace, varying, a)
+    assert shapes[-1] == (500, 3, 3) and inv.strides[0] != 0

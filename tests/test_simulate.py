@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from descriptor_minimax import (
     DAEEllipsoid,
@@ -97,3 +98,57 @@ def test_invalid_mode_rejected():
     dae, bounds = scalar_chain()
     with pytest.raises(InvalidInput):
         simulate(dae, bounds, disturbance="gaussian")
+
+
+def _reference_simulation(dae, bounds, seed):
+    """Boundary draw of the same seed, one step and one block at a time.
+
+    Kept as the oracle for the batched unwhitening, forcing, observations
+    and energy of :func:`simulate`.
+    """
+    N, m, p, l = dae.horizon, dae.equation_dim, dae.disturbance_dim, dae.observation_dim
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal(m + N * p + (N + 1) * l)
+    xi /= np.linalg.norm(xi)
+
+    def unwhiten(Q, block):
+        return scipy.linalg.solve_triangular(np.linalg.cholesky(Q).T, block, lower=False)
+
+    x0g = unwhiten(bounds.Q0, xi[:m])
+    f = [unwhiten(bounds.Q1_seq[k], xi[m + k * p : m + (k + 1) * p]) for k in range(N)]
+    base = m + N * p
+    g = [unwhiten(bounds.Q2_seq[k], xi[base + k * l : base + (k + 1) * l]) for k in range(N + 1)]
+    x = [np.linalg.solve(dae.F_seq[0], dae.S @ x0g)]
+    for k in range(N):
+        x.append(np.linalg.solve(dae.F_seq[k + 1], dae.C_seq[k] @ x[k] + dae.B_seq[k] @ f[k]))
+    y = [dae.H_seq[k] @ x[k] + g[k] for k in range(N + 1)]
+    energy = float(x0g @ bounds.Q0 @ x0g)
+    energy += sum(float(v @ bounds.Q1_seq[k] @ v) for k, v in enumerate(f))
+    energy += sum(float(v @ bounds.Q2_seq[k] @ v) for k, v in enumerate(g))
+    return np.array(x), np.array(y), energy
+
+
+def test_batched_simulation_matches_step_by_step_reference():
+    rng = rng_for(5)
+    for trial in range(20):
+        n = int(rng.integers(1, 4))
+        l, N = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        dae, bounds = make_discrete(rng, n=n, m=n, l=l, N=N)
+        states, observations, energy = _reference_simulation(dae, bounds, trial)
+        out = simulate(dae, bounds, disturbance="boundary", seed=trial)
+        scale = 1.0 + np.abs(states).max()
+        assert out.states == pytest.approx(states, rel=1e-12, abs=1e-12 * scale)
+        assert out.observations == pytest.approx(observations, rel=1e-12, abs=1e-12 * scale)
+        assert out.quad_form == pytest.approx(energy, rel=1e-12)
+        assert out.quad_form == pytest.approx(1.0, abs=1e-9)
+
+
+def test_singular_step_names_the_first_singular_matrix():
+    rng = rng_for(6)
+    dae, bounds = make_discrete(rng, n=2, m=2, l=2, N=30)
+    F = np.array(dae.F_seq)
+    F[12] = np.outer([1.0, 1.0], [2.0, 1.0])
+    F[20] = np.zeros((2, 2))
+    dae = DiscreteDAE(F_seq=F, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=dae.H_seq)
+    with pytest.raises(SingularStep, match="F_12 is singular"):
+        simulate(dae, bounds, disturbance="boundary", seed=0)
