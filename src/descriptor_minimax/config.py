@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from . import continuous, static
 from .continuous import (
     ConstantFunction,
     ContinuousDAE,
@@ -190,7 +191,6 @@ class ProblemConfig:
     grid: Optional[TimeGrid]
     seed: int
     simulation: SimulationSpec
-    raw: Dict[str, Any] = field(repr=False, default_factory=dict)
 
 
 def _parse_static(model_block, bounds_block, mode, path="model") -> tuple:
@@ -206,18 +206,11 @@ def _parse_static(model_block, bounds_block, mode, path="model") -> tuple:
     Q2 = _matrix(_require(bounds_block, "Q2", "bounds"), "bounds.Q2")
     try:
         bounds = StaticEllipsoid(Q1=Q1, Q2=Q2, kind=kind)
+        static._check_pair(model, bounds)
     except InvalidBounds as exc:
         raise SchemaError(f"bounds: {exc}") from exc
-    if bounds.Q1.shape[0] != model.disturbance_dim:
-        raise DimensionError(
-            f"bounds.Q1 is {bounds.Q1.shape[0]}-dimensional but model.B has "
-            f"{model.disturbance_dim} columns"
-        )
-    if bounds.Q2.shape[0] != model.observation_dim:
-        raise DimensionError(
-            f"bounds.Q2 is {bounds.Q2.shape[0]}-dimensional but model.H has "
-            f"{model.observation_dim} rows"
-        )
+    except InvalidInput as exc:
+        raise DimensionError(f"bounds.{exc}") from exc
     return model, bounds
 
 
@@ -270,10 +263,11 @@ def _parse_continuous(model_block, bounds_block) -> tuple:
     Q2 = _time_function(_require(bounds_block, "Q2", "bounds"), "bounds.Q2")
     try:
         bounds = ContinuousEllipsoid(Q0=Q0, Q1=Q1, Q2=Q2)
+        continuous._check_pair(model, bounds)
     except InvalidBounds as exc:
         raise SchemaError(f"bounds: {exc}") from exc
-    if bounds.Q0.shape[0] != model.equation_dim:
-        raise DimensionError("bounds.Q0 does not match the equation dimension")
+    except InvalidInput as exc:
+        raise DimensionError(f"bounds.{exc}") from exc
     return model, bounds
 
 
@@ -414,7 +408,6 @@ def parse_config(source) -> ProblemConfig:
         grid=grid,
         seed=seed,
         simulation=SimulationSpec(disturbance=disturbance),
-        raw=raw,
     )
 
 

@@ -29,7 +29,7 @@ Four entry points:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -56,20 +56,20 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    SADDLE_RESIDUAL_TOL,
     as_matrix,
     as_matrix_stack,
-    as_vector,
     per_entry,
     pseudo_inverse,
     range_membership,
     require_spd,
+    sized_vector,
     solve_least_squares,
     spd_inverse,
-    spd_solve,
     spd_stack_error,
     symmetrize,
 )
-from .static import KIND_APRIORI
+from .static import KIND_APRIORI, _saddle_matrix
 
 # Gain norms above this level are treated as finite escape.
 RICCATI_NORM_CAP = 1e12
@@ -106,6 +106,8 @@ class TableFunction:
             raise InvalidInput("table function needs one value per breakpoint")
         if np.any(np.diff(self.times) <= 0):
             raise InvalidInput("table breakpoints must be strictly increasing")
+        if any(v.shape != self.values[0].shape for v in self.values):
+            raise InvalidInput("table values must share one shape")
 
     def __call__(self, t: float) -> np.ndarray:
         return self.values[int(self.index(t))]
@@ -252,6 +254,18 @@ class ContinuousEllipsoid:
         object.__setattr__(self, "Q2", as_time_function(self.Q2, "Q2"))
 
 
+def _check_pair(system: ContinuousDAE, bounds: ContinuousEllipsoid) -> None:
+    """The weights match the model, sampled at t_start like C and H."""
+    m, l = system.equation_dim, system.observation_dim
+    for name, value, size in (
+        ("Q0", bounds.Q0, m),
+        ("Q1(t)", bounds.Q1(system.t_start), m),
+        ("Q2(t)", bounds.Q2(system.t_start), l),
+    ):
+        if np.shape(value) != (size, size):
+            raise InvalidInput(f"{name} must be {size}x{size}, got shape {np.shape(value)}")
+
+
 def _check_grid(system: ContinuousDAE, grid: TimeGrid) -> None:
     span = system.t_end - system.t_start
     if (
@@ -288,6 +302,7 @@ def discretize(
     checked SPD once (:func:`_weight_nodes`).
     """
     _check_grid(system, grid)
+    _check_pair(system, bounds)
     h = grid.h
     ts = grid.nodes()
     m, n = system.F.shape
@@ -492,6 +507,7 @@ def apriori_estimate_continuous(
     precision, which the test suite enforces on random systems.
     """
     _check_grid(system, grid)
+    _check_pair(system, bounds)
     if method not in ("flattened", "bvp"):
         raise InvalidInput(f"unknown method {method!r}")
     h = grid.h
@@ -602,19 +618,17 @@ def tikhonov_approximate(
     dae, dbounds = discretize(system, bounds, grid)
     ell_nodes = _sampled_functional(system, ell, grid)
     ell_flat = (h * ell_nodes).reshape(-1)
-    flat = []  # F, gram and observed of the flattened model, built on first use
+    saddle = []  # the flattened saddle matrix, assembled on first use
 
     def dense_solve(alpha):
-        if not flat:
+        if not saddle:
             model = flatten(dae)
-            static_bounds = flatten_bounds(dae, dbounds, KIND_APRIORI)
-            flat.append(model.F)
-            flat.append(model.B @ spd_solve(static_bounds.Q1, model.B.T))
-            flat.append(model.H.T @ static_bounds.Q2 @ model.H)
-        F, gram, observed = flat
-        dim = F.shape[1]
-        A = np.block([[F, -gram], [observed + alpha * h * np.eye(dim), F.T]])
-        rhs = np.concatenate([np.zeros(F.shape[0]), ell_flat])
+            saddle.append(_saddle_matrix(model, flatten_bounds(dae, dbounds, KIND_APRIORI)))
+        A = saddle[0].copy()
+        dim = (M + 1) * n
+        rows = A.shape[0] - dim
+        A[rows + np.arange(dim), np.arange(dim)] += alpha * h  # the H'Q2H block
+        rhs = np.concatenate([np.zeros(rows), ell_flat])
         fit = solve_least_squares(A, rhs, tol)
         return fit.solution[:dim].reshape(M + 1, n), fit.residual_norm
 
@@ -622,15 +636,15 @@ def tikhonov_approximate(
     u_list: List[np.ndarray] = []
     constraint = np.zeros(len(alphas))
     for j, alpha in enumerate(alphas):
-        saddle = horizon_saddle(dae, dbounds, tol, shift=alpha * h)
-        b = saddle.rhs((h * ell_nodes)[None])
-        solution = saddle.factor.solve(b)
+        banded = horizon_saddle(dae, dbounds, tol, shift=alpha * h)
+        b = banded.rhs((h * ell_nodes)[None])
+        solution = banded.factor.solve(b)
         if solution is not None:
-            p_nodes = saddle.states(solution)[0]
-            residual = float(saddle.factor.residual_norms(solution, b)[0])
+            p_nodes = banded.states(solution)[0]
+            residual = float(banded.factor.residual_norms(solution, b)[0])
         else:
             p_nodes, residual = dense_solve(alpha)
-        if residual > 1e-6 * (1.0 + float(np.linalg.norm(ell_flat))):
+        if residual > SADDLE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(ell_flat))):
             raise SolveFailure(
                 f"regularized system at alpha={alpha} is numerically singular"
             )
@@ -703,12 +717,11 @@ def riccati_filter(
     range(F'), where no finite-radius endpoint readout exists.
     """
     _check_grid(system, grid)
+    _check_pair(system, bounds)
     m, n = system.F.shape
     if m != n:
         raise InvalidInput("riccati_filter needs a square coefficient F")
-    ell0 = as_vector(ell0, "ell0")
-    if ell0.shape[0] != n:
-        raise InvalidInput(f"ell0 has length {ell0.shape[0]}, expected {n}")
+    ell0 = sized_vector(ell0, "ell0", n)
     y = _check_samples(system, y_samples, grid)
 
     membership = range_membership(system.F.T, ell0)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds, observation_information
 from .errors import InvalidInput, NumericalBreakdown, RankDeficient
-from .linalg import DEFAULT_TOL, as_vector, per_entry, symmetrize
+from .linalg import DEFAULT_TOL, per_entry, sized_vector, symmetrize
 
 # Inner matrices are rejected as numerically singular below this
 # smallest-eigenvalue level (relative to unit scale).
@@ -176,22 +176,13 @@ def _invert_information(info: np.ndarray, k: int) -> np.ndarray:
     return symmetrize(np.linalg.inv(info))
 
 
-def _observation(model: FilterModel, y, name: str) -> np.ndarray:
-    y = as_vector(y, name)
-    if y.shape[0] != model.observation_dim:
-        raise InvalidInput(
-            f"{name} has length {y.shape[0]}, expected {model.observation_dim}"
-        )
-    return y
-
-
 def filter_init(model: FilterModel, y0) -> FilterState:
     """State after absorbing the initial constraint and the first observation.
 
     P_0 = (F_0' Q0 F_0 + H_0' Q2_0 H_0)^{-1}
     x_hat_0 = P_0 H_0' Q2_0 y_0
     """
-    y0 = _observation(model, y0, "y0")
+    y0 = sized_vector(y0, "y0", model.observation_dim)
     if not model.rank_ok[0]:
         raise RankDeficient("[F_0; H_0] does not have full column rank")
     if model.q0 is None:
@@ -217,7 +208,7 @@ def filter_step(state: FilterState, model: FilterModel, y_next) -> FilterState:
     k = state.k + 1
     if k > model.horizon:
         raise InvalidInput(f"step {k} exceeds horizon {model.horizon}")
-    y = _observation(model, y_next, "y_next")
+    y = sized_vector(y_next, "y_next", model.observation_dim)
     if not model.rank_ok[k]:
         raise RankDeficient(f"[F_{k}; H_{k}] does not have full column rank")
     if not model.process_ok[k - 1]:
@@ -257,9 +248,7 @@ def filter_run(
         raise InvalidInput(
             f"expected {dae.horizon + 1} observation vectors, got {len(y_seq)}"
         )
-    ell = as_vector(ell, "ell")
-    if ell.shape[0] != dae.state_dim:
-        raise InvalidInput(f"ell has length {ell.shape[0]}, expected {dae.state_dim}")
+    ell = sized_vector(ell, "ell", dae.state_dim)
     model = prepare_filter(dae, bounds, tol)
     state = filter_init(model, y_seq[0])
     x_seq = np.empty((dae.horizon + 1, dae.state_dim))

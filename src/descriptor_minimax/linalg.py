@@ -10,7 +10,7 @@ of bare tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -28,6 +28,11 @@ MEMBERSHIP_TOL = 1e-8
 # arithmetic (slack of the uncertainty budget, squared radii), per unit
 # of scale.
 NEGATIVE_FLOOR = 1e-9
+
+# Largest residual of a saddle-point solve, per unit of 1 + ||rhs||, that
+# counts as a solution. Above it the assembled system is inconsistent
+# beyond what rank truncation explains: the solve has broken down.
+SADDLE_RESIDUAL_TOL = 1e-6
 
 # Smallest estimated reciprocal condition number for which a banded LU
 # solve is trusted in place of minimum-norm least squares. A matrix is
@@ -66,6 +71,14 @@ def as_vector(value, name: str = "vector") -> np.ndarray:
         raise InvalidInput(f"{name} must be 1-D, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidInput(f"{name} contains non-finite entries")
+    return v
+
+
+def sized_vector(value, name: str, size: int) -> np.ndarray:
+    """:func:`as_vector`, also checking that the length is ``size``."""
+    v = as_vector(value, name)
+    if v.shape[0] != size:
+        raise InvalidInput(f"{name} has length {v.shape[0]}, expected {size}")
     return v
 
 
@@ -228,24 +241,28 @@ class LinearSolveResult:
     """Minimum-norm least-squares solution together with solve diagnostics."""
 
     solution: np.ndarray
-    residual_norm: float
+    residual_norm: Union[float, np.ndarray]
     rank: int
 
 
 def solve_least_squares(a, b, tol: float = DEFAULT_TOL) -> LinearSolveResult:
     """Minimum-norm least-squares solution of a @ x = b.
 
-    The residual reported is ||a @ x - b||_2 recomputed from the solution,
-    not the one numpy returns, so it is meaningful in rank-deficient cases.
+    ``b`` is one right-hand side (rows,) or k of them as the columns of a
+    (rows, k) array, which share one factorization; the solution then has
+    k columns and ``residual_norm`` is an array of k norms. The residual
+    reported is ||a @ x - b||_2 recomputed from the solution, not the one
+    numpy returns, so it is meaningful in rank-deficient cases.
     """
     am = as_matrix(a, "coefficient matrix")
-    bv = as_vector(b, "right-hand side")
+    bv = (as_matrix if np.ndim(b) == 2 else as_vector)(b, "right-hand side")
     if am.shape[0] != bv.shape[0]:
         raise InvalidInput(
             f"incompatible solve: matrix has {am.shape[0]} rows, rhs has {bv.shape[0]}"
         )
     x, _, rank, _ = np.linalg.lstsq(am, bv, rcond=tol)
-    residual = float(np.linalg.norm(am @ x - bv))
+    r = am @ x - bv
+    residual = float(np.linalg.norm(r)) if bv.ndim == 1 else np.linalg.norm(r, axis=0)
     return LinearSolveResult(solution=x, residual_norm=residual, rank=int(rank))
 
 

@@ -19,10 +19,7 @@ Too slow for production sizes on purpose; dimension is capped.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,9 +31,11 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    NEGATIVE_FLOOR,
     as_vector,
     block_diag,
     null_basis,
+    sized_vector,
     solve_least_squares,
     symmetrize,
 )
@@ -45,12 +44,9 @@ from .static import KIND_APOSTERIORI, StaticEllipsoid, StaticModel
 # Hard cap on the state dimension the oracle will attempt.
 MAX_ORACLE_DIM = 64
 
-# Samples are generated in fixed-size chunks with one RNG substream per
-# chunk, so the result depends only on (seed, count), never on how many
-# workers processed the chunks.
+# Samples are drawn in fixed-size chunks, one RNG substream per chunk,
+# so the result depends only on (seed, count).
 _CHUNK = 2048
-
-ENV_THREADS = "DESCRIPTOR_MINIMAX_THREADS"
 
 
 @dataclass(frozen=True)
@@ -75,22 +71,6 @@ class ChebyshevCheck:
     violation_count: int
     max_abs_deviation: float
     radius: float
-
-
-def resolve_workers(requested: Optional[int] = None) -> int:
-    """Worker count after applying the environment cap."""
-    cap = None
-    raw = os.environ.get(ENV_THREADS)
-    if raw is not None:
-        try:
-            cap = max(1, int(raw))
-        except ValueError:
-            raise InvalidInput(f"{ENV_THREADS} must be an integer, got {raw!r}")
-    workers = requested if requested is not None else min(4, os.cpu_count() or 1)
-    workers = max(1, int(workers))
-    if cap is not None:
-        workers = min(workers, cap)
-    return workers
 
 
 def _reduced_quadratic(model: StaticModel, bounds: StaticEllipsoid, y: np.ndarray):
@@ -118,7 +98,6 @@ def sample_reachability(
     y,
     count: int,
     seed: int,
-    workers: Optional[int] = None,
 ) -> ReachabilitySampleSet:
     """Draw ``count`` states consistent with observation ``y``.
 
@@ -127,7 +106,9 @@ def sample_reachability(
     sampled on the boundary (half the draws) and uniformly inside (the
     other half); zero-curvature directions, along which the energy is
     flat, get unbounded Gaussian excursions so the samples witness the
-    set's non-compactness too. Deterministic for fixed (seed, count).
+    set's non-compactness too. Deterministic for fixed (seed, count):
+    the chunks are drawn one after another, each from its own substream,
+    straight into the returned arrays.
     """
     if model.state_dim > MAX_ORACLE_DIM:
         raise DimensionTooLarge(
@@ -137,9 +118,7 @@ def sample_reachability(
         raise InvalidInput("sample_reachability needs bounds with kind='aposteriori'")
     if count < 0:
         raise InvalidInput("count must be nonnegative")
-    y = as_vector(y, "y")
-    if y.shape[0] != model.observation_dim:
-        raise InvalidInput(f"y has length {y.shape[0]}, expected {model.observation_dim}")
+    y = sized_vector(y, "y", model.observation_dim)
 
     n = model.state_dim
     Z, M, b, c = _reduced_quadratic(model, bounds, y)
@@ -147,7 +126,7 @@ def sample_reachability(
 
     if r == 0:
         # Only candidate is (x, f) = 0; consistent iff the data energy fits.
-        if c > 1.0 + 1e-9:
+        if c > 1.0 + NEGATIVE_FLOOR:
             return ReachabilitySampleSet(np.zeros((0, n)), np.zeros(0, bool), True)
         return ReachabilitySampleSet(
             np.zeros((count, n)), np.zeros(count, bool), False
@@ -156,7 +135,7 @@ def sample_reachability(
     center_fit = solve_least_squares(M, b)
     xi_star = center_fit.solution
     j_min = max(c - float(b @ xi_star), 0.0)
-    if j_min > 1.0 + 1e-9:
+    if j_min > 1.0 + NEGATIVE_FLOOR:
         return ReachabilitySampleSet(np.zeros((0, n)), np.zeros(0, bool), True)
     radius = math.sqrt(max(1.0 - j_min, 0.0))
 
@@ -176,13 +155,14 @@ def sample_reachability(
     if count == 0:
         return ReachabilitySampleSet(np.zeros((0, n)), np.zeros(0, bool), False)
 
+    xs = np.empty((count, n))
+    flags = np.zeros(count, dtype=bool)
     children = np.random.SeedSequence(seed).spawn((count + _CHUNK - 1) // _CHUNK)
-
-    def draw_chunk(i: int):
-        size = min(_CHUNK, count - i * _CHUNK)
-        rng = np.random.default_rng(children[i])
+    for i, child in enumerate(children):
+        lo = i * _CHUNK
+        size = min(_CHUNK, count - lo)
+        rng = np.random.default_rng(child)
         xi = np.tile(xi_star, (size, 1))
-        on_boundary = np.zeros(size, dtype=bool)
         if r_pd > 0:
             dirs = rng.standard_normal((size, r_pd))
             norms = np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -191,22 +171,11 @@ def sample_reachability(
             scales = np.ones(size)
             interior = np.arange(size) % 2 == 1
             scales[interior] = rng.random(interior.sum()) ** (1.0 / r_pd)
-            on_boundary = ~interior
+            flags[lo : lo + size] = ~interior
             xi += radius * (dirs * scales[:, None] * inv_sqrt[None, :]) @ V_pd.T
         if r_null > 0:
             xi += (null_amp * rng.standard_normal((size, r_null))) @ V_null.T
-        return (Z @ xi.T).T[:, :n], on_boundary
-
-    n_chunks = len(children)
-    workers = resolve_workers(workers)
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(draw_chunk, range(n_chunks)))
-    else:
-        parts = [draw_chunk(i) for i in range(n_chunks)]
-
-    xs = np.vstack([p[0] for p in parts])
-    flags = np.concatenate([p[1] for p in parts])
+        xs[lo : lo + size] = (Z[:n] @ xi.T).T
     return ReachabilitySampleSet(x=xs, boundary=flags, empty=False)
 
 
@@ -255,9 +224,7 @@ def quadratic_center_oracle(
     Dense solve, no saddle systems, no pseudoinverses; exists purely to
     cross-examine the estimators.
     """
-    y = as_vector(y, "y")
-    if y.shape[0] != model.observation_dim:
-        raise InvalidInput(f"y has length {y.shape[0]}, expected {model.observation_dim}")
+    y = sized_vector(y, "y", model.observation_dim)
     m = model.equation_dim
     if model.B.shape != (m, m):
         raise InvalidInput("quadratic_center_oracle needs square invertible B")

@@ -44,11 +44,12 @@ from .linalg import (
     DEFAULT_TOL,
     MEMBERSHIP_TOL,
     NEGATIVE_FLOOR,
+    SADDLE_RESIDUAL_TOL,
     as_matrix,
-    as_vector,
     null_basis,
     range_membership,
     require_spd,
+    sized_vector,
     solve_least_squares,
     spd_solve,
     svd_subspaces,
@@ -57,10 +58,6 @@ from .linalg import (
 
 KIND_APRIORI = "apriori"
 KIND_APOSTERIORI = "aposteriori"
-
-# A saddle-point residual above this (relative) level means the assembled
-# system was inconsistent beyond representability issues.
-_SOLVE_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -165,32 +162,41 @@ def representable(model: StaticModel, ell, tol: float = MEMBERSHIP_TOL) -> bool:
     True iff ell lies in range([F' H']), i.e. some combination of model
     rows and observation rows reproduces the functional.
     """
-    target = as_vector(ell, "ell")
-    if target.shape[0] != model.state_dim:
-        raise InvalidInput(
-            f"ell has length {target.shape[0]}, expected {model.state_dim}"
-        )
+    target = sized_vector(ell, "ell", model.state_dim)
     stacked = np.hstack([model.F.T, model.H.T])
     return range_membership(stacked, target, tol).member
 
 
 def _saddle_matrix(model: StaticModel, bounds: StaticEllipsoid) -> np.ndarray:
+    """The dense saddle matrix [[F, -G], [H'Q2H, F']] of the module docstring."""
     gram = model.B @ spd_solve(bounds.Q1, model.B.T)
     observed = model.H.T @ bounds.Q2 @ model.H
     return np.block([[model.F, -gram], [observed, model.F.T]])
 
 
 def _solve_saddle(model, bounds, rhs_bottom, tol):
+    """Solve the saddle system for every column of ``rhs_bottom`` (n, k).
+
+    One assembly and one least-squares solve serve all k right-hand
+    sides. Returns ``column(j)``, which gives the (primal, dual) blocks
+    of solution j after raising NumericalBreakdown if its residual
+    exceeds SADDLE_RESIDUAL_TOL; callers check each column where its
+    verdict is due.
+    """
     m, n = model.F.shape
-    rhs = np.concatenate([np.zeros(m), rhs_bottom])
+    rhs = np.vstack([np.zeros((m, rhs_bottom.shape[1])), rhs_bottom])
     fit = solve_least_squares(_saddle_matrix(model, bounds), rhs, tol)
-    scale = 1.0 + float(np.linalg.norm(rhs_bottom))
-    if fit.residual_norm > _SOLVE_RESIDUAL_TOL * scale:
-        raise NumericalBreakdown(
-            f"saddle system residual {fit.residual_norm:.3e} exceeds tolerance; "
-            "the assembled system is inconsistent"
-        )
-    return fit.solution[:n], fit.solution[n:]
+
+    def column(j):
+        scale = 1.0 + float(np.linalg.norm(rhs_bottom[:, j]))
+        if fit.residual_norm[j] > SADDLE_RESIDUAL_TOL * scale:
+            raise NumericalBreakdown(
+                f"saddle system residual {fit.residual_norm[j]:.3e} exceeds tolerance; "
+                "the assembled system is inconsistent"
+            )
+        return fit.solution[:n, j], fit.solution[n:, j]
+
+    return column
 
 
 def apriori_estimate(
@@ -211,21 +217,13 @@ def apriori_estimate(
     _check_pair(model, bounds)
     if bounds.kind != KIND_APRIORI:
         raise InvalidInput("apriori_estimate requires bounds with kind='apriori'")
-    target = as_vector(ell, "ell")
-    if target.shape[0] != model.state_dim:
-        raise InvalidInput(
-            f"ell has length {target.shape[0]}, expected {model.state_dim}"
-        )
+    target = sized_vector(ell, "ell", model.state_dim)
     if y is not None:
-        y = as_vector(y, "y")
-        if y.shape[0] != model.observation_dim:
-            raise InvalidInput(
-                f"y has length {y.shape[0]}, expected {model.observation_dim}"
-            )
+        y = sized_vector(y, "y", model.observation_dim)
     if not representable(model, target):
         return StaticEstimateReport(feasible=False, sigma_hat=math.inf)
 
-    p, z = _solve_saddle(model, bounds, target, tol)
+    p, z = _solve_saddle(model, bounds, target[:, None], tol)(0)
     u_hat = bounds.Q2 @ (model.H @ p)
     sigma_sq = float(target @ p)
     scale = float(np.linalg.norm(target)) ** 2 + 1.0
@@ -271,18 +269,15 @@ def aposteriori_estimate(
         raise InvalidInput(
             "aposteriori_estimate requires bounds with kind='aposteriori'"
         )
-    target = as_vector(ell, "ell")
-    if target.shape[0] != model.state_dim:
-        raise InvalidInput(
-            f"ell has length {target.shape[0]}, expected {model.state_dim}"
-        )
-    y = as_vector(y, "y")
-    if y.shape[0] != model.observation_dim:
-        raise InvalidInput(
-            f"y has length {y.shape[0]}, expected {model.observation_dim}"
-        )
+    target = sized_vector(ell, "ell", model.state_dim)
+    y = sized_vector(y, "y", model.observation_dim)
 
-    x_hat, p_hat = _solve_saddle(model, bounds, model.H.T @ (bounds.Q2 @ y), tol)
+    # The a priori system for ell is solved alongside the center only
+    # when ell is representable; otherwise its radius is infinite anyway.
+    feasible = representable(model, target)
+    rhs = [model.H.T @ (bounds.Q2 @ y)] + ([target] if feasible else [])
+    column = _solve_saddle(model, bounds, np.column_stack(rhs), tol)
+    x_hat, p_hat = column(0)
     estimate = float(target @ x_hat)
 
     slack = 1.0 - float((y - model.H @ x_hat) @ (bounds.Q2 @ y))
@@ -293,7 +288,7 @@ def aposteriori_estimate(
         )
     slack = max(slack, 0.0)
 
-    if not representable(model, target):
+    if not feasible:
         return StaticEstimateReport(
             feasible=False,
             sigma_hat=math.inf,
@@ -302,7 +297,7 @@ def aposteriori_estimate(
             estimate_value=estimate,
         )
 
-    p, _ = _solve_saddle(model, bounds, target, tol)
+    p, _ = column(1)
     sigma_sq = max(float(target @ p), 0.0)
     return StaticEstimateReport(
         feasible=True,
@@ -342,16 +337,8 @@ def worst_case_error_of(
     to ||B|| rather than to the product's own (possibly vanishing) scale.
     """
     _check_pair(model, bounds)
-    target = as_vector(ell, "ell")
-    u = as_vector(u, "u")
-    if target.shape[0] != model.state_dim:
-        raise InvalidInput(
-            f"ell has length {target.shape[0]}, expected {model.state_dim}"
-        )
-    if u.shape[0] != model.observation_dim:
-        raise InvalidInput(
-            f"u has length {u.shape[0]}, expected {model.observation_dim}"
-        )
+    target = sized_vector(ell, "ell", model.state_dim)
+    u = sized_vector(u, "u", model.observation_dim)
 
     v = target - model.H.T @ u
     spaces = svd_subspaces(model.F, tol)

@@ -221,6 +221,18 @@ def test_riccati_nonrepresentable_exits_2(tmp_path, capsys):
     assert report["sigma_hat"] == "infinite"
 
 
+def test_mismatched_continuous_weight_exits_1(tmp_path, capsys):
+    doc = continuous_doc("riccati")
+    doc["bounds"]["Q1"] = [[1.0, 0.0], [0.0, 1.0]]
+    config = write_doc(tmp_path, doc)
+    assert main(["check", "--config", config]) == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+    obs = write_obs(tmp_path, np.zeros((65, 1)))
+    code = main(["riccati", "--config", config, "--observations", obs])
+    assert code == EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+
+
 def test_tikhonov_reports_residuals(tmp_path, capsys):
     code = main(
         ["tikhonov", "--config", write_doc(tmp_path, continuous_doc("tikhonov"))]

@@ -149,6 +149,14 @@ def test_schema_errors():
     doc["estimation"] = {"mode": "tikhonov", "ell": [1.0], "alphas": [0.5, 0.5]}
     with pytest.raises(SchemaError):
         parse_config(doc)
+    doc = continuous_doc()
+    doc["bounds"]["Q1"] = {
+        "type": "table",
+        "times": [0.0, 0.5],
+        "values": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+    }
+    with pytest.raises(SchemaError, match=r"bounds\.Q1: table values must share one shape"):
+        parse_config(doc)
 
 
 def test_dimension_errors():
@@ -160,6 +168,16 @@ def test_dimension_errors():
     doc["estimation"]["ell"] = [1.0, 2.0]
     with pytest.raises(DimensionError):
         parse_config(doc)
+    for name in ("Q1", "Q2"):
+        doc = static_doc()
+        doc["bounds"][name] = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(DimensionError, match=rf"bounds\.{name} is 2x2"):
+            parse_config(doc)
+    for name in ("Q0", "Q1", "Q2"):
+        doc = continuous_doc()
+        doc["bounds"][name] = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(DimensionError, match=rf"bounds\.{name}(\(t\))? must be 1x1"):
+            parse_config(doc)
     # DimensionError must be catchable as a schema problem
     assert issubclass(DimensionError, SchemaError)
 

@@ -84,6 +84,8 @@ def test_table_function_lookup():
     assert f(7.0) == pytest.approx(2.0 * np.eye(1))
     with pytest.raises(InvalidInput):
         TableFunction([0.5, 0.5], [np.eye(1), np.eye(1)])
+    with pytest.raises(InvalidInput, match="share one shape"):
+        TableFunction([0.0, 0.5], [np.eye(1), np.eye(2)])
 
 
 def test_polynomial_function_value():
@@ -98,6 +100,54 @@ def test_grid_must_span_horizon():
         apriori_estimate_continuous(
             system, bounds, ell_one, TimeGrid(0.0, 0.5, 8)
         )
+
+
+def mismatched_weights():
+    """Bounds for the scalar system with one weight 2x2 instead of 1x1."""
+    one, two = np.eye(1), np.eye(2)
+    return [
+        ContinuousEllipsoid(Q0=two, Q1=one, Q2=one),
+        ContinuousEllipsoid(Q0=one, Q1=two, Q2=one),
+        ContinuousEllipsoid(Q0=one, Q1=one, Q2=two),
+    ]
+
+
+WEIGHT_MISMATCH = r"Q[012](\(t\))? must be 1x1, got shape \(2, 2\)"
+
+
+def test_discretize_rejects_mismatched_weights():
+    system, _ = scalar_system()
+    for bounds in mismatched_weights():
+        with pytest.raises(InvalidInput, match=WEIGHT_MISMATCH):
+            discretize(system, bounds, TimeGrid(0.0, 1.0, 4))
+
+
+@pytest.mark.parametrize("method", ["flattened", "bvp"])
+def test_apriori_rejects_mismatched_weights(method):
+    system, _ = scalar_system()
+    for bounds in mismatched_weights():
+        with pytest.raises(InvalidInput, match=WEIGHT_MISMATCH):
+            apriori_estimate_continuous(
+                system, bounds, ell_one, TimeGrid(0.0, 1.0, 4), method=method
+            )
+
+
+def test_tikhonov_rejects_mismatched_weights():
+    system, _ = scalar_system()
+    for bounds in mismatched_weights():
+        with pytest.raises(InvalidInput, match=WEIGHT_MISMATCH):
+            tikhonov_approximate(
+                system, bounds, ell_one, TimeGrid(0.0, 1.0, 4), [0.5, 0.1]
+            )
+
+
+def test_riccati_rejects_mismatched_weights():
+    # F = C = H = 1: before the check, a 2x2 Q1(t) surfaced as a singular
+    # Riccati step and a 2x2 Q2(t) as a raw numpy error
+    system = ContinuousDAE(F=[[1.0]], C=[[1.0]], H=[[1.0]], t_start=0.0, t_end=1.0)
+    for bounds in mismatched_weights():
+        with pytest.raises(InvalidInput, match=WEIGHT_MISMATCH):
+            riccati_filter(system, bounds, [1.0], np.zeros((5, 1)), TimeGrid(0.0, 1.0, 4))
 
 
 # ---------------------------------------------------------------------------

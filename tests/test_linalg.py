@@ -66,6 +66,15 @@ def test_lstsq_inconsistent_residual():
     assert out.residual_norm == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
+def test_lstsq_solves_each_column_of_a_matrix_rhs():
+    a = np.array([[1.0], [1.0]])
+    out = solve_least_squares(a, np.array([[0.0, 1.0], [2.0, 1.0]]))
+    assert out.solution == pytest.approx(np.array([[1.0, 1.0]]), abs=1e-12)
+    assert out.residual_norm == pytest.approx([np.sqrt(2.0), 0.0], abs=1e-12)
+    with pytest.raises(InvalidInput):
+        solve_least_squares(a, np.zeros((3, 2)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_range_membership_holds_for_column_combinations(seed):

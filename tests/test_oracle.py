@@ -5,7 +5,8 @@ the minimum disturbance energy consistent with x and y is computed by a
 projection that shares no code with the sampler.
 """
 
-import os
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from descriptor_minimax import (
     quadratic_center_oracle,
     sample_reachability,
 )
-from descriptor_minimax.oracle import resolve_workers
+from descriptor_minimax.discrete import flatten, flatten_bounds
 
 from conftest import (
     feasible_observation,
+    make_discrete,
     make_static,
     representable_functional,
     rng_for,
@@ -118,23 +120,43 @@ def test_determinism_same_seed():
     assert not np.array_equal(a.x, c.x)
 
 
-def test_determinism_independent_of_worker_count():
-    rng = rng_for(6)
-    model, bounds = make_static(rng)
+def test_frozen_stream_across_chunks():
+    # 5000 draws span three chunks. The recorded values pin the chunking
+    # and the per-chunk substreams; the scalar model keeps every product a
+    # single rounding, so they hold on every BLAS.
+    model, _, apo = scalar_static()
+    samples = sample_reachability(model, apo, [1.0], 5000, seed=11)
+    frozen = {
+        0: 0.0,
+        1: 0.12627225442038398,
+        2047: 0.8651940092854086,
+        2048: 0.9999999999999998,
+        4095: 0.436523051422308,
+        4096: 0.9999999999999998,
+        4999: 0.5087235421743945,
+    }
+    for row, value in frozen.items():
+        assert samples.x[row, 0] == value
+    assert math.fsum(samples.x[:, 0]) == 2494.192688584893
+    assert np.array_equal(samples.boundary, np.arange(5000) % 2 == 0)
+
+
+def test_sampler_memory_stays_near_its_output():
+    # A 64-dimensional flattened chain: the chunks are drawn into the
+    # returned array, so the traced peak is the output plus one chunk's
+    # temporaries, not a second copy of every chunk.
+    dae, bounds = make_discrete(rng_for(0), n=2, N=31)
+    model = flatten(dae)
+    flat_bounds = flatten_bounds(dae, bounds, KIND_APOSTERIORI)
     y = np.zeros(model.observation_dim)
-    a = sample_reachability(model, bounds, y, 5000, seed=9, workers=1)
-    b = sample_reachability(model, bounds, y, 5000, seed=9, workers=4)
-    assert np.array_equal(a.x, b.x)
-
-
-def test_worker_env_cap(monkeypatch):
-    monkeypatch.setenv("DESCRIPTOR_MINIMAX_THREADS", "2")
-    assert resolve_workers(8) == 2
-    monkeypatch.setenv("DESCRIPTOR_MINIMAX_THREADS", "junk")
-    with pytest.raises(InvalidInput):
-        resolve_workers(8)
-    monkeypatch.delenv("DESCRIPTOR_MINIMAX_THREADS")
-    assert resolve_workers(3) == 3
+    tracemalloc.start()
+    try:
+        samples = sample_reachability(model, flat_bounds, y, 20_000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert samples.x.shape == (20_000, 64)
+    assert peak < 2 * samples.x.nbytes
 
 
 def test_empty_set_detected():

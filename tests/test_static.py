@@ -202,6 +202,32 @@ def test_nonrepresentable_is_flagged_not_raised():
     assert out.x_hat is not None
 
 
+def test_aposteriori_assembles_and_solves_once(monkeypatch):
+    # The center and the a priori solution share one saddle assembly and
+    # one least-squares solve; the other solve is the representability test
+    import descriptor_minimax.linalg as linalg_mod
+    import descriptor_minimax.static as static_mod
+
+    calls = {"assemble": 0, "solve": 0}
+    assemble, solve = static_mod._saddle_matrix, linalg_mod.solve_least_squares
+
+    def counted_assemble(*args):
+        calls["assemble"] += 1
+        return assemble(*args)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(static_mod, "_saddle_matrix", counted_assemble)
+    monkeypatch.setattr(static_mod, "solve_least_squares", counted_solve)
+    monkeypatch.setattr(linalg_mod, "solve_least_squares", counted_solve)
+    model, _, apo = scalar_static()
+    out = aposteriori_estimate(model, apo, [1.0], [1.0])
+    assert out.feasible and out.sigma_hat == pytest.approx(0.5)
+    assert calls == {"assemble": 1, "solve": 2}
+
+
 def test_kind_mismatch_raises():
     model, apr, apo = scalar_static()
     with pytest.raises(InvalidInput):
