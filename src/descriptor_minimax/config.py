@@ -66,6 +66,15 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
+def _integer(value, path: str, least: Optional[int] = None) -> int:
+    """An int or integral float, never a bool, and at least ``least`` if given."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or (least is not None and value < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise SchemaError(f"{path} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def _matrix(obj, path: str) -> np.ndarray:
     try:
         a = np.asarray(obj, dtype=float)
@@ -215,9 +224,7 @@ def _parse_static(model_block, bounds_block, mode, path="model") -> tuple:
 
 
 def _parse_discrete(model_block, bounds_block) -> tuple:
-    horizon = _require(model_block, "horizon", "model")
-    if not isinstance(horizon, int) or horizon < 0:
-        raise SchemaError("model.horizon must be a nonnegative integer")
+    horizon = _integer(_require(model_block, "horizon", "model"), "model.horizon", 0)
     F_seq = _matrix_seq(model_block, "F", horizon + 1, "model")
     C_seq = _matrix_seq(model_block, "C", horizon, "model") if horizon else ()
     B_seq = _matrix_seq(model_block, "B", horizon, "model") if horizon else ()
@@ -362,7 +369,7 @@ def parse_config(source) -> ProblemConfig:
             grid = TimeGrid(
                 start=float(_require(gb, "start", "grid")),
                 end=float(_require(gb, "end", "grid")),
-                steps=int(_require(gb, "steps", "grid")),
+                steps=_integer(_require(gb, "steps", "grid"), "steps"),
             )
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"grid: {exc}") from exc
@@ -371,9 +378,7 @@ def parse_config(source) -> ProblemConfig:
     elif "grid" in raw and raw["grid"] is not None:
         raise SchemaError("grid is only meaningful for continuous_dae problems")
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise SchemaError("seed must be an integer")
+    seed = _integer(raw.get("seed", 0), "seed")
 
     sim_block = raw.get("simulation", {}) or {}
     disturbance = sim_block.get("disturbance", "boundary")
@@ -586,8 +591,8 @@ def write_trajectory_csv(path, prefix: str, data) -> None:
 def read_trajectory_csv(path, prefix: Optional[str] = None) -> np.ndarray:
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
-    Returns the value rows in index order; the k column must be the
-    consecutive integers starting at 0.
+    Returns the (rows, columns) array of values in index order, zero rows
+    included; the k column must be the consecutive integers from 0.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -619,4 +624,4 @@ def read_trajectory_csv(path, prefix: Optional[str] = None) -> np.ndarray:
         if k != i:
             raise ParseError(f"{path}: row {i} has index {k}, expected {i}")
         rows.append(values)
-    return np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float).reshape(len(rows), width)

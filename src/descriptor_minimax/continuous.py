@@ -55,7 +55,8 @@ from .errors import (
     SolveFailure,
 )
 from .linalg import (
-    DEFAULT_TOL,
+    GRID_SPAN_TOL,
+    GRID_UNIFORMITY_TOL,
     SADDLE_RESIDUAL_TOL,
     as_matrix,
     as_matrix_stack,
@@ -198,7 +199,7 @@ class TimeGrid:
         gaps = np.diff(t)
         if np.any(gaps <= 0):
             raise InvalidGrid("nodes must be strictly increasing")
-        if gaps.max() - gaps.min() > 1e-12 * max(abs(t[-1] - t[0]), 1.0):
+        if gaps.max() - gaps.min() > GRID_UNIFORMITY_TOL * max(abs(t[-1] - t[0]), 1.0):
             raise InvalidGrid("nodes are not uniformly spaced")
         return cls(start=float(t[0]), end=float(t[-1]), steps=t.shape[0] - 1)
 
@@ -269,8 +270,8 @@ def _check_pair(system: ContinuousDAE, bounds: ContinuousEllipsoid) -> None:
 def _check_grid(system: ContinuousDAE, grid: TimeGrid) -> None:
     span = system.t_end - system.t_start
     if (
-        abs(grid.start - system.t_start) > 1e-9 * span
-        or abs(grid.end - system.t_end) > 1e-9 * span
+        abs(grid.start - system.t_start) > GRID_SPAN_TOL * span
+        or abs(grid.end - system.t_end) > GRID_SPAN_TOL * span
     ):
         raise InvalidGrid(
             f"grid [{grid.start}, {grid.end}] must span the system horizon "
@@ -391,15 +392,11 @@ def _spd_nodes(fn: TimeFunction, times: np.ndarray, name: str) -> np.ndarray:
 
 
 def _sampled_functional(system: ContinuousDAE, ell, grid: TimeGrid) -> np.ndarray:
-    """Nodes of ell(t), shape (steps+1, n)."""
-    fn = as_time_function(ell, "ell")
+    """Nodes of ell(t), shape (steps+1, n); see :func:`_nodes`."""
     n = system.state_dim
-    out = np.zeros((grid.steps + 1, n))
-    for k, t in enumerate(grid.nodes()):
-        v = np.asarray(fn(t), dtype=float).reshape(-1)
-        if v.shape[0] != n:
-            raise InvalidInput(f"ell(t) has length {v.shape[0]}, expected {n}")
-        out[k] = v
+    out = _nodes(as_time_function(ell, "ell"), grid.nodes()).reshape(grid.steps + 1, -1)
+    if out.shape[1] != n:
+        raise InvalidInput(f"ell(t) has length {out.shape[1]}, expected {n}")
     return out
 
 
@@ -493,7 +490,6 @@ def apriori_estimate_continuous(
     grid: TimeGrid,
     y_samples=None,
     method: str = "flattened",
-    tol: float = DEFAULT_TOL,
 ) -> ContinuousAprioriResult:
     """Worst-case optimal readout of int (ell(t), x(t)) dt.
 
@@ -521,7 +517,7 @@ def apriori_estimate_continuous(
 
     if method == "flattened":
         dae, dbounds = discretize(system, bounds, grid)
-        horizon = apriori_horizon_estimate(dae, dbounds, h * ell_nodes, tol=tol)
+        horizon = apriori_horizon_estimate(dae, dbounds, h * ell_nodes)
         solver = horizon.solver
         if not horizon.feasible:
             return ContinuousAprioriResult(
@@ -533,7 +529,7 @@ def apriori_estimate_continuous(
         A = _bvp_system(system, bounds, grid)
         rhs = np.zeros(A.shape[0])
         rhs[(M + 1) * system.equation_dim :] = ell_nodes.reshape(-1)
-        fit = solve_least_squares(A, rhs, tol)
+        fit = solve_least_squares(A, rhs)
         scale = 1.0 + float(np.linalg.norm(ell_nodes))
         if fit.residual_norm > _BVP_RESIDUAL_TOL * scale:
             return ContinuousAprioriResult(
@@ -588,7 +584,6 @@ def tikhonov_approximate(
     ell,
     grid: TimeGrid,
     alphas: Sequence,
-    tol: float = DEFAULT_TOL,
 ) -> TikhonovResult:
     """Regularized approximations of the a priori readout for alpha -> 0.
 
@@ -629,14 +624,14 @@ def tikhonov_approximate(
         rows = A.shape[0] - dim
         A[rows + np.arange(dim), np.arange(dim)] += alpha * h  # the H'Q2H block
         rhs = np.concatenate([np.zeros(rows), ell_flat])
-        fit = solve_least_squares(A, rhs, tol)
+        fit = solve_least_squares(A, rhs)
         return fit.solution[:dim].reshape(M + 1, n), fit.residual_norm
 
     Q2_nodes, H_nodes = _nodes(bounds.Q2, ts), _nodes(system.H, ts)
     u_list: List[np.ndarray] = []
     constraint = np.zeros(len(alphas))
     for j, alpha in enumerate(alphas):
-        banded = horizon_saddle(dae, dbounds, tol, shift=alpha * h)
+        banded = horizon_saddle(dae, dbounds, shift=alpha * h)
         b = banded.rhs((h * ell_nodes)[None])
         solution = banded.factor.solve(b)
         if solution is not None:
@@ -689,7 +684,6 @@ def riccati_filter(
     ell0,
     y_samples,
     grid: TimeGrid,
-    tol: float = DEFAULT_TOL,
 ) -> RiccatiResult:
     """Forward filter for the endpoint functional (ell_0, x(t_end)).
 
@@ -732,7 +726,7 @@ def riccati_filter(
         )
 
     F = system.F
-    Fp = pseudo_inverse(F, tol)
+    Fp = pseudo_inverse(F)
     proj = F @ Fp
     S = symmetrize(proj @ spd_inverse(bounds.Q0) @ proj)
     x_hat = np.zeros(n)

@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import InconsistentData, InvalidInput, NumericalBreakdown
 from .linalg import (
-    DEFAULT_TOL,
     NEGATIVE_FLOOR,
     RCOND_FLOOR,
     BandedFactor,
@@ -344,7 +343,7 @@ class HorizonSaddle:
 
 
 def horizon_saddle(
-    dae: DiscreteDAE, bounds: DAEEllipsoid, tol: float = DEFAULT_TOL, shift: float = 0.0
+    dae: DiscreteDAE, bounds: DAEEllipsoid, shift: float = 0.0
 ) -> HorizonSaddle:
     """Assemble the horizon saddle matrix in band storage and factor it once.
 
@@ -391,7 +390,7 @@ def horizon_saddle(
         C = dae.C_seq
         put(dyn[1:], xcol[:-1], -C)
         put(adj[:-1], wcol[1:], -np.swapaxes(C, 1, 2))
-    return HorizonSaddle(factor_banded(band, kl, ku, tol), n, m)
+    return HorizonSaddle(factor_banded(band, kl, ku), n, m)
 
 
 def _stacked_inputs(dae: DiscreteDAE, ell_seq: Sequence, y_seq) -> tuple:
@@ -402,11 +401,11 @@ def _stacked_inputs(dae: DiscreteDAE, ell_seq: Sequence, y_seq) -> tuple:
     return ell, y, ell.reshape(N + 1, n), (y.reshape(N + 1, l) if y is not None else None)
 
 
-def _banded_solve(dae, bounds, adjoint, tol):
+def _banded_solve(dae, bounds, adjoint):
     """x-blocks of the saddle solutions for the given adjoint right-hand
     sides, or None when the band factorization is not trusted; plus the
     solver record either way."""
-    saddle = horizon_saddle(dae, bounds, tol)
+    saddle = horizon_saddle(dae, bounds)
     solution = saddle.factor.solve(saddle.rhs(adjoint))
     if solution is None:
         return None, solver_record("dense", saddle.factor)
@@ -414,11 +413,7 @@ def _banded_solve(dae, bounds, adjoint, tol):
 
 
 def variational_estimate(
-    dae: DiscreteDAE,
-    bounds: DAEEllipsoid,
-    ell_seq: Sequence,
-    y_seq: Sequence,
-    tol: float = DEFAULT_TOL,
+    dae: DiscreteDAE, bounds: DAEEllipsoid, ell_seq: Sequence, y_seq: Sequence
 ) -> TrajectoryEstimate:
     """Chebyshev-center estimate of sum_k (ell_k, x_k) over the horizon.
 
@@ -435,9 +430,9 @@ def variational_estimate(
     H = dae.H_seq
     q2y = np.einsum("kij,kj->ki", bounds.Q2_seq, ys)
     data = np.einsum("kji,kj->ki", H, q2y)
-    states, solver = _banded_solve(dae, bounds, np.stack([data, ells]), tol)
+    states, solver = _banded_solve(dae, bounds, np.stack([data, ells]))
     if states is None:
-        return _dense_variational(dae, bounds, ell, y, tol, solver)
+        return _dense_variational(dae, bounds, ell, y, solver)
 
     x_seq, p_seq = states
     slack = 1.0 - float(np.sum((ys - np.einsum("kij,kj->ki", H, x_seq)) * q2y))
@@ -457,10 +452,10 @@ def variational_estimate(
     )
 
 
-def _dense_variational(dae, bounds, ell, y, tol, solver) -> TrajectoryEstimate:
+def _dense_variational(dae, bounds, ell, y, solver) -> TrajectoryEstimate:
     model = flatten(dae)
     static_bounds = flatten_bounds(dae, bounds, KIND_APOSTERIORI)
-    report = aposteriori_estimate(model, static_bounds, ell, y, tol)
+    report = aposteriori_estimate(model, static_bounds, ell, y)
     n, N = dae.state_dim, dae.horizon
     return TrajectoryEstimate(
         feasible=report.feasible,
@@ -477,7 +472,6 @@ def apriori_horizon_estimate(
     bounds: DAEEllipsoid,
     ell_seq: Sequence,
     y_seq: Optional[Sequence] = None,
-    tol: float = DEFAULT_TOL,
 ) -> HorizonApriori:
     """Minimax linear readout of sum_k (ell_k, x_k) chosen before data.
 
@@ -489,11 +483,11 @@ def apriori_horizon_estimate(
     """
     _check_bounds(dae, bounds)
     ell, y, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
-    states, solver = _banded_solve(dae, bounds, ells[None], tol)
+    states, solver = _banded_solve(dae, bounds, ells[None])
     n, l, N = dae.state_dim, dae.observation_dim, dae.horizon
     if states is None:
         report = apriori_estimate(
-            flatten(dae), flatten_bounds(dae, bounds, KIND_APRIORI), ell, y, tol
+            flatten(dae), flatten_bounds(dae, bounds, KIND_APRIORI), ell, y
         )
         if not report.feasible:
             return HorizonApriori(feasible=False, sigma_hat=math.inf, solver=solver)

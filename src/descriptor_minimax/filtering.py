@@ -26,11 +26,15 @@ import numpy as np
 
 from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds, observation_information
 from .errors import InvalidInput, NumericalBreakdown, RankDeficient
-from .linalg import DEFAULT_TOL, per_entry, sized_vector, symmetrize
-
-# Inner matrices are rejected as numerically singular below this
-# smallest-eigenvalue level (relative to unit scale).
-BREAKDOWN_EIG_FLOOR = 1e-14
+from .linalg import (
+    BREAKDOWN_EIG_FLOOR,
+    DEFAULT_TOL,
+    IDENTITY_ATOL,
+    IDENTITY_RTOL,
+    per_entry,
+    sized_vector,
+    symmetrize,
+)
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class FilterRunResult:
     x_hat_seq: np.ndarray
 
 
-def _full_column_rank(F: np.ndarray, H: np.ndarray, tol: float) -> np.ndarray:
+def _full_column_rank(F: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Per step, whether [F_k; H_k] has full column rank: one batched SVD."""
     stacked = np.concatenate([F, H], axis=1)
     count, rows, cols = stacked.shape
@@ -58,10 +62,10 @@ def _full_column_rank(F: np.ndarray, H: np.ndarray, tol: float) -> np.ndarray:
     if cols == 0:
         return np.ones(count, dtype=bool)
     s = np.linalg.svd(stacked, compute_uv=False)
-    return s[:, -1] > tol * s[:, 0]
+    return s[:, -1] > DEFAULT_TOL * s[:, 0]
 
 
-def rank_precondition(F_k, H_k, tol: float = DEFAULT_TOL) -> bool:
+def rank_precondition(F_k, H_k) -> bool:
     """Whether the stacked matrix [F_k; H_k] has full column rank.
 
     This is what makes each filtered information matrix invertible, so
@@ -69,7 +73,7 @@ def rank_precondition(F_k, H_k, tol: float = DEFAULT_TOL) -> bool:
     """
     F = np.atleast_2d(np.asarray(F_k, dtype=float))
     H = np.atleast_2d(np.asarray(H_k, dtype=float))
-    return bool(_full_column_rank(F[None], H[None], tol)[0])
+    return bool(_full_column_rank(F[None], H[None])[0])
 
 
 def _fold_weights(B: np.ndarray, Q: np.ndarray) -> tuple:
@@ -78,7 +82,7 @@ def _fold_weights(B: np.ndarray, Q: np.ndarray) -> tuple:
     Per entry, f' = B f carries energy (Q' f', f') with Q' = B^{-T} Q B^{-1},
     so the inverse weight is B Q^{-1} B'. Returns (usable, identity,
     inverse): usable where B is square with full rank, identity where B
-    is the identity to np.allclose's default tolerance (there the
+    is the identity to IDENTITY_ATOL and IDENTITY_RTOL (there the
     inverse weight is Q^{-1} itself); ``inverse`` is None when B is not
     square.
     """
@@ -87,7 +91,7 @@ def _fold_weights(B: np.ndarray, Q: np.ndarray) -> tuple:
     if p != m:
         no = np.zeros(count, dtype=bool)
         return no, no, None
-    identity = np.all(np.abs(B - eye) <= 1e-8 + 1e-5 * eye, axis=(1, 2))
+    identity = np.all(np.abs(B - eye) <= IDENTITY_ATOL + IDENTITY_RTOL * eye, axis=(1, 2))
     s = np.linalg.svd(B, compute_uv=False)
     usable = identity | (s[:, -1] > DEFAULT_TOL * s[:, 0])
     q_inv = symmetrize(np.linalg.inv(Q))
@@ -127,9 +131,7 @@ class FilterModel:
         return self.HtQ2.shape[2]
 
 
-def prepare_filter(
-    dae: DiscreteDAE, bounds: DAEEllipsoid, tol: float = DEFAULT_TOL
-) -> FilterModel:
+def prepare_filter(dae: DiscreteDAE, bounds: DAEEllipsoid) -> FilterModel:
     """Everything the filter needs that does not depend on the data.
 
     One batched SVD decides the rank precondition of every step; S and
@@ -148,9 +150,7 @@ def prepare_filter(
         q0 = None
     process_ok, _, q1_inv = per_entry(_fold_weights, dae.B_seq, bounds.Q1_seq)
     HtQ2, W = per_entry(observation_information, dae.H_seq, bounds.Q2_seq)
-    rank_ok = per_entry(
-        lambda F, H: _full_column_rank(F, H, tol), dae.F_seq, dae.H_seq
-    )
+    rank_ok = per_entry(_full_column_rank, dae.F_seq, dae.H_seq)
     return FilterModel(
         F=dae.F_seq,
         C=dae.C_seq,
@@ -231,11 +231,7 @@ def filter_step(state: FilterState, model: FilterModel, y_next) -> FilterState:
 
 
 def filter_run(
-    dae: DiscreteDAE,
-    bounds: DAEEllipsoid,
-    y_seq: Sequence,
-    ell,
-    tol: float = DEFAULT_TOL,
+    dae: DiscreteDAE, bounds: DAEEllipsoid, y_seq: Sequence, ell
 ) -> FilterRunResult:
     """Run the filter across the horizon and read out (ell, x_N).
 
@@ -249,7 +245,7 @@ def filter_run(
             f"expected {dae.horizon + 1} observation vectors, got {len(y_seq)}"
         )
     ell = sized_vector(ell, "ell", dae.state_dim)
-    model = prepare_filter(dae, bounds, tol)
+    model = prepare_filter(dae, bounds)
     state = filter_init(model, y_seq[0])
     x_seq = np.empty((dae.horizon + 1, dae.state_dim))
     x_seq[0] = state.x_hat

@@ -1,7 +1,7 @@
 """Shared linear-algebra helpers.
 
 Everything here wraps numpy/scipy routines behind the conventions the
-estimators rely on: a single truncation tolerance, minimum-norm least
+estimators rely on: one table of tolerances, minimum-norm least
 squares as the default solver, a banded LU that is trusted only where
 it provably agrees with that solver, and explicit result types instead
 of bare tuples.
@@ -18,34 +18,41 @@ from scipy.linalg import lapack
 
 from .errors import InvalidBounds, InvalidInput
 
-# Relative singular-value cutoff used for every rank decision.
+# Every rank, residual, regularity and breakdown decision reads one of these
+# constants; no function takes a tolerance. README.md "Tolerances" lists them.
+# Rank: singular values above this times the largest (or a given scale) count.
 DEFAULT_TOL = 1e-10
-
-# Relative residual cutoff for range-membership tests.
+# Range membership: a least-squares residual up to this times 1 + ||target||.
 MEMBERSHIP_TOL = 1e-8
-
-# Tolerated negative floor for quantities that are nonnegative in exact
-# arithmetic (slack of the uncertainty budget, squared radii), per unit
-# of scale.
+# Budget slack and squared radii: how far below 0 (per unit scale) is rounding.
 NEGATIVE_FLOOR = 1e-9
-
-# Largest residual of a saddle-point solve, per unit of 1 + ||rhs||, that
-# counts as a solution. Above it the assembled system is inconsistent
-# beyond what rank truncation explains: the solve has broken down.
+# Saddle-point solves: a residual above this times 1 + ||rhs|| is a breakdown.
 SADDLE_RESIDUAL_TOL = 1e-6
-
-# Smallest estimated reciprocal condition number for which a banded LU
-# solve is trusted in place of minimum-norm least squares. A matrix is
-# accepted only if the estimates of both 1/(||A||_1 ||A^-1||_1) and
-# 1/(||A||_inf ||A^-1||_inf) reach this floor. Since
-# ||M||_2^2 <= ||M||_1 ||M||_inf for every M, the true values bound
-# sigma_min / sigma_max from below by the same number, with no factor of
-# the dimension. The floor sits 1000x above DEFAULT_TOL, so every matrix
-# that least squares would truncate (sigma_min <= DEFAULT_TOL sigma_max)
-# is rejected even if the estimator, which never overestimates the
-# norm of the inverse, comes out low by up to that factor. For a looser
-# ``tol`` the floor scales up in proportion.
+# Banded LU: trusted when both estimates of 1/(||A||_1 ||A^-1||_1) and
+# 1/(||A||_inf ||A^-1||_inf) reach this. As ||M||_2^2 <= ||M||_1 ||M||_inf,
+# the true values bound sigma_min/sigma_max from below; 1000x above
+# DEFAULT_TOL, the floor rejects every matrix least squares would truncate
+# even if the estimate (never above the true norm of A^-1) is that far low.
 RCOND_FLOOR = 1e-7
+# SPD checks: symmetric when |a_ij - a_ji| <= this times 1 + max |a_ij|.
+SYMMETRY_TOL = 1e-12
+# Filter step: Q1^{-1} + C P C' is singular below this eigenvalue (absolute).
+BREAKDOWN_EIG_FLOOR = 1e-14
+# Filter weights: B is the identity when |B - I| <= ATOL + RTOL * I entrywise.
+IDENTITY_ATOL = 1e-8
+IDENTITY_RTOL = 1e-5
+# Simulation: a step matrix F_k with 1/cond(F_k) below this is singular.
+STEP_RCOND = 1e-12
+# Center oracle: normal equations are singular if min eig <= this * max(max eig, 1).
+NORMAL_EQUATION_TOL = 1e-12
+# Sampler: least scale behind the curvature cutoff, so the cutoff stays positive.
+CURVATURE_SCALE_FLOOR = 1e-300
+# Chebyshev check: deviations above sigma * (1 + this) + this are violations.
+CHEBYSHEV_SLACK = 1e-9
+# Time grids: nodes are uniform when their gaps spread by <= this * max(span, 1).
+GRID_UNIFORMITY_TOL = 1e-12
+# Time grids: an endpoint may miss the system horizon by this times its length.
+GRID_SPAN_TOL = 1e-9
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -164,7 +171,7 @@ def spd_stack_error(stack: np.ndarray, label: Callable[[int], str]):
 
     None when every entry is symmetric positive definite. The tests are
     those of :func:`require_spd`, run on the whole stack at once: one
-    square test, one symmetry test (to 1e-12 of each entry's scale) and
+    square test, one symmetry test (to SYMMETRY_TOL of each entry's scale) and
     one batched Cholesky of the symmetrized entries. A broadcast stack is
     tested once. The entries are scanned one by one only to find which
     Cholesky failed.
@@ -175,7 +182,7 @@ def spd_stack_error(stack: np.ndarray, label: Callable[[int], str]):
         return 0, InvalidBounds(f"{label(0)} must be square, got shape {stack.shape[1:]}")
     d = _distinct(stack)
     scale = 1.0 + np.abs(d).max(axis=(1, 2), initial=0.0)
-    asym = np.abs(d - np.swapaxes(d, 1, 2)).max(axis=(1, 2), initial=0.0) > 1e-12 * scale
+    asym = np.abs(d - np.swapaxes(d, 1, 2)).max(axis=(1, 2), initial=0.0) > SYMMETRY_TOL * scale
     first_asym = int(np.argmax(asym)) if asym.any() else d.shape[0]
     sym = symmetrize(d[:first_asym])
     try:
@@ -228,12 +235,12 @@ def spd_inverse(q: np.ndarray) -> np.ndarray:
     return symmetrize(spd_solve(q, np.eye(q.shape[0])))
 
 
-def pseudo_inverse(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below tol*s_max dropped."""
+def pseudo_inverse(a) -> np.ndarray:
+    """Moore-Penrose pseudoinverse, singular values below DEFAULT_TOL*s_max dropped."""
     m = as_matrix(a, "pseudo_inverse argument")
     if m.size == 0:
         return m.T.copy()
-    return np.linalg.pinv(m, rcond=tol)
+    return np.linalg.pinv(m, rcond=DEFAULT_TOL)
 
 
 @dataclass(frozen=True)
@@ -245,8 +252,8 @@ class LinearSolveResult:
     rank: int
 
 
-def solve_least_squares(a, b, tol: float = DEFAULT_TOL) -> LinearSolveResult:
-    """Minimum-norm least-squares solution of a @ x = b.
+def solve_least_squares(a, b) -> LinearSolveResult:
+    """Minimum-norm least-squares solution of a @ x = b, rank cut at DEFAULT_TOL.
 
     ``b`` is one right-hand side (rows,) or k of them as the columns of a
     (rows, k) array, which share one factorization; the solution then has
@@ -260,7 +267,7 @@ def solve_least_squares(a, b, tol: float = DEFAULT_TOL) -> LinearSolveResult:
         raise InvalidInput(
             f"incompatible solve: matrix has {am.shape[0]} rows, rhs has {bv.shape[0]}"
         )
-    x, _, rank, _ = np.linalg.lstsq(am, bv, rcond=tol)
+    x, _, rank, _ = np.linalg.lstsq(am, bv, rcond=DEFAULT_TOL)
     r = am @ x - bv
     residual = float(np.linalg.norm(r)) if bv.ndim == 1 else np.linalg.norm(r, axis=0)
     return LinearSolveResult(solution=x, residual_norm=residual, rank=int(rank))
@@ -275,11 +282,11 @@ class RangeMembership:
     residual: float
 
 
-def range_membership(columns, target, tol: float = MEMBERSHIP_TOL) -> RangeMembership:
+def range_membership(columns, target) -> RangeMembership:
     """Decide whether ``target`` is in the column span of ``columns``.
 
     Membership holds when the least-squares residual is at most
-    tol * (1 + ||target||), which keeps the test meaningful for both
+    MEMBERSHIP_TOL * (1 + ||target||), which keeps the test meaningful for both
     tiny and large targets.
     """
     a = as_matrix(columns, "columns")
@@ -288,10 +295,10 @@ def range_membership(columns, target, tol: float = MEMBERSHIP_TOL) -> RangeMembe
         raise InvalidInput("columns and target have incompatible heights")
     if a.shape[1] == 0:
         residual = float(np.linalg.norm(t))
-        ok = residual <= tol * (1.0 + residual)
+        ok = residual <= MEMBERSHIP_TOL * (1.0 + residual)
         return RangeMembership(ok, np.zeros(0) if ok else None, residual)
     fit = solve_least_squares(a, t)
-    threshold = tol * (1.0 + float(np.linalg.norm(t)))
+    threshold = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(t)))
     if fit.residual_norm <= threshold:
         return RangeMembership(True, fit.solution, fit.residual_norm)
     return RangeMembership(False, None, fit.residual_norm)
@@ -308,8 +315,8 @@ class SvdSubspaces:
     rank: int
 
 
-def svd_subspaces(a, tol: float = DEFAULT_TOL) -> SvdSubspaces:
-    """SVD-based bases with rank decided against tol * largest singular value."""
+def svd_subspaces(a) -> SvdSubspaces:
+    """SVD-based bases with rank decided against DEFAULT_TOL * largest singular value."""
     m = as_matrix(a, "matrix")
     if m.size == 0:
         rank = 0
@@ -317,7 +324,7 @@ def svd_subspaces(a, tol: float = DEFAULT_TOL) -> SvdSubspaces:
         v = np.eye(m.shape[1])
         return SvdSubspaces(u[:, :0], u, v[:, :0], v, 0)
     u, s, vt = np.linalg.svd(m)
-    cutoff = tol * (s[0] if s.size else 0.0)
+    cutoff = DEFAULT_TOL * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cutoff))
     return SvdSubspaces(
         range_basis=u[:, :rank],
@@ -328,7 +335,7 @@ def svd_subspaces(a, tol: float = DEFAULT_TOL) -> SvdSubspaces:
     )
 
 
-def null_basis(a, tol: float = DEFAULT_TOL, scale: Optional[float] = None) -> np.ndarray:
+def null_basis(a, scale: Optional[float] = None) -> np.ndarray:
     """Orthonormal basis of ker(a), thresholding against an external scale.
 
     When ``a`` is itself a product of larger matrices, its entries can be
@@ -342,7 +349,7 @@ def null_basis(a, tol: float = DEFAULT_TOL, scale: Optional[float] = None) -> np
         return np.eye(n)
     _, s, vt = np.linalg.svd(m)
     anchor = max(s[0] if s.size else 0.0, scale if scale is not None else 0.0)
-    rank = int(np.sum(s > tol * anchor)) if anchor > 0.0 else 0
+    rank = int(np.sum(s > DEFAULT_TOL * anchor)) if anchor > 0.0 else 0
     return vt[rank:].T
 
 
@@ -443,15 +450,13 @@ class BandedFactor:
         return np.linalg.norm(band_matvec(self.band, self.kl, self.ku, x) - b, axis=0)
 
 
-def factor_banded(
-    band: np.ndarray, kl: int, ku: int, tol: float = DEFAULT_TOL
-) -> BandedFactor:
+def factor_banded(band: np.ndarray, kl: int, ku: int) -> BandedFactor:
     """Factor a band matrix once (dgbtrf) and estimate its condition.
 
     The estimate uses only dgbtrs solves on the factors, a few O(dim)
-    passes, never the quadratic-time dgbcon.
+    passes, never the quadratic-time dgbcon. The regularity floor is
+    RCOND_FLOOR as it stands at call time.
     """
-    floor = RCOND_FLOOR * max(1.0, tol / DEFAULT_TOL)
     lu, piv, info = lapack.dgbtrf(band, kl, ku)
     norm1 = float(np.abs(band).sum(axis=0).max())
     rcond = 0.0
@@ -471,7 +476,7 @@ def factor_banded(
         )
         if 0.0 < cond < np.inf:
             rcond = 1.0 / cond
-    return BandedFactor(band, kl, ku, lu, piv, norm1, rcond, floor)
+    return BandedFactor(band, kl, ku, lu, piv, norm1, rcond, RCOND_FLOOR)
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

@@ -30,8 +30,11 @@ from .errors import (
     SingularNormalEquations,
 )
 from .linalg import (
+    CHEBYSHEV_SLACK,
+    CURVATURE_SCALE_FLOOR,
     DEFAULT_TOL,
     NEGATIVE_FLOOR,
+    NORMAL_EQUATION_TOL,
     as_vector,
     block_diag,
     null_basis,
@@ -81,7 +84,7 @@ def _reduced_quadratic(model: StaticModel, bounds: StaticEllipsoid, y: np.ndarra
     xi'M xi - 2 b'xi + c. Returns (Z, M, b, c).
     """
     constraint = np.hstack([model.F, -model.B])
-    Z = null_basis(constraint, DEFAULT_TOL)
+    Z = null_basis(constraint)
     weight = block_diag(model.H.T @ bounds.Q2 @ model.H, bounds.Q1)
     drive = np.concatenate(
         [model.H.T @ (bounds.Q2 @ y), np.zeros(model.disturbance_dim)]
@@ -143,7 +146,7 @@ def sample_reachability(
     # decision to the scale of the full weight matrix.
     evals, evecs = np.linalg.eigh(M)
     weight_scale = max(float(evals[-1]), 0.0)
-    cutoff = DEFAULT_TOL * max(weight_scale, 1e-300)
+    cutoff = DEFAULT_TOL * max(weight_scale, CURVATURE_SCALE_FLOOR)
     pd_mask = evals > cutoff
     V_pd = evecs[:, pd_mask]
     V_null = evecs[:, ~pd_mask]
@@ -184,12 +187,12 @@ def chebyshev_check(
     ell,
     estimate_value: float,
     sigma_hat: float,
-    tol: float = 1e-9,
 ) -> ChebyshevCheck:
     """Verify that no sampled state beats the reported radius.
 
     A violation is a consistent state x with
-    |(ell, x) - estimate_value| > sigma_hat * (1 + tol). Raises
+    |(ell, x) - estimate_value| > sigma_hat * (1 + s) + s with
+    s = CHEBYSHEV_SLACK. Raises
     EmptySet when there are no samples to check against.
     """
     if samples.empty or len(samples) == 0:
@@ -202,7 +205,8 @@ def chebyshev_check(
     if math.isinf(sigma_hat):
         violations = 0
     else:
-        violations = int(np.sum(deviations > sigma_hat * (1.0 + tol) + tol))
+        bound = sigma_hat * (1.0 + CHEBYSHEV_SLACK) + CHEBYSHEV_SLACK
+        violations = int(np.sum(deviations > bound))
     return ChebyshevCheck(
         samples_checked=len(samples),
         violation_count=violations,
@@ -239,7 +243,7 @@ def quadratic_center_oracle(
     A = G.T @ bounds.Q1 @ G + model.H.T @ bounds.Q2 @ model.H
     A = symmetrize(A)
     eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= 1e-12 * max(float(eigs[-1]), 1.0):
+    if eigs[0] <= NORMAL_EQUATION_TOL * max(float(eigs[-1]), 1.0):
         raise SingularNormalEquations(
             "normal equations are singular; the center is not unique"
         )

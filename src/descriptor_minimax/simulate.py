@@ -24,12 +24,9 @@ import numpy as np
 
 from .discrete import DAEEllipsoid, DiscreteDAE
 from .errors import InvalidInput, SingularStep
-from .linalg import per_entry
+from .linalg import STEP_RCOND, per_entry
 
 _MODES = ("boundary", "uniform", "zero")
-
-# 1/cond below this means the forward step matrix is unusable.
-_STEP_RCOND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,7 @@ def _check_steps(F: np.ndarray) -> None:
         raise SingularStep(
             f"forward simulation needs square F_0, got shape {F.shape[1:]}"
         )
-    singular = per_entry(np.linalg.cond, F) > 1.0 / _STEP_RCOND
+    singular = per_entry(np.linalg.cond, F) > 1.0 / STEP_RCOND
     if singular.any():
         k = int(np.argmax(singular))
         raise SingularStep(f"F_{k} is singular; cannot propagate forward")

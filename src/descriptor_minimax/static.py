@@ -41,12 +41,12 @@ import numpy as np
 
 from .errors import InconsistentData, InvalidInput, NumericalBreakdown
 from .linalg import (
-    DEFAULT_TOL,
     MEMBERSHIP_TOL,
     NEGATIVE_FLOOR,
     SADDLE_RESIDUAL_TOL,
     as_matrix,
     null_basis,
+    pseudo_inverse,
     range_membership,
     require_spd,
     sized_vector,
@@ -156,7 +156,7 @@ class StaticEstimateReport:
     estimate_value: Optional[float] = None
 
 
-def representable(model: StaticModel, ell, tol: float = MEMBERSHIP_TOL) -> bool:
+def representable(model: StaticModel, ell) -> bool:
     """Whether (ell, x) admits a finite worst-case error.
 
     True iff ell lies in range([F' H']), i.e. some combination of model
@@ -164,7 +164,7 @@ def representable(model: StaticModel, ell, tol: float = MEMBERSHIP_TOL) -> bool:
     """
     target = sized_vector(ell, "ell", model.state_dim)
     stacked = np.hstack([model.F.T, model.H.T])
-    return range_membership(stacked, target, tol).member
+    return range_membership(stacked, target).member
 
 
 def _saddle_matrix(model: StaticModel, bounds: StaticEllipsoid) -> np.ndarray:
@@ -174,7 +174,7 @@ def _saddle_matrix(model: StaticModel, bounds: StaticEllipsoid) -> np.ndarray:
     return np.block([[model.F, -gram], [observed, model.F.T]])
 
 
-def _solve_saddle(model, bounds, rhs_bottom, tol):
+def _solve_saddle(model, bounds, rhs_bottom):
     """Solve the saddle system for every column of ``rhs_bottom`` (n, k).
 
     One assembly and one least-squares solve serve all k right-hand
@@ -185,7 +185,7 @@ def _solve_saddle(model, bounds, rhs_bottom, tol):
     """
     m, n = model.F.shape
     rhs = np.vstack([np.zeros((m, rhs_bottom.shape[1])), rhs_bottom])
-    fit = solve_least_squares(_saddle_matrix(model, bounds), rhs, tol)
+    fit = solve_least_squares(_saddle_matrix(model, bounds), rhs)
 
     def column(j):
         scale = 1.0 + float(np.linalg.norm(rhs_bottom[:, j]))
@@ -200,11 +200,7 @@ def _solve_saddle(model, bounds, rhs_bottom, tol):
 
 
 def apriori_estimate(
-    model: StaticModel,
-    bounds: StaticEllipsoid,
-    ell,
-    y=None,
-    tol: float = DEFAULT_TOL,
+    model: StaticModel, bounds: StaticEllipsoid, ell, y=None
 ) -> StaticEstimateReport:
     """Minimax linear readout for (ell, x) chosen before seeing data.
 
@@ -223,7 +219,7 @@ def apriori_estimate(
     if not representable(model, target):
         return StaticEstimateReport(feasible=False, sigma_hat=math.inf)
 
-    p, z = _solve_saddle(model, bounds, target[:, None], tol)(0)
+    p, z = _solve_saddle(model, bounds, target[:, None])(0)
     u_hat = bounds.Q2 @ (model.H @ p)
     sigma_sq = float(target @ p)
     scale = float(np.linalg.norm(target)) ** 2 + 1.0
@@ -244,11 +240,7 @@ def apriori_estimate(
 
 
 def aposteriori_estimate(
-    model: StaticModel,
-    bounds: StaticEllipsoid,
-    ell,
-    y,
-    tol: float = DEFAULT_TOL,
+    model: StaticModel, bounds: StaticEllipsoid, ell, y
 ) -> StaticEstimateReport:
     """Chebyshev-center estimate of (ell, x) given one observation vector.
 
@@ -276,7 +268,7 @@ def aposteriori_estimate(
     # when ell is representable; otherwise its radius is infinite anyway.
     feasible = representable(model, target)
     rhs = [model.H.T @ (bounds.Q2 @ y)] + ([target] if feasible else [])
-    column = _solve_saddle(model, bounds, np.column_stack(rhs), tol)
+    column = _solve_saddle(model, bounds, np.column_stack(rhs))
     x_hat, p_hat = column(0)
     estimate = float(target @ x_hat)
 
@@ -316,7 +308,6 @@ def worst_case_error_of(
     ell,
     u,
     c: float = 0.0,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Exact worst-case squared error of an arbitrary affine readout u'y + c.
 
@@ -341,7 +332,7 @@ def worst_case_error_of(
     u = sized_vector(u, "u", model.observation_dim)
 
     v = target - model.H.T @ u
-    spaces = svd_subspaces(model.F, tol)
+    spaces = svd_subspaces(model.F)
 
     # Bias escapes to infinity along ker F unless v kills those directions.
     if spaces.kernel_basis.shape[1] > 0:
@@ -349,7 +340,7 @@ def worst_case_error_of(
         if kernel_part > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(v))):
             return math.inf
 
-    w = np.linalg.pinv(model.F, rcond=tol).T @ v
+    w = pseudo_inverse(model.F).T @ v
 
     # Admissible disturbances must keep B f inside range(F).
     restriction = spaces.range_complement.T @ model.B
@@ -357,7 +348,7 @@ def worst_case_error_of(
         basis = np.eye(model.disturbance_dim)
     else:
         b_scale = float(np.linalg.norm(model.B, 2)) if model.B.size else 0.0
-        basis = null_basis(restriction, tol, scale=b_scale)
+        basis = null_basis(restriction, scale=b_scale)
 
     if basis.shape[1] == 0:
         sup_bias = 0.0

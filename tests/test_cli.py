@@ -168,6 +168,16 @@ def test_missing_observations_for_aposteriori_exits_1(tmp_path, capsys):
     )
     assert code == EXIT_ERROR
     assert "error:" in capsys.readouterr().err
+    # a header without rows gets the row-count message, not a traceback
+    obs = tmp_path / "empty.csv"
+    obs.write_text("k,y0\n")
+    for doc, message in (
+        (scalar_doc(), "exactly one observation row"),
+        (chain_doc(), "observations have 0 rows, expected 2"),
+    ):
+        config = write_doc(tmp_path, doc)
+        assert main(["estimate", "--config", config, "--observations", str(obs)]) == EXIT_ERROR
+        assert message in capsys.readouterr().err
 
 
 def test_filter_chain(tmp_path, capsys):

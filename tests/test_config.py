@@ -157,6 +157,22 @@ def test_schema_errors():
     }
     with pytest.raises(SchemaError, match=r"bounds\.Q1: table values must share one shape"):
         parse_config(doc)
+    # integer fields take no bools and no fractional numbers
+    for value in (True, 1.5):
+        doc = discrete_doc()
+        doc["model"]["horizon"] = value
+        with pytest.raises(SchemaError, match=r"model\.horizon must be an integer"):
+            parse_config(doc)
+    for value in (64.9, True, "64"):
+        doc = continuous_doc()
+        doc["grid"]["steps"] = value
+        with pytest.raises(SchemaError, match=r"grid: steps must be an integer"):
+            parse_config(doc)
+    for value in (False, 0.5):
+        doc = static_doc()
+        doc["seed"] = value
+        with pytest.raises(SchemaError, match=r"seed must be an integer"):
+            parse_config(doc)
 
 
 def test_dimension_errors():
@@ -272,13 +288,15 @@ def test_report_serializes_infinite_radius_as_string():
 
 def test_trajectory_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    data = rng.standard_normal((7, 3)) * np.pi
     path = tmp_path / "y.csv"
-    write_trajectory_csv(path, "y", data)
-    text = path.read_text().splitlines()
-    assert text[0] == "k,y0,y1,y2"
-    back = read_trajectory_csv(path, prefix="y")
-    assert np.array_equal(back, data)  # bit-exact through repr round-trip
+    # the second input has no rows: the file is a header only
+    for data in (rng.standard_normal((7, 3)) * np.pi, np.zeros((0, 3))):
+        write_trajectory_csv(path, "y", data)
+        text = path.read_text().splitlines()
+        assert text[0] == "k,y0,y1,y2"
+        back = read_trajectory_csv(path, prefix="y")
+        assert back.shape == data.shape
+        assert np.array_equal(back, data)  # bit-exact through repr round-trip
 
 
 def test_trajectory_csv_validation(tmp_path):
@@ -298,5 +316,7 @@ def test_trajectory_csv_validation(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         read_trajectory_csv(path)
+    path.write_text("k,x0\n")
+    assert read_trajectory_csv(path).shape == (0, 1)  # header only: no rows
     with pytest.raises(ParseError):
         read_trajectory_csv(tmp_path / "missing.csv")

@@ -33,6 +33,7 @@ from descriptor_minimax import (
     variational_estimate,
 )
 
+from descriptor_minimax.continuous import _sampled_functional
 from descriptor_minimax.linalg import pseudo_inverse, require_spd, spd_inverse, symmetrize
 
 from conftest import rng_for
@@ -496,6 +497,21 @@ def test_node_sampling_matches_pointwise_evaluation():
         pointwise = np.stack([fn(t) for t in times])
         assert nodes.shape == pointwise.shape
         assert nodes == pytest.approx(pointwise, rel=1e-12, abs=1e-12)
+    # the integral functional ell(t): whole-stack sampling for the tagged
+    # kinds, one call per node for a plain callable, values unchanged
+    system = ContinuousDAE(F=np.eye(3), C=np.zeros((3, 3)), H=np.eye(3), t_start=0.0, t_end=1.0)
+    grid = TimeGrid(0.0, 1.0, 64)
+    for ell in (
+        rng.standard_normal(3),
+        PolynomialFunction(rng.standard_normal((3, 3))),
+        TableFunction([0.0, 0.5], rng.standard_normal((2, 3))),
+        lambda t: np.array([1.0, t, t * t]),
+    ):
+        fn = ell if callable(ell) else ConstantFunction(ell)
+        pointwise = np.stack([fn(t) for t in grid.nodes()])
+        assert np.array_equal(_sampled_functional(system, ell, grid), pointwise)
+    with pytest.raises(InvalidInput, match=r"ell\(t\) has length 2, expected 3"):
+        _sampled_functional(system, [1.0, 2.0], grid)
     poly = functions[2]
     direct = sum(c * 0.7**j for j, c in enumerate(poly.coefficients))
     assert poly(0.7) == pytest.approx(direct, rel=1e-12)

@@ -240,7 +240,7 @@ def test_numerical_breakdown_on_vanishing_inner_matrix():
 # The prepared filter against the per-step formulas
 
 
-def _reference_filter(dae, bounds, y_seq, tol=1e-10):
+def _reference_filter(dae, bounds, y_seq):
     """The filter as one loop that re-derives every model term per step.
 
     Kept as the oracle for :func:`prepare_filter`: the effective weights
@@ -267,7 +267,7 @@ def _reference_filter(dae, bounds, y_seq, tol=1e-10):
     xs = []
     for k in range(dae.horizon + 1):
         F, H, Q2 = dae.F_seq[k], dae.H_seq[k], bounds.Q2_seq[k]
-        if not rank_precondition(F, H, tol):
+        if not rank_precondition(F, H):
             return RankDeficient, k
         if k == 0:
             q0 = fold(dae.S, bounds.Q0)

@@ -344,3 +344,35 @@ def test_per_entry_runs_once_on_broadcast_stacks():
     varying = np.array(a)
     inv, _ = per_entry(inverse_and_trace, varying, a)
     assert shapes[-1] == (500, 3, 3) and inv.strides[0] != 0
+
+
+# ---------------------------------------------------------------------------
+# one tolerance table
+
+
+def test_no_function_takes_a_tolerance():
+    # Every rank, residual and breakdown decision reads a named constant
+    # of linalg; no public function takes a tolerance argument
+    import inspect
+
+    import descriptor_minimax
+    from descriptor_minimax import discrete, linalg
+
+    callables = [getattr(descriptor_minimax, name) for name in descriptor_minimax.__all__]
+    callables += [
+        discrete.horizon_saddle,
+        linalg.factor_banded,
+        linalg.null_basis,
+        linalg.svd_subspaces,
+    ]
+    checked = 0
+    for fn in callables:
+        if not callable(fn) or (isinstance(fn, type) and issubclass(fn, BaseException)):
+            continue
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):
+            continue
+        assert "tol" not in params, fn.__qualname__
+        checked += 1
+    assert checked >= 40
