@@ -12,7 +12,8 @@ Subcommands::
 
 Exit codes: 0 on success, 2 when the requested functional has infinite
 worst-case error (a legitimate mathematical answer, not a crash), and 1
-on any error. Reports are JSON on stdout, or written to --output.
+on any error, a command-line usage error included. Reports are JSON on
+stdout, or written to --output.
 """
 
 from __future__ import annotations
@@ -411,6 +412,8 @@ def run(
     Returns (ResultReport, exit_code). Raises EstimationError subclasses
     for invalid requests; the CLI entry point maps those to exit 1.
     """
+    if seed is not None and seed < 0:
+        raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
     grid = _effective_grid(config, grid_steps)
     seed = config.seed if seed is None else seed
     if command == "check":
@@ -462,7 +465,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error code 2 means an infinite radius here
+        return EXIT_ERROR if exc.code else EXIT_OK  # EXIT_OK after --help
     try:
         config = parse_config(args.config)
         grid = _effective_grid(config, args.grid_steps)

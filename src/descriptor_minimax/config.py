@@ -378,7 +378,7 @@ def parse_config(source) -> ProblemConfig:
     elif "grid" in raw and raw["grid"] is not None:
         raise SchemaError("grid is only meaningful for continuous_dae problems")
 
-    seed = _integer(raw.get("seed", 0), "seed")
+    seed = _integer(raw.get("seed", 0), "seed", 0)
 
     sim_block = raw.get("simulation", {}) or {}
     disturbance = sim_block.get("disturbance", "boundary")

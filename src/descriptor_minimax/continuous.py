@@ -46,7 +46,6 @@ from .discrete import (
     solver_record,
 )
 from .errors import (
-    InvalidBounds,
     InvalidGrid,
     InvalidInput,
     NotRepresentable,
@@ -58,8 +57,8 @@ from .linalg import (
     GRID_SPAN_TOL,
     GRID_UNIFORMITY_TOL,
     SADDLE_RESIDUAL_TOL,
+    _distinct,
     as_matrix,
-    as_matrix_stack,
     per_entry,
     pseudo_inverse,
     range_membership,
@@ -111,16 +110,12 @@ class TableFunction:
             raise InvalidInput("table values must share one shape")
 
     def __call__(self, t: float) -> np.ndarray:
-        return self.values[int(self.index(t))]
-
-    def index(self, times) -> np.ndarray:
-        """Which value applies at each time (clamped to the table)."""
-        idx = np.searchsorted(self.times, times, side="right") - 1
-        return np.clip(idx, 0, len(self.values) - 1)
+        return self.at(np.array([t]))[0]
 
     def at(self, times: np.ndarray) -> np.ndarray:
-        """Values at every time as one stack."""
-        return np.stack(self.values)[self.index(times)]
+        """Values at every time as one stack (clamped to the table)."""
+        idx = np.searchsorted(self.times, times, side="right") - 1
+        return np.stack(self.values)[np.clip(idx, 0, len(self.values) - 1)]
 
 
 class PolynomialFunction:
@@ -218,8 +213,10 @@ class ContinuousDAE:
         object.__setattr__(self, "F", as_matrix(self.F, "F"))
         object.__setattr__(self, "C", as_time_function(self.C, "C"))
         object.__setattr__(self, "H", as_time_function(self.H, "H"))
-        if self.t_end <= self.t_start:
-            raise InvalidInput("t_end must exceed t_start")
+        if not (math.isfinite(self.t_start) and self.t_start < self.t_end < math.inf):
+            raise InvalidInput(
+                f"t_end must exceed t_start, both finite; got {self.t_start}, {self.t_end}"
+            )
         m, n = self.F.shape
         c0 = np.asarray(self.C(self.t_start), dtype=float)
         if c0.shape != (m, n):
@@ -299,8 +296,9 @@ def discretize(
     weights are h Q2(t_k) at every node. The initial row F x_0 = x0g
     keeps its exact weight Q0. The stacks are built whole from the node
     values (:func:`_nodes`); C_k, B_k and every constant coefficient are
-    stride-0 broadcasts of one matrix. Each distinct weight value is
-    checked SPD once (:func:`_weight_nodes`).
+    stride-0 broadcasts of one matrix. Every coefficient is sampled at
+    every node, t_start included, and every weight value is checked SPD
+    before the stacks are built, a constant once (:func:`_spd_nodes`).
     """
     _check_grid(system, grid)
     _check_pair(system, bounds)
@@ -311,90 +309,70 @@ def discretize(
 
     F_seq = np.empty((M + 1, m, n))
     F_seq[0] = system.F
-    F_seq[1:] = system.F - h * _nodes(system.C, ts[1:])
+    F_seq[1:] = system.F - h * _nodes(system.C, ts, "C(t)")[1:]
     dae = DiscreteDAE(
         F_seq=F_seq,
         C_seq=np.broadcast_to(system.F, (M, m, n)),
         B_seq=np.broadcast_to(h * np.eye(m), (M, m, m)),
         S=np.eye(m),
-        H_seq=_nodes(system.H, ts),
+        H_seq=_nodes(system.H, ts, "H(t)"),
     )
 
-    def scaled(weight, times, name):
-        return per_entry(lambda Q: h * Q, _spd_nodes(weight, times, name))
+    def scaled(weight, name):
+        return per_entry(lambda Q: h * Q, _spd_nodes(weight, ts, name))
 
     dbounds = DAEEllipsoid(
         Q0=bounds.Q0,
-        Q1_seq=scaled(bounds.Q1, ts[1:], "Q1(t)"),
-        Q2_seq=scaled(bounds.Q2, ts, "Q2(t)"),
+        Q1_seq=scaled(bounds.Q1, "Q1(t)")[1:],
+        Q2_seq=scaled(bounds.Q2, "Q2(t)"),
     )
     return dae, dbounds
 
 
-def _nodes(fn: TimeFunction, times: np.ndarray) -> np.ndarray:
-    """fn at every time as one float stack.
+def _nodes(fn: TimeFunction, times: np.ndarray, name: str) -> np.ndarray:
+    """fn at every time as one finite float stack.
 
-    Constant, table and polynomial coefficients are evaluated whole
-    (a constant as a stride-0 broadcast); any other callable once per time.
+    A coefficient with an ``at`` method (constant, table, polynomial) is
+    evaluated whole, a constant as a stride-0 broadcast; any other
+    callable is sampled once per time, and its values must share one
+    shape. Callers pass every grid node, so that shape is the one the
+    model checked at t_start. Raises InvalidInput naming the first time
+    whose value has another shape or is not finite.
     """
-    if isinstance(fn, (ConstantFunction, TableFunction, PolynomialFunction)):
-        return fn.at(times)
-    return np.stack([np.asarray(fn(t), dtype=float) for t in times])
-
-
-def _weight_nodes(fn: TimeFunction, times: np.ndarray, name: str) -> tuple:
-    """A weight at every time, and where its SPD check first fails.
-
-    Returns (values, stop, error): the stack of values (see
-    :func:`_nodes`), the index of the first time whose value is not SPD
-    (len(times) when none is) and the InvalidBounds a check there
-    raises. Every distinct value is checked once: a constant once, a
-    table once per value that some time selects, a polynomial by one
-    batched test of its node values, and any other callable at each
-    time as it is sampled.
-    """
-    stop, error = len(times), None
-    if isinstance(fn, (TableFunction, PolynomialFunction)):
-        values = fn.at(times)
-        if isinstance(fn, TableFunction):
-            used, first_use = np.unique(fn.index(times), return_index=True)
-            label = lambda i: f"{name} table value {used[i]}"  # noqa: E731
-        else:
-            first_use = np.arange(len(times))
-            label = lambda i: f"{name} at t={times[i]:.6g}"  # noqa: E731
-        distinct = as_matrix_stack(values[first_use], name, label=label)
-        failure = spd_stack_error(distinct, label)
-        if failure is not None:
-            stop, error = int(first_use[failure[0]]), failure[1]
-        return values, stop, error
-    if isinstance(fn, ConstantFunction):
-        try:
-            require_spd(fn.value, name)
-        except InvalidBounds as exc:
-            stop, error = 0, exc
-        return fn.at(times), stop, error
-    values = []
-    for j, t in enumerate(times):
-        try:
-            values.append(require_spd(fn(t), name))
-        except InvalidBounds as exc:
-            stop, error = j, exc
-            break
-    return np.stack(values) if values else np.zeros((0, 0, 0)), stop, error
+    at = getattr(fn, "at", None)
+    if at is not None:
+        values = at(times)
+    else:
+        samples = [np.asarray(fn(t), dtype=float) for t in times]
+        for t, value in zip(times, samples):
+            if value.shape != samples[0].shape:
+                raise InvalidInput(
+                    f"{name} at t={t:.6g} has shape {value.shape}, expected {samples[0].shape}"
+                )
+        values = np.stack(samples)
+    distinct = _distinct(values)
+    finite = np.isfinite(distinct).all(axis=tuple(range(1, distinct.ndim)))
+    if not finite.all():
+        raise InvalidInput(f"{name} at t={times[int(np.argmin(finite))]:.6g} is not finite")
+    return values
 
 
 def _spd_nodes(fn: TimeFunction, times: np.ndarray, name: str) -> np.ndarray:
-    """:func:`_weight_nodes`, raising where a value is not SPD."""
-    values, _, error = _weight_nodes(fn, times, name)
+    """:func:`_nodes`, raising InvalidBounds at the first time whose value
+    is not SPD. A constant is checked once, a table at every node that
+    selects a value; a value that no node selects is never checked."""
+    values = _nodes(fn, times, name)
+    error = spd_stack_error(values, lambda i: f"{name} at t={times[i]:.6g}")
     if error is not None:
-        raise error
+        raise error[1]
     return values
 
 
 def _sampled_functional(system: ContinuousDAE, ell, grid: TimeGrid) -> np.ndarray:
     """Nodes of ell(t), shape (steps+1, n); see :func:`_nodes`."""
     n = system.state_dim
-    out = _nodes(as_time_function(ell, "ell"), grid.nodes()).reshape(grid.steps + 1, -1)
+    ell_fn = as_time_function(ell, "ell")
+    out = _nodes(ell_fn, grid.nodes(), "ell(t)").reshape(grid.steps + 1, -1)
     if out.shape[1] != n:
         raise InvalidInput(f"ell(t) has length {out.shape[1]}, expected {n}")
     return out
@@ -452,27 +430,24 @@ def _bvp_system(system, bounds, grid):
     poff = lambda k: k * n
     zoff = lambda k: (M + 1) * n + k * m
 
+    step = F - h * _nodes(system.C, ts, "C(t)")[1:]
+    H = _nodes(system.H, ts, "H(t)")
+    Q1 = _spd_nodes(bounds.Q1, ts, "Q1(t)")[1:]
+    Q2 = _spd_nodes(bounds.Q2, ts, "Q2(t)")
+
     A[0:m, poff(0) : poff(0) + n] = F
     A[0:m, zoff(0) : zoff(0) + m] = -spd_inverse(bounds.Q0)
     for k in range(M):
-        t_next = ts[k + 1]
         r0 = (k + 1) * m
-        step = F - h * np.asarray(system.C(t_next), dtype=float)
-        A[r0 : r0 + m, poff(k + 1) : poff(k + 1) + n] = step
+        A[r0 : r0 + m, poff(k + 1) : poff(k + 1) + n] = step[k]
         A[r0 : r0 + m, poff(k) : poff(k) + n] = -F
-        A[r0 : r0 + m, zoff(k + 1) : zoff(k + 1) + m] = -h * spd_inverse(
-            require_spd(bounds.Q1(t_next), "Q1(t)")
-        )
+        A[r0 : r0 + m, zoff(k + 1) : zoff(k + 1) + m] = -h * spd_inverse(Q1[k])
 
     base = (M + 1) * m
     for k in range(M + 1):
-        t = ts[k]
         r0 = base + k * n
-        Hk = np.asarray(system.H(t), dtype=float)
-        W = Hk.T @ require_spd(bounds.Q2(t), "Q2(t)") @ Hk
-        step_T = (F - h * np.asarray(system.C(t), dtype=float)).T if k > 0 else F.T
-        A[r0 : r0 + n, poff(k) : poff(k) + n] = W
-        A[r0 : r0 + n, zoff(k) : zoff(k) + m] = step_T / h
+        A[r0 : r0 + n, poff(k) : poff(k) + n] = H[k].T @ Q2[k] @ H[k]
+        A[r0 : r0 + n, zoff(k) : zoff(k) + m] = (step[k - 1].T if k > 0 else F.T) / h
         if k < M:
             A[r0 : r0 + n, zoff(k + 1) : zoff(k + 1) + m] = -F.T / h
     return A
@@ -537,7 +512,7 @@ def apriori_estimate_continuous(
             )
         p_nodes = fit.solution[: (M + 1) * n].reshape(M + 1, n)
 
-    u_nodes = _readout(_nodes(bounds.Q2, ts), _nodes(system.H, ts), p_nodes)
+    u_nodes = _readout(_nodes(bounds.Q2, ts, "Q2(t)"), _nodes(system.H, ts, "H(t)"), p_nodes)
     sigma = float(ell_flat @ p_nodes.reshape(-1))
     sigma = max(sigma, 0.0)
     estimate = None
@@ -627,7 +602,7 @@ def tikhonov_approximate(
         fit = solve_least_squares(A, rhs)
         return fit.solution[:dim].reshape(M + 1, n), fit.residual_norm
 
-    Q2_nodes, H_nodes = _nodes(bounds.Q2, ts), _nodes(system.H, ts)
+    Q2_nodes, H_nodes = _nodes(bounds.Q2, ts, "Q2(t)"), _nodes(system.H, ts, "H(t)")
     u_list: List[np.ndarray] = []
     constraint = np.zeros(len(alphas))
     for j, alpha in enumerate(alphas):
@@ -707,8 +682,11 @@ def riccati_filter(
     readout is (F x_hat(t_end), F^{+'} ell_0) and its squared radius
     (S(t_end) F^{+'} ell_0, F^{+'} ell_0).
 
-    Requires square F; raises NotRepresentable when ell_0 is outside
-    range(F'), where no finite-radius endpoint readout exists.
+    Q2, Q1, C and H are sampled at every node, t_start included, and
+    every weight value checked SPD, before the first step, so a bad coefficient raises
+    before any step runs. Requires square F; raises NotRepresentable
+    when ell_0 is outside range(F'), where no finite-radius endpoint
+    readout exists.
     """
     _check_grid(system, grid)
     _check_pair(system, bounds)
@@ -736,23 +714,16 @@ def riccati_filter(
     gains = np.empty((grid.steps + 1, n, n))
     gains[0] = Fp @ S
 
-    # Model-only terms for every step at once. A weight value that is not
-    # SPD stops the flow at the first step that uses it (Q2 is checked
-    # before Q1 within a step); the steps before it run as usual.
-    Q2, stop2, error2 = _weight_nodes(bounds.Q2, ts[1:], "Q2(t)")
-    Q1, stop1, error1 = _weight_nodes(bounds.Q1, ts[1:], "Q1(t)")
-    stop = min(stop1, stop2)
-    failure = error2 if stop2 <= stop1 else error1
-    if stop == 0:
-        raise failure
-    C = _nodes(system.C, ts[1 : stop + 1])
-    H = _nodes(system.H, ts[1 : stop + 1])
-    HtQ2, W = per_entry(observation_information, H, Q2[:stop])
-    h_Q1_inv = per_entry(lambda Q: h * symmetrize(np.linalg.inv(symmetrize(Q))), Q1[:stop])
-    data = h * np.einsum("kij,kj->ki", HtQ2, y[1 : stop + 1])
+    Q2 = _spd_nodes(bounds.Q2, ts, "Q2(t)")[1:]
+    Q1 = _spd_nodes(bounds.Q1, ts, "Q1(t)")[1:]
+    C = _nodes(system.C, ts, "C(t)")[1:]
+    H = _nodes(system.H, ts, "H(t)")[1:]
+    HtQ2, W = per_entry(observation_information, H, Q2)
+    h_Q1_inv = per_entry(lambda Q: h * symmetrize(np.linalg.inv(symmetrize(Q))), Q1)
+    data = h * np.einsum("kij,kj->ki", HtQ2, y[1:])
     step_base = per_entry(lambda C: F - h * C, C)
 
-    for j in range(stop):
+    for j in range(grid.steps):
         t_next = ts[j + 1]
         K = Fp @ S
         A_j = (C[j] - 0.5 * (K.T @ W[j])) @ Fp
@@ -778,8 +749,6 @@ def riccati_filter(
             raise RankDeficient(
                 f"implicit state step matrix at t={t_next} is singular"
             ) from exc
-    if failure is not None:
-        raise failure
 
     v = Fp.T @ ell0
     sigma = float(v @ (S @ v))

@@ -20,7 +20,7 @@ Q' = B^{-T} Q1 B^{-1}, and the initial row likewise absorbs S into Q0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .errors import InvalidInput, NumericalBreakdown, RankDeficient
 from .linalg import (
     BREAKDOWN_EIG_FLOOR,
     DEFAULT_TOL,
-    IDENTITY_ATOL,
-    IDENTITY_RTOL,
     per_entry,
     sized_vector,
     symmetrize,
@@ -76,49 +74,35 @@ def rank_precondition(F_k, H_k) -> bool:
     return bool(_full_column_rank(F[None], H[None])[0])
 
 
-def _fold_weights(B: np.ndarray, Q: np.ndarray) -> tuple:
-    """Inverse effective weights of disturbances entering through B.
+def _fold_weights(B: np.ndarray, Q: np.ndarray, label: str) -> np.ndarray:
+    """Inverse effective weights B Q^{-1} B' of disturbances entering through B.
 
     Per entry, f' = B f carries energy (Q' f', f') with Q' = B^{-T} Q B^{-1},
-    so the inverse weight is B Q^{-1} B'. Returns (usable, identity,
-    inverse): usable where B is square with full rank, identity where B
-    is the identity to IDENTITY_ATOL and IDENTITY_RTOL (there the
-    inverse weight is Q^{-1} itself); ``inverse`` is None when B is not
-    square.
+    whose inverse is B Q^{-1} B'. Raises InvalidInput naming the first
+    entry k, as ``label.format(k)``, whose B is not square invertible.
     """
     count, m, p = B.shape
-    eye = np.eye(m)
-    if p != m:
-        no = np.zeros(count, dtype=bool)
-        return no, no, None
-    identity = np.all(np.abs(B - eye) <= IDENTITY_ATOL + IDENTITY_RTOL * eye, axis=(1, 2))
-    s = np.linalg.svd(B, compute_uv=False)
-    usable = identity | (s[:, -1] > DEFAULT_TOL * s[:, 0])
-    q_inv = symmetrize(np.linalg.inv(Q))
-    gram = symmetrize(B @ np.linalg.solve(Q, np.swapaxes(B, 1, 2)))
-    return usable, identity, np.where(identity[:, None, None], q_inv, gram)
+    invertible = _full_column_rank(B, B[:, :0]) if m == p else np.zeros(count, dtype=bool)
+    if not invertible.all():
+        raise InvalidInput(f"{label.format(np.argmin(invertible))} is not square invertible")
+    return symmetrize(B @ np.linalg.solve(Q, np.swapaxes(B, 1, 2)))
 
 
 @dataclass(frozen=True)
 class FilterModel:
     """Model-only terms of the filter, computed once for all steps.
 
-    ``rank_ok[k]`` says whether [F_k; H_k] has full column rank.
-    ``q0`` is the initial weight with S folded in (None when S is not
-    invertible). ``process_ok[k]`` says whether B_k is the identity or
-    square invertible, and ``q1_inv[k]`` is the inverse of the effective
-    weight of transition k, B_k Q1_k^{-1} B_k'. ``W[k]`` is H_k'Q2_kH_k
-    and ``HtQ2[k]`` is H_k'Q2_k, which maps y_k to its information.
-    Failed checks are kept, not raised, so each step raises the error of
-    the first check it fails, in the order of the recursion.
+    ``q0`` is the initial weight with S folded in, S^{-T} Q0 S^{-1}, and
+    ``q1_inv[k]`` the inverse of the effective weight of transition k,
+    B_k Q1_k^{-1} B_k'. ``W[k]`` is H_k'Q2_kH_k and ``HtQ2[k]`` is
+    H_k'Q2_k, which maps y_k to its information. Only
+    :func:`prepare_filter` builds one, so every model check has passed.
     """
 
     F: np.ndarray
     C: np.ndarray
-    rank_ok: np.ndarray
-    q0: Optional[np.ndarray]
-    process_ok: np.ndarray
-    q1_inv: Optional[np.ndarray]
+    q0: np.ndarray
+    q1_inv: np.ndarray
     W: np.ndarray
     HtQ2: np.ndarray
 
@@ -134,34 +118,31 @@ class FilterModel:
 def prepare_filter(dae: DiscreteDAE, bounds: DAEEllipsoid) -> FilterModel:
     """Everything the filter needs that does not depend on the data.
 
-    One batched SVD decides the rank precondition of every step; S and
-    the B_k are checked and folded into effective weights in batched
-    form. The recursion of :func:`filter_init` and :func:`filter_step`
-    then only reads these arrays.
+    Every model check runs here, before the first step, and the first
+    failure raises at once, in this order: the rank precondition on
+    [F_k; H_k] for every k by one batched SVD (RankDeficient naming
+    ``[F_k; H_k]``), then S, then the B_k, each square invertible
+    (InvalidInput naming ``S`` or ``B_k``). S and the B_k are folded into
+    effective weights in batched form. The recursion of
+    :func:`filter_init` and :func:`filter_step` then only reads these
+    arrays.
     """
     _check_bounds(dae, bounds)
-    Q0 = bounds.Q0
-    s_ok, s_identity, s_inv = _fold_weights(dae.S[None], Q0[None])
-    if s_identity[0]:
-        q0 = Q0
-    elif s_ok[0]:
-        q0 = symmetrize(np.linalg.inv(s_inv[0]))
-    else:
-        q0 = None
-    process_ok, _, q1_inv = per_entry(_fold_weights, dae.B_seq, bounds.Q1_seq)
+    full_rank = per_entry(_full_column_rank, dae.F_seq, dae.H_seq)
+    if not full_rank.all():
+        k = int(np.argmin(full_rank))
+        raise RankDeficient(f"[F_{k}; H_{k}] does not have full column rank")
+    s_inv = _fold_weights(dae.S[None], bounds.Q0[None], "S")[0]
+    q1_inv = per_entry(lambda B, Q: _fold_weights(B, Q, "B_{}"), dae.B_seq, bounds.Q1_seq)
     HtQ2, W = per_entry(observation_information, dae.H_seq, bounds.Q2_seq)
-    rank_ok = per_entry(_full_column_rank, dae.F_seq, dae.H_seq)
     return FilterModel(
         F=dae.F_seq,
         C=dae.C_seq,
-        rank_ok=rank_ok,
-        q0=q0,
-        process_ok=process_ok,
+        q0=symmetrize(np.linalg.inv(s_inv)),
         q1_inv=q1_inv,
         W=W,
         HtQ2=HtQ2,
     )
-
 
 
 def _invert_information(info: np.ndarray, k: int) -> np.ndarray:
@@ -183,10 +164,6 @@ def filter_init(model: FilterModel, y0) -> FilterState:
     x_hat_0 = P_0 H_0' Q2_0 y_0
     """
     y0 = sized_vector(y0, "y0", model.observation_dim)
-    if not model.rank_ok[0]:
-        raise RankDeficient("[F_0; H_0] does not have full column rank")
-    if model.q0 is None:
-        raise InvalidInput("the recursive filter needs S identity or square invertible")
     F0 = model.F[0]
     P = _invert_information(F0.T @ model.q0 @ F0 + model.W[0], 0)
     return FilterState(k=0, x_hat=P @ (model.HtQ2[0] @ y0), P=P)
@@ -209,12 +186,6 @@ def filter_step(state: FilterState, model: FilterModel, y_next) -> FilterState:
     if k > model.horizon:
         raise InvalidInput(f"step {k} exceeds horizon {model.horizon}")
     y = sized_vector(y_next, "y_next", model.observation_dim)
-    if not model.rank_ok[k]:
-        raise RankDeficient(f"[F_{k}; H_{k}] does not have full column rank")
-    if not model.process_ok[k - 1]:
-        raise InvalidInput(
-            "the recursive filter needs each B_k identity or square invertible"
-        )
     C_prev = model.C[k - 1]
     inner = symmetrize(model.q1_inv[k - 1] + C_prev @ state.P @ C_prev.T)
     inner_eigs = np.linalg.eigvalsh(inner)

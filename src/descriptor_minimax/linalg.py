@@ -38,9 +38,6 @@ RCOND_FLOOR = 1e-7
 SYMMETRY_TOL = 1e-12
 # Filter step: Q1^{-1} + C P C' is singular below this eigenvalue (absolute).
 BREAKDOWN_EIG_FLOOR = 1e-14
-# Filter weights: B is the identity when |B - I| <= ATOL + RTOL * I entrywise.
-IDENTITY_ATOL = 1e-8
-IDENTITY_RTOL = 1e-5
 # Simulation: a step matrix F_k with 1/cond(F_k) below this is singular.
 STEP_RCOND = 1e-12
 # Center oracle: normal equations are singular if min eig <= this * max(max eig, 1).
@@ -102,14 +99,14 @@ def per_entry(fn: Callable, *stacks: np.ndarray):
     When every stack is a stride-0 broadcast of one matrix, ``fn`` runs
     on that one entry and each result is broadcast back to the full
     count, so a constant model costs O(1) time and memory. ``fn`` may
-    return one array or a tuple of arrays (or None).
+    return one array or a tuple of arrays.
     """
     count = stacks[0].shape[0]
     if count < 2 or any(_distinct(s).shape[0] > 1 for s in stacks):
         return fn(*stacks)
 
     def spread(o):
-        return None if o is None else np.broadcast_to(o, (count,) + o.shape[1:])
+        return np.broadcast_to(o, (count,) + o.shape[1:])
 
     out = fn(*(s[:1] for s in stacks))
     return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
@@ -128,7 +125,6 @@ def as_matrix_stack(
     value,
     name: str = "stack",
     check: Callable = as_matrix,
-    label: Optional[Callable[[int], str]] = None,
 ) -> np.ndarray:
     """Validate a sequence of equally shaped finite matrices as one stack.
 
@@ -136,12 +132,11 @@ def as_matrix_stack(
     empty sequence gives shape (0, 0, 0). A broadcast stack (one matrix
     repeated with stride 0) stays a broadcast and is checked once. The
     normal path is one ``np.asarray`` and one finiteness test. Only when
-    it fails are the entries scanned, each by ``check(entry, label(i))``
-    (default label ``name[i]``), so the error names the first offending
-    entry; entries that all pass but differ in shape are reported at the
-    first one whose shape differs from entry 0.
+    it fails are the entries scanned, each by ``check(entry, name[i])``,
+    so the error names the first offending entry; entries that all pass
+    but differ in shape are reported at the first one whose shape differs
+    from entry 0.
     """
-    label = label or (lambda i: f"{name}[{i}]")
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -153,11 +148,11 @@ def as_matrix_stack(
             return read_only(a, value)
         if a.ndim == 0:
             raise InvalidInput(f"{name} must be a sequence of matrices")
-    mats = [check(entry, label(i)) for i, entry in enumerate(value)]
+    mats = [check(entry, f"{name}[{i}]") for i, entry in enumerate(value)]
     for i, mat in enumerate(mats):
         if mat.shape != mats[0].shape:
             raise InvalidInput(
-                f"{label(i)} has shape {mat.shape}, expected {mats[0].shape}"
+                f"{name}[{i}] has shape {mat.shape}, expected {mats[0].shape}"
             )
     raise InvalidInput(f"{name} is not a stack of matrices")
 
@@ -215,11 +210,8 @@ def require_spd_stack(value, name: str = "weights") -> np.ndarray:
     definite``; entries of different shapes are checked one by one, so
     an entry that is not SPD is reported before the shape mismatch.
     """
-    def label(i):
-        return f"{name}[{i}]"
-
-    a = as_matrix_stack(value, name, check=require_spd, label=label)
-    error = spd_stack_error(a, label)
+    a = as_matrix_stack(value, name, check=require_spd)
+    error = spd_stack_error(a, lambda i: f"{name}[{i}]")
     if error is not None:
         raise error[1]
     return a

@@ -356,6 +356,23 @@ def test_validate_scalar_has_zero_violations(tmp_path, capsys):
     assert diag["attained_fraction"] >= 0.95
 
 
+def test_usage_errors_exit_1(tmp_path, capsys):
+    config = write_doc(tmp_path, chain_doc())
+    out = tmp_path / "out"
+    out.mkdir()
+    # 2 is reserved for an infinite radius; a bad command line is an error
+    for argv in (
+        ["simulate", "--config", config, "--output", str(out), "--seed", "-1"],
+        ["validate", "--config", write_doc(tmp_path, scalar_doc()), "--seed", "-1",
+         "--observations", write_obs(tmp_path, [[1.0]]), "--samples", "10"],
+        ["simulate", "--config", config, "--output", str(out), "--seed", "abc"],
+        ["optimize", "--config", config],
+    ):
+        assert main(argv) == EXIT_ERROR
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert main(["--help"]) == EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # run() level
 

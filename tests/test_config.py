@@ -168,10 +168,16 @@ def test_schema_errors():
         doc["grid"]["steps"] = value
         with pytest.raises(SchemaError, match=r"grid: steps must be an integer"):
             parse_config(doc)
-    for value in (False, 0.5):
+    for value in (False, 0.5, -1):
         doc = static_doc()
         doc["seed"] = value
         with pytest.raises(SchemaError, match=r"seed must be an integer"):
+            parse_config(doc)
+    # json reads NaN as a float; a non-finite horizon endpoint is rejected
+    for field in ("t_start", "t_end"):
+        doc = continuous_doc()
+        doc["model"][field] = float("nan")
+        with pytest.raises(SchemaError, match="both finite"):
             parse_config(doc)
 
 

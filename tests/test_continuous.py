@@ -175,33 +175,33 @@ def test_discretize_layout_and_weights():
 
 def test_discretize_checks_each_weight_once(monkeypatch):
     import descriptor_minimax.continuous as continuous_mod
-    import descriptor_minimax.discrete as discrete_mod
 
     system, bounds = scalar_system()
     varying = ContinuousEllipsoid(
         Q0=[[1.0]], Q1=lambda t: np.array([[1.0 + t]]), Q2=lambda t: np.array([[2.0 + t]])
     )
-    names = []
-    real = continuous_mod.require_spd
+    checked = {}
+    real = continuous_mod.spd_stack_error
 
-    def counted(q, name="weight"):
-        names.append(name)
-        return real(q, name)
+    def counted(stack, label):
+        # entries the check works on: one for a stride-0 broadcast
+        name = label(0).split(" at ")[0]
+        checked[name] = checked.get(name, 0) + (1 if stack.strides[0] == 0 else len(stack))
+        return real(stack, label)
 
-    monkeypatch.setattr(continuous_mod, "require_spd", counted)
-    monkeypatch.setattr(discrete_mod, "require_spd", counted)
+    monkeypatch.setattr(continuous_mod, "spd_stack_error", counted)
     grid = TimeGrid(0.0, 1.0, 8)
     _, dbounds = discretize(system, bounds, grid)
-    # constant weights: one check each (and the DAEEllipsoid constructor's
-    # check of Q0), one scaled matrix shared by all steps as a stride-0 stack
-    assert sorted(names) == ["Q0", "Q1(t)", "Q2(t)"]
+    # constant weights: one check each, one scaled matrix shared by all
+    # steps as a stride-0 stack
+    assert checked == {"Q1(t)": 1, "Q2(t)": 1}
     assert dbounds.Q1_seq.strides[0] == 0 and dbounds.Q2_seq.strides[0] == 0
     assert len(dbounds.Q2_seq) == 9
 
-    names.clear()
+    checked.clear()
     _, dbounds = discretize(system, varying, grid)
-    # time-varying weights: one check per node
-    assert names.count("Q1(t)") == 8 and names.count("Q2(t)") == 9
+    # time-varying weights: one check per node, t_start included
+    assert checked == {"Q1(t)": 9, "Q2(t)": 9}
     assert dbounds.Q2_seq[4] == pytest.approx(grid.h * np.array([[2.5]]))
 
 
@@ -210,6 +210,47 @@ def test_discretize_still_rejects_indefinite_weight():
     bad = ContinuousEllipsoid(Q0=[[1.0]], Q1=lambda t: np.array([[t - 0.5]]), Q2=[[1.0]])
     with pytest.raises(InvalidBounds):
         discretize(system, bad, TimeGrid(0.0, 1.0, 4))
+
+
+def _from_half(before, after):
+    """A plain callable whose value switches at t = 0.5."""
+    return lambda t: np.array(before if t < 0.5 else after)
+
+
+BAD_CALLABLES = [
+    ("C", _from_half([[0.0]], [[0.0, 1.0]]), r"C\(t\) at t=0\.5 has shape \(1, 2\)"),
+    ("C", _from_half([[0.0]], [[np.nan]]), r"C\(t\) at t=0\.5 is not finite"),
+    ("Q1", _from_half([[1.0]], np.eye(2)), r"Q1\(t\) at t=0\.5 has shape \(2, 2\)"),
+    ("Q1", _from_half([[1.0]], [[np.nan]]), r"Q1\(t\) at t=0\.5 is not finite"),
+    # 1x1 at t_start, where the model checks shapes, and 2x2 after it
+    ("Q1", lambda t: np.eye(1 if t == 0.0 else 2), r"Q1\(t\) at t=0\.25 has shape \(2, 2\)"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, fn, message",
+    BAD_CALLABLES,
+    ids=["C-shape", "C-nan", "Q1-shape", "Q1-nan", "Q1-after-start"],
+)
+def test_callable_coefficients_are_checked_at_every_node(name, fn, message):
+    system, bounds = scalar_system()
+    if name == "C":
+        system = ContinuousDAE(F=[[1.0]], C=fn, H=[[1.0]], t_start=0.0, t_end=1.0)
+    else:
+        bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=fn, Q2=[[1.0]])
+    grid = TimeGrid(0.0, 1.0, 4)
+    calls = [
+        lambda: discretize(system, bounds, grid),
+        lambda: apriori_estimate_continuous(system, bounds, ell_one, grid),
+        lambda: apriori_estimate_continuous(system, bounds, ell_one, grid, method="bvp"),
+        lambda: riccati_filter(system, bounds, [1.0], np.zeros((5, 1)), grid),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidInput, match=message):
+            call()
+    # the integral functional goes through the same sampler
+    with pytest.raises(InvalidInput, match=r"ell\(t\) at t=0\.5 has shape \(2,\)"):
+        apriori_estimate_continuous(system, bounds, _from_half([1.0], [1.0, 0.0]), grid)
 
 
 def test_discretize_time_varying_transition():
@@ -579,17 +620,18 @@ def test_riccati_checks_each_used_table_value():
     bad = ContinuousEllipsoid(
         Q0=[[1.0]], Q1=[[1.0]], Q2=TableFunction([0.0, 0.5], [[[1.0]], [[-1.0]]])
     )
-    with pytest.raises(InvalidBounds, match="Q2\\(t\\) table value 1 is not positive definite"):
+    with pytest.raises(InvalidBounds, match=r"Q2\(t\) at t=0\.5 is not positive definite"):
         riccati_filter(system, bad, [1.0], y, grid)
     # a value that no node selects is never used, so never checked
     unused = ContinuousEllipsoid(
         Q0=[[1.0]], Q1=[[1.0]], Q2=TableFunction([0.0, 2.0], [[[1.0]], [[-1.0]]])
     )
     riccati_filter(system, unused, [1.0], y, grid)
-    # a step that fails before the first bad weight value still decides
+    # every node's weights are checked before the first step, so a step
+    # that would fail before the first bad weight value never runs
     blowup = ContinuousDAE(F=[[1.0]], C=[[50.0]], H=[[0.0]], t_start=0.0, t_end=1.0)
     late = ContinuousEllipsoid(
         Q0=[[1.0]], Q1=[[1.0]], Q2=TableFunction([0.0, 0.9], [[[1.0]], [[-1.0]]])
     )
-    with pytest.raises(RiccatiBlowup):
+    with pytest.raises(InvalidBounds, match=r"Q2\(t\) at t=0\.9 is not positive definite"):
         riccati_filter(blowup, late, [1.0], np.zeros((1001, 1)), TimeGrid(0.0, 1.0, 1000))

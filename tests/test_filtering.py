@@ -24,6 +24,7 @@ from descriptor_minimax import (
     ContinuousDAE,
     ContinuousEllipsoid,
     TimeGrid,
+    apriori_horizon_estimate,
     filter_init,
     filter_run,
     filter_step,
@@ -184,6 +185,28 @@ def test_filter_handles_invertible_b_and_s():
         done += 1
 
 
+def test_near_identity_b_and_s_keep_the_radius():
+    # B_k = S = (1 + 5e-6) I is folded in like any invertible B: the
+    # filter's ell'P_N ell is the one-shot a priori radius
+    rng = rng_for(5)
+    n, N = 2, 5
+    dae, bounds = make_discrete(rng, n=n, l=1, N=N, identity_b=True)
+    near = (1.0 + 5e-6) * np.eye(n)
+    dae = DiscreteDAE(
+        F_seq=dae.F_seq,
+        C_seq=dae.C_seq,
+        B_seq=np.broadcast_to(near, (N, n, n)),
+        S=near,
+        H_seq=dae.H_seq,
+    )
+    ell = np.array([1.0, -0.5])
+    run = filter_run(dae, bounds, np.zeros((N + 1, 1)), ell)
+    ell_seq = np.zeros((N + 1, n))
+    ell_seq[-1] = ell
+    sigma = apriori_horizon_estimate(dae, bounds, ell_seq).sigma_hat
+    assert ell @ run.final.P @ ell == pytest.approx(sigma, rel=1e-12)
+
+
 def test_rank_precondition_detects_deficiency():
     one = np.ones((1, 1))
     zero = np.zeros((1, 1))
@@ -325,22 +348,26 @@ def test_prepared_filter_stops_where_the_loop_stops():
     H[7] = np.array([[1.0, 0.0]])
     broken = DiscreteDAE(F_seq=F, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=H)
     assert _reference_filter(broken, bounds, y_seq) == (RankDeficient, 7)
-    with pytest.raises(RankDeficient, match=r"\[F_7; H_7\]"):
-        filter_run(broken, bounds, y_seq, np.ones(n))
-    # singular B_k at an interior step, after a later rank failure: the
-    # earlier step decides
-    B = np.array(broken.B_seq)
+    with pytest.raises(RankDeficient, match=r"\[F_7; H_7\] does not have full column rank"):
+        prepare_filter(broken, bounds)
+    # singular B_4 alone: the loop stops at step 5, the one that uses it
+    B = np.array(dae.B_seq)
     B[4] = np.outer([1.0, 2.0], [1.0, 1.0])
-    broken_b = _with_b(broken, B)
-    assert _reference_filter(broken_b, bounds, y_seq) == (InvalidInput, 5)
-    with pytest.raises(InvalidInput, match="B_k identity or square invertible"):
-        filter_run(broken_b, bounds, y_seq, np.ones(n))
-    model = prepare_filter(broken_b, bounds)
-    state = filter_init(model, y_seq[0])
-    for k in range(1, 5):
-        state = filter_step(state, model, y_seq[k])
-    with pytest.raises(InvalidInput):
-        filter_step(state, model, y_seq[5])
+    assert _reference_filter(_with_b(dae, B), bounds, y_seq) == (InvalidInput, 5)
+    with pytest.raises(InvalidInput, match="B_4 is not square invertible"):
+        prepare_filter(_with_b(dae, B), bounds)
+    # singular S alone: the loop stops at step 0
+    singular_s = np.outer([1.0, 2.0], [1.0, 1.0])
+    broken_s = DiscreteDAE(
+        F_seq=dae.F_seq, C_seq=dae.C_seq, B_seq=B, S=singular_s, H_seq=dae.H_seq
+    )
+    assert _reference_filter(broken_s, bounds, y_seq) == (InvalidInput, 0)
+    # two faults: the documented order (rank, then S, then the B_k) decides
+    # before any step runs
+    with pytest.raises(InvalidInput, match="S is not square invertible"):
+        prepare_filter(broken_s, bounds)
+    with pytest.raises(RankDeficient, match=r"\[F_7; H_7\]"):
+        filter_run(_with_b(broken, B), bounds, y_seq, np.ones(n))
 
 
 # ---------------------------------------------------------------------------
@@ -407,5 +434,5 @@ def test_per_matrix_checks_do_not_grow_with_the_horizon(monkeypatch):
 
 def test_constant_model_terms_are_computed_once():
     model = prepare_filter(*_constant_chain(1000))
-    for terms in (model.rank_ok, model.process_ok, model.q1_inv, model.W, model.HtQ2):
+    for terms in (model.q1_inv, model.W, model.HtQ2):
         assert terms.shape[0] in (1000, 1001) and terms.strides[0] == 0

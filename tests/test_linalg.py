@@ -376,3 +376,28 @@ def test_no_function_takes_a_tolerance():
         assert "tol" not in params, fn.__qualname__
         checked += 1
     assert checked >= 40
+
+
+def test_tolerance_table_matches_the_constants():
+    # README's "Tolerances" table has one row per float constant of
+    # linalg, with its value, and names no other constant
+    import re
+    from pathlib import Path
+
+    from descriptor_minimax import linalg
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        names = re.findall(r"`([A-Z][A-Z0-9_]*)`", cells[1]) if len(cells) > 2 else []
+        values = [float(v) for v in cells[2].split(",")] if names else []
+        assert len(values) == len(names), line
+        table.update(zip(names, values))
+    constants = {
+        name: value
+        for name, value in vars(linalg).items()
+        if name.isupper() and isinstance(value, float)
+    }
+    assert table == constants
