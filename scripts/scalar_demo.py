@@ -11,8 +11,6 @@ import argparse
 import numpy as np
 
 from descriptor_minimax import (
-    KIND_APOSTERIORI,
-    KIND_APRIORI,
     StaticEllipsoid,
     StaticModel,
     aposteriori_estimate,
@@ -30,20 +28,19 @@ def main():
     args = ap.parse_args()
 
     model = StaticModel(F=[[1.0]], B=[[1.0]], H=[[1.0]])
-    apo = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]], kind=KIND_APOSTERIORI)
-    apr = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]], kind=KIND_APRIORI)
+    bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]])
     ell = np.array([1.0])
     y = np.array([args.y])
 
-    prior = apriori_estimate(model, apr, ell, y=y)
-    post = aposteriori_estimate(model, apo, ell, y)
+    prior = apriori_estimate(model, bounds, ell, y=y)
+    post = aposteriori_estimate(model, bounds, ell, y)
     print(f"observation            y = {args.y}")
     print(f"a priori readout       u_hat = {prior.u_hat[0]:.6f}")
     print(f"a priori mean-sq error {prior.sigma_hat:.6f}")
     print(f"center estimate        x_hat = {post.x_hat[0]:.6f}")
     print(f"worst-case radius      sigma_hat = {post.sigma_hat:.6f}")
 
-    samples = sample_reachability(model, apo, y, args.samples, seed=args.seed)
+    samples = sample_reachability(model, bounds, y, args.samples, seed=args.seed)
     check = chebyshev_check(samples, ell, post.estimate_value, post.sigma_hat)
     print(f"sampled states         {check.samples_checked}")
     print(f"radius violations      {check.violation_count}")

@@ -8,7 +8,11 @@ Subcommands::
     tikhonov   regularized approximation sweep with residual diagnostics
     simulate   draw an admissible disturbance, write trajectory CSVs
     validate   re-derive a produced estimate with the sampling oracle
-    check      parse and validate the configuration, nothing else
+    check      parse and validate the configuration, and sample a
+               continuous one on its grid; solve nothing
+
+Which modes and problem kinds each command runs, and which need
+--observations, is read from one table, COMMANDS.
 
 Exit codes: 0 on success, 2 when the requested functional has infinite
 worst-case error (a legitimate mathematical answer, not a crash), and 1
@@ -23,11 +27,14 @@ import math
 import os
 import sys
 import time
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .config import (
+    KINDS,
+    MODES,
     ProblemConfig,
     ResultReport,
     parse_config,
@@ -54,7 +61,7 @@ from .errors import EstimationError, InvalidInput, NotRepresentable
 from .filtering import filter_run
 from .oracle import chebyshev_check, sample_reachability
 from .simulate import simulate as simulate_dae
-from .static import KIND_APOSTERIORI, apriori_estimate, aposteriori_estimate
+from .static import apriori_estimate, aposteriori_estimate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -108,124 +115,66 @@ def _effective_grid(config: ProblemConfig, grid_steps: Optional[int]) -> Optiona
     return TimeGrid(start=config.grid.start, end=config.grid.end, steps=grid_steps)
 
 
-def _finish(report: ResultReport, started: float) -> ResultReport:
-    report.timings["seconds"] = time.perf_counter() - started
-    return report
+def _discrete(config: ProblemConfig, grid: Optional[TimeGrid]) -> tuple:
+    """The model and bounds as a discrete chain; a continuous problem is
+    discretized on ``grid``, which samples and checks every coefficient
+    and weight at every node."""
+    if config.kind == "continuous_dae":
+        return discretize(config.model, config.bounds, grid)
+    return config.model, config.bounds
 
 
-def _run_estimate(config, observations, grid) -> tuple:
-    mode = config.estimation.mode
-    started = time.perf_counter()
-    if mode not in ("apriori", "aposteriori"):
-        raise InvalidInput(
-            f"estimate handles modes apriori/aposteriori; config says {mode!r}"
-        )
-
-    if config.kind == "static":
-        ell = config.estimation.ell
+def _estimate(config, observations, grid, **_) -> tuple:
+    kind, mode = config.kind, config.estimation.mode
+    diagnostics = {"kind": kind, "mode": mode}
+    if kind == "static":
         if mode == "apriori":
-            rep = apriori_estimate(config.model, config.bounds, ell, y=observations)
+            rep = apriori_estimate(
+                config.model, config.bounds, config.estimation.ell, observations
+            )
             outputs = {"u_hat": rep.u_hat, "p": rep.p}
         else:
-            if observations is None:
-                raise InvalidInput("aposteriori estimation requires --observations")
-            rep = aposteriori_estimate(config.model, config.bounds, ell, observations)
+            rep = aposteriori_estimate(
+                config.model, config.bounds, config.estimation.ell, observations
+            )
             outputs = {"x_hat": rep.x_hat, "u_hat": rep.u_hat}
-        report = ResultReport(
-            command="estimate",
-            estimate=rep.estimate_value,
-            sigma_hat=rep.sigma_hat,
-            feasible=rep.feasible,
-            outputs={k: v for k, v in outputs.items() if v is not None},
-            diagnostics={
-                "kind": config.kind,
-                "mode": mode,
-                "solver": solver_record("dense"),
-            },
-        )
-        code = EXIT_OK if rep.feasible else EXIT_INFEASIBLE
-        return _finish(report, started), code
-
-    if config.kind == "discrete_dae":
-        ell_seq = _ell_seq(config)
+        diagnostics["solver"] = solver_record("dense")
+    elif kind == "discrete_dae":
         if mode == "apriori":
             rep = apriori_horizon_estimate(
-                config.model, config.bounds, ell_seq, observations
+                config.model, config.bounds, _ell_seq(config), observations
             )
-            report = ResultReport(
-                command="estimate",
-                estimate=rep.estimate_value,
-                sigma_hat=rep.sigma_hat,
-                feasible=rep.feasible,
-                outputs=(
-                    {"u_hat": rep.u_hat_seq.reshape(-1)}
-                    if rep.u_hat_seq is not None
-                    else {}
-                ),
-                diagnostics={"kind": config.kind, "mode": mode, "solver": rep.solver},
+            u_hat = rep.u_hat_seq
+            outputs = {"u_hat": None if u_hat is None else u_hat.reshape(-1)}
+        else:
+            rep = variational_estimate(
+                config.model, config.bounds, _ell_seq(config), observations
             )
-            return _finish(report, started), (
-                EXIT_OK if rep.feasible else EXIT_INFEASIBLE
-            )
-        if observations is None:
-            raise InvalidInput("aposteriori estimation requires --observations")
-        rep = variational_estimate(config.model, config.bounds, ell_seq, observations)
-        report = ResultReport(
-            command="estimate",
-            estimate=rep.estimate_value,
-            sigma_hat=rep.sigma_hat,
-            feasible=rep.feasible,
-            outputs={"x_hat_seq": rep.x_hat_seq},
-            diagnostics={"kind": config.kind, "mode": mode, "solver": rep.solver},
+            outputs = {"x_hat_seq": rep.x_hat_seq}
+        diagnostics["solver"] = rep.solver
+    else:  # continuous: integral functional, a priori only
+        rep = apriori_estimate_continuous(
+            config.model,
+            config.bounds,
+            config.estimation.ell_fn,
+            grid,
+            y_samples=observations,
         )
-        return _finish(report, started), (
-            EXIT_OK if rep.feasible else EXIT_INFEASIBLE
-        )
-
-    # Continuous: integral functional, a priori only.
-    if mode != "apriori":
-        raise InvalidInput("continuous estimate supports mode apriori only")
-    result = apriori_estimate_continuous(
-        config.model,
-        config.bounds,
-        config.estimation.ell_fn,
-        grid,
-        y_samples=observations,
-    )
+        outputs = {"u_hat_samples": rep.u_hat_samples}
+        diagnostics.update(grid_steps=grid.steps, solver=rep.solver)
     report = ResultReport(
         command="estimate",
-        estimate=result.estimate_value,
-        sigma_hat=result.sigma_hat,
-        feasible=result.feasible,
-        outputs=(
-            {"u_hat_samples": result.u_hat_samples}
-            if result.u_hat_samples is not None
-            else {}
-        ),
-        diagnostics={
-            "kind": config.kind,
-            "mode": mode,
-            "grid_steps": grid.steps,
-            "solver": result.solver,
-        },
+        estimate=rep.estimate_value,
+        sigma_hat=rep.sigma_hat,
+        feasible=rep.feasible,
+        outputs={k: v for k, v in outputs.items() if v is not None},
+        diagnostics=diagnostics,
     )
-    return _finish(report, started), (
-        EXIT_OK if result.feasible else EXIT_INFEASIBLE
-    )
+    return report, EXIT_OK if rep.feasible else EXIT_INFEASIBLE
 
 
-def _run_filter(config, observations, grid) -> tuple:
-    started = time.perf_counter()
-    if config.estimation.mode != "filter":
-        raise InvalidInput("filter command needs estimation.mode == 'filter'")
-    if observations is None:
-        raise InvalidInput("filter requires --observations")
-    if config.kind == "static":
-        raise InvalidInput("filter needs a discrete or continuous model")
-    if config.kind == "continuous_dae":
-        dae, dbounds = discretize(config.model, config.bounds, grid)
-    else:
-        dae, dbounds = config.model, config.bounds
+def _filter(config, observations, grid, **_) -> tuple:
+    dae, dbounds = _discrete(config, grid)
     ell = config.estimation.ell
     result = filter_run(dae, dbounds, observations, ell)
     radius_sq = float(ell @ (result.final.P @ ell))
@@ -241,17 +190,10 @@ def _run_filter(config, observations, grid) -> tuple:
         },
         diagnostics={"kind": config.kind, "steps": dae.horizon},
     )
-    return _finish(report, started), EXIT_OK
+    return report, EXIT_OK
 
 
-def _run_riccati(config, observations, grid) -> tuple:
-    started = time.perf_counter()
-    if config.estimation.mode != "riccati":
-        raise InvalidInput("riccati command needs estimation.mode == 'riccati'")
-    if config.kind != "continuous_dae":
-        raise InvalidInput("riccati needs a continuous model")
-    if observations is None:
-        raise InvalidInput("riccati requires --observations")
+def _riccati(config, observations, grid, **_) -> tuple:
     try:
         result = riccati_filter(
             config.model, config.bounds, config.estimation.ell, observations, grid
@@ -264,7 +206,7 @@ def _run_riccati(config, observations, grid) -> tuple:
             feasible=False,
             diagnostics={"reason": str(exc)},
         )
-        return _finish(report, started), EXIT_INFEASIBLE
+        return report, EXIT_INFEASIBLE
     report = ResultReport(
         command="riccati",
         estimate=result.estimate_value,
@@ -273,15 +215,10 @@ def _run_riccati(config, observations, grid) -> tuple:
         outputs={"K_final": result.K_final, "x_hat_final": result.x_hat_final},
         diagnostics={"kind": config.kind, "grid_steps": grid.steps},
     )
-    return _finish(report, started), EXIT_OK
+    return report, EXIT_OK
 
 
-def _run_tikhonov(config, grid) -> tuple:
-    started = time.perf_counter()
-    if config.estimation.mode != "tikhonov":
-        raise InvalidInput("tikhonov command needs estimation.mode == 'tikhonov'")
-    if config.kind != "continuous_dae":
-        raise InvalidInput("tikhonov needs a continuous model")
+def _tikhonov(config, observations, grid, **_) -> tuple:
     result = tikhonov_approximate(
         config.model,
         config.bounds,
@@ -305,25 +242,17 @@ def _run_tikhonov(config, grid) -> tuple:
             "grid_steps": grid.steps,
         },
     )
-    return _finish(report, started), EXIT_OK
+    return report, EXIT_OK
 
 
-def _run_simulate(config, grid, seed, out_dir) -> tuple:
-    started = time.perf_counter()
-    if config.kind == "static":
-        raise InvalidInput("simulate needs a discrete or continuous model")
-    if out_dir is None:
-        raise InvalidInput("simulate requires --output DIRECTORY")
-    if config.kind == "continuous_dae":
-        dae, dbounds = discretize(config.model, config.bounds, grid)
-    else:
-        dae, dbounds = config.model, config.bounds
+def _simulate(config, observations, grid, *, seed, output, **_) -> tuple:
+    dae, dbounds = _discrete(config, grid)
     result = simulate_dae(
         dae, dbounds, disturbance=config.simulation.disturbance, seed=seed
     )
-    os.makedirs(out_dir, exist_ok=True)
-    states_path = os.path.join(out_dir, "states.csv")
-    obs_path = os.path.join(out_dir, "observations.csv")
+    os.makedirs(output, exist_ok=True)
+    states_path = os.path.join(output, "states.csv")
+    obs_path = os.path.join(output, "observations.csv")
     write_trajectory_csv(states_path, "x", result.states)
     write_trajectory_csv(obs_path, "y", result.observations)
     report = ResultReport(
@@ -339,39 +268,26 @@ def _run_simulate(config, grid, seed, out_dir) -> tuple:
             "steps": dae.horizon,
         },
     )
-    return _finish(report, started), EXIT_OK
+    return report, EXIT_OK
 
 
-def _run_validate(config, observations, grid, samples, seed) -> tuple:
-    """Recompute the estimate, then attack it with the sampling oracle."""
-    started = time.perf_counter()
-    if observations is None:
-        raise InvalidInput("validate requires --observations")
+def _validate(config, observations, grid, *, samples, seed, **_) -> tuple:
+    """Make the a posteriori estimate, then attack it with the sampling oracle."""
+    if samples < 1:
+        raise InvalidInput(f"--samples must be at least 1, got {samples}")
+    center, _ = _estimate(config, observations, grid)
     if config.kind == "static":
-        if config.estimation.mode != "aposteriori":
-            raise InvalidInput("validate covers aposteriori estimates")
         model, bounds = config.model, config.bounds
-        ell = config.estimation.ell
-        y = observations
-        rep = aposteriori_estimate(model, bounds, ell, y)
-        estimate, sigma = rep.estimate_value, rep.sigma_hat
-        solver = solver_record("dense")
-    elif config.kind == "discrete_dae":
-        if config.estimation.mode != "aposteriori":
-            raise InvalidInput("validate covers aposteriori estimates")
-        ell_seq = _ell_seq(config)
-        traj = variational_estimate(config.model, config.bounds, ell_seq, observations)
-        estimate, sigma = traj.estimate_value, traj.sigma_hat
-        solver = traj.solver
-        model = flatten(config.model)
-        bounds = flatten_bounds(config.model, config.bounds, KIND_APOSTERIORI)
-        ell = stack_functional(config.model, ell_seq)
-        y = stack_observations(config.model, observations)
+        ell, y = config.estimation.ell, observations
     else:
-        raise InvalidInput("validate covers static and discrete_dae problems")
+        model = flatten(config.model)
+        bounds = flatten_bounds(config.model, config.bounds)
+        ell = stack_functional(config.model, _ell_seq(config))
+        y = stack_observations(config.model, observations)
 
+    sigma = center.sigma_hat
     sample_set = sample_reachability(model, bounds, y, samples, seed)
-    check = chebyshev_check(sample_set, ell, estimate, sigma)
+    check = chebyshev_check(sample_set, ell, center.estimate, sigma)
     attained = (
         check.max_abs_deviation / sigma
         if sigma not in (None, 0.0) and math.isfinite(sigma)
@@ -379,7 +295,7 @@ def _run_validate(config, observations, grid, samples, seed) -> tuple:
     )
     report = ResultReport(
         command="validate",
-        estimate=estimate,
+        estimate=center.estimate,
         sigma_hat=sigma,
         feasible=True,
         diagnostics={
@@ -390,11 +306,63 @@ def _run_validate(config, observations, grid, samples, seed) -> tuple:
                 "attained_fraction": attained,
                 "seed": seed,
             },
-            "solver": solver,
+            "solver": center.diagnostics["solver"],
         },
     )
-    code = EXIT_OK if check.violation_count == 0 else EXIT_ERROR
-    return _finish(report, started), code
+    return report, EXIT_OK if check.violation_count == 0 else EXIT_ERROR
+
+
+def _check(config, observations, grid, **_) -> tuple:
+    _discrete(config, grid)
+    report = ResultReport(
+        command="check",
+        estimate=None,
+        sigma_hat=None,
+        feasible=True,
+        diagnostics={"kind": config.kind, "mode": config.estimation.mode},
+    )
+    return report, EXIT_OK
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its runner and what it runs on.
+
+    ``run(config, observations, grid, *, seed, samples, output)`` returns
+    (ResultReport, exit code). The command accepts a config only when
+    its mode is in ``modes`` and its kind in ``kinds``; ``--observations``
+    is required in the modes listed in ``observations``. With
+    ``output_dir`` the command needs ``--output`` and writes files into
+    that directory; otherwise ``--output`` names the report file.
+    """
+
+    run: Callable[..., tuple]
+    modes: Tuple[str, ...]
+    kinds: Tuple[str, ...] = KINDS
+    observations: Tuple[str, ...] = ()
+    output_dir: bool = False
+
+
+# The one table of which estimate each command runs (README "CLI").
+_DYNAMIC = ("discrete_dae", "continuous_dae")
+COMMANDS = {
+    "estimate": Command(
+        _estimate, ("apriori", "aposteriori"), observations=("aposteriori",)
+    ),
+    "filter": Command(_filter, ("filter",), _DYNAMIC, observations=("filter",)),
+    "riccati": Command(
+        _riccati, ("riccati",), ("continuous_dae",), observations=("riccati",)
+    ),
+    "tikhonov": Command(_tikhonov, ("tikhonov",), ("continuous_dae",)),
+    "simulate": Command(_simulate, MODES, _DYNAMIC, output_dir=True),
+    "validate": Command(
+        _validate,
+        ("aposteriori",),
+        ("static", "discrete_dae"),
+        observations=("aposteriori",),
+    ),
+    "check": Command(_check, MODES),
+}
 
 
 def run(
@@ -404,40 +372,42 @@ def run(
     *,
     samples: int = _DEFAULT_VALIDATE_SAMPLES,
     seed: Optional[int] = None,
-    grid_steps: Optional[int] = None,
+    grid: Optional[TimeGrid] = None,
     output_dir: Optional[str] = None,
 ) -> tuple:
     """Dispatch one command against a parsed config.
 
-    Returns (ResultReport, exit_code). Raises EstimationError subclasses
-    for invalid requests; the CLI entry point maps those to exit 1.
+    ``grid`` replaces the config's grid for a continuous problem.
+    Returns (ResultReport, exit_code) with the command's wall time in
+    ``timings["seconds"]``. Raises EstimationError subclasses for
+    invalid requests; the CLI entry point maps those to exit 1.
     """
+    spec = COMMANDS.get(command)
+    if spec is None:
+        raise InvalidInput(f"unknown command {command!r}")
     if seed is not None and seed < 0:
         raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
-    grid = _effective_grid(config, grid_steps)
-    seed = config.seed if seed is None else seed
-    if command == "check":
-        report = ResultReport(
-            command="check",
-            estimate=None,
-            sigma_hat=None,
-            feasible=True,
-            diagnostics={"kind": config.kind, "mode": config.estimation.mode},
+    kind, mode = config.kind, config.estimation.mode
+    if mode not in spec.modes or kind not in spec.kinds:
+        raise InvalidInput(
+            f"{command} runs modes {', '.join(spec.modes)} on kinds "
+            f"{', '.join(spec.kinds)}; the config has mode {mode!r} and kind {kind!r}"
         )
-        return report, EXIT_OK
-    if command == "estimate":
-        return _run_estimate(config, observations, grid)
-    if command == "filter":
-        return _run_filter(config, observations, grid)
-    if command == "riccati":
-        return _run_riccati(config, observations, grid)
-    if command == "tikhonov":
-        return _run_tikhonov(config, grid)
-    if command == "simulate":
-        return _run_simulate(config, grid, seed, output_dir)
-    if command == "validate":
-        return _run_validate(config, observations, grid, samples, seed)
-    raise InvalidInput(f"unknown command {command!r}")
+    if observations is None and mode in spec.observations:
+        raise InvalidInput(f"{command} in mode {mode} requires --observations")
+    if spec.output_dir and output_dir is None:
+        raise InvalidInput(f"{command} requires --output DIRECTORY")
+    started = time.perf_counter()
+    report, code = spec.run(
+        config,
+        observations,
+        config.grid if grid is None else grid,
+        seed=config.seed if seed is None else seed,
+        samples=samples,
+        output=output_dir,
+    )
+    report.timings["seconds"] = time.perf_counter() - started
+    return report, code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -446,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Worst-case optimal estimation for linear descriptor systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("estimate", "filter", "riccati", "tikhonov", "simulate", "validate", "check"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="problem description (JSON)")
         p.add_argument("--observations", help="trajectory CSV with y columns")
@@ -469,6 +439,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error code 2 means an infinite radius here
         return EXIT_ERROR if exc.code else EXIT_OK  # EXIT_OK after --help
+    output_dir = COMMANDS[args.command].output_dir
     try:
         config = parse_config(args.config)
         grid = _effective_grid(config, args.grid_steps)
@@ -483,15 +454,15 @@ def main(argv=None) -> int:
             observations,
             samples=args.samples,
             seed=args.seed,
-            grid_steps=args.grid_steps,
-            output_dir=args.output if args.command == "simulate" else None,
+            grid=grid,
+            output_dir=args.output if output_dir else None,
         )
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
     text = report.to_json()
-    if args.output and args.command != "simulate":
+    if args.output and not output_dir:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:

@@ -47,7 +47,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .static import KIND_APOSTERIORI, KIND_APRIORI, StaticEllipsoid, StaticModel
+from .static import StaticEllipsoid, StaticModel
 
 KINDS = ("static", "discrete_dae", "continuous_dae")
 MODES = ("apriori", "aposteriori", "filter", "riccati", "tikhonov")
@@ -202,7 +202,7 @@ class ProblemConfig:
     simulation: SimulationSpec
 
 
-def _parse_static(model_block, bounds_block, mode, path="model") -> tuple:
+def _parse_static(model_block, bounds_block, path="model") -> tuple:
     F = _matrix(_require(model_block, "F", path), f"{path}.F")
     B = _matrix(_require(model_block, "B", path), f"{path}.B")
     H = _matrix(_require(model_block, "H", path), f"{path}.H")
@@ -210,11 +210,10 @@ def _parse_static(model_block, bounds_block, mode, path="model") -> tuple:
         model = StaticModel(F=F, B=B, H=H)
     except InvalidInput as exc:
         raise DimensionError(f"model: {exc}") from exc
-    kind = KIND_APRIORI if mode == "apriori" else KIND_APOSTERIORI
     Q1 = _matrix(_require(bounds_block, "Q1", "bounds"), "bounds.Q1")
     Q2 = _matrix(_require(bounds_block, "Q2", "bounds"), "bounds.Q2")
     try:
-        bounds = StaticEllipsoid(Q1=Q1, Q2=Q2, kind=kind)
+        bounds = StaticEllipsoid(Q1=Q1, Q2=Q2)
         static._check_pair(model, bounds)
     except InvalidBounds as exc:
         raise SchemaError(f"bounds: {exc}") from exc
@@ -312,11 +311,10 @@ def _parse_estimation(block, kind: str, model) -> EstimationSpec:
 
     if mode == "tikhonov":
         raw = _require(block, "alphas", "estimation")
-        alphas = [float(a) for a in _vector(raw, "estimation.alphas")]
-        if any(a <= 0 for a in alphas):
-            raise SchemaError("estimation.alphas must be positive")
-        if any(b >= a for a, b in zip(alphas, alphas[1:])):
-            raise SchemaError("estimation.alphas must be strictly decreasing")
+        try:
+            alphas = list(continuous._check_alphas(raw))
+        except InvalidInput as exc:
+            raise SchemaError(f"estimation.{exc}") from exc
     return EstimationSpec(
         mode=mode, ell=ell, ell_seq=ell_seq, ell_fn=ell_fn, alphas=alphas
     )
@@ -351,10 +349,9 @@ def parse_config(source) -> ProblemConfig:
     model_block = _require(raw, "model", "config")
     bounds_block = _require(raw, "bounds", "config")
     estimation_block = _require(raw, "estimation", "config")
-    mode = _require(estimation_block, "mode", "estimation")
 
     if kind == "static":
-        model, bounds = _parse_static(model_block, bounds_block, mode)
+        model, bounds = _parse_static(model_block, bounds_block)
     elif kind == "discrete_dae":
         model, bounds = _parse_discrete(model_block, bounds_block)
     else:

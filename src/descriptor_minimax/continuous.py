@@ -69,7 +69,7 @@ from .linalg import (
     spd_stack_error,
     symmetrize,
 )
-from .static import KIND_APRIORI, _saddle_matrix
+from .static import _saddle_matrix
 
 # Gain norms above this level are treated as finite escape.
 RICCATI_NORM_CAP = 1e12
@@ -553,6 +553,27 @@ class TikhonovResult:
     grid: TimeGrid
 
 
+def _check_alphas(alphas) -> tuple:
+    """The Tikhonov step sizes as a tuple of floats.
+
+    They must form a non-empty flat sequence of finite, positive,
+    strictly decreasing numbers; otherwise InvalidInput names ``alphas``.
+    """
+    try:
+        a = np.asarray(alphas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"alphas is not a numeric sequence: {exc}") from exc
+    if a.ndim != 1 or not a.size:
+        raise InvalidInput(f"alphas must be a non-empty flat sequence, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInput("alphas contains non-finite entries")
+    if (a <= 0).any():
+        raise InvalidInput("alphas must be positive")
+    if (np.diff(a) >= 0).any():
+        raise InvalidInput("alphas must be strictly decreasing")
+    return tuple(a.tolist())
+
+
 def tikhonov_approximate(
     system: ContinuousDAE,
     bounds: ContinuousEllipsoid,
@@ -572,13 +593,7 @@ def tikhonov_approximate(
     bounded away from zero.
     """
     _check_grid(system, grid)
-    alphas = tuple(float(a) for a in alphas)
-    if not alphas:
-        raise InvalidInput("alphas must be non-empty")
-    if any(a <= 0 for a in alphas):
-        raise InvalidInput("alphas must be positive")
-    if any(b >= a for a, b in zip(alphas, alphas[1:])) and len(alphas) > 1:
-        raise InvalidInput("alphas must be strictly decreasing")
+    alphas = _check_alphas(alphas)
 
     h = grid.h
     ts = grid.nodes()
@@ -593,7 +608,7 @@ def tikhonov_approximate(
     def dense_solve(alpha):
         if not saddle:
             model = flatten(dae)
-            saddle.append(_saddle_matrix(model, flatten_bounds(dae, dbounds, KIND_APRIORI)))
+            saddle.append(_saddle_matrix(model, flatten_bounds(dae, dbounds)))
         A = saddle[0].copy()
         dim = (M + 1) * n
         rows = A.shape[0] - dim

@@ -62,8 +62,6 @@ from .linalg import (
     spd_solve,
 )
 from .static import (
-    KIND_APOSTERIORI,
-    KIND_APRIORI,
     StaticEllipsoid,
     StaticModel,
     aposteriori_estimate,
@@ -214,15 +212,12 @@ def flatten(dae: DiscreteDAE) -> StaticModel:
     return StaticModel(F=F, B=B, H=H)
 
 
-def flatten_bounds(
-    dae: DiscreteDAE, bounds: DAEEllipsoid, kind: str = KIND_APOSTERIORI
-) -> StaticEllipsoid:
+def flatten_bounds(dae: DiscreteDAE, bounds: DAEEllipsoid) -> StaticEllipsoid:
     """Block-diagonal weights matching the layout of :func:`flatten`."""
     _check_bounds(dae, bounds)
     return StaticEllipsoid(
         Q1=block_diag(bounds.Q0, *bounds.Q1_seq),
         Q2=block_diag(*bounds.Q2_seq),
-        kind=kind,
     )
 
 
@@ -454,7 +449,7 @@ def variational_estimate(
 
 def _dense_variational(dae, bounds, ell, y, solver) -> TrajectoryEstimate:
     model = flatten(dae)
-    static_bounds = flatten_bounds(dae, bounds, KIND_APOSTERIORI)
+    static_bounds = flatten_bounds(dae, bounds)
     report = aposteriori_estimate(model, static_bounds, ell, y)
     n, N = dae.state_dim, dae.horizon
     return TrajectoryEstimate(
@@ -487,7 +482,7 @@ def apriori_horizon_estimate(
     n, l, N = dae.state_dim, dae.observation_dim, dae.horizon
     if states is None:
         report = apriori_estimate(
-            flatten(dae), flatten_bounds(dae, bounds, KIND_APRIORI), ell, y
+            flatten(dae), flatten_bounds(dae, bounds), ell, y
         )
         if not report.feasible:
             return HorizonApriori(feasible=False, sigma_hat=math.inf, solver=solver)

@@ -42,7 +42,7 @@ from .linalg import (
     solve_least_squares,
     symmetrize,
 )
-from .static import KIND_APOSTERIORI, StaticEllipsoid, StaticModel
+from .static import StaticEllipsoid, StaticModel
 
 # Hard cap on the state dimension the oracle will attempt.
 MAX_ORACLE_DIM = 64
@@ -117,8 +117,6 @@ def sample_reachability(
         raise DimensionTooLarge(
             f"state dimension {model.state_dim} exceeds oracle cap {MAX_ORACLE_DIM}"
         )
-    if bounds.kind != KIND_APOSTERIORI:
-        raise InvalidInput("sample_reachability needs bounds with kind='aposteriori'")
     if count < 0:
         raise InvalidInput("count must be nonnegative")
     y = sized_vector(y, "y", model.observation_dim)

@@ -56,9 +56,6 @@ from .linalg import (
     symmetrize,
 )
 
-KIND_APRIORI = "apriori"
-KIND_APOSTERIORI = "aposteriori"
-
 
 @dataclass(frozen=True)
 class StaticModel:
@@ -105,21 +102,15 @@ class StaticModel:
 class StaticEllipsoid:
     """Ellipsoidal disturbance bound (Q1 f, f) + (Q2 g, g) <= 1.
 
-    ``kind`` records which estimate the bound is meant for; the estimators
-    refuse a mismatched kind so configurations stay self-describing.
+    One bound serves both estimates; the function called says which is made.
     """
 
     Q1: np.ndarray
     Q2: np.ndarray
-    kind: str
 
     def __post_init__(self):
         object.__setattr__(self, "Q1", require_spd(self.Q1, "Q1"))
         object.__setattr__(self, "Q2", require_spd(self.Q2, "Q2"))
-        if self.kind not in (KIND_APRIORI, KIND_APOSTERIORI):
-            raise InvalidInput(
-                f"kind must be '{KIND_APRIORI}' or '{KIND_APOSTERIORI}', got {self.kind!r}"
-            )
 
 
 def _check_pair(model: StaticModel, bounds: StaticEllipsoid) -> None:
@@ -211,8 +202,6 @@ def apriori_estimate(
     estimate_value.
     """
     _check_pair(model, bounds)
-    if bounds.kind != KIND_APRIORI:
-        raise InvalidInput("apriori_estimate requires bounds with kind='apriori'")
     target = sized_vector(ell, "ell", model.state_dim)
     if y is not None:
         y = sized_vector(y, "y", model.observation_dim)
@@ -257,10 +246,6 @@ def aposteriori_estimate(
     InconsistentData.
     """
     _check_pair(model, bounds)
-    if bounds.kind != KIND_APOSTERIORI:
-        raise InvalidInput(
-            "aposteriori_estimate requires bounds with kind='aposteriori'"
-        )
     target = sized_vector(ell, "ell", model.state_dim)
     y = sized_vector(y, "y", model.observation_dim)
 

@@ -13,8 +13,6 @@ from descriptor_minimax import (
     DiscreteDAE,
     StaticEllipsoid,
     StaticModel,
-    KIND_APOSTERIORI,
-    KIND_APRIORI,
 )
 
 
@@ -27,7 +25,7 @@ def random_spd(rng, n, floor=0.3):
     return a @ a.T + floor * np.eye(n)
 
 
-def make_static(rng, n=2, m=2, p=2, l=2, kind=KIND_APOSTERIORI):
+def make_static(rng, n=2, m=2, p=2, l=2):
     model = StaticModel(
         F=rng.standard_normal((m, n)),
         B=rng.standard_normal((m, p)),
@@ -36,7 +34,6 @@ def make_static(rng, n=2, m=2, p=2, l=2, kind=KIND_APOSTERIORI):
     bounds = StaticEllipsoid(
         Q1=random_spd(rng, p),
         Q2=random_spd(rng, l),
-        kind=kind,
     )
     return model, bounds
 
@@ -112,9 +109,8 @@ def make_discrete(rng, n=2, m=None, p=None, l=2, N=3, identity_b=False):
 
 def scalar_static():
     model = StaticModel(F=[[1.0]], B=[[1.0]], H=[[1.0]])
-    apo = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]], kind=KIND_APOSTERIORI)
-    apr = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]], kind=KIND_APRIORI)
-    return model, apr, apo
+    bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]])
+    return model, bounds
 
 
 def scalar_chain():

@@ -15,7 +15,6 @@ from descriptor_minimax import (
     ContinuousDAE,
     ContinuousEllipsoid,
     InconsistentData,
-    KIND_APRIORI,
     NumericalBreakdown,
     SingularNormalEquations,
     StaticModel,
@@ -54,9 +53,9 @@ def _verdict(name, ok, detail):
 
 
 def test_criterion_1_scalar_ground_truth():
-    model, _, apo = scalar_static()
+    model, bounds = scalar_static()
     started = time.perf_counter()
-    out = aposteriori_estimate(model, apo, [1.0], [1.0])
+    out = aposteriori_estimate(model, bounds, [1.0], [1.0])
     elapsed = time.perf_counter() - started
     err = max(abs(out.x_hat[0] - 0.5), abs(out.sigma_hat - 0.5))
     ok = err <= 1e-12 and elapsed < 1.0
@@ -334,7 +333,7 @@ def test_criterion_9_scaling_law():
         m = int(rng.integers(1, 5))
         l = int(rng.integers(1, 5))
         p = int(rng.integers(1, 5))
-        model, bounds = make_static(rng, n=n, m=m, p=p, l=l, kind=KIND_APRIORI)
+        model, bounds = make_static(rng, n=n, m=m, p=p, l=l)
         ell = representable_functional(rng, model)
         norm = float(np.linalg.norm(ell))
         if norm < 1e-9:

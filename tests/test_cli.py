@@ -4,15 +4,20 @@ Most tests call main() in process; one smoke test goes through a real
 subprocess to cover the console entry point.
 """
 
+import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from descriptor_minimax import InvalidInput, SchemaError
 from descriptor_minimax.cli import (
+    COMMANDS,
     EXIT_ERROR,
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -20,6 +25,8 @@ from descriptor_minimax.cli import (
     run,
 )
 from descriptor_minimax.config import (
+    KINDS,
+    MODES,
     parse_config,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -387,10 +394,135 @@ def test_run_returns_report_and_code(tmp_path):
 
 def test_run_rejects_unknown_command(tmp_path):
     config = parse_config(scalar_doc())
-    from descriptor_minimax import InvalidInput
-
     with pytest.raises(InvalidInput):
         run("optimize", config, np.array([1.0]))
+
+
+def test_run_refuses_a_pair_the_command_does_not_run():
+    # hand-built configs that parse_config would refuse reach no solver
+    config = parse_config(scalar_doc())
+    for command, mode in (
+        ("validate", "apriori"),
+        ("tikhonov", "filter"),
+        ("riccati", "riccati"),
+        ("filter", "filter"),
+        ("simulate", "aposteriori"),
+    ):
+        estimation = dataclasses.replace(config.estimation, mode=mode)
+        handmade = dataclasses.replace(config, estimation=estimation)
+        with pytest.raises(InvalidInput, match=f"^{command} runs modes"):
+            run(command, handmade, np.array([0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+PAIRS = [
+    ("static", "apriori"),
+    ("static", "aposteriori"),
+    ("discrete_dae", "apriori"),
+    ("discrete_dae", "aposteriori"),
+    ("discrete_dae", "filter"),
+    ("continuous_dae", "apriori"),
+    ("continuous_dae", "filter"),
+    ("continuous_dae", "riccati"),
+    ("continuous_dae", "tikhonov"),
+]
+DOCS = {"static": (scalar_doc, 1), "discrete_dae": (chain_doc, 2), "continuous_dae": (continuous_doc, 65)}
+
+
+def test_pairs_are_the_ones_parse_config_accepts():
+    accepted = []
+    for kind in KINDS:
+        for mode in MODES:
+            try:
+                parse_config(DOCS[kind][0](mode))
+            except SchemaError:
+                continue
+            accepted.append((kind, mode))
+    assert accepted == PAIRS
+
+
+@pytest.mark.parametrize("kind, mode", PAIRS)
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_on_every_accepted_pair(tmp_path, capsys, command, kind, mode):
+    make, rows = DOCS[kind]
+    out = tmp_path / "out"
+    argv = [command, "--config", write_doc(tmp_path, make(mode)), "--output", str(out)]
+    argv += ["--samples", "50"]
+    obs = write_obs(tmp_path, np.zeros((rows, 1)))
+    spec = COMMANDS[command]
+    code = main(argv + ["--observations", obs])
+    captured = capsys.readouterr()
+    if mode not in spec.modes or kind not in spec.kinds:
+        assert code == EXIT_ERROR
+        assert captured.err == (
+            f"error: {command} runs modes {', '.join(spec.modes)} on kinds "
+            f"{', '.join(spec.kinds)}; the config has mode {mode!r} and kind {kind!r}\n"
+        )
+        return
+    assert code == EXIT_OK, captured.err
+    report = json.loads(captured.out if spec.output_dir else out.read_text())
+    assert report["command"] == command and "seconds" in report["timings"]
+    code = main(argv)
+    if mode in spec.observations:
+        assert code == EXIT_ERROR
+        message = f"error: {command} in mode {mode} requires --observations\n"
+        assert capsys.readouterr().err == message
+    else:
+        assert code == EXIT_OK
+
+
+def test_command_table_matches_the_readme():
+    # README's CLI table has one row per command, read the same way as
+    # cli.COMMANDS: modes, kinds, modes that need data, --output role
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        names = [tuple(re.findall(r"`([a-z_]+)`", c)) for c in cells]
+        table[names[0][0]] = (
+            MODES if cells[1] == "any" else names[1],
+            KINDS if cells[2] == "any" else names[2],
+            names[3],
+            cells[4].startswith("directory"),
+        )
+    code = {
+        name: (spec.modes, spec.kinds, spec.observations, spec.output_dir)
+        for name, spec in COMMANDS.items()
+    }
+    assert table == code
+
+
+def test_check_samples_continuous_weights_on_the_grid(tmp_path, capsys):
+    # check fails exactly where estimate does, on the grid --grid-steps sets
+    negative = continuous_doc()
+    negative["bounds"]["Q1"] = [[-1.0]]
+    falling = continuous_doc()
+    falling["bounds"]["Q1"] = {"type": "polynomial", "coefficients": [[[1.0]], [[-3.0]]]}
+    for doc, steps, where in ((negative, "64", "0"), (falling, "8", "0.375"), (falling, "2", "0.5")):
+        config = write_doc(tmp_path, doc)
+        for command in ("check", "estimate"):
+            assert main([command, "--config", config, "--grid-steps", steps]) == EXIT_ERROR
+            message = f"error: Q1(t) at t={where} is not positive definite\n"
+            assert capsys.readouterr().err == message
+
+
+def test_validate_rejects_samples_below_one(tmp_path, capsys):
+    argv = [
+        "validate",
+        "--config",
+        write_doc(tmp_path, scalar_doc()),
+        "--observations",
+        write_obs(tmp_path, [[1.0]]),
+    ]
+    for samples in ("0", "-3"):
+        assert main(argv + ["--samples", samples]) == EXIT_ERROR
+        message = f"error: --samples must be at least 1, got {samples}\n"
+        assert capsys.readouterr().err == message
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ def test_parse_static_document():
     assert config.kind == "static"
     assert config.seed == 7
     assert config.model.F == pytest.approx(np.array([[1.0]]))
-    assert config.bounds.kind == "aposteriori"
     assert config.estimation.ell == pytest.approx([1.0])
 
 
@@ -145,10 +144,16 @@ def test_schema_errors():
     doc["estimation"]["mode"] = "aposteriori"
     with pytest.raises(SchemaError):
         parse_config(doc)
-    doc = continuous_doc()
-    doc["estimation"] = {"mode": "tikhonov", "ell": [1.0], "alphas": [0.5, 0.5]}
-    with pytest.raises(SchemaError):
-        parse_config(doc)
+    for alphas, message in (
+        ([0.5, 0.5], "must be strictly decreasing"),
+        ([float("nan")], "contains non-finite entries"),
+        ([float("inf"), 1.0], "contains non-finite entries"),
+        ([], "must be a non-empty flat sequence"),
+    ):
+        doc = continuous_doc()
+        doc["estimation"] = {"mode": "tikhonov", "ell": [1.0], "alphas": alphas}
+        with pytest.raises(SchemaError, match=f"^estimation.alphas {message}"):
+            parse_config(doc)
     doc = continuous_doc()
     doc["bounds"]["Q1"] = {
         "type": "table",

@@ -33,6 +33,7 @@ from descriptor_minimax import (
     variational_estimate,
 )
 
+from descriptor_minimax import continuous
 from descriptor_minimax.continuous import _sampled_functional
 from descriptor_minimax.linalg import pseudo_inverse, require_spd, spd_inverse, symmetrize
 
@@ -402,15 +403,19 @@ def test_banded_and_dense_fallback_agree(monkeypatch):
     assert reg_banded.residual_seq == pytest.approx(reg_dense.residual_seq, abs=1e-10)
 
 
-def test_tikhonov_validates_alphas():
+def test_tikhonov_validates_alphas(monkeypatch):
     system, bounds = scalar_system()
     grid = TimeGrid(0.0, 1.0, 10)
-    with pytest.raises(InvalidInput):
-        tikhonov_approximate(system, bounds, ell_one, grid, [])
-    with pytest.raises(InvalidInput):
-        tikhonov_approximate(system, bounds, ell_one, grid, [0.5, 0.5])
-    with pytest.raises(InvalidInput):
-        tikhonov_approximate(system, bounds, ell_one, grid, [-1.0])
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("alphas reached the solver")
+
+    # every bad schedule is refused by name before anything is assembled
+    monkeypatch.setattr(continuous, "discretize", no_factorization)
+    monkeypatch.setattr(continuous, "horizon_saddle", no_factorization)
+    for alphas in ([], [0.5, 0.5], [-1.0], [np.nan], [np.inf, 1.0], [[0.5], [0.25]], ["x"]):
+        with pytest.raises(InvalidInput, match="^alphas "):
+            tikhonov_approximate(system, bounds, ell_one, grid, alphas)
 
 
 # ---------------------------------------------------------------------------

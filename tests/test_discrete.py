@@ -23,7 +23,6 @@ from descriptor_minimax import (
     InconsistentData,
     InvalidBounds,
     InvalidInput,
-    KIND_APOSTERIORI,
     NumericalBreakdown,
     aposteriori_estimate,
     flatten,
@@ -46,7 +45,6 @@ def test_flatten_two_step_chain_layout():
     flat_bounds = flatten_bounds(dae, bounds)
     assert flat_bounds.Q1 == pytest.approx(np.eye(2))
     assert flat_bounds.Q2 == pytest.approx(np.eye(2))
-    assert flat_bounds.kind == KIND_APOSTERIORI
 
 
 def test_chain_frozen_values_variational():

@@ -14,9 +14,6 @@ import pytest
 from descriptor_minimax import (
     DimensionTooLarge,
     EmptySet,
-    InvalidInput,
-    KIND_APOSTERIORI,
-    KIND_APRIORI,
     SingularNormalEquations,
     StaticEllipsoid,
     StaticModel,
@@ -70,19 +67,19 @@ def test_samples_satisfy_membership():
 
 
 def test_boundary_samples_sit_on_the_shell():
-    model, _, apo = scalar_static()
-    samples = sample_reachability(model, apo, [1.0], 400, seed=3)
+    model, bounds = scalar_static()
+    samples = sample_reachability(model, bounds, [1.0], 400, seed=3)
     energies = np.array(
-        [_membership_energy(model, apo, np.array([1.0]), x) for x in samples.x]
+        [_membership_energy(model, bounds, np.array([1.0]), x) for x in samples.x]
     )
     on_shell = np.sum(np.abs(energies - 1.0) <= 1e-9)
     assert on_shell >= 150  # alternating boundary/interior draw pattern
 
 
 def test_scalar_deviation_attains_radius():
-    model, _, apo = scalar_static()
-    out = aposteriori_estimate(model, apo, [1.0], [1.0])
-    samples = sample_reachability(model, apo, [1.0], 2000, seed=0)
+    model, bounds = scalar_static()
+    out = aposteriori_estimate(model, bounds, [1.0], [1.0])
+    samples = sample_reachability(model, bounds, [1.0], 2000, seed=0)
     report = chebyshev_check(samples, [1.0], out.estimate_value, out.sigma_hat)
     assert report.violation_count == 0
     assert report.samples_checked == 2000
@@ -124,8 +121,8 @@ def test_frozen_stream_across_chunks():
     # 5000 draws span three chunks. The recorded values pin the chunking
     # and the per-chunk substreams; the scalar model keeps every product a
     # single rounding, so they hold on every BLAS.
-    model, _, apo = scalar_static()
-    samples = sample_reachability(model, apo, [1.0], 5000, seed=11)
+    model, bounds = scalar_static()
+    samples = sample_reachability(model, bounds, [1.0], 5000, seed=11)
     frozen = {
         0: 0.0,
         1: 0.12627225442038398,
@@ -147,7 +144,7 @@ def test_sampler_memory_stays_near_its_output():
     # temporaries, not a second copy of every chunk.
     dae, bounds = make_discrete(rng_for(0), n=2, N=31)
     model = flatten(dae)
-    flat_bounds = flatten_bounds(dae, bounds, KIND_APOSTERIORI)
+    flat_bounds = flatten_bounds(dae, bounds)
     y = np.zeros(model.observation_dim)
     tracemalloc.start()
     try:
@@ -160,8 +157,8 @@ def test_sampler_memory_stays_near_its_output():
 
 
 def test_empty_set_detected():
-    model, _, apo = scalar_static()
-    samples = sample_reachability(model, apo, [10.0], 100, seed=0)
+    model, bounds = scalar_static()
+    samples = sample_reachability(model, bounds, [10.0], 100, seed=0)
     assert samples.empty
     assert len(samples) == 0
     with pytest.raises(EmptySet):
@@ -169,8 +166,8 @@ def test_empty_set_detected():
 
 
 def test_infinite_radius_never_violated():
-    model, _, apo = scalar_static()
-    samples = sample_reachability(model, apo, [1.0], 100, seed=0)
+    model, bounds = scalar_static()
+    samples = sample_reachability(model, bounds, [1.0], 100, seed=0)
     report = chebyshev_check(samples, [1.0], 0.0, np.inf)
     assert report.violation_count == 0
 
@@ -178,20 +175,14 @@ def test_infinite_radius_never_violated():
 def test_dimension_cap():
     n = 65
     model = StaticModel(F=np.eye(n), B=np.eye(n), H=np.eye(n))
-    bounds = StaticEllipsoid(Q1=np.eye(n), Q2=np.eye(n), kind=KIND_APOSTERIORI)
+    bounds = StaticEllipsoid(Q1=np.eye(n), Q2=np.eye(n))
     with pytest.raises(DimensionTooLarge):
         sample_reachability(model, bounds, np.zeros(n), 10, seed=0)
 
 
-def test_oracle_requires_aposteriori_bounds():
-    model, apr, _ = scalar_static()
-    with pytest.raises(InvalidInput):
-        sample_reachability(model, apr, [1.0], 10, seed=0)
-
-
 def test_quadratic_center_oracle_scalar():
-    model, _, apo = scalar_static()
-    assert quadratic_center_oracle(model, apo, [1.0]) == pytest.approx(
+    model, bounds = scalar_static()
+    assert quadratic_center_oracle(model, bounds, [1.0]) == pytest.approx(
         [0.5], abs=1e-14
     )
 
@@ -223,6 +214,6 @@ def test_quadratic_center_oracle_matches_center():
 
 def test_quadratic_center_oracle_rejects_singular_information():
     model = StaticModel(F=[[0.0]], B=[[1.0]], H=[[0.0]])
-    bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]], kind=KIND_APOSTERIORI)
+    bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]])
     with pytest.raises(SingularNormalEquations):
         quadratic_center_oracle(model, bounds, [0.0])

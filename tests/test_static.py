@@ -15,8 +15,6 @@ from descriptor_minimax import (
     InconsistentData,
     InvalidBounds,
     InvalidInput,
-    KIND_APOSTERIORI,
-    KIND_APRIORI,
     StaticEllipsoid,
     StaticModel,
     aposteriori_estimate,
@@ -36,22 +34,22 @@ from conftest import (
 
 
 def test_scalar_apriori_frozen():
-    model, apr, _ = scalar_static()
-    out = apriori_estimate(model, apr, [1.0])
+    model, bounds = scalar_static()
+    out = apriori_estimate(model, bounds, [1.0])
     assert out.feasible
     assert out.u_hat == pytest.approx([0.5], abs=1e-12)
     assert out.sigma_hat == pytest.approx(0.5, abs=1e-12)
 
 
 def test_scalar_apriori_with_data():
-    model, apr, _ = scalar_static()
-    out = apriori_estimate(model, apr, [1.0], y=[1.0])
+    model, bounds = scalar_static()
+    out = apriori_estimate(model, bounds, [1.0], y=[1.0])
     assert out.estimate_value == pytest.approx(0.5, abs=1e-12)
 
 
 def test_scalar_aposteriori_frozen():
-    model, _, apo = scalar_static()
-    out = aposteriori_estimate(model, apo, [1.0], [1.0])
+    model, bounds = scalar_static()
+    out = aposteriori_estimate(model, bounds, [1.0], [1.0])
     assert out.feasible
     assert out.x_hat == pytest.approx([0.5], abs=1e-12)
     assert out.estimate_value == pytest.approx(0.5, abs=1e-12)
@@ -59,18 +57,18 @@ def test_scalar_aposteriori_frozen():
 
 
 def test_scalar_aposteriori_zero_data():
-    model, _, apo = scalar_static()
-    out = aposteriori_estimate(model, apo, [1.0], [0.0])
+    model, bounds = scalar_static()
+    out = aposteriori_estimate(model, bounds, [1.0], [0.0])
     assert out.x_hat == pytest.approx([0.0], abs=1e-12)
     assert out.sigma_hat == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
 
 def test_scalar_worst_case_frozen():
-    model, apr, _ = scalar_static()
-    assert worst_case_error_of(model, apr, [1.0], [0.5]) == pytest.approx(
+    model, bounds = scalar_static()
+    assert worst_case_error_of(model, bounds, [1.0], [0.5]) == pytest.approx(
         0.5, abs=1e-12
     )
-    assert worst_case_error_of(model, apr, [1.0], [0.0]) == pytest.approx(
+    assert worst_case_error_of(model, bounds, [1.0], [0.0]) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -79,8 +77,8 @@ def test_worst_case_infinite_off_range():
     # F = 0 forces the attainable-bias direction to escape: any functional
     # component outside range(F') + H-corrections with u = 0 is unbounded.
     model = StaticModel(F=[[0.0]], B=[[1.0]], H=[[1.0]])
-    apr = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]], kind=KIND_APRIORI)
-    assert worst_case_error_of(model, apr, [1.0], [0.0]) == np.inf
+    bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]])
+    assert worst_case_error_of(model, bounds, [1.0], [0.0]) == np.inf
 
 
 def test_optimality_of_minimax_weight():
@@ -95,7 +93,7 @@ def test_optimality_of_minimax_weight():
     models = 0
     while models < 25:
         n, m, p, l = (int(rng.integers(1, 4)) for _ in range(4))
-        model, bounds = make_static(rng, n=n, m=m, p=p, l=l, kind=KIND_APRIORI)
+        model, bounds = make_static(rng, n=n, m=m, p=p, l=l)
         ell = representable_functional(rng, model)
         if np.linalg.norm(ell) < 1e-6:
             continue
@@ -118,7 +116,7 @@ def test_optimality_of_minimax_weight():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 2.0, 10.0]))
 def test_apriori_scaling_law(seed, alpha):
     rng = rng_for(seed)
-    model, bounds = make_static(rng, kind=KIND_APRIORI)
+    model, bounds = make_static(rng)
     ell = representable_functional(rng, model)
     base = apriori_estimate(model, bounds, ell)
     scaled = apriori_estimate(model, bounds, alpha * ell)
@@ -164,7 +162,7 @@ def test_estimate_independent_of_dual_solution():
         model = StaticModel(
             F=F, B=rng.standard_normal((m, 3)), H=rng.standard_normal((2, 2)) @ P
         )
-        bounds = StaticEllipsoid(Q1=np.eye(3), Q2=np.eye(2), kind=KIND_APRIORI)
+        bounds = StaticEllipsoid(Q1=np.eye(3), Q2=np.eye(2))
         ell = representable_functional(rng, model)
         out = apriori_estimate(model, bounds, ell)
         assert out.feasible
@@ -185,14 +183,14 @@ def test_estimate_independent_of_dual_solution():
 
 
 def test_inconsistent_data_raises():
-    model, _, apo = scalar_static()
+    model, bounds = scalar_static()
     with pytest.raises(InconsistentData):
-        aposteriori_estimate(model, apo, [1.0], [10.0])
+        aposteriori_estimate(model, bounds, [1.0], [10.0])
 
 
 def test_nonrepresentable_is_flagged_not_raised():
     model = StaticModel(F=[[1.0, 0.0]], B=[[1.0]], H=[[1.0, 0.0]])
-    bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]], kind=KIND_APOSTERIORI)
+    bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]])
     assert not representable(model, [0.0, 1.0])
     out = aposteriori_estimate(model, bounds, [0.0, 1.0], [0.5])
     assert not out.feasible
@@ -222,30 +220,32 @@ def test_aposteriori_assembles_and_solves_once(monkeypatch):
     monkeypatch.setattr(static_mod, "_saddle_matrix", counted_assemble)
     monkeypatch.setattr(static_mod, "solve_least_squares", counted_solve)
     monkeypatch.setattr(linalg_mod, "solve_least_squares", counted_solve)
-    model, _, apo = scalar_static()
-    out = aposteriori_estimate(model, apo, [1.0], [1.0])
+    model, bounds = scalar_static()
+    out = aposteriori_estimate(model, bounds, [1.0], [1.0])
     assert out.feasible and out.sigma_hat == pytest.approx(0.5)
     assert calls == {"assemble": 1, "solve": 2}
 
 
-def test_kind_mismatch_raises():
-    model, apr, apo = scalar_static()
-    with pytest.raises(InvalidInput):
-        apriori_estimate(model, apo, [1.0])
-    with pytest.raises(InvalidInput):
-        aposteriori_estimate(model, apr, [1.0], [1.0])
-
-
 def test_bad_bounds_rejected():
     with pytest.raises(InvalidBounds):
-        StaticEllipsoid(Q1=[[-1.0]], Q2=[[1.0]], kind=KIND_APRIORI)
+        StaticEllipsoid(Q1=[[-1.0]], Q2=[[1.0]])
     with pytest.raises(InvalidBounds):
-        StaticEllipsoid(Q1=[[1.0]], Q2=[[0.0]], kind=KIND_APRIORI)
+        StaticEllipsoid(Q1=[[1.0]], Q2=[[0.0]])
 
 
 def test_dimension_mismatch_raises():
-    model, apr, _ = scalar_static()
+    model, bounds = scalar_static()
     with pytest.raises(InvalidInput):
-        apriori_estimate(model, apr, [1.0, 2.0])
+        apriori_estimate(model, bounds, [1.0, 2.0])
     with pytest.raises(InvalidInput):
         StaticModel(F=[[1.0, 0.0]], B=[[1.0]], H=[[1.0]])
+
+
+def test_readme_quick_start_runs(capsys):
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "[0.5] 0.5"
