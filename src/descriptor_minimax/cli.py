@@ -14,10 +14,11 @@ Subcommands::
 Which modes and problem kinds each command runs, and which need
 --observations, is read from one table, COMMANDS.
 
-Exit codes: 0 on success, 2 when the requested functional has infinite
-worst-case error (a legitimate mathematical answer, not a crash), and 1
-on any error, a command-line usage error included. Reports are JSON on
-stdout, or written to --output.
+Exit codes, chosen in run() from the report alone: 0 when it is
+feasible, 2 when it is not, which means the requested functional has
+infinite worst-case error (a legitimate mathematical answer, not a
+crash), and 1 on any error, a command-line usage error included.
+Reports are JSON on stdout, or written to --output.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
-
-import numpy as np
 
 from .config import (
     KINDS,
@@ -57,7 +56,7 @@ from .discrete import (
     stack_observations,
     variational_estimate,
 )
-from .errors import EstimationError, InvalidInput, NotRepresentable
+from .errors import EstimationError, InvalidInput, SolveFailure
 from .filtering import filter_run
 from .oracle import chebyshev_check, sample_reachability
 from .simulate import simulate as simulate_dae
@@ -92,21 +91,6 @@ def _load_observations(path, config: ProblemConfig, grid: Optional[TimeGrid]):
     return data
 
 
-def _ell_seq(config: ProblemConfig):
-    """Per-step functional blocks for a discrete problem.
-
-    A bare vector means the terminal functional (ell, x_N); earlier
-    blocks are zero.
-    """
-    model = config.model
-    if config.estimation.ell_seq is not None:
-        return list(config.estimation.ell_seq)
-    ell = config.estimation.ell
-    seq = [np.zeros(model.state_dim) for _ in range(model.horizon + 1)]
-    seq[-1] = ell
-    return seq
-
-
 def _effective_grid(config: ProblemConfig, grid_steps: Optional[int]) -> Optional[TimeGrid]:
     if config.grid is None:
         return None
@@ -124,45 +108,33 @@ def _discrete(config: ProblemConfig, grid: Optional[TimeGrid]) -> tuple:
     return config.model, config.bounds
 
 
-def _estimate(config, observations, grid, **_) -> tuple:
-    kind, mode = config.kind, config.estimation.mode
+def _estimate(config, observations, grid, **_) -> ResultReport:
+    kind, mode, ell = config.kind, config.estimation.mode, config.estimation.ell
     diagnostics = {"kind": kind, "mode": mode}
     if kind == "static":
         if mode == "apriori":
-            rep = apriori_estimate(
-                config.model, config.bounds, config.estimation.ell, observations
-            )
+            rep = apriori_estimate(config.model, config.bounds, ell, observations)
             outputs = {"u_hat": rep.u_hat, "p": rep.p}
         else:
-            rep = aposteriori_estimate(
-                config.model, config.bounds, config.estimation.ell, observations
-            )
+            rep = aposteriori_estimate(config.model, config.bounds, ell, observations)
             outputs = {"x_hat": rep.x_hat, "u_hat": rep.u_hat}
         diagnostics["solver"] = solver_record("dense")
     elif kind == "discrete_dae":
         if mode == "apriori":
-            rep = apriori_horizon_estimate(
-                config.model, config.bounds, _ell_seq(config), observations
-            )
+            rep = apriori_horizon_estimate(config.model, config.bounds, ell, observations)
             u_hat = rep.u_hat_seq
             outputs = {"u_hat": None if u_hat is None else u_hat.reshape(-1)}
         else:
-            rep = variational_estimate(
-                config.model, config.bounds, _ell_seq(config), observations
-            )
+            rep = variational_estimate(config.model, config.bounds, ell, observations)
             outputs = {"x_hat_seq": rep.x_hat_seq}
         diagnostics["solver"] = rep.solver
     else:  # continuous: integral functional, a priori only
         rep = apriori_estimate_continuous(
-            config.model,
-            config.bounds,
-            config.estimation.ell_fn,
-            grid,
-            y_samples=observations,
+            config.model, config.bounds, ell, grid, y_samples=observations
         )
         outputs = {"u_hat_samples": rep.u_hat_samples}
         diagnostics.update(grid_steps=grid.steps, solver=rep.solver)
-    report = ResultReport(
+    return ResultReport(
         command="estimate",
         estimate=rep.estimate_value,
         sigma_hat=rep.sigma_hat,
@@ -170,18 +142,15 @@ def _estimate(config, observations, grid, **_) -> tuple:
         outputs={k: v for k, v in outputs.items() if v is not None},
         diagnostics=diagnostics,
     )
-    return report, EXIT_OK if rep.feasible else EXIT_INFEASIBLE
 
 
-def _filter(config, observations, grid, **_) -> tuple:
+def _filter(config, observations, grid, **_) -> ResultReport:
     dae, dbounds = _discrete(config, grid)
-    ell = config.estimation.ell
-    result = filter_run(dae, dbounds, observations, ell)
-    radius_sq = float(ell @ (result.final.P @ ell))
-    report = ResultReport(
+    result = filter_run(dae, dbounds, observations, config.estimation.ell)
+    return ResultReport(
         command="filter",
         estimate=result.estimate_value,
-        sigma_hat=math.sqrt(max(radius_sq, 0.0)),
+        sigma_hat=result.sigma_hat,
         feasible=True,
         outputs={
             "x_hat_final": result.final.x_hat,
@@ -190,43 +159,32 @@ def _filter(config, observations, grid, **_) -> tuple:
         },
         diagnostics={"kind": config.kind, "steps": dae.horizon},
     )
-    return report, EXIT_OK
 
 
-def _riccati(config, observations, grid, **_) -> tuple:
-    try:
-        result = riccati_filter(
-            config.model, config.bounds, config.estimation.ell, observations, grid
-        )
-    except NotRepresentable as exc:
-        report = ResultReport(
-            command="riccati",
-            estimate=None,
-            sigma_hat=math.inf,
-            feasible=False,
-            diagnostics={"reason": str(exc)},
-        )
-        return report, EXIT_INFEASIBLE
-    report = ResultReport(
+def _riccati(config, observations, grid, **_) -> ResultReport:
+    result = riccati_filter(
+        config.model, config.bounds, config.estimation.ell, observations, grid
+    )
+    outputs = {"K_final": result.K_final, "x_hat_final": result.x_hat_final}
+    return ResultReport(
         command="riccati",
         estimate=result.estimate_value,
         sigma_hat=result.sigma_hat,
-        feasible=True,
-        outputs={"K_final": result.K_final, "x_hat_final": result.x_hat_final},
+        feasible=result.feasible,
+        outputs={k: v for k, v in outputs.items() if v is not None},
         diagnostics={"kind": config.kind, "grid_steps": grid.steps},
     )
-    return report, EXIT_OK
 
 
-def _tikhonov(config, observations, grid, **_) -> tuple:
+def _tikhonov(config, observations, grid, **_) -> ResultReport:
     result = tikhonov_approximate(
         config.model,
         config.bounds,
-        config.estimation.ell_fn,
+        config.estimation.ell,
         grid,
         config.estimation.alphas,
     )
-    report = ResultReport(
+    return ResultReport(
         command="tikhonov",
         estimate=None,
         sigma_hat=None,
@@ -242,10 +200,9 @@ def _tikhonov(config, observations, grid, **_) -> tuple:
             "grid_steps": grid.steps,
         },
     )
-    return report, EXIT_OK
 
 
-def _simulate(config, observations, grid, *, seed, output, **_) -> tuple:
+def _simulate(config, observations, grid, *, seed, output, **_) -> ResultReport:
     dae, dbounds = _discrete(config, grid)
     result = simulate_dae(
         dae, dbounds, disturbance=config.simulation.disturbance, seed=seed
@@ -255,7 +212,7 @@ def _simulate(config, observations, grid, *, seed, output, **_) -> tuple:
     obs_path = os.path.join(output, "observations.csv")
     write_trajectory_csv(states_path, "x", result.states)
     write_trajectory_csv(obs_path, "y", result.observations)
-    report = ResultReport(
+    return ResultReport(
         command="simulate",
         estimate=None,
         sigma_hat=None,
@@ -268,36 +225,42 @@ def _simulate(config, observations, grid, *, seed, output, **_) -> tuple:
             "steps": dae.horizon,
         },
     )
-    return report, EXIT_OK
 
 
-def _validate(config, observations, grid, *, samples, seed, **_) -> tuple:
-    """Make the a posteriori estimate, then attack it with the sampling oracle."""
+def _validate(config, observations, grid, *, samples, seed, **_) -> ResultReport:
+    """Make the a posteriori estimate, then attack it with the sampling
+    oracle; a sampled state beyond the reported radius is a SolveFailure."""
     if samples < 1:
         raise InvalidInput(f"--samples must be at least 1, got {samples}")
-    center, _ = _estimate(config, observations, grid)
+    center = _estimate(config, observations, grid)
     if config.kind == "static":
         model, bounds = config.model, config.bounds
         ell, y = config.estimation.ell, observations
     else:
         model = flatten(config.model)
         bounds = flatten_bounds(config.model, config.bounds)
-        ell = stack_functional(config.model, _ell_seq(config))
+        ell = stack_functional(config.model, config.estimation.ell)
         y = stack_observations(config.model, observations)
 
     sigma = center.sigma_hat
     sample_set = sample_reachability(model, bounds, y, samples, seed)
     check = chebyshev_check(sample_set, ell, center.estimate, sigma)
+    if check.violation_count:
+        raise SolveFailure(
+            f"{check.violation_count} of {check.samples_checked} sampled states "
+            f"violate the reported radius {sigma:.6g}; the largest deviation is "
+            f"{check.max_abs_deviation:.6g}"
+        )
     attained = (
         check.max_abs_deviation / sigma
         if sigma not in (None, 0.0) and math.isfinite(sigma)
         else None
     )
-    report = ResultReport(
+    return ResultReport(
         command="validate",
         estimate=center.estimate,
         sigma_hat=sigma,
-        feasible=True,
+        feasible=center.feasible,
         diagnostics={
             "oracle": {
                 "samples_checked": check.samples_checked,
@@ -309,19 +272,17 @@ def _validate(config, observations, grid, *, samples, seed, **_) -> tuple:
             "solver": center.diagnostics["solver"],
         },
     )
-    return report, EXIT_OK if check.violation_count == 0 else EXIT_ERROR
 
 
-def _check(config, observations, grid, **_) -> tuple:
+def _check(config, observations, grid, **_) -> ResultReport:
     _discrete(config, grid)
-    report = ResultReport(
+    return ResultReport(
         command="check",
         estimate=None,
         sigma_hat=None,
         feasible=True,
         diagnostics={"kind": config.kind, "mode": config.estimation.mode},
     )
-    return report, EXIT_OK
 
 
 @dataclass(frozen=True)
@@ -329,14 +290,15 @@ class Command:
     """One subcommand: its runner and what it runs on.
 
     ``run(config, observations, grid, *, seed, samples, output)`` returns
-    (ResultReport, exit code). The command accepts a config only when
-    its mode is in ``modes`` and its kind in ``kinds``; ``--observations``
-    is required in the modes listed in ``observations``. With
+    the ResultReport only; :func:`run` reads the exit code from its
+    ``feasible``. The command accepts a config only when its mode is in
+    ``modes`` and its kind in ``kinds``; ``--observations`` is required
+    in the modes listed in ``observations``. With
     ``output_dir`` the command needs ``--output`` and writes files into
     that directory; otherwise ``--output`` names the report file.
     """
 
-    run: Callable[..., tuple]
+    run: Callable[..., ResultReport]
     modes: Tuple[str, ...]
     kinds: Tuple[str, ...] = KINDS
     observations: Tuple[str, ...] = ()
@@ -379,8 +341,10 @@ def run(
 
     ``grid`` replaces the config's grid for a continuous problem.
     Returns (ResultReport, exit_code) with the command's wall time in
-    ``timings["seconds"]``. Raises EstimationError subclasses for
-    invalid requests; the CLI entry point maps those to exit 1.
+    ``timings["seconds"]``. The exit code is decided here alone:
+    EXIT_OK for a feasible report, EXIT_INFEASIBLE (an infinite radius)
+    otherwise. Raises EstimationError subclasses for invalid requests
+    and failed solves; the CLI entry point maps those to exit 1.
     """
     spec = COMMANDS.get(command)
     if spec is None:
@@ -398,7 +362,7 @@ def run(
     if spec.output_dir and output_dir is None:
         raise InvalidInput(f"{command} requires --output DIRECTORY")
     started = time.perf_counter()
-    report, code = spec.run(
+    report = spec.run(
         config,
         observations,
         config.grid if grid is None else grid,
@@ -407,7 +371,7 @@ def run(
         output=output_dir,
     )
     report.timings["seconds"] = time.perf_counter() - started
-    return report, code
+    return report, EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
 def _build_parser() -> argparse.ArgumentParser:

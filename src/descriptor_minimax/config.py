@@ -14,8 +14,8 @@ violations raise SchemaError with the offending field path, and shape
 mismatches raise DimensionError (a SchemaError subclass). All checks
 run before any solve is attempted.
 
-Reports serialize with ``sigma_hat`` emitted as the string "infinite"
-when the radius is infinite, never as a bare non-numeric float token.
+Reports serialize an infinite float, such as an infinite ``sigma_hat``,
+as the string "infinite", never as a bare non-numeric float token.
 Floats round-trip exactly: both JSON and CSV emit shortest repr, which
 Python guarantees to parse back to the identical double.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -179,10 +179,14 @@ def _matrix_seq(block: dict, name: str, count: int, path: str):
 
 @dataclass(frozen=True)
 class EstimationSpec:
+    """The functional ``ell`` in the form its (kind, mode) estimator reads:
+    a vector for static problems and for the filter and Riccati endpoint
+    readouts, an (N+1, n) array of per-step blocks for the one-shot
+    discrete modes, a time function for continuous apriori and tikhonov.
+    """
+
     mode: str
-    ell: Optional[np.ndarray] = None          # static / terminal functionals
-    ell_seq: Optional[List[np.ndarray]] = None  # per-step discrete functionals
-    ell_fn: Any = None                        # continuous integral functionals
+    ell: Any
     alphas: Optional[Sequence[float]] = None  # tikhonov schedule
 
 
@@ -291,23 +295,37 @@ def _parse_estimation(block, kind: str, model) -> EstimationSpec:
             "to a discrete_dae problem instead"
         )
 
-    ell = None
-    ell_seq = None
-    ell_fn = None
+    n = model.state_dim
+    one_shot_chain = kind == "discrete_dae" and mode in ("apriori", "aposteriori")
     alphas = None
+    if "ell_seq" in block and not one_shot_chain:
+        raise SchemaError(
+            "estimation.ell_seq is only valid for discrete_dae in mode apriori "
+            f"or aposteriori, not for {kind} in mode {mode}; use estimation.ell"
+        )
     if kind == "continuous_dae" and mode in ("apriori", "tikhonov"):
-        ell_fn = _time_function(
+        ell = _time_function(
             _require(block, "ell", "estimation"), "estimation.ell", vector=True
         )
     elif "ell_seq" in block:
         raw = block["ell_seq"]
         if not isinstance(raw, list):
             raise SchemaError("estimation.ell_seq must be a list of vectors")
-        ell_seq = [
-            _vector(v, f"estimation.ell_seq[{i}]") for i, v in enumerate(raw)
-        ]
+        blocks = [_vector(v, f"estimation.ell_seq[{i}]") for i, v in enumerate(raw)]
+        if len(blocks) != model.horizon + 1:
+            raise DimensionError(
+                f"estimation.ell_seq needs {model.horizon + 1} entries, got {len(blocks)}"
+            )
+        for i, v in enumerate(blocks):
+            if v.shape[0] != n:
+                raise DimensionError(f"estimation.ell_seq[{i}] has wrong length")
+        ell = np.array(blocks)
     else:
         ell = _vector(_require(block, "ell", "estimation"), "estimation.ell")
+        if ell.shape[0] != n:
+            raise DimensionError(f"estimation.ell has length {ell.shape[0]}, expected {n}")
+        if one_shot_chain:  # a bare vector reads the terminal state
+            ell = np.concatenate([np.zeros((model.horizon, n)), ell[None]])
 
     if mode == "tikhonov":
         raw = _require(block, "alphas", "estimation")
@@ -315,9 +333,7 @@ def _parse_estimation(block, kind: str, model) -> EstimationSpec:
             alphas = list(continuous._check_alphas(raw))
         except InvalidInput as exc:
             raise SchemaError(f"estimation.{exc}") from exc
-    return EstimationSpec(
-        mode=mode, ell=ell, ell_seq=ell_seq, ell_fn=ell_fn, alphas=alphas
-    )
+    return EstimationSpec(mode=mode, ell=ell, alphas=alphas)
 
 
 def parse_config(source) -> ProblemConfig:
@@ -383,24 +399,6 @@ def parse_config(source) -> ProblemConfig:
         raise SchemaError(
             f"simulation.disturbance must be one of {DISTURBANCES}, got {disturbance!r}"
         )
-
-    # Cross-check functional dimensions against the model.
-    n = model.state_dim
-    if estimation.ell is not None and estimation.ell.shape[0] != n:
-        raise DimensionError(
-            f"estimation.ell has length {estimation.ell.shape[0]}, expected {n}"
-        )
-    if estimation.ell_seq is not None:
-        if kind != "discrete_dae":
-            raise SchemaError("estimation.ell_seq is only valid for discrete_dae")
-        if len(estimation.ell_seq) != model.horizon + 1:
-            raise DimensionError(
-                f"estimation.ell_seq needs {model.horizon + 1} entries, got "
-                f"{len(estimation.ell_seq)}"
-            )
-        for i, v in enumerate(estimation.ell_seq):
-            if v.shape[0] != n:
-                raise DimensionError(f"estimation.ell_seq[{i}] has wrong length")
 
     return ProblemConfig(
         kind=kind,
@@ -480,12 +478,11 @@ def serialize_config(config: ProblemConfig) -> Dict[str, Any]:
             "end": config.grid.end,
             "steps": config.grid.steps,
         }
-    if config.estimation.ell is not None:
-        est["ell"] = config.estimation.ell.tolist()
-    if config.estimation.ell_seq is not None:
-        est["ell_seq"] = [v.tolist() for v in config.estimation.ell_seq]
-    if config.estimation.ell_fn is not None:
-        est["ell"] = _fn_to_json(config.estimation.ell_fn, "estimation.ell")
+    ell = config.estimation.ell
+    if isinstance(ell, np.ndarray):
+        est["ell_seq" if ell.ndim == 2 else "ell"] = ell.tolist()
+    else:
+        est["ell"] = _fn_to_json(ell, "estimation.ell")
     if config.estimation.alphas is not None:
         est["alphas"] = list(config.estimation.alphas)
     out["estimation"] = est
@@ -514,7 +511,7 @@ class ResultReport:
             if isinstance(value, np.ndarray):
                 return value.tolist()
             if isinstance(value, (np.floating, np.integer)):
-                return value.item()
+                return convert(value.item())
             if isinstance(value, float) and math.isinf(value):
                 return "infinite"
             if isinstance(value, dict):
@@ -523,13 +520,10 @@ class ResultReport:
                 return [convert(v) for v in value]
             return value
 
-        sigma: Any = self.sigma_hat
-        if sigma is not None and math.isinf(sigma):
-            sigma = "infinite"
         return {
             "command": self.command,
             "estimate": convert(self.estimate),
-            "sigma_hat": sigma,
+            "sigma_hat": convert(self.sigma_hat),
             "feasible": self.feasible,
             "outputs": convert(self.outputs),
             "diagnostics": convert(self.diagnostics),

@@ -48,7 +48,6 @@ from .discrete import (
 from .errors import (
     InvalidGrid,
     InvalidInput,
-    NotRepresentable,
     RankDeficient,
     RiccatiBlowup,
     SolveFailure,
@@ -659,13 +658,19 @@ def tikhonov_approximate(
 
 @dataclass(frozen=True)
 class RiccatiResult:
-    """Endpoint readout (ell_0, x(t_end)) with its worst-case radius."""
+    """Endpoint readout (ell_0, x(t_end)) with its worst-case radius.
 
-    estimate_value: float
+    When ell_0 is outside range(F') no linear readout has a finite
+    radius: ``feasible`` is False, ``sigma_hat`` infinite and the other
+    fields None.
+    """
+
+    feasible: bool
     sigma_hat: float
-    K_final: np.ndarray
-    x_hat_final: np.ndarray
-    K_nodes: np.ndarray  # (steps+1, n, n) gain at every grid node
+    estimate_value: Optional[float] = None
+    K_final: Optional[np.ndarray] = None
+    x_hat_final: Optional[np.ndarray] = None
+    K_nodes: Optional[np.ndarray] = None  # (steps+1, n, n) gain at every grid node
 
 
 def riccati_filter(
@@ -698,10 +703,11 @@ def riccati_filter(
     (S(t_end) F^{+'} ell_0, F^{+'} ell_0).
 
     Q2, Q1, C and H are sampled at every node, t_start included, and
-    every weight value checked SPD, before the first step, so a bad coefficient raises
-    before any step runs. Requires square F; raises NotRepresentable
-    when ell_0 is outside range(F'), where no finite-radius endpoint
-    readout exists.
+    every weight value checked SPD before anything else is decided, so a
+    bad coefficient raises whatever ell_0 is. Requires square F. Only
+    then is ell_0 tested against range(F'): outside it no endpoint
+    readout has a finite radius, and the result is infeasible, with an
+    infinite ``sigma_hat``, and nothing is integrated.
     """
     _check_grid(system, grid)
     _check_pair(system, bounds)
@@ -710,13 +716,13 @@ def riccati_filter(
         raise InvalidInput("riccati_filter needs a square coefficient F")
     ell0 = sized_vector(ell0, "ell0", n)
     y = _check_samples(system, y_samples, grid)
-
-    membership = range_membership(system.F.T, ell0)
-    if not membership.member:
-        raise NotRepresentable(
-            "ell0 is not in range(F'); the endpoint functional has no "
-            "finite worst-case radius"
-        )
+    ts = grid.nodes()
+    Q2 = _spd_nodes(bounds.Q2, ts, "Q2(t)")[1:]
+    Q1 = _spd_nodes(bounds.Q1, ts, "Q1(t)")[1:]
+    C = _nodes(system.C, ts, "C(t)")[1:]
+    H = _nodes(system.H, ts, "H(t)")[1:]
+    if not range_membership(system.F.T, ell0).member:
+        return RiccatiResult(feasible=False, sigma_hat=math.inf)
 
     F = system.F
     Fp = pseudo_inverse(F)
@@ -724,15 +730,10 @@ def riccati_filter(
     S = symmetrize(proj @ spd_inverse(bounds.Q0) @ proj)
     x_hat = np.zeros(n)
     h = grid.h
-    ts = grid.nodes()
     eye = np.eye(n)
     gains = np.empty((grid.steps + 1, n, n))
     gains[0] = Fp @ S
 
-    Q2 = _spd_nodes(bounds.Q2, ts, "Q2(t)")[1:]
-    Q1 = _spd_nodes(bounds.Q1, ts, "Q1(t)")[1:]
-    C = _nodes(system.C, ts, "C(t)")[1:]
-    H = _nodes(system.H, ts, "H(t)")[1:]
     HtQ2, W = per_entry(observation_information, H, Q2)
     h_Q1_inv = per_entry(lambda Q: h * symmetrize(np.linalg.inv(symmetrize(Q))), Q1)
     data = h * np.einsum("kij,kj->ki", HtQ2, y[1:])
@@ -769,8 +770,9 @@ def riccati_filter(
     sigma = float(v @ (S @ v))
     estimate = float((F @ x_hat) @ v)
     return RiccatiResult(
-        estimate_value=estimate,
+        feasible=True,
         sigma_hat=max(sigma, 0.0),
+        estimate_value=estimate,
         K_final=Fp @ S,
         x_hat_final=x_hat,
         K_nodes=gains,

@@ -25,16 +25,13 @@ class NumericalBreakdown(EstimationError):
     """An intermediate matrix is too ill-conditioned to invert reliably."""
 
 
-class NotRepresentable(EstimationError):
-    """A target functional lies outside the span the model can estimate."""
-
-
 class RiccatiBlowup(EstimationError):
     """The gain of the differential Riccati recursion left the trust region."""
 
 
 class SolveFailure(EstimationError):
-    """A linear solve returned an unusable result."""
+    """A solve returned an unusable result, such as a radius that
+    sampled consistent states exceed."""
 
 
 class SingularNormalEquations(EstimationError):

@@ -19,6 +19,7 @@ Q' = B^{-T} Q1 B^{-1}, and the initial row likewise absorbs S into Q0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +47,10 @@ class FilterState:
 
 @dataclass(frozen=True)
 class FilterRunResult:
+    """Terminal readout (ell, x_N) with its radius sqrt(ell' P_N ell)."""
+
     estimate_value: float
+    sigma_hat: float
     final: FilterState
     x_hat_seq: np.ndarray
 
@@ -206,8 +210,8 @@ def filter_run(
 ) -> FilterRunResult:
     """Run the filter across the horizon and read out (ell, x_N).
 
-    Returns the terminal readout, the final state (whose P gives the
-    radius ell' P_N ell), and the filtered centers at every step. Note
+    Returns the terminal readout, its radius sqrt(ell' P_N ell), the
+    final state and the filtered centers at every step. Note
     the intermediate x_hat_k use only y_0 .. y_k; they match the batch
     center of the truncated problem, not of the full horizon.
     """
@@ -225,6 +229,7 @@ def filter_run(
         x_seq[k] = state.x_hat
     return FilterRunResult(
         estimate_value=float(ell @ state.x_hat),
+        sigma_hat=math.sqrt(max(float(ell @ (state.P @ ell)), 0.0)),
         final=state,
         x_hat_seq=x_seq,
     )

@@ -511,6 +511,83 @@ def test_check_samples_continuous_weights_on_the_grid(tmp_path, capsys):
             assert capsys.readouterr().err == message
 
 
+def _verdict_docs():
+    static = scalar_doc()
+    static["model"] = {"F": [[1.0, 0.0]], "B": [[1.0]], "H": [[1.0, 0.0]]}
+    static["estimation"]["ell"] = [0.0, 1.0]  # x1 is never observed
+    bad_weight = continuous_doc("riccati")
+    bad_weight["model"]["F"] = [[0.0]]
+    bad_weight["model"]["C"] = [[1.0]]
+    bad_weight["bounds"]["Q1"] = [[-1.0]]
+    filter_seq = chain_doc("filter")
+    filter_seq["estimation"] = {"mode": "filter", "ell_seq": [[0.0], [1.0]]}
+    endpoint = continuous_doc("riccati")
+    endpoint["model"]["F"] = [[0.0]]
+    endpoint["model"]["C"] = [[-1.0]]
+    for doc in (bad_weight, endpoint):
+        doc["grid"]["steps"] = 4
+    ok, inf, err = EXIT_OK, EXIT_INFEASIBLE, EXIT_ERROR
+    return {
+        "a": (static, [[0.5]], {"estimate": inf, "validate": inf, "check": ok}),
+        "b": (bad_weight, np.zeros((5, 1)), {"riccati": err, "simulate": err, "check": err}),
+        "c": (filter_seq, np.ones((2, 1)), {"filter": err, "simulate": err, "check": err}),
+        # simulate needs a regular F_0 to start the state, whatever ell is
+        "d": (endpoint, np.zeros((5, 1)), {"riccati": inf, "simulate": err, "check": ok}),
+        "e": (
+            chain_doc(),
+            [[10.0], [10.0]],  # no admissible disturbance explains these
+            {"estimate": err, "validate": err, "simulate": ok, "check": ok},
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", "abcde")
+def test_every_command_gives_the_same_verdict(tmp_path, capsys, name):
+    # 0 finite, 2 infinite, 1 any error: decided in run() from the report
+    doc, rows, codes = _verdict_docs()[name]
+    kind, mode = doc["kind"], doc["estimation"]["mode"]
+    accepting = {c for c, spec in COMMANDS.items() if mode in spec.modes and kind in spec.kinds}
+    assert set(codes) == accepting
+    config, obs = write_doc(tmp_path, doc), write_obs(tmp_path, rows)
+    for command, expected in codes.items():
+        argv = [command, "--config", config, "--observations", obs, "--samples", "100"]
+        out = tmp_path / command
+        code = main(argv + (["--output", str(out)] if COMMANDS[command].output_dir else []))
+        captured = capsys.readouterr()
+        assert code == expected, (command, captured.err)
+        if expected == EXIT_ERROR:
+            assert captured.err.startswith("error: ") and captured.out == ""
+            if name == "c":
+                assert "estimation.ell_seq" in captured.err
+        else:
+            report = json.loads(captured.out)
+            assert report["feasible"] is (expected == EXIT_OK)
+            if expected == EXIT_INFEASIBLE:
+                assert report["sigma_hat"] == "infinite"
+
+
+def test_validate_breaks_on_a_radius_the_oracle_beats(tmp_path, capsys, monkeypatch):
+    from descriptor_minimax import cli
+
+    real = cli.aposteriori_estimate
+
+    def halved(*args):
+        rep = real(*args)
+        return dataclasses.replace(rep, sigma_hat=rep.sigma_hat / 2)
+
+    monkeypatch.setattr(cli, "aposteriori_estimate", halved)
+    argv = ["validate", "--config", write_doc(tmp_path, scalar_doc())]
+    argv += ["--observations", write_obs(tmp_path, [[1.0]]), "--samples", "4000"]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: \d+ of 4000 sampled states violate the reported radius 0\.25; "
+        r"the largest deviation is 0\.5\n",
+        captured.err,
+    )
+
+
 def test_validate_rejects_samples_below_one(tmp_path, capsys):
     argv = [
         "validate",

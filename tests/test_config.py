@@ -13,7 +13,7 @@ from descriptor_minimax.config import (
     serialize_config,
     write_trajectory_csv,
 )
-from descriptor_minimax import DimensionError, ParseError, SchemaError
+from descriptor_minimax import ConstantFunction, DimensionError, ParseError, SchemaError
 
 
 def static_doc():
@@ -74,7 +74,36 @@ def test_parse_discrete_document_replicates_single_matrices():
     assert config.model.horizon == 1
     assert len(config.model.F_seq) == 2
     assert len(config.bounds.Q2_seq) == 2
-    assert config.estimation.ell_seq[1] == pytest.approx([1.0])
+    assert config.estimation.ell[1] == pytest.approx([1.0])
+
+
+def test_functional_takes_the_form_its_estimator_reads():
+    assert parse_config(static_doc()).estimation.ell.tolist() == [1.0]
+    doc = discrete_doc()
+    doc["estimation"] = {"mode": "apriori", "ell": [2.0]}  # the terminal block
+    assert parse_config(doc).estimation.ell.tolist() == [[0.0], [2.0]]
+    doc["estimation"] = {"mode": "filter", "ell": [2.0]}
+    assert parse_config(doc).estimation.ell.tolist() == [2.0]
+    assert isinstance(parse_config(continuous_doc()).estimation.ell, ConstantFunction)
+    for entries, message in (
+        ([[1.0]], r"ell_seq needs 2 entries, got 1"),
+        ([[0.0], [1.0, 2.0]], r"ell_seq\[1\] has wrong length"),
+    ):
+        doc = discrete_doc()
+        doc["estimation"]["ell_seq"] = entries
+        with pytest.raises(DimensionError, match=message):
+            parse_config(doc)
+    # per-step blocks are for the one-shot discrete modes only
+    for make, mode in (
+        (discrete_doc, "filter"),
+        (static_doc, "aposteriori"),
+        (continuous_doc, "riccati"),
+        (continuous_doc, "apriori"),
+    ):
+        doc = make()
+        doc["estimation"] = {"mode": mode, "ell": [1.0], "ell_seq": [[0.0], [1.0]]}
+        with pytest.raises(SchemaError, match=rf"^estimation\.ell_seq is only valid .* in mode {mode};"):
+            parse_config(doc)
 
 
 def test_parse_discrete_document_with_sequences():

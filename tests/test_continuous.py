@@ -19,7 +19,6 @@ from descriptor_minimax import (
     InvalidBounds,
     InvalidGrid,
     InvalidInput,
-    NotRepresentable,
     PolynomialFunction,
     RankDeficient,
     RiccatiBlowup,
@@ -461,8 +460,13 @@ def test_riccati_nonrepresentable_endpoint():
     )
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
     grid = TimeGrid(0.0, 1.0, 10)
-    with pytest.raises(NotRepresentable):
-        riccati_filter(system, bounds, [1.0], np.zeros((11, 1)), grid)
+    out = riccati_filter(system, bounds, [1.0], np.zeros((11, 1)), grid)
+    assert out.feasible is False and out.sigma_hat == np.inf
+    assert (out.estimate_value, out.K_final, out.x_hat_final, out.K_nodes) == (None,) * 4
+    # the weights are checked first: a bad Q1 raises whatever ell_0 is
+    bad = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[-1.0]], Q2=[[1.0]])
+    with pytest.raises(InvalidBounds, match=r"Q1\(t\) at t=0 is not positive definite"):
+        riccati_filter(system, bad, [1.0], np.zeros((11, 1)), grid)
 
 
 def test_riccati_rejects_rectangular_f():

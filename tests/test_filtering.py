@@ -205,6 +205,7 @@ def test_near_identity_b_and_s_keep_the_radius():
     ell_seq[-1] = ell
     sigma = apriori_horizon_estimate(dae, bounds, ell_seq).sigma_hat
     assert ell @ run.final.P @ ell == pytest.approx(sigma, rel=1e-12)
+    assert run.sigma_hat == np.sqrt(ell @ run.final.P @ ell)
 
 
 def test_rank_precondition_detects_deficiency():
