@@ -24,7 +24,6 @@ Reports are JSON on stdout, or written to --output.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -229,10 +228,27 @@ def _simulate(config, observations, grid, *, seed, output, **_) -> ResultReport:
 
 def _validate(config, observations, grid, *, samples, seed, **_) -> ResultReport:
     """Make the a posteriori estimate, then attack it with the sampling
-    oracle; a sampled state beyond the reported radius is a SolveFailure."""
+    oracle; a sampled state beyond the reported radius is a SolveFailure.
+    An infinite radius cannot be broken, so it is reported (exit 2) with
+    ``"oracle": null`` and no draws."""
     if samples < 1:
         raise InvalidInput(f"--samples must be at least 1, got {samples}")
     center = _estimate(config, observations, grid)
+    diagnostics = {"oracle": None, "solver": center.diagnostics["solver"]}
+    if center.feasible:
+        diagnostics["oracle"] = _attack(config, observations, center, samples, seed)
+    return ResultReport(
+        command="validate",
+        estimate=center.estimate,
+        sigma_hat=center.sigma_hat,
+        feasible=center.feasible,
+        diagnostics=diagnostics,
+    )
+
+
+def _attack(config, observations, center, samples, seed) -> dict:
+    """Sample ``(ell, x)`` over the consistent states, projecting each
+    chunk onto ell before the lift, and check it against the radius."""
     if config.kind == "static":
         model, bounds = config.model, config.bounds
         ell, y = config.estimation.ell, observations
@@ -243,35 +259,23 @@ def _validate(config, observations, grid, *, samples, seed, **_) -> ResultReport
         y = stack_observations(config.model, observations)
 
     sigma = center.sigma_hat
-    sample_set = sample_reachability(model, bounds, y, samples, seed)
-    check = chebyshev_check(sample_set, ell, center.estimate, sigma)
+    sample_set = sample_reachability(
+        model, bounds, y, samples, seed, readout=ell[None, :]
+    )
+    check = chebyshev_check(sample_set, [1.0], center.estimate, sigma)
     if check.violation_count:
         raise SolveFailure(
             f"{check.violation_count} of {check.samples_checked} sampled states "
             f"violate the reported radius {sigma:.6g}; the largest deviation is "
             f"{check.max_abs_deviation:.6g}"
         )
-    attained = (
-        check.max_abs_deviation / sigma
-        if sigma not in (None, 0.0) and math.isfinite(sigma)
-        else None
-    )
-    return ResultReport(
-        command="validate",
-        estimate=center.estimate,
-        sigma_hat=sigma,
-        feasible=center.feasible,
-        diagnostics={
-            "oracle": {
-                "samples_checked": check.samples_checked,
-                "violation_count": check.violation_count,
-                "max_abs_deviation": check.max_abs_deviation,
-                "attained_fraction": attained,
-                "seed": seed,
-            },
-            "solver": center.diagnostics["solver"],
-        },
-    )
+    return {
+        "samples_checked": check.samples_checked,
+        "violation_count": check.violation_count,
+        "max_abs_deviation": check.max_abs_deviation,
+        "attained_fraction": check.max_abs_deviation / sigma if sigma else None,
+        "seed": seed,
+    }
 
 
 def _check(config, observations, grid, **_) -> ResultReport:

@@ -6,7 +6,9 @@ slow and explicit way:
 * ``sample_reachability`` draws points from the set of states that are
   consistent with an observation and the ellipsoidal bound, by reducing
   the constraint F x = B f to a parametrized ellipsoid and sampling its
-  boundary and interior directly.
+  boundary and interior directly. With a ``readout`` L it returns the
+  values L x of the same draws instead, projecting before the lift, so
+  no state is formed.
 * ``chebyshev_check`` tests a reported center/radius pair against such
   samples: no consistent state may put the functional further than the
   radius from the reported value.
@@ -35,6 +37,7 @@ from .linalg import (
     DEFAULT_TOL,
     NEGATIVE_FLOOR,
     NORMAL_EQUATION_TOL,
+    as_matrix,
     as_vector,
     block_diag,
     null_basis,
@@ -101,6 +104,7 @@ def sample_reachability(
     y,
     count: int,
     seed: int,
+    readout=None,
 ) -> ReachabilitySampleSet:
     """Draw ``count`` states consistent with observation ``y``.
 
@@ -112,6 +116,12 @@ def sample_reachability(
     set's non-compactness too. Deterministic for fixed (seed, count):
     the chunks are drawn one after another, each from its own substream,
     straight into the returned arrays.
+
+    With ``readout`` L, a k x n matrix, ``x`` holds the values L x of
+    the same draws, shape (count, k). L is folded into the two draw maps
+    once, so a chunk costs one (size x r)(r x k) product and neither the
+    states nor the reduced coordinates are formed: memory is O(count k),
+    not O(count n).
     """
     if model.state_dim > MAX_ORACLE_DIM:
         raise DimensionTooLarge(
@@ -122,22 +132,29 @@ def sample_reachability(
     y = sized_vector(y, "y", model.observation_dim)
 
     n = model.state_dim
+    if readout is not None:
+        readout = as_matrix(readout, "readout")
+        if readout.shape[1] != n:
+            raise InvalidInput(
+                f"readout has {readout.shape[1]} columns, expected {n}"
+            )
+    width = n if readout is None else readout.shape[0]
     Z, M, b, c = _reduced_quadratic(model, bounds, y)
     r = Z.shape[1]
 
     if r == 0:
         # Only candidate is (x, f) = 0; consistent iff the data energy fits.
         if c > 1.0 + NEGATIVE_FLOOR:
-            return ReachabilitySampleSet(np.zeros((0, n)), np.zeros(0, bool), True)
+            return ReachabilitySampleSet(np.zeros((0, width)), np.zeros(0, bool), True)
         return ReachabilitySampleSet(
-            np.zeros((count, n)), np.zeros(count, bool), False
+            np.zeros((count, width)), np.zeros(count, bool), False
         )
 
     center_fit = solve_least_squares(M, b)
     xi_star = center_fit.solution
     j_min = max(c - float(b @ xi_star), 0.0)
     if j_min > 1.0 + NEGATIVE_FLOOR:
-        return ReachabilitySampleSet(np.zeros((0, n)), np.zeros(0, bool), True)
+        return ReachabilitySampleSet(np.zeros((0, width)), np.zeros(0, bool), True)
     radius = math.sqrt(max(1.0 - j_min, 0.0))
 
     # Split curvature directions from flat ones, anchoring the rank
@@ -154,16 +171,23 @@ def sample_reachability(
     null_amp = 10.0 * (1.0 + radius + float(np.linalg.norm(xi_star)))
 
     if count == 0:
-        return ReachabilitySampleSet(np.zeros((0, n)), np.zeros(0, bool), False)
+        return ReachabilitySampleSet(np.zeros((0, width)), np.zeros(0, bool), False)
 
-    xs = np.empty((count, n))
+    if readout is not None:
+        # The draw maps followed by the lift and the readout, as one
+        # product each: row draws times these give L x directly.
+        LZ = readout @ Z[:n]
+        center = LZ @ xi_star
+        pd_map = radius * (inv_sqrt[:, None] * (V_pd.T @ LZ.T))
+        null_map = null_amp * (V_null.T @ LZ.T)
+
+    xs = np.empty((count, width))
     flags = np.zeros(count, dtype=bool)
     children = np.random.SeedSequence(seed).spawn((count + _CHUNK - 1) // _CHUNK)
     for i, child in enumerate(children):
         lo = i * _CHUNK
         size = min(_CHUNK, count - lo)
         rng = np.random.default_rng(child)
-        xi = np.tile(xi_star, (size, 1))
         if r_pd > 0:
             dirs = rng.standard_normal((size, r_pd))
             norms = np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -173,10 +197,23 @@ def sample_reachability(
             interior = np.arange(size) % 2 == 1
             scales[interior] = rng.random(interior.sum()) ** (1.0 / r_pd)
             flags[lo : lo + size] = ~interior
-            xi += radius * (dirs * scales[:, None] * inv_sqrt[None, :]) @ V_pd.T
+            dirs *= scales[:, None]
         if r_null > 0:
-            xi += (null_amp * rng.standard_normal((size, r_null))) @ V_null.T
-        xs[lo : lo + size] = (Z[:n] @ xi.T).T
+            flat = rng.standard_normal((size, r_null))
+        out = xs[lo : lo + size]
+        if readout is None:
+            xi = np.tile(xi_star, (size, 1))
+            if r_pd > 0:
+                xi += radius * (dirs * inv_sqrt[None, :]) @ V_pd.T
+            if r_null > 0:
+                xi += (null_amp * flat) @ V_null.T
+            out[:] = (Z[:n] @ xi.T).T
+        else:
+            out[:] = center
+            if r_pd > 0:
+                out += dirs @ pd_map
+            if r_null > 0:
+                out += flat @ null_map
     return ReachabilitySampleSet(x=xs, boundary=flags, empty=False)
 
 

@@ -588,6 +588,23 @@ def test_validate_breaks_on_a_radius_the_oracle_beats(tmp_path, capsys, monkeypa
     )
 
 
+def test_validate_draws_nothing_against_an_infinite_radius(tmp_path, capsys, monkeypatch):
+    from descriptor_minimax import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran against an infinite radius")
+
+    monkeypatch.setattr(cli, "sample_reachability", refuse)
+    doc, rows, _ = _verdict_docs()["a"]
+    argv = ["validate", "--config", write_doc(tmp_path, doc)]
+    argv += ["--observations", write_obs(tmp_path, rows)]
+    assert main(argv) == EXIT_INFEASIBLE
+    report = json.loads(capsys.readouterr().out)
+    assert report["feasible"] is False
+    assert report["sigma_hat"] == "infinite"
+    assert report["diagnostics"]["oracle"] is None
+
+
 def test_validate_rejects_samples_below_one(tmp_path, capsys):
     argv = [
         "validate",

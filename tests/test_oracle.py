@@ -13,7 +13,9 @@ import pytest
 
 from descriptor_minimax import (
     DimensionTooLarge,
+    DiscreteDAE,
     EmptySet,
+    InvalidInput,
     SingularNormalEquations,
     StaticEllipsoid,
     StaticModel,
@@ -154,6 +156,84 @@ def test_sampler_memory_stays_near_its_output():
         tracemalloc.stop()
     assert samples.x.shape == (20_000, 64)
     assert peak < 2 * samples.x.nbytes
+
+
+def _readout_problems():
+    """Static shapes, rank-deficient F and H, a set with a flat direction
+    (x2 is free), and regular and descriptor chains of 64 states."""
+    rng = rng_for(9)
+    problems = {}
+    model, bounds = make_static(rng, n=3, m=2, p=2, l=2)
+    problems["static"] = (model, bounds, feasible_observation(rng, model, bounds))
+    model = StaticModel(
+        F=rng.standard_normal((3, 1)) @ rng.standard_normal((1, 3)),
+        B=rng.standard_normal((3, 2)),
+        H=rng.standard_normal((2, 1)) @ rng.standard_normal((1, 3)),
+    )
+    unit = StaticEllipsoid(Q1=np.eye(2), Q2=np.eye(2))
+    problems["rank-deficient"] = (model, unit, np.zeros(2))
+    model = StaticModel(F=[[1.0, 0.0]], B=[[1.0]], H=[[1.0, 0.0]])
+    problems["flat"] = (model, StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]]), np.array([0.5]))
+    dae, bounds = make_discrete(rng_for(0), n=2, N=31)
+    F_seq = dae.F_seq.copy()
+    F_seq[:, :, 1] = 0.0  # every F_k singular
+    descriptor = DiscreteDAE(
+        F_seq=F_seq, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=dae.H_seq
+    )
+    for name, chain in (("chain", dae), ("descriptor-chain", descriptor)):
+        model = flatten(chain)
+        y = np.zeros(model.observation_dim)
+        problems[name] = (model, flatten_bounds(chain, bounds), y)
+    return problems
+
+
+READOUT_PROBLEMS = _readout_problems()
+
+
+@pytest.mark.parametrize("count", [1, 2047, 2048, 2049, 5000])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("name", sorted(READOUT_PROBLEMS))
+def test_readout_matches_the_states_it_projects(name, k, count):
+    model, bounds, y = READOUT_PROBLEMS[name]
+    L = rng_for(k).standard_normal((k, model.state_dim))
+    states = sample_reachability(model, bounds, y, count, seed=5)
+    values = sample_reachability(model, bounds, y, count, seed=5, readout=L)
+    reference = states.x @ L.T
+    assert values.x.shape == (count, k)
+    assert np.array_equal(values.boundary, states.boundary)
+    assert not values.empty
+    assert np.abs(values.x - reference).max() <= 1e-12 * np.abs(reference).max()
+    if name == "flat" and count > 1:
+        assert np.ptp(states.x[:, 1]) > 10.0  # the free direction is sampled
+
+
+def test_readout_keeps_the_empty_set_and_checks_its_shape():
+    model, bounds = scalar_static()
+    samples = sample_reachability(model, bounds, [10.0], 100, seed=0, readout=[[1.0]])
+    assert samples.empty
+    assert samples.x.shape == (0, 1)
+    with pytest.raises(InvalidInput, match="readout has 2 columns, expected 1"):
+        sample_reachability(model, bounds, [1.0], 100, seed=0, readout=[[1.0, 0.0]])
+
+
+def test_readout_memory_stays_near_its_output():
+    # 10^5 draws on 64 states: the states would take 51.2 MB. Projected
+    # before the lift, the traced peak stays below an eighth of that.
+    dae, bounds = make_discrete(rng_for(0), n=2, N=31)
+    model = flatten(dae)
+    flat_bounds = flatten_bounds(dae, bounds)
+    y = np.zeros(model.observation_dim)
+    ell = rng_for(1).standard_normal((1, model.state_dim))
+    count = 100_000
+    tracemalloc.start()
+    try:
+        samples = sample_reachability(model, flat_bounds, y, count, seed=0, readout=ell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    states_bytes = count * model.state_dim * 8
+    assert samples.x.shape == (count, 1)
+    assert peak < states_bytes / 8
 
 
 def test_empty_set_detected():
