@@ -15,6 +15,14 @@ The recursion assumes each transition injects its process disturbance
 directly, B_k = I. A square invertible B_k (and S) is reduced to that
 case by re-weighting: f' = B f carries energy (Q' f', f') with
 Q' = B^{-T} Q1 B^{-1}, and the initial row likewise absorbs S into Q0.
+
+:func:`filter_run` walks the horizon in blocks of ``_BLOCK`` steps.
+Within a block only the two inversions of each step, D_k and P_k, run
+one step at a time. The block's checks (one batched eigvalsh over its
+propagated covariances, one over its information matrices), its gains
+G_k = P_k F_k' D_k C_{k-1} and its terms b_k = P_k H_k'Q2_k y_k are each
+one batched call, and the centers follow from the data recursion
+x_k = G_k x_{k-1} + b_k. Memory beyond the outputs is O(_BLOCK n^2).
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ from .linalg import (
     sized_vector,
     symmetrize,
 )
+
+# Steps per block: the covariance recursion runs one step at a time, the
+# checks, the gains and the center update once per block.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -149,16 +161,93 @@ def prepare_filter(dae: DiscreteDAE, bounds: DAEEllipsoid) -> FilterModel:
     )
 
 
-def _invert_information(info: np.ndarray, k: int) -> np.ndarray:
-    info = symmetrize(info)
-    eigs = np.linalg.eigvalsh(info)
-    scale = max(float(eigs[-1]), 1.0)
-    if eigs[0] <= DEFAULT_TOL * scale:
+def _check_block(start: int, inner: np.ndarray, info: np.ndarray) -> None:
+    """Raise the verdict of the first failing step among start, start + 1, ...
+
+    ``inner[i]`` is Q1^{-1} + C P C' and ``info[i]`` is F'DF + W at step
+    start + i. Step 0 absorbs no transition, so its ``inner`` is not
+    judged, and ``info`` ends one step early where inverting the last
+    ``inner`` failed. At each step the propagated covariance is judged
+    before the information matrix, each by one batched eigvalsh for the
+    block. Should LAPACK fail on some entry, which is then non-finite, the
+    steps are judged one at a time, so that a failing step before it
+    still raises its own verdict.
+    """
+    try:
+        low = np.linalg.eigvalsh(inner)[:, 0]
+        if start == 0:
+            low[0] = np.inf
+        broken = low < BREAKDOWN_EIG_FLOOR
+        stop = int(np.argmax(broken)) if broken.any() else len(inner)
+        eigs = np.linalg.eigvalsh(info[:stop])
+    except np.linalg.LinAlgError:
+        if len(inner) < 2:
+            raise
+        for i in range(len(inner)):
+            _check_block(start + i, inner[i : i + 1], info[i : i + 1])
+        raise
+    singular = eigs[:, 0] <= DEFAULT_TOL * np.maximum(eigs[:, -1], 1.0)
+    if singular.any():
         raise RankDeficient(
-            f"information matrix at step {k} is singular; the rank "
-            f"precondition on [F_k; H_k] fails"
+            f"information matrix at step {start + int(np.argmax(singular))} is "
+            f"singular; the rank precondition on [F_k; H_k] fails"
         )
-    return symmetrize(np.linalg.inv(info))
+    if stop < len(inner):
+        raise NumericalBreakdown(
+            f"propagated covariance at step {start + stop} has eigenvalue "
+            f"{low[stop]:.3e} below {BREAKDOWN_EIG_FLOOR}"
+        )
+
+
+def _filter_block(model: FilterModel, start: int, P, x, Y: np.ndarray, out: np.ndarray):
+    """Steps start .. start + len(Y) - 1 of the filter; returns P at the last one.
+
+    (P, x) is the state at step start - 1, unused at step 0. Only the two
+    inversions of each step, which need the step before, run one step at
+    a time; their operands go into (B, ., .) buffers. Then
+    :func:`_check_block` judges the block, one batched product forms the
+    gains G_k = P_k F_k' D_k C_{k-1} and the terms b_k = P_k H_k'Q2_k y_k,
+    and the centers x_k = G_k x_{k-1} + b_k are written into ``out``.
+    """
+    count = len(Y)
+    stop = start + count
+    F, W = model.F[start:stop], model.W[start:stop]
+    m, n = F.shape[1:]
+    first = 1 if start == 0 else 0  # step 0 absorbs no transition: D_0 = q0
+    C = model.C[start + first - 1 : stop - 1]
+    q1_inv = model.q1_inv[start + first - 1 : stop - 1]
+    inner = np.zeros((count, m, m))  # step 0's row stays 0 but is passed to eigvalsh
+    D = np.empty((count, m, m))
+    info = np.empty((count, n, n))
+    Ps = np.empty((count, n, n))
+    if first:
+        d = D[0] = model.q0
+    formed = 0
+    # steps after a failing one may overflow before the block is judged
+    with np.errstate(all="ignore"):
+        try:
+            for i in range(count):
+                if i >= first:
+                    c = C[i - first]
+                    a = inner[i] = symmetrize(q1_inv[i - first] + c @ P @ c.T)
+                    d = D[i] = symmetrize(np.linalg.inv(a))
+                f = F[i]
+                a = info[i] = symmetrize(f.T @ d @ f + W[i])
+                formed = i + 1
+                P = Ps[i] = symmetrize(np.linalg.inv(a))
+        except np.linalg.LinAlgError:
+            _check_block(start, inner[: i + 1], info[:formed])
+            raise
+    _check_block(start, inner, info)
+
+    G = np.zeros((count, n, n))
+    G[first:] = Ps[first:] @ (np.swapaxes(F[first:], 1, 2) @ (D[first:] @ C))
+    b = (Ps @ (model.HtQ2[start:stop] @ Y[:, :, None]))[:, :, 0]
+    if first:
+        x = np.zeros(n)
+    for i in range(count):
+        x = out[i] = G[i] @ x + b[i]
+    return P
 
 
 def filter_init(model: FilterModel, y0) -> FilterState:
@@ -168,9 +257,9 @@ def filter_init(model: FilterModel, y0) -> FilterState:
     x_hat_0 = P_0 H_0' Q2_0 y_0
     """
     y0 = sized_vector(y0, "y0", model.observation_dim)
-    F0 = model.F[0]
-    P = _invert_information(F0.T @ model.q0 @ F0 + model.W[0], 0)
-    return FilterState(k=0, x_hat=P @ (model.HtQ2[0] @ y0), P=P)
+    x = np.empty((1, model.F.shape[2]))
+    P = _filter_block(model, 0, None, None, y0[None], x)
+    return FilterState(k=0, x_hat=x[0], P=P)
 
 
 def filter_step(state: FilterState, model: FilterModel, y_next) -> FilterState:
@@ -184,25 +273,31 @@ def filter_step(state: FilterState, model: FilterModel, y_next) -> FilterState:
     D blends the fresh process uncertainty with the propagated shape of
     the previous estimate; the outer inversion is the usual information
     update against the new observation. Q1^{-1} (with B folded in),
-    H'Q2H and H'Q2 come precomputed from :func:`prepare_filter`.
+    H'Q2H and H'Q2 come precomputed from :func:`prepare_filter`. This is
+    a block of one step of the routine that :func:`filter_run` runs.
     """
     k = state.k + 1
     if k > model.horizon:
         raise InvalidInput(f"step {k} exceeds horizon {model.horizon}")
     y = sized_vector(y_next, "y_next", model.observation_dim)
-    C_prev = model.C[k - 1]
-    inner = symmetrize(model.q1_inv[k - 1] + C_prev @ state.P @ C_prev.T)
-    inner_eigs = np.linalg.eigvalsh(inner)
-    if inner_eigs[0] < BREAKDOWN_EIG_FLOOR:
-        raise NumericalBreakdown(
-            f"propagated covariance at step {k} has eigenvalue "
-            f"{inner_eigs[0]:.3e} below {BREAKDOWN_EIG_FLOOR}"
-        )
-    D = symmetrize(np.linalg.inv(inner))
-    F_k = model.F[k]
-    P = _invert_information(F_k.T @ D @ F_k + model.W[k], k)
-    x = P @ (F_k.T @ (D @ (C_prev @ state.x_hat)) + model.HtQ2[k] @ y)
-    return FilterState(k=k, x_hat=x, P=P)
+    x = np.empty((1, model.F.shape[2]))
+    P = _filter_block(model, k, state.P, state.x_hat, y[None], x)
+    return FilterState(k=k, x_hat=x[0], P=P)
+
+
+def _observation_stack(y_seq, size: int) -> np.ndarray:
+    """``y_seq`` as one (count, size) finite array: one conversion, one test.
+
+    Only when that test fails are the rows scanned, to name the first bad
+    one (``y_seq[17] has length 3, expected 2``).
+    """
+    try:
+        Y = np.asarray(y_seq, dtype=float)
+        if Y.shape == (len(y_seq), size) and np.isfinite(Y).all():
+            return Y
+    except (TypeError, ValueError):
+        pass
+    return np.array([sized_vector(y, f"y_seq[{k}]", size) for k, y in enumerate(y_seq)])
 
 
 def filter_run(
@@ -213,23 +308,25 @@ def filter_run(
     Returns the terminal readout, its radius sqrt(ell' P_N ell), the
     final state and the filtered centers at every step. Note
     the intermediate x_hat_k use only y_0 .. y_k; they match the batch
-    center of the truncated problem, not of the full horizon.
+    center of the truncated problem, not of the full horizon. The steps
+    run in blocks of ``_BLOCK``, so beyond its outputs the run holds
+    O(_BLOCK n^2) memory.
     """
-    if len(y_seq) != dae.horizon + 1:
-        raise InvalidInput(
-            f"expected {dae.horizon + 1} observation vectors, got {len(y_seq)}"
-        )
+    count = dae.horizon + 1
+    if len(y_seq) != count:
+        raise InvalidInput(f"expected {count} observation vectors, got {len(y_seq)}")
     ell = sized_vector(ell, "ell", dae.state_dim)
     model = prepare_filter(dae, bounds)
-    state = filter_init(model, y_seq[0])
-    x_seq = np.empty((dae.horizon + 1, dae.state_dim))
-    x_seq[0] = state.x_hat
-    for k in range(1, dae.horizon + 1):
-        state = filter_step(state, model, y_seq[k])
-        x_seq[k] = state.x_hat
+    Y = _observation_stack(y_seq, model.observation_dim)
+    x_seq = np.empty((count, dae.state_dim))
+    P = None
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        P = _filter_block(model, start, P, x_seq[start - 1], Y[start:stop], x_seq[start:stop])
+    final = FilterState(k=dae.horizon, x_hat=x_seq[-1].copy(), P=P)
     return FilterRunResult(
-        estimate_value=float(ell @ state.x_hat),
-        sigma_hat=math.sqrt(max(float(ell @ (state.P @ ell)), 0.0)),
-        final=state,
+        estimate_value=float(ell @ final.x_hat),
+        sigma_hat=math.sqrt(max(float(ell @ (P @ ell)), 0.0)),
+        final=final,
         x_hat_seq=x_seq,
     )

@@ -158,7 +158,7 @@ def as_matrix_stack(
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def spd_stack_error(stack: np.ndarray, label: Callable[[int], str]):

@@ -76,8 +76,10 @@ def simulate(
     """Propagate one admissible disturbance draw through the recursion.
 
     Everything but the state recursion itself runs on whole stacks: the
-    unwhitening, the step regularity test, the forcing B_k f_k, the
-    observations and the energy.
+    unwhitening, the step regularity test, the transition maps
+    A_k = F_{k+1}^{-1} C_k and u_k = F_{k+1}^{-1} B_k f_k (one batched
+    solve each), the observations and the energy. The recursion is then
+    x_{k+1} = A_k x_k + u_k, one matvec per step.
     """
     if disturbance not in _MODES:
         raise InvalidInput(f"disturbance must be one of {_MODES}, got {disturbance!r}")
@@ -103,12 +105,14 @@ def simulate(
     noise = _unwhiten(bounds.Q2_seq, xi[m + N * p :].reshape(N + 1, l))
 
     _check_steps(dae.F_seq)
+    F_next = dae.F_seq[1:]
+    A = per_entry(np.linalg.solve, F_next, dae.C_seq)
     forcing = np.einsum("kij,kj->ki", dae.B_seq, process)
+    u = np.linalg.solve(F_next, forcing[:, :, None])[:, :, 0]
     states = np.zeros((N + 1, dae.state_dim))
     states[0] = np.linalg.solve(dae.F_seq[0], dae.S @ x0g)
     for k in range(N):
-        rhs = dae.C_seq[k] @ states[k] + forcing[k]
-        states[k + 1] = np.linalg.solve(dae.F_seq[k + 1], rhs)
+        states[k + 1] = A[k] @ states[k] + u[k]
 
     observations = np.einsum("kij,kj->ki", dae.H_seq, states) + noise
     energy = (

@@ -203,6 +203,22 @@ def test_filter_chain(tmp_path, capsys):
     assert report["sigma_hat"] == pytest.approx(math.sqrt(0.6), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1.0\n1,1.0,2.0\n", "row 1 has 3 fields, expected 2"),
+        ("0,1.0\n1,nan\n", "y_seq[1] contains non-finite entries"),
+        ("0,1.0\n1,1.0\n2,1.0\n", "observations have 3 rows, expected 2"),
+    ],
+)
+def test_filter_rejects_bad_observation_rows(tmp_path, capsys, rows, message):
+    obs = tmp_path / "y.csv"
+    obs.write_text("k,y0\n" + rows)
+    config = write_doc(tmp_path, chain_doc("filter"))
+    assert main(["filter", "--config", config, "--observations", str(obs)]) == EXIT_ERROR
+    assert message in capsys.readouterr().err
+
+
 def test_riccati_scalar(tmp_path, capsys):
     doc = continuous_doc("riccati")
     code = main(

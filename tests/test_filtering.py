@@ -372,6 +372,129 @@ def test_prepared_filter_stops_where_the_loop_stops():
 
 
 # ---------------------------------------------------------------------------
+# Blocks of steps: the same answers and verdicts at every block edge
+
+BLOCK = filtering_mod._BLOCK
+
+
+def _block_edge_chain(rng, N, descriptor):
+    n = int(rng.integers(1, 6))
+    l = int(rng.integers(1, 6))
+    m = n + 1 if descriptor else n
+    dae, bounds = make_discrete(rng, n=n, m=m, p=m, l=l, N=N)  # S != I
+    # well-conditioned F_k, so that 1e-12 bounds the rounding difference
+    # between the reference's route and the filter's
+    dae = DiscreteDAE(
+        F_seq=np.eye(m, n) + 0.3 * rng.standard_normal((N + 1, m, n)),
+        C_seq=dae.C_seq,
+        B_seq=rng.standard_normal((N, m, m)) + 3.0 * np.eye(m),
+        S=dae.S,
+        H_seq=dae.H_seq,
+    )
+    return dae, bounds, rng.standard_normal((N + 1, l)) * 0.1, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("N", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("descriptor", [False, True])
+def test_blocked_filter_matches_per_step_formulas_across_block_edges(N, descriptor):
+    rng = rng_for(N + 1000 * descriptor)
+    for _ in range(3):
+        dae, bounds, y_seq, ell = _block_edge_chain(rng, N, descriptor)
+        x_ref, P_ref = _reference_filter(dae, bounds, y_seq)
+        run = filter_run(dae, bounds, y_seq, ell)
+        assert run.x_hat_seq == pytest.approx(x_ref, rel=1e-12, abs=1e-12 * np.abs(x_ref).max())
+        assert run.final.P == pytest.approx(P_ref, rel=1e-12, abs=1e-12 * np.abs(P_ref).max())
+        scale = np.abs(ell) @ np.abs(x_ref[-1])
+        assert run.estimate_value == pytest.approx(ell @ x_ref[-1], rel=1e-12, abs=1e-12 * scale)
+        assert run.sigma_hat == pytest.approx(np.sqrt(ell @ P_ref @ ell), rel=1e-12)
+
+        model = prepare_filter(dae, bounds)
+        state = filter_init(model, y_seq[0])
+        stepped = [state.x_hat]
+        for k in range(1, N + 1):
+            state = filter_step(state, model, y_seq[k])
+            stepped.append(state.x_hat)
+        stepped = np.array(stepped)
+        assert stepped == pytest.approx(run.x_hat_seq, rel=1e-13, abs=1e-13 * np.abs(stepped).max())
+        assert state.P == pytest.approx(run.final.P, rel=1e-13, abs=1e-13 * np.abs(state.P).max())
+
+
+def _chain_breaking_at_150(fault):
+    """A constant 2-state chain of 200 steps with one fault at step 150,
+    in the middle of the third block."""
+    N = 200
+    assert 2 * BLOCK < 150 < 3 * BLOCK - 1
+    F = np.array(np.broadcast_to(np.eye(2), (N + 1, 2, 2)))
+    C = np.array(np.broadcast_to([[0.9, 0.2], [-0.1, 0.8]], (N, 2, 2)))
+    H = np.array(np.broadcast_to(np.eye(2), (N + 1, 2, 2)))
+    B = np.array(np.broadcast_to(np.eye(2), (N, 2, 2)))
+    Q1 = np.array(np.broadcast_to(np.eye(2), (N, 2, 2)))
+    if fault in ("breakdown", "overflow", "zero"):
+        # C = 0 and an enormous Q1 on the transition into step 150 leave
+        # Q1^{-1} + C P C' with a tiny (or, with B = 1e-200 I, zero) eigenvalue
+        Q1[149] *= {"breakdown": 1e16}.get(fault, 1e300)
+        C[149] = 0.0
+        if fault == "overflow":
+            F[150] *= 1e5  # F'DF overflows, and every later step is NaN
+        if fault == "zero":
+            B[149] *= 1e-200  # Q1^{-1} underflows to 0: inverting it fails
+    if fault in ("rank", "rank_then_zero"):
+        F[150] = np.diag([1.0, 1e-6])  # [F; H] keeps full rank, F'DF + W does not
+        H[150] = 0.0
+        if fault == "rank_then_zero":
+            Q1[151] *= 1e300
+            C[151] = 0.0
+            B[151] *= 1e-200
+    dae = DiscreteDAE(F_seq=F, C_seq=C, B_seq=B, S=np.eye(2), H_seq=H)
+    bounds = DAEEllipsoid(Q0=np.eye(2), Q1_seq=Q1, Q2_seq=np.broadcast_to(np.eye(2), (N + 1, 2, 2)))
+    return dae, bounds
+
+
+BREAKDOWN_150 = "propagated covariance at step 150 has eigenvalue {} below 1e-14"
+SINGULAR_150 = (
+    "information matrix at step 150 is singular; the rank precondition on [F_k; H_k] fails"
+)
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("breakdown", NumericalBreakdown, BREAKDOWN_150.format("1.000e-16")),
+        ("overflow", NumericalBreakdown, BREAKDOWN_150.format("1.000e-300")),
+        ("zero", NumericalBreakdown, BREAKDOWN_150.format("0.000e+00")),
+        ("rank", RankDeficient, SINGULAR_150),
+        ("rank_then_zero", RankDeficient, SINGULAR_150),
+    ],
+)
+def test_blocked_filter_fails_at_the_step_that_fails(fault, error, message):
+    dae, bounds = _chain_breaking_at_150(fault)
+    y_seq = np.zeros((dae.horizon + 1, 2))
+    with pytest.raises(error) as run_error:
+        filter_run(dae, bounds, y_seq, np.ones(2))
+    assert str(run_error.value) == message
+    model = prepare_filter(dae, bounds)
+    state = filter_init(model, y_seq[0])
+    for k in range(1, 150):
+        state = filter_step(state, model, y_seq[k])
+    with pytest.raises(error) as step_error:
+        filter_step(state, model, y_seq[150])
+    assert str(step_error.value) == message
+
+
+def test_observations_are_checked_as_one_stack():
+    dae, bounds = _constant_chain(30)
+    y_seq = [np.zeros(1)] * 31
+    ragged = y_seq[:17] + [np.zeros(3)] + y_seq[18:]
+    with pytest.raises(InvalidInput, match=r"^y_seq\[17\] has length 3, expected 1$"):
+        filter_run(dae, bounds, ragged, np.ones(2))
+    with_nan = y_seq[:17] + [np.array([np.nan])] + y_seq[18:]
+    with pytest.raises(InvalidInput, match=r"^y_seq\[17\] contains non-finite entries$"):
+        filter_run(dae, bounds, with_nan, np.ones(2))
+    with pytest.raises(InvalidInput, match="^expected 31 observation vectors, got 30$"):
+        filter_run(dae, bounds, y_seq[:30], np.ones(2))
+
+
+# ---------------------------------------------------------------------------
 # Model-only work stays out of the recursive loops
 
 
