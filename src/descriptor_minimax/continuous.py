@@ -16,12 +16,15 @@ Four entry points:
 
 * ``discretize``           the implicit-Euler reduction itself,
 * ``apriori_estimate_continuous``  worst-case optimal readout of the
-  integral functional int (ell(t), x(t)) dt, via the banded horizon
-  solver of :mod:`.discrete` on the discretized chain, or via dense
-  assembly of the discretized two-point boundary value problem (both
-  paths kept, they must agree),
+  integral functional int (ell(t), x(t)) dt: the a priori estimate
+  :func:`.discrete.apriori_horizon_estimate` of the discretized chain,
+  or dense assembly of the discretized two-point boundary value problem
+  (both paths kept, they must agree),
 * ``tikhonov_approximate`` regularized solves for alpha -> 0, whose
-  residual decay diagnoses whether the functional is representable,
+  residual decay diagnoses whether the functional is representable.
+  The penalty alpha int (x, x) dt is one more observation of the whole
+  state, of value zero and weight alpha, so each alpha is the same a
+  priori estimate on the chain with that observation appended,
 * ``riccati_filter``       forward integration of the descriptor Riccati
   equation for endpoint functionals (ell_0, x(t_end)).
 """
@@ -29,7 +32,7 @@ Four entry points:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -39,23 +42,19 @@ from .discrete import (
     DAEEllipsoid,
     DiscreteDAE,
     apriori_horizon_estimate,
-    flatten,
-    flatten_bounds,
-    horizon_saddle,
     observation_information,
     solver_record,
 )
 from .errors import (
     InvalidGrid,
     InvalidInput,
+    NumericalBreakdown,
     RankDeficient,
     RiccatiBlowup,
-    SolveFailure,
 )
 from .linalg import (
     GRID_SPAN_TOL,
     GRID_UNIFORMITY_TOL,
-    SADDLE_RESIDUAL_TOL,
     _distinct,
     as_matrix,
     per_entry,
@@ -67,8 +66,8 @@ from .linalg import (
     spd_inverse,
     spd_stack_error,
     symmetrize,
+    vector_stack,
 )
-from .static import _saddle_matrix
 
 # Gain norms above this level are treated as finite escape.
 RICCATI_NORM_CAP = 1e12
@@ -378,13 +377,10 @@ def _sampled_functional(system: ContinuousDAE, ell, grid: TimeGrid) -> np.ndarra
 
 
 def _check_samples(system: ContinuousDAE, y_samples, grid: TimeGrid) -> np.ndarray:
-    y = np.asarray(y_samples, dtype=float)
-    expected = (grid.steps + 1, system.observation_dim)
-    if y.shape != expected:
-        raise InvalidInput(f"y_samples must have shape {expected}, got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise InvalidInput("y_samples contains non-finite entries")
-    return y
+    """y at every node as one (steps+1, l) array; see :func:`.linalg.vector_stack`."""
+    return vector_stack(
+        y_samples, "y_samples", grid.steps + 1, system.observation_dim, "observation samples"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +448,6 @@ def _bvp_system(system, bounds, grid):
     return A
 
 
-def _readout(Q2: np.ndarray, H: np.ndarray, p_nodes: np.ndarray) -> np.ndarray:
-    """Readout density u_k = Q2(t_k) H(t_k) p_k at every node."""
-    return np.einsum("kij,kj->ki", Q2, np.einsum("kij,kj->ki", H, p_nodes))
-
-
 def apriori_estimate_continuous(
     system: ContinuousDAE,
     bounds: ContinuousEllipsoid,
@@ -467,59 +458,70 @@ def apriori_estimate_continuous(
 ) -> ContinuousAprioriResult:
     """Worst-case optimal readout of int (ell(t), x(t)) dt.
 
-    ``method='flattened'`` discretizes and calls
-    :func:`.discrete.apriori_horizon_estimate`: one banded factorization,
-    with the flattened static solver as its fallback. ``method='bvp'``
-    assembles the discretized optimality boundary value problem densely
-    from the continuous coefficients. Both produce the node values of
-    the readout density u_hat(t) = Q2(t) H(t) p(t) and the radius
-    sigma_hat = sum_k h (ell(t_k), p_k); they must agree to solver
-    precision, which the test suite enforces on random systems.
+    ``method='flattened'`` is the a priori estimate
+    :func:`.discrete.apriori_horizon_estimate` of the discretized chain
+    for the functional h ell(t_k): one banded factorization, with the
+    flattened static solver as its fallback. Its radius, readout (which
+    weights y_k, so divided by h it is the density) and estimate are
+    returned as they are. ``method='bvp'`` assembles the discretized
+    optimality boundary value problem densely from the continuous
+    coefficients. Both produce the node values of the readout density
+    u_hat(t) = Q2(t) H(t) p(t) and the radius sigma_hat = sum_k h
+    (ell(t_k), p_k); they must agree to solver precision, which the test
+    suite enforces on random systems.
     """
     _check_grid(system, grid)
     _check_pair(system, bounds)
     if method not in ("flattened", "bvp"):
         raise InvalidInput(f"unknown method {method!r}")
     h = grid.h
-    ts = grid.nodes()
-    M = grid.steps
-    n = system.state_dim
     ell_nodes = _sampled_functional(system, ell, grid)
-    ell_flat = (h * ell_nodes).reshape(-1)
     if y_samples is not None:
         y_samples = _check_samples(system, y_samples, grid)
+    if method == "bvp":
+        return _bvp_estimate(system, bounds, ell_nodes, grid, y_samples)
 
-    if method == "flattened":
-        dae, dbounds = discretize(system, bounds, grid)
-        horizon = apriori_horizon_estimate(dae, dbounds, h * ell_nodes)
-        solver = horizon.solver
-        if not horizon.feasible:
-            return ContinuousAprioriResult(
-                feasible=False, sigma_hat=math.inf, grid=grid, solver=solver
-            )
-        p_nodes = horizon.p_seq
-    else:
-        solver = solver_record("dense")
-        A = _bvp_system(system, bounds, grid)
-        rhs = np.zeros(A.shape[0])
-        rhs[(M + 1) * system.equation_dim :] = ell_nodes.reshape(-1)
-        fit = solve_least_squares(A, rhs)
-        scale = 1.0 + float(np.linalg.norm(ell_nodes))
-        if fit.residual_norm > _BVP_RESIDUAL_TOL * scale:
-            return ContinuousAprioriResult(
-                feasible=False, sigma_hat=math.inf, grid=grid, solver=solver
-            )
-        p_nodes = fit.solution[: (M + 1) * n].reshape(M + 1, n)
+    dae, dbounds = discretize(system, bounds, grid)
+    horizon = apriori_horizon_estimate(dae, dbounds, h * ell_nodes, y_samples)
+    if not horizon.feasible:
+        return ContinuousAprioriResult(
+            feasible=False, sigma_hat=math.inf, grid=grid, solver=horizon.solver
+        )
+    return ContinuousAprioriResult(
+        feasible=True,
+        sigma_hat=horizon.sigma_hat,
+        u_hat_samples=horizon.u_hat_seq / h,
+        p_samples=horizon.p_seq,
+        estimate_value=horizon.estimate_value,
+        grid=grid,
+        solver=horizon.solver,
+    )
 
-    u_nodes = _readout(_nodes(bounds.Q2, ts, "Q2(t)"), _nodes(system.H, ts, "H(t)"), p_nodes)
-    sigma = float(ell_flat @ p_nodes.reshape(-1))
-    sigma = max(sigma, 0.0)
+
+def _bvp_estimate(system, bounds, ell_nodes, grid, y_samples) -> ContinuousAprioriResult:
+    """The ``bvp`` method: least squares on :func:`_bvp_system`, with the
+    readout density Q2(t_k) H(t_k) p_k and the radius read off its p-blocks."""
+    h, M, n = grid.h, grid.steps, system.state_dim
+    ts = grid.nodes()
+    solver = solver_record("dense")
+    A = _bvp_system(system, bounds, grid)
+    rhs = np.zeros(A.shape[0])
+    rhs[(M + 1) * system.equation_dim :] = ell_nodes.reshape(-1)
+    fit = solve_least_squares(A, rhs)
+    if fit.residual_norm > _BVP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(ell_nodes))):
+        return ContinuousAprioriResult(
+            feasible=False, sigma_hat=math.inf, grid=grid, solver=solver
+        )
+    p_nodes = fit.solution[: (M + 1) * n].reshape(M + 1, n)
+    hp = np.einsum("kij,kj->ki", _nodes(system.H, ts, "H(t)"), p_nodes)
+    u_nodes = np.einsum("kij,kj->ki", _nodes(bounds.Q2, ts, "Q2(t)"), hp)
+    sigma = float((h * ell_nodes).reshape(-1) @ p_nodes.reshape(-1))
     estimate = None
     if y_samples is not None:
         estimate = float(np.sum(h * np.einsum("kj,kj->k", u_nodes, y_samples)))
     return ContinuousAprioriResult(
         feasible=True,
-        sigma_hat=sigma,
+        sigma_hat=max(sigma, 0.0),
         u_hat_samples=u_nodes,
         p_samples=p_nodes,
         estimate_value=estimate,
@@ -536,7 +538,11 @@ def apriori_estimate_continuous(
 class TikhonovResult:
     """Regularized readouts per alpha plus the convergence diagnostics.
 
-    ``residual_seq[j]`` pairs alphas[j] and alphas[j+1]: the Cauchy
+    ``u_samples_seq[j]`` holds the readout density Q2(t_k) H(t_k) p_k at
+    every node for alphas[j], from the a priori estimate of the
+    penalized chain (:func:`tikhonov_approximate`), and
+    ``constraint_residual_seq[j]`` its defect alpha h p in the integral
+    norm. ``residual_seq[j]`` pairs alphas[j] and alphas[j+1]: the Cauchy
     difference of the readouts in the discrete L2 norm plus the
     dual-feasibility defect at alphas[j+1]. The defect term is what
     keeps the diagnostic honest when H annihilates everything: readouts
@@ -582,59 +588,53 @@ def tikhonov_approximate(
 ) -> TikhonovResult:
     """Regularized approximations of the a priori readout for alpha -> 0.
 
-    For each alpha the singular optimality system gains alpha*h on the
-    diagonal of its primal block, making it uniquely solvable; each alpha
-    gets one banded factorization (:func:`.discrete.horizon_saddle`),
-    with dense least squares on the flattened system as the fallback
-    when the factorization is not trusted. When the
-    functional is representable the readouts converge to the minimax
-    readout and residual_seq decays; otherwise residual_seq stays
-    bounded away from zero.
+    The penalty alpha int (x, x) dt is one more observation of the whole
+    state, of value zero and weight alpha (Tikhonov & Arsenin, *Solutions
+    of Ill-Posed Problems*, 1977). The discretized chain is observed once
+    more: each H_k gains an n x n identity block, and for each alpha the
+    weight h Q2(t_k) becomes blockdiag(h Q2(t_k), alpha h I). That adds
+    alpha h I to every H_k'Q2_k H_k, which makes the saddle system
+    uniquely solvable. Each alpha is then one
+    :func:`.discrete.apriori_horizon_estimate` on this penalized chain:
+    one banded factorization, with the flattened static solver as its
+    fallback. The first l components of its readout, divided by h, are
+    the density Q2(t_k) H(t_k) p_k. When the functional is representable
+    the readouts converge to the minimax readout and residual_seq
+    decays; otherwise residual_seq stays bounded away from zero.
     """
     _check_grid(system, grid)
     alphas = _check_alphas(alphas)
-
     h = grid.h
-    ts = grid.nodes()
-    M = grid.steps
-    n = system.state_dim
-
+    if alphas[-1] * h == 0.0:  # a zero penalty weight is no SPD weight
+        raise InvalidInput(f"alphas end at {alphas[-1]:g}, which times the step {h:g} is 0")
+    l, n = system.observation_dim, system.state_dim
     dae, dbounds = discretize(system, bounds, grid)
-    ell_nodes = _sampled_functional(system, ell, grid)
-    ell_flat = (h * ell_nodes).reshape(-1)
-    saddle = []  # the flattened saddle matrix, assembled on first use
+    ell_seq = h * _sampled_functional(system, ell, grid)
+    eye = np.eye(n)
 
-    def dense_solve(alpha):
-        if not saddle:
-            model = flatten(dae)
-            saddle.append(_saddle_matrix(model, flatten_bounds(dae, dbounds)))
-        A = saddle[0].copy()
-        dim = (M + 1) * n
-        rows = A.shape[0] - dim
-        A[rows + np.arange(dim), np.arange(dim)] += alpha * h  # the H'Q2H block
-        rhs = np.concatenate([np.zeros(rows), ell_flat])
-        fit = solve_least_squares(A, rhs)
-        return fit.solution[:dim].reshape(M + 1, n), fit.residual_norm
+    def observe_state(H):
+        return np.concatenate([H, np.broadcast_to(eye, (H.shape[0], n, n))], axis=1)
 
-    Q2_nodes, H_nodes = _nodes(bounds.Q2, ts, "Q2(t)"), _nodes(system.H, ts, "H(t)")
+    def penalized_weights(Q2, alpha):
+        W = np.zeros((Q2.shape[0], l + n, l + n))
+        W[:, :l, :l] = Q2
+        W[:, l:, l:] = alpha * h * eye
+        return W
+
+    penalized = replace(dae, H_seq=per_entry(observe_state, dae.H_seq))
     u_list: List[np.ndarray] = []
     constraint = np.zeros(len(alphas))
     for j, alpha in enumerate(alphas):
-        banded = horizon_saddle(dae, dbounds, shift=alpha * h)
-        b = banded.rhs((h * ell_nodes)[None])
-        solution = banded.factor.solve(b)
-        if solution is not None:
-            p_nodes = banded.states(solution)[0]
-            residual = float(banded.factor.residual_norms(solution, b)[0])
-        else:
-            p_nodes, residual = dense_solve(alpha)
-        if residual > SADDLE_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(ell_flat))):
-            raise SolveFailure(
-                f"regularized system at alpha={alpha} is numerically singular"
+        Q2_seq = per_entry(lambda Q2: penalized_weights(Q2, alpha), dbounds.Q2_seq)
+        try:
+            horizon = apriori_horizon_estimate(
+                penalized, replace(dbounds, Q2_seq=Q2_seq), ell_seq
             )
-        u_list.append(_readout(Q2_nodes, H_nodes, p_nodes))
+        except NumericalBreakdown as exc:
+            raise NumericalBreakdown(f"regularized solve at alpha={alpha}: {exc}") from exc
+        u_list.append(horizon.u_hat_seq[:, :l] / h)
         # Dual-feasibility defect alpha*h*p per node, in the integral norm.
-        defect = alpha * h * p_nodes
+        defect = alpha * h * horizon.p_seq
         constraint[j] = float(np.linalg.norm(defect)) / math.sqrt(h)
 
     cauchy = np.zeros(max(len(alphas) - 1, 0))

@@ -60,6 +60,7 @@ from .linalg import (
     require_spd,
     require_spd_stack,
     spd_solve,
+    vector_stack,
 )
 from .static import (
     StaticEllipsoid,
@@ -221,41 +222,18 @@ def flatten_bounds(dae: DiscreteDAE, bounds: DAEEllipsoid) -> StaticEllipsoid:
     )
 
 
-def _stack_vectors(
-    seq: Sequence, count: int, width: int, what: str, name: str
-) -> np.ndarray:
-    """The per-step vectors of ``seq`` concatenated, each checked for length.
-
-    One ``np.asarray`` when ``seq`` is already a (count, width) array or
-    list of equal rows; otherwise the entries are flattened one by one.
-    """
-    if len(seq) != count:
-        raise InvalidInput(f"expected {count} {what}, got {len(seq)}")
-    try:
-        a = np.asarray(seq, dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is not None and a.shape == (count, width):
-        return a.reshape(-1)
-    blocks = []
-    for k, v in enumerate(seq):
-        v = np.asarray(v, dtype=float).reshape(-1)
-        if v.shape[0] != width:
-            raise InvalidInput(f"{name}[{k}] has length {v.shape[0]}, expected {width}")
-        blocks.append(v)
-    return np.concatenate(blocks)
-
-
 def stack_functional(dae: DiscreteDAE, ell_seq: Sequence) -> np.ndarray:
-    return _stack_vectors(
-        ell_seq, dae.horizon + 1, dae.state_dim, "functional blocks", "ell_seq"
-    )
+    """The blocks ell_k concatenated; see :func:`.linalg.vector_stack`."""
+    return vector_stack(
+        ell_seq, "ell_seq", dae.horizon + 1, dae.state_dim, "functional blocks"
+    ).reshape(-1)
 
 
 def stack_observations(dae: DiscreteDAE, y_seq: Sequence) -> np.ndarray:
-    return _stack_vectors(
-        y_seq, dae.horizon + 1, dae.observation_dim, "observation vectors", "y_seq"
-    )
+    """The observations y_k concatenated; see :func:`.linalg.vector_stack`."""
+    return vector_stack(
+        y_seq, "y_seq", dae.horizon + 1, dae.observation_dim, "observation vectors"
+    ).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -337,19 +315,19 @@ class HorizonSaddle:
         return np.moveaxis(blocks, -1, 0)
 
 
-def horizon_saddle(
-    dae: DiscreteDAE, bounds: DAEEllipsoid, shift: float = 0.0
-) -> HorizonSaddle:
+def horizon_saddle(dae: DiscreteDAE, bounds: DAEEllipsoid) -> HorizonSaddle:
     """Assemble the horizon saddle matrix in band storage and factor it once.
 
     The step blocks are those of the flattened static system
-    [[F, -G], [H'Q2H + shift I, F']], permuted to the step ordering of
+    [[F, -G], [H'Q2H, F']], permuted to the step ordering of
     :class:`HorizonSaddle`: dynamics row k reads F_k x_k - C_{k-1} x_{k-1}
     - G_k w_k with G_0 = S Q0^{-1} S' and G_{k+1} = B_k Q1_k^{-1} B_k';
-    adjoint row k reads (H_k'Q2_k H_k + shift I) x_k + F_k' w_k -
-    C_k' w_{k+1}. With s = n + m the bandwidths are kl = n + 2m - 1 and
-    ku = 2n + m - 1 (both 5 for n = m = 2). Storage is O(N); nothing
-    quadratic in N is allocated.
+    adjoint row k reads H_k'Q2_k H_k x_k + F_k' w_k - C_k' w_{k+1}. With
+    s = n + m the bandwidths are kl = n + 2m - 1 and ku = 2n + m - 1
+    (both 5 for n = m = 2). Storage is O(N); nothing quadratic in N is
+    allocated. :func:`_banded_solve` is its one caller; a regularized
+    solve adds its penalty to the chain as an observation
+    (:func:`.continuous.tikhonov_approximate`), not to this matrix.
     """
     n, m, N = dae.state_dim, dae.equation_dim, dae.horizon
     s = n + m
@@ -359,8 +337,6 @@ def horizon_saddle(
 
     F = dae.F_seq
     _, W = observation_information(dae.H_seq, bounds.Q2_seq)
-    if shift:
-        W = W + shift * np.eye(n)
     G = np.empty((N + 1, m, m))
     G[0] = dae.S @ spd_solve(bounds.Q0, dae.S.T)
     if N:

@@ -30,8 +30,9 @@ class RiccatiBlowup(EstimationError):
 
 
 class SolveFailure(EstimationError):
-    """A solve returned an unusable result, such as a radius that
-    sampled consistent states exceed."""
+    """A reported radius that sampled consistent states exceed (the
+    check of CLI ``validate``). A saddle-point solve that breaks down,
+    a regularized one included, raises NumericalBreakdown instead."""
 
 
 class SingularNormalEquations(EstimationError):

@@ -41,6 +41,7 @@ from .linalg import (
     per_entry,
     sized_vector,
     symmetrize,
+    vector_stack,
 )
 
 # Steps per block: the covariance recursion runs one step at a time, the
@@ -285,21 +286,6 @@ def filter_step(state: FilterState, model: FilterModel, y_next) -> FilterState:
     return FilterState(k=k, x_hat=x[0], P=P)
 
 
-def _observation_stack(y_seq, size: int) -> np.ndarray:
-    """``y_seq`` as one (count, size) finite array: one conversion, one test.
-
-    Only when that test fails are the rows scanned, to name the first bad
-    one (``y_seq[17] has length 3, expected 2``).
-    """
-    try:
-        Y = np.asarray(y_seq, dtype=float)
-        if Y.shape == (len(y_seq), size) and np.isfinite(Y).all():
-            return Y
-    except (TypeError, ValueError):
-        pass
-    return np.array([sized_vector(y, f"y_seq[{k}]", size) for k, y in enumerate(y_seq)])
-
-
 def filter_run(
     dae: DiscreteDAE, bounds: DAEEllipsoid, y_seq: Sequence, ell
 ) -> FilterRunResult:
@@ -313,11 +299,9 @@ def filter_run(
     O(_BLOCK n^2) memory.
     """
     count = dae.horizon + 1
-    if len(y_seq) != count:
-        raise InvalidInput(f"expected {count} observation vectors, got {len(y_seq)}")
+    Y = vector_stack(y_seq, "y_seq", count, dae.observation_dim, "observation vectors")
     ell = sized_vector(ell, "ell", dae.state_dim)
     model = prepare_filter(dae, bounds)
-    Y = _observation_stack(y_seq, model.observation_dim)
     x_seq = np.empty((count, dae.state_dim))
     P = None
     for start in range(0, count, _BLOCK):

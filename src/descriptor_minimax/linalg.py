@@ -86,6 +86,29 @@ def sized_vector(value, name: str, size: int) -> np.ndarray:
     return v
 
 
+def vector_stack(value, name: str, count: int, size: int, what: str) -> np.ndarray:
+    """``value`` as one (count, size) finite array: one conversion, one test.
+
+    Each row must be a 1-D vector of length ``size``. Only when the test
+    fails is ``value`` examined further: a count other than ``count``
+    raises ``expected 31 observation vectors, got 30`` (``what`` names
+    the rows), otherwise the rows are scanned with :func:`sized_vector`
+    to name the first bad one (``y_seq[17] has length 3, expected 2``).
+    """
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        a = None  # ragged or not numeric: the row scan says where
+    if a is not None:
+        if a.shape == (count, size) and np.isfinite(a).all():
+            return a
+        if a.ndim == 0:
+            raise InvalidInput(f"{name} must be a sequence of vectors")
+    if len(value) != count:
+        raise InvalidInput(f"expected {count} {what}, got {len(value)}")
+    return np.array([sized_vector(v, f"{name}[{k}]", size) for k, v in enumerate(value)])
+
+
 def _distinct(stack: np.ndarray) -> np.ndarray:
     """The entries of a stack that can differ: one for a broadcast stack."""
     if stack.shape[0] > 1 and stack.strides[0] == 0:
@@ -401,14 +424,13 @@ def inverse_norm1_estimate(
 class BandedFactor:
     """LU factors of a square band matrix and the verdict on its regularity.
 
-    ``band`` is the matrix in LAPACK dgbtrf storage (2 kl + ku + 1 rows,
-    the first kl of them workspace). ``rcond`` is the smaller of the
-    estimated reciprocal 1- and inf-norm condition numbers, 0.0 when
-    dgbtrf met an exactly zero pivot. ``regular`` holds when it reaches
-    ``floor``; see RCOND_FLOOR.
+    ``lu`` and ``piv`` are the dgbtrf factors of a matrix with ``kl``
+    sub- and ``ku`` superdiagonals, ``norm1`` its 1-norm. ``rcond`` is
+    the smaller of the estimated reciprocal 1- and inf-norm condition
+    numbers, 0.0 when dgbtrf met an exactly zero pivot. ``regular``
+    holds when it reaches ``floor``; see RCOND_FLOOR.
     """
 
-    band: np.ndarray
     kl: int
     ku: int
     lu: np.ndarray
@@ -437,13 +459,12 @@ class BandedFactor:
             return None
         return x
 
-    def residual_norms(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """||A x - b||_2 for every column."""
-        return np.linalg.norm(band_matvec(self.band, self.kl, self.ku, x) - b, axis=0)
-
 
 def factor_banded(band: np.ndarray, kl: int, ku: int) -> BandedFactor:
     """Factor a band matrix once (dgbtrf) and estimate its condition.
+
+    ``band`` is the matrix in LAPACK dgbtrf storage (2 kl + ku + 1 rows,
+    the first kl of them workspace).
 
     The estimate uses only dgbtrs solves on the factors, a few O(dim)
     passes, never the quadratic-time dgbcon. The regularity floor is
@@ -468,7 +489,7 @@ def factor_banded(band: np.ndarray, kl: int, ku: int) -> BandedFactor:
         )
         if 0.0 < cond < np.inf:
             rcond = 1.0 / cond
-    return BandedFactor(band, kl, ku, lu, piv, norm1, rcond, RCOND_FLOOR)
+    return BandedFactor(kl, ku, lu, piv, norm1, rcond, RCOND_FLOOR)
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

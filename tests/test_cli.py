@@ -212,11 +212,13 @@ def test_filter_chain(tmp_path, capsys):
     ],
 )
 def test_filter_rejects_bad_observation_rows(tmp_path, capsys, rows, message):
+    # the one-shot estimate refuses the same rows with the same messages
     obs = tmp_path / "y.csv"
     obs.write_text("k,y0\n" + rows)
-    config = write_doc(tmp_path, chain_doc("filter"))
-    assert main(["filter", "--config", config, "--observations", str(obs)]) == EXIT_ERROR
-    assert message in capsys.readouterr().err
+    for command, mode in (("filter", "filter"), ("estimate", "aposteriori")):
+        config = write_doc(tmp_path, chain_doc(mode))
+        assert main([command, "--config", config, "--observations", str(obs)]) == EXIT_ERROR
+        assert message in capsys.readouterr().err
 
 
 def test_riccati_scalar(tmp_path, capsys):

@@ -19,6 +19,7 @@ from descriptor_minimax import (
     InvalidBounds,
     InvalidGrid,
     InvalidInput,
+    NumericalBreakdown,
     PolynomialFunction,
     RankDeficient,
     RiccatiBlowup,
@@ -32,9 +33,17 @@ from descriptor_minimax import (
     variational_estimate,
 )
 
-from descriptor_minimax import continuous
+from descriptor_minimax import continuous, discrete
 from descriptor_minimax.continuous import _sampled_functional
-from descriptor_minimax.linalg import pseudo_inverse, require_spd, spd_inverse, symmetrize
+from descriptor_minimax.discrete import flatten, flatten_bounds
+from descriptor_minimax.linalg import (
+    pseudo_inverse,
+    require_spd,
+    solve_least_squares,
+    spd_inverse,
+    symmetrize,
+)
+from descriptor_minimax.static import _saddle_matrix
 
 from conftest import rng_for
 
@@ -402,6 +411,15 @@ def test_banded_and_dense_fallback_agree(monkeypatch):
     assert reg_banded.residual_seq == pytest.approx(reg_dense.residual_seq, abs=1e-10)
 
 
+def test_tikhonov_breakdown_names_its_alpha():
+    # a penalty below rounding leaves the witness singular: the dense
+    # fallback's residual check raises, as for every other saddle solve
+    system = ContinuousDAE(F=[[0.0]], C=[[0.0]], H=[[0.0]], t_start=0.0, t_end=1.0)
+    bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
+    with pytest.raises(NumericalBreakdown, match=r"^regularized solve at alpha=1e-300: saddle"):
+        tikhonov_approximate(system, bounds, ell_one, TimeGrid(0.0, 1.0, 16), [1e-300])
+
+
 def test_tikhonov_validates_alphas(monkeypatch):
     system, bounds = scalar_system()
     grid = TimeGrid(0.0, 1.0, 10)
@@ -411,10 +429,108 @@ def test_tikhonov_validates_alphas(monkeypatch):
 
     # every bad schedule is refused by name before anything is assembled
     monkeypatch.setattr(continuous, "discretize", no_factorization)
-    monkeypatch.setattr(continuous, "horizon_saddle", no_factorization)
-    for alphas in ([], [0.5, 0.5], [-1.0], [np.nan], [np.inf, 1.0], [[0.5], [0.25]], ["x"]):
+    monkeypatch.setattr(continuous, "apriori_horizon_estimate", no_factorization)
+    bad = ([], [0.5, 0.5], [-1.0], [np.nan], [np.inf, 1.0], [[0.5], [0.25]], ["x"], [5e-324])
+    for alphas in bad:
         with pytest.raises(InvalidInput, match="^alphas "):
             tikhonov_approximate(system, bounds, ell_one, grid, alphas)
+
+
+def _shifted_saddle_oracle(system, bounds, ell, grid, alphas):
+    """Readouts and defects of the regularized solves, from the dense
+    flattened saddle matrix with alpha*h added to the diagonal of its
+    H'Q2H block, solved by minimum-norm least squares; the oracle for
+    :func:`tikhonov_approximate`."""
+    h, M, n = grid.h, grid.steps, system.state_dim
+    dae, dbounds = discretize(system, bounds, grid)
+    saddle = _saddle_matrix(flatten(dae), flatten_bounds(dae, dbounds))
+    dim = (M + 1) * n
+    rows = saddle.shape[0] - dim
+    ell_flat = h * _sampled_functional(system, ell, grid).reshape(-1)
+    rhs = np.concatenate([np.zeros(rows), ell_flat])
+    Q2 = np.stack([np.asarray(bounds.Q2(t), float) for t in grid.nodes()])
+    H = np.stack([np.asarray(system.H(t), float) for t in grid.nodes()])
+    readouts, defects = [], []
+    for alpha in alphas:
+        A = saddle.copy()
+        A[rows + np.arange(dim), np.arange(dim)] += alpha * h
+        p = solve_least_squares(A, rhs).solution[:dim].reshape(M + 1, n)
+        readouts.append(np.einsum("kij,kj->ki", Q2, np.einsum("kij,kj->ki", H, p)))
+        defects.append(np.linalg.norm(alpha * h * p) / np.sqrt(h))
+    return readouts, np.array(defects)
+
+
+def _random_continuous(rng, i):
+    """System i of a mixed ensemble: F singular for odd i; constant,
+    table or polynomial coefficients by i mod 3."""
+    n, l = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    F = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    if i % 2:
+        F[:, -1] = 0.0
+    q1, q2 = rng.standard_normal((n, n)), rng.standard_normal((l, l))
+    Q1, Q2 = q1 @ q1.T + 0.5 * np.eye(n), q2 @ q2.T + 0.5 * np.eye(l)
+    C, H = rng.standard_normal((n, n)), rng.standard_normal((l, n))
+    if i % 3 == 1:
+        C = TableFunction([0.0, 0.3, 0.7], rng.standard_normal((3, n, n)))
+        H = TableFunction([0.0, 0.5], rng.standard_normal((2, l, n)))
+    elif i % 3 == 2:
+        C = PolynomialFunction([C, 0.5 * rng.standard_normal((n, n))])
+        H = PolynomialFunction([H, 0.5 * rng.standard_normal((l, n))])
+        Q2 = PolynomialFunction([Q2, 0.2 * np.eye(l)])
+    system = ContinuousDAE(F=F, C=C, H=H, t_start=0.0, t_end=1.0)
+    w = rng.standard_normal(n)
+    return system, ContinuousEllipsoid(Q0=np.eye(n), Q1=Q1, Q2=Q2), lambda t: np.cos(t) * w
+
+
+def test_tikhonov_matches_the_shifted_saddle_oracle(monkeypatch):
+    # Each alpha is the a priori estimate of the chain observed once more
+    # through the whole state with weight alpha*h: the same readouts and
+    # defects as the shifted dense saddle system, on the banded path and
+    # with every band factorization refused
+    import descriptor_minimax.linalg as linalg_mod
+
+    rng = rng_for(77)
+    alphas = [1e-1, 1e-3, 1e-5]
+    for i in range(20):
+        system, bounds, ell = _random_continuous(rng, i)
+        grid = TimeGrid(0.0, 1.0, 128 if i % 4 == 3 else 16)
+        readouts, defects = _shifted_saddle_oracle(system, bounds, ell, grid, alphas)
+        for floor in (linalg_mod.RCOND_FLOOR, np.inf):
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg_mod, "RCOND_FLOOR", floor)
+                reg = tikhonov_approximate(system, bounds, ell, grid, alphas)
+            for u, want in zip(reg.u_samples_seq, readouts):
+                assert u == pytest.approx(want, abs=1e-10 * (1.0 + np.abs(want).max()))
+            assert reg.constraint_residual_seq == pytest.approx(
+                defects, abs=1e-10 * (1.0 + defects.max())
+            )
+
+
+def test_each_alpha_is_one_apriori_estimate(monkeypatch):
+    import inspect
+    import sys
+
+    assert "shift" not in inspect.signature(discrete.horizon_saddle).parameters
+    calls = {"estimate": 0, "saddle": 0}
+    estimate, saddle = continuous.apriori_horizon_estimate, discrete.horizon_saddle
+
+    def spy_estimate(*args, **kwargs):
+        calls["estimate"] += 1
+        return estimate(*args, **kwargs)
+
+    def spy_saddle(*args, **kwargs):
+        assert sys._getframe(1).f_code.co_name == "_banded_solve"
+        calls["saddle"] += 1
+        return saddle(*args, **kwargs)
+
+    monkeypatch.setattr(continuous, "apriori_horizon_estimate", spy_estimate)
+    monkeypatch.setattr(discrete, "horizon_saddle", spy_saddle)
+    system, bounds = scalar_system()
+    grid = TimeGrid(0.0, 1.0, 32)
+    tikhonov_approximate(system, bounds, ell_one, grid, [0.5, 0.05, 0.005, 0.0005])
+    assert calls == {"estimate": 4, "saddle": 4}
+    apriori_estimate_continuous(system, bounds, ell_one, grid)
+    assert calls == {"estimate": 5, "saddle": 5}
 
 
 # ---------------------------------------------------------------------------

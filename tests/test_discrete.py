@@ -25,6 +25,8 @@ from descriptor_minimax import (
     InvalidInput,
     NumericalBreakdown,
     aposteriori_estimate,
+    apriori_horizon_estimate,
+    filter_run,
     flatten,
     flatten_bounds,
     variational_estimate,
@@ -362,6 +364,36 @@ def test_stacking_helpers():
     assert y == pytest.approx([1.0, 4.0])
     with pytest.raises(InvalidInput):
         stack_functional(dae, [np.array([2.0])])
+
+
+def test_non_finite_rows_are_refused_before_any_solve(monkeypatch):
+    # One stack check names the bad row before the band solve; a NaN or
+    # an inf never reaches the dense fallback, whose arrays grow as N^2
+    import descriptor_minimax.discrete as discrete_mod
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("non-finite data reached the dense path")
+
+    monkeypatch.setattr(discrete_mod, "flatten", no_dense)
+    rng = rng_for(31)
+    N = 1000
+    dae, bounds = _regular_chain(rng, N)
+    ell = rng.standard_normal((N + 1, 2))
+    y = 0.02 * rng.standard_normal((N + 1, 2))
+    y[417, 1] = np.nan
+    with pytest.raises(InvalidInput, match=r"^y_seq\[417\] contains non-finite entries$"):
+        variational_estimate(dae, bounds, ell, y)
+    ell[623, 0] = np.inf
+    with pytest.raises(InvalidInput, match=r"^ell_seq\[623\] contains non-finite entries$"):
+        apriori_horizon_estimate(dae, bounds, ell)
+    # every row is 1-D, for the one-shot as for the filter
+    chain, chain_bounds = scalar_chain()
+    columns = [np.ones((1, 1)), np.ones((1, 1))]
+    message = r"^y_seq\[0\] must be 1-D, got shape \(1, 1\)$"
+    with pytest.raises(InvalidInput, match=message):
+        stack_observations(chain, columns)
+    with pytest.raises(InvalidInput, match=message):
+        filter_run(chain, chain_bounds, columns, [1.0])
 
 
 def test_inconsistent_chain_data():
