@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands::
+Commands::
 
     estimate   a priori or a posteriori estimation per the config mode
     filter     recursive filter over a discrete (or discretized) horizon
@@ -11,14 +11,17 @@ Subcommands::
     check      parse and validate the configuration, and sample a
                continuous one on its grid; solve nothing
 
-Which modes and problem kinds each command runs, and which need
---observations, is read from one table, COMMANDS.
+One parser reads every command line: the command and six options, in
+any order. Which modes and problem kinds each command runs, and which
+need --observations, is read from one table, COMMANDS. The estimator
+that reads the observations checks their count and length.
 
 Exit codes, chosen in run() from the report alone: 0 when it is
 feasible, 2 when it is not, which means the requested functional has
 infinite worst-case error (a legitimate mathematical answer, not a
-crash), and 1 on any error, a command-line usage error included.
-Reports are JSON on stdout, or written to --output.
+crash), and 1 on any error, a command-line usage error and a file that
+cannot be written included. Reports are JSON on stdout, or written to
+--output.
 """
 
 from __future__ import annotations
@@ -68,33 +71,26 @@ EXIT_INFEASIBLE = 2
 _DEFAULT_VALIDATE_SAMPLES = 100_000
 
 
-def _load_observations(path, config: ProblemConfig, grid: Optional[TimeGrid]):
+def _load_observations(path, config: ProblemConfig):
+    """The rows of an observation CSV, or a static problem's one row.
+
+    The estimator that reads the rows checks their count and length.
+    """
     data = read_trajectory_csv(path, prefix="y")
-    l = config.model.observation_dim
-    if data.shape[1] != l:
-        raise InvalidInput(
-            f"observations have {data.shape[1]} columns, model expects {l}"
-        )
-    if config.kind == "static":
-        if data.shape[0] != 1:
-            raise InvalidInput("static problems take exactly one observation row")
-        return data[0]
-    if config.kind == "discrete_dae":
-        expected = config.model.horizon + 1
-    else:
-        expected = grid.steps + 1
-    if data.shape[0] != expected:
-        raise InvalidInput(
-            f"observations have {data.shape[0]} rows, expected {expected}"
-        )
-    return data
+    if config.kind != "static":
+        return data
+    if data.shape[0] != 1:
+        raise InvalidInput("static problems take exactly one observation row")
+    return data[0]
 
 
 def _effective_grid(config: ProblemConfig, grid_steps: Optional[int]) -> Optional[TimeGrid]:
-    if config.grid is None:
-        return None
     if grid_steps is None:
         return config.grid
+    if config.grid is None:
+        raise InvalidInput(
+            f"--grid-steps applies to continuous_dae problems; the config is {config.kind}"
+        )
     return TimeGrid(start=config.grid.start, end=config.grid.end, steps=grid_steps)
 
 
@@ -291,7 +287,7 @@ def _check(config, observations, grid, **_) -> ResultReport:
 
 @dataclass(frozen=True)
 class Command:
-    """One subcommand: its runner and what it runs on.
+    """One command: its runner and what it runs on.
 
     ``run(config, observations, grid, *, seed, samples, output)`` returns
     the ResultReport only; :func:`run` reads the exit code from its
@@ -383,22 +379,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="descriptor-minimax",
         description="Worst-case optimal estimation for linear descriptor systems",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="problem description (JSON)")
-        p.add_argument("--observations", help="trajectory CSV with y columns")
-        p.add_argument("--output", help="report file, or directory for simulate")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--samples",
-            type=int,
-            default=_DEFAULT_VALIDATE_SAMPLES,
-            help="oracle sample count for validate",
-        )
-        p.add_argument(
-            "--grid-steps", type=int, default=None, help="override grid steps"
-        )
+    parser.add_argument("command", choices=COMMANDS, help="what to run (README \"CLI\")")
+    parser.add_argument("--config", required=True, help="problem description (JSON)")
+    parser.add_argument("--observations", help="trajectory CSV with y columns")
+    parser.add_argument("--output", help="report file, or directory for simulate")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument(
+        "--samples",
+        type=int,
+        default=_DEFAULT_VALIDATE_SAMPLES,
+        help="oracle sample count for validate",
+    )
+    parser.add_argument(
+        "--grid-steps", type=int, default=None, help="override the continuous grid's steps"
+    )
     return parser
 
 
@@ -412,9 +406,7 @@ def main(argv=None) -> int:
         config = parse_config(args.config)
         grid = _effective_grid(config, args.grid_steps)
         observations = (
-            _load_observations(args.observations, config, grid)
-            if args.observations
-            else None
+            _load_observations(args.observations, config) if args.observations else None
         )
         report, code = run(
             args.command,
@@ -425,16 +417,19 @@ def main(argv=None) -> int:
             grid=grid,
             output_dir=args.output if output_dir else None,
         )
+        text = report.to_json()
+        if args.output and not output_dir:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return code
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    text = report.to_json()
-    if args.output and not output_dir:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:  # every failed read is already a ParseError
+        reason = exc.strerror or exc
+        print(f"error: cannot write {exc.filename or args.output}: {reason}", file=sys.stderr)
+        return EXIT_ERROR
+    print(text)
     return code
 
 

@@ -11,13 +11,14 @@ row-major lists; time-varying coefficients are tagged objects
 
 Validation is layered: JSON syntax errors raise ParseError, layout
 violations raise SchemaError with the offending field path, and shape
-mismatches raise DimensionError (a SchemaError subclass). All checks
+mismatches raise DimensionError (a SchemaError subclass). Matrices and
+vectors pass the checks of :mod:`.linalg`, in its wording. All checks
 run before any solve is attempted.
 
 Reports serialize an infinite float, such as an infinite ``sigma_hat``,
 as the string "infinite", never as a bare non-numeric float token.
 Floats round-trip exactly: both JSON and CSV emit shortest repr, which
-Python guarantees to parse back to the identical double.
+``json`` and ``np.loadtxt`` parse back to the identical double.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
+from .linalg import as_matrix, as_matrix_stack, as_vector
 from .static import StaticEllipsoid, StaticModel
 
 KINDS = ("static", "discrete_dae", "continuous_dae")
@@ -75,32 +77,21 @@ def _integer(value, path: str, least: Optional[int] = None) -> int:
     return int(value)
 
 
-def _matrix(obj, path: str) -> np.ndarray:
-    try:
-        a = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path} is not a numeric matrix: {exc}") from exc
-    if a.ndim == 0 or a.dtype == object:
-        raise SchemaError(f"{path} is not a numeric matrix")
-    if a.ndim == 1:
-        raise SchemaError(f"{path} must be a nested (2-D) array")
-    if a.ndim != 2:
-        raise SchemaError(f"{path} has {a.ndim} dimensions, expected 2")
-    if not np.all(np.isfinite(a)):
-        raise SchemaError(f"{path} contains non-finite entries")
-    return a
+def _schema(check):
+    """``check(value, path)`` from :mod:`.linalg` with its InvalidInput
+    raised as a SchemaError: a document's layout is a schema matter."""
+
+    def checked(value, path: str) -> np.ndarray:
+        try:
+            return check(value, path)
+        except InvalidInput as exc:
+            raise SchemaError(str(exc)) from exc
+
+    return checked
 
 
-def _vector(obj, path: str) -> np.ndarray:
-    try:
-        a = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path} is not a numeric vector: {exc}") from exc
-    if a.ndim != 1:
-        raise SchemaError(f"{path} must be a flat array")
-    if not np.all(np.isfinite(a)):
-        raise SchemaError(f"{path} contains non-finite entries")
-    return a
+_matrix = _schema(as_matrix)
+_vector = _schema(as_vector)
 
 
 def _time_function(obj, path: str, vector: bool = False):
@@ -136,29 +127,13 @@ def _time_function(obj, path: str, vector: bool = False):
     raise SchemaError(f"{path}.type must be constant, table, or polynomial")
 
 
-def _matrix_stack(raw: list, path: str):
-    """The matrices of ``raw`` as one (count, rows, cols) array.
-
-    One ``np.asarray`` for the whole list; only when that fails are the
-    entries read one by one, so a SchemaError names the first bad entry
-    (``model.F_seq[3] contains non-finite entries``). Entries that are
-    all valid but differ in shape come back as a tuple, and the model
-    constructor reports the first mismatch as a DimensionError, after
-    every field has passed its schema checks.
-    """
-    try:
-        a = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is not None and a.ndim == 3 and np.isfinite(a).all():
-        return a
-    return tuple(_matrix(m, f"{path}[{i}]") for i, m in enumerate(raw))
-
-
 def _matrix_seq(block: dict, name: str, count: int, path: str):
     """Read ``name_seq`` (exact length) or broadcast a single ``name``.
 
-    A single matrix is validated once and repeated with stride 0, so the
+    A sequence is one :func:`.linalg.as_matrix_stack`: a bad entry is a
+    SchemaError naming it (``model.F_seq[3] contains non-finite
+    entries``), and entries of different shapes are a DimensionError. A
+    single matrix is validated once and repeated with stride 0, so the
     model constructors check it once too.
     """
     seq_key = f"{name}_seq"
@@ -166,7 +141,10 @@ def _matrix_seq(block: dict, name: str, count: int, path: str):
         raw = block[seq_key]
         if not isinstance(raw, list) or len(raw) != count:
             raise SchemaError(f"{path}.{seq_key} must be a list of {count} matrices")
-        return _matrix_stack(raw, f"{path}.{seq_key}")
+        try:
+            return as_matrix_stack(raw, f"{path}.{seq_key}", check=_matrix)
+        except InvalidInput as exc:
+            raise DimensionError(str(exc)) from exc
     if name in block:
         single = _matrix(block[name], f"{path}.{name}")
         return np.broadcast_to(single, (count,) + single.shape)
@@ -584,6 +562,9 @@ def read_trajectory_csv(path, prefix: Optional[str] = None) -> np.ndarray:
 
     Returns the (rows, columns) array of values in index order, zero rows
     included; the k column must be the consecutive integers from 0.
+    Blank lines and spaces around fields are ignored. One ``np.loadtxt``
+    reads the rows; only if it or the index test fails are they scanned,
+    so the ParseError names the first bad row.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -601,18 +582,32 @@ def read_trajectory_csv(path, prefix: Optional[str] = None) -> np.ndarray:
             raise ParseError(
                 f"{path}: expected columns {expected}, found {header[1:]}"
             )
-    width = len(header) - 1
-    rows = []
-    for i, line in enumerate(lines[1:]):
+    rows = lines[1:]
+    if not rows:
+        return np.zeros((0, len(header) - 1))
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        _find_bad_row(path, rows, len(header))
+        # a spelling Python's float reads and numpy's does not, such as 1_0
+        raise ParseError(f"{path}: {exc}") from exc
+    if data.shape[1] != len(header) or not np.array_equal(
+        data[:, 0], np.arange(len(rows))
+    ):
+        _find_bad_row(path, rows, len(header))
+    return np.ascontiguousarray(data[:, 1:])
+
+
+def _find_bad_row(path, rows: list, fields: int) -> None:
+    """Raise a ParseError naming the first row with the wrong field
+    count, a non-numeric field or an index other than its position."""
+    for i, line in enumerate(rows):
         parts = line.split(",")
-        if len(parts) != width + 1:
-            raise ParseError(f"{path}: row {i} has {len(parts)} fields, expected {width + 1}")
+        if len(parts) != fields:
+            raise ParseError(f"{path}: row {i} has {len(parts)} fields, expected {fields}")
         try:
-            k = int(parts[0])
-            values = [float(v) for v in parts[1:]]
+            values = [float(v) for v in parts]
         except ValueError as exc:
             raise ParseError(f"{path}: row {i} is not numeric: {exc}") from exc
-        if k != i:
-            raise ParseError(f"{path}: row {i} has index {k}, expected {i}")
-        rows.append(values)
-    return np.asarray(rows, dtype=float).reshape(len(rows), width)
+        if values[0] != i:
+            raise ParseError(f"{path}: row {i} has index {parts[0]}, expected {i}")

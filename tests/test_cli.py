@@ -4,6 +4,7 @@ Most tests call main() in process; one smoke test goes through a real
 subprocess to cover the console entry point.
 """
 
+import argparse
 import dataclasses
 import json
 import math
@@ -21,6 +22,7 @@ from descriptor_minimax.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    _build_parser,
     main,
     run,
 )
@@ -180,7 +182,7 @@ def test_missing_observations_for_aposteriori_exits_1(tmp_path, capsys):
     obs.write_text("k,y0\n")
     for doc, message in (
         (scalar_doc(), "exactly one observation row"),
-        (chain_doc(), "observations have 0 rows, expected 2"),
+        (chain_doc(), "expected 2 observation vectors, got 0"),
     ):
         config = write_doc(tmp_path, doc)
         assert main(["estimate", "--config", config, "--observations", str(obs)]) == EXIT_ERROR
@@ -203,22 +205,46 @@ def test_filter_chain(tmp_path, capsys):
     assert report["sigma_hat"] == pytest.approx(math.sqrt(0.6), abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        ("0,1.0\n1,1.0,2.0\n", "row 1 has 3 fields, expected 2"),
-        ("0,1.0\n1,nan\n", "y_seq[1] contains non-finite entries"),
-        ("0,1.0\n1,1.0\n2,1.0\n", "observations have 3 rows, expected 2"),
-    ],
-)
-def test_filter_rejects_bad_observation_rows(tmp_path, capsys, rows, message):
-    # the one-shot estimate refuses the same rows with the same messages
+# command, document, rows it reads, name its estimator gives the rows
+OBSERVATION_READERS = [
+    ("filter", chain_doc("filter"), 2, "y_seq"),
+    ("estimate", chain_doc(), 2, "y_seq"),
+    ("validate", chain_doc(), 2, "y_seq"),
+    ("riccati", continuous_doc("riccati"), 65, "y_samples"),
+    ("estimate", continuous_doc(), 65, "y_samples"),
+    ("estimate", scalar_doc(), 1, "y"),
+    ("validate", scalar_doc(), 1, "y"),
+]
+
+
+@pytest.mark.parametrize("fault", ["count", "width", "nan", "ragged"])
+def test_filter_rejects_bad_observation_rows(tmp_path, capsys, fault):
+    # every command refuses the same rows where its estimator reads them:
+    # a chain's vector_stack, a grid's sample check, a static sized_vector
     obs = tmp_path / "y.csv"
-    obs.write_text("k,y0\n" + rows)
-    for command, mode in (("filter", "filter"), ("estimate", "aposteriori")):
-        config = write_doc(tmp_path, chain_doc(mode))
-        assert main([command, "--config", config, "--observations", str(obs)]) == EXIT_ERROR
-        assert message in capsys.readouterr().err
+    for command, doc, count, name in OBSERVATION_READERS:
+        header, rows = "k,y0", [f"{k},1.0" for k in range(count)]
+        last = count - 1
+        if fault == "count":
+            rows.append(f"{count},1.0")
+            what = "observation vectors" if name == "y_seq" else "observation samples"
+            message = f"expected {count} {what}, got {count + 1}"
+            if name == "y":
+                message = "static problems take exactly one observation row"
+        elif fault == "width":
+            header, rows = "k,y0,y1", [f"{k},1.0,1.0" for k in range(count)]
+            message = f"{name}{'[0]' if count > 1 else ''} has length 2, expected 1"
+        elif fault == "nan":
+            rows[last] = f"{last},nan"
+            where = f"[{last}]" if count > 1 else ""
+            message = f"{name}{where} contains non-finite entries"
+        else:
+            rows[last] += ",2.0"
+            message = f"{obs}: row {last} has 3 fields, expected 2"
+        obs.write_text("\n".join([header] + rows) + "\n")
+        argv = [command, "--config", write_doc(tmp_path, doc), "--observations", str(obs)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n", (command, name)
 
 
 def test_riccati_scalar(tmp_path, capsys):
@@ -396,6 +422,71 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert main(argv) == EXIT_ERROR
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
     assert main(["--help"]) == EXIT_OK
+    assert main(["estimate", "--help"]) == EXIT_OK
+
+
+OPTIONS = {
+    "--config": "problem.json",
+    "--observations": "y.csv",
+    "--output": "out",
+    "--seed": "3",
+    "--samples": "10",
+    "--grid-steps": "8",
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_option_parses_before_and_after_the_command(command):
+    parser = _build_parser()
+    for option, value in OPTIONS.items():
+        rest = [] if option == "--config" else ["--config", "problem.json"]
+        for argv in ([command, option, value] + rest, [option, value, command] + rest):
+            args = parser.parse_args(argv)
+            assert args.command == command
+            assert str(getattr(args, option[2:].replace("-", "_"))) == value
+
+
+def test_one_parser_declares_each_option_once():
+    parser = _build_parser()
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    declared = [s for a in parser._actions for s in a.option_strings]
+    assert sorted(declared) == sorted(["-h", "--help", *OPTIONS])
+
+
+def test_readme_usage_lines_parse():
+    block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert len(lines) == len(COMMANDS)
+    parser = _build_parser()
+    for line in lines:
+        program, *argv = line.split()
+        assert program == "descriptor-minimax"
+        assert parser.parse_args(argv).command in COMMANDS
+
+
+def test_an_unwritable_output_is_one_error_line(tmp_path, capsys):
+    config = write_doc(tmp_path, chain_doc())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = tmp_path / "missing" / "r.json"
+    for argv, path in (
+        (["estimate", "--observations", write_obs(tmp_path, [[1.0], [1.0]])], missing),
+        (["simulate"], taken),  # its directory is a file
+    ):
+        assert main(argv + ["--config", config, "--output", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"error: cannot write {re.escape(str(path))}: [^\n]+\n", captured.err)
+
+
+def test_grid_steps_needs_a_continuous_problem(tmp_path, capsys):
+    for doc, rows in ((scalar_doc(), [[1.0]]), (chain_doc(), [[1.0], [1.0]])):
+        argv = ["estimate", "--config", write_doc(tmp_path, doc), "--grid-steps", "8"]
+        assert main(argv + ["--observations", write_obs(tmp_path, rows)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: --grid-steps applies to continuous_dae problems; "
+            f"the config is {doc['kind']}\n"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +582,16 @@ def test_every_command_on_every_accepted_pair(tmp_path, capsys, command, kind, m
         assert code == EXIT_OK
 
 
+def _readme_cli_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_command_table_matches_the_readme():
     # README's CLI table has one row per command, read the same way as
     # cli.COMMANDS: modes, kinds, modes that need data, --output role
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     table = {}
-    for line in section.splitlines():
+    for line in _readme_cli_section().splitlines():
         if not line.startswith("| `"):
             continue
         cells = [c.strip() for c in line.strip("|").split("|")]

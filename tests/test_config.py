@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_interior_failures_keep_their_class_and_name_their_entry():
         parse_config(doc)
     doc = _long_discrete_doc()
     doc["model"]["F_seq"][4] = [1.0]
-    with pytest.raises(SchemaError, match=r"model\.F_seq\[4\] must be a nested"):
+    with pytest.raises(SchemaError, match=r"model\.F_seq\[4\] must be 2-D, got shape \(1,\)"):
         parse_config(doc)
     doc = _long_discrete_doc()
     doc["bounds"]["Q1_seq"][17] = [[-1.0]]
@@ -329,27 +330,38 @@ def test_report_serializes_infinite_radius_as_string():
 def test_trajectory_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "y.csv"
-    # the second input has no rows: the file is a header only
-    for data in (rng.standard_normal((7, 3)) * np.pi, np.zeros((0, 3))):
+    # random 64-bit patterns with subnormals, +-max and -0.0, read back bit
+    # for bit; the last input has no rows: the file is a header only
+    patterns = np.frombuffer(rng.bytes(8 * 3 * 10_000), dtype=np.float64).reshape(-1, 3)
+    edges = [[5e-324, -2.2250738585072e-308, -0.0], [np.finfo(float).max, -np.finfo(float).max, 0.0]]
+    for data in (
+        rng.standard_normal((7, 3)) * np.pi,
+        np.vstack([patterns[np.isfinite(patterns).all(axis=1)], edges]),
+        np.zeros((0, 3)),
+    ):
         write_trajectory_csv(path, "y", data)
         text = path.read_text().splitlines()
         assert text[0] == "k,y0,y1,y2"
         back = read_trajectory_csv(path, prefix="y")
         assert back.shape == data.shape
-        assert np.array_equal(back, data)  # bit-exact through repr round-trip
+        assert np.array_equal(back.view(np.uint64), data.view(np.uint64))
 
 
 def test_trajectory_csv_validation(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("k,x0\n0,1.0\n2,2.0\n")
-    with pytest.raises(ParseError):
-        read_trajectory_csv(path)  # non-consecutive index
+    for text, message in (
+        ("k,x0\n0,1.0\n2,2.0\n", "row 1 has index 2, expected 1"),
+        ("k,x0\n0,1.0\n1.5,2.0\n", "row 1 has index 1.5, expected 1"),
+        ("k,x0\n0,1.0,5.0\n", "row 0 has 3 fields, expected 2"),
+        ("k,x0\n0,1.0\n1,abc\n", "row 1 is not numeric"),
+        ("k,x0\n0,1.0\n1,\n", "row 1 is not numeric"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f": {re.escape(message)}"):
+            read_trajectory_csv(path)
     path.write_text("idx,x0\n0,1.0\n")
     with pytest.raises(ParseError):
         read_trajectory_csv(path)  # wrong first header
-    path.write_text("k,x0\n0,1.0,5.0\n")
-    with pytest.raises(ParseError):
-        read_trajectory_csv(path)  # ragged row
     path.write_text("k,z0\n0,1.0\n")
     with pytest.raises(ParseError):
         read_trajectory_csv(path, prefix="x")  # prefix mismatch
@@ -358,5 +370,8 @@ def test_trajectory_csv_validation(tmp_path):
         read_trajectory_csv(path)
     path.write_text("k,x0\n")
     assert read_trajectory_csv(path).shape == (0, 1)  # header only: no rows
+    # blank lines and spaces around fields are skipped; an index is a number
+    path.write_text("k,x0,x1\n\n 0 , 1.5 ,-2\n\n1e0,\t2.0,3 \n\n")
+    assert read_trajectory_csv(path).tolist() == [[1.5, -2.0], [2.0, 3.0]]
     with pytest.raises(ParseError):
         read_trajectory_csv(tmp_path / "missing.csv")
