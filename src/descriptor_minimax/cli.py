@@ -152,7 +152,7 @@ def _filter(config, observations, grid, **_) -> ResultReport:
             "x_hat_seq": result.x_hat_seq,
             "P_final": result.final.P,
         },
-        diagnostics={"kind": config.kind, "steps": dae.horizon},
+        diagnostics={"kind": config.kind, "steps": dae.horizon, "solver": result.solver},
     )
 
 
@@ -227,6 +227,8 @@ def _validate(config, observations, grid, *, samples, seed, **_) -> ResultReport
     oracle; a sampled state beyond the reported radius is a SolveFailure.
     An infinite radius cannot be broken, so it is reported (exit 2) with
     ``"oracle": null`` and no draws."""
+    if samples is None:
+        samples = _DEFAULT_VALIDATE_SAMPLES
     if samples < 1:
         raise InvalidInput(f"--samples must be at least 1, got {samples}")
     center = _estimate(config, observations, grid)
@@ -296,6 +298,8 @@ class Command:
     in the modes listed in ``observations``. With
     ``output_dir`` the command needs ``--output`` and writes files into
     that directory; otherwise ``--output`` names the report file.
+    ``options`` lists which of ``seed`` and ``samples`` the command
+    reads; it refuses the others.
     """
 
     run: Callable[..., ResultReport]
@@ -303,6 +307,7 @@ class Command:
     kinds: Tuple[str, ...] = KINDS
     observations: Tuple[str, ...] = ()
     output_dir: bool = False
+    options: Tuple[str, ...] = ()
 
 
 # The one table of which estimate each command runs (README "CLI").
@@ -316,12 +321,13 @@ COMMANDS = {
         _riccati, ("riccati",), ("continuous_dae",), observations=("riccati",)
     ),
     "tikhonov": Command(_tikhonov, ("tikhonov",), ("continuous_dae",)),
-    "simulate": Command(_simulate, MODES, _DYNAMIC, output_dir=True),
+    "simulate": Command(_simulate, MODES, _DYNAMIC, output_dir=True, options=("seed",)),
     "validate": Command(
         _validate,
         ("aposteriori",),
         ("static", "discrete_dae"),
         observations=("aposteriori",),
+        options=("seed", "samples"),
     ),
     "check": Command(_check, MODES),
 }
@@ -332,7 +338,7 @@ def run(
     config: ProblemConfig,
     observations=None,
     *,
-    samples: int = _DEFAULT_VALIDATE_SAMPLES,
+    samples: Optional[int] = None,
     seed: Optional[int] = None,
     grid: Optional[TimeGrid] = None,
     output_dir: Optional[str] = None,
@@ -340,6 +346,8 @@ def run(
     """Dispatch one command against a parsed config.
 
     ``grid`` replaces the config's grid for a continuous problem.
+    ``seed`` (which overrides the config's) and ``samples`` (default
+    100000) are refused by a command that does not read them.
     Returns (ResultReport, exit_code) with the command's wall time in
     ``timings["seconds"]``. The exit code is decided here alone:
     EXIT_OK for a feasible report, EXIT_INFEASIBLE (an infinite radius)
@@ -349,6 +357,10 @@ def run(
     spec = COMMANDS.get(command)
     if spec is None:
         raise InvalidInput(f"unknown command {command!r}")
+    for name, value in (("seed", seed), ("samples", samples)):
+        if value is not None and name not in spec.options:
+            readers = " and ".join(c for c, s in COMMANDS.items() if name in s.options)
+            raise InvalidInput(f"--{name} applies to {readers}; the command is {command}")
     if seed is not None and seed < 0:
         raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
     kind, mode = config.kind, config.estimation.mode
@@ -384,12 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--observations", help="trajectory CSV with y columns")
     parser.add_argument("--output", help="report file, or directory for simulate")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
-    parser.add_argument(
-        "--samples",
-        type=int,
-        default=_DEFAULT_VALIDATE_SAMPLES,
-        help="oracle sample count for validate",
-    )
+    parser.add_argument("--samples", type=int, help="oracle sample count for validate")
     parser.add_argument(
         "--grid-steps", type=int, default=None, help="override the continuous grid's steps"
     )

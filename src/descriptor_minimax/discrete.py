@@ -270,19 +270,18 @@ class HorizonApriori:
     solver: Optional[dict] = None
 
 
-def solver_record(path: str, factor: Optional[BandedFactor] = None) -> dict:
+def solver_record(
+    path: str, rcond: Optional[float] = None, floor: float = RCOND_FLOOR
+) -> dict:
     """The ``diagnostics.solver`` entry of a report.
 
-    ``path`` is "banded" or "dense"; ``rcond_estimate`` is the estimated
-    reciprocal condition number of the saddle matrix (None where no band
-    factorization was attempted) and ``rcond_floor`` the level it had to
-    reach for the banded path.
+    ``path`` names the route taken: "banded" or "dense" for a saddle
+    solve, "information" or "recursive" for the filter. ``rcond_estimate``
+    is the estimated reciprocal condition number of the factored matrix
+    (None where no band factorization was attempted) and ``rcond_floor``
+    the level it had to reach for the fast route.
     """
-    return {
-        "path": path,
-        "rcond_estimate": factor.rcond if factor is not None else None,
-        "rcond_floor": factor.floor if factor is not None else RCOND_FLOOR,
-    }
+    return {"path": path, "rcond_estimate": rcond, "rcond_floor": floor}
 
 
 @dataclass(frozen=True)
@@ -377,10 +376,11 @@ def _banded_solve(dae, bounds, adjoint):
     sides, or None when the band factorization is not trusted; plus the
     solver record either way."""
     saddle = horizon_saddle(dae, bounds)
-    solution = saddle.factor.solve(saddle.rhs(adjoint))
+    factor = saddle.factor
+    solution = factor.solve(saddle.rhs(adjoint))
     if solution is None:
-        return None, solver_record("dense", saddle.factor)
-    return saddle.states(solution), solver_record("banded", saddle.factor)
+        return None, solver_record("dense", factor.rcond, factor.floor)
+    return saddle.states(solution), solver_record("banded", factor.rcond, factor.floor)
 
 
 def variational_estimate(

@@ -16,13 +16,36 @@ directly, B_k = I. A square invertible B_k (and S) is reduced to that
 case by re-weighting: f' = B f carries energy (Q' f', f') with
 Q' = B^{-T} Q1 B^{-1}, and the initial row likewise absorbs S into Q0.
 
-:func:`filter_run` walks the horizon in blocks of ``_BLOCK`` steps.
-Within a block only the two inversions of each step, D_k and P_k, run
-one step at a time. The block's checks (one batched eigvalsh over its
-propagated covariances, one over its information matrices), its gains
-G_k = P_k F_k' D_k C_{k-1} and its terms b_k = P_k H_k'Q2_k y_k are each
-one batched call, and the centers follow from the data recursion
-x_k = G_k x_{k-1} + b_k. Memory beyond the outputs is O(_BLOCK n^2).
+:func:`filter_run` has two paths, and its ``solver`` record names the
+one it took.
+
+* **Information sweep** (``"information"``). The filtered centers are
+  the forward half of a banded Cholesky factor of the block-tridiagonal
+  information matrix A = Phi'G^{-1}Phi + H'Q2H of the whole horizon;
+  the back half would be the Rauch-Tung-Striebel smoother (AIAA J.
+  3(8), 1965). :func:`_information_sweep` factors A in blocks whose band
+  holds about ``_BAND_ENTRIES`` entries, one LAPACK dpbtrf and one
+  dtbtrs per block, with no Python loop over steps. It is kept only
+  when every G_k = B_k Q1_k^{-1} B_k' has smallest eigenvalue at least
+  BREAKDOWN_EIG_FLOOR, every block's reciprocal condition estimate and
+  the rounding figure of every filtered information matrix reach
+  INFORMATION_RCOND_FLOOR, and every filtered information matrix passes
+  the recursion's DEFAULT_TOL test. Well-conditioned chains take it;
+  since forming G^{-1} squares cond(B_k), chains with ill-conditioned
+  B_k do not.
+* **Recursion** (``"recursive"``). Otherwise the run starts again in
+  blocks of ``_BLOCK`` steps. Within a block only the two inversions of
+  each step, D_k and P_k, run one step at a time. The block's checks
+  (one batched eigvalsh over its propagated covariances, one over its
+  information matrices), its gains G_k = P_k F_k' D_k C_{k-1} and its
+  terms b_k = P_k H_k'Q2_k y_k are each one batched call, and the
+  centers follow from the data recursion x_k = G_k x_{k-1} + b_k.
+  :func:`filter_init` and :func:`filter_step` run the same routine on a
+  block of one step.
+
+Only the recursion raises errors, so a chain the sweep turns down gets
+the recursion's verdict, message and failing step. Beyond its outputs
+and the per-step model arrays, either path holds O(block) memory.
 """
 
 from __future__ import annotations
@@ -32,12 +55,22 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
-from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds, observation_information
+from .discrete import (
+    DAEEllipsoid,
+    DiscreteDAE,
+    _check_bounds,
+    observation_information,
+    solver_record,
+)
 from .errors import InvalidInput, NumericalBreakdown, RankDeficient
 from .linalg import (
     BREAKDOWN_EIG_FLOOR,
     DEFAULT_TOL,
+    INFORMATION_RCOND_FLOOR,
+    factor_spd_banded,
     per_entry,
     sized_vector,
     symmetrize,
@@ -47,6 +80,10 @@ from .linalg import (
 # Steps per block: the covariance recursion runs one step at a time, the
 # checks, the gains and the center update once per block.
 _BLOCK = 64
+# Information sweep: each block's band of A holds about this many entries,
+# which bounds its memory at any horizon (one block at n=2 and N=10^4, 64
+# steps at n=32).
+_BAND_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -66,6 +103,7 @@ class FilterRunResult:
     sigma_hat: float
     final: FilterState
     x_hat_seq: np.ndarray
+    solver: dict
 
 
 def _full_column_rank(F: np.ndarray, H: np.ndarray) -> np.ndarray:
@@ -162,6 +200,13 @@ def prepare_filter(dae: DiscreteDAE, bounds: DAEEllipsoid) -> FilterModel:
     )
 
 
+def _singular(eigs: np.ndarray) -> np.ndarray:
+    """Per information matrix, from its ascending eigenvalues, whether it
+    is singular: its least eigenvalue is at most DEFAULT_TOL times the
+    larger of its greatest and 1."""
+    return eigs[:, 0] <= DEFAULT_TOL * np.maximum(eigs[:, -1], 1.0)
+
+
 def _check_block(start: int, inner: np.ndarray, info: np.ndarray) -> None:
     """Raise the verdict of the first failing step among start, start + 1, ...
 
@@ -187,7 +232,7 @@ def _check_block(start: int, inner: np.ndarray, info: np.ndarray) -> None:
         for i in range(len(inner)):
             _check_block(start + i, inner[i : i + 1], info[i : i + 1])
         raise
-    singular = eigs[:, 0] <= DEFAULT_TOL * np.maximum(eigs[:, -1], 1.0)
+    singular = _singular(eigs)
     if singular.any():
         raise RankDeficient(
             f"information matrix at step {start + int(np.argmax(singular))} is "
@@ -286,31 +331,180 @@ def filter_step(state: FilterState, model: FilterModel, y_next) -> FilterState:
     return FilterState(k=k, x_hat=x[0], P=P)
 
 
+def _information(F: np.ndarray, g_inv: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Per step, F_k'G_{k-1}^{-1}F_k + W_k: the information of step k
+    given x_{k-1}."""
+    return symmetrize(np.swapaxes(F, 1, 2) @ g_inv @ F + W)
+
+
+def _coupling(C: np.ndarray, g_inv: np.ndarray, F_next: np.ndarray) -> tuple:
+    """Per transition k, C_k'G_k^{-1}C_k (added to A's diagonal block k)
+    and A's block (k, k+1), -C_k'G_k^{-1}F_{k+1}."""
+    CtG = np.swapaxes(C, 1, 2) @ g_inv
+    return symmetrize(CtG @ C), -(CtG @ F_next)
+
+
+def _norm1(M: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, the 1-norm (largest column sum of |M|)."""
+    return np.abs(M).sum(axis=1).max(axis=1)
+
+
+def _information_steps(n: int) -> int:
+    """Steps per block of the information sweep: a block's band holds 2n
+    rows of n entries per step, about _BAND_ENTRIES in all."""
+    return max(1, _BAND_ENTRIES // (2 * n * n))
+
+
+def _information_sweep(model: FilterModel, Y: np.ndarray, out):
+    """The filter as the forward half of a banded Cholesky factor of A.
+
+    A = Phi'G^{-1}Phi + H'Q2H is the block-tridiagonal information matrix
+    of the whole horizon, A = R'R with R upper block-bidiagonal. Writing
+    U_k = R_{k-1,k} and solving R'z = b for b_k = H_k'Q2_k y_k, the filtered
+    information and center of step k are
+
+        J_k = F_k'G_{k-1}^{-1}F_k + W_k - U_k'U_k,
+        x_hat_k = J_k^{-1} (b_k - U_k' z_{k-1}),
+
+    and P_N = J_N^{-1}. G_k^{-1} is the inverse of ``model.q1_inv[k]``,
+    formed once for a constant model. The horizon is factored in blocks of
+    :func:`_information_steps` by :func:`_information_block`; only U and z
+    of a block's last step carry into the next, so beyond the outputs and
+    the per-step model arrays memory is O(block).
+
+    The centers go into ``out``. Returns (P_N, rcond), where rcond is the
+    smallest figure judged over the blocks factored (None if none was).
+    P_N is None, and ``out`` partly written, unless every lambda_min(G_k)
+    reaches BREAKDOWN_EIG_FLOOR, every block's reciprocal condition
+    estimate and every 1/((||T_k|| + ||U_k'U_k||) ||J_k^-1||), with T_k
+    = F_k'G_{k-1}^{-1}F_k + W_k, reach INFORMATION_RCOND_FLOOR, and every
+    J_k passes the test of :func:`_singular`.
+    """
+    N, n = model.horizon, model.F.shape[2]
+    rcond = P = None
+    # a model the recursion rejects may overflow here; the checks catch it
+    with np.errstate(all="ignore"):
+        g_low = per_entry(lambda G: np.linalg.eigvalsh(G)[:, 0], model.q1_inv)
+        if not (g_low >= BREAKDOWN_EIG_FLOOR).all():
+            return None, None
+        g_inv = per_entry(lambda G: symmetrize(np.linalg.inv(G)), model.q1_inv)
+        carry = (np.zeros((n, n)), np.zeros(n))
+        steps = _information_steps(n)
+        for start in range(0, N + 1, steps):
+            stop = min(start + steps, N + 1)
+            block_rcond, P, carry = _information_block(model, g_inv, start, stop, Y, out, carry)
+            rcond = block_rcond if rcond is None else min(rcond, block_rcond)
+            if P is None:
+                break
+    return P, rcond
+
+
+def _information_block(model: FilterModel, g_inv, start: int, stop: int, Y, out, carry) -> tuple:
+    """Steps start .. stop - 1 of :func:`_information_sweep`.
+
+    ``carry`` is (U_start, z_{start-1}), zeros at step 0. Forms the block's
+    band of A, its first diagonal block reduced by U_start'U_start,
+    factors it by one dpbtrf (:func:`.linalg.factor_spd_banded`), solves for
+    z by one dtbtrs and writes the centers into ``out``. Returns (rcond,
+    P, carry): rcond is the smallest figure judged, P is P_{stop-1}, or
+    None when the block fails a check, and ``carry`` is (U_stop,
+    z_{stop-1}) for the next block.
+    """
+    N, n = model.horizon, model.F.shape[2]
+    count, last = stop - start, min(stop, N)  # transitions start .. last - 1
+    U, z_before = carry
+    lo = max(start, 1)
+    T = per_entry(_information, model.F[lo:stop], g_inv[lo - 1 : stop - 1], model.W[lo:stop])
+    if start == 0:
+        T = np.concatenate([_information(model.F[:1], model.q0[None], model.W[:1]), T])
+    F_next = model.F[start + 1 : last + 1]
+    Cn, off = per_entry(_coupling, model.C[start:last], g_inv[start:last], F_next)
+    inner = off[: count - 1]
+    UtU = np.empty((count, n, n))  # U_k'U_k
+    UtU[0] = U.T @ U
+    diag = np.array(T)  # A's diagonal blocks, the first reduced by the blocks before
+    diag[0] -= UtU[0]
+    diag[: last - start] += Cn
+    # The band, column by column: cols[i, c, r] = A[i n + c + r - 2n + 1, i n + c],
+    # so rows r = n - 1 + a - c hold block (i - 1, i) and rows r = 2n - 1 + a - c,
+    # a <= c, the upper triangle of block (i, i).
+    cols = np.zeros((count, n, 2 * n))
+    for c in range(n):
+        cols[:, c, 2 * n - 1 - c :] = diag[:, : c + 1, c]
+        cols[1:, c, n - 1 - c : 2 * n - 1 - c] = inner[:, :, c]
+    column = np.abs(diag).sum(axis=1)
+    column[1:] += np.abs(inner).sum(axis=1)
+    column[:-1] += np.abs(inner).sum(axis=2)
+    R, rcond = factor_spd_banded(cols.reshape(count * n, 2 * n).T, float(column.max()))
+    if not rcond >= INFORMATION_RCOND_FLOOR:
+        return rcond, None, None
+    b = (model.HtQ2[start:stop] @ Y[start:stop, :, None])[:, :, 0]
+    b[0] -= U.T @ z_before
+    z = lapack.dtbtrs(R, b.reshape(-1, 1), trans="T")[0].reshape(count, n)
+    cols = R.T.reshape(count, n, 2 * n)
+    Ut = np.empty((count - 1, n, n))  # Ut[i - 1] = R_{i-1,i}'
+    for c in range(n):
+        Ut[:, c] = cols[1:, c, n - 1 - c : 2 * n - 1 - c]
+    UtU[1:] = Ut @ np.ascontiguousarray(np.swapaxes(Ut, 1, 2))
+    J = symmetrize(T - UtU)
+    try:
+        P = np.linalg.inv(J)
+    except np.linalg.LinAlgError:  # some J_k is exactly singular
+        return 0.0, None, None
+    norm_J, norm_P = _norm1(J), _norm1(P)
+    # J_k is a difference: (||T_k|| + ||U_k'U_k||) ||J_k^-1|| amplifies the
+    # rounding in its terms, which a short block's estimate of A misses
+    amplification = float(((_norm1(T) + _norm1(UtU)) * norm_P).max())
+    rcond = min(rcond, 1.0 / amplification if amplification < np.inf else 0.0)
+    if not rcond >= INFORMATION_RCOND_FLOOR:
+        return rcond, None, None
+    # lambda_max(J) <= ||J||_1 and lambda_min(J) >= 1/||P||_1 pass most J
+    # through _singular's test; eigvalsh decides the rest
+    unsure = ~(norm_P * DEFAULT_TOL * np.maximum(norm_J, 1.0) < 1.0)
+    if _singular(np.linalg.eigvalsh(J[unsure])).any():
+        return rcond, None, None
+    b[1:] -= (Ut @ z[:-1, :, None])[:, :, 0]
+    out[start:stop] = (P @ b[:, :, None])[:, :, 0]
+    if stop <= N:
+        pivot = np.zeros((n, n))  # R_{stop-1,stop-1}
+        for c in range(n):
+            pivot[: c + 1, c] = cols[-1, c, 2 * n - 1 - c :]
+        U = scipy.linalg.solve_triangular(pivot, off[-1], trans="T", check_finite=False)
+    return rcond, symmetrize(P[-1]), (U, z[-1])
+
+
 def filter_run(
     dae: DiscreteDAE, bounds: DAEEllipsoid, y_seq: Sequence, ell
 ) -> FilterRunResult:
     """Run the filter across the horizon and read out (ell, x_N).
 
     Returns the terminal readout, its radius sqrt(ell' P_N ell), the
-    final state and the filtered centers at every step. Note
+    final state, the filtered centers at every step and the ``solver``
+    record (:func:`.discrete.solver_record`) of the path taken. Note
     the intermediate x_hat_k use only y_0 .. y_k; they match the batch
-    center of the truncated problem, not of the full horizon. The steps
-    run in blocks of ``_BLOCK``, so beyond its outputs the run holds
-    O(_BLOCK n^2) memory.
+    center of the truncated problem, not of the full horizon.
+
+    The run first tries :func:`_information_sweep`. When one of its
+    checks fails, it restarts on the recursion of :func:`_filter_block`
+    in blocks of ``_BLOCK`` steps, which alone decides every error.
     """
     count = dae.horizon + 1
     Y = vector_stack(y_seq, "y_seq", count, dae.observation_dim, "observation vectors")
     ell = sized_vector(ell, "ell", dae.state_dim)
     model = prepare_filter(dae, bounds)
     x_seq = np.empty((count, dae.state_dim))
-    P = None
-    for start in range(0, count, _BLOCK):
-        stop = min(start + _BLOCK, count)
-        P = _filter_block(model, start, P, x_seq[start - 1], Y[start:stop], x_seq[start:stop])
+    P, rcond = _information_sweep(model, Y, x_seq)
+    path = "information"
+    if P is None:
+        path = "recursive"
+        for start in range(0, count, _BLOCK):
+            stop = min(start + _BLOCK, count)
+            P = _filter_block(model, start, P, x_seq[start - 1], Y[start:stop], x_seq[start:stop])
     final = FilterState(k=dae.horizon, x_hat=x_seq[-1].copy(), P=P)
     return FilterRunResult(
         estimate_value=float(ell @ final.x_hat),
         sigma_hat=math.sqrt(max(float(ell @ (P @ ell)), 0.0)),
         final=final,
         x_hat_seq=x_seq,
+        solver=solver_record(path, rcond, INFORMATION_RCOND_FLOOR),
     )

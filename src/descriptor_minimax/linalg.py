@@ -34,6 +34,13 @@ SADDLE_RESIDUAL_TOL = 1e-6
 # DEFAULT_TOL, the floor rejects every matrix least squares would truncate
 # even if the estimate (never above the true norm of A^-1) is that far low.
 RCOND_FLOOR = 1e-7
+# Information-form filter: its sweep is kept when each block's reciprocal
+# condition estimate of the banded Cholesky of Phi'G^{-1}Phi + H'Q2H, and each
+# filtered information J_k's 1/((||T_k|| + ||U_k'U_k||) ||J_k^-1||), reach
+# this. Forming G^{-1} squares cond(B_k): on 800 random chains with cond(B_k)
+# log-uniform up to 1e6 the sweep stayed within 3.0e-11 of the recursion at
+# 1e-6, but only within 1.4e-10 at 1e-7.
+INFORMATION_RCOND_FLOOR = 1e-6
 # SPD checks: symmetric when |a_ij - a_ji| <= this times 1 + max |a_ij|.
 SYMMETRY_TOL = 1e-12
 # Filter step: Q1^{-1} + C P C' is singular below this eigenvalue (absolute).
@@ -490,6 +497,27 @@ def factor_banded(band: np.ndarray, kl: int, ku: int) -> BandedFactor:
         if 0.0 < cond < np.inf:
             rcond = 1.0 / cond
     return BandedFactor(kl, ku, lu, piv, norm1, rcond, RCOND_FLOOR)
+
+
+def factor_spd_banded(band: np.ndarray, norm1: float) -> tuple:
+    """Factor an SPD band matrix (LAPACK dpbtrf) and estimate its condition.
+
+    ``band`` holds the upper triangle in dpbtrf storage, A[i, j] =
+    band[kd + i - j, j] for i <= j, and ``norm1`` is ||A||_1. Returns the
+    factor R (A = R'R, same storage) and the estimated reciprocal
+    condition number 1/(||A||_1 ||A^-1||_1), from dpbtrs solves only; the
+    rcond is 0.0 when dpbtrf meets a pivot that is not positive, or the
+    estimate is not finite. ``band`` is overwritten.
+    """
+    factor, info = lapack.dpbtrf(band, overwrite_ab=1)
+    if info:
+        return factor, 0.0
+
+    def solve(v):
+        return lapack.dpbtrs(factor, v[:, None])[0][:, 0]
+
+    cond = norm1 * inverse_norm1_estimate(solve, solve, band.shape[1])
+    return factor, 1.0 / cond if 0.0 < cond < np.inf else 0.0
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from descriptor_minimax import InvalidInput, SchemaError
+from descriptor_minimax import InvalidInput, SchemaError, filter_run
 from descriptor_minimax.cli import (
     COMMANDS,
     EXIT_ERROR,
@@ -203,6 +203,21 @@ def test_filter_chain(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["estimate"] == pytest.approx(0.8, abs=1e-12)
     assert report["sigma_hat"] == pytest.approx(math.sqrt(0.6), abs=1e-12)
+
+
+def test_filter_at_horizon_zero_reports_its_solver(tmp_path, capsys):
+    # one step and no transition: P_0 = (1 + 1)^-1, x_hat_0 = P_0 y_0
+    doc = chain_doc("filter")
+    doc["model"] = {"horizon": 0, "F": [[1.0]], "H": [[1.0]]}
+    doc["bounds"] = {"Q0": [[1.0]], "Q2": [[1.0]]}
+    argv = ["filter", "--config", write_doc(tmp_path, doc)]
+    assert main(argv + ["--observations", write_obs(tmp_path, [[1.0]])]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["estimate"] == pytest.approx(0.5, abs=1e-15)
+    assert report["sigma_hat"] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    config = parse_config(doc)
+    run = filter_run(config.model, config.bounds, [[1.0]], [1.0])
+    assert report["diagnostics"]["solver"] == run.solver
 
 
 # command, document, rows it reads, name its estimator gives the rows
@@ -558,7 +573,7 @@ def test_every_command_on_every_accepted_pair(tmp_path, capsys, command, kind, m
     make, rows = DOCS[kind]
     out = tmp_path / "out"
     argv = [command, "--config", write_doc(tmp_path, make(mode)), "--output", str(out)]
-    argv += ["--samples", "50"]
+    argv += ["--samples", "50"] if "samples" in COMMANDS[command].options else []
     obs = write_obs(tmp_path, np.zeros((rows, 1)))
     spec = COMMANDS[command]
     code = main(argv + ["--observations", obs])
@@ -601,9 +616,10 @@ def test_command_table_matches_the_readme():
             KINDS if cells[2] == "any" else names[2],
             names[3],
             cells[4].startswith("directory"),
+            tuple(re.findall(r"`--([a-z]+)`", cells[5])),
         )
     code = {
-        name: (spec.modes, spec.kinds, spec.observations, spec.output_dir)
+        name: (spec.modes, spec.kinds, spec.observations, spec.output_dir, spec.options)
         for name, spec in COMMANDS.items()
     }
     assert table == code
@@ -662,7 +678,8 @@ def test_every_command_gives_the_same_verdict(tmp_path, capsys, name):
     assert set(codes) == accepting
     config, obs = write_doc(tmp_path, doc), write_obs(tmp_path, rows)
     for command, expected in codes.items():
-        argv = [command, "--config", config, "--observations", obs, "--samples", "100"]
+        argv = [command, "--config", config, "--observations", obs]
+        argv += ["--samples", "100"] if command == "validate" else []
         out = tmp_path / command
         code = main(argv + (["--output", str(out)] if COMMANDS[command].output_dir else []))
         captured = capsys.readouterr()
@@ -715,6 +732,30 @@ def test_validate_draws_nothing_against_an_infinite_radius(tmp_path, capsys, mon
     assert report["feasible"] is False
     assert report["sigma_hat"] == "infinite"
     assert report["diagnostics"]["oracle"] is None
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "validate"])
+def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, command):
+    # --samples is read by validate alone, --seed by simulate and validate
+    doc, rows = {
+        "estimate": (scalar_doc(), 1),
+        "filter": (chain_doc("filter"), 2),
+        "riccati": (continuous_doc("riccati"), 65),
+        "tikhonov": (continuous_doc("tikhonov"), 65),
+    }.get(command, (chain_doc(), 2))
+    argv = [command, "--config", write_doc(tmp_path, doc), "--output", str(tmp_path / "out")]
+    argv += ["--observations", write_obs(tmp_path, np.zeros((rows, 1)))]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    option = {"samples": "0", "seed": "5"}
+    for name in ("samples", "seed"):
+        if name in COMMANDS[command].options:
+            continue
+        assert main(argv + [f"--{name}", option[name]]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        readers = "validate" if name == "samples" else "simulate and validate"
+        assert captured.err == f"error: --{name} applies to {readers}; the command is {command}\n"
+        assert captured.out == ""
 
 
 def test_validate_rejects_samples_below_one(tmp_path, capsys):

@@ -6,6 +6,8 @@ P_1 = (2/3 + 1)^-1 = 3/5, and x_hat_1 = P_1 (D x_hat_0 + y_1)
 = 0.6 (2/3 * 0.5 y_0 + y_1) = 0.2 y_0 + 0.6 y_1.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -394,19 +396,27 @@ def _block_edge_chain(rng, N, descriptor):
     return dae, bounds, rng.standard_normal((N + 1, l)) * 0.1, rng.standard_normal(n)
 
 
+def _assert_matches_reference(dae, bounds, y_seq, ell, rel=1e-12):
+    x_ref, P_ref = _reference_filter(dae, bounds, y_seq)
+    run = filter_run(dae, bounds, y_seq, ell)
+    assert run.x_hat_seq == pytest.approx(x_ref, rel=rel, abs=rel * np.abs(x_ref).max())
+    assert run.final.P == pytest.approx(P_ref, rel=rel, abs=rel * np.abs(P_ref).max())
+    scale = np.abs(ell) @ np.abs(x_ref[-1])
+    assert run.estimate_value == pytest.approx(ell @ x_ref[-1], rel=rel, abs=rel * scale)
+    assert run.sigma_hat == pytest.approx(np.sqrt(ell @ P_ref @ ell), rel=rel)
+    return run
+
+
 @pytest.mark.parametrize("N", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 @pytest.mark.parametrize("descriptor", [False, True])
-def test_blocked_filter_matches_per_step_formulas_across_block_edges(N, descriptor):
+def test_blocked_filter_matches_per_step_formulas_across_block_edges(N, descriptor, monkeypatch):
+    # an unreachable floor turns the information sweep down: the recursion answers
+    monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", np.inf)
     rng = rng_for(N + 1000 * descriptor)
     for _ in range(3):
         dae, bounds, y_seq, ell = _block_edge_chain(rng, N, descriptor)
-        x_ref, P_ref = _reference_filter(dae, bounds, y_seq)
-        run = filter_run(dae, bounds, y_seq, ell)
-        assert run.x_hat_seq == pytest.approx(x_ref, rel=1e-12, abs=1e-12 * np.abs(x_ref).max())
-        assert run.final.P == pytest.approx(P_ref, rel=1e-12, abs=1e-12 * np.abs(P_ref).max())
-        scale = np.abs(ell) @ np.abs(x_ref[-1])
-        assert run.estimate_value == pytest.approx(ell @ x_ref[-1], rel=1e-12, abs=1e-12 * scale)
-        assert run.sigma_hat == pytest.approx(np.sqrt(ell @ P_ref @ ell), rel=1e-12)
+        run = _assert_matches_reference(dae, bounds, y_seq, ell)
+        assert run.solver["path"] == "recursive"
 
         model = prepare_filter(dae, bounds)
         state = filter_init(model, y_seq[0])
@@ -417,6 +427,27 @@ def test_blocked_filter_matches_per_step_formulas_across_block_edges(N, descript
         stepped = np.array(stepped)
         assert stepped == pytest.approx(run.x_hat_seq, rel=1e-13, abs=1e-13 * np.abs(stepped).max())
         assert state.P == pytest.approx(run.final.P, rel=1e-13, abs=1e-13 * np.abs(state.P).max())
+
+
+@pytest.mark.parametrize("N", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("descriptor", [False, True])
+def test_information_sweep_matches_per_step_formulas_across_block_edges(
+    N, descriptor, monkeypatch
+):
+    # the sweep with blocks of BLOCK steps carries its pivot and z across
+    # the same edges as the recursion. It answers at least two of each three
+    # chains; the others have an rcond estimate below the floor. Its rounding
+    # grows as the estimate falls toward the floor: 1.6e-12 relative on one
+    # chain at 1.4e-6, hence 1e-11 here
+    rng = rng_for(N + 1000 * descriptor)
+    paths = []
+    for _ in range(3):
+        dae, bounds, y_seq, ell = _block_edge_chain(rng, N, descriptor)
+        n = dae.state_dim
+        monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * n * n * BLOCK)
+        run = _assert_matches_reference(dae, bounds, y_seq, ell, rel=1e-11)
+        paths.append(run.solver["path"])
+    assert paths.count("information") >= 2, paths
 
 
 def _chain_breaking_at_150(fault):
@@ -479,6 +510,123 @@ def test_blocked_filter_fails_at_the_step_that_fails(fault, error, message):
     with pytest.raises(error) as step_error:
         filter_step(state, model, y_seq[150])
     assert str(step_error.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Two paths: the information sweep answers as the recursion does
+
+
+def _conditioned(rng, count, m, cond):
+    """``count`` random m x m matrices, each with singular values spread
+    geometrically from sqrt(cond) down to 1/sqrt(cond)."""
+    u = np.linalg.qr(rng.standard_normal((count, m, m)))[0]
+    v = np.linalg.qr(rng.standard_normal((count, m, m)))[0]
+    return (u * np.geomspace(cond**0.5, cond**-0.5, m)) @ np.swapaxes(v, 1, 2)
+
+
+def _stepped(dae, bounds, y_seq):
+    """Centers and P_N of the recursion, one filter_step at a time."""
+    model = prepare_filter(dae, bounds)
+    state = filter_init(model, y_seq[0])
+    centers = [state.x_hat]
+    for y in y_seq[1:]:
+        state = filter_step(state, model, y)
+        centers.append(state.x_hat)
+    return np.array(centers), state.P
+
+
+def _assert_same_answers(run, x_ref, P_ref, ell, rel):
+    assert np.abs(run.x_hat_seq - x_ref).max() <= rel * np.abs(x_ref).max()
+    assert np.abs(run.final.P - P_ref).max() <= rel * np.abs(P_ref).max()
+    scale = np.abs(ell) @ np.abs(x_ref[-1])
+    assert run.estimate_value == pytest.approx(ell @ x_ref[-1], rel=rel, abs=rel * scale)
+    assert run.sigma_hat == pytest.approx(np.sqrt(ell @ P_ref @ ell), rel=rel)
+
+
+def test_information_sweep_matches_the_recursion_on_an_ensemble(monkeypatch):
+    # cond(B_k) log-uniform in [1, 1e6] and S != I, so both paths run; every
+    # other draw shrinks the sweep's blocks to 1..19 steps, so that N (up to
+    # 139) crosses their edges
+    rng = rng_for(13)
+    default = filtering_mod._BAND_ENTRIES
+    paths = {"information": 0, "recursive": 0}
+    for trial in range(240):
+        n = int(rng.integers(1, 5))
+        l = int(rng.integers(1, 4))
+        N = int(rng.integers(1, 140))
+        dae, bounds = make_discrete(rng, n=n, m=n, p=n, l=l, N=N)
+        dae = _with_b(dae, _conditioned(rng, N, n, 10 ** rng.uniform(0, 6)))
+        steps = int(rng.integers(1, 20)) if trial % 2 else None
+        monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * n * n * steps if steps else default)
+        y_seq = rng.standard_normal((N + 1, l)) * 0.1
+        ell = rng.standard_normal(n)
+        run = filter_run(dae, bounds, y_seq, ell)
+        _assert_same_answers(run, *_stepped(dae, bounds, y_seq), ell, rel=1e-9)
+        paths[run.solver["path"]] += 1
+    assert min(paths.values()) >= 0.2 * sum(paths.values()), paths
+
+
+def test_information_sweep_holds_one_block_at_a_time():
+    # a constant n=32 chain of 1000 steps, as in the benchmark: 16 blocks of
+    # 64 steps peak at about 5 MB, one band over the whole horizon at 75 MB
+    rng = rng_for(32)
+    n, N = 32, 1000
+    F = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    C = rng.standard_normal((n, n))
+    C *= 0.8 / np.linalg.norm(C, 2)
+    H = rng.standard_normal((n, n)) / np.sqrt(n)
+    dae = DiscreteDAE(
+        F_seq=np.broadcast_to(F, (N + 1, n, n)),
+        C_seq=np.broadcast_to(C, (N, n, n)),
+        B_seq=np.broadcast_to(np.eye(n), (N, n, n)),
+        S=np.eye(n),
+        H_seq=np.broadcast_to(H, (N + 1, n, n)),
+    )
+    bounds = DAEEllipsoid(
+        Q0=random_spd(rng, n, floor=1.0),
+        Q1_seq=np.broadcast_to(random_spd(rng, n, floor=1.0), (N, n, n)),
+        Q2_seq=np.broadcast_to(random_spd(rng, n, floor=1.0), (N + 1, n, n)),
+    )
+    y_seq = rng.standard_normal((N + 1, n)) * 0.1
+    ell = rng.standard_normal(n)
+    assert filtering_mod._information_steps(n) == 64
+    assert filtering_mod._information_steps(2) > 10_000
+    tracemalloc.start()
+    try:
+        run = filter_run(dae, bounds, y_seq, ell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.solver["path"] == "information"
+    assert peak < 16e6
+    _assert_same_answers(run, *_stepped(dae, bounds, y_seq), ell, rel=1e-9)
+
+
+def test_filter_run_at_horizon_zero():
+    # no transition: the B and Q1 stacks are empty, P_0 = (F'Q0F + H'Q2H)^-1
+    # and x_hat_0 = P_0 H'Q2 y_0
+    F, H = np.eye(2), np.array([[1.0, 1.0]])
+    dae = DiscreteDAE(F_seq=F[None], C_seq=(), B_seq=(), S=np.eye(2), H_seq=H[None])
+    bounds = DAEEllipsoid(Q0=np.eye(2), Q1_seq=(), Q2_seq=np.eye(1)[None])
+    run = filter_run(dae, bounds, [[1.0]], [1.0, 0.0])
+    P = np.linalg.inv(F.T @ F + H.T @ H)
+    assert run.solver["path"] == "information"
+    assert run.final.P == pytest.approx(P, abs=1e-15)
+    assert run.x_hat_seq == pytest.approx((P @ H.T)[:, 0][None], abs=1e-15)
+    assert run.estimate_value == pytest.approx(P[0] @ H[0], abs=1e-15)
+    assert run.sigma_hat == pytest.approx(np.sqrt(P[0, 0]), abs=1e-15)
+
+
+def test_solver_record_names_the_path():
+    dae, bounds = _constant_chain(30)
+    run = filter_run(dae, bounds, np.zeros((31, 1)), np.ones(2))
+    assert run.solver["path"] == "information"
+    assert run.solver["rcond_estimate"] >= run.solver["rcond_floor"] == 1e-6
+    # cond(B_k) = 1e5 becomes 1e10 in G^{-1}: the recursion answers
+    B = np.broadcast_to(np.diag([1.0, 1e-5]), (30, 2, 2))
+    run = filter_run(_with_b(dae, B), bounds, np.zeros((31, 1)), np.ones(2))
+    assert run.solver["path"] == "recursive"
+    assert run.solver["rcond_estimate"] < 1e-6
 
 
 def test_observations_are_checked_as_one_stack():
