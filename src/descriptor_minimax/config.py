@@ -15,10 +15,10 @@ mismatches raise DimensionError (a SchemaError subclass). Matrices and
 vectors pass the checks of :mod:`.linalg`, in its wording. All checks
 run before any solve is attempted.
 
-Reports serialize an infinite float, such as an infinite ``sigma_hat``,
-as the string "infinite", never as a bare non-numeric float token.
-Floats round-trip exactly: both JSON and CSV emit shortest repr, which
-``json`` and ``np.loadtxt`` parse back to the identical double.
+Reports are written, never read back. They serialize an infinite float,
+such as an infinite ``sigma_hat``, as the string "infinite", never as a
+bare non-numeric float token. Both JSON and CSV emit shortest repr, so
+``json`` and ``np.loadtxt`` parse a float back to the identical double.
 """
 
 from __future__ import annotations
@@ -49,11 +49,11 @@ from .errors import (
     SchemaError,
 )
 from .linalg import as_matrix, as_matrix_stack, as_vector
+from .simulate import DISTURBANCES
 from .static import StaticEllipsoid, StaticModel
 
 KINDS = ("static", "discrete_dae", "continuous_dae")
 MODES = ("apriori", "aposteriori", "filter", "riccati", "tikhonov")
-DISTURBANCES = ("boundary", "uniform", "zero")
 
 
 # ---------------------------------------------------------------------------
@@ -390,85 +390,6 @@ def parse_config(source) -> ProblemConfig:
 
 
 # ---------------------------------------------------------------------------
-# Serialization back to plain documents
-
-
-def _fn_to_json(fn, path: str):
-    if isinstance(fn, ConstantFunction):
-        return {"type": "constant", "value": fn.value.tolist()}
-    if isinstance(fn, TableFunction):
-        return {
-            "type": "table",
-            "times": fn.times.tolist(),
-            "values": [v.tolist() for v in fn.values],
-        }
-    if isinstance(fn, PolynomialFunction):
-        return {
-            "type": "polynomial",
-            "coefficients": [c.tolist() for c in fn.coefficients],
-        }
-    raise SchemaError(f"{path}: arbitrary callables cannot be serialized")
-
-
-def serialize_config(config: ProblemConfig) -> Dict[str, Any]:
-    """Emit a JSON-compatible dict that parses back to an equal config."""
-    out: Dict[str, Any] = {"kind": config.kind, "seed": config.seed}
-    est: Dict[str, Any] = {"mode": config.estimation.mode}
-    if config.kind == "static":
-        model, bounds = config.model, config.bounds
-        out["model"] = {
-            "F": model.F.tolist(),
-            "B": model.B.tolist(),
-            "H": model.H.tolist(),
-        }
-        out["bounds"] = {"Q1": bounds.Q1.tolist(), "Q2": bounds.Q2.tolist()}
-    elif config.kind == "discrete_dae":
-        model, bounds = config.model, config.bounds
-        out["model"] = {
-            "horizon": model.horizon,
-            "F_seq": model.F_seq.tolist(),
-            "C_seq": model.C_seq.tolist(),
-            "B_seq": model.B_seq.tolist(),
-            "S": model.S.tolist(),
-            "H_seq": model.H_seq.tolist(),
-        }
-        out["bounds"] = {
-            "Q0": bounds.Q0.tolist(),
-            "Q1_seq": bounds.Q1_seq.tolist(),
-            "Q2_seq": bounds.Q2_seq.tolist(),
-        }
-    else:
-        model, bounds = config.model, config.bounds
-        out["model"] = {
-            "F": model.F.tolist(),
-            "C": _fn_to_json(model.C, "model.C"),
-            "H": _fn_to_json(model.H, "model.H"),
-            "t_start": model.t_start,
-            "t_end": model.t_end,
-        }
-        out["bounds"] = {
-            "Q0": bounds.Q0.tolist(),
-            "Q1": _fn_to_json(bounds.Q1, "bounds.Q1"),
-            "Q2": _fn_to_json(bounds.Q2, "bounds.Q2"),
-        }
-        out["grid"] = {
-            "start": config.grid.start,
-            "end": config.grid.end,
-            "steps": config.grid.steps,
-        }
-    ell = config.estimation.ell
-    if isinstance(ell, np.ndarray):
-        est["ell_seq" if ell.ndim == 2 else "ell"] = ell.tolist()
-    else:
-        est["ell"] = _fn_to_json(ell, "estimation.ell")
-    if config.estimation.alphas is not None:
-        est["alphas"] = list(config.estimation.alphas)
-    out["estimation"] = est
-    out["simulation"] = {"disturbance": config.simulation.disturbance}
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Result reports
 
 
@@ -511,28 +432,6 @@ class ResultReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ResultReport":
-        sigma = data.get("sigma_hat")
-        if sigma == "infinite":
-            sigma = math.inf
-        return cls(
-            command=data.get("command", ""),
-            estimate=data.get("estimate"),
-            sigma_hat=sigma,
-            feasible=bool(data.get("feasible")),
-            outputs=data.get("outputs", {}),
-            diagnostics=data.get("diagnostics", {}),
-            timings=data.get("timings", {}),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultReport":
-        try:
-            return cls.from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid report JSON: {exc.msg}") from exc
-
 
 # ---------------------------------------------------------------------------
 # Trajectory CSV files
@@ -551,8 +450,7 @@ def write_trajectory_csv(path, prefix: str, data) -> None:
         raise InvalidInput("trajectory data must be 1-D or 2-D")
     header = ",".join(["k"] + [f"{prefix}{j}" for j in range(arr.shape[1])])
     lines = [header]
-    for k, row in enumerate(arr):
-        lines.append(",".join([str(k)] + [repr(float(v)) for v in row]))
+    lines += [f"{k},{','.join(map(repr, row))}" for k, row in enumerate(arr.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

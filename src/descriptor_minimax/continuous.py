@@ -54,7 +54,6 @@ from .errors import (
 )
 from .linalg import (
     GRID_SPAN_TOL,
-    GRID_UNIFORMITY_TOL,
     _distinct,
     as_matrix,
     per_entry,
@@ -184,18 +183,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.start, self.end, self.steps + 1)
 
-    @classmethod
-    def from_nodes(cls, nodes) -> "TimeGrid":
-        t = np.asarray(nodes, dtype=float)
-        if t.ndim != 1 or t.shape[0] < 2:
-            raise InvalidGrid("need at least two nodes")
-        gaps = np.diff(t)
-        if np.any(gaps <= 0):
-            raise InvalidGrid("nodes must be strictly increasing")
-        if gaps.max() - gaps.min() > GRID_UNIFORMITY_TOL * max(abs(t[-1] - t[0]), 1.0):
-            raise InvalidGrid("nodes are not uniformly spaced")
-        return cls(start=float(t[0]), end=float(t[-1]), steps=t.shape[0] - 1)
-
 
 @dataclass(frozen=True)
 class ContinuousDAE:
@@ -216,6 +203,8 @@ class ContinuousDAE:
                 f"t_end must exceed t_start, both finite; got {self.t_start}, {self.t_end}"
             )
         m, n = self.F.shape
+        if not n:
+            raise InvalidInput("F has 0 columns; a system needs at least one state")
         c0 = np.asarray(self.C(self.t_start), dtype=float)
         if c0.shape != (m, n):
             raise InvalidInput(f"C(t) has shape {c0.shape}, expected {(m, n)}")

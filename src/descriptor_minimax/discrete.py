@@ -108,6 +108,8 @@ class DiscreteDAE:
                 f"expected {horizon + 1} observation matrices, got {H.shape[0]}"
             )
         m, n = F.shape[1:]
+        if not n:
+            raise InvalidInput("F_seq has 0 columns; a chain needs at least one state")
         if not horizon:
             C = read_only(np.zeros((0, m, n)))
             B = read_only(np.zeros((0, m, B.shape[2])))

@@ -53,8 +53,6 @@ NORMAL_EQUATION_TOL = 1e-12
 CURVATURE_SCALE_FLOOR = 1e-300
 # Chebyshev check: deviations above sigma * (1 + this) + this are violations.
 CHEBYSHEV_SLACK = 1e-9
-# Time grids: nodes are uniform when their gaps spread by <= this * max(span, 1).
-GRID_UNIFORMITY_TOL = 1e-12
 # Time grids: an endpoint may miss the system horizon by this times its length.
 GRID_SPAN_TOL = 1e-9
 

@@ -26,7 +26,7 @@ from .discrete import DAEEllipsoid, DiscreteDAE
 from .errors import InvalidInput, SingularStep
 from .linalg import STEP_RCOND, per_entry
 
-_MODES = ("boundary", "uniform", "zero")
+DISTURBANCES = ("boundary", "uniform", "zero")
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,10 @@ def simulate(
     solve each), the observations and the energy. The recursion is then
     x_{k+1} = A_k x_k + u_k, one matvec per step.
     """
-    if disturbance not in _MODES:
-        raise InvalidInput(f"disturbance must be one of {_MODES}, got {disturbance!r}")
+    if disturbance not in DISTURBANCES:
+        raise InvalidInput(
+            f"disturbance must be one of {DISTURBANCES}, got {disturbance!r}"
+        )
     N = dae.horizon
     m, p, l = dae.equation_dim, dae.disturbance_dim, dae.observation_dim
 

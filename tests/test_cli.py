@@ -597,6 +597,37 @@ def test_every_command_on_every_accepted_pair(tmp_path, capsys, command, kind, m
         assert code == EXIT_OK
 
 
+ZERO_STATE = [
+    (command, kind, mode)
+    for kind, mode in PAIRS
+    if kind != "static"
+    for command, spec in COMMANDS.items()
+    if kind in spec.kinds and mode in spec.modes
+]
+
+
+@pytest.mark.parametrize("command, kind, mode", ZERO_STATE)
+def test_a_model_without_states_is_one_error_from_every_command(
+    tmp_path, capsys, command, kind, mode
+):
+    # F with 0 columns is refused by the model, before any command runs
+    make, rows = DOCS[kind]
+    doc = make(mode)
+    doc["model"].update(F=[[]], C=[[]], H=[[]])
+    doc["estimation"].pop("ell_seq", None)
+    doc["estimation"]["ell"] = []
+    argv = [command, "--config", write_doc(tmp_path, doc), "--output", str(tmp_path / "out")]
+    argv += ["--observations", write_obs(tmp_path, np.zeros((rows, 1)))]
+    argv += ["--samples", "50"] if "samples" in COMMANDS[command].options else []
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "out").exists()
+    assert re.fullmatch(
+        r"error: model: F(_seq)? has 0 columns; a (chain|system) needs at least one state\n",
+        captured.err,
+    ), captured.err
+
+
 def _readme_cli_section() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]

@@ -1,4 +1,4 @@
-"""Config documents, result reports, and trajectory CSV round-trips."""
+"""Config documents, result reports, and trajectory CSV files."""
 
 import json
 import math
@@ -11,7 +11,6 @@ from descriptor_minimax.config import (
     ResultReport,
     parse_config,
     read_trajectory_csv,
-    serialize_config,
     write_trajectory_csv,
 )
 from descriptor_minimax import ConstantFunction, DimensionError, ParseError, SchemaError
@@ -130,15 +129,7 @@ def test_parse_continuous_document_with_tagged_functions():
     assert config.grid.steps == 100
 
 
-@pytest.mark.parametrize("doc_fn", [static_doc, discrete_doc, continuous_doc])
-def test_config_round_trip(doc_fn):
-    first = parse_config(doc_fn())
-    emitted = serialize_config(first)
-    second = parse_config(json.loads(json.dumps(emitted)))
-    assert serialize_config(second) == emitted
-
-
-def test_round_trip_preserves_tikhonov_schedule():
+def test_parse_keeps_the_tikhonov_schedule():
     doc = continuous_doc()
     doc["estimation"] = {
         "mode": "tikhonov",
@@ -147,8 +138,6 @@ def test_round_trip_preserves_tikhonov_schedule():
     }
     config = parse_config(doc)
     assert config.estimation.alphas == [0.5, 0.25, 0.125]
-    again = parse_config(serialize_config(config))
-    assert again.estimation.alphas == [0.5, 0.25, 0.125]
 
 
 def test_schema_errors():
@@ -308,10 +297,10 @@ def test_report_round_trip_finite():
         diagnostics={"solver": "dense"},
         timings={"total_s": 0.001},
     )
-    again = ResultReport.from_json(report.to_json())
-    assert again.estimate == 0.5
-    assert again.sigma_hat == 0.25
-    assert again.outputs["x_hat"] == [0.5]
+    again = json.loads(report.to_json())
+    assert again["estimate"] == 0.5
+    assert again["sigma_hat"] == 0.25
+    assert again["outputs"]["x_hat"] == [0.5]
 
 
 def test_report_serializes_infinite_radius_as_string():
@@ -323,8 +312,6 @@ def test_report_serializes_infinite_radius_as_string():
     assert "inf" not in json.dumps(data["sigma_hat"]).lower().replace(
         "infinite", ""
     )
-    again = ResultReport.from_json(report.to_json())
-    assert math.isinf(again.sigma_hat)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -345,6 +332,25 @@ def test_trajectory_csv_round_trip(tmp_path):
         back = read_trajectory_csv(path, prefix="y")
         assert back.shape == data.shape
         assert np.array_equal(back.view(np.uint64), data.view(np.uint64))
+
+
+def test_trajectory_csv_text_is_pinned(tmp_path):
+    # the exact bytes of edge values: signed zero, the least subnormal,
+    # +-max, the non-finite values and two that print with an exponent
+    path = tmp_path / "x.csv"
+    big = np.finfo(float).max
+    data = [[-0.0, 5e-324], [big, -big], [np.inf, np.nan], [0.1, 1e16], [-np.inf, 1.0]]
+    write_trajectory_csv(path, "x", data)
+    assert path.read_text(encoding="utf-8") == (
+        "k,x0,x1\n"
+        "0,-0.0,5e-324\n"
+        "1,1.7976931348623157e+308,-1.7976931348623157e+308\n"
+        "2,inf,nan\n"
+        "3,0.1,1e+16\n"
+        "4,-inf,1.0\n"
+    )
+    write_trajectory_csv(path, "y", [0.5, -2.0])
+    assert path.read_text(encoding="utf-8") == "k,y0\n0,0.5\n1,-2.0\n"
 
 
 def test_trajectory_csv_validation(tmp_path):

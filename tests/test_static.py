@@ -249,3 +249,22 @@ def test_readme_quick_start_runs(capsys):
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "[0.5] 0.5"
+
+
+def test_readme_module_table_names_exist():
+    # every name README's "Key entry points" table puts in a module's
+    # "provides" cell is an attribute of that module
+    import importlib
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\nKey entry points", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    missing = []
+    for module_cell, provides in rows:
+        module = importlib.import_module(f"descriptor_minimax.{module_cell.strip().strip('`')}")
+        for name in re.findall(r"`([A-Za-z_]\w*)`", provides):
+            if not hasattr(module, name):
+                missing.append(f"{module.__name__}.{name}")
+    assert rows and not missing, missing
