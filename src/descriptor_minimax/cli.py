@@ -167,7 +167,7 @@ def _riccati(config, observations, grid, **_) -> ResultReport:
         sigma_hat=result.sigma_hat,
         feasible=result.feasible,
         outputs={k: v for k, v in outputs.items() if v is not None},
-        diagnostics={"kind": config.kind, "grid_steps": grid.steps},
+        diagnostics={"kind": config.kind, "grid_steps": grid.steps, "solver": result.solver},
     )
 
 

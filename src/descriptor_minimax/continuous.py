@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgesv
 
 from .discrete import (
     DAEEllipsoid,
@@ -650,8 +650,9 @@ class RiccatiResult:
     """Endpoint readout (ell_0, x(t_end)) with its worst-case radius.
 
     When ell_0 is outside range(F') no linear readout has a finite
-    radius: ``feasible`` is False, ``sigma_hat`` infinite and the other
-    fields None.
+    radius: ``feasible`` is False, ``sigma_hat`` infinite and the fields
+    from ``estimate_value`` to ``K_nodes`` None. ``solver`` is the
+    report's ``diagnostics.solver`` entry (:func:`_solver_record`).
     """
 
     feasible: bool
@@ -660,6 +661,13 @@ class RiccatiResult:
     K_final: Optional[np.ndarray] = None
     x_hat_final: Optional[np.ndarray] = None
     K_nodes: Optional[np.ndarray] = None  # (steps+1, n, n) gain at every grid node
+    solver: Optional[dict] = None
+
+
+def _solver_record(max_gain_norm: Optional[float]) -> dict:
+    """The largest spectral norm of the gains after t_start (None when
+    nothing was integrated) and the cap that judged each of them."""
+    return {"max_gain_norm": max_gain_norm, "gain_norm_cap": RICCATI_NORM_CAP}
 
 
 def riccati_filter(
@@ -683,13 +691,22 @@ def riccati_filter(
     current S, leaving a Sylvester equation
 
         (I - h A_j) S_{j+1} + S_{j+1} (-h A_j') = S_j + h Q1^{-1},
-        A_j = (C - (1/2) K_j' H'Q2H) F^+   at t_{j+1},
+        A_j = C F^+ - (1/2) S_j F^{+'} H'Q2H F^+   at t_{j+1},
 
-    which preserves stationary points of the flow exactly. The center
-    x_hat follows d/dt(F x_hat) = C x_hat + K'H'Q2 (y - H x_hat) with
-    F x_hat(t_start) = 0, by implicit Euler with the fresh gain. The
-    readout is (F x_hat(t_end), F^{+'} ell_0) and its squared radius
-    (S(t_end) F^{+'} ell_0, F^{+'} ell_0).
+    which preserves stationary points of the flow exactly. It is solved
+    as one n^2 x n^2 linear system, the Kronecker form
+    (I - h (A_j (x) I + I (x) A_j)) vec S_{j+1} = vec(S_j + h Q1^{-1}),
+    by LAPACK's LU solve ``gesv``, and the result symmetrized;
+    C F^+, F^{+'} H'Q2H F^+ and h Q1^{-1} are formed on whole stacks
+    first, so this solve is the one loop. Its cost grows as n^6, so
+    this kernel suits small n (see README, "Stacked models and the
+    prepared filter").
+    The center x_hat follows d/dt(F x_hat) = C x_hat + K'H'Q2 (y - H
+    x_hat) with F x_hat(t_start) = 0, by implicit Euler with the fresh
+    gain: one batched solve of the step matrices F - h C + h K'H'Q2H
+    gives the maps x_{j+1} = T_j x_j + u_j, then one matvec per step.
+    The readout is (F x_hat(t_end), F^{+'} ell_0) and its squared
+    radius (S(t_end) F^{+'} ell_0, F^{+'} ell_0).
 
     Q2, Q1, C and H are sampled at every node, t_start included, and
     every weight value checked SPD before anything else is decided, so a
@@ -697,6 +714,13 @@ def riccati_filter(
     then is ell_0 tested against range(F'): outside it no endpoint
     readout has a finite radius, and the result is infeasible, with an
     infinite ``sigma_hat``, and nothing is integrated.
+
+    Verdicts come in step order, as if each step ran its Sylvester
+    solve, its gain check and its state solve in turn: the first of an
+    exactly singular Sylvester operator (RankDeficient), a gain whose
+    spectral norm is not finite or exceeds :data:`RICCATI_NORM_CAP`
+    (RiccatiBlowup) and an exactly singular state step matrix
+    (RankDeficient) raises, naming its time.
     """
     _check_grid(system, grid)
     _check_pair(system, bounds)
@@ -711,50 +735,53 @@ def riccati_filter(
     C = _nodes(system.C, ts, "C(t)")[1:]
     H = _nodes(system.H, ts, "H(t)")[1:]
     if not range_membership(system.F.T, ell0).member:
-        return RiccatiResult(feasible=False, sigma_hat=math.inf)
+        return RiccatiResult(feasible=False, sigma_hat=math.inf, solver=_solver_record(None))
 
     F = system.F
     Fp = pseudo_inverse(F)
     proj = F @ Fp
-    S = symmetrize(proj @ spd_inverse(bounds.Q0) @ proj)
-    x_hat = np.zeros(n)
     h = grid.h
-    eye = np.eye(n)
-    gains = np.empty((grid.steps + 1, n, n))
-    gains[0] = Fp @ S
-
     HtQ2, W = per_entry(observation_information, H, Q2)
     h_Q1_inv = per_entry(lambda Q: h * symmetrize(np.linalg.inv(symmetrize(Q))), Q1)
-    data = h * np.einsum("kij,kj->ki", HtQ2, y[1:])
-    step_base = per_entry(lambda C: F - h * C, C)
+    # B_j = I/2 - h A_j = base_j + S_j half_hG_j, so the Kronecker
+    # operator I - h (A_j (x) I + I (x) A_j) is B_j (x) I + I (x) B_j.
+    base = per_entry(lambda C: 0.5 * np.eye(n) - h * (C @ Fp), C)
+    half_hG = per_entry(lambda W: 0.5 * h * (Fp.T @ W @ Fp), W)
+    op = np.zeros((n, n, n, n))  # op[i, k, j, l]: row (i, k), column (j, l)
+    left = np.einsum("ikjk->kij", op)  # B (x) I: op[i, k, j, k] = B[i, j]
+    right = np.einsum("ikil->ikl", op)  # I (x) B: op[i, k, i, l] = B[k, l]
+    diag = np.einsum("ikik->ik", op)  # both: B[i, i] + B[k, k]
+    op_matrix = op.reshape(n * n, n * n)
 
-    for j in range(grid.steps):
-        t_next = ts[j + 1]
-        K = Fp @ S
-        A_j = (C[j] - 0.5 * (K.T @ W[j])) @ Fp
-        try:
-            rhs = S + h_Q1_inv[j]
-            S = scipy.linalg.solve_sylvester(eye - h * A_j, -h * A_j.T, rhs)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise RankDeficient(
-                f"implicit Riccati step matrix at t={t_next} is singular"
-            ) from exc
-        S = symmetrize(S)
-        K = Fp @ S
-        gain_norm = float(np.linalg.norm(K, 2))
-        if not math.isfinite(gain_norm) or gain_norm > RICCATI_NORM_CAP:
-            raise RiccatiBlowup(
-                f"gain norm {gain_norm:.3e} at t={t_next} exceeds {RICCATI_NORM_CAP}"
-            )
-        gains[j + 1] = K
-        try:
-            step_mat = step_base[j] + h * (K.T @ W[j])
-            x_hat = np.linalg.solve(step_mat, F @ x_hat + K.T @ data[j])
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(
-                f"implicit state step matrix at t={t_next} is singular"
-            ) from exc
+    S_nodes = np.empty((grid.steps + 1, n, n))
+    S = S_nodes[0] = symmetrize(proj @ spd_inverse(bounds.Q0) @ proj)
+    done = grid.steps  # Sylvester steps that succeeded
+    with np.errstate(all="ignore"):
+        for j in range(grid.steps):
+            B = base[j] + S @ half_hG[j]
+            left[...] = B
+            right[...] = B
+            diag += B.diagonal()[:, None]
+            _, _, vec, info = dgesv(op_matrix, (S + h_Q1_inv[j]).reshape(-1))
+            if info:  # an exactly zero pivot: the operator is singular
+                done = j
+                break
+            S = S_nodes[j + 1] = symmetrize(vec.reshape(n, n))
+        gains = Fp @ S_nodes[: done + 1]
+        norms = _gain_norms(gains[1:])
+    over = ~(norms <= RICCATI_NORM_CAP)
+    passed = int(np.argmax(over)) if over.any() else done  # steps whose gain passed
+    maps = _state_maps(F, h, C, W, HtQ2, y, gains[1 : passed + 1], ts)
+    if passed < done:
+        raise RiccatiBlowup(
+            f"gain norm {norms[passed]:.3e} at t={ts[passed + 1]} exceeds {RICCATI_NORM_CAP}"
+        )
+    if done < grid.steps:
+        raise RankDeficient(f"implicit Riccati step matrix at t={ts[done + 1]} is singular")
 
+    x_hat = np.zeros(n)
+    for T, u in zip(maps[:, :, :n], maps[:, :, n]):
+        x_hat = T @ x_hat + u
     v = Fp.T @ ell0
     sigma = float(v @ (S @ v))
     estimate = float((F @ x_hat) @ v)
@@ -762,7 +789,47 @@ def riccati_filter(
         feasible=True,
         sigma_hat=max(sigma, 0.0),
         estimate_value=estimate,
-        K_final=Fp @ S,
+        K_final=gains[-1],
         x_hat_final=x_hat,
         K_nodes=gains,
+        solver=_solver_record(float(norms.max())),
     )
+
+
+def _gain_norms(K: np.ndarray) -> np.ndarray:
+    """Spectral norm of every gain in the stack, inf where an entry is
+    not finite; one batched SVD."""
+    finite = np.isfinite(K).all(axis=(1, 2))
+    norms = np.full(K.shape[0], math.inf)
+    if finite.any():
+        norms[finite] = np.linalg.norm(K[finite], 2, axis=(1, 2))
+    return norms
+
+
+def _state_maps(F, h, C, W, HtQ2, y, gains, ts) -> np.ndarray:
+    """The center's transition maps [T_j | u_j] for the first len(gains)
+    steps, one (n, n+1) block per step.
+
+    Step j solves E_j x_{j+1} = F x_j + K_j' h H'Q2 y_{j+1} with
+    E_j = F - h C + h K_j'H'Q2H, so T_j = E_j^{-1} F and
+    u_j = E_j^{-1} K_j' h H'Q2 y_{j+1}: one batched solve. Raises
+    RankDeficient at the first exactly singular E_j.
+    """
+    count, n = gains.shape[0], F.shape[0]
+    Kt = np.swapaxes(gains, 1, 2)
+    E = F - h * C[:count] + h * (Kt @ W[:count])
+    rhs = np.empty((count, n, n + 1))
+    rhs[:, :, :n] = F
+    data = h * np.einsum("kij,kj->ki", HtQ2[:count], y[1 : count + 1])
+    rhs[:, :, n] = np.einsum("kij,kj->ki", Kt, data)
+    try:
+        return np.linalg.solve(E, rhs)
+    except np.linalg.LinAlgError:
+        for j in range(count):
+            try:
+                np.linalg.solve(E[j], rhs[j])
+            except np.linalg.LinAlgError as exc:
+                raise RankDeficient(
+                    f"implicit state step matrix at t={ts[j + 1]} is singular"
+                ) from exc
+        raise

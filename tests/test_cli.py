@@ -280,6 +280,17 @@ def test_riccati_scalar(tmp_path, capsys):
     assert report["sigma_hat"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_riccati_reports_its_largest_gain_norm(tmp_path, capsys):
+    # unit weights hold the scalar gain on its fixed point K = 1
+    argv = ["riccati", "--config", write_doc(tmp_path, continuous_doc("riccati"))]
+    argv += ["--observations", write_obs(tmp_path, np.zeros((65, 1)))]
+    assert main(argv) == EXIT_OK
+    solver = json.loads(capsys.readouterr().out)["diagnostics"]["solver"]
+    assert solver.keys() == {"max_gain_norm", "gain_norm_cap"}
+    assert solver["max_gain_norm"] == pytest.approx(1.0, abs=1e-12)
+    assert solver["gain_norm_cap"] == 1e12
+
+
 def test_riccati_nonrepresentable_exits_2(tmp_path, capsys):
     doc = continuous_doc("riccati")
     doc["model"]["F"] = [[0.0]]
@@ -295,6 +306,8 @@ def test_riccati_nonrepresentable_exits_2(tmp_path, capsys):
     assert code == EXIT_INFEASIBLE
     report = json.loads(capsys.readouterr().out)
     assert report["sigma_hat"] == "infinite"
+    # nothing was integrated, so no gain was judged
+    assert report["diagnostics"]["solver"] == {"max_gain_norm": None, "gain_norm_cap": 1e12}
 
 
 def test_mismatched_continuous_weight_exits_1(tmp_path, capsys):

@@ -8,6 +8,8 @@ boundary value problem solves in closed form (p(t) combines 1 and
 e^{+-t}), giving sigma = 1 - (e - 1)/(2 e^2) - (1 - 1/e)/2.
 """
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -573,6 +575,7 @@ def test_riccati_nonrepresentable_endpoint():
     out = riccati_filter(system, bounds, [1.0], np.zeros((11, 1)), grid)
     assert out.feasible is False and out.sigma_hat == np.inf
     assert (out.estimate_value, out.K_final, out.x_hat_final, out.K_nodes) == (None,) * 4
+    assert out.solver == {"max_gain_norm": None, "gain_norm_cap": continuous.RICCATI_NORM_CAP}
     # the weights are checked first: a bad Q1 raises whatever ell_0 is
     bad = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[-1.0]], Q2=[[1.0]])
     with pytest.raises(InvalidBounds, match=r"Q1\(t\) at t=0 is not positive definite"):
@@ -592,14 +595,35 @@ def test_riccati_rejects_rectangular_f():
 
 def test_riccati_blowup_detected():
     # strong antistable drift with no observations: the gain grows like
-    # e^{100 t} and must trip the norm cap rather than return garbage
+    # e^{100 t} and must trip the norm cap rather than return garbage,
+    # at the step where the per-step oracle trips it
     system = ContinuousDAE(
         F=[[1.0]], C=[[50.0]], H=[[0.0]], t_start=0.0, t_end=1.0
     )
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
     grid = TimeGrid(0.0, 1.0, 1000)
-    with pytest.raises(RiccatiBlowup):
-        riccati_filter(system, bounds, [1.0], np.zeros((1001, 1)), grid)
+    y = np.zeros((1001, 1))
+    with pytest.raises(RiccatiBlowup) as oracle:
+        _reference_riccati(system, bounds, [1.0], y, grid)
+    where = re.search(r"at t=\S+ ", str(oracle.value)).group(0)
+    assert where == "at t=0.263 "
+    with pytest.raises(RiccatiBlowup, match=re.escape(where)):
+        riccati_filter(system, bounds, [1.0], y, grid)
+
+
+def test_riccati_exactly_singular_step_is_rank_deficient():
+    # F = 1, C = 2, H = 0 and h = 1/4 make the first step's operator
+    # 1 - 2 h A exactly 0. solve_sylvester perturbs such a step silently,
+    # so the per-step oracle runs on and trips the gain cap instead; the
+    # linear solve names the singular step
+    system = ContinuousDAE(F=[[1.0]], C=[[2.0]], H=[[0.0]], t_start=0.0, t_end=1.0)
+    bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
+    grid = TimeGrid(0.0, 1.0, 4)
+    y = np.zeros((5, 1))
+    with pytest.raises(RiccatiBlowup, match=r"gain norm 1\.126e\+16 at t=0\.25 "):
+        _reference_riccati(system, bounds, [1.0], y, grid)
+    with pytest.raises(RankDeficient, match=r"^implicit Riccati step matrix at t=0\.25 is singular$"):
+        riccati_filter(system, bounds, [1.0], y, grid)
 
 
 def test_riccati_consistent_with_discretized_filter():
@@ -678,8 +702,10 @@ def test_node_sampling_matches_pointwise_evaluation():
 
 
 def _reference_riccati(system, bounds, ell0, y, grid):
-    """The Riccati flow with every coefficient evaluated and checked at
-    its node inside the loop; the oracle for :func:`riccati_filter`."""
+    """The Riccati flow one step at a time: every coefficient evaluated
+    and checked at its node inside the loop, one solve_sylvester per
+    implicit step, then the gain cap and the state solve of that step,
+    each raising its verdict; the oracle for :func:`riccati_filter`."""
     F = system.F
     n = F.shape[1]
     Fp = pseudo_inverse(F)
@@ -699,9 +725,17 @@ def _reference_riccati(system, bounds, ell0, y, grid):
         rhs = S + h * spd_inverse(require_spd(bounds.Q1(t), "Q1(t)"))
         S = symmetrize(scipy.linalg.solve_sylvester(np.eye(n) - h * A, -h * A.T, rhs))
         K = Fp @ S
+        norm = float(np.linalg.norm(K, 2))
+        if not np.isfinite(norm) or norm > continuous.RICCATI_NORM_CAP:
+            raise RiccatiBlowup(
+                f"gain norm {norm:.3e} at t={t} exceeds {continuous.RICCATI_NORM_CAP}"
+            )
         gains.append(K)
         rhs_x = F @ x_hat + h * (K.T @ (H.T @ (Q2 @ y[j + 1])))
-        x_hat = np.linalg.solve(F - h * C + h * (K.T @ W), rhs_x)
+        try:
+            x_hat = np.linalg.solve(F - h * C + h * (K.T @ W), rhs_x)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient(f"implicit state step matrix at t={t} is singular") from exc
     v = Fp.T @ np.asarray(ell0, float)
     return np.array(gains), float(v @ S @ v), float((F @ x_hat) @ v)
 
@@ -754,3 +788,92 @@ def test_riccati_checks_each_used_table_value():
     )
     with pytest.raises(InvalidBounds, match=r"Q2\(t\) at t=0\.9 is not positive definite"):
         riccati_filter(blowup, late, [1.0], np.zeros((1001, 1)), TimeGrid(0.0, 1.0, 1000))
+
+
+def _random_coefficient(rng, kind, make):
+    """A constant, table or polynomial coefficient on [0, 1] whose every
+    value ``make(rng, scale)`` draws."""
+    if kind == "constant":
+        return make(rng, 1.0)
+    if kind == "table":
+        times = np.sort(rng.uniform(0.05, 0.95, 2))
+        return TableFunction([0.0, *times], [make(rng, 1.0) for _ in range(3)])
+    return PolynomialFunction([make(rng, 1.0), make(rng, 0.5), make(rng, 0.25)])
+
+
+def _random_riccati_problem(seed):
+    rng = rng_for(seed)
+    n, l = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    kinds = ("constant", "table", "polynomial")
+    diag = rng.uniform(0.5, 2.0, n)
+    if seed % 2 and n > 1:
+        diag[rng.permutation(n)[: int(rng.integers(1, n))]] = 0.0  # singular F
+    drift = lambda r, s: s * (r.standard_normal((n, n)) - 1.5 * np.eye(n))
+    readout = lambda r, s: s * r.standard_normal((l, n))
+
+    def weight(size):
+        def make(r, s):
+            a = r.standard_normal((size, size))
+            return s * (a @ a.T + 0.5 * np.eye(size))
+        return make
+
+    system = ContinuousDAE(
+        F=np.diag(diag),
+        C=_random_coefficient(rng, kinds[seed % 3], drift),
+        H=_random_coefficient(rng, kinds[(seed + 1) % 3], readout),
+        t_start=0.0,
+        t_end=1.0,
+    )
+    bounds = ContinuousEllipsoid(
+        Q0=weight(n)(rng, 1.0),
+        Q1=_random_coefficient(rng, kinds[(seed + 2) % 3], weight(n)),
+        Q2=_random_coefficient(rng, kinds[seed % 3], weight(l)),
+    )
+    grid = TimeGrid(0.0, 1.0, int(rng.integers(20, 120)))
+    ell0 = np.diag(diag) @ rng.standard_normal(n)  # in range(F')
+    y = rng.standard_normal((grid.steps + 1, l))
+    return system, bounds, ell0, y, grid
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_riccati_matches_the_per_step_oracle_on_random_problems(seed):
+    # n in {1, 2, 3}, regular and singular diagonal F, and constant,
+    # table and polynomial coefficients and weights
+    system, bounds, ell0, y, grid = _random_riccati_problem(seed)
+    gains, sigma, estimate = _reference_riccati(system, bounds, ell0, y, grid)
+    out = riccati_filter(system, bounds, ell0, y, grid)
+    assert out.K_nodes == pytest.approx(gains, rel=1e-12, abs=1e-12 * np.abs(gains).max())
+    assert out.sigma_hat == pytest.approx(sigma, rel=1e-12)
+    assert out.estimate_value == pytest.approx(estimate, rel=1e-12)
+    assert out.solver["max_gain_norm"] == pytest.approx(
+        np.linalg.norm(gains[1:], 2, axis=(1, 2)).max(), rel=1e-12
+    )
+    assert out.solver["gain_norm_cap"] == continuous.RICCATI_NORM_CAP
+
+
+VERDICT_CASES = {
+    # the cap trips after interior steps, with regular and singular F
+    # (the scalar case is test_riccati_blowup_detected)
+    "regular 2-D": (np.eye(2), [[30.0, 1.0], [0.0, -2.0]], [[0.0, 1.0]], 500),
+    "singular 2-D": (np.diag([1.0, 0.0]), [[20.0, 1.0], [0.5, -2.0]], [[0.0, 1.0]], 500),
+    "late drift": ([[1.0]], TableFunction([0.0, 0.5], [[[-1.0]], [[60.0]]]), [[0.0]], 400),
+    # h = 1/4: state step 0 (C = 4) and Sylvester step 1 (C = 2) are
+    # both singular; the state step comes first
+    "state first": ([[1.0]], TableFunction([0.0, 0.25, 0.5], [[[0.0]], [[4.0]], [[2.0]]]), [[0.0]], 4),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_CASES)
+def test_riccati_verdicts_match_the_per_step_oracle(case):
+    F, C, H, steps = VERDICT_CASES[case]
+    n, l = np.shape(F)[0], np.shape(H)[0]
+    system = ContinuousDAE(F=F, C=C, H=H, t_start=0.0, t_end=1.0)
+    bounds = ContinuousEllipsoid(Q0=np.eye(n), Q1=np.eye(n), Q2=np.eye(l))
+    args = (system, bounds, np.eye(n)[0], np.zeros((steps + 1, l)), TimeGrid(0.0, 1.0, steps))
+    with pytest.raises((RiccatiBlowup, RankDeficient)) as oracle:
+        _reference_riccati(*args)
+    with pytest.raises((RiccatiBlowup, RankDeficient)) as fast:
+        riccati_filter(*args)
+    assert type(fast.value) is type(oracle.value)
+    assert str(fast.value) == str(oracle.value)
+    assert re.search(r"at t=0\.[1-9]", str(fast.value))  # after an interior step
