@@ -20,13 +20,14 @@ Exit codes, chosen in run() from the report alone: 0 when it is
 feasible, 2 when it is not, which means the requested functional has
 infinite worst-case error (a legitimate mathematical answer, not a
 crash), and 1 on any error, a command-line usage error and a file that
-cannot be written included. Reports are JSON on stdout, or written to
---output.
+cannot be written included. Reports are one line of JSON on stdout, or
+written to --output.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -403,9 +404,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
+    """Run one command line and return its exit code.
+
+    Python's cyclic garbage collector is paused from argument parsing
+    through the report write: parsing a large config builds enough
+    lists to set off repeated full-heap scans, and a request leaves no
+    reference cycle behind for the collector to free. The collector is
+    switched back on afterwards only if it was on when ``main`` started.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = _build_parser().parse_args(argv)
+        return _request(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _request(argv) -> int:
+    try:
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error code 2 means an infinite radius here
         return EXIT_ERROR if exc.code else EXIT_OK  # EXIT_OK after --help
     output_dir = COMMANDS[args.command].output_dir

@@ -406,31 +406,38 @@ class ResultReport:
     timings: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        def convert(value):
-            if isinstance(value, np.ndarray):
-                return value.tolist()
-            if isinstance(value, (np.floating, np.integer)):
-                return convert(value.item())
-            if isinstance(value, float) and math.isinf(value):
-                return "infinite"
-            if isinstance(value, dict):
-                return {k: convert(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [convert(v) for v in value]
-            return value
-
         return {
             "command": self.command,
-            "estimate": convert(self.estimate),
-            "sigma_hat": convert(self.sigma_hat),
+            "estimate": _jsonable(self.estimate),
+            "sigma_hat": _jsonable(self.sigma_hat),
             "feasible": self.feasible,
-            "outputs": convert(self.outputs),
-            "diagnostics": convert(self.diagnostics),
-            "timings": convert(self.timings),
+            "outputs": _jsonable(self.outputs),
+            "diagnostics": _jsonable(self.diagnostics),
+            "timings": _jsonable(self.timings),
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """The report as one line of JSON with sorted keys. Without
+        ``indent`` json runs its C encoder."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def _jsonable(value):
+    """``value`` with arrays as lists, numpy scalars as Python numbers and
+    an infinite float as the string ``"infinite"``, recursively. At module
+    level, unlike a closure that calls itself, it leaves no reference
+    cycle behind for the collector."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (np.floating, np.integer)):
+        return _jsonable(value.item())
+    if isinstance(value, float) and math.isinf(value):
+        return "infinite"
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------

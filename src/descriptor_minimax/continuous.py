@@ -54,6 +54,7 @@ from .errors import (
 )
 from .linalg import (
     GRID_SPAN_TOL,
+    RICCATI_NORM_CAP,
     _distinct,
     as_matrix,
     per_entry,
@@ -67,9 +68,6 @@ from .linalg import (
     symmetrize,
     vector_stack,
 )
-
-# Gain norms above this level are treated as finite escape.
-RICCATI_NORM_CAP = 1e12
 
 # Relative residual above which the assembled BVP counts as inconsistent.
 _BVP_RESIDUAL_TOL = 1e-8

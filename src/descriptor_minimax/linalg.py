@@ -55,6 +55,9 @@ CURVATURE_SCALE_FLOOR = 1e-300
 CHEBYSHEV_SLACK = 1e-9
 # Time grids: an endpoint may miss the system horizon by this times its length.
 GRID_SPAN_TOL = 1e-9
+# Riccati flow: a gain whose spectral norm is above this (or not finite) has
+# escaped in finite time.
+RICCATI_NORM_CAP = 1e12
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:

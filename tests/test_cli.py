@@ -6,6 +6,7 @@ subprocess to cover the console entry point.
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import re
@@ -29,6 +30,7 @@ from descriptor_minimax.cli import (
 from descriptor_minimax.config import (
     KINDS,
     MODES,
+    ResultReport,
     parse_config,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -932,3 +934,87 @@ def test_cli_import_leaves_scipy_sparse_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the paused collector and the report encoding
+
+
+def _one_of_each_exit(tmp_path):
+    """Command lines for exit 0, 1 (a schema error, an unwritable
+    --output), 2, an argparse usage error and --help, with their codes."""
+    infeasible = scalar_doc(ell=(0.0, 1.0))
+    infeasible["model"].update(F=[[1.0, 0.0]], H=[[1.0, 0.0]])
+    obs = ["--observations", write_obs(tmp_path, [[0.5]])]
+    schema_error = write_doc(tmp_path, {"kind": "static"}, "schema.json")
+    unwritable = str(tmp_path / "missing" / "r.json")
+    return [
+        (["estimate", "--config", write_doc(tmp_path, scalar_doc())] + obs, EXIT_OK),
+        (["check", "--config", schema_error], EXIT_ERROR),
+        (["check", "--config", write_doc(tmp_path, scalar_doc()), "--output", unwritable],
+         EXIT_ERROR),
+        (["estimate", "--config", write_doc(tmp_path, infeasible, "inf.json")] + obs,
+         EXIT_INFEASIBLE),
+        (["optimize", "--config", schema_error], EXIT_ERROR),
+        (["--help"], EXIT_OK),
+    ]
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, collecting):
+    if not collecting:
+        gc.disable()
+    try:
+        for argv, code in _one_of_each_exit(tmp_path):
+            assert main(argv) == code, argv
+            assert gc.isenabled() is collecting, argv
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def _every_command(tmp_path):
+    chain = write_doc(tmp_path, chain_doc(), "chain.json")
+    y_chain = ["--observations", write_obs(tmp_path, [[1.0], [1.0]], "chain.csv")]
+    y_grid = ["--observations", write_obs(tmp_path, np.zeros((65, 1)), "grid.csv")]
+    yield ["estimate", "--config", chain] + y_chain
+    yield ["filter", "--config", write_doc(tmp_path, chain_doc("filter"), "f.json")] + y_chain
+    yield ["riccati", "--config", write_doc(tmp_path, continuous_doc("riccati"), "r.json")] + y_grid
+    yield ["tikhonov", "--config", write_doc(tmp_path, continuous_doc("tikhonov"), "t.json")]
+    yield ["simulate", "--config", chain, "--output", str(tmp_path / "out")]
+    yield ["validate", "--config", chain, "--samples", "200"] + y_chain
+    yield ["check", "--config", write_doc(tmp_path, continuous_doc(), "c.json")]
+
+
+def test_a_request_leaves_no_garbage_for_the_collector(tmp_path, capsys):
+    # with nothing to free, pausing the collector during a request costs
+    # no memory; the warm-up call fills the caches of numpy and scipy
+    argvs = list(_every_command(tmp_path))
+    assert [argv[0] for argv in argvs] == list(COMMANDS)
+    gc.disable()
+    try:
+        for argv in argvs:
+            assert main(argv) == EXIT_OK, capsys.readouterr().err
+            gc.collect()
+            assert main(argv) == EXIT_OK
+            assert gc.collect() == 0, argv[0]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_a_report_is_one_line_of_json_equal_to_its_dict():
+    for sigma_hat in (0.25, math.inf, np.float64(0.25)):
+        report = ResultReport(
+            command="estimate",
+            estimate=np.float32(0.5),
+            sigma_hat=sigma_hat,
+            feasible=bool(np.isfinite(sigma_hat)),
+            outputs={"x_hat_seq": np.arange(6.0).reshape(3, 2), "alphas": (0.5, 0.25)},
+            diagnostics={"steps": np.int64(2), "radii": [np.float64(math.inf), 1.0]},
+            timings={"seconds": 0.001},
+        )
+        text = report.to_json()
+        assert "\n" not in text
+        assert json.loads(text) == report.to_dict()
+        assert list(json.loads(text)) == sorted(report.to_dict())
