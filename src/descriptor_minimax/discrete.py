@@ -210,8 +210,8 @@ def flatten(dae: DiscreteDAE) -> StaticModel:
         r = (k + 1) * m
         F[r : r + m, k * n : (k + 1) * n] = -dae.C_seq[k]
         F[r : r + m, (k + 1) * n : (k + 2) * n] = dae.F_seq[k + 1]
-    B = block_diag(dae.S, *dae.B_seq)
-    H = block_diag(*dae.H_seq)
+    B = block_diag(dae.S, dae.B_seq)
+    H = block_diag(dae.H_seq)
     return StaticModel(F=F, B=B, H=H)
 
 
@@ -219,8 +219,8 @@ def flatten_bounds(dae: DiscreteDAE, bounds: DAEEllipsoid) -> StaticEllipsoid:
     """Block-diagonal weights matching the layout of :func:`flatten`."""
     _check_bounds(dae, bounds)
     return StaticEllipsoid(
-        Q1=block_diag(bounds.Q0, *bounds.Q1_seq),
-        Q2=block_diag(*bounds.Q2_seq),
+        Q1=block_diag(bounds.Q0, bounds.Q1_seq),
+        Q2=block_diag(bounds.Q2_seq),
     )
 
 

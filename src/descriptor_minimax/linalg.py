@@ -14,6 +14,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import lapack
 
 from .errors import InvalidBounds, InvalidInput
@@ -522,6 +523,23 @@ def factor_spd_banded(band: np.ndarray, norm1: float) -> tuple:
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
-    if not blocks:
-        return np.zeros((0, 0))
-    return scipy.linalg.block_diag(*blocks)
+    """Matrix with ``blocks`` on its diagonal and zeros elsewhere.
+
+    Each argument is one matrix or a stack (count, rows, cols) of equal
+    ones, laid out in order; zero-row and zero-column blocks shift the
+    blocks after them. Values and dtype are those of
+    ``scipy.linalg.block_diag`` on the matrices one by one. The output is
+    allocated once and each stack copied through one strided view of it.
+    """
+    stacks = [b[None] if b.ndim == 2 else b for b in map(np.asarray, blocks)]
+    rows = sum(s.shape[0] * s.shape[1] for s in stacks)
+    cols = sum(s.shape[0] * s.shape[2] for s in stacks)
+    out = np.zeros((rows, cols), np.result_type(*stacks) if stacks else float)
+    s0, s1 = out.strides
+    r = c = 0
+    for s in stacks:
+        count, rr, cc = s.shape
+        as_strided(out[r:, c:], s.shape, (rr * s0 + cc * s1, s0, s1))[...] = s
+        r += count * rr
+        c += count * cc
+    return out

@@ -6,16 +6,16 @@ slow and explicit way:
 * ``sample_reachability`` draws points from the set of states that are
   consistent with an observation and the ellipsoidal bound, by reducing
   the constraint F x = B f to a parametrized ellipsoid and sampling its
-  boundary and interior directly. With a ``readout`` L it returns the
-  values L x of the same draws instead, projecting before the lift, so
-  no state is formed.
+  boundary and interior directly. With a ``readout`` L it returns values
+  L x instead, drawn from their exact distribution with about as many
+  random numbers per draw as L has rows, so no state is formed.
 * ``chebyshev_check`` tests a reported center/radius pair against such
   samples: no consistent state may put the functional further than the
   radius from the reported value.
 * ``quadratic_center_oracle`` recomputes the center through plain dense
   normal equations, sharing no code path with the saddle-point solver.
 
-Too slow for production sizes on purpose; dimension is capped.
+The state dimension is capped at ``MAX_ORACLE_DIM``.
 """
 
 from __future__ import annotations
@@ -117,11 +117,18 @@ def sample_reachability(
     the chunks are drawn one after another, each from its own substream,
     straight into the returned arrays.
 
-    With ``readout`` L, a k x n matrix, ``x`` holds the values L x of
-    the same draws, shape (count, k). L is folded into the two draw maps
-    once, so a chunk costs one (size x r)(r x k) product and neither the
-    states nor the reduced coordinates are formed: memory is O(count k),
-    not O(count n).
+    With ``readout`` L, a k x n matrix, ``x`` holds values L x, shape
+    (count, k), with the distribution of L x over the states drawn
+    without a readout. L is folded into the two draw maps once, so
+    neither the states nor the reduced coordinates are formed: memory is
+    O(count k), not O(count n). A map with more rows r than k columns is
+    cut to R of its thin QR, map = Q R: a direction g/|g| with
+    g ~ N(0, I_r) enters only through g Q ~ N(0, I_k) and
+    |g|^2 = |g Q|^2 + chi^2_{r-k}, the two independent (Cochran), so a
+    draw takes k normals and one chi^2 variate in place of r normals, and
+    the flat part k normals in place of r. The values are then other
+    draws than the states', though still fixed by the seed; with no map
+    cut they are the states' own draws, projected.
     """
     if model.state_dim > MAX_ORACLE_DIM:
         raise DimensionTooLarge(
@@ -173,6 +180,9 @@ def sample_reachability(
     if count == 0:
         return ReachabilitySampleSet(np.zeros((0, width)), np.zeros(0, bool), False)
 
+    # Normals per draw for each part: r_pd and r_null for states, at most
+    # k for a readout.
+    pd_dim, null_dim = r_pd, r_null
     if readout is not None:
         # The draw maps followed by the lift and the readout, as one
         # product each: row draws times these give L x directly.
@@ -180,6 +190,12 @@ def sample_reachability(
         center = LZ @ xi_star
         pd_map = radius * (inv_sqrt[:, None] * (V_pd.T @ LZ.T))
         null_map = null_amp * (V_null.T @ LZ.T)
+        if r_pd > width:
+            pd_map = np.linalg.qr(pd_map, mode="r")
+            pd_dim = width
+        if r_null > width:
+            null_map = np.linalg.qr(null_map, mode="r")
+            null_dim = width
 
     xs = np.empty((count, width))
     flags = np.zeros(count, dtype=bool)
@@ -189,8 +205,13 @@ def sample_reachability(
         size = min(_CHUNK, count - lo)
         rng = np.random.default_rng(child)
         if r_pd > 0:
-            dirs = rng.standard_normal((size, r_pd))
-            norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+            dirs = rng.standard_normal((size, pd_dim))
+            if pd_dim < r_pd:
+                sq = 2.0 * rng.standard_gamma(0.5 * (r_pd - pd_dim), size)
+                sq += np.einsum("ij,ij->i", dirs, dirs)
+                norms = np.sqrt(sq)[:, None]
+            else:
+                norms = np.linalg.norm(dirs, axis=1, keepdims=True)
             norms[norms == 0.0] = 1.0
             dirs /= norms
             scales = np.ones(size)
@@ -199,7 +220,7 @@ def sample_reachability(
             flags[lo : lo + size] = ~interior
             dirs *= scales[:, None]
         if r_null > 0:
-            flat = rng.standard_normal((size, r_null))
+            flat = rng.standard_normal((size, null_dim))
         out = xs[lo : lo + size]
         if readout is None:
             xi = np.tile(xi_star, (size, 1))

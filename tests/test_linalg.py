@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from descriptor_minimax import InvalidBounds, InvalidInput
@@ -11,6 +12,7 @@ from descriptor_minimax.linalg import (
     as_matrix,
     as_vector,
     band_matvec,
+    block_diag,
     factor_banded,
     inverse_norm1_estimate,
     null_basis,
@@ -174,6 +176,30 @@ def _random_band(rng, dim, kl, ku, symmetric=False):
         a = a + a.T
     rows, cols = np.indices(a.shape)
     return np.where((rows - cols <= kl) & (cols - rows <= ku), a, 0.0)
+
+
+def test_block_diag_is_byte_identical_to_scipy():
+    # Mixed shapes with zero-row and zero-column blocks, integer and float
+    # dtypes; a stack argument lays out its matrices one after another.
+    rng = np.random.default_rng(8)
+    shapes = [(2, 2), (0, 3), (1, 4), (3, 0), (0, 0), (2, 1), (1, 1)]
+    for trial in range(40):
+        picks = rng.integers(0, len(shapes), size=int(rng.integers(1, 9)))
+        blocks = [rng.standard_normal(shapes[i]) for i in picks]
+        if trial % 4 == 0:
+            blocks[0] = rng.integers(-5, 5, size=blocks[0].shape)
+        expected = scipy.linalg.block_diag(*blocks)
+        got = block_diag(*blocks)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    for count, shape in ((401, (2, 2)), (5, (0, 2)), (5, (2, 0)), (0, (3, 3))):
+        stack = rng.standard_normal((count, *shape))
+        head = rng.standard_normal((1, 3))
+        expected = scipy.linalg.block_diag(head, *stack, head)
+        assert block_diag(head, stack, head).tobytes() == expected.tobytes()
+        assert block_diag(head, stack, head).shape == expected.shape
+    assert block_diag().shape == (0, 0)
 
 
 def test_band_matvec_matches_dense():

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from descriptor_minimax import (
     DimensionTooLarge,
@@ -189,22 +190,72 @@ def _readout_problems():
 
 READOUT_PROBLEMS = _readout_problems()
 
+# Readouts with fewer rows than the set has positive-curvature directions
+# (64 for the chains, 3 for the static set): the sampler draws their values
+# from the exact distribution of L x, not by projecting the same draws.
+REDUCED_READOUTS = [("chain", 1), ("chain", 3), ("descriptor-chain", 1),
+                    ("descriptor-chain", 3), ("static", 1)]
+
+
+def _readout_inside_the_set(model, bounds, y, L, values, directions):
+    """Along each direction d, the values (L'd, x) stay within that
+    functional's a posteriori radius of its estimate."""
+    for d in directions:
+        est = aposteriori_estimate(model, bounds, L.T @ d, y)
+        check = chebyshev_check(values, d, est.estimate_value, est.sigma_hat)
+        assert check.violation_count == 0
+
 
 @pytest.mark.parametrize("count", [1, 2047, 2048, 2049, 5000])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("name", sorted(READOUT_PROBLEMS))
 def test_readout_matches_the_states_it_projects(name, k, count):
+    # Unreduced readouts project the same draws as the states, value for
+    # value; reduced ones are other draws of the same set (their
+    # distribution is tested below), so they are checked against its bounds.
     model, bounds, y = READOUT_PROBLEMS[name]
     L = rng_for(k).standard_normal((k, model.state_dim))
     states = sample_reachability(model, bounds, y, count, seed=5)
     values = sample_reachability(model, bounds, y, count, seed=5, readout=L)
-    reference = states.x @ L.T
     assert values.x.shape == (count, k)
     assert np.array_equal(values.boundary, states.boundary)
     assert not values.empty
-    assert np.abs(values.x - reference).max() <= 1e-12 * np.abs(reference).max()
+    if (name, k) in REDUCED_READOUTS:
+        _readout_inside_the_set(model, bounds, y, L, values, np.eye(k))
+    else:
+        reference = states.x @ L.T
+        assert np.abs(values.x - reference).max() <= 1e-12 * np.abs(reference).max()
     if name == "flat" and count > 1:
         assert np.ptp(states.x[:, 1]) > 10.0  # the free direction is sampled
+
+
+def _free_problem():
+    """x2, x3 and x4 are free: three flat directions, more than the two
+    rows of the readout, beside one curved one."""
+    model = StaticModel(F=[[1.0, 0.0, 0.0, 0.0]], B=[[1.0]], H=[[1.0, 0.0, 0.0, 0.0]])
+    return model, StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]]), np.array([0.5])
+
+
+@pytest.mark.parametrize(
+    "name, k", REDUCED_READOUTS + [("free", 2)], ids=lambda v: str(v)
+)
+def test_reduced_readout_has_the_distribution_of_the_projected_states(name, k):
+    # Two independent seeds: each coordinate's boundary and interior halves
+    # pass a two-sample KS test against L x of the states, and no value
+    # leaves the set along 20 random directions of the readout.
+    problem = _free_problem() if name == "free" else READOUT_PROBLEMS[name]
+    model, bounds, y = problem
+    L = rng_for(k).standard_normal((k, model.state_dim))
+    count = 20_000
+    states = sample_reachability(model, bounds, y, count, seed=5)
+    values = sample_reachability(model, bounds, y, count, seed=6, readout=L)
+    reference = states.x @ L.T
+    assert np.array_equal(values.boundary, states.boundary)
+    for half in (values.boundary, ~values.boundary):
+        for col in range(k):
+            p = scipy.stats.ks_2samp(values.x[half, col], reference[half, col]).pvalue
+            assert p >= 1e-3, f"coordinate {col}: KS p-value {p:.2e}"
+    _readout_inside_the_set(model, bounds, y, L, values, rng_for(17).standard_normal((20, k)))
 
 
 def test_readout_keeps_the_empty_set_and_checks_its_shape():
