@@ -2,7 +2,7 @@
 
 Under a rank precondition the Chebyshev-center trajectory of
 :func:`descriptor_minimax.discrete.variational_estimate` can be produced
-one step at a time. The filter propagates the pair (x_hat_k, P_k), where
+one step at a time. The filter yields the pair (x_hat_k, P_k), where
 P_k is the k-th diagonal block of the inverse of the full-horizon
 information matrix, so terminal functionals satisfy
 
@@ -11,41 +11,49 @@ information matrix, so terminal functionals satisfy
 and x_hat_k equals the k-th block of the batch center restricted to the
 data seen so far.
 
-The recursion assumes each transition injects its process disturbance
-directly, B_k = I. A square invertible B_k (and S) is reduced to that
-case by re-weighting: f' = B f carries energy (Q' f', f') with
-Q' = B^{-T} Q1 B^{-1}, and the initial row likewise absorbs S into Q0.
+Both paths solve one least-squares problem. :func:`prepare_filter`
+whitens every row of it once: with L_0 = chol(Q0)'S^{-1},
+L_k = chol(Q1_k)'B_k^{-1} (each by one solve, so no inverse weight is
+formed) and V_k = chol(Q2_k)', the energy of a trajectory is
+
+    ||L_0F_0x_0||^2 + sum_k ||L_k(F_{k+1}x_{k+1} - C_kx_k)||^2
+                    + sum_k ||V_k(H_kx_k - y_k)||^2.
 
 :func:`filter_run` has two paths, and its ``solver`` record names the
 one it took.
 
 * **Information sweep** (``"information"``). The filtered centers are
   the forward half of a banded Cholesky factor of the block-tridiagonal
-  information matrix A = Phi'G^{-1}Phi + H'Q2H of the whole horizon;
-  the back half would be the Rauch-Tung-Striebel smoother (AIAA J.
-  3(8), 1965). :func:`_information_sweep` factors A in blocks whose band
-  holds about ``_BAND_ENTRIES`` entries, one LAPACK dpbtrf and one
-  dtbtrs per block, with no Python loop over steps. It is kept only
-  when every G_k = B_k Q1_k^{-1} B_k' has smallest eigenvalue at least
-  BREAKDOWN_EIG_FLOOR, every block's reciprocal condition estimate and
-  the rounding figure of every filtered information matrix reach
-  INFORMATION_RCOND_FLOOR, and every filtered information matrix passes
-  the recursion's DEFAULT_TOL test. Well-conditioned chains take it;
-  since forming G^{-1} squares cond(B_k), chains with ill-conditioned
-  B_k do not.
-* **Recursion** (``"recursive"``). Otherwise the run starts again in
-  blocks of ``_BLOCK`` steps. Within a block only the two inversions of
-  each step, D_k and P_k, run one step at a time. The block's checks
-  (one batched eigvalsh over its propagated covariances, one over its
-  information matrices), its gains G_k = P_k F_k' D_k C_{k-1} and its
-  terms b_k = P_k H_k'Q2_k y_k are each one batched call, and the
-  centers follow from the data recursion x_k = G_k x_{k-1} + b_k.
-  :func:`filter_init` and :func:`filter_step` run the same routine on a
-  block of one step.
+  information matrix A = Phi'G^{-1}Phi + H'Q2H of the whole horizon,
+  formed from the whitened rows (G_k^{-1} = L_k'L_k); the back half
+  would be the Rauch-Tung-Striebel smoother (AIAA J. 3(8), 1965).
+  :func:`_information_sweep` factors A in blocks whose band holds about
+  ``_BAND_ENTRIES`` entries, one LAPACK dpbtrf and one dtbtrs per block,
+  with no Python loop over steps. It is kept only when every block's
+  reciprocal condition estimate and the rounding figure of every
+  filtered information matrix reach INFORMATION_RCOND_FLOOR, and every
+  filtered information matrix passes the DEFAULT_TOL test of
+  :func:`_singular`. Well-conditioned chains take it; since forming A
+  squares the condition of the whitened rows, chains with
+  ill-conditioned B_k or fine continuous grids do not.
+* **QR steps** (``"recursive"``). Otherwise the run starts again on the
+  orthogonal form of the same problem (Paige & Saunders, SIAM J. Numer.
+  Anal. 14(2), 1977). With J_k = R_k'R_k and R_k upper triangular, each
+  step is one LAPACK dgeqrf of
 
-Only the recursion raises errors, so a chain the sweep turns down gets
-the recursion's verdict, message and failing step. Beyond its outputs
-and the per-step model arrays, either path holds O(block) memory.
+      [[ R_k,       0,                z_k          ],
+       [ -L_kC_k,   L_kF_{k+1},       0            ],
+       [ 0,         V_{k+1}H_{k+1},   V_{k+1}y_{k+1} ]],
+
+  whose second block row of the triangular result is [R_{k+1}, z_{k+1}]
+  (step 0 is the same with R_{-1} = 0). Per block of steps, one batched
+  SVD judges every R_k and one batched solve gives x_hat_k =
+  R_k^{-1}z_k; then P_N = R_N^{-1}R_N^{-T}. J_k is never formed.
+
+Of the two paths only the QR steps raise errors, so a chain the sweep
+turns down gets their verdict, message and failing step. Beyond its
+outputs and the per-step model arrays, either path holds O(block)
+memory.
 """
 
 from __future__ import annotations
@@ -58,16 +66,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .discrete import (
-    DAEEllipsoid,
-    DiscreteDAE,
-    _check_bounds,
-    observation_information,
-    solver_record,
-)
+from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds, solver_record
 from .errors import InvalidInput, NumericalBreakdown, RankDeficient
 from .linalg import (
-    BREAKDOWN_EIG_FLOOR,
     DEFAULT_TOL,
     INFORMATION_RCOND_FLOOR,
     factor_spd_banded,
@@ -77,12 +78,9 @@ from .linalg import (
     vector_stack,
 )
 
-# Steps per block: the covariance recursion runs one step at a time, the
-# checks, the gains and the center update once per block.
-_BLOCK = 64
-# Information sweep: each block's band of A holds about this many entries,
-# which bounds its memory at any horizon (one block at n=2 and N=10^4, 64
-# steps at n=32).
+# Each block of steps, of either path, holds about this many entries: the
+# sweep's band of A (one block at n=2 and N=10^4, 64 steps at n=32), or the
+# matrices of the QR steps (14563 steps at n=1, 21 at n=m=l=32).
 _BAND_ENTRIES = 2**17
 
 
@@ -122,52 +120,63 @@ def rank_precondition(F_k, H_k) -> bool:
     """Whether the stacked matrix [F_k; H_k] has full column rank.
 
     This is what makes each filtered information matrix invertible, so
-    the recursion can hand a finite P_k to the next step.
+    each step can hand a finite P_k to the next.
     """
     F = np.atleast_2d(np.asarray(F_k, dtype=float))
     H = np.atleast_2d(np.asarray(H_k, dtype=float))
     return bool(_full_column_rank(F[None], H[None])[0])
 
 
-def _fold_weights(B: np.ndarray, Q: np.ndarray, label: str) -> np.ndarray:
-    """Inverse effective weights B Q^{-1} B' of disturbances entering through B.
+def _whitened(B: np.ndarray, Q: np.ndarray, label: str, *rows: np.ndarray) -> tuple:
+    """Each of ``rows`` premultiplied by L = chol(Q)'B^{-1}, per entry.
 
-    Per entry, f' = B f carries energy (Q' f', f') with Q' = B^{-T} Q B^{-1},
-    whose inverse is B Q^{-1} B'. Raises InvalidInput naming the first
-    entry k, as ``label.format(k)``, whose B is not square invertible.
+    A disturbance f with B f = r carries energy (Q f, f) = ||L r||^2. L
+    comes from one batched solve B'L' = chol(Q), so no inverse weight is
+    formed. Raises InvalidInput naming the first entry k, as
+    ``label.format(k)``, whose B is not square invertible, then
+    NumericalBreakdown naming the first whose whitened rows are not finite.
     """
     count, m, p = B.shape
     invertible = _full_column_rank(B, B[:, :0]) if m == p else np.zeros(count, dtype=bool)
     if not invertible.all():
         raise InvalidInput(f"{label.format(np.argmin(invertible))} is not square invertible")
-    return symmetrize(B @ np.linalg.solve(Q, np.swapaxes(B, 1, 2)))
+    if count == 0:
+        return tuple(np.zeros((0, m, r.shape[2])) for r in rows)
+    # a B near the underflow threshold overflows L: the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = np.swapaxes(np.linalg.solve(np.swapaxes(B, 1, 2), np.linalg.cholesky(Q)), 1, 2)
+        out = tuple(L @ r for r in rows)
+    finite = np.isfinite(L).all(axis=(1, 2))
+    for r in out:
+        finite &= np.isfinite(r).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalBreakdown(
+            f"the whitened weight of {label.format(np.argmin(finite))} is not finite"
+        )
+    return out
 
 
 @dataclass(frozen=True)
 class FilterModel:
     """Model-only terms of the filter, computed once for all steps.
 
-    ``q0`` is the initial weight with S folded in, S^{-T} Q0 S^{-1}, and
-    ``q1_inv[k]`` the inverse of the effective weight of transition k,
-    B_k Q1_k^{-1} B_k'. ``W[k]`` is H_k'Q2_kH_k and ``HtQ2[k]`` is
-    H_k'Q2_k, which maps y_k to its information. Only
-    :func:`prepare_filter` builds one, so every model check has passed.
+    These are the whitened rows of the filter's least-squares problem.
+    ``LF0`` is L_0F_0, the initial row with L_0 = chol(Q0)'S^{-1};
+    ``LF[k]`` and ``LC[k]`` are L_kF_{k+1} and L_kC_k, transition k with
+    L_k = chol(Q1_k)'B_k^{-1}; ``V[k]`` is chol(Q2_k)' and ``VH[k]`` is
+    V_kH_k. Only :func:`prepare_filter` builds one, so every model check
+    has passed.
     """
 
-    F: np.ndarray
-    C: np.ndarray
-    q0: np.ndarray
-    q1_inv: np.ndarray
-    W: np.ndarray
-    HtQ2: np.ndarray
+    LF0: np.ndarray
+    LF: np.ndarray
+    LC: np.ndarray
+    VH: np.ndarray
+    V: np.ndarray
 
     @property
     def horizon(self) -> int:
-        return self.F.shape[0] - 1
-
-    @property
-    def observation_dim(self) -> int:
-        return self.HtQ2.shape[2]
+        return self.VH.shape[0] - 1
 
 
 def prepare_filter(dae: DiscreteDAE, bounds: DAEEllipsoid) -> FilterModel:
@@ -177,27 +186,25 @@ def prepare_filter(dae: DiscreteDAE, bounds: DAEEllipsoid) -> FilterModel:
     failure raises at once, in this order: the rank precondition on
     [F_k; H_k] for every k by one batched SVD (RankDeficient naming
     ``[F_k; H_k]``), then S, then the B_k, each square invertible
-    (InvalidInput naming ``S`` or ``B_k``). S and the B_k are folded into
-    effective weights in batched form. The recursion of
-    :func:`filter_init` and :func:`filter_step` then only reads these
-    arrays.
+    (InvalidInput naming ``S`` or ``B_k``) with finite whitened rows
+    (NumericalBreakdown naming ``S`` or ``B_k``). The rows are whitened
+    in batched form, and a constant coefficient stays one matrix.
     """
     _check_bounds(dae, bounds)
     full_rank = per_entry(_full_column_rank, dae.F_seq, dae.H_seq)
     if not full_rank.all():
         k = int(np.argmin(full_rank))
         raise RankDeficient(f"[F_{k}; H_{k}] does not have full column rank")
-    s_inv = _fold_weights(dae.S[None], bounds.Q0[None], "S")[0]
-    q1_inv = per_entry(lambda B, Q: _fold_weights(B, Q, "B_{}"), dae.B_seq, bounds.Q1_seq)
-    HtQ2, W = per_entry(observation_information, dae.H_seq, bounds.Q2_seq)
-    return FilterModel(
-        F=dae.F_seq,
-        C=dae.C_seq,
-        q0=symmetrize(np.linalg.inv(s_inv)),
-        q1_inv=q1_inv,
-        W=W,
-        HtQ2=HtQ2,
+    (LF0,) = _whitened(dae.S[None], bounds.Q0[None], "S", dae.F_seq[:1])
+    LF, LC = per_entry(
+        lambda B, Q, F, C: _whitened(B, Q, "B_{}", F, C),
+        dae.B_seq,
+        bounds.Q1_seq,
+        dae.F_seq[1:],
+        dae.C_seq,
     )
+    V = per_entry(lambda Q: np.swapaxes(np.linalg.cholesky(Q), 1, 2), bounds.Q2_seq)
+    return FilterModel(LF0=LF0[0], LF=LF, LC=LC, VH=per_entry(np.matmul, V, dae.H_seq), V=V)
 
 
 def _singular(eigs: np.ndarray) -> np.ndarray:
@@ -207,141 +214,27 @@ def _singular(eigs: np.ndarray) -> np.ndarray:
     return eigs[:, 0] <= DEFAULT_TOL * np.maximum(eigs[:, -1], 1.0)
 
 
-def _check_block(start: int, inner: np.ndarray, info: np.ndarray) -> None:
-    """Raise the verdict of the first failing step among start, start + 1, ...
-
-    ``inner[i]`` is Q1^{-1} + C P C' and ``info[i]`` is F'DF + W at step
-    start + i. Step 0 absorbs no transition, so its ``inner`` is not
-    judged, and ``info`` ends one step early where inverting the last
-    ``inner`` failed. At each step the propagated covariance is judged
-    before the information matrix, each by one batched eigvalsh for the
-    block. Should LAPACK fail on some entry, which is then non-finite, the
-    steps are judged one at a time, so that a failing step before it
-    still raises its own verdict.
-    """
-    try:
-        low = np.linalg.eigvalsh(inner)[:, 0]
-        if start == 0:
-            low[0] = np.inf
-        broken = low < BREAKDOWN_EIG_FLOOR
-        stop = int(np.argmax(broken)) if broken.any() else len(inner)
-        eigs = np.linalg.eigvalsh(info[:stop])
-    except np.linalg.LinAlgError:
-        if len(inner) < 2:
-            raise
-        for i in range(len(inner)):
-            _check_block(start + i, inner[i : i + 1], info[i : i + 1])
-        raise
-    singular = _singular(eigs)
-    if singular.any():
-        raise RankDeficient(
-            f"information matrix at step {start + int(np.argmax(singular))} is "
-            f"singular; the rank precondition on [F_k; H_k] fails"
-        )
-    if stop < len(inner):
-        raise NumericalBreakdown(
-            f"propagated covariance at step {start + stop} has eigenvalue "
-            f"{low[stop]:.3e} below {BREAKDOWN_EIG_FLOOR}"
-        )
+def _block_steps(entries: int) -> int:
+    """Steps per block of a path that holds ``entries`` per step: about
+    _BAND_ENTRIES in all."""
+    return max(1, _BAND_ENTRIES // entries)
 
 
-def _filter_block(model: FilterModel, start: int, P, x, Y: np.ndarray, out: np.ndarray):
-    """Steps start .. start + len(Y) - 1 of the filter; returns P at the last one.
-
-    (P, x) is the state at step start - 1, unused at step 0. Only the two
-    inversions of each step, which need the step before, run one step at
-    a time; their operands go into (B, ., .) buffers. Then
-    :func:`_check_block` judges the block, one batched product forms the
-    gains G_k = P_k F_k' D_k C_{k-1} and the terms b_k = P_k H_k'Q2_k y_k,
-    and the centers x_k = G_k x_{k-1} + b_k are written into ``out``.
-    """
-    count = len(Y)
-    stop = start + count
-    F, W = model.F[start:stop], model.W[start:stop]
-    m, n = F.shape[1:]
-    first = 1 if start == 0 else 0  # step 0 absorbs no transition: D_0 = q0
-    C = model.C[start + first - 1 : stop - 1]
-    q1_inv = model.q1_inv[start + first - 1 : stop - 1]
-    inner = np.zeros((count, m, m))  # step 0's row stays 0 but is passed to eigvalsh
-    D = np.empty((count, m, m))
-    info = np.empty((count, n, n))
-    Ps = np.empty((count, n, n))
-    if first:
-        d = D[0] = model.q0
-    formed = 0
-    # steps after a failing one may overflow before the block is judged
-    with np.errstate(all="ignore"):
-        try:
-            for i in range(count):
-                if i >= first:
-                    c = C[i - first]
-                    a = inner[i] = symmetrize(q1_inv[i - first] + c @ P @ c.T)
-                    d = D[i] = symmetrize(np.linalg.inv(a))
-                f = F[i]
-                a = info[i] = symmetrize(f.T @ d @ f + W[i])
-                formed = i + 1
-                P = Ps[i] = symmetrize(np.linalg.inv(a))
-        except np.linalg.LinAlgError:
-            _check_block(start, inner[: i + 1], info[:formed])
-            raise
-    _check_block(start, inner, info)
-
-    G = np.zeros((count, n, n))
-    G[first:] = Ps[first:] @ (np.swapaxes(F[first:], 1, 2) @ (D[first:] @ C))
-    b = (Ps @ (model.HtQ2[start:stop] @ Y[:, :, None]))[:, :, 0]
-    if first:
-        x = np.zeros(n)
-    for i in range(count):
-        x = out[i] = G[i] @ x + b[i]
-    return P
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per step, a_k'b_k."""
+    return np.swapaxes(a, 1, 2) @ b
 
 
-def filter_init(model: FilterModel, y0) -> FilterState:
-    """State after absorbing the initial constraint and the first observation.
-
-    P_0 = (F_0' Q0 F_0 + H_0' Q2_0 H_0)^{-1}
-    x_hat_0 = P_0 H_0' Q2_0 y_0
-    """
-    y0 = sized_vector(y0, "y0", model.observation_dim)
-    x = np.empty((1, model.F.shape[2]))
-    P = _filter_block(model, 0, None, None, y0[None], x)
-    return FilterState(k=0, x_hat=x[0], P=P)
+def _information(LF: np.ndarray, VH: np.ndarray) -> np.ndarray:
+    """Per step, F_k'G_{k-1}^{-1}F_k + H_k'Q2_kH_k: the information of
+    step k given x_{k-1}."""
+    return symmetrize(_gram(LF, LF) + _gram(VH, VH))
 
 
-def filter_step(state: FilterState, model: FilterModel, y_next) -> FilterState:
-    """Advance the filter by one transition and one observation.
-
-    With D = (Q1_{k-1}^{-1} + C_{k-1} P_{k-1} C_{k-1}')^{-1},
-
-        P_k     = (F_k' D F_k + H_k' Q2_k H_k)^{-1}
-        x_hat_k = P_k (F_k' D C_{k-1} x_hat_{k-1} + H_k' Q2_k y_k).
-
-    D blends the fresh process uncertainty with the propagated shape of
-    the previous estimate; the outer inversion is the usual information
-    update against the new observation. Q1^{-1} (with B folded in),
-    H'Q2H and H'Q2 come precomputed from :func:`prepare_filter`. This is
-    a block of one step of the routine that :func:`filter_run` runs.
-    """
-    k = state.k + 1
-    if k > model.horizon:
-        raise InvalidInput(f"step {k} exceeds horizon {model.horizon}")
-    y = sized_vector(y_next, "y_next", model.observation_dim)
-    x = np.empty((1, model.F.shape[2]))
-    P = _filter_block(model, k, state.P, state.x_hat, y[None], x)
-    return FilterState(k=k, x_hat=x[0], P=P)
-
-
-def _information(F: np.ndarray, g_inv: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Per step, F_k'G_{k-1}^{-1}F_k + W_k: the information of step k
-    given x_{k-1}."""
-    return symmetrize(np.swapaxes(F, 1, 2) @ g_inv @ F + W)
-
-
-def _coupling(C: np.ndarray, g_inv: np.ndarray, F_next: np.ndarray) -> tuple:
+def _coupling(LC: np.ndarray, LF_next: np.ndarray) -> tuple:
     """Per transition k, C_k'G_k^{-1}C_k (added to A's diagonal block k)
     and A's block (k, k+1), -C_k'G_k^{-1}F_{k+1}."""
-    CtG = np.swapaxes(C, 1, 2) @ g_inv
-    return symmetrize(CtG @ C), -(CtG @ F_next)
+    return symmetrize(_gram(LC, LC)), -_gram(LC, LF_next)
 
 
 def _norm1(M: np.ndarray) -> np.ndarray:
@@ -349,13 +242,7 @@ def _norm1(M: np.ndarray) -> np.ndarray:
     return np.abs(M).sum(axis=1).max(axis=1)
 
 
-def _information_steps(n: int) -> int:
-    """Steps per block of the information sweep: a block's band holds 2n
-    rows of n entries per step, about _BAND_ENTRIES in all."""
-    return max(1, _BAND_ENTRIES // (2 * n * n))
-
-
-def _information_sweep(model: FilterModel, Y: np.ndarray, out):
+def _information_sweep(model: FilterModel, Vy: np.ndarray, out):
     """The filter as the forward half of a banded Cholesky factor of A.
 
     A = Phi'G^{-1}Phi + H'Q2H is the block-tridiagonal information matrix
@@ -366,40 +253,36 @@ def _information_sweep(model: FilterModel, Y: np.ndarray, out):
         J_k = F_k'G_{k-1}^{-1}F_k + W_k - U_k'U_k,
         x_hat_k = J_k^{-1} (b_k - U_k' z_{k-1}),
 
-    and P_N = J_N^{-1}. G_k^{-1} is the inverse of ``model.q1_inv[k]``,
-    formed once for a constant model. The horizon is factored in blocks of
-    :func:`_information_steps` by :func:`_information_block`; only U and z
-    of a block's last step carry into the next, so beyond the outputs and
-    the per-step model arrays memory is O(block).
+    and P_N = J_N^{-1}. Every term of A is a Gram product of the whitened
+    rows of ``model``, and b_k = (V_kH_k)'(V_ky_k) with ``Vy[k]`` = V_ky_k.
+    The horizon is factored in blocks of :func:`_block_steps` by
+    :func:`_information_block`; only U and z of a block's last step carry
+    into the next, so beyond the outputs and the per-step model arrays
+    memory is O(block).
 
     The centers go into ``out``. Returns (P_N, rcond), where rcond is the
-    smallest figure judged over the blocks factored (None if none was).
-    P_N is None, and ``out`` partly written, unless every lambda_min(G_k)
-    reaches BREAKDOWN_EIG_FLOOR, every block's reciprocal condition
+    smallest figure judged over the blocks factored. P_N is None, and
+    ``out`` partly written, unless every block's reciprocal condition
     estimate and every 1/((||T_k|| + ||U_k'U_k||) ||J_k^-1||), with T_k
     = F_k'G_{k-1}^{-1}F_k + W_k, reach INFORMATION_RCOND_FLOOR, and every
     J_k passes the test of :func:`_singular`.
     """
-    N, n = model.horizon, model.F.shape[2]
+    N, n = model.horizon, model.VH.shape[2]
     rcond = P = None
-    # a model the recursion rejects may overflow here; the checks catch it
+    # a chain with huge whitened rows may overflow here; the checks catch it
     with np.errstate(all="ignore"):
-        g_low = per_entry(lambda G: np.linalg.eigvalsh(G)[:, 0], model.q1_inv)
-        if not (g_low >= BREAKDOWN_EIG_FLOOR).all():
-            return None, None
-        g_inv = per_entry(lambda G: symmetrize(np.linalg.inv(G)), model.q1_inv)
         carry = (np.zeros((n, n)), np.zeros(n))
-        steps = _information_steps(n)
+        steps = _block_steps(2 * n * n)
         for start in range(0, N + 1, steps):
             stop = min(start + steps, N + 1)
-            block_rcond, P, carry = _information_block(model, g_inv, start, stop, Y, out, carry)
+            block_rcond, P, carry = _information_block(model, start, stop, Vy, out, carry)
             rcond = block_rcond if rcond is None else min(rcond, block_rcond)
             if P is None:
                 break
     return P, rcond
 
 
-def _information_block(model: FilterModel, g_inv, start: int, stop: int, Y, out, carry) -> tuple:
+def _information_block(model: FilterModel, start: int, stop: int, Vy, out, carry) -> tuple:
     """Steps start .. stop - 1 of :func:`_information_sweep`.
 
     ``carry`` is (U_start, z_{start-1}), zeros at step 0. Forms the block's
@@ -410,15 +293,14 @@ def _information_block(model: FilterModel, g_inv, start: int, stop: int, Y, out,
     None when the block fails a check, and ``carry`` is (U_stop,
     z_{stop-1}) for the next block.
     """
-    N, n = model.horizon, model.F.shape[2]
+    N, n = model.horizon, model.VH.shape[2]
     count, last = stop - start, min(stop, N)  # transitions start .. last - 1
     U, z_before = carry
     lo = max(start, 1)
-    T = per_entry(_information, model.F[lo:stop], g_inv[lo - 1 : stop - 1], model.W[lo:stop])
+    T = per_entry(_information, model.LF[lo - 1 : stop - 1], model.VH[lo:stop])
     if start == 0:
-        T = np.concatenate([_information(model.F[:1], model.q0[None], model.W[:1]), T])
-    F_next = model.F[start + 1 : last + 1]
-    Cn, off = per_entry(_coupling, model.C[start:last], g_inv[start:last], F_next)
+        T = np.concatenate([_information(model.LF0[None], model.VH[:1]), T])
+    Cn, off = per_entry(_coupling, model.LC[start:last], model.LF[start:last])
     inner = off[: count - 1]
     UtU = np.empty((count, n, n))  # U_k'U_k
     UtU[0] = U.T @ U
@@ -438,7 +320,7 @@ def _information_block(model: FilterModel, g_inv, start: int, stop: int, Y, out,
     R, rcond = factor_spd_banded(cols.reshape(count * n, 2 * n).T, float(column.max()))
     if not rcond >= INFORMATION_RCOND_FLOOR:
         return rcond, None, None
-    b = (model.HtQ2[start:stop] @ Y[start:stop, :, None])[:, :, 0]
+    b = (np.swapaxes(model.VH[start:stop], 1, 2) @ Vy[start:stop, :, None])[:, :, 0]
     b[0] -= U.T @ z_before
     z = lapack.dtbtrs(R, b.reshape(-1, 1), trans="T")[0].reshape(count, n)
     cols = R.T.reshape(count, n, 2 * n)
@@ -473,6 +355,63 @@ def _information_block(model: FilterModel, g_inv, start: int, stop: int, Y, out,
     return rcond, symmetrize(P[-1]), (U, z[-1])
 
 
+def _qr_steps(model: FilterModel, Vy: np.ndarray, out) -> np.ndarray:
+    """The filter as one QR factorization per step; returns P_N.
+
+    Step k factors the (n + m + l) x (2n + 1) matrix of the module
+    docstring, with columns (x_{k-1}, x_k, data), by one LAPACK dgeqrf;
+    step 0 has R_{-1} = 0 and no transition. The matrices of a block of
+    :func:`_block_steps` steps are filled at once, transposed, so that
+    each is a Fortran-ordered view that dgeqrf overwrites in place; only
+    [R_k, z_k] is copied into the next one. After the block one batched
+    SVD judges every R_k, which is singular when s_min <= sqrt(DEFAULT_TOL)
+    max(s_max, 1) (the test of :func:`_singular` on J_k = R_k'R_k, which is
+    never formed), and one batched solve writes x_hat_k = R_k^{-1}z_k into
+    ``out``. Raises RankDeficient at the first singular R_k.
+    """
+    N = model.horizon
+    m, n = model.LF0.shape
+    l = model.V.shape[1]
+    rows = n + m + l
+    upper = np.tri(n, dtype=bool)  # R's upper triangle, transposed
+    R, z = np.zeros((n, n)), np.zeros(n)
+    steps = _block_steps(rows * (2 * n + 1))
+    for start in range(0, N + 1, steps):
+        stop = min(start + steps, N + 1)
+        count, lo = stop - start, max(start, 1)
+        # work[i].T is the matrix of step start + i
+        work = np.zeros((count, 2 * n + 1, rows))
+        work[lo - start :, :n, n : n + m] = -np.swapaxes(model.LC[lo - 1 : stop - 1], 1, 2)
+        work[lo - start :, n : 2 * n, n : n + m] = np.swapaxes(model.LF[lo - 1 : stop - 1], 1, 2)
+        if start == 0:
+            work[0, n : 2 * n, n : n + m] = model.LF0.T
+        work[:, n : 2 * n, n + m :] = np.swapaxes(model.VH[start:stop], 1, 2)
+        work[:, 2 * n, n + m :] = Vy[start:stop]
+        work[0, :n, :n] = R.T
+        work[0, 2 * n, :n] = z
+        Rs, zs = np.empty((count, n, n)), np.empty((count, n))
+        for i in range(count):
+            a = work[i]
+            lapack.dgeqrf(a.T, overwrite_a=1)
+            Rs[i] = a[n : 2 * n, n : 2 * n].T
+            zs[i] = a[2 * n, n : 2 * n]
+            if i + 1 < count:
+                np.copyto(work[i + 1, :n, :n], a[n : 2 * n, n : 2 * n], where=upper)
+                work[i + 1, 2 * n, :n] = zs[i]
+        Rs = np.triu(Rs)
+        s = np.linalg.svd(Rs, compute_uv=False)
+        singular = s[:, -1] <= math.sqrt(DEFAULT_TOL) * np.maximum(s[:, 0], 1.0)
+        if singular.any():
+            raise RankDeficient(
+                f"information matrix at step {start + int(np.argmax(singular))} is "
+                f"singular; the rank precondition on [F_k; H_k] fails"
+            )
+        out[start:stop] = np.linalg.solve(Rs, zs[:, :, None])[:, :, 0]
+        R, z = Rs[-1], zs[-1]
+    R_inv = scipy.linalg.solve_triangular(R, np.eye(n), check_finite=False)
+    return symmetrize(R_inv @ R_inv.T)
+
+
 def filter_run(
     dae: DiscreteDAE, bounds: DAEEllipsoid, y_seq: Sequence, ell
 ) -> FilterRunResult:
@@ -485,21 +424,20 @@ def filter_run(
     center of the truncated problem, not of the full horizon.
 
     The run first tries :func:`_information_sweep`. When one of its
-    checks fails, it restarts on the recursion of :func:`_filter_block`
-    in blocks of ``_BLOCK`` steps, which alone decides every error.
+    checks fails, it restarts on :func:`_qr_steps`, which alone decides
+    every error after :func:`prepare_filter`.
     """
     count = dae.horizon + 1
     Y = vector_stack(y_seq, "y_seq", count, dae.observation_dim, "observation vectors")
     ell = sized_vector(ell, "ell", dae.state_dim)
     model = prepare_filter(dae, bounds)
+    Vy = (model.V @ Y[:, :, None])[:, :, 0]
     x_seq = np.empty((count, dae.state_dim))
-    P, rcond = _information_sweep(model, Y, x_seq)
+    P, rcond = _information_sweep(model, Vy, x_seq)
     path = "information"
     if P is None:
         path = "recursive"
-        for start in range(0, count, _BLOCK):
-            stop = min(start + _BLOCK, count)
-            P = _filter_block(model, start, P, x_seq[start - 1], Y[start:stop], x_seq[start:stop])
+        P = _qr_steps(model, Vy, x_seq)
     final = FilterState(k=dae.horizon, x_hat=x_seq[-1].copy(), P=P)
     return FilterRunResult(
         estimate_value=float(ell @ final.x_hat),

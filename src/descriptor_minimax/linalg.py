@@ -38,14 +38,13 @@ RCOND_FLOOR = 1e-7
 # Information-form filter: its sweep is kept when each block's reciprocal
 # condition estimate of the banded Cholesky of Phi'G^{-1}Phi + H'Q2H, and each
 # filtered information J_k's 1/((||T_k|| + ||U_k'U_k||) ||J_k^-1||), reach
-# this. Forming G^{-1} squares cond(B_k): on 800 random chains with cond(B_k)
-# log-uniform up to 1e6 the sweep stayed within 3.0e-11 of the recursion at
-# 1e-6, but only within 1.4e-10 at 1e-7.
+# this. Forming A from the whitened rows squares their condition, which
+# grows with cond(B_k): on 800 random chains with cond(B_k) log-uniform up to
+# 1e6 the sweep stayed within 1.0e-11 of a dense QR solve at 1e-6, but only
+# within 6.8e-11 at 1e-7.
 INFORMATION_RCOND_FLOOR = 1e-6
 # SPD checks: symmetric when |a_ij - a_ji| <= this times 1 + max |a_ij|.
 SYMMETRY_TOL = 1e-12
-# Filter step: Q1^{-1} + C P C' is singular below this eigenvalue (absolute).
-BREAKDOWN_EIG_FLOOR = 1e-14
 # Simulation: a step matrix F_k with 1/cond(F_k) below this is singular.
 STEP_RCOND = 1e-12
 # Center oracle: normal equations are singular if min eig <= this * max(max eig, 1).

@@ -645,6 +645,25 @@ def test_riccati_consistent_with_discretized_filter():
     assert diffs[0] > diffs[1] > diffs[2]
 
 
+@pytest.mark.parametrize("steps", [4096, 10_000])
+def test_fine_grid_filter_matches_the_one_shot(steps):
+    # the unit scalar problem's chain is too ill-conditioned for the
+    # information sweep at these grids; the QR steps answer as the
+    # one-shot solves do
+    system, bounds = scalar_system()
+    grid = TimeGrid(0.0, 1.0, steps)
+    y = 0.3 * np.sin(3.0 * grid.nodes()).reshape(-1, 1)
+    dae, dbounds = discretize(system, bounds, grid)
+    run = filter_run(dae, dbounds, y, np.ones(1))
+    assert run.solver["path"] == "recursive"
+    ell_seq = np.zeros((steps + 1, 1))
+    ell_seq[-1] = 1.0
+    center = variational_estimate(dae, dbounds, ell_seq, y).estimate_value
+    squared = discrete.apriori_horizon_estimate(dae, dbounds, ell_seq).sigma_hat
+    assert run.estimate_value == pytest.approx(center, abs=1e-10)
+    assert run.sigma_hat**2 == pytest.approx(squared, abs=1e-10)
+
+
 def test_riccati_estimate_reads_data():
     # nonzero data: the endpoint estimate must match the variational
     # readout of the discretized problem to first order

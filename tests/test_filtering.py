@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import descriptor_minimax.continuous as continuous_mod
 import descriptor_minimax.discrete as discrete_mod
@@ -27,9 +28,7 @@ from descriptor_minimax import (
     ContinuousEllipsoid,
     TimeGrid,
     apriori_horizon_estimate,
-    filter_init,
     filter_run,
-    filter_step,
     prepare_filter,
     rank_precondition,
     riccati_filter,
@@ -64,24 +63,44 @@ def test_chain_center_is_linear_in_data():
     assert from_y1.final.x_hat == pytest.approx([0.6], abs=1e-15)
 
 
-def test_covariance_symmetric_positive_definite_along_run():
+def _truncated(dae, bounds, k):
+    """The chain and its bounds cut after step k."""
+    return (
+        DiscreteDAE(
+            F_seq=dae.F_seq[: k + 1],
+            C_seq=dae.C_seq[:k],
+            B_seq=dae.B_seq[:k],
+            S=dae.S,
+            H_seq=dae.H_seq[: k + 1],
+        ),
+        DAEEllipsoid(Q0=bounds.Q0, Q1_seq=bounds.Q1_seq[:k], Q2_seq=bounds.Q2_seq[: k + 1]),
+    )
+
+
+def test_covariance_symmetric_positive_definite_along_run(monkeypatch):
+    # P_k of the chain cut after step k, on both paths (an unreachable
+    # floor turns the information sweep down)
     rng = rng_for(42)
-    for _ in range(20):
+    for trial in range(20):
+        floor = np.inf if trial % 2 else linalg_mod.INFORMATION_RCOND_FLOOR
+        monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", floor)
         n = int(rng.integers(1, 5))
         l = int(rng.integers(1, 5))
         N = int(rng.integers(1, 11))
         dae, bounds = make_discrete(rng, n=n, m=n, l=l, N=N, identity_b=True)
         if not _precondition_holds(dae):
             continue
-        model = prepare_filter(dae, bounds)
-        state = filter_init(model, rng.standard_normal(l) * 0.1)
-        for k in range(1, N + 1):
-            assert np.linalg.norm(state.P - state.P.T) <= 1e-12 * (
-                1.0 + np.linalg.norm(state.P)
-            )
-            assert np.min(np.linalg.eigvalsh(state.P)) > 0.0
-            state = filter_step(state, model, rng.standard_normal(l) * 0.1)
-        assert state.k == N
+        y_seq = rng.standard_normal((N + 1, l)) * 0.1
+        full = filter_run(dae, bounds, y_seq, np.ones(n))
+        for k in range(N + 1):
+            run = filter_run(*_truncated(dae, bounds, k), y_seq[: k + 1], np.ones(n))
+            P = run.final.P
+            assert run.final.k == k
+            assert np.linalg.norm(P - P.T) <= 1e-12 * (1.0 + np.linalg.norm(P))
+            assert np.min(np.linalg.eigvalsh(P)) > 0.0
+            # the filtered center of step k uses y_0 .. y_k only
+            scale = np.abs(full.x_hat_seq[k]).max()
+            assert run.final.x_hat == pytest.approx(full.x_hat_seq[k], abs=1e-10 * scale)
 
 
 def test_filter_matches_variational_on_random_systems():
@@ -244,21 +263,26 @@ def test_rectangular_b_rejected():
         filter_run(dae, bounds, [np.zeros(1), np.zeros(1)], np.ones(1))
 
 
-def test_numerical_breakdown_on_vanishing_inner_matrix():
-    # enormous Q1 with C = 0 drives the propagated information inverse
-    # below the breakdown floor
+def _two_step_vanishing_inner_matrix(B, Q1):
+    """Two scalar steps with C = 0: the inner matrix B Q1^{-1} B' + C P C'
+    of the covariance recursion is B^2/Q1."""
     one = np.ones((1, 1))
     dae = DiscreteDAE(
         F_seq=np.stack([one, one]),
         C_seq=np.stack([np.zeros((1, 1))]),
-        B_seq=np.stack([one]),
+        B_seq=np.stack([one * B]),
         S=one,
         H_seq=np.stack([one, one]),
     )
-    bounds = DAEEllipsoid(
-        Q0=one, Q1_seq=np.stack([one * 1e16]), Q2_seq=np.stack([one, one])
-    )
-    with pytest.raises(NumericalBreakdown):
+    bounds = DAEEllipsoid(Q0=one, Q1_seq=np.stack([one * Q1]), Q2_seq=np.stack([one, one]))
+    return dae, bounds
+
+
+def test_numerical_breakdown_on_vanishing_inner_matrix():
+    # B^2/Q1 = 1e-700 vanishes in floating point: the whitened weight
+    # chol(Q1)'B^{-1} = 1e350 overflows, and prepare_filter names B_0
+    dae, bounds = _two_step_vanishing_inner_matrix(1e-200, 1e300)
+    with pytest.raises(NumericalBreakdown, match="^the whitened weight of B_0 is not finite$"):
         filter_run(dae, bounds, [np.zeros(1), np.zeros(1)], np.ones(1))
 
 
@@ -376,7 +400,15 @@ def test_prepared_filter_stops_where_the_loop_stops():
 # ---------------------------------------------------------------------------
 # Blocks of steps: the same answers and verdicts at every block edge
 
-BLOCK = filtering_mod._BLOCK
+BLOCK = 64
+
+
+def _qr_blocks_of(steps, dae, monkeypatch):
+    """Blocks of ``steps`` QR steps on this chain, and the sweep turned down."""
+    n, m, l = dae.state_dim, dae.equation_dim, dae.observation_dim
+    monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", steps * (n + m + l) * (2 * n + 1))
+    # an unreachable floor turns the information sweep down: the QR steps answer
+    monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", np.inf)
 
 
 def _block_edge_chain(rng, N, descriptor):
@@ -410,23 +442,13 @@ def _assert_matches_reference(dae, bounds, y_seq, ell, rel=1e-12):
 @pytest.mark.parametrize("N", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
 @pytest.mark.parametrize("descriptor", [False, True])
 def test_blocked_filter_matches_per_step_formulas_across_block_edges(N, descriptor, monkeypatch):
-    # an unreachable floor turns the information sweep down: the recursion answers
-    monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", np.inf)
+    # the QR steps in blocks of BLOCK steps carry R_k and z_k across the edges
     rng = rng_for(N + 1000 * descriptor)
     for _ in range(3):
         dae, bounds, y_seq, ell = _block_edge_chain(rng, N, descriptor)
+        _qr_blocks_of(BLOCK, dae, monkeypatch)
         run = _assert_matches_reference(dae, bounds, y_seq, ell)
         assert run.solver["path"] == "recursive"
-
-        model = prepare_filter(dae, bounds)
-        state = filter_init(model, y_seq[0])
-        stepped = [state.x_hat]
-        for k in range(1, N + 1):
-            state = filter_step(state, model, y_seq[k])
-            stepped.append(state.x_hat)
-        stepped = np.array(stepped)
-        assert stepped == pytest.approx(run.x_hat_seq, rel=1e-13, abs=1e-13 * np.abs(stepped).max())
-        assert state.P == pytest.approx(run.final.P, rel=1e-13, abs=1e-13 * np.abs(state.P).max())
 
 
 @pytest.mark.parametrize("N", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
@@ -435,7 +457,7 @@ def test_information_sweep_matches_per_step_formulas_across_block_edges(
     N, descriptor, monkeypatch
 ):
     # the sweep with blocks of BLOCK steps carries its pivot and z across
-    # the same edges as the recursion. It answers at least two of each three
+    # the same edges as the QR steps. It answers at least two of each three
     # chains; the others have an rcond estimate below the floor. Its rounding
     # grows as the estimate falls toward the floor: 1.6e-12 relative on one
     # chain at 1.4e-6, hence 1e-11 here
@@ -452,7 +474,7 @@ def test_information_sweep_matches_per_step_formulas_across_block_edges(
 
 def _chain_breaking_at_150(fault):
     """A constant 2-state chain of 200 steps with one fault at step 150,
-    in the middle of the third block."""
+    in the middle of the third block of BLOCK steps."""
     N = 200
     assert 2 * BLOCK < 150 < 3 * BLOCK - 1
     F = np.array(np.broadcast_to(np.eye(2), (N + 1, 2, 2)))
@@ -461,14 +483,15 @@ def _chain_breaking_at_150(fault):
     B = np.array(np.broadcast_to(np.eye(2), (N, 2, 2)))
     Q1 = np.array(np.broadcast_to(np.eye(2), (N, 2, 2)))
     if fault in ("breakdown", "overflow", "zero"):
-        # C = 0 and an enormous Q1 on the transition into step 150 leave
-        # Q1^{-1} + C P C' with a tiny (or, with B = 1e-200 I, zero) eigenvalue
+        # C = 0 and an enormous Q1 on the transition into step 150: the
+        # covariance recursion saw Q1^{-1} + C P C' with a tiny (or, with
+        # B = 1e-200 I, zero) eigenvalue
         Q1[149] *= {"breakdown": 1e16}.get(fault, 1e300)
         C[149] = 0.0
         if fault == "overflow":
-            F[150] *= 1e5  # F'DF overflows, and every later step is NaN
+            F[150] *= 1e5  # F'G^{-1}F overflows
         if fault == "zero":
-            B[149] *= 1e-200  # Q1^{-1} underflows to 0: inverting it fails
+            B[149] *= 1e-200  # chol(Q1)'B^{-1} overflows
     if fault in ("rank", "rank_then_zero"):
         F[150] = np.diag([1.0, 1e-6])  # [F; H] keeps full rank, F'DF + W does not
         H[150] = 0.0
@@ -481,7 +504,6 @@ def _chain_breaking_at_150(fault):
     return dae, bounds
 
 
-BREAKDOWN_150 = "propagated covariance at step 150 has eigenvalue {} below 1e-14"
 SINGULAR_150 = (
     "information matrix at step 150 is singular; the rank precondition on [F_k; H_k] fails"
 )
@@ -490,30 +512,47 @@ SINGULAR_150 = (
 @pytest.mark.parametrize(
     "fault, error, message",
     [
-        ("breakdown", NumericalBreakdown, BREAKDOWN_150.format("1.000e-16")),
-        ("overflow", NumericalBreakdown, BREAKDOWN_150.format("1.000e-300")),
-        ("zero", NumericalBreakdown, BREAKDOWN_150.format("0.000e+00")),
+        ("zero", NumericalBreakdown, "the whitened weight of B_149 is not finite"),
         ("rank", RankDeficient, SINGULAR_150),
-        ("rank_then_zero", RankDeficient, SINGULAR_150),
+        ("rank_then_zero", NumericalBreakdown, "the whitened weight of B_151 is not finite"),
     ],
 )
-def test_blocked_filter_fails_at_the_step_that_fails(fault, error, message):
+def test_blocked_filter_fails_at_the_step_that_fails(fault, error, message, monkeypatch):
+    # the whitening fails in prepare_filter, before any step; a singular R_k
+    # fails at its own step, in the middle of a block of steps
     dae, bounds = _chain_breaking_at_150(fault)
-    y_seq = np.zeros((dae.horizon + 1, 2))
+    _qr_blocks_of(BLOCK, dae, monkeypatch)
     with pytest.raises(error) as run_error:
-        filter_run(dae, bounds, y_seq, np.ones(2))
+        filter_run(dae, bounds, np.zeros((dae.horizon + 1, 2)), np.ones(2))
     assert str(run_error.value) == message
-    model = prepare_filter(dae, bounds)
-    state = filter_init(model, y_seq[0])
-    for k in range(1, 150):
-        state = filter_step(state, model, y_seq[k])
-    with pytest.raises(error) as step_error:
-        filter_step(state, model, y_seq[150])
-    assert str(step_error.value) == message
+
+
+@pytest.mark.parametrize("fault", ["breakdown", "overflow", "two-step"])
+def test_breakdown_chains_answer_as_the_one_shot(fault):
+    # the covariance recursion raised NumericalBreakdown on these chains
+    # while the one-shot solve answered; the QR steps answer as it does.
+    # On the two-step chain its inner matrix B^2/Q1 = 1e-16 was below its
+    # breakdown floor
+    if fault == "two-step":
+        dae, bounds = _two_step_vanishing_inner_matrix(1.0, 1e16)
+    else:
+        dae, bounds = _chain_breaking_at_150(fault)
+    N, n = dae.horizon, dae.state_dim
+    rng = rng_for(150)
+    y_seq = 0.1 / np.sqrt(N + 1) * rng.standard_normal((N + 1, dae.observation_dim))
+    ell = rng.standard_normal(n)
+    ell_seq = np.zeros((N + 1, n))
+    ell_seq[-1] = ell
+    run = filter_run(dae, bounds, y_seq, ell)
+    assert run.solver["path"] == "recursive"
+    center = variational_estimate(dae, bounds, ell_seq, y_seq).estimate_value
+    squared = apriori_horizon_estimate(dae, bounds, ell_seq).sigma_hat
+    assert run.estimate_value == pytest.approx(center, rel=1e-11, abs=1e-14)
+    assert run.sigma_hat**2 == pytest.approx(squared, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
-# Two paths: the information sweep answers as the recursion does
+# Two paths against one dense least-squares reference
 
 
 def _conditioned(rng, count, m, cond):
@@ -524,49 +563,84 @@ def _conditioned(rng, count, m, cond):
     return (u * np.geomspace(cond**0.5, cond**-0.5, m)) @ np.swapaxes(v, 1, 2)
 
 
-def _stepped(dae, bounds, y_seq):
-    """Centers and P_N of the recursion, one filter_step at a time."""
-    model = prepare_filter(dae, bounds)
-    state = filter_init(model, y_seq[0])
-    centers = [state.x_hat]
-    for y in y_seq[1:]:
-        state = filter_step(state, model, y)
-        centers.append(state.x_hat)
-    return np.array(centers), state.P
+def _dense_reference(dae, bounds, y_seq, k):
+    """x_hat_k and P_k from one QR of the chain cut after step k, flattened.
+
+    Every row is whitened, L = chol(Q)'B^{-1}, and the rows are stacked
+    into one least-squares problem over (x_0, .., x_k) with the data as a
+    last column. In R of its QR the last column gives the solution, whose
+    last block is x_hat_k, and the last diagonal block R_kk gives
+    P_k = R_kk^{-1}R_kk^{-T}.
+    """
+    n, m, l = dae.state_dim, dae.equation_dim, dae.observation_dim
+
+    def white(B, Q):
+        return np.linalg.solve(B.T, np.linalg.cholesky(Q)).T
+
+    A = np.zeros(((k + 1) * m + (k + 1) * l, (k + 1) * n + 1))
+    A[:m, :n] = white(dae.S, bounds.Q0) @ dae.F_seq[0]
+    for j in range(k):
+        L = white(dae.B_seq[j], bounds.Q1_seq[j])
+        rows = slice((j + 1) * m, (j + 2) * m)
+        A[rows, j * n : (j + 1) * n] = -L @ dae.C_seq[j]
+        A[rows, (j + 1) * n : (j + 2) * n] = L @ dae.F_seq[j + 1]
+    for j in range(k + 1):
+        V = np.linalg.cholesky(bounds.Q2_seq[j]).T
+        rows = slice((k + 1) * m + j * l, (k + 1) * m + (j + 1) * l)
+        A[rows, j * n : (j + 1) * n] = V @ dae.H_seq[j]
+        A[rows, -1] = V @ y_seq[j]
+    R = np.linalg.qr(A, mode="r")
+    x = scipy.linalg.solve_triangular(R[:-1, :-1], R[:-1, -1])
+    R_inv = np.linalg.inv(R[-n - 1 : -1, -n - 1 : -1])
+    return x[-n:], R_inv @ R_inv.T
 
 
-def _assert_same_answers(run, x_ref, P_ref, ell, rel):
-    assert np.abs(run.x_hat_seq - x_ref).max() <= rel * np.abs(x_ref).max()
+def _assert_near_reference(run, refs, ell, rel):
+    """The run's centers at the steps of ``refs``, {k: (x_hat_k, P_k)} from
+    :func:`_dense_reference` with k = N last, and its P_N and readout."""
+    for k, (x_ref, P_ref) in refs.items():
+        assert np.abs(run.x_hat_seq[k] - x_ref).max() <= rel * np.abs(x_ref).max()
     assert np.abs(run.final.P - P_ref).max() <= rel * np.abs(P_ref).max()
-    scale = np.abs(ell) @ np.abs(x_ref[-1])
-    assert run.estimate_value == pytest.approx(ell @ x_ref[-1], rel=rel, abs=rel * scale)
+    scale = np.abs(ell) @ np.abs(x_ref)
+    assert run.estimate_value == pytest.approx(ell @ x_ref, rel=rel, abs=rel * scale)
     assert run.sigma_hat == pytest.approx(np.sqrt(ell @ P_ref @ ell), rel=rel)
 
 
 def test_information_sweep_matches_the_recursion_on_an_ensemble(monkeypatch):
-    # cond(B_k) log-uniform in [1, 1e6] and S != I, so both paths run; every
-    # other draw shrinks the sweep's blocks to 1..19 steps, so that N (up to
-    # 139) crosses their edges
+    # cond(B_k) log-uniform in [1, 1e6] and S != I; every other draw is a
+    # descriptor chain (m = n + 1). Each chain runs as it would (either
+    # path) and on the QR steps, and both answers must match the dense
+    # reference. Every other draw shrinks the blocks of both paths to 1..19
+    # steps, so that N (up to 99) crosses their edges
     rng = rng_for(13)
-    default = filtering_mod._BAND_ENTRIES
+    default_entries = filtering_mod._BAND_ENTRIES
+    default_floor = filtering_mod.INFORMATION_RCOND_FLOOR
     paths = {"information": 0, "recursive": 0}
     for trial in range(240):
         n = int(rng.integers(1, 5))
         l = int(rng.integers(1, 4))
-        N = int(rng.integers(1, 140))
-        dae, bounds = make_discrete(rng, n=n, m=n, p=n, l=l, N=N)
-        dae = _with_b(dae, _conditioned(rng, N, n, 10 ** rng.uniform(0, 6)))
-        steps = int(rng.integers(1, 20)) if trial % 2 else None
-        monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * n * n * steps if steps else default)
+        N = int(rng.integers(1, 100))
+        m = n + 1 if trial % 4 >= 2 else n
+        dae, bounds = make_discrete(rng, n=n, m=m, p=m, l=l, N=N)
+        dae = _with_b(dae, _conditioned(rng, N, m, 10 ** rng.uniform(0, 6)))
         y_seq = rng.standard_normal((N + 1, l)) * 0.1
         ell = rng.standard_normal(n)
-        run = filter_run(dae, bounds, y_seq, ell)
-        _assert_same_answers(run, *_stepped(dae, bounds, y_seq), ell, rel=1e-9)
-        paths[run.solver["path"]] += 1
+        refs = {k: _dense_reference(dae, bounds, y_seq, k) for k in (int(rng.integers(0, N)), N)}
+        steps = int(rng.integers(1, 20)) if trial % 2 else None
+        runs = []
+        for floor, per_step in ((default_floor, 2 * n * n), (np.inf, (n + m + l) * (2 * n + 1))):
+            monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", floor)
+            monkeypatch.setattr(
+                filtering_mod, "_BAND_ENTRIES", per_step * steps if steps else default_entries
+            )
+            runs.append(filter_run(dae, bounds, y_seq, ell))
+            _assert_near_reference(runs[-1], refs, ell, 1e-9)
+        assert runs[1].solver["path"] == "recursive"
+        paths[runs[0].solver["path"]] += 1
     assert min(paths.values()) >= 0.2 * sum(paths.values()), paths
 
 
-def test_information_sweep_holds_one_block_at_a_time():
+def test_information_sweep_holds_one_block_at_a_time(monkeypatch):
     # a constant n=32 chain of 1000 steps, as in the benchmark: 16 blocks of
     # 64 steps peak at about 5 MB, one band over the whole horizon at 75 MB
     rng = rng_for(32)
@@ -589,17 +663,22 @@ def test_information_sweep_holds_one_block_at_a_time():
     )
     y_seq = rng.standard_normal((N + 1, n)) * 0.1
     ell = rng.standard_normal(n)
-    assert filtering_mod._information_steps(n) == 64
-    assert filtering_mod._information_steps(2) > 10_000
-    tracemalloc.start()
-    try:
-        run = filter_run(dae, bounds, y_seq, ell)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert run.solver["path"] == "information"
-    assert peak < 16e6
-    _assert_same_answers(run, *_stepped(dae, bounds, y_seq), ell, rel=1e-9)
+    assert filtering_mod._block_steps(2 * n * n) == 64
+    assert filtering_mod._block_steps(2 * 2 * 2) > 10_000
+    runs = []
+    for floor in (filtering_mod.INFORMATION_RCOND_FLOOR, np.inf):
+        monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", floor)
+        tracemalloc.start()
+        try:
+            runs.append(filter_run(dae, bounds, y_seq, ell))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+    assert [run.solver["path"] for run in runs] == ["information", "recursive"]
+    sweep, qr = runs
+    assert np.abs(sweep.x_hat_seq - qr.x_hat_seq).max() <= 1e-9 * np.abs(qr.x_hat_seq).max()
+    assert np.abs(sweep.final.P - qr.final.P).max() <= 1e-9 * np.abs(qr.final.P).max()
 
 
 def test_filter_run_at_horizon_zero():
@@ -622,7 +701,7 @@ def test_solver_record_names_the_path():
     run = filter_run(dae, bounds, np.zeros((31, 1)), np.ones(2))
     assert run.solver["path"] == "information"
     assert run.solver["rcond_estimate"] >= run.solver["rcond_floor"] == 1e-6
-    # cond(B_k) = 1e5 becomes 1e10 in G^{-1}: the recursion answers
+    # cond(B_k) = 1e5 becomes 1e10 in A: the QR steps answer
     B = np.broadcast_to(np.diag([1.0, 1e-5]), (30, 2, 2))
     run = filter_run(_with_b(dae, B), bounds, np.zeros((31, 1)), np.ones(2))
     assert run.solver["path"] == "recursive"
@@ -706,5 +785,5 @@ def test_per_matrix_checks_do_not_grow_with_the_horizon(monkeypatch):
 
 def test_constant_model_terms_are_computed_once():
     model = prepare_filter(*_constant_chain(1000))
-    for terms in (model.q1_inv, model.W, model.HtQ2):
+    for terms in (model.LF, model.LC, model.VH, model.V):
         assert terms.shape[0] in (1000, 1001) and terms.strides[0] == 0
