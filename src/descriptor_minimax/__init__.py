@@ -51,14 +51,7 @@ from .errors import (
     SingularStep,
     SolveFailure,
 )
-from .filtering import (
-    FilterModel,
-    FilterRunResult,
-    FilterState,
-    filter_run,
-    prepare_filter,
-    rank_precondition,
-)
+from .filtering import FilterRunResult, FilterState, filter_run
 from .linalg import (
     LinearSolveResult,
     RangeMembership,
@@ -124,12 +117,9 @@ __all__ = [
     "SingularNormalEquations",
     "SingularStep",
     "SolveFailure",
-    "FilterModel",
     "FilterRunResult",
     "FilterState",
     "filter_run",
-    "prepare_filter",
-    "rank_precondition",
     "LinearSolveResult",
     "RangeMembership",
     "pseudo_inverse",

@@ -1,10 +1,12 @@
 """Recursive information filter for discrete descriptor systems.
 
-Under a rank precondition the Chebyshev-center trajectory of
+The Chebyshev-center trajectory of
 :func:`descriptor_minimax.discrete.variational_estimate` can be produced
-one step at a time. The filter yields the pair (x_hat_k, P_k), where
-P_k is the k-th diagonal block of the inverse of the full-horizon
-information matrix, so terminal functionals satisfy
+one step at a time when every filtered information matrix J_k is
+invertible; with S and every B_k square invertible, that is when every
+[F_k; H_k] has full column rank. The filter yields the pair
+(x_hat_k, P_k), where P_k is the k-th diagonal block of the inverse of
+the full-horizon information matrix, so terminal functionals satisfy
 
     sigma_hat(ell)^2 = ell' P_N ell        (a priori radius at step N)
 
@@ -31,11 +33,11 @@ one it took.
   ``_BAND_ENTRIES`` entries, one LAPACK dpbtrf and one dtbtrs per block,
   with no Python loop over steps. It is kept only when every block's
   reciprocal condition estimate and the rounding figure of every
-  filtered information matrix reach INFORMATION_RCOND_FLOOR, and every
-  filtered information matrix passes the DEFAULT_TOL test of
-  :func:`_singular`. Well-conditioned chains take it; since forming A
-  squares the condition of the whitened rows, chains with
-  ill-conditioned B_k or fine continuous grids do not.
+  filtered information matrix reach INFORMATION_RCOND_FLOOR. That
+  figure bounds cond(J_k) by 1/INFORMATION_RCOND_FLOOR, so every J_k it
+  keeps also passes the QR steps' rank test below. Well-conditioned
+  chains take it; since forming A squares the condition of the whitened
+  rows, chains with ill-conditioned B_k or fine continuous grids do not.
 * **QR steps** (``"recursive"``). Otherwise the run starts again on the
   orthogonal form of the same problem (Paige & Saunders, SIAM J. Numer.
   Anal. 14(2), 1977). With J_k = R_k'R_k and R_k upper triangular, each
@@ -48,12 +50,14 @@ one it took.
   whose second block row of the triangular result is [R_{k+1}, z_{k+1}]
   (step 0 is the same with R_{-1} = 0). Per block of steps, one batched
   SVD judges every R_k and one batched solve gives x_hat_k =
-  R_k^{-1}z_k; then P_N = R_N^{-1}R_N^{-T}. J_k is never formed.
+  R_k^{-1}z_k; then P_N = R_N^{-1}R_N^{-T}. J_k is never formed. The
+  test on R_k, s_min <= sqrt(DEFAULT_TOL) s_max, is the filter's one
+  rank verdict, and it reads no absolute scale.
 
-Of the two paths only the QR steps raise errors, so a chain the sweep
-turns down gets their verdict, message and failing step. Beyond its
-outputs and the per-step model arrays, either path holds O(block)
-memory.
+Of the two paths only the QR steps raise errors after
+:func:`prepare_filter`, so a chain the sweep turns down gets their
+verdict, message and failing step. Beyond its outputs and the per-step
+model arrays, either path holds O(block) memory.
 """
 
 from __future__ import annotations
@@ -104,27 +108,13 @@ class FilterRunResult:
     solver: dict
 
 
-def _full_column_rank(F: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Per step, whether [F_k; H_k] has full column rank: one batched SVD."""
-    stacked = np.concatenate([F, H], axis=1)
-    count, rows, cols = stacked.shape
-    if rows < cols:
-        return np.zeros(count, dtype=bool)
-    if cols == 0:
-        return np.ones(count, dtype=bool)
-    s = np.linalg.svd(stacked, compute_uv=False)
+def _invertible(B: np.ndarray) -> np.ndarray:
+    """Per entry of a stack of square matrices, whether it is invertible:
+    one batched SVD."""
+    if B.shape[1] == 0:
+        return np.ones(B.shape[0], dtype=bool)
+    s = np.linalg.svd(B, compute_uv=False)
     return s[:, -1] > DEFAULT_TOL * s[:, 0]
-
-
-def rank_precondition(F_k, H_k) -> bool:
-    """Whether the stacked matrix [F_k; H_k] has full column rank.
-
-    This is what makes each filtered information matrix invertible, so
-    each step can hand a finite P_k to the next.
-    """
-    F = np.atleast_2d(np.asarray(F_k, dtype=float))
-    H = np.atleast_2d(np.asarray(H_k, dtype=float))
-    return bool(_full_column_rank(F[None], H[None])[0])
 
 
 def _whitened(B: np.ndarray, Q: np.ndarray, label: str, *rows: np.ndarray) -> tuple:
@@ -137,7 +127,7 @@ def _whitened(B: np.ndarray, Q: np.ndarray, label: str, *rows: np.ndarray) -> tu
     NumericalBreakdown naming the first whose whitened rows are not finite.
     """
     count, m, p = B.shape
-    invertible = _full_column_rank(B, B[:, :0]) if m == p else np.zeros(count, dtype=bool)
+    invertible = _invertible(B) if m == p else np.zeros(count, dtype=bool)
     if not invertible.all():
         raise InvalidInput(f"{label.format(np.argmin(invertible))} is not square invertible")
     if count == 0:
@@ -164,8 +154,8 @@ class FilterModel:
     ``LF0`` is L_0F_0, the initial row with L_0 = chol(Q0)'S^{-1};
     ``LF[k]`` and ``LC[k]`` are L_kF_{k+1} and L_kC_k, transition k with
     L_k = chol(Q1_k)'B_k^{-1}; ``V[k]`` is chol(Q2_k)' and ``VH[k]`` is
-    V_kH_k. Only :func:`prepare_filter` builds one, so every model check
-    has passed.
+    V_kH_k. Only :func:`prepare_filter` builds one, so S and every B_k
+    have passed its checks.
     """
 
     LF0: np.ndarray
@@ -182,19 +172,16 @@ class FilterModel:
 def prepare_filter(dae: DiscreteDAE, bounds: DAEEllipsoid) -> FilterModel:
     """Everything the filter needs that does not depend on the data.
 
-    Every model check runs here, before the first step, and the first
-    failure raises at once, in this order: the rank precondition on
-    [F_k; H_k] for every k by one batched SVD (RankDeficient naming
-    ``[F_k; H_k]``), then S, then the B_k, each square invertible
-    (InvalidInput naming ``S`` or ``B_k``) with finite whitened rows
-    (NumericalBreakdown naming ``S`` or ``B_k``). The rows are whitened
-    in batched form, and a constant coefficient stays one matrix.
+    Every check on S and the B_k runs here, before the first step, and
+    the first failure raises at once, in this order: S, then the B_k,
+    each square invertible (InvalidInput naming ``S`` or ``B_k``) with
+    finite whitened rows (NumericalBreakdown naming ``S`` or ``B_k``).
+    Rank is not judged here: a singular information matrix raises from
+    the QR steps of :func:`filter_run`, at its own step. The rows are
+    whitened in batched form, and a constant coefficient stays one
+    matrix.
     """
     _check_bounds(dae, bounds)
-    full_rank = per_entry(_full_column_rank, dae.F_seq, dae.H_seq)
-    if not full_rank.all():
-        k = int(np.argmin(full_rank))
-        raise RankDeficient(f"[F_{k}; H_{k}] does not have full column rank")
     (LF0,) = _whitened(dae.S[None], bounds.Q0[None], "S", dae.F_seq[:1])
     LF, LC = per_entry(
         lambda B, Q, F, C: _whitened(B, Q, "B_{}", F, C),
@@ -205,13 +192,6 @@ def prepare_filter(dae: DiscreteDAE, bounds: DAEEllipsoid) -> FilterModel:
     )
     V = per_entry(lambda Q: np.swapaxes(np.linalg.cholesky(Q), 1, 2), bounds.Q2_seq)
     return FilterModel(LF0=LF0[0], LF=LF, LC=LC, VH=per_entry(np.matmul, V, dae.H_seq), V=V)
-
-
-def _singular(eigs: np.ndarray) -> np.ndarray:
-    """Per information matrix, from its ascending eigenvalues, whether it
-    is singular: its least eigenvalue is at most DEFAULT_TOL times the
-    larger of its greatest and 1."""
-    return eigs[:, 0] <= DEFAULT_TOL * np.maximum(eigs[:, -1], 1.0)
 
 
 def _block_steps(entries: int) -> int:
@@ -264,8 +244,12 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out):
     smallest figure judged over the blocks factored. P_N is None, and
     ``out`` partly written, unless every block's reciprocal condition
     estimate and every 1/((||T_k|| + ||U_k'U_k||) ||J_k^-1||), with T_k
-    = F_k'G_{k-1}^{-1}F_k + W_k, reach INFORMATION_RCOND_FLOOR, and every
-    J_k passes the test of :func:`_singular`.
+    = F_k'G_{k-1}^{-1}F_k + W_k, reach INFORMATION_RCOND_FLOOR. In the
+    1-norm ||J_k|| <= ||T_k|| + ||U_k'U_k||, and the 2-norm of a
+    symmetric matrix is at most its 1-norm, so a kept J_k has cond_2(J_k)
+    <= 1/INFORMATION_RCOND_FLOOR = 1e6 and R_k = chol(J_k) has
+    cond_2(R_k) <= 1e3, inside the QR steps' cutoff 1/sqrt(DEFAULT_TOL)
+    = 1e5: both paths give the same rank verdict.
     """
     N, n = model.horizon, model.VH.shape[2]
     rcond = P = None
@@ -333,17 +317,11 @@ def _information_block(model: FilterModel, start: int, stop: int, Vy, out, carry
         P = np.linalg.inv(J)
     except np.linalg.LinAlgError:  # some J_k is exactly singular
         return 0.0, None, None
-    norm_J, norm_P = _norm1(J), _norm1(P)
     # J_k is a difference: (||T_k|| + ||U_k'U_k||) ||J_k^-1|| amplifies the
     # rounding in its terms, which a short block's estimate of A misses
-    amplification = float(((_norm1(T) + _norm1(UtU)) * norm_P).max())
+    amplification = float(((_norm1(T) + _norm1(UtU)) * _norm1(P)).max())
     rcond = min(rcond, 1.0 / amplification if amplification < np.inf else 0.0)
     if not rcond >= INFORMATION_RCOND_FLOOR:
-        return rcond, None, None
-    # lambda_max(J) <= ||J||_1 and lambda_min(J) >= 1/||P||_1 pass most J
-    # through _singular's test; eigvalsh decides the rest
-    unsure = ~(norm_P * DEFAULT_TOL * np.maximum(norm_J, 1.0) < 1.0)
-    if _singular(np.linalg.eigvalsh(J[unsure])).any():
         return rcond, None, None
     b[1:] -= (Ut @ z[:-1, :, None])[:, :, 0]
     out[start:stop] = (P @ b[:, :, None])[:, :, 0]
@@ -365,9 +343,10 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out) -> np.ndarray:
     each is a Fortran-ordered view that dgeqrf overwrites in place; only
     [R_k, z_k] is copied into the next one. After the block one batched
     SVD judges every R_k, which is singular when s_min <= sqrt(DEFAULT_TOL)
-    max(s_max, 1) (the test of :func:`_singular` on J_k = R_k'R_k, which is
-    never formed), and one batched solve writes x_hat_k = R_k^{-1}z_k into
-    ``out``. Raises RankDeficient at the first singular R_k.
+    s_max (J_k = R_k'R_k, never formed, then has s_min <= DEFAULT_TOL
+    s_max), and one batched solve writes x_hat_k = R_k^{-1}z_k into
+    ``out``. Raises RankDeficient at the first singular R_k, naming its
+    s_min/s_max and the cutoff.
     """
     N = model.horizon
     m, n = model.LF0.shape
@@ -376,6 +355,7 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out) -> np.ndarray:
     upper = np.tri(n, dtype=bool)  # R's upper triangle, transposed
     R, z = np.zeros((n, n)), np.zeros(n)
     steps = _block_steps(rows * (2 * n + 1))
+    cutoff = math.sqrt(DEFAULT_TOL)
     for start in range(0, N + 1, steps):
         stop = min(start + steps, N + 1)
         count, lo = stop - start, max(start, 1)
@@ -400,11 +380,13 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out) -> np.ndarray:
                 work[i + 1, 2 * n, :n] = zs[i]
         Rs = np.triu(Rs)
         s = np.linalg.svd(Rs, compute_uv=False)
-        singular = s[:, -1] <= math.sqrt(DEFAULT_TOL) * np.maximum(s[:, 0], 1.0)
+        singular = s[:, -1] <= cutoff * s[:, 0]
         if singular.any():
+            i = int(np.argmax(singular))
+            ratio = s[i, -1] / s[i, 0] if s[i, 0] > 0 else 0.0
             raise RankDeficient(
-                f"information matrix at step {start + int(np.argmax(singular))} is "
-                f"singular; the rank precondition on [F_k; H_k] fails"
+                f"information matrix at step {start + i} is singular: "
+                f"s_min/s_max of R_{start + i} is {ratio:.1e}, cutoff {cutoff:g}"
             )
         out[start:stop] = np.linalg.solve(Rs, zs[:, :, None])[:, :, 0]
         R, z = Rs[-1], zs[-1]
@@ -425,7 +407,8 @@ def filter_run(
 
     The run first tries :func:`_information_sweep`. When one of its
     checks fails, it restarts on :func:`_qr_steps`, which alone decides
-    every error after :func:`prepare_filter`.
+    every error after :func:`prepare_filter`: S and B_k verdicts come
+    before any rank verdict.
     """
     count = dae.horizon + 1
     Y = vector_stack(y_seq, "y_seq", count, dae.observation_dim, "observation vectors")

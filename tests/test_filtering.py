@@ -29,22 +29,27 @@ from descriptor_minimax import (
     TimeGrid,
     apriori_horizon_estimate,
     filter_run,
-    prepare_filter,
-    rank_precondition,
     riccati_filter,
     simulate,
     variational_estimate,
 )
+from descriptor_minimax.filtering import prepare_filter
 from descriptor_minimax.linalg import spd_solve, symmetrize
 
 from conftest import make_discrete, random_spd, rng_for, scalar_chain
 
 
+def _full_column_rank(F, H):
+    """Whether [F; H] has full column rank, by one SVD."""
+    stacked = np.vstack([F, H])
+    if stacked.shape[0] < stacked.shape[1]:
+        return False
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return s[-1] > 1e-10 * s[0]
+
+
 def _precondition_holds(dae):
-    return all(
-        rank_precondition(dae.F_seq[k], dae.H_seq[k])
-        for k in range(dae.horizon + 1)
-    )
+    return all(_full_column_rank(dae.F_seq[k], dae.H_seq[k]) for k in range(dae.horizon + 1))
 
 
 def test_chain_frozen_covariance_and_center():
@@ -230,6 +235,7 @@ def test_near_identity_b_and_s_keep_the_radius():
 
 
 def test_rank_precondition_detects_deficiency():
+    # [F_0; H_0] = 0: R_0 = 0, so the QR steps stop at step 0
     one = np.ones((1, 1))
     zero = np.zeros((1, 1))
     dae = DiscreteDAE(
@@ -239,12 +245,41 @@ def test_rank_precondition_detects_deficiency():
         S=one,
         H_seq=np.stack([zero, one]),
     )
-    assert not rank_precondition(dae.F_seq[0], dae.H_seq[0])
     bounds = DAEEllipsoid(
         Q0=one, Q1_seq=np.stack([one]), Q2_seq=np.stack([one, one])
     )
-    with pytest.raises(RankDeficient):
+    with pytest.raises(RankDeficient) as error:
         filter_run(dae, bounds, [np.zeros(1), np.zeros(1)], np.ones(1))
+    assert str(error.value) == (
+        "information matrix at step 0 is singular: s_min/s_max of R_0 is 0.0e+00, cutoff 1e-05"
+    )
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
+def test_filter_is_scale_free(scale, monkeypatch):
+    # weights times s and data times 1/sqrt(s) leave every center * sqrt(s)
+    # and radius * sqrt(s) as they were, on both paths: no decision of the
+    # filter reads an absolute scale
+    rng = rng_for(19)
+    default_floor = filtering_mod.INFORMATION_RCOND_FLOOR
+    for trial in range(8):
+        n = int(rng.integers(1, 5))
+        m = n + 1 if trial % 2 else n
+        N = int(rng.integers(1, 40))
+        dae, bounds = make_discrete(rng, n=n, m=m, l=int(rng.integers(1, 4)), N=N)
+        y_seq = rng.standard_normal((N + 1, dae.observation_dim)) * 0.1
+        ell = rng.standard_normal(n)
+        scaled = DAEEllipsoid(
+            Q0=scale * bounds.Q0, Q1_seq=scale * bounds.Q1_seq, Q2_seq=scale * bounds.Q2_seq
+        )
+        for floor in (default_floor, np.inf):
+            monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", floor)
+            base = filter_run(dae, bounds, y_seq, ell)
+            run = filter_run(dae, scaled, y_seq / np.sqrt(scale), ell)
+            assert run.solver["path"] == base.solver["path"]
+            size = np.abs(base.x_hat_seq).max()
+            assert np.abs(run.x_hat_seq * np.sqrt(scale) - base.x_hat_seq).max() <= 1e-10 * size
+            assert run.sigma_hat * np.sqrt(scale) == pytest.approx(base.sigma_hat, rel=1e-10)
 
 
 def test_rectangular_b_rejected():
@@ -317,7 +352,7 @@ def _reference_filter(dae, bounds, y_seq):
     xs = []
     for k in range(dae.horizon + 1):
         F, H, Q2 = dae.F_seq[k], dae.H_seq[k], bounds.Q2_seq[k]
-        if not rank_precondition(F, H):
+        if not _full_column_rank(F, H):
             return RankDeficient, k
         if k == 0:
             q0 = fold(dae.S, bounds.Q0)
@@ -375,8 +410,8 @@ def test_prepared_filter_stops_where_the_loop_stops():
     H[7] = np.array([[1.0, 0.0]])
     broken = DiscreteDAE(F_seq=F, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=H)
     assert _reference_filter(broken, bounds, y_seq) == (RankDeficient, 7)
-    with pytest.raises(RankDeficient, match=r"\[F_7; H_7\] does not have full column rank"):
-        prepare_filter(broken, bounds)
+    with pytest.raises(RankDeficient, match="^information matrix at step 7 is singular: "):
+        filter_run(broken, bounds, y_seq, np.ones(n))
     # singular B_4 alone: the loop stops at step 5, the one that uses it
     B = np.array(dae.B_seq)
     B[4] = np.outer([1.0, 2.0], [1.0, 1.0])
@@ -389,11 +424,11 @@ def test_prepared_filter_stops_where_the_loop_stops():
         F_seq=dae.F_seq, C_seq=dae.C_seq, B_seq=B, S=singular_s, H_seq=dae.H_seq
     )
     assert _reference_filter(broken_s, bounds, y_seq) == (InvalidInput, 0)
-    # two faults: the documented order (rank, then S, then the B_k) decides
-    # before any step runs
+    # two faults: S, then the B_k, are judged before any step runs, so
+    # before the rank of any information matrix
     with pytest.raises(InvalidInput, match="S is not square invertible"):
         prepare_filter(broken_s, bounds)
-    with pytest.raises(RankDeficient, match=r"\[F_7; H_7\]"):
+    with pytest.raises(InvalidInput, match="B_4 is not square invertible"):
         filter_run(_with_b(broken, B), bounds, y_seq, np.ones(n))
 
 
@@ -505,7 +540,7 @@ def _chain_breaking_at_150(fault):
 
 
 SINGULAR_150 = (
-    "information matrix at step 150 is singular; the rank precondition on [F_k; H_k] fails"
+    "information matrix at step 150 is singular: s_min/s_max of R_150 is 1.0e-06, cutoff 1e-05"
 )
 
 
@@ -741,8 +776,6 @@ def _count_checks(monkeypatch):
         for module in (linalg_mod, discrete_mod, filtering_mod, simulate_mod, continuous_mod):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
-    monkeypatch.setattr(filtering_mod, "rank_precondition",
-                        counting("rank_precondition", filtering_mod.rank_precondition))
     monkeypatch.setattr(np, "allclose", counting("allclose", np.allclose))
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     return counts
@@ -779,7 +812,7 @@ def test_per_matrix_checks_do_not_grow_with_the_horizon(monkeypatch):
         riccati_filter(system, cbounds, [1.0], np.zeros((N + 1, 1)), TimeGrid(0.0, 1.0, N))
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert "allclose" not in seen[1] and "rank_precondition" not in seen[1]
+    assert "allclose" not in seen[1]
     assert all(count <= 5 for count in seen[1].values())
 
 
