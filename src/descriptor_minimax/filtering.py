@@ -31,8 +31,14 @@ one it took.
   would be the Rauch-Tung-Striebel smoother (AIAA J. 3(8), 1965).
   :func:`_information_sweep` factors A in blocks whose band holds about
   ``_BAND_ENTRIES`` entries, one LAPACK dpbtrf and one dtbtrs per block,
-  with no Python loop over steps. It is kept only when every block's
-  reciprocal condition estimate and the rounding figure of every
+  with no Python loop over steps. A block has a model half (the band, its
+  factor and the J_k^{-1}) and a data half (the dtbtrs and the centers).
+  On a constant chain the carried pivot settles to the steady state of
+  the Riccati recursion: once it moves between blocks by less than
+  STEADY_STATE_TOL allows (:func:`_settled`), an interior block reuses the
+  model half before it and runs its data half only. The ``solver`` record
+  counts the blocks and those factored. The sweep is kept only when every
+  block's reciprocal condition estimate and the rounding figure of every
   filtered information matrix reach INFORMATION_RCOND_FLOOR. That
   figure bounds cond(J_k) by 1/INFORMATION_RCOND_FLOOR, so every J_k it
   keeps also passes the QR steps' rank test below. Well-conditioned
@@ -64,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -75,6 +81,8 @@ from .errors import InvalidInput, NumericalBreakdown, RankDeficient
 from .linalg import (
     DEFAULT_TOL,
     INFORMATION_RCOND_FLOOR,
+    STEADY_STATE_TOL,
+    _distinct,
     factor_spd_banded,
     per_entry,
     sized_vector,
@@ -235,51 +243,112 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out):
 
     and P_N = J_N^{-1}. Every term of A is a Gram product of the whitened
     rows of ``model``, and b_k = (V_kH_k)'(V_ky_k) with ``Vy[k]`` = V_ky_k.
-    The horizon is factored in blocks of :func:`_block_steps` by
-    :func:`_information_block`; only U and z of a block's last step carry
-    into the next, so beyond the outputs and the per-step model arrays
-    memory is O(block).
+    The horizon runs in blocks of :func:`_block_steps`. Each block has a
+    model half, :func:`_block_factor`, which reads only ``model`` and the
+    carried U, and a data half, :func:`_block_data`, which reads Vy and the
+    carried z; only U and z of a block's last step carry into the next, so
+    beyond the outputs and the per-step model arrays memory is O(block).
 
-    The centers go into ``out``. Returns (P_N, rcond), where rcond is the
-    smallest figure judged over the blocks factored. P_N is None, and
-    ``out`` partly written, unless every block's reciprocal condition
-    estimate and every 1/((||T_k|| + ||U_k'U_k||) ||J_k^-1||), with T_k
-    = F_k'G_{k-1}^{-1}F_k + W_k, reach INFORMATION_RCOND_FLOOR. In the
-    1-norm ||J_k|| <= ||T_k|| + ||U_k'U_k||, and the 2-norm of a
-    symmetric matrix is at most its 1-norm, so a kept J_k has cond_2(J_k)
-    <= 1/INFORMATION_RCOND_FLOOR = 1e6 and R_k = chol(J_k) has
-    cond_2(R_k) <= 1e3, inside the QR steps' cutoff 1/sqrt(DEFAULT_TOL)
-    = 1e5: both paths give the same rank verdict.
+    On a constant chain (every whitened stack a stride-0 broadcast) the
+    model half of an interior block (start > 0, stop <= N) depends on the
+    carried U alone, and U settles to the square-root solution of the
+    discrete algebraic Riccati equation. Such a block reuses the model half
+    of the interior block before it when :func:`_settled` finds the two
+    blocks' U close: the reused factor is exact for a first diagonal block
+    of A off by E = U_old'U_old - U'U, and the test keeps ||J^-1 E||_1
+    within STEADY_STATE_TOL. A reused half carries the figures it passed.
+    The first block (it holds L_0F_0) and the last (step N has no
+    coupling) are always factored, as is every block of a time-varying
+    chain.
+
+    The centers go into ``out``. Returns (P_N, rcond, blocks): rcond is the
+    smallest figure judged over the blocks, and blocks is the
+    ``{"blocks", "blocks_factored"}`` count. P_N is None, and ``out`` partly
+    written, unless every block's reciprocal condition estimate and every
+    1/((||T_k|| + ||U_k'U_k||) ||J_k^-1||), with T_k = F_k'G_{k-1}^{-1}F_k +
+    W_k, reach INFORMATION_RCOND_FLOOR. In the 1-norm ||J_k|| <= ||T_k|| +
+    ||U_k'U_k||, and the 2-norm of a symmetric matrix is at most its
+    1-norm, so a kept J_k has cond_2(J_k) <= 1/INFORMATION_RCOND_FLOOR =
+    1e6 and R_k = chol(J_k) has cond_2(R_k) <= 1e3, inside the QR steps'
+    cutoff 1/sqrt(DEFAULT_TOL) = 1e5: both paths give the same rank verdict.
     """
     N, n = model.horizon, model.VH.shape[2]
-    rcond = P = None
+    constant = all(_distinct(s).shape[0] == 1 for s in (model.LF, model.LC, model.VH))
+    rcond = cached = None
+    blocks = factored = 0
     # a chain with huge whitened rows may overflow here; the checks catch it
     with np.errstate(all="ignore"):
-        carry = (np.zeros((n, n)), np.zeros(n))
+        U, z = np.zeros((n, n)), np.zeros(n)
         steps = _block_steps(2 * n * n)
         for start in range(0, N + 1, steps):
             stop = min(start + steps, N + 1)
-            block_rcond, P, carry = _information_block(model, start, stop, Vy, out, carry)
-            rcond = block_rcond if rcond is None else min(rcond, block_rcond)
-            if P is None:
-                break
-    return P, rcond
+            interior = constant and start > 0 and stop <= N
+            half = cached if interior and _settled(cached, U, stop - start) else None
+            if half is None:
+                half = _block_factor(model, start, stop, U)
+                factored += 1
+            blocks += 1
+            rcond = half.rcond if rcond is None else min(rcond, half.rcond)
+            if half.P is None:
+                return None, rcond, None
+            z = _block_data(model, start, Vy, out, half, U, z)
+            U = half.U_next
+            if interior:
+                cached = half
+    return symmetrize(half.P[-1]), rcond, {"blocks": blocks, "blocks_factored": factored}
 
 
-def _information_block(model: FilterModel, start: int, stop: int, Vy, out, carry) -> tuple:
-    """Steps start .. stop - 1 of :func:`_information_sweep`.
+@dataclass(frozen=True)
+class _BlockFactor:
+    """The model half of one block of :func:`_information_sweep`.
 
-    ``carry`` is (U_start, z_{start-1}), zeros at step 0. Forms the block's
-    band of A, its first diagonal block reduced by U_start'U_start,
-    factors it by one dpbtrf (:func:`.linalg.factor_spd_banded`), solves for
-    z by one dtbtrs and writes the centers into ``out``. Returns (rcond,
-    P, carry): rcond is the smallest figure judged, P is P_{stop-1}, or
-    None when the block fails a check, and ``carry`` is (U_stop,
-    z_{stop-1}) for the next block.
+    ``U`` is the carried U_start it was factored with, ``R`` the block's
+    band factor in dpbtrf storage, ``Ut[i - 1]`` = R_{i-1,i}' within the
+    block, ``P[i]`` = J_{start+i}^{-1}, ``U_next`` = U_stop (None at step
+    N) and ``rcond`` the smallest figure judged. When a check fails,
+    ``rcond`` is the failing figure and every other field but ``U`` is None.
+    """
+
+    U: np.ndarray
+    rcond: float
+    R: Optional[np.ndarray] = None
+    Ut: Optional[np.ndarray] = None
+    P: Optional[np.ndarray] = None
+    U_next: Optional[np.ndarray] = None
+
+    @property
+    def count(self) -> int:
+        return self.P.shape[0]
+
+
+def _settled(half: Optional[_BlockFactor], U: np.ndarray, count: int) -> bool:
+    """Whether the model half ``half`` serves a block of ``count`` steps
+    entered with ``U``.
+
+    It must have the same length, and it must be close. With U_old =
+    ``half.U``, its factor is exact for a first diagonal block of A off by
+    E = U_old'U_old - U'U, so the block's first filtered information is
+    J = J_old + E, with P = J_old^{-1} = ``half.P[0]``. When
+    ||PE||_1 <= STEADY_STATE_TOL, J^{-1} = (I + PE)^{-1}P is within
+    STEADY_STATE_TOL / (1 - STEADY_STATE_TOL) of P, relative in the 1-norm.
+    """
+    if half is None or half.count != count:
+        return False
+    E = half.U.T @ half.U - U.T @ U
+    return _norm1(half.P[:1] @ E)[0] <= STEADY_STATE_TOL
+
+
+def _block_factor(model: FilterModel, start: int, stop: int, U: np.ndarray) -> _BlockFactor:
+    """The model half of steps start .. stop - 1 of :func:`_information_sweep`.
+
+    Forms the block's band of A, its first diagonal block reduced by U'U
+    for the carried U = U_start (zero at step 0), and factors it by one
+    dpbtrf (:func:`.linalg.factor_spd_banded`). From the factor come the
+    block's U_k, its J_k and their inverses P_k, judged by the
+    amplification check, and U_stop for the next block.
     """
     N, n = model.horizon, model.VH.shape[2]
     count, last = stop - start, min(stop, N)  # transitions start .. last - 1
-    U, z_before = carry
     lo = max(start, 1)
     T = per_entry(_information, model.LF[lo - 1 : stop - 1], model.VH[lo:stop])
     if start == 0:
@@ -303,10 +372,7 @@ def _information_block(model: FilterModel, start: int, stop: int, Vy, out, carry
     column[:-1] += np.abs(inner).sum(axis=2)
     R, rcond = factor_spd_banded(cols.reshape(count * n, 2 * n).T, float(column.max()))
     if not rcond >= INFORMATION_RCOND_FLOOR:
-        return rcond, None, None
-    b = (np.swapaxes(model.VH[start:stop], 1, 2) @ Vy[start:stop, :, None])[:, :, 0]
-    b[0] -= U.T @ z_before
-    z = lapack.dtbtrs(R, b.reshape(-1, 1), trans="T")[0].reshape(count, n)
+        return _BlockFactor(U, rcond)
     cols = R.T.reshape(count, n, 2 * n)
     Ut = np.empty((count - 1, n, n))  # Ut[i - 1] = R_{i-1,i}'
     for c in range(n):
@@ -316,21 +382,38 @@ def _information_block(model: FilterModel, start: int, stop: int, Vy, out, carry
     try:
         P = np.linalg.inv(J)
     except np.linalg.LinAlgError:  # some J_k is exactly singular
-        return 0.0, None, None
+        return _BlockFactor(U, 0.0)
     # J_k is a difference: (||T_k|| + ||U_k'U_k||) ||J_k^-1|| amplifies the
     # rounding in its terms, which a short block's estimate of A misses
     amplification = float(((_norm1(T) + _norm1(UtU)) * _norm1(P)).max())
     rcond = min(rcond, 1.0 / amplification if amplification < np.inf else 0.0)
     if not rcond >= INFORMATION_RCOND_FLOOR:
-        return rcond, None, None
-    b[1:] -= (Ut @ z[:-1, :, None])[:, :, 0]
-    out[start:stop] = (P @ b[:, :, None])[:, :, 0]
+        return _BlockFactor(U, rcond)
+    U_next = None
     if stop <= N:
         pivot = np.zeros((n, n))  # R_{stop-1,stop-1}
         for c in range(n):
             pivot[: c + 1, c] = cols[-1, c, 2 * n - 1 - c :]
-        U = scipy.linalg.solve_triangular(pivot, off[-1], trans="T", check_finite=False)
-    return rcond, symmetrize(P[-1]), (U, z[-1])
+        U_next = scipy.linalg.solve_triangular(pivot, off[-1], trans="T", check_finite=False)
+    return _BlockFactor(U, rcond, R, Ut, P, U_next)
+
+
+def _block_data(model: FilterModel, start: int, Vy, out, half: _BlockFactor, U, z_before):
+    """The data half of one block of :func:`_information_sweep`.
+
+    With the carried (U_start, z_{start-1}), zeros at step 0, solves R'z =
+    b over the block by one dtbtrs on the factor of ``half``, writes the
+    centers x_hat_k = P_k (b_k - U_k'z_{k-1}) into ``out`` and returns
+    z_{stop-1}.
+    """
+    count, n = half.count, model.VH.shape[2]
+    stop = start + count
+    b = (np.swapaxes(model.VH[start:stop], 1, 2) @ Vy[start:stop, :, None])[:, :, 0]
+    b[0] -= U.T @ z_before
+    z = lapack.dtbtrs(half.R, b.reshape(-1, 1), trans="T")[0].reshape(count, n)
+    b[1:] -= (half.Ut @ z[:-1, :, None])[:, :, 0]
+    out[start:stop] = (half.P @ b[:, :, None])[:, :, 0]
+    return z[-1]
 
 
 def _qr_steps(model: FilterModel, Vy: np.ndarray, out) -> np.ndarray:
@@ -416,16 +499,17 @@ def filter_run(
     model = prepare_filter(dae, bounds)
     Vy = (model.V @ Y[:, :, None])[:, :, 0]
     x_seq = np.empty((count, dae.state_dim))
-    P, rcond = _information_sweep(model, Vy, x_seq)
-    path = "information"
+    P, rcond, blocks = _information_sweep(model, Vy, x_seq)
     if P is None:
-        path = "recursive"
         P = _qr_steps(model, Vy, x_seq)
+        solver = solver_record("recursive", rcond, INFORMATION_RCOND_FLOOR)
+    else:
+        solver = solver_record("information", rcond, INFORMATION_RCOND_FLOOR) | blocks
     final = FilterState(k=dae.horizon, x_hat=x_seq[-1].copy(), P=P)
     return FilterRunResult(
         estimate_value=float(ell @ final.x_hat),
         sigma_hat=math.sqrt(max(float(ell @ (P @ ell)), 0.0)),
         final=final,
         x_hat_seq=x_seq,
-        solver=solver_record(path, rcond, INFORMATION_RCOND_FLOOR),
+        solver=solver,
     )

@@ -675,9 +675,8 @@ def test_information_sweep_matches_the_recursion_on_an_ensemble(monkeypatch):
     assert min(paths.values()) >= 0.2 * sum(paths.values()), paths
 
 
-def test_information_sweep_holds_one_block_at_a_time(monkeypatch):
-    # a constant n=32 chain of 1000 steps, as in the benchmark: 16 blocks of
-    # 64 steps peak at about 5 MB, one band over the whole horizon at 75 MB
+def _n32_chain():
+    """A constant n=32 chain of 1000 steps, the benchmark's shape."""
     rng = rng_for(32)
     n, N = 32, 1000
     F = np.eye(n) + 0.1 * rng.standard_normal((n, n))
@@ -696,8 +695,14 @@ def test_information_sweep_holds_one_block_at_a_time(monkeypatch):
         Q1_seq=np.broadcast_to(random_spd(rng, n, floor=1.0), (N, n, n)),
         Q2_seq=np.broadcast_to(random_spd(rng, n, floor=1.0), (N + 1, n, n)),
     )
-    y_seq = rng.standard_normal((N + 1, n)) * 0.1
-    ell = rng.standard_normal(n)
+    return dae, bounds, rng.standard_normal((N + 1, n)) * 0.1, rng.standard_normal(n)
+
+
+def test_information_sweep_holds_one_block_at_a_time(monkeypatch):
+    # 16 blocks of 64 steps peak at about 5 MB, one band over the whole
+    # horizon at 75 MB
+    dae, bounds, y_seq, ell = _n32_chain()
+    n = dae.state_dim
     assert filtering_mod._block_steps(2 * n * n) == 64
     assert filtering_mod._block_steps(2 * 2 * 2) > 10_000
     runs = []
@@ -714,6 +719,126 @@ def test_information_sweep_holds_one_block_at_a_time(monkeypatch):
     sweep, qr = runs
     assert np.abs(sweep.x_hat_seq - qr.x_hat_seq).max() <= 1e-9 * np.abs(qr.x_hat_seq).max()
     assert np.abs(sweep.final.P - qr.final.P).max() <= 1e-9 * np.abs(qr.final.P).max()
+
+
+# ---------------------------------------------------------------------------
+# Steady state: an interior block of a constant chain reuses a settled factor
+
+
+def _constant_draw(rng, n, descriptor, slow):
+    """A constant chain of 40 to 120 steps, each stack one broadcast matrix,
+    with S and B not the identity. A descriptor draw has m = n + 1; a slow
+    one (||C|| = 0.999, H scaled by 0.05) settles slowly."""
+    m = n + 1 if descriptor else n
+    l = int(rng.integers(1, 4))
+    N = int(rng.integers(40, 121))
+    C = rng.standard_normal((m, n))
+    C *= (0.999 if slow else 0.8) / np.linalg.norm(C, 2)
+    H = rng.standard_normal((l, n)) / np.sqrt(n) * (0.05 if slow else 1.0)
+
+    def steps(M, count):
+        return np.broadcast_to(M, (count,) + M.shape)
+
+    dae = DiscreteDAE(
+        F_seq=steps(np.eye(m, n) + 0.3 * rng.standard_normal((m, n)), N + 1),
+        C_seq=steps(C, N),
+        B_seq=steps(rng.standard_normal((m, m)) + 3.0 * np.eye(m), N),
+        S=rng.standard_normal((m, m)) + 3.0 * np.eye(m),
+        H_seq=steps(H, N + 1),
+    )
+    bounds = DAEEllipsoid(
+        Q0=random_spd(rng, m),
+        Q1_seq=steps(random_spd(rng, m), N),
+        Q2_seq=steps(random_spd(rng, l), N + 1),
+    )
+    return dae, bounds, rng.standard_normal((N + 1, l)) * 0.1, rng.standard_normal(n)
+
+
+def _materialized(dae, bounds):
+    """The same chain with every stack copied out of its broadcast: the
+    sweep no longer sees a constant chain and factors every block."""
+    return (
+        DiscreteDAE(
+            F_seq=np.array(dae.F_seq),
+            C_seq=np.array(dae.C_seq),
+            B_seq=np.array(dae.B_seq),
+            S=dae.S,
+            H_seq=np.array(dae.H_seq),
+        ),
+        DAEEllipsoid(Q0=bounds.Q0, Q1_seq=np.array(bounds.Q1_seq), Q2_seq=np.array(bounds.Q2_seq)),
+    )
+
+
+def _assert_same_answer(run, ref, rel=1e-12):
+    assert run.solver["path"] == ref.solver["path"] == "information"
+    assert np.abs(run.x_hat_seq - ref.x_hat_seq).max() <= rel * np.abs(ref.x_hat_seq).max()
+    assert np.abs(run.final.P - ref.final.P).max() <= rel * np.abs(ref.final.P).max()
+    assert run.sigma_hat == pytest.approx(ref.sigma_hat, rel=rel)
+
+
+def test_steady_state_reuse_matches_factoring_every_block(monkeypatch):
+    # blocks of 2 to 11 steps; a third of the draws settle slowly
+    rng = rng_for(21)
+    blocks = reused = 0
+    for trial in range(40):
+        n = 1 + trial % 5
+        dae, bounds, y_seq, ell = _constant_draw(rng, n, trial % 2 == 1, trial % 3 == 0)
+        monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * n * n * int(rng.integers(2, 12)))
+        run = filter_run(dae, bounds, y_seq, ell)
+        ref = filter_run(*_materialized(dae, bounds), y_seq, ell)
+        _assert_same_answer(run, ref)
+        assert ref.solver["blocks_factored"] == ref.solver["blocks"] == run.solver["blocks"]
+        blocks += run.solver["blocks"]
+        reused += run.solver["blocks"] - run.solver["blocks_factored"]
+    assert reused >= 0.4 * blocks, (reused, blocks)
+
+
+def test_steady_state_reuse_on_the_benchmark_shape():
+    # the first block, the second (the first interior one) and the last are
+    # factored: after the second, the carried pivot's shift reads
+    # ||J^-1 E||_1 = 3.6e-15, a fifth of STEADY_STATE_TOL
+    dae, bounds, y_seq, ell = _n32_chain()
+    run = filter_run(dae, bounds, y_seq, ell)
+    assert run.solver["blocks"] == 16
+    assert run.solver["blocks_factored"] == 3
+    _assert_same_answer(run, filter_run(*_materialized(dae, bounds), y_seq, ell))
+
+
+def test_steady_state_reuse_skips_time_varying_chains(monkeypatch):
+    rng = rng_for(22)
+    dae, bounds = make_discrete(rng, n=2, m=2, p=2, l=2, N=60, identity_b=True)
+    monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * 2 * 2 * 5)
+    run = filter_run(dae, bounds, rng.standard_normal((61, 2)) * 0.1, np.ones(2))
+    assert run.solver["path"] == "information"
+    assert run.solver["blocks"] == run.solver["blocks_factored"] == 13
+
+
+def test_steady_state_declined_chains_reach_the_qr_steps(monkeypatch):
+    # constant chains the sweep turns down answer as their materialized
+    # copies do: cond(B_k) = 1e5 on the QR steps, and a second state that no
+    # row sees raises at step 0
+    monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * 2 * 2 * 3)
+    dae, bounds = _constant_chain(30)
+    ill = _with_b(dae, np.broadcast_to(np.diag([1.0, 1e-5]), (30, 2, 2)))
+    y_seq = np.linspace(-1.0, 1.0, 31)[:, None]
+    run = filter_run(ill, bounds, y_seq, np.ones(2))
+    ref = filter_run(*_materialized(ill, bounds), y_seq, np.ones(2))
+    assert run.solver == ref.solver and run.solver["path"] == "recursive"
+    assert np.array_equal(run.x_hat_seq, ref.x_hat_seq)
+    assert np.array_equal(run.final.P, ref.final.P)
+    blind = DiscreteDAE(
+        F_seq=np.broadcast_to(np.diag([1.0, 0.0]), (31, 2, 2)),
+        C_seq=dae.C_seq,
+        B_seq=dae.B_seq,
+        S=dae.S,
+        H_seq=dae.H_seq,
+    )
+    messages = []
+    for chain in ((blind, bounds), _materialized(blind, bounds)):
+        with pytest.raises(RankDeficient, match=r"^information matrix at step 0 is singular") as info:
+            filter_run(*chain, y_seq, np.ones(2))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_filter_run_at_horizon_zero():
