@@ -53,6 +53,7 @@ from .errors import (
     RiccatiBlowup,
 )
 from .linalg import (
+    BVP_RESIDUAL_TOL,
     GRID_SPAN_TOL,
     RICCATI_NORM_CAP,
     _distinct,
@@ -68,9 +69,6 @@ from .linalg import (
     symmetrize,
     vector_stack,
 )
-
-# Relative residual above which the assembled BVP counts as inconsistent.
-_BVP_RESIDUAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +493,7 @@ def _bvp_estimate(system, bounds, ell_nodes, grid, y_samples) -> ContinuousAprio
     rhs = np.zeros(A.shape[0])
     rhs[(M + 1) * system.equation_dim :] = ell_nodes.reshape(-1)
     fit = solve_least_squares(A, rhs)
-    if fit.residual_norm > _BVP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(ell_nodes))):
+    if fit.residual_norm > BVP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(ell_nodes))):
         return ContinuousAprioriResult(
             feasible=False, sigma_hat=math.inf, grid=grid, solver=solver
         )

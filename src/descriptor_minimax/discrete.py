@@ -18,10 +18,11 @@ here solve the same saddle-point system without forming it densely:
 * **Band ordering.** Unknowns are ordered step by step as (x_k, w_k) and
   rows as (dynamics_k, adjoint_k). Each row then touches only steps
   k-1, k and k+1, so the (N+1)(n+m) square matrix is banded with
-  kl = n + 2m - 1 and ku = 2n + m - 1 (:func:`horizon_saddle`). It is
-  assembled straight from the step matrices and factored once by LAPACK
-  dgbtrf; every right-hand side (center, radius) is one dgbtrs pass.
-  Time and memory are linear in N.
+  kl = n + 2m - 1 and ku = 2n + m - 1. :func:`horizon_saddle` alone knows
+  this layout: it assembles the band straight from the step matrices,
+  factors it once by LAPACK dgbtrf, solves all right-hand sides (center,
+  radius) in one dgbtrs pass and returns only their x-blocks. Time and
+  memory are linear in N.
 * **Regularity test.** The banded path is taken only when dgbtrf meets
   no zero pivot, the estimated reciprocal condition number reaches
   :data:`.linalg.RCOND_FLOOR`, and every solution passes the
@@ -51,7 +52,6 @@ from .errors import InconsistentData, InvalidInput, NumericalBreakdown
 from .linalg import (
     NEGATIVE_FLOOR,
     RCOND_FLOOR,
-    BandedFactor,
     as_matrix,
     as_matrix_stack,
     block_diag,
@@ -286,49 +286,26 @@ def solver_record(
     return {"path": path, "rcond_estimate": rcond, "rcond_floor": floor}
 
 
-@dataclass(frozen=True)
-class HorizonSaddle:
-    """The factored horizon saddle matrix.
+def horizon_saddle(dae: DiscreteDAE, bounds: DAEEllipsoid, adjoint: np.ndarray) -> tuple:
+    """Solve the horizon saddle system in band storage, one factor for all
+    right-hand sides.
 
     Unknowns are ordered step by step as (x_0, w_0, x_1, w_1, ...), rows
-    as (dynamics_0, adjoint_0, dynamics_1, ...), so the matrix is banded.
-    """
-
-    factor: BandedFactor
-    n: int
-    m: int
-
-    def rhs(self, adjoint: np.ndarray) -> np.ndarray:
-        """Right-hand sides, one column per (N+1, n) block of ``adjoint``.
-
-        The dynamics rows are homogeneous; adjoint row k carries
-        adjoint[j, k] in column j.
-        """
-        count, steps = adjoint.shape[0], adjoint.shape[1]
-        b = np.zeros((steps, self.n + self.m, count))
-        b[:, self.m :, :] = np.moveaxis(adjoint, 0, -1)
-        return b.reshape(steps * (self.n + self.m), count)
-
-    def states(self, solution: np.ndarray) -> np.ndarray:
-        """The x_k blocks of each solution column, shape (count, N+1, n)."""
-        count = solution.shape[1]
-        blocks = solution.reshape(-1, self.n + self.m, count)[:, : self.n, :]
-        return np.moveaxis(blocks, -1, 0)
-
-
-def horizon_saddle(dae: DiscreteDAE, bounds: DAEEllipsoid) -> HorizonSaddle:
-    """Assemble the horizon saddle matrix in band storage and factor it once.
-
-    The step blocks are those of the flattened static system
-    [[F, -G], [H'Q2H, F']], permuted to the step ordering of
-    :class:`HorizonSaddle`: dynamics row k reads F_k x_k - C_{k-1} x_{k-1}
-    - G_k w_k with G_0 = S Q0^{-1} S' and G_{k+1} = B_k Q1_k^{-1} B_k';
-    adjoint row k reads H_k'Q2_k H_k x_k + F_k' w_k - C_k' w_{k+1}. With
-    s = n + m the bandwidths are kl = n + 2m - 1 and ku = 2n + m - 1
-    (both 5 for n = m = 2). Storage is O(N); nothing quadratic in N is
-    allocated. :func:`_banded_solve` is its one caller; a regularized
-    solve adds its penalty to the chain as an observation
+    as (dynamics_0, adjoint_0, dynamics_1, ...). The step blocks are those
+    of the flattened static system [[F, -G], [H'Q2H, F']] in that order:
+    dynamics row k reads F_k x_k - C_{k-1} x_{k-1} - G_k w_k with
+    G_0 = S Q0^{-1} S' and G_{k+1} = B_k Q1_k^{-1} B_k'; adjoint row k
+    reads H_k'Q2_k H_k x_k + F_k' w_k - C_k' w_{k+1}. With s = n + m the
+    bandwidths are kl = n + 2m - 1 and ku = 2n + m - 1 (both 5 for
+    n = m = 2). Storage is O(N); nothing quadratic in N is allocated. A
+    regularized solve adds its penalty to the chain as an observation
     (:func:`.continuous.tikhonov_approximate`), not to this matrix.
+
+    ``adjoint`` (count, N+1, n) holds the right-hand sides: the dynamics
+    rows are homogeneous, and adjoint row k of solve j carries
+    adjoint[j, k]. Returns the x-blocks (count, N+1, n) of the solutions,
+    or None when the band factor is not trusted (see
+    :meth:`.linalg.BandedFactor.solve`), and the solver record either way.
     """
     n, m, N = dae.state_dim, dae.equation_dim, dae.horizon
     s = n + m
@@ -362,7 +339,16 @@ def horizon_saddle(dae: DiscreteDAE, bounds: DAEEllipsoid) -> HorizonSaddle:
         C = dae.C_seq
         put(dyn[1:], xcol[:-1], -C)
         put(adj[:-1], wcol[1:], -np.swapaxes(C, 1, 2))
-    return HorizonSaddle(factor_banded(band, kl, ku), n, m)
+    factor = factor_banded(band, kl, ku)
+
+    count = adjoint.shape[0]
+    rhs = np.zeros((N + 1, s, count))
+    rhs[:, m:, :] = np.moveaxis(adjoint, 0, -1)
+    solution = factor.solve(rhs.reshape(dim, count))
+    if solution is None:
+        return None, solver_record("dense", factor.rcond, factor.floor)
+    states = np.moveaxis(solution.reshape(N + 1, s, count)[:, :n, :], -1, 0)
+    return states, solver_record("banded", factor.rcond, factor.floor)
 
 
 def _stacked_inputs(dae: DiscreteDAE, ell_seq: Sequence, y_seq) -> tuple:
@@ -371,18 +357,6 @@ def _stacked_inputs(dae: DiscreteDAE, ell_seq: Sequence, y_seq) -> tuple:
     ell = stack_functional(dae, ell_seq)
     y = stack_observations(dae, y_seq) if y_seq is not None else None
     return ell, y, ell.reshape(N + 1, n), (y.reshape(N + 1, l) if y is not None else None)
-
-
-def _banded_solve(dae, bounds, adjoint):
-    """x-blocks of the saddle solutions for the given adjoint right-hand
-    sides, or None when the band factorization is not trusted; plus the
-    solver record either way."""
-    saddle = horizon_saddle(dae, bounds)
-    factor = saddle.factor
-    solution = factor.solve(saddle.rhs(adjoint))
-    if solution is None:
-        return None, solver_record("dense", factor.rcond, factor.floor)
-    return saddle.states(solution), solver_record("banded", factor.rcond, factor.floor)
 
 
 def variational_estimate(
@@ -403,7 +377,7 @@ def variational_estimate(
     H = dae.H_seq
     q2y = np.einsum("kij,kj->ki", bounds.Q2_seq, ys)
     data = np.einsum("kji,kj->ki", H, q2y)
-    states, solver = _banded_solve(dae, bounds, np.stack([data, ells]))
+    states, solver = horizon_saddle(dae, bounds, np.stack([data, ells]))
     if states is None:
         return _dense_variational(dae, bounds, ell, y, solver)
 
@@ -456,7 +430,7 @@ def apriori_horizon_estimate(
     """
     _check_bounds(dae, bounds)
     ell, y, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
-    states, solver = _banded_solve(dae, bounds, ells[None])
+    states, solver = horizon_saddle(dae, bounds, ells[None])
     n, l, N = dae.state_dim, dae.observation_dim, dae.horizon
     if states is None:
         report = apriori_estimate(

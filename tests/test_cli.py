@@ -698,7 +698,20 @@ def _verdict_docs():
     endpoint = continuous_doc("riccati")
     endpoint["model"]["F"] = [[0.0]]
     endpoint["model"]["C"] = [[-1.0]]
-    for doc in (bad_weight, endpoint):
+    static_prior = scalar_doc("apriori", ell=(0.0, 1.0))
+    static_prior["model"] = static["model"]
+    chain_prior = chain_doc("apriori")
+    del chain_prior["model"]["F"], chain_prior["model"]["H"]
+    chain_prior["model"]["F_seq"] = [[[1.0]], [[0.0]]]  # x_1 is never reached
+    chain_prior["model"]["C"] = [[0.0]]
+    chain_prior["model"]["H_seq"] = [[[1.0]], [[0.0]]]
+    continuous_prior = continuous_doc("apriori")
+    continuous_prior["model"]["F"] = [[1.0, 0.0], [0.0, 0.0]]  # nor is x2
+    continuous_prior["model"]["C"] = [[-1.0, 0.0], [0.0, 0.0]]
+    continuous_prior["model"]["H"] = [[1.0, 0.0]]
+    continuous_prior["bounds"]["Q0"] = continuous_prior["bounds"]["Q1"] = np.eye(2).tolist()
+    continuous_prior["estimation"]["ell"] = [0.0, 1.0]
+    for doc in (bad_weight, endpoint, continuous_prior):
         doc["grid"]["steps"] = 4
     ok, inf, err = EXIT_OK, EXIT_INFEASIBLE, EXIT_ERROR
     return {
@@ -712,10 +725,14 @@ def _verdict_docs():
             [[10.0], [10.0]],  # no admissible disturbance explains these
             {"estimate": err, "validate": err, "simulate": ok, "check": ok},
         ),
+        "f": (static_prior, [[0.5]], {"estimate": inf, "check": ok}),
+        # simulate steps forward through regular F_k only
+        "g": (chain_prior, [[0.5], [0.5]], {"estimate": inf, "simulate": err, "check": ok}),
+        "h": (continuous_prior, np.zeros((5, 1)), {"estimate": inf, "simulate": err, "check": ok}),
     }
 
 
-@pytest.mark.parametrize("name", "abcde")
+@pytest.mark.parametrize("name", "abcdefgh")
 def test_every_command_gives_the_same_verdict(tmp_path, capsys, name):
     # 0 finite, 2 infinite, 1 any error: decided in run() from the report
     doc, rows, codes = _verdict_docs()[name]

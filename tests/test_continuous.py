@@ -294,6 +294,17 @@ def test_scalar_paths_agree():
     b = apriori_estimate_continuous(system, bounds, ell_one, grid, method="bvp")
     assert a.sigma_hat == pytest.approx(b.sigma_hat, rel=1e-10)
     assert np.max(np.abs(a.u_hat_samples - b.u_hat_samples)) <= 1e-10
+    # both give the infinite verdict on x2, which no equation or
+    # observation reaches
+    system = ContinuousDAE(
+        F=np.diag([1.0, 0.0]), C=np.diag([-1.0, 0.0]), H=[[1.0, 0.0]], t_start=0.0, t_end=1.0
+    )
+    bounds = ContinuousEllipsoid(Q0=np.eye(2), Q1=np.eye(2), Q2=[[1.0]])
+    for method in ("flattened", "bvp"):
+        out = apriori_estimate_continuous(system, bounds, [0.0, 1.0], grid, method=method)
+        assert not out.feasible
+        assert out.sigma_hat == np.inf
+        assert out.solver["path"] == "dense"
 
 
 def test_paths_agree_on_random_regular_systems():
@@ -515,7 +526,7 @@ def test_each_alpha_is_one_apriori_estimate(monkeypatch):
         return estimate(*args, **kwargs)
 
     def spy_saddle(*args, **kwargs):
-        assert sys._getframe(1).f_code.co_name == "_banded_solve"
+        assert sys._getframe(1).f_code.co_name == "apriori_horizon_estimate"
         calls["saddle"] += 1
         return saddle(*args, **kwargs)
 

@@ -32,6 +32,7 @@ from descriptor_minimax import (
     variational_estimate,
 )
 from descriptor_minimax.discrete import stack_functional, stack_observations
+from descriptor_minimax.static import apriori_estimate as static_apriori
 
 from conftest import make_discrete, rng_for, scalar_chain
 
@@ -273,6 +274,39 @@ def test_regular_chain_makes_no_dense_solve(monkeypatch):
     assert calls == {"lstsq": 0, "factor": 1}
 
 
+def test_size_check_catches_a_low_condition_estimate(monkeypatch):
+    # F_1 = 1e-4 leaves the saddle regular but 1/cond near 5e-9, below
+    # RCOND_FLOOR. With the norm estimate forced low, the factor passes
+    # the floor and only the size check of BandedFactor.solve refuses it.
+    import descriptor_minimax.linalg as linalg_mod
+
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    dae = DiscreteDAE(
+        F_seq=np.stack([one, 1e-4 * one]),
+        C_seq=np.stack([zero]),
+        B_seq=np.stack([one]),
+        S=one,
+        H_seq=np.stack([one, zero]),
+    )
+    bounds = DAEEllipsoid(Q0=one, Q1_seq=np.stack([one]), Q2_seq=np.stack([one, one]))
+    ell_seq, y_seq = [np.zeros(1), np.ones(1)], [np.full(1, 0.5), np.zeros(1)]
+    monkeypatch.setattr(linalg_mod, "inverse_norm1_estimate", lambda *args: 1.0)
+    out = variational_estimate(dae, bounds, ell_seq, y_seq)
+    prior = apriori_horizon_estimate(dae, bounds, ell_seq)
+    for solver in (out.solver, prior.solver):
+        assert solver["rcond_estimate"] >= solver["rcond_floor"]
+        assert solver["path"] == "dense"
+    dense = _dense_reference(dae, bounds, ell_seq, y_seq)
+    assert np.array_equal(out.x_hat_seq.reshape(-1), dense.x_hat)
+    assert np.array_equal(out.p_seq.reshape(-1), dense.p)
+    assert (out.sigma_hat, out.estimate_value) == (dense.sigma_hat, dense.estimate_value)
+    dense_prior = static_apriori(
+        flatten(dae), flatten_bounds(dae, bounds), stack_functional(dae, ell_seq)
+    )
+    assert np.array_equal(prior.p_seq.reshape(-1), dense_prior.p)
+    assert prior.sigma_hat == dense_prior.sigma_hat
+
+
 def test_long_horizon_allocates_linear_memory():
     import tracemalloc
 
@@ -469,3 +503,7 @@ def test_nonrepresentable_horizon_functional():
     )
     assert not out.feasible
     assert out.sigma_hat == np.inf
+    prior = apriori_horizon_estimate(dae, bounds, [np.zeros(1), np.ones(1)])
+    assert not prior.feasible
+    assert prior.sigma_hat == np.inf
+    assert prior.solver["path"] == "dense"

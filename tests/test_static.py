@@ -198,6 +198,11 @@ def test_nonrepresentable_is_flagged_not_raised():
     # the center is still the data-consistent point even when the radius
     # in this direction is infinite
     assert out.x_hat is not None
+    # the readout chosen before data gets the same verdict
+    prior = apriori_estimate(model, bounds, [0.0, 1.0], y=[0.5])
+    assert not prior.feasible
+    assert prior.sigma_hat == np.inf
+    assert prior.u_hat is None
 
 
 def test_aposteriori_assembles_and_solves_once(monkeypatch):
