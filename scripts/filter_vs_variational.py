@@ -8,7 +8,7 @@ Each answer is compared with one dense QR solve of the flattened, whitened
 chain, as in tests/test_filtering.py: the center ell'x_N of ``filter_run``
 and ``variational_estimate``, and the squared radius ell'P_N ell of
 ``filter_run`` and ``apriori_horizon_estimate``. Per filter path
-("information" or "recursive", see ``FilterRunResult.solver``) it reports
+("information" or "recursive", see ``Estimate.solver``) it reports
 the chain count and each solver's worst relative gap, then wall-clock
 totals and the filter's time per step. Horizons are drawn up to 192 steps.
 Exits 1 when a gap exceeds 1e-9, naming the solver that is off.
@@ -152,15 +152,15 @@ def main():
             t2 = time.perf_counter()
         except (InconsistentData, NumericalBreakdown):
             continue
-        squared = apriori_horizon_estimate(dae, bounds, ell_seq).sigma_hat
+        squared = apriori_horizon_estimate(dae, bounds, ell_seq).worst_case_mse
         t_var += t1 - t0
         t_filter += t2 - t1
         x_ref, P_ref = dense_reference(dae, bounds, y_seq)
         center, radius = ell @ x_ref, ell @ P_ref @ ell
-        center_gap = abs(filt.estimate_value - center) / (1.0 + abs(center))
+        center_gap = abs(filt.estimate - center) / (1.0 + abs(center))
         gaps = {
-            "filter_run": max(center_gap, abs(filt.sigma_hat**2 - radius) / radius),
-            "variational_estimate": abs(var.estimate_value - center) / (1.0 + abs(center)),
+            "filter_run": max(center_gap, abs(filt.radius**2 - radius) / radius),
+            "variational_estimate": abs(var.estimate - center) / (1.0 + abs(center)),
             "apriori_horizon_estimate": abs(squared - radius) / radius,
         }
         path = filt.solver["path"]

@@ -37,9 +37,9 @@ def main():
     steps = [args.coarsest * 2**k for k in range(args.levels)]
     for M in steps:
         out = apriori_estimate_continuous(system, bounds, ell, TimeGrid(0.0, 1.0, M))
-        sigmas.append(out.sigma_hat)
+        sigmas.append(out.worst_case_mse)
 
-    print(f"{'steps':>8} {'sigma_hat':>18} {'diff':>12} {'ratio':>8} {'vs exact':>12}")
+    print(f"{'steps':>8} {'worst_case_mse':>18} {'diff':>12} {'ratio':>8} {'vs exact':>12}")
     prev_diff = None
     for i, (M, s) in enumerate(zip(steps, sigmas)):
         diff = sigmas[i - 1] - s if i else float("nan")

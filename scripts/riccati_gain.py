@@ -39,12 +39,12 @@ def main():
     out = riccati_filter(system, unit, [1.0], y, grid)
     fixed_gap = float(np.max(np.abs(out.K_nodes - 1.0)))
     print(f"fixed point:   max |K - 1| = {fixed_gap:.3e}")
-    print(f"               sigma_hat   = {out.sigma_hat:.12f}")
+    print(f"               worst-case MSE = {out.worst_case_mse:.12f}")
 
     off = ContinuousEllipsoid(Q0=[[4.0]], Q1=[[1.0]], Q2=[[1.0]])
     out = riccati_filter(system, off, [1.0], y, grid)
     exact = np.tanh(grid.nodes() + np.arctanh(0.25))
-    end_gap = abs(out.K_final[0, 0] - exact[-1])
+    end_gap = abs(out.outputs["K_final"][0, 0] - exact[-1])
     print(f"tanh flow:     max |K - tanh| = {np.max(np.abs(out.K_nodes[:, 0, 0] - exact)):.3e}")
     print(f"               K(1) error     = {end_gap:.3e}")
 
@@ -56,8 +56,8 @@ def main():
         ric = riccati_filter(system, off, [1.0], yM, g)
         dae, dbounds = discretize(system, off, g)
         run = filter_run(dae, dbounds, list(yM), np.ones(1))
-        p_end = float(run.final.P[0, 0])
-        print(f"{M:>8} {ric.sigma_hat:>14.8f} {p_end:>14.8f} {abs(p_end - ric.sigma_hat):>10.2e}")
+        p_end = float(run.outputs["P_final"][0, 0])
+        print(f"{M:>8} {ric.worst_case_mse:>14.8f} {p_end:>14.8f} {abs(p_end - ric.worst_case_mse):>10.2e}")
 
     failures = []
     if not fixed_gap <= 1e-6:

@@ -35,13 +35,13 @@ def main():
     prior = apriori_estimate(model, bounds, ell, y=y)
     post = aposteriori_estimate(model, bounds, ell, y)
     print(f"observation            y = {args.y}")
-    print(f"a priori readout       u_hat = {prior.u_hat[0]:.6f}")
-    print(f"a priori mean-sq error {prior.sigma_hat:.6f}")
-    print(f"center estimate        x_hat = {post.x_hat[0]:.6f}")
-    print(f"worst-case radius      sigma_hat = {post.sigma_hat:.6f}")
+    print(f"a priori readout       u_hat = {prior.outputs['u_hat'][0]:.6f}")
+    print(f"a priori mean-sq error {prior.worst_case_mse:.6f}")
+    print(f"center estimate        x_hat = {post.outputs['x_hat'][0]:.6f}")
+    print(f"worst-case radius      radius = {post.radius:.6f}")
 
     samples = sample_reachability(model, bounds, y, args.samples, seed=args.seed)
-    check = chebyshev_check(samples, ell, post.estimate_value, post.sigma_hat)
+    check = chebyshev_check(samples, ell, post.estimate, post.radius)
     print(f"sampled states         {check.samples_checked}")
     print(f"radius violations      {check.violation_count}")
     print(

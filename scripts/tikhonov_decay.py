@@ -34,12 +34,12 @@ def main():
     reg = tikhonov_approximate(system, bounds, ell, grid, alphas)
     exact = apriori_estimate_continuous(system, bounds, ell, grid)
     h = grid.h
-    u_norm = np.sqrt(h * np.sum(exact.u_hat_samples**2))
+    u_norm = np.sqrt(h * np.sum(exact.outputs["u_hat_samples"] ** 2))
 
     print("representable functional:")
     print(f"{'alpha':>12} {'|u_k - u|/|u|':>16} {'residual':>12}")
     for i, a in enumerate(alphas):
-        gap = np.sqrt(h * np.sum((reg.u_samples_seq[i] - exact.u_hat_samples) ** 2))
+        gap = np.sqrt(h * np.sum((reg.u_samples_seq[i] - exact.outputs["u_hat_samples"]) ** 2))
         res = reg.residual_seq[i - 1] if i else float("nan")
         print(f"{a:>12.6f} {gap / u_norm:>16.3e} {res:>12.3e}")
 

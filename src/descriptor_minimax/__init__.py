@@ -10,11 +10,9 @@ and a brute-force sampling oracle to check it all against.
 
 from .continuous import (
     ConstantFunction,
-    ContinuousAprioriResult,
     ContinuousDAE,
     ContinuousEllipsoid,
     PolynomialFunction,
-    RiccatiResult,
     TableFunction,
     TikhonovResult,
     TimeGrid,
@@ -26,8 +24,6 @@ from .continuous import (
 from .discrete import (
     DAEEllipsoid,
     DiscreteDAE,
-    HorizonApriori,
-    TrajectoryEstimate,
     apriori_horizon_estimate,
     flatten,
     flatten_bounds,
@@ -51,7 +47,7 @@ from .errors import (
     SingularStep,
     SolveFailure,
 )
-from .filtering import FilterRunResult, FilterState, filter_run
+from .filtering import filter_run
 from .linalg import (
     LinearSolveResult,
     RangeMembership,
@@ -68,8 +64,8 @@ from .oracle import (
 )
 from .simulate import SimulationResult, simulate
 from .static import (
+    Estimate,
     StaticEllipsoid,
-    StaticEstimateReport,
     StaticModel,
     aposteriori_estimate,
     apriori_estimate,
@@ -81,11 +77,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstantFunction",
-    "ContinuousAprioriResult",
     "ContinuousDAE",
     "ContinuousEllipsoid",
     "PolynomialFunction",
-    "RiccatiResult",
     "TableFunction",
     "TikhonovResult",
     "TimeGrid",
@@ -95,8 +89,6 @@ __all__ = [
     "tikhonov_approximate",
     "DAEEllipsoid",
     "DiscreteDAE",
-    "HorizonApriori",
-    "TrajectoryEstimate",
     "apriori_horizon_estimate",
     "flatten",
     "flatten_bounds",
@@ -117,8 +109,6 @@ __all__ = [
     "SingularNormalEquations",
     "SingularStep",
     "SolveFailure",
-    "FilterRunResult",
-    "FilterState",
     "filter_run",
     "LinearSolveResult",
     "RangeMembership",
@@ -132,8 +122,8 @@ __all__ = [
     "sample_reachability",
     "SimulationResult",
     "simulate",
+    "Estimate",
     "StaticEllipsoid",
-    "StaticEstimateReport",
     "StaticModel",
     "aposteriori_estimate",
     "apriori_estimate",

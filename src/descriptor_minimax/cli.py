@@ -31,7 +31,7 @@ import gc
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 from .config import (
@@ -39,6 +39,7 @@ from .config import (
     MODES,
     ProblemConfig,
     ResultReport,
+    estimate_report,
     parse_config,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -54,7 +55,6 @@ from .discrete import (
     apriori_horizon_estimate,
     flatten,
     flatten_bounds,
-    solver_record,
     stack_functional,
     stack_observations,
     variational_estimate,
@@ -104,72 +104,40 @@ def _discrete(config: ProblemConfig, grid: Optional[TimeGrid]) -> tuple:
     return config.model, config.bounds
 
 
-def _estimate(config, observations, grid, **_) -> ResultReport:
+def _estimated(command, config, observations, grid) -> tuple:
+    """Run the estimator that ``command`` makes for the config's kind and
+    mode; return its Estimate and the report's diagnostics besides the
+    solver record.
+
+    The estimators are read as module globals at call time, so a wrapper
+    installed on this module (as perfbench's tracer does) sees each call.
+    """
     kind, mode, ell = config.kind, config.estimation.mode, config.estimation.ell
+    model, bounds = config.model, config.bounds
+    if command == "filter":
+        dae, dbounds = _discrete(config, grid)
+        result = filter_run(dae, dbounds, observations, ell)
+        return result, {"kind": kind, "steps": dae.horizon}
+    if command == "riccati":
+        result = riccati_filter(model, bounds, ell, observations, grid)
+        return result, {"kind": kind, "grid_steps": grid.steps}
     diagnostics = {"kind": kind, "mode": mode}
     if kind == "static":
-        if mode == "apriori":
-            rep = apriori_estimate(config.model, config.bounds, ell, observations)
-            outputs = {"u_hat": rep.u_hat, "p": rep.p}
-        else:
-            rep = aposteriori_estimate(config.model, config.bounds, ell, observations)
-            outputs = {"x_hat": rep.x_hat, "u_hat": rep.u_hat}
-        diagnostics["solver"] = solver_record("dense")
+        solve = apriori_estimate if mode == "apriori" else aposteriori_estimate
+        result = solve(model, bounds, ell, observations)
     elif kind == "discrete_dae":
-        if mode == "apriori":
-            rep = apriori_horizon_estimate(config.model, config.bounds, ell, observations)
-            u_hat = rep.u_hat_seq
-            outputs = {"u_hat": None if u_hat is None else u_hat.reshape(-1)}
-        else:
-            rep = variational_estimate(config.model, config.bounds, ell, observations)
-            outputs = {"x_hat_seq": rep.x_hat_seq}
-        diagnostics["solver"] = rep.solver
+        solve = apriori_horizon_estimate if mode == "apriori" else variational_estimate
+        result = solve(model, bounds, ell, observations)
     else:  # continuous: integral functional, a priori only
-        rep = apriori_estimate_continuous(
-            config.model, config.bounds, ell, grid, y_samples=observations
-        )
-        outputs = {"u_hat_samples": rep.u_hat_samples}
-        diagnostics.update(grid_steps=grid.steps, solver=rep.solver)
-    return ResultReport(
-        command="estimate",
-        estimate=rep.estimate_value,
-        sigma_hat=rep.sigma_hat,
-        feasible=rep.feasible,
-        outputs={k: v for k, v in outputs.items() if v is not None},
-        diagnostics=diagnostics,
-    )
+        result = apriori_estimate_continuous(model, bounds, ell, grid, y_samples=observations)
+        diagnostics["grid_steps"] = grid.steps
+    return result, diagnostics
 
 
-def _filter(config, observations, grid, **_) -> ResultReport:
-    dae, dbounds = _discrete(config, grid)
-    result = filter_run(dae, dbounds, observations, config.estimation.ell)
-    return ResultReport(
-        command="filter",
-        estimate=result.estimate_value,
-        sigma_hat=result.sigma_hat,
-        feasible=True,
-        outputs={
-            "x_hat_final": result.final.x_hat,
-            "x_hat_seq": result.x_hat_seq,
-            "P_final": result.final.P,
-        },
-        diagnostics={"kind": config.kind, "steps": dae.horizon, "solver": result.solver},
-    )
-
-
-def _riccati(config, observations, grid, **_) -> ResultReport:
-    result = riccati_filter(
-        config.model, config.bounds, config.estimation.ell, observations, grid
-    )
-    outputs = {"K_final": result.K_final, "x_hat_final": result.x_hat_final}
-    return ResultReport(
-        command="riccati",
-        estimate=result.estimate_value,
-        sigma_hat=result.sigma_hat,
-        feasible=result.feasible,
-        outputs={k: v for k, v in outputs.items() if v is not None},
-        diagnostics={"kind": config.kind, "grid_steps": grid.steps, "solver": result.solver},
-    )
+def _estimate(config, observations, grid, *, command, **_) -> ResultReport:
+    """The report of ``estimate``, ``filter`` or ``riccati``."""
+    result, diagnostics = _estimated(command, config, observations, grid)
+    return estimate_report(command, result, diagnostics)
 
 
 def _tikhonov(config, observations, grid, **_) -> ResultReport:
@@ -182,9 +150,6 @@ def _tikhonov(config, observations, grid, **_) -> ResultReport:
     )
     return ResultReport(
         command="tikhonov",
-        estimate=None,
-        sigma_hat=None,
-        feasible=True,
         outputs={
             "u_hat_samples": result.u_samples_seq[-1],
             "alphas": list(result.alphas),
@@ -210,9 +175,6 @@ def _simulate(config, observations, grid, *, seed, output, **_) -> ResultReport:
     write_trajectory_csv(obs_path, "y", result.observations)
     return ResultReport(
         command="simulate",
-        estimate=None,
-        sigma_hat=None,
-        feasible=True,
         outputs={"states": states_path, "observations": obs_path},
         diagnostics={
             "quad_form": result.quad_form,
@@ -232,17 +194,11 @@ def _validate(config, observations, grid, *, samples, seed, **_) -> ResultReport
         samples = _DEFAULT_VALIDATE_SAMPLES
     if samples < 1:
         raise InvalidInput(f"--samples must be at least 1, got {samples}")
-    center = _estimate(config, observations, grid)
-    diagnostics = {"oracle": None, "solver": center.diagnostics["solver"]}
+    center, _ = _estimated("estimate", config, observations, grid)
+    diagnostics = {"oracle": None}
     if center.feasible:
         diagnostics["oracle"] = _attack(config, observations, center, samples, seed)
-    return ResultReport(
-        command="validate",
-        estimate=center.estimate,
-        sigma_hat=center.sigma_hat,
-        feasible=center.feasible,
-        diagnostics=diagnostics,
-    )
+    return estimate_report("validate", replace(center, outputs={}), diagnostics)
 
 
 def _attack(config, observations, center, samples, seed) -> dict:
@@ -257,22 +213,22 @@ def _attack(config, observations, center, samples, seed) -> dict:
         ell = stack_functional(config.model, config.estimation.ell)
         y = stack_observations(config.model, observations)
 
-    sigma = center.sigma_hat
+    radius = center.radius
     sample_set = sample_reachability(
         model, bounds, y, samples, seed, readout=ell[None, :]
     )
-    check = chebyshev_check(sample_set, [1.0], center.estimate, sigma)
+    check = chebyshev_check(sample_set, [1.0], center.estimate, radius)
     if check.violation_count:
         raise SolveFailure(
             f"{check.violation_count} of {check.samples_checked} sampled states "
-            f"violate the reported radius {sigma:.6g}; the largest deviation is "
+            f"violate the reported radius {radius:.6g}; the largest deviation is "
             f"{check.max_abs_deviation:.6g}"
         )
     return {
         "samples_checked": check.samples_checked,
         "violation_count": check.violation_count,
         "max_abs_deviation": check.max_abs_deviation,
-        "attained_fraction": check.max_abs_deviation / sigma if sigma else None,
+        "attained_fraction": check.max_abs_deviation / radius if radius else None,
         "seed": seed,
     }
 
@@ -281,9 +237,6 @@ def _check(config, observations, grid, **_) -> ResultReport:
     _discrete(config, grid)
     return ResultReport(
         command="check",
-        estimate=None,
-        sigma_hat=None,
-        feasible=True,
         diagnostics={"kind": config.kind, "mode": config.estimation.mode},
     )
 
@@ -292,8 +245,8 @@ def _check(config, observations, grid, **_) -> ResultReport:
 class Command:
     """One command: its runner and what it runs on.
 
-    ``run(config, observations, grid, *, seed, samples, output)`` returns
-    the ResultReport only; :func:`run` reads the exit code from its
+    ``run(config, observations, grid, *, command, seed, samples, output)``
+    returns the ResultReport only; :func:`run` reads the exit code from its
     ``feasible``. The command accepts a config only when its mode is in
     ``modes`` and its kind in ``kinds``; ``--observations`` is required
     in the modes listed in ``observations``. With
@@ -317,9 +270,9 @@ COMMANDS = {
     "estimate": Command(
         _estimate, ("apriori", "aposteriori"), observations=("aposteriori",)
     ),
-    "filter": Command(_filter, ("filter",), _DYNAMIC, observations=("filter",)),
+    "filter": Command(_estimate, ("filter",), _DYNAMIC, observations=("filter",)),
     "riccati": Command(
-        _riccati, ("riccati",), ("continuous_dae",), observations=("riccati",)
+        _estimate, ("riccati",), ("continuous_dae",), observations=("riccati",)
     ),
     "tikhonov": Command(_tikhonov, ("tikhonov",), ("continuous_dae",)),
     "simulate": Command(_simulate, MODES, _DYNAMIC, output_dir=True, options=("seed",)),
@@ -379,6 +332,7 @@ def run(
         config,
         observations,
         config.grid if grid is None else grid,
+        command=command,
         seed=config.seed if seed is None else seed,
         samples=samples,
         output=output_dir,

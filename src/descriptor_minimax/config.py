@@ -50,7 +50,7 @@ from .errors import (
 )
 from .linalg import as_matrix, as_matrix_stack, as_vector
 from .simulate import DISTURBANCES
-from .static import StaticEllipsoid, StaticModel
+from .static import Estimate, StaticEllipsoid, StaticModel
 
 KINDS = ("static", "discrete_dae", "continuous_dae")
 MODES = ("apriori", "aposteriori", "filter", "riccati", "tikhonov")
@@ -395,12 +395,17 @@ def parse_config(source) -> ProblemConfig:
 
 @dataclass
 class ResultReport:
-    """Everything a command run produced, in serializable form."""
+    """Everything a command run produced, in serializable form.
+
+    The commands that make an estimate build theirs with
+    :func:`estimate_report`; the others leave ``estimate`` and
+    ``sigma_hat`` None.
+    """
 
     command: str
-    estimate: Optional[float]
-    sigma_hat: Optional[float]
-    feasible: bool
+    estimate: Optional[float] = None
+    sigma_hat: Optional[float] = None
+    feasible: bool = True
     outputs: Dict[str, Any] = field(default_factory=dict)
     diagnostics: Dict[str, Any] = field(default_factory=dict)
     timings: Dict[str, float] = field(default_factory=dict)
@@ -420,6 +425,27 @@ class ResultReport:
         """The report as one line of JSON with sorted keys. Without
         ``indent`` json runs its C encoder."""
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def estimate_report(command: str, result: Estimate, diagnostics: Dict[str, Any]) -> ResultReport:
+    """The report of ``command`` on the estimate ``result``: its center,
+    verdict and outputs, and ``diagnostics`` with the solver record added.
+
+    ``sigma_hat`` is the worst-case mean-squared error where the estimate
+    has one (the a priori modes and ``riccati``) and the radius otherwise.
+    These two meanings live here alone: perfbench/workloads.py reads the
+    field under this name and in both meanings, so renaming it waits for a
+    change to the benchmark.
+    """
+    mse = result.worst_case_mse
+    return ResultReport(
+        command=command,
+        estimate=result.estimate,
+        sigma_hat=mse if mse is not None else result.radius,
+        feasible=result.feasible,
+        outputs=result.outputs,
+        diagnostics={**diagnostics, "solver": result.solver},
+    )
 
 
 def _jsonable(value):

@@ -43,7 +43,6 @@ from .discrete import (
     DiscreteDAE,
     apriori_horizon_estimate,
     observation_information,
-    solver_record,
 )
 from .errors import (
     InvalidGrid,
@@ -69,6 +68,7 @@ from .linalg import (
     symmetrize,
     vector_stack,
 )
+from .static import Estimate, solver_record
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +372,6 @@ def _check_samples(system: ContinuousDAE, y_samples, grid: TimeGrid) -> np.ndarr
 # A priori estimation of integral functionals
 
 
-@dataclass(frozen=True)
-class ContinuousAprioriResult:
-    """Readout density u_hat(t) at the nodes plus the error radius.
-
-    ``sigma_hat`` is the worst-case mean-squared error of the readout
-    int (u_hat(t), y(t)) dt against int (ell(t), x(t)) dt; infinite with
-    feasible=False when the functional is not representable. ``solver``
-    records the solve path (see :func:`.discrete.solver_record`).
-    """
-
-    feasible: bool
-    sigma_hat: float
-    u_hat_samples: Optional[np.ndarray] = None
-    p_samples: Optional[np.ndarray] = None
-    estimate_value: Optional[float] = None
-    grid: Optional[TimeGrid] = None
-    solver: Optional[dict] = None
-
-
 def _bvp_system(system, bounds, grid):
     """Discretized two-point boundary value problem, assembled nodewise.
 
@@ -440,20 +421,21 @@ def apriori_estimate_continuous(
     grid: TimeGrid,
     y_samples=None,
     method: str = "flattened",
-) -> ContinuousAprioriResult:
+) -> Estimate:
     """Worst-case optimal readout of int (ell(t), x(t)) dt.
 
     ``method='flattened'`` is the a priori estimate
     :func:`.discrete.apriori_horizon_estimate` of the discretized chain
     for the functional h ell(t_k): one banded factorization, with the
-    flattened static solver as its fallback. Its radius, readout (which
-    weights y_k, so divided by h it is the density) and estimate are
-    returned as they are. ``method='bvp'`` assembles the discretized
-    optimality boundary value problem densely from the continuous
-    coefficients. Both produce the node values of the readout density
-    u_hat(t) = Q2(t) H(t) p(t) and the radius sigma_hat = sum_k h
-    (ell(t_k), p_k); they must agree to solver precision, which the test
-    suite enforces on random systems.
+    flattened static solver as its fallback. Its radius, direction p and
+    estimate are returned as they are, and its readout (which weights
+    y_k) divided by h as the density. ``method='bvp'`` assembles the
+    discretized optimality boundary value problem densely from the
+    continuous coefficients. Both produce the node values of the readout
+    density u_hat(t) = Q2(t) H(t) p(t), the output ``u_hat_samples``, and
+    the worst-case mean-squared error sum_k h (ell(t_k), p_k); they must
+    agree to solver precision, which the test suite enforces on random
+    systems.
     """
     _check_grid(system, grid)
     _check_pair(system, bounds)
@@ -469,21 +451,12 @@ def apriori_estimate_continuous(
     dae, dbounds = discretize(system, bounds, grid)
     horizon = apriori_horizon_estimate(dae, dbounds, h * ell_nodes, y_samples)
     if not horizon.feasible:
-        return ContinuousAprioriResult(
-            feasible=False, sigma_hat=math.inf, grid=grid, solver=horizon.solver
-        )
-    return ContinuousAprioriResult(
-        feasible=True,
-        sigma_hat=horizon.sigma_hat,
-        u_hat_samples=horizon.u_hat_seq / h,
-        p_samples=horizon.p_seq,
-        estimate_value=horizon.estimate_value,
-        grid=grid,
-        solver=horizon.solver,
-    )
+        return horizon
+    u_hat = horizon.outputs["u_hat"].reshape(grid.steps + 1, system.observation_dim)
+    return replace(horizon, outputs={"u_hat_samples": u_hat / h})
 
 
-def _bvp_estimate(system, bounds, ell_nodes, grid, y_samples) -> ContinuousAprioriResult:
+def _bvp_estimate(system, bounds, ell_nodes, grid, y_samples) -> Estimate:
     """The ``bvp`` method: least squares on :func:`_bvp_system`, with the
     readout density Q2(t_k) H(t_k) p_k and the radius read off its p-blocks."""
     h, M, n = grid.h, grid.steps, system.state_dim
@@ -494,24 +467,22 @@ def _bvp_estimate(system, bounds, ell_nodes, grid, y_samples) -> ContinuousAprio
     rhs[(M + 1) * system.equation_dim :] = ell_nodes.reshape(-1)
     fit = solve_least_squares(A, rhs)
     if fit.residual_norm > BVP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(ell_nodes))):
-        return ContinuousAprioriResult(
-            feasible=False, sigma_hat=math.inf, grid=grid, solver=solver
-        )
+        return Estimate(False, None, math.inf, math.inf, solver=solver)
     p_nodes = fit.solution[: (M + 1) * n].reshape(M + 1, n)
     hp = np.einsum("kij,kj->ki", _nodes(system.H, ts, "H(t)"), p_nodes)
     u_nodes = np.einsum("kij,kj->ki", _nodes(bounds.Q2, ts, "Q2(t)"), hp)
-    sigma = float((h * ell_nodes).reshape(-1) @ p_nodes.reshape(-1))
+    sigma = max(float((h * ell_nodes).reshape(-1) @ p_nodes.reshape(-1)), 0.0)
     estimate = None
     if y_samples is not None:
         estimate = float(np.sum(h * np.einsum("kj,kj->k", u_nodes, y_samples)))
-    return ContinuousAprioriResult(
+    return Estimate(
         feasible=True,
-        sigma_hat=max(sigma, 0.0),
-        u_hat_samples=u_nodes,
-        p_samples=p_nodes,
-        estimate_value=estimate,
-        grid=grid,
+        estimate=estimate,
+        radius=math.sqrt(sigma),
+        worst_case_mse=sigma,
+        outputs={"u_hat_samples": u_nodes},
         solver=solver,
+        p=p_nodes,
     )
 
 
@@ -617,9 +588,9 @@ def tikhonov_approximate(
             )
         except NumericalBreakdown as exc:
             raise NumericalBreakdown(f"regularized solve at alpha={alpha}: {exc}") from exc
-        u_list.append(horizon.u_hat_seq[:, :l] / h)
+        u_list.append(horizon.outputs["u_hat"].reshape(grid.steps + 1, l + n)[:, :l] / h)
         # Dual-feasibility defect alpha*h*p per node, in the integral norm.
-        defect = alpha * h * horizon.p_seq
+        defect = alpha * h * horizon.p
         constraint[j] = float(np.linalg.norm(defect)) / math.sqrt(h)
 
     cauchy = np.zeros(max(len(alphas) - 1, 0))
@@ -641,25 +612,6 @@ def tikhonov_approximate(
 # Descriptor Riccati filter
 
 
-@dataclass(frozen=True)
-class RiccatiResult:
-    """Endpoint readout (ell_0, x(t_end)) with its worst-case radius.
-
-    When ell_0 is outside range(F') no linear readout has a finite
-    radius: ``feasible`` is False, ``sigma_hat`` infinite and the fields
-    from ``estimate_value`` to ``K_nodes`` None. ``solver`` is the
-    report's ``diagnostics.solver`` entry (:func:`_solver_record`).
-    """
-
-    feasible: bool
-    sigma_hat: float
-    estimate_value: Optional[float] = None
-    K_final: Optional[np.ndarray] = None
-    x_hat_final: Optional[np.ndarray] = None
-    K_nodes: Optional[np.ndarray] = None  # (steps+1, n, n) gain at every grid node
-    solver: Optional[dict] = None
-
-
 def _solver_record(max_gain_norm: Optional[float]) -> dict:
     """The largest spectral norm of the gains after t_start (None when
     nothing was integrated) and the cap that judged each of them."""
@@ -672,7 +624,7 @@ def riccati_filter(
     ell0,
     y_samples,
     grid: TimeGrid,
-) -> RiccatiResult:
+) -> Estimate:
     """Forward filter for the endpoint functional (ell_0, x(t_end)).
 
     Integrates the descriptor Riccati equation for the gain K,
@@ -701,15 +653,17 @@ def riccati_filter(
     x_hat) with F x_hat(t_start) = 0, by implicit Euler with the fresh
     gain: one batched solve of the step matrices F - h C + h K'H'Q2H
     gives the maps x_{j+1} = T_j x_j + u_j, then one matvec per step.
-    The readout is (F x_hat(t_end), F^{+'} ell_0) and its squared
-    radius (S(t_end) F^{+'} ell_0, F^{+'} ell_0).
+    The readout is (F x_hat(t_end), F^{+'} ell_0) and its worst-case
+    mean-squared error (S(t_end) F^{+'} ell_0, F^{+'} ell_0). The outputs
+    are ``K_final`` and ``x_hat_final``, and ``K_nodes`` holds the gain
+    at every grid node.
 
     Q2, Q1, C and H are sampled at every node, t_start included, and
     every weight value checked SPD before anything else is decided, so a
     bad coefficient raises whatever ell_0 is. Requires square F. Only
     then is ell_0 tested against range(F'): outside it no endpoint
     readout has a finite radius, and the result is infeasible, with an
-    infinite ``sigma_hat``, and nothing is integrated.
+    infinite radius, and nothing is integrated.
 
     Verdicts come in step order, as if each step ran its Sylvester
     solve, its gain check and its state solve in turn: the first of an
@@ -731,7 +685,7 @@ def riccati_filter(
     C = _nodes(system.C, ts, "C(t)")[1:]
     H = _nodes(system.H, ts, "H(t)")[1:]
     if not range_membership(system.F.T, ell0).member:
-        return RiccatiResult(feasible=False, sigma_hat=math.inf, solver=_solver_record(None))
+        return Estimate(False, None, math.inf, math.inf, solver=_solver_record(None))
 
     F = system.F
     Fp = pseudo_inverse(F)
@@ -779,16 +733,15 @@ def riccati_filter(
     for T, u in zip(maps[:, :, :n], maps[:, :, n]):
         x_hat = T @ x_hat + u
     v = Fp.T @ ell0
-    sigma = float(v @ (S @ v))
-    estimate = float((F @ x_hat) @ v)
-    return RiccatiResult(
+    sigma = max(float(v @ (S @ v)), 0.0)
+    return Estimate(
         feasible=True,
-        sigma_hat=max(sigma, 0.0),
-        estimate_value=estimate,
-        K_final=gains[-1],
-        x_hat_final=x_hat,
-        K_nodes=gains,
+        estimate=float((F @ x_hat) @ v),
+        radius=math.sqrt(sigma),
+        worst_case_mse=sigma,
+        outputs={"K_final": gains[-1], "x_hat_final": x_hat},
         solver=_solver_record(float(norms.max())),
+        K_nodes=gains,
     )
 
 

@@ -36,14 +36,15 @@ here solve the same saddle-point system without forming it densely:
   flattened model goes to the dense static solver, which decides rank
   and representability by SVD. That path is cubic in N.
 
-Each result carries a ``solver`` record (:func:`solver_record`) naming
-the path taken and the condition estimate that chose it.
+Each estimate (:class:`.static.Estimate`) carries a ``solver`` record
+(:func:`.static.solver_record`) naming the path taken and the condition
+estimate that chose it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,7 +52,6 @@ import numpy as np
 from .errors import InconsistentData, InvalidInput, NumericalBreakdown
 from .linalg import (
     NEGATIVE_FLOOR,
-    RCOND_FLOOR,
     as_matrix,
     as_matrix_stack,
     block_diag,
@@ -63,10 +63,12 @@ from .linalg import (
     vector_stack,
 )
 from .static import (
+    Estimate,
     StaticEllipsoid,
     StaticModel,
     aposteriori_estimate,
     apriori_estimate,
+    solver_record,
 )
 
 
@@ -238,54 +240,6 @@ def stack_observations(dae: DiscreteDAE, y_seq: Sequence) -> np.ndarray:
     ).reshape(-1)
 
 
-@dataclass(frozen=True)
-class TrajectoryEstimate:
-    """Chebyshev-center trajectory with the error radius of the functional.
-
-    ``solver`` records how the saddle system was solved; see
-    :func:`solver_record`.
-    """
-
-    feasible: bool
-    sigma_hat: float
-    estimate_value: float
-    x_hat_seq: np.ndarray
-    p_seq: Optional[np.ndarray] = None
-    solver: Optional[dict] = None
-
-
-@dataclass(frozen=True)
-class HorizonApriori:
-    """Minimax linear readout of a horizon functional, chosen before data.
-
-    ``sigma_hat`` is the worst-case mean-squared error (quadratic in the
-    functional), infinite with feasible=False when the functional is not
-    representable. ``u_hat_seq[k]`` weights observation y_k, so the
-    readout is sum_k (u_hat_seq[k], y_k).
-    """
-
-    feasible: bool
-    sigma_hat: float
-    u_hat_seq: Optional[np.ndarray] = None
-    p_seq: Optional[np.ndarray] = None
-    estimate_value: Optional[float] = None
-    solver: Optional[dict] = None
-
-
-def solver_record(
-    path: str, rcond: Optional[float] = None, floor: float = RCOND_FLOOR
-) -> dict:
-    """The ``diagnostics.solver`` entry of a report.
-
-    ``path`` names the route taken: "banded" or "dense" for a saddle
-    solve, "information" or "recursive" for the filter. ``rcond_estimate``
-    is the estimated reciprocal condition number of the factored matrix
-    (None where no band factorization was attempted) and ``rcond_floor``
-    the level it had to reach for the fast route.
-    """
-    return {"path": path, "rcond_estimate": rcond, "rcond_floor": floor}
-
-
 def horizon_saddle(dae: DiscreteDAE, bounds: DAEEllipsoid, adjoint: np.ndarray) -> tuple:
     """Solve the horizon saddle system in band storage, one factor for all
     right-hand sides.
@@ -361,7 +315,7 @@ def _stacked_inputs(dae: DiscreteDAE, ell_seq: Sequence, y_seq) -> tuple:
 
 def variational_estimate(
     dae: DiscreteDAE, bounds: DAEEllipsoid, ell_seq: Sequence, y_seq: Sequence
-) -> TrajectoryEstimate:
+) -> Estimate:
     """Chebyshev-center estimate of sum_k (ell_k, x_k) over the horizon.
 
     Solves the saddle system twice on one band factorization: with the
@@ -371,6 +325,7 @@ def variational_estimate(
     ker F ∩ ker H = {0}, so every functional is representable there.
     When the band factorization is not trusted, the flattened model goes
     to the dense static solver, which decides representability itself.
+    The output ``x_hat_seq`` and the direction ``p`` hold one row per step.
     """
     _check_bounds(dae, bounds)
     ell, y, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
@@ -379,7 +334,14 @@ def variational_estimate(
     data = np.einsum("kji,kj->ki", H, q2y)
     states, solver = horizon_saddle(dae, bounds, np.stack([data, ells]))
     if states is None:
-        return _dense_variational(dae, bounds, ell, y, solver)
+        dense = aposteriori_estimate(flatten(dae), flatten_bounds(dae, bounds), ell, y)
+        steps = (dae.horizon + 1, dae.state_dim)
+        return replace(
+            dense,
+            outputs={"x_hat_seq": dense.outputs["x_hat"].reshape(steps)},
+            solver=solver,
+            p=None if dense.p is None else dense.p.reshape(steps),
+        )
 
     x_seq, p_seq = states
     slack = 1.0 - float(np.sum((ys - np.einsum("kij,kj->ki", H, x_seq)) * q2y))
@@ -389,28 +351,13 @@ def variational_estimate(
             f"(energy overshoot {-slack:.3e})"
         )
     sigma_sq = max(float(np.sum(ells * p_seq)), 0.0)
-    return TrajectoryEstimate(
+    return Estimate(
         feasible=True,
-        sigma_hat=math.sqrt(max(slack, 0.0)) * math.sqrt(sigma_sq),
-        estimate_value=float(np.sum(ells * x_seq)),
-        x_hat_seq=x_seq,
-        p_seq=p_seq,
+        estimate=float(np.sum(ells * x_seq)),
+        radius=math.sqrt(max(slack, 0.0)) * math.sqrt(sigma_sq),
+        outputs={"x_hat_seq": x_seq},
         solver=solver,
-    )
-
-
-def _dense_variational(dae, bounds, ell, y, solver) -> TrajectoryEstimate:
-    model = flatten(dae)
-    static_bounds = flatten_bounds(dae, bounds)
-    report = aposteriori_estimate(model, static_bounds, ell, y)
-    n, N = dae.state_dim, dae.horizon
-    return TrajectoryEstimate(
-        feasible=report.feasible,
-        sigma_hat=report.sigma_hat,
-        estimate_value=report.estimate_value,
-        x_hat_seq=report.x_hat.reshape(N + 1, n),
-        p_seq=report.p.reshape(N + 1, n) if report.p is not None else None,
-        solver=solver,
+        p=p_seq,
     )
 
 
@@ -419,32 +366,26 @@ def apriori_horizon_estimate(
     bounds: DAEEllipsoid,
     ell_seq: Sequence,
     y_seq: Optional[Sequence] = None,
-) -> HorizonApriori:
+) -> Estimate:
     """Minimax linear readout of sum_k (ell_k, x_k) chosen before data.
 
     One banded solve with right-hand side ell gives p; the readout is
     u_hat_k = Q2_k H_k p_k and its worst-case mean-squared error (ell, p).
     When the band factorization is not trusted, the flattened model goes
-    to :func:`.static.apriori_estimate`. With ``y_seq`` the readout is
-    applied to the data as ``estimate_value``.
+    to :func:`.static.apriori_estimate`. The output ``u_hat`` is the
+    readout of every step concatenated, and ``p`` holds one row per step.
+    With ``y_seq`` the readout is applied to the data as ``estimate``.
     """
     _check_bounds(dae, bounds)
     ell, y, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
     states, solver = horizon_saddle(dae, bounds, ells[None])
-    n, l, N = dae.state_dim, dae.observation_dim, dae.horizon
     if states is None:
-        report = apriori_estimate(
-            flatten(dae), flatten_bounds(dae, bounds), ell, y
-        )
-        if not report.feasible:
-            return HorizonApriori(feasible=False, sigma_hat=math.inf, solver=solver)
-        return HorizonApriori(
-            feasible=True,
-            sigma_hat=report.sigma_hat,
-            u_hat_seq=report.u_hat.reshape(N + 1, l),
-            p_seq=report.p.reshape(N + 1, n),
-            estimate_value=report.estimate_value,
+        dense = apriori_estimate(flatten(dae), flatten_bounds(dae, bounds), ell, y)
+        return replace(
+            dense,
+            outputs={"u_hat": dense.outputs["u_hat"]} if dense.feasible else {},
             solver=solver,
+            p=None if dense.p is None else dense.p.reshape(ells.shape),
         )
 
     p_seq = states[0]
@@ -453,13 +394,15 @@ def apriori_horizon_estimate(
         raise NumericalBreakdown(
             f"worst-case mean-squared error came out negative ({sigma_sq:.3e})"
         )
+    sigma_sq = max(sigma_sq, 0.0)
     hp = np.einsum("kij,kj->ki", dae.H_seq, p_seq)
     u_seq = np.einsum("kij,kj->ki", bounds.Q2_seq, hp)
-    return HorizonApriori(
+    return Estimate(
         feasible=True,
-        sigma_hat=max(sigma_sq, 0.0),
-        u_hat_seq=u_seq,
-        p_seq=p_seq,
-        estimate_value=float(np.sum(u_seq * ys)) if ys is not None else None,
+        estimate=float(np.sum(u_seq * ys)) if ys is not None else None,
+        radius=math.sqrt(sigma_sq),
+        worst_case_mse=sigma_sq,
+        outputs={"u_hat": u_seq.reshape(-1)},
         solver=solver,
+        p=p_seq,
     )

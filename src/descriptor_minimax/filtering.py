@@ -8,7 +8,7 @@ invertible; with S and every B_k square invertible, that is when every
 (x_hat_k, P_k), where P_k is the k-th diagonal block of the inverse of
 the full-horizon information matrix, so terminal functionals satisfy
 
-    sigma_hat(ell)^2 = ell' P_N ell        (a priori radius at step N)
+    radius(ell)^2 = ell' P_N ell        (a priori radius at step N)
 
 and x_hat_k equals the k-th block of the batch center restricted to the
 data seen so far.
@@ -76,7 +76,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds, solver_record
+from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds
 from .errors import InvalidInput, NumericalBreakdown, RankDeficient
 from .linalg import (
     DEFAULT_TOL,
@@ -89,31 +89,12 @@ from .linalg import (
     symmetrize,
     vector_stack,
 )
+from .static import Estimate, solver_record
 
 # Each block of steps, of either path, holds about this many entries: the
 # sweep's band of A (one block at n=2 and N=10^4, 64 steps at n=32), or the
 # matrices of the QR steps (14563 steps at n=1, 21 at n=m=l=32).
 _BAND_ENTRIES = 2**17
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Filtered center and uncertainty shape after absorbing y_0 .. y_k."""
-
-    k: int
-    x_hat: np.ndarray
-    P: np.ndarray
-
-
-@dataclass(frozen=True)
-class FilterRunResult:
-    """Terminal readout (ell, x_N) with its radius sqrt(ell' P_N ell)."""
-
-    estimate_value: float
-    sigma_hat: float
-    final: FilterState
-    x_hat_seq: np.ndarray
-    solver: dict
 
 
 def _invertible(B: np.ndarray) -> np.ndarray:
@@ -479,14 +460,15 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out) -> np.ndarray:
 
 def filter_run(
     dae: DiscreteDAE, bounds: DAEEllipsoid, y_seq: Sequence, ell
-) -> FilterRunResult:
+) -> Estimate:
     """Run the filter across the horizon and read out (ell, x_N).
 
-    Returns the terminal readout, its radius sqrt(ell' P_N ell), the
-    final state, the filtered centers at every step and the ``solver``
-    record (:func:`.discrete.solver_record`) of the path taken. Note
-    the intermediate x_hat_k use only y_0 .. y_k; they match the batch
-    center of the truncated problem, not of the full horizon.
+    Returns the terminal readout with the radius sqrt(ell' P_N ell), the
+    ``solver`` record (:func:`.static.solver_record`) of the path taken,
+    and as outputs the final center ``x_hat_final``, the filtered centers
+    ``x_hat_seq`` at every step and ``P_final`` = P_N. Note the
+    intermediate x_hat_k use only y_0 .. y_k; they match the batch center
+    of the truncated problem, not of the full horizon.
 
     The run first tries :func:`_information_sweep`. When one of its
     checks fails, it restarts on :func:`_qr_steps`, which alone decides
@@ -505,11 +487,10 @@ def filter_run(
         solver = solver_record("recursive", rcond, INFORMATION_RCOND_FLOOR)
     else:
         solver = solver_record("information", rcond, INFORMATION_RCOND_FLOOR) | blocks
-    final = FilterState(k=dae.horizon, x_hat=x_seq[-1].copy(), P=P)
-    return FilterRunResult(
-        estimate_value=float(ell @ final.x_hat),
-        sigma_hat=math.sqrt(max(float(ell @ (P @ ell)), 0.0)),
-        final=final,
-        x_hat_seq=x_seq,
+    return Estimate(
+        feasible=True,
+        estimate=float(ell @ x_seq[-1]),
+        radius=math.sqrt(max(float(ell @ (P @ ell)), 0.0)),
+        outputs={"x_hat_final": x_seq[-1], "x_hat_seq": x_seq, "P_final": P},
         solver=solver,
     )

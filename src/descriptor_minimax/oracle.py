@@ -242,12 +242,12 @@ def chebyshev_check(
     samples: ReachabilitySampleSet,
     ell,
     estimate_value: float,
-    sigma_hat: float,
+    radius: float,
 ) -> ChebyshevCheck:
     """Verify that no sampled state beats the reported radius.
 
     A violation is a consistent state x with
-    |(ell, x) - estimate_value| > sigma_hat * (1 + s) + s with
+    |(ell, x) - estimate_value| > radius * (1 + s) + s with
     s = CHEBYSHEV_SLACK. Raises
     EmptySet when there are no samples to check against.
     """
@@ -258,16 +258,16 @@ def chebyshev_check(
         raise InvalidInput("ell does not match the sampled state dimension")
     deviations = np.abs(samples.x @ ell - float(estimate_value))
     max_dev = float(deviations.max())
-    if math.isinf(sigma_hat):
+    if math.isinf(radius):
         violations = 0
     else:
-        bound = sigma_hat * (1.0 + CHEBYSHEV_SLACK) + CHEBYSHEV_SLACK
+        bound = radius * (1.0 + CHEBYSHEV_SLACK) + CHEBYSHEV_SLACK
         violations = int(np.sum(deviations > bound))
     return ChebyshevCheck(
         samples_checked=len(samples),
         violation_count=violations,
         max_abs_deviation=max_dev,
-        radius=float(sigma_hat),
+        radius=float(radius),
     )
 
 

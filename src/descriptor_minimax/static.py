@@ -34,8 +34,8 @@ those invariants are exposed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import InconsistentData, InvalidInput, NumericalBreakdown
 from .linalg import (
     MEMBERSHIP_TOL,
     NEGATIVE_FLOOR,
+    RCOND_FLOOR,
     SADDLE_RESIDUAL_TOL,
     as_matrix,
     null_basis,
@@ -127,24 +128,51 @@ def _check_pair(model: StaticModel, bounds: StaticEllipsoid) -> None:
 
 
 @dataclass(frozen=True)
-class StaticEstimateReport:
-    """Result of a static estimation call.
+class Estimate:
+    """What every minimax estimator returns: a center and its worst-case error.
 
-    ``sigma_hat`` is the worst-case error figure: for the a priori
-    estimate it is the minimal worst-case mean-squared error itself
-    (quadratic in ell), for the a posteriori estimate it is the attained
-    half-width of the consistency interval for (ell, x). ``feasible`` is
-    False exactly when that figure is infinite, in which case the
-    optional fields that no longer make sense are None.
+    ``radius`` is always a half-width: no state consistent with the model,
+    the bound and (in the a posteriori modes) the data puts (ell, x) further
+    than ``radius`` from ``estimate``. It is infinite, with ``feasible``
+    False, when the functional is not representable. ``estimate`` is None
+    when an a priori estimator has no data to apply its readout to, or no
+    finite readout. The a priori estimators and the Riccati filter also set
+    ``worst_case_mse``, the minimal worst-case mean-squared error, of which
+    ``radius`` is the square root. Two radii are not yet the attained
+    worst case (README, introduction): the filter's leaves out the data's
+    share of the budget, so the data may leave it unattained, and the
+    Riccati filter's drops the algebraic states of a singular F, so it
+    can fall below the worst case.
+
+    ``outputs`` holds the arrays a report writes, under its names and
+    shapes, and ``solver`` the report's ``diagnostics.solver`` entry
+    (:func:`solver_record`). No report writes ``p``, the a priori
+    direction (per step on chains), or ``K_nodes``, the gain at every grid
+    node of the Riccati filter. Arrays are held by reference, not copied.
     """
 
     feasible: bool
-    sigma_hat: float
-    u_hat: Optional[np.ndarray] = None
+    estimate: Optional[float]
+    radius: float
+    worst_case_mse: Optional[float] = None
+    outputs: Dict[str, np.ndarray] = field(default_factory=dict)
+    solver: Optional[dict] = None
     p: Optional[np.ndarray] = None
-    z_hat: Optional[np.ndarray] = None
-    x_hat: Optional[np.ndarray] = None
-    estimate_value: Optional[float] = None
+    K_nodes: Optional[np.ndarray] = None
+
+
+def solver_record(
+    path: str, rcond: Optional[float] = None, floor: float = RCOND_FLOOR
+) -> dict:
+    """The ``diagnostics.solver`` entry of a report.
+
+    ``path`` names the route taken: "banded" or "dense" for a saddle
+    solve, "information" or "recursive" for the filter. ``rcond_estimate``
+    is the estimated reciprocal condition number of the factored matrix
+    (None where no band factorization was attempted) and ``rcond_floor``
+    the level it had to reach for the fast route.
+    """
+    return {"path": path, "rcond_estimate": rcond, "rcond_floor": floor}
 
 
 def representable(model: StaticModel, ell) -> bool:
@@ -192,23 +220,23 @@ def _solve_saddle(model, bounds, rhs_bottom):
 
 def apriori_estimate(
     model: StaticModel, bounds: StaticEllipsoid, ell, y=None
-) -> StaticEstimateReport:
+) -> Estimate:
     """Minimax linear readout for (ell, x) chosen before seeing data.
 
-    Returns the readout vector u_hat, the worst-case mean-squared error
-    (ell, p) as sigma_hat, and the saddle variables. When ell is not
-    representable the report carries sigma_hat = inf and feasible=False.
-    If ``y`` is given the scalar readout u_hat' y is filled in as
-    estimate_value.
+    The readout vector u_hat = Q2 H p and its worst-case mean-squared
+    error (ell, p) come from the saddle solve for ell; the outputs are
+    ``u_hat`` and ``p``. When ell is not representable the estimate is
+    infeasible, with an infinite radius. If ``y`` is given the scalar
+    readout u_hat' y is filled in as ``estimate``.
     """
     _check_pair(model, bounds)
     target = sized_vector(ell, "ell", model.state_dim)
     if y is not None:
         y = sized_vector(y, "y", model.observation_dim)
     if not representable(model, target):
-        return StaticEstimateReport(feasible=False, sigma_hat=math.inf)
+        return Estimate(False, None, math.inf, math.inf, solver=solver_record("dense"))
 
-    p, z = _solve_saddle(model, bounds, target[:, None])(0)
+    p, _ = _solve_saddle(model, bounds, target[:, None])(0)
     u_hat = bounds.Q2 @ (model.H @ p)
     sigma_sq = float(target @ p)
     scale = float(np.linalg.norm(target)) ** 2 + 1.0
@@ -217,33 +245,34 @@ def apriori_estimate(
             f"worst-case mean-squared error came out negative ({sigma_sq:.3e})"
         )
     sigma_sq = max(sigma_sq, 0.0)
-    estimate = float(u_hat @ y) if y is not None else None
-    return StaticEstimateReport(
+    return Estimate(
         feasible=True,
-        sigma_hat=sigma_sq,
-        u_hat=u_hat,
+        estimate=float(u_hat @ y) if y is not None else None,
+        radius=math.sqrt(sigma_sq),
+        worst_case_mse=sigma_sq,
+        outputs={"u_hat": u_hat, "p": p},
+        solver=solver_record("dense"),
         p=p,
-        z_hat=z,
-        estimate_value=estimate,
     )
 
 
 def aposteriori_estimate(
     model: StaticModel, bounds: StaticEllipsoid, ell, y
-) -> StaticEstimateReport:
+) -> Estimate:
     """Chebyshev-center estimate of (ell, x) given one observation vector.
 
     x_hat minimizes the total disturbance energy needed to explain y, so
     it is the center of the ellipsoid of consistent states. The radius
     for (ell, x) factors as
 
-        sigma_hat = sqrt(1 - (y - H x_hat, Q2 y)) * sqrt((ell, p))
+        radius = sqrt(1 - (y - H x_hat, Q2 y)) * sqrt((ell, p))
 
     with p from the a priori system: the first factor is the part of the
     uncertainty budget the data left unused, the second is the a priori
     radius of the functional. A first factor below zero (beyond rounding)
     means no admissible disturbance explains y at all, which raises
-    InconsistentData.
+    InconsistentData. The outputs are ``x_hat`` and, when the radius is
+    finite, the a priori readout ``u_hat`` = Q2 H p.
     """
     _check_pair(model, bounds)
     target = sized_vector(ell, "ell", model.state_dim)
@@ -254,7 +283,7 @@ def aposteriori_estimate(
     feasible = representable(model, target)
     rhs = [model.H.T @ (bounds.Q2 @ y)] + ([target] if feasible else [])
     column = _solve_saddle(model, bounds, np.column_stack(rhs))
-    x_hat, p_hat = column(0)
+    x_hat, _ = column(0)
     estimate = float(target @ x_hat)
 
     slack = 1.0 - float((y - model.H @ x_hat) @ (bounds.Q2 @ y))
@@ -266,24 +295,19 @@ def aposteriori_estimate(
     slack = max(slack, 0.0)
 
     if not feasible:
-        return StaticEstimateReport(
-            feasible=False,
-            sigma_hat=math.inf,
-            x_hat=x_hat,
-            z_hat=p_hat,
-            estimate_value=estimate,
+        return Estimate(
+            False, estimate, math.inf, outputs={"x_hat": x_hat}, solver=solver_record("dense")
         )
 
     p, _ = column(1)
     sigma_sq = max(float(target @ p), 0.0)
-    return StaticEstimateReport(
+    return Estimate(
         feasible=True,
-        sigma_hat=math.sqrt(slack) * math.sqrt(sigma_sq),
-        u_hat=bounds.Q2 @ (model.H @ p),
+        estimate=estimate,
+        radius=math.sqrt(slack) * math.sqrt(sigma_sq),
+        outputs={"x_hat": x_hat, "u_hat": bounds.Q2 @ (model.H @ p)},
+        solver=solver_record("dense"),
         p=p,
-        x_hat=x_hat,
-        z_hat=p_hat,
-        estimate_value=estimate,
     )
 
 

@@ -57,12 +57,12 @@ def test_criterion_1_scalar_ground_truth():
     started = time.perf_counter()
     out = aposteriori_estimate(model, bounds, [1.0], [1.0])
     elapsed = time.perf_counter() - started
-    err = max(abs(out.x_hat[0] - 0.5), abs(out.sigma_hat - 0.5))
+    err = max(abs(out.outputs["x_hat"][0] - 0.5), abs(out.radius - 0.5))
     ok = err <= 1e-12 and elapsed < 1.0
     _verdict(
         "criterion 1 scalar ground truth",
         ok,
-        f"x_hat={out.x_hat[0]:.15f} sigma_hat={out.sigma_hat:.15f} "
+        f"x_hat={out.outputs['x_hat'][0]:.15f} radius={out.radius:.15f} "
         f"err={err:.2e} (tol 1e-12), {elapsed:.3f}s (< 1 s)",
     )
 
@@ -92,8 +92,8 @@ def test_criterion_2_filter_matches_variational():
             filt = filter_run(dae, bounds, y_seq, ell)
         except (InconsistentData, NumericalBreakdown):
             continue
-        diff = abs(filt.estimate_value - var.estimate_value)
-        bound = 1e-8 * (1.0 + abs(var.estimate_value))
+        diff = abs(filt.estimate - var.estimate)
+        bound = 1e-8 * (1.0 + abs(var.estimate))
         worst = max(worst, diff / bound)
         assert diff <= bound, f"instance {done}: diff {diff:.3e} > {bound:.3e}"
         done += 1
@@ -131,17 +131,17 @@ def _criterion_3(name, readout):
             est = aposteriori_estimate(model, bounds, ell, y)
         except InconsistentData:
             continue
-        if not est.feasible or est.sigma_hat <= 1e-6:
+        if not est.feasible or est.radius <= 1e-6:
             continue
         if readout:
             samples = sample_reachability(
                 model, bounds, y, 100_000, seed=done, readout=ell[None, :]
             )
-            check = chebyshev_check(samples, [1.0], est.estimate_value, est.sigma_hat)
+            check = chebyshev_check(samples, [1.0], est.estimate, est.radius)
         else:
             samples = sample_reachability(model, bounds, y, 100_000, seed=done)
-            check = chebyshev_check(samples, ell, est.estimate_value, est.sigma_hat)
-        attained = check.max_abs_deviation / est.sigma_hat
+            check = chebyshev_check(samples, ell, est.estimate, est.radius)
+        attained = check.max_abs_deviation / est.radius
         worst_attained = min(worst_attained, attained)
         assert check.violation_count == 0, (
             f"instance {done}: {check.violation_count} violations"
@@ -224,13 +224,13 @@ def test_criterion_5_riccati_fixed_point():
     grid = TimeGrid(0.0, 1.0, 1000)
     out = riccati_filter(system, bounds, [1.0], np.zeros((1001, 1)), grid)
     gain_err = float(np.max(np.abs(out.K_nodes - 1.0)))
-    sigma_err = abs(out.sigma_hat - 1.0)
+    sigma_err = abs(out.worst_case_mse - 1.0)
     ok = gain_err <= 1e-6 and sigma_err <= 1e-5
     _verdict(
         "criterion 5 gain fixed point",
         ok,
         f"max |K(t) - 1| = {gain_err:.2e} (tol 1e-6) over [0, 1] at "
-        f"step 1e-3, |sigma_hat - 1| = {sigma_err:.2e} (tol 1e-5)",
+        f"step 1e-3, |worst_case_mse - 1| = {sigma_err:.2e} (tol 1e-5)",
     )
 
 
@@ -248,7 +248,7 @@ def test_criterion_6_first_order_grid_convergence():
     sigmas = [
         apriori_estimate_continuous(
             system, bounds, ell, TimeGrid(0.0, 1.0, steps)
-        ).sigma_hat
+        ).worst_case_mse
         for steps in (32, 64, 128)
     ]
     elapsed = time.perf_counter() - started
@@ -278,7 +278,7 @@ def test_criterion_7_tikhonov_convergence_diagnostic():
     reg = tikhonov_approximate(system, bounds, ell, grid, alphas)
     exact = apriori_estimate_continuous(system, bounds, ell, grid)
     h = grid.h
-    u_exact = exact.u_hat_samples
+    u_exact = exact.outputs["u_hat_samples"]
     u_norm = float(np.sqrt(h * np.sum(u_exact**2)))
     final = float(np.sqrt(h * np.sum((reg.u_samples_seq[-1] - u_exact) ** 2)))
     rel = final / u_norm
@@ -323,8 +323,8 @@ def test_criterion_8_center_oracle_agreement():
             continue
         est = aposteriori_estimate(model, bounds, np.zeros(n), y)
         rel = float(
-            np.linalg.norm(center - est.x_hat)
-            / (1.0 + np.linalg.norm(est.x_hat))
+            np.linalg.norm(center - est.outputs["x_hat"])
+            / (1.0 + np.linalg.norm(est.outputs["x_hat"]))
         )
         worst = max(worst, rel)
         assert rel <= 1e-8, f"instance {done}: relative gap {rel:.3e}"
@@ -356,14 +356,14 @@ def test_criterion_9_scaling_law():
         if norm < 1e-9:
             continue
         base = apriori_estimate(model, bounds, ell)
-        if base.sigma_hat <= 1e-9 * norm**2:
+        if base.worst_case_mse <= 1e-9 * norm**2:
             # worst-case error is rounding dust here: the functional is
             # determined exactly, so no relative comparison is possible
             continue
         for alpha in (0.5, 2.0, 10.0):
             scaled = apriori_estimate(model, bounds, alpha * ell)
-            expected = alpha**2 * base.sigma_hat
-            rel = abs(scaled.sigma_hat - expected) / expected
+            expected = alpha**2 * base.worst_case_mse
+            rel = abs(scaled.worst_case_mse - expected) / expected
             worst = max(worst, rel)
             assert rel <= 1e-10, f"instance {done}, alpha={alpha}: rel {rel:.3e}"
         done += 1

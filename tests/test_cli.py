@@ -31,6 +31,7 @@ from descriptor_minimax.config import (
     KINDS,
     MODES,
     ResultReport,
+    estimate_report,
     parse_config,
     read_trajectory_csv,
     write_trajectory_csv,
@@ -758,6 +759,66 @@ def test_every_command_gives_the_same_verdict(tmp_path, capsys, name):
                 assert report["sigma_hat"] == "infinite"
 
 
+def _one_meaning_cases():
+    """(command, document, observation rows) for each estimator the CLI
+    runs: the five estimate kind/mode pairs, filter, riccati and validate,
+    each on a finite document and, under "-infinite", on one whose
+    functional has an infinite radius. filter has no infinite verdict (a
+    chain it cannot pin down is an error), so it has the finite one only."""
+    docs = _verdict_docs()
+    blind_chain = dict(docs["g"][0], estimation={"mode": "aposteriori", "ell_seq": [[0.0], [1.0]]})
+    nodes = np.full((continuous_doc()["grid"]["steps"] + 1, 1), 0.1)
+    return {
+        "estimate-static-apriori": ("estimate", scalar_doc("apriori"), [[1.0]]),
+        "estimate-static-apriori-infinite": ("estimate", *docs["f"][:2]),
+        "estimate-static-aposteriori": ("estimate", scalar_doc(), [[1.0]]),
+        "estimate-static-aposteriori-infinite": ("estimate", *docs["a"][:2]),
+        "estimate-chain-apriori": ("estimate", chain_doc("apriori"), [[1.0], [1.0]]),
+        "estimate-chain-apriori-infinite": ("estimate", *docs["g"][:2]),
+        "estimate-chain-aposteriori": ("estimate", chain_doc(), [[1.0], [1.0]]),
+        "estimate-chain-aposteriori-infinite": ("estimate", blind_chain, [[0.5], [0.5]]),
+        "estimate-continuous-apriori": ("estimate", continuous_doc(), nodes),
+        "estimate-continuous-apriori-infinite": ("estimate", *docs["h"][:2]),
+        "filter": ("filter", chain_doc("filter"), [[1.0], [1.0]]),
+        "riccati": ("riccati", continuous_doc("riccati"), nodes),
+        "riccati-infinite": ("riccati", *docs["d"][:2]),
+        "validate": ("validate", scalar_doc(), [[1.0]]),
+        "validate-infinite": ("validate", *docs["a"][:2]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_one_meaning_cases()))
+def test_an_estimate_has_one_meaning_of_radius(tmp_path, capsys, monkeypatch, case):
+    # radius is always the half-width, and worst_case_mse, where an
+    # estimator sets it, its square. The report's sigma_hat is the
+    # mean-squared error in the a priori modes and on riccati, and the
+    # radius otherwise.
+    from descriptor_minimax import cli
+
+    command, doc, rows = _one_meaning_cases()[case]
+    built = []
+
+    def recorded(name, result, diagnostics):
+        built.append(result)
+        return estimate_report(name, result, diagnostics)
+
+    monkeypatch.setattr(cli, "estimate_report", recorded)
+    argv = [command, "--config", write_doc(tmp_path, doc)]
+    argv += ["--observations", write_obs(tmp_path, rows)]
+    argv += ["--samples", "100"] if command == "validate" else []
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    (result,) = built
+    assert result.feasible is not case.endswith("-infinite")
+    assert code == (EXIT_OK if result.feasible else EXIT_INFEASIBLE)
+    squared = doc["estimation"]["mode"] == "apriori" or command == "riccati"
+    assert (result.worst_case_mse is not None) is squared
+    if squared:
+        assert result.radius == math.sqrt(result.worst_case_mse)
+    expected = result.worst_case_mse if squared else result.radius
+    assert report["sigma_hat"] == (expected if math.isfinite(expected) else "infinite")
+
+
 def test_validate_breaks_on_a_radius_the_oracle_beats(tmp_path, capsys, monkeypatch):
     from descriptor_minimax import cli
 
@@ -765,7 +826,7 @@ def test_validate_breaks_on_a_radius_the_oracle_beats(tmp_path, capsys, monkeypa
 
     def halved(*args):
         rep = real(*args)
-        return dataclasses.replace(rep, sigma_hat=rep.sigma_hat / 2)
+        return dataclasses.replace(rep, radius=rep.radius / 2)
 
     monkeypatch.setattr(cli, "aposteriori_estimate", halved)
     argv = ["validate", "--config", write_doc(tmp_path, scalar_doc())]

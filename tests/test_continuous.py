@@ -283,8 +283,8 @@ def test_scalar_sigma_matches_frozen_and_analytic():
         system, bounds, ell_one, TimeGrid(0.0, 1.0, 1000)
     )
     assert out.feasible
-    assert out.sigma_hat == pytest.approx(SIGMA_H_MILLI, rel=1e-12)
-    assert out.sigma_hat == pytest.approx(SIGMA_EXACT, abs=1e-3)
+    assert out.worst_case_mse == pytest.approx(SIGMA_H_MILLI, rel=1e-12)
+    assert out.worst_case_mse == pytest.approx(SIGMA_EXACT, abs=1e-3)
 
 
 def test_scalar_paths_agree():
@@ -292,8 +292,9 @@ def test_scalar_paths_agree():
     grid = TimeGrid(0.0, 1.0, 64)
     a = apriori_estimate_continuous(system, bounds, ell_one, grid)
     b = apriori_estimate_continuous(system, bounds, ell_one, grid, method="bvp")
-    assert a.sigma_hat == pytest.approx(b.sigma_hat, rel=1e-10)
-    assert np.max(np.abs(a.u_hat_samples - b.u_hat_samples)) <= 1e-10
+    assert a.worst_case_mse == pytest.approx(b.worst_case_mse, rel=1e-10)
+    u_a, u_b = a.outputs["u_hat_samples"], b.outputs["u_hat_samples"]
+    assert np.max(np.abs(u_a - u_b)) <= 1e-10
     # both give the infinite verdict on x2, which no equation or
     # observation reaches
     system = ContinuousDAE(
@@ -303,7 +304,7 @@ def test_scalar_paths_agree():
     for method in ("flattened", "bvp"):
         out = apriori_estimate_continuous(system, bounds, [0.0, 1.0], grid, method=method)
         assert not out.feasible
-        assert out.sigma_hat == np.inf
+        assert out.worst_case_mse == np.inf
         assert out.solver["path"] == "dense"
 
 
@@ -332,10 +333,9 @@ def test_paths_agree_on_random_regular_systems():
         a = apriori_estimate_continuous(system, bounds, ell, grid)
         b = apriori_estimate_continuous(system, bounds, ell, grid, method="bvp")
         assert a.feasible and b.feasible
-        assert abs(a.sigma_hat - b.sigma_hat) <= 1e-8 * (1.0 + a.sigma_hat)
-        assert np.max(np.abs(a.u_hat_samples - b.u_hat_samples)) <= 1e-8 * (
-            1.0 + np.max(np.abs(a.u_hat_samples))
-        )
+        assert abs(a.worst_case_mse - b.worst_case_mse) <= 1e-8 * (1.0 + a.worst_case_mse)
+        u_a, u_b = a.outputs["u_hat_samples"], b.outputs["u_hat_samples"]
+        assert np.max(np.abs(u_a - u_b)) <= 1e-8 * (1.0 + np.max(np.abs(u_a)))
 
 
 def test_estimate_against_observations():
@@ -345,8 +345,8 @@ def test_estimate_against_observations():
     out = apriori_estimate_continuous(system, bounds, ell_one, grid, y_samples=y)
     # readout of y = 1 is the integral of u_hat, and the weights integrate
     # to roughly the same mass the exact solution carries
-    quadrature = float(np.sum(grid.h * out.u_hat_samples[:, 0]))
-    assert out.estimate_value == pytest.approx(quadrature, rel=1e-12)
+    quadrature = float(np.sum(grid.h * out.outputs["u_hat_samples"][:, 0]))
+    assert out.estimate == pytest.approx(quadrature, rel=1e-12)
 
 
 def test_grid_convergence_first_order():
@@ -356,7 +356,7 @@ def test_grid_convergence_first_order():
         out = apriori_estimate_continuous(
             system, bounds, ell_one, TimeGrid(0.0, 1.0, steps)
         )
-        sigmas[steps] = out.sigma_hat
+        sigmas[steps] = out.worst_case_mse
     ratio = (sigmas[32] - sigmas[64]) / (sigmas[64] - sigmas[128])
     assert 1.5 <= ratio <= 2.5
 
@@ -372,7 +372,7 @@ def test_tikhonov_converges_on_representable_functional():
     reg = tikhonov_approximate(system, bounds, ell_one, grid, alphas)
     exact = apriori_estimate_continuous(system, bounds, ell_one, grid)
     h = grid.h
-    u_exact = exact.u_hat_samples
+    u_exact = exact.outputs["u_hat_samples"]
     norms = [
         np.sqrt(h * np.sum((u - u_exact) ** 2)) for u in reg.u_samples_seq
     ]
@@ -411,8 +411,10 @@ def test_banded_and_dense_fallback_agree(monkeypatch):
     dense = apriori_estimate_continuous(system, bounds, ell_one, grid)
     reg_dense = tikhonov_approximate(system, bounds, ell_one, grid, alphas)
     assert banded.solver["path"] == "banded" and dense.solver["path"] == "dense"
-    assert banded.sigma_hat == pytest.approx(dense.sigma_hat, rel=1e-10)
-    assert banded.u_hat_samples == pytest.approx(dense.u_hat_samples, abs=1e-10)
+    assert banded.worst_case_mse == pytest.approx(dense.worst_case_mse, rel=1e-10)
+    assert banded.outputs["u_hat_samples"] == pytest.approx(
+        dense.outputs["u_hat_samples"], abs=1e-10
+    )
     for u_b, u_d in zip(reg_banded.u_samples_seq, reg_dense.u_samples_seq):
         assert u_b == pytest.approx(u_d, abs=1e-10)
     assert reg_banded.residual_seq == pytest.approx(reg_dense.residual_seq, abs=1e-10)
@@ -550,8 +552,8 @@ def test_riccati_scalar_fixed_point():
     y = np.zeros((1001, 1))
     out = riccati_filter(system, bounds, [1.0], y, grid)
     assert np.max(np.abs(out.K_nodes - 1.0)) <= 1e-12
-    assert out.sigma_hat == pytest.approx(1.0, abs=1e-12)
-    assert out.estimate_value == pytest.approx(0.0, abs=1e-12)
+    assert out.worst_case_mse == pytest.approx(1.0, abs=1e-12)
+    assert out.estimate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_riccati_tanh_closed_form():
@@ -563,7 +565,7 @@ def test_riccati_tanh_closed_form():
     y = np.zeros((1001, 1))
     out = riccati_filter(system, bounds, [1.0], y, grid)
     exact = np.tanh(1.0 + np.arctanh(0.25))
-    assert out.K_final[0, 0] == pytest.approx(exact, abs=1e-6)
+    assert out.outputs["K_final"][0, 0] == pytest.approx(exact, abs=1e-6)
     nodes = grid.nodes()
     exact_path = np.tanh(nodes + np.arctanh(0.25))
     assert np.max(np.abs(out.K_nodes[:, 0, 0] - exact_path)) <= 1e-3
@@ -573,8 +575,8 @@ def test_riccati_zero_functional_zero_radius():
     system, bounds = scalar_system()
     grid = TimeGrid(0.0, 1.0, 100)
     out = riccati_filter(system, bounds, [0.0], np.zeros((101, 1)), grid)
-    assert out.sigma_hat == pytest.approx(0.0, abs=1e-15)
-    assert out.estimate_value == pytest.approx(0.0, abs=1e-15)
+    assert out.worst_case_mse == pytest.approx(0.0, abs=1e-15)
+    assert out.estimate == pytest.approx(0.0, abs=1e-15)
 
 
 def test_riccati_nonrepresentable_endpoint():
@@ -584,8 +586,8 @@ def test_riccati_nonrepresentable_endpoint():
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
     grid = TimeGrid(0.0, 1.0, 10)
     out = riccati_filter(system, bounds, [1.0], np.zeros((11, 1)), grid)
-    assert out.feasible is False and out.sigma_hat == np.inf
-    assert (out.estimate_value, out.K_final, out.x_hat_final, out.K_nodes) == (None,) * 4
+    assert out.feasible is False and out.worst_case_mse == np.inf
+    assert (out.estimate, out.outputs, out.K_nodes) == (None, {}, None)
     assert out.solver == {"max_gain_norm": None, "gain_norm_cap": continuous.RICCATI_NORM_CAP}
     # the weights are checked first: a bad Q1 raises whatever ell_0 is
     bad = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[-1.0]], Q2=[[1.0]])
@@ -649,8 +651,8 @@ def test_riccati_consistent_with_discretized_filter():
         ric = riccati_filter(system, bounds, [1.0], y, grid)
         dae, dbounds = discretize(system, bounds, grid)
         run = filter_run(dae, dbounds, list(y), np.ones(1))
-        filt_sq = float(run.final.P[0, 0])
-        diff = abs(filt_sq - ric.sigma_hat)
+        filt_sq = float(run.outputs["P_final"][0, 0])
+        diff = abs(filt_sq - ric.worst_case_mse)
         assert diff <= 5.0 * grid.h
         diffs.append(diff)
     assert diffs[0] > diffs[1] > diffs[2]
@@ -669,10 +671,10 @@ def test_fine_grid_filter_matches_the_one_shot(steps):
     assert run.solver["path"] == "recursive"
     ell_seq = np.zeros((steps + 1, 1))
     ell_seq[-1] = 1.0
-    center = variational_estimate(dae, dbounds, ell_seq, y).estimate_value
-    squared = discrete.apriori_horizon_estimate(dae, dbounds, ell_seq).sigma_hat
-    assert run.estimate_value == pytest.approx(center, abs=1e-10)
-    assert run.sigma_hat**2 == pytest.approx(squared, abs=1e-10)
+    center = variational_estimate(dae, dbounds, ell_seq, y).estimate
+    squared = discrete.apriori_horizon_estimate(dae, dbounds, ell_seq).worst_case_mse
+    assert run.estimate == pytest.approx(center, abs=1e-10)
+    assert run.radius**2 == pytest.approx(squared, abs=1e-10)
 
 
 def test_riccati_estimate_reads_data():
@@ -688,8 +690,8 @@ def test_riccati_estimate_reads_data():
     n = 1
     ell_seq = [np.zeros(n) for _ in range(steps)] + [np.ones(n)]
     var = variational_estimate(dae, dbounds, ell_seq, list(y))
-    assert ric.estimate_value == pytest.approx(
-        var.estimate_value, abs=20.0 * grid.h
+    assert ric.estimate == pytest.approx(
+        var.estimate, abs=20.0 * grid.h
     )
 
 
@@ -792,8 +794,8 @@ def test_riccati_with_table_and_polynomial_coefficients_matches_reference(singul
     gains, sigma, estimate = _reference_riccati(system, bounds, ell0, y, grid)
     out = riccati_filter(system, bounds, ell0, y, grid)
     assert out.K_nodes == pytest.approx(gains, rel=1e-12, abs=1e-12 * np.abs(gains).max())
-    assert out.sigma_hat == pytest.approx(sigma, rel=1e-12)
-    assert out.estimate_value == pytest.approx(estimate, rel=1e-12, abs=1e-14)
+    assert out.worst_case_mse == pytest.approx(sigma, rel=1e-12)
+    assert out.estimate == pytest.approx(estimate, rel=1e-12, abs=1e-14)
 
 
 def test_riccati_checks_each_used_table_value():
@@ -873,8 +875,8 @@ def test_riccati_matches_the_per_step_oracle_on_random_problems(seed):
     gains, sigma, estimate = _reference_riccati(system, bounds, ell0, y, grid)
     out = riccati_filter(system, bounds, ell0, y, grid)
     assert out.K_nodes == pytest.approx(gains, rel=1e-12, abs=1e-12 * np.abs(gains).max())
-    assert out.sigma_hat == pytest.approx(sigma, rel=1e-12)
-    assert out.estimate_value == pytest.approx(estimate, rel=1e-12)
+    assert out.worst_case_mse == pytest.approx(sigma, rel=1e-12)
+    assert out.estimate == pytest.approx(estimate, rel=1e-12)
     assert out.solver["max_gain_norm"] == pytest.approx(
         np.linalg.norm(gains[1:], 2, axis=(1, 2)).max(), rel=1e-12
     )

@@ -56,9 +56,9 @@ def test_chain_frozen_values_variational():
         dae, bounds, [np.zeros(1), np.ones(1)], [np.ones(1), np.ones(1)]
     )
     assert out.feasible
-    assert out.estimate_value == pytest.approx(0.8, abs=1e-12)
-    assert out.sigma_hat == pytest.approx(SQRT024, abs=1e-12)
-    assert np.asarray(out.x_hat_seq) == pytest.approx(
+    assert out.estimate == pytest.approx(0.8, abs=1e-12)
+    assert out.radius == pytest.approx(SQRT024, abs=1e-12)
+    assert np.asarray(out.outputs["x_hat_seq"]) == pytest.approx(
         np.array([[0.6], [0.8]]), abs=1e-12
     )
 
@@ -70,8 +70,8 @@ def test_chain_frozen_values_banded_path():
     )
     assert out.solver["path"] == "banded"
     assert out.feasible
-    assert out.estimate_value == pytest.approx(0.8, abs=1e-12)
-    assert out.sigma_hat == pytest.approx(SQRT024, abs=1e-12)
+    assert out.estimate == pytest.approx(0.8, abs=1e-12)
+    assert out.radius == pytest.approx(SQRT024, abs=1e-12)
 
 
 def _dense_reference(dae, bounds, ell_seq, y_seq):
@@ -104,16 +104,17 @@ def _compare_with_dense(dae, bounds, ell_seq, y_seq):
         assert banded == dense
         return dense, None
     assert banded.feasible == dense.feasible
-    scale = 1.0 + abs(dense.estimate_value)
-    assert abs(banded.estimate_value - dense.estimate_value) <= 1e-9 * scale
-    gap = np.max(np.abs(np.asarray(banded.x_hat_seq).reshape(-1) - dense.x_hat))
-    assert gap <= 1e-9 * (1.0 + np.max(np.abs(dense.x_hat)))
+    scale = 1.0 + abs(dense.estimate)
+    assert abs(banded.estimate - dense.estimate) <= 1e-9 * scale
+    x_hat = dense.outputs["x_hat"]
+    gap = np.max(np.abs(np.asarray(banded.outputs["x_hat_seq"]).reshape(-1) - x_hat))
+    assert gap <= 1e-9 * (1.0 + np.max(np.abs(x_hat)))
     if not dense.feasible:
         return "infinite", banded.solver["path"]
     # compare squared radii: sigma is a square root, so roundoff near a
     # genuinely zero radius would otherwise blow up to sqrt(eps)
-    assert abs(banded.sigma_hat**2 - dense.sigma_hat**2) <= 1e-9 * (
-        1.0 + dense.sigma_hat**2
+    assert abs(banded.radius**2 - dense.radius**2) <= 1e-9 * (
+        1.0 + dense.radius**2
     )
     return "finite", banded.solver["path"]
 
@@ -270,7 +271,7 @@ def test_regular_chain_makes_no_dense_solve(monkeypatch):
     y_seq = [rng.standard_normal(2) * 0.02 for _ in range(N + 1)]
     out = variational_estimate(dae, bounds, ell_seq, y_seq)
     assert out.solver["path"] == "banded"
-    assert out.feasible and np.isfinite(out.sigma_hat)
+    assert out.feasible and np.isfinite(out.radius)
     assert calls == {"lstsq": 0, "factor": 1}
 
 
@@ -297,14 +298,14 @@ def test_size_check_catches_a_low_condition_estimate(monkeypatch):
         assert solver["rcond_estimate"] >= solver["rcond_floor"]
         assert solver["path"] == "dense"
     dense = _dense_reference(dae, bounds, ell_seq, y_seq)
-    assert np.array_equal(out.x_hat_seq.reshape(-1), dense.x_hat)
-    assert np.array_equal(out.p_seq.reshape(-1), dense.p)
-    assert (out.sigma_hat, out.estimate_value) == (dense.sigma_hat, dense.estimate_value)
+    assert np.array_equal(out.outputs["x_hat_seq"].reshape(-1), dense.outputs["x_hat"])
+    assert np.array_equal(out.p.reshape(-1), dense.p)
+    assert (out.radius, out.estimate) == (dense.radius, dense.estimate)
     dense_prior = static_apriori(
         flatten(dae), flatten_bounds(dae, bounds), stack_functional(dae, ell_seq)
     )
-    assert np.array_equal(prior.p_seq.reshape(-1), dense_prior.p)
-    assert prior.sigma_hat == dense_prior.sigma_hat
+    assert np.array_equal(prior.p.reshape(-1), dense_prior.p)
+    assert prior.worst_case_mse == dense_prior.worst_case_mse
 
 
 def test_long_horizon_allocates_linear_memory():
@@ -371,7 +372,7 @@ def test_ordinary_difference_equation_reduction():
         ell_seq = [rng.standard_normal(n) for _ in range(N + 1)]
         out = variational_estimate(dae, bounds, ell_seq, y_seq)
         expected = _normal_equations_trajectory(dae, bounds, y_seq)
-        assert np.asarray(out.x_hat_seq) == pytest.approx(expected, abs=1e-8)
+        assert np.asarray(out.outputs["x_hat_seq"]) == pytest.approx(expected, abs=1e-8)
 
 
 def test_zero_horizon_reduces_to_static():
@@ -386,8 +387,8 @@ def test_zero_horizon_reduces_to_static():
     flat_bounds = flatten_bounds(dae, bounds)
     direct = aposteriori_estimate(model, flat_bounds, ell, y)
     traj = variational_estimate(dae, bounds, [ell], [y])
-    assert traj.estimate_value == pytest.approx(direct.estimate_value, abs=1e-10)
-    assert traj.sigma_hat == pytest.approx(direct.sigma_hat, abs=1e-10)
+    assert traj.estimate == pytest.approx(direct.estimate, abs=1e-10)
+    assert traj.radius == pytest.approx(direct.radius, abs=1e-10)
 
 
 def test_stacking_helpers():
@@ -502,8 +503,8 @@ def test_nonrepresentable_horizon_functional():
         dae, bounds, [np.zeros(1), np.ones(1)], [np.zeros(1), np.zeros(1)]
     )
     assert not out.feasible
-    assert out.sigma_hat == np.inf
+    assert out.radius == np.inf
     prior = apriori_horizon_estimate(dae, bounds, [np.zeros(1), np.ones(1)])
     assert not prior.feasible
-    assert prior.sigma_hat == np.inf
+    assert prior.worst_case_mse == np.inf
     assert prior.solver["path"] == "dense"

@@ -83,7 +83,7 @@ def test_scalar_deviation_attains_radius():
     model, bounds = scalar_static()
     out = aposteriori_estimate(model, bounds, [1.0], [1.0])
     samples = sample_reachability(model, bounds, [1.0], 2000, seed=0)
-    report = chebyshev_check(samples, [1.0], out.estimate_value, out.sigma_hat)
+    report = chebyshev_check(samples, [1.0], out.estimate, out.radius)
     assert report.violation_count == 0
     assert report.samples_checked == 2000
     assert report.max_abs_deviation == pytest.approx(0.5, abs=1e-6)
@@ -104,7 +104,7 @@ def test_no_violations_across_random_instances():
         samples = sample_reachability(model, bounds, y, 400, seed=done)
         if len(samples) == 0:
             continue
-        report = chebyshev_check(samples, ell, out.estimate_value, out.sigma_hat)
+        report = chebyshev_check(samples, ell, out.estimate, out.radius)
         assert report.violation_count == 0
         done += 1
 
@@ -202,7 +202,7 @@ def _readout_inside_the_set(model, bounds, y, L, values, directions):
     functional's a posteriori radius of its estimate."""
     for d in directions:
         est = aposteriori_estimate(model, bounds, L.T @ d, y)
-        check = chebyshev_check(values, d, est.estimate_value, est.sigma_hat)
+        check = chebyshev_check(values, d, est.estimate, est.radius)
         assert check.violation_count == 0
 
 
@@ -337,7 +337,7 @@ def test_quadratic_center_oracle_matches_center():
         except SingularNormalEquations:
             continue
         out = aposteriori_estimate(model, bounds, np.zeros(n), y)
-        assert np.linalg.norm(center - out.x_hat) <= 1e-8 * (
+        assert np.linalg.norm(center - out.outputs["x_hat"]) <= 1e-8 * (
             1.0 + np.linalg.norm(center)
         )
         done += 1

@@ -37,30 +37,30 @@ def test_scalar_apriori_frozen():
     model, bounds = scalar_static()
     out = apriori_estimate(model, bounds, [1.0])
     assert out.feasible
-    assert out.u_hat == pytest.approx([0.5], abs=1e-12)
-    assert out.sigma_hat == pytest.approx(0.5, abs=1e-12)
+    assert out.outputs["u_hat"] == pytest.approx([0.5], abs=1e-12)
+    assert out.worst_case_mse == pytest.approx(0.5, abs=1e-12)
 
 
 def test_scalar_apriori_with_data():
     model, bounds = scalar_static()
     out = apriori_estimate(model, bounds, [1.0], y=[1.0])
-    assert out.estimate_value == pytest.approx(0.5, abs=1e-12)
+    assert out.estimate == pytest.approx(0.5, abs=1e-12)
 
 
 def test_scalar_aposteriori_frozen():
     model, bounds = scalar_static()
     out = aposteriori_estimate(model, bounds, [1.0], [1.0])
     assert out.feasible
-    assert out.x_hat == pytest.approx([0.5], abs=1e-12)
-    assert out.estimate_value == pytest.approx(0.5, abs=1e-12)
-    assert out.sigma_hat == pytest.approx(0.5, abs=1e-12)
+    assert out.outputs["x_hat"] == pytest.approx([0.5], abs=1e-12)
+    assert out.estimate == pytest.approx(0.5, abs=1e-12)
+    assert out.radius == pytest.approx(0.5, abs=1e-12)
 
 
 def test_scalar_aposteriori_zero_data():
     model, bounds = scalar_static()
     out = aposteriori_estimate(model, bounds, [1.0], [0.0])
-    assert out.x_hat == pytest.approx([0.0], abs=1e-12)
-    assert out.sigma_hat == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
+    assert out.outputs["x_hat"] == pytest.approx([0.0], abs=1e-12)
+    assert out.radius == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
 
 
 def test_scalar_worst_case_frozen():
@@ -100,10 +100,10 @@ def test_optimality_of_minimax_weight():
         out = apriori_estimate(model, bounds, ell)
         if not out.feasible:
             continue
-        base = worst_case_error_of(model, bounds, ell, out.u_hat)
-        assert base == pytest.approx(out.sigma_hat, rel=1e-8, abs=1e-10)
+        base = worst_case_error_of(model, bounds, ell, out.outputs["u_hat"])
+        assert base == pytest.approx(out.worst_case_mse, rel=1e-8, abs=1e-10)
         for _ in range(40):
-            du = out.u_hat + rng.standard_normal(l) * rng.choice([1e-4, 0.1, 1.0])
+            du = out.outputs["u_hat"] + rng.standard_normal(l) * rng.choice([1e-4, 0.1, 1.0])
             dc = float(rng.standard_normal() * 0.1)
             trial = worst_case_error_of(model, bounds, ell, du, dc)
             assert trial >= base - 1e-8
@@ -123,10 +123,12 @@ def test_apriori_scaling_law(seed, alpha):
     if not base.feasible:
         assert not scaled.feasible
         return
-    assert scaled.sigma_hat == pytest.approx(
-        alpha**2 * base.sigma_hat, rel=1e-10, abs=1e-12
+    assert scaled.worst_case_mse == pytest.approx(
+        alpha**2 * base.worst_case_mse, rel=1e-10, abs=1e-12
     )
-    assert scaled.u_hat == pytest.approx(alpha * base.u_hat, rel=1e-9, abs=1e-10)
+    assert scaled.outputs["u_hat"] == pytest.approx(
+        alpha * base.outputs["u_hat"], rel=1e-9, abs=1e-10
+    )
 
 
 def test_duality_identity():
@@ -143,7 +145,7 @@ def test_duality_identity():
         out = aposteriori_estimate(model, bounds, ell, y)
         if not out.feasible:
             continue
-        lhs = float(ell @ out.x_hat)
+        lhs = float(ell @ out.outputs["x_hat"])
         rhs = float((bounds.Q2 @ model.H @ out.p) @ y)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
         done += 1
@@ -172,14 +174,17 @@ def test_estimate_independent_of_dual_solution():
         assert null_count >= 1
         kernel = vt[len(s) - null_count :].T
         rhs = np.concatenate([np.zeros(m), ell])
-        base = np.concatenate([out.p, out.z_hat])
+        # the dual part of the base solution from the saddle's own
+        # equations given p: [-G; F'] z = [0; ell] - [F; H'Q2H] p
+        z = np.linalg.lstsq(A[:, n:], rhs - A[:, :n] @ out.p, rcond=None)[0]
+        base = np.concatenate([out.p, z])
         for _ in range(5):
             other = base + kernel @ rng.standard_normal(kernel.shape[1])
             assert np.linalg.norm(A @ other - rhs) <= 1e-8 * (1 + np.linalg.norm(rhs))
             p_other = other[:n]
             u_other = bounds.Q2 @ model.H @ p_other
-            assert u_other == pytest.approx(out.u_hat, abs=1e-7)
-            assert float(ell @ p_other) == pytest.approx(out.sigma_hat, abs=1e-7)
+            assert u_other == pytest.approx(out.outputs["u_hat"], abs=1e-7)
+            assert float(ell @ p_other) == pytest.approx(out.worst_case_mse, abs=1e-7)
 
 
 def test_inconsistent_data_raises():
@@ -194,15 +199,15 @@ def test_nonrepresentable_is_flagged_not_raised():
     assert not representable(model, [0.0, 1.0])
     out = aposteriori_estimate(model, bounds, [0.0, 1.0], [0.5])
     assert not out.feasible
-    assert out.sigma_hat == np.inf
+    assert out.radius == np.inf
     # the center is still the data-consistent point even when the radius
     # in this direction is infinite
-    assert out.x_hat is not None
+    assert "x_hat" in out.outputs
     # the readout chosen before data gets the same verdict
     prior = apriori_estimate(model, bounds, [0.0, 1.0], y=[0.5])
     assert not prior.feasible
-    assert prior.sigma_hat == np.inf
-    assert prior.u_hat is None
+    assert prior.worst_case_mse == np.inf
+    assert "u_hat" not in prior.outputs
 
 
 def test_aposteriori_assembles_and_solves_once(monkeypatch):
@@ -227,7 +232,7 @@ def test_aposteriori_assembles_and_solves_once(monkeypatch):
     monkeypatch.setattr(linalg_mod, "solve_least_squares", counted_solve)
     model, bounds = scalar_static()
     out = aposteriori_estimate(model, bounds, [1.0], [1.0])
-    assert out.feasible and out.sigma_hat == pytest.approx(0.5)
+    assert out.feasible and out.radius == pytest.approx(0.5)
     assert calls == {"assemble": 1, "solve": 2}
 
 
