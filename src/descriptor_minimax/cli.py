@@ -4,7 +4,8 @@ Commands::
 
     estimate   a priori or a posteriori estimation per the config mode
     filter     recursive filter over a discrete (or discretized) horizon
-    riccati    continuous endpoint filter via the descriptor Riccati flow
+    riccati    continuous endpoint filter: the chain filter on the grid and
+               on every other node, extrapolated
     tikhonov   regularized approximation sweep with residual diagnostics
     simulate   draw an admissible disturbance, write trajectory CSVs
     validate   re-derive a produced estimate with the sampling oracle

@@ -10,9 +10,9 @@ observed through y(t) = H(t) x(t) + g(t), with the joint bound
     (Q0 x0g, x0g) + int (Q1(t) f, f) dt + int (Q2(t) g, g) dt <= 1.
 
 Everything is computed by implicit-Euler time discretization onto the
-discrete-horizon machinery of :mod:`.discrete`: first order, but valid
-for singular F since the step matrix F - h C(t) is generically regular.
-Four entry points:
+discrete-horizon machinery of :mod:`.discrete` and :mod:`.filtering`:
+first order, but valid for singular F since the step matrix F - h C(t)
+is generically regular. Four entry points:
 
 * ``discretize``           the implicit-Euler reduction itself,
 * ``apriori_estimate_continuous``  worst-case optimal readout of the
@@ -25,24 +25,24 @@ Four entry points:
   The penalty alpha int (x, x) dt is one more observation of the whole
   state, of value zero and weight alpha, so each alpha is the same a
   priori estimate on the chain with that observation appended,
-* ``riccati_filter``       forward integration of the descriptor Riccati
-  equation for endpoint functionals (ell_0, x(t_end)).
+* ``riccati_filter``       the endpoint functional (ell_0, x(t_end)): the
+  chain filter on the grid and on every other node, combined by one
+  Richardson step into a second-order answer. It keeps every row of the
+  chain, the algebraic states of a singular F included.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .discrete import (
     DAEEllipsoid,
     DiscreteDAE,
     apriori_horizon_estimate,
-    observation_information,
 )
 from .errors import (
     InvalidGrid,
@@ -58,16 +58,17 @@ from .linalg import (
     _distinct,
     as_matrix,
     per_entry,
-    pseudo_inverse,
     range_membership,
     require_spd,
     sized_vector,
     solve_least_squares,
     spd_inverse,
     spd_stack_error,
+    svd_subspaces,
     symmetrize,
     vector_stack,
 )
+from .filtering import filter_run
 from .static import Estimate, solver_record
 
 
@@ -609,13 +610,7 @@ def tikhonov_approximate(
 
 
 # ---------------------------------------------------------------------------
-# Descriptor Riccati filter
-
-
-def _solver_record(max_gain_norm: Optional[float]) -> dict:
-    """The largest spectral norm of the gains after t_start (None when
-    nothing was integrated) and the cap that judged each of them."""
-    return {"max_gain_norm": max_gain_norm, "gain_norm_cap": RICCATI_NORM_CAP}
+# Endpoint filter
 
 
 def riccati_filter(
@@ -625,52 +620,49 @@ def riccati_filter(
     y_samples,
     grid: TimeGrid,
 ) -> Estimate:
-    """Forward filter for the endpoint functional (ell_0, x(t_end)).
+    """Filter for the endpoint functional (ell_0, x(t_end)), extrapolated.
 
-    Integrates the descriptor Riccati equation for the gain K,
+    The continuous minimax filter is the limit of the discrete filter on a
+    refining grid (Jazwinski, *Stochastic Processes and Filtering Theory*,
+    1970). :func:`.filtering.filter_run` runs on the implicit-Euler chain
+    of the grid (step h, M steps) and on the chain of every other node
+    (step 2h, y read at those nodes), and each squared quantity X is
+    combined by one Richardson step, 2 X(h) - X(2h) (Hairer, Norsett &
+    Wanner, *Solving ODEs I*, II.9), which cancels the chains' first-order
+    error. Every row of the chain is kept, so the algebraic states of a
+    singular F enter x's dynamics, y and the cross-weights.
 
-        d/dt (F K) = C K + K'C' - K'H'Q2 H K + Q1^{-1},
-        F K(t_start) = P Q0^{-1} P,   P = F F^+,
+    * The worst-case mean-squared error is 2 ell'P_N(h)ell - ell'P_N(2h)ell,
+      with P_N the filtered covariance of each chain.
+    * ``estimate`` and ``x_hat_final`` are the readout and the center of
+      the M-step chain, not extrapolated: on sampled, rough data an
+      extrapolated center need not be closer.
+    * ``K_nodes[k]`` is the gain at node k, Pi (P^-_k(h) + E_k) Pi, with
+      P^-_k the covariance of x_k before y_k is absorbed (the filtered one
+      would leave the gain twice as far off), E = P^-(h) - P^-(2h) the
+      chains' first-order error at the even nodes and linearly
+      interpolated in between, and Pi = F^+F the projector onto range(F'),
+      which keeps out the kernel block that grows like 1/h. Both chains
+      start on P^-_0 = (F'Q0F)^+, so E at t_start is extrapolated from
+      the next two even nodes: for a singular F whose noise reaches both
+      x and y the error's rate does not vanish there. ``K_final`` is the
+      last node's.
+    * ``solver`` is the M-step chain's filter record with
+      ``extrapolation_gap`` = |X(h) - X(2h)| of the squared radius,
+      ``max_gain_norm`` over ``K_nodes`` and the ``gain_norm_cap``
+      :data:`RICCATI_NORM_CAP`.
 
-    in the variable S = F K, which the symmetric initial value and the
-    Lyapunov-plus-quadratic right-hand side keep symmetric along the
-    flow (K is recovered as the minimum-norm preimage F^+ S). Each step
-    is linearly implicit: the quadratic term is linearized around the
-    current S, leaving a Sylvester equation
-
-        (I - h A_j) S_{j+1} + S_{j+1} (-h A_j') = S_j + h Q1^{-1},
-        A_j = C F^+ - (1/2) S_j F^{+'} H'Q2H F^+   at t_{j+1},
-
-    which preserves stationary points of the flow exactly. It is solved
-    as one n^2 x n^2 linear system, the Kronecker form
-    (I - h (A_j (x) I + I (x) A_j)) vec S_{j+1} = vec(S_j + h Q1^{-1}),
-    by LAPACK's LU solve ``gesv``, and the result symmetrized;
-    C F^+, F^{+'} H'Q2H F^+ and h Q1^{-1} are formed on whole stacks
-    first, so this solve is the one loop. Its cost grows as n^6, so
-    this kernel suits small n (see README, "Stacked models and the
-    prepared filter").
-    The center x_hat follows d/dt(F x_hat) = C x_hat + K'H'Q2 (y - H
-    x_hat) with F x_hat(t_start) = 0, by implicit Euler with the fresh
-    gain: one batched solve of the step matrices F - h C + h K'H'Q2H
-    gives the maps x_{j+1} = T_j x_j + u_j, then one matvec per step.
-    The readout is (F x_hat(t_end), F^{+'} ell_0) and its worst-case
-    mean-squared error (S(t_end) F^{+'} ell_0, F^{+'} ell_0). The outputs
-    are ``K_final`` and ``x_hat_final``, and ``K_nodes`` holds the gain
-    at every grid node.
-
-    Q2, Q1, C and H are sampled at every node, t_start included, and
-    every weight value checked SPD before anything else is decided, so a
-    bad coefficient raises whatever ell_0 is. Requires square F. Only
-    then is ell_0 tested against range(F'): outside it no endpoint
-    readout has a finite radius, and the result is infeasible, with an
-    infinite radius, and nothing is integrated.
-
-    Verdicts come in step order, as if each step ran its Sylvester
-    solve, its gain check and its state solve in turn: the first of an
-    exactly singular Sylvester operator (RankDeficient), a gain whose
-    spectral norm is not finite or exceeds :data:`RICCATI_NORM_CAP`
-    (RiccatiBlowup) and an exactly singular state step matrix
-    (RankDeficient) raises, naming its time.
+    Checks run in this order: the grid spans the horizon, the weights
+    match the model, F is square, ell_0 has n entries, y has one row per
+    node, and M is even (InvalidGrid otherwise: y exists only at the
+    nodes). Then :func:`discretize` samples and checks every node. Only
+    then is ell_0 tested against range(F'): outside it no endpoint readout
+    has a finite radius, and the result is infeasible, with an infinite
+    radius, and nothing is run. The chains' verdicts come next, the M-step
+    chain's first; then the first node whose gain norm is not finite or
+    exceeds the cap raises RiccatiBlowup, naming its time, since on an
+    unstable chain the filter's QR steps can answer finite wrong values;
+    and a negative extrapolated radius raises NumericalBreakdown.
     """
     _check_grid(system, grid)
     _check_pair(system, bounds)
@@ -679,106 +671,94 @@ def riccati_filter(
         raise InvalidInput("riccati_filter needs a square coefficient F")
     ell0 = sized_vector(ell0, "ell0", n)
     y = _check_samples(system, y_samples, grid)
-    ts = grid.nodes()
-    Q2 = _spd_nodes(bounds.Q2, ts, "Q2(t)")[1:]
-    Q1 = _spd_nodes(bounds.Q1, ts, "Q1(t)")[1:]
-    C = _nodes(system.C, ts, "C(t)")[1:]
-    H = _nodes(system.H, ts, "H(t)")[1:]
-    if not range_membership(system.F.T, ell0).member:
-        return Estimate(False, None, math.inf, math.inf, solver=_solver_record(None))
-
-    F = system.F
-    Fp = pseudo_inverse(F)
-    proj = F @ Fp
-    h = grid.h
-    HtQ2, W = per_entry(observation_information, H, Q2)
-    h_Q1_inv = per_entry(lambda Q: h * symmetrize(np.linalg.inv(symmetrize(Q))), Q1)
-    # B_j = I/2 - h A_j = base_j + S_j half_hG_j, so the Kronecker
-    # operator I - h (A_j (x) I + I (x) A_j) is B_j (x) I + I (x) B_j.
-    base = per_entry(lambda C: 0.5 * np.eye(n) - h * (C @ Fp), C)
-    half_hG = per_entry(lambda W: 0.5 * h * (Fp.T @ W @ Fp), W)
-    op = np.zeros((n, n, n, n))  # op[i, k, j, l]: row (i, k), column (j, l)
-    left = np.einsum("ikjk->kij", op)  # B (x) I: op[i, k, j, k] = B[i, j]
-    right = np.einsum("ikil->ikl", op)  # I (x) B: op[i, k, i, l] = B[k, l]
-    diag = np.einsum("ikik->ik", op)  # both: B[i, i] + B[k, k]
-    op_matrix = op.reshape(n * n, n * n)
-
-    S_nodes = np.empty((grid.steps + 1, n, n))
-    S = S_nodes[0] = symmetrize(proj @ spd_inverse(bounds.Q0) @ proj)
-    done = grid.steps  # Sylvester steps that succeeded
-    with np.errstate(all="ignore"):
-        for j in range(grid.steps):
-            B = base[j] + S @ half_hG[j]
-            left[...] = B
-            right[...] = B
-            diag += B.diagonal()[:, None]
-            _, _, vec, info = dgesv(op_matrix, (S + h_Q1_inv[j]).reshape(-1))
-            if info:  # an exactly zero pivot: the operator is singular
-                done = j
-                break
-            S = S_nodes[j + 1] = symmetrize(vec.reshape(n, n))
-        gains = Fp @ S_nodes[: done + 1]
-        norms = _gain_norms(gains[1:])
-    over = ~(norms <= RICCATI_NORM_CAP)
-    passed = int(np.argmax(over)) if over.any() else done  # steps whose gain passed
-    maps = _state_maps(F, h, C, W, HtQ2, y, gains[1 : passed + 1], ts)
-    if passed < done:
-        raise RiccatiBlowup(
-            f"gain norm {norms[passed]:.3e} at t={ts[passed + 1]} exceeds {RICCATI_NORM_CAP}"
+    if grid.steps % 2:
+        raise InvalidGrid(
+            f"riccati_filter needs an even number of grid steps, got {grid.steps}: "
+            "the chain of every other node reads y at those nodes"
         )
-    if done < grid.steps:
-        raise RankDeficient(f"implicit Riccati step matrix at t={ts[done + 1]} is singular")
+    fine = discretize(system, bounds, grid)
+    if not range_membership(system.F.T, ell0).member:
+        cap = {"max_gain_norm": None, "gain_norm_cap": RICCATI_NORM_CAP}
+        return Estimate(False, None, math.inf, math.inf, solver=cap)
+    coarse = discretize(system, bounds, replace(grid, steps=grid.steps // 2))
+    # (F'Q0F)^+, the covariance of x(t_start) on range(F')
+    rows = svd_subspaces(system.F)
+    V, kernel = rows.row_basis, rows.kernel_basis
+    FV = system.F @ V
+    P0 = V @ spd_inverse(symmetrize(FV.T @ bounds.Q0 @ FV)) @ V.T
+    run, K = _chain_run(*fine, y, ell0, P0)
+    coarse_run, P_coarse = _chain_run(*coarse, y[::2], ell0, P0)
+    with np.errstate(invalid="ignore"):  # an unbounded P^- fails the cap below
+        E = K[::2] - P_coarse
+        E[0] = 2.0 * E[1] - E[2] if E.shape[0] > 2 else E[1]
+        K[2::2] += E[1:]
+        K[1::2] += 0.5 * (E[:-1] + E[1:])
+        if kernel.shape[1]:
+            proj = np.eye(n) - kernel @ kernel.T
+            K = proj @ K @ proj
+    # the gains are symmetric: each norm is the largest |eigenvalue|
+    finite = np.isfinite(K).all(axis=(1, 2))
+    norms = np.full(K.shape[0], math.inf)
+    norms[finite] = np.abs(np.linalg.eigvalsh(K[finite])).max(axis=1)
+    over = ~(norms <= RICCATI_NORM_CAP)
+    if over.any():
+        k = int(np.argmax(over))
+        raise RiccatiBlowup(
+            f"gain norm {norms[k]:.3e} at t={grid.nodes()[k]:.6g} exceeds {RICCATI_NORM_CAP}"
+        )
 
-    x_hat = np.zeros(n)
-    for T, u in zip(maps[:, :, :n], maps[:, :, n]):
-        x_hat = T @ x_hat + u
-    v = Fp.T @ ell0
-    sigma = max(float(v @ (S @ v)), 0.0)
+    fine_sq, coarse_sq = (float(ell0 @ r.outputs["P_final"] @ ell0) for r in (run, coarse_run))
+    sigma = 2.0 * fine_sq - coarse_sq
+    if sigma < 0.0:
+        raise NumericalBreakdown(
+            f"extrapolated squared radius is negative: 2 x {fine_sq:.6e} (M={grid.steps}) "
+            f"- {coarse_sq:.6e} (M={grid.steps // 2})"
+        )
+    solver = {
+        **run.solver,
+        "extrapolation_gap": abs(fine_sq - coarse_sq),
+        "max_gain_norm": float(norms.max()),
+        "gain_norm_cap": RICCATI_NORM_CAP,
+    }
     return Estimate(
         feasible=True,
-        estimate=float((F @ x_hat) @ v),
+        estimate=run.estimate,
         radius=math.sqrt(sigma),
         worst_case_mse=sigma,
-        outputs={"K_final": gains[-1], "x_hat_final": x_hat},
-        solver=_solver_record(float(norms.max())),
-        K_nodes=gains,
+        outputs={"K_final": K[-1], "x_hat_final": run.outputs["x_hat_final"]},
+        solver=solver,
+        K_nodes=K,
     )
 
 
-def _gain_norms(K: np.ndarray) -> np.ndarray:
-    """Spectral norm of every gain in the stack, inf where an entry is
-    not finite; one batched SVD."""
-    finite = np.isfinite(K).all(axis=(1, 2))
-    norms = np.full(K.shape[0], math.inf)
-    if finite.any():
-        norms[finite] = np.linalg.norm(K[finite], 2, axis=(1, 2))
-    return norms
+def _chain_run(dae: DiscreteDAE, dbounds: DAEEllipsoid, y, ell, P0) -> tuple:
+    """:func:`.filtering.filter_run` on one chain, and the covariance P^-_k
+    of every x_k before y_k is absorbed.
 
+    P^-_0 = P0, and from the filtered P_{k-1} of the run,
 
-def _state_maps(F, h, C, W, HtQ2, y, gains, ts) -> np.ndarray:
-    """The center's transition maps [T_j | u_j] for the first len(gains)
-    steps, one (n, n+1) block per step.
+        P^-_k = F_k^{-1} (C_{k-1} P_{k-1} C_{k-1}' + B_{k-1} Q1_{k-1}^{-1} B_{k-1}') F_k^{-T},
 
-    Step j solves E_j x_{j+1} = F x_j + K_j' h H'Q2 y_{j+1} with
-    E_j = F - h C + h K_j'H'Q2H, so T_j = E_j^{-1} F and
-    u_j = E_j^{-1} K_j' h H'Q2 y_{j+1}: one batched solve. Raises
-    RankDeficient at the first exactly singular E_j.
+    with every F_k^{-1} from one batched solve; an exactly singular F_k
+    (x_k unbounded before y_k) gives a P^-_k that is not finite. A rank
+    verdict of the run is raised again naming the chain's step count.
     """
-    count, n = gains.shape[0], F.shape[0]
-    Kt = np.swapaxes(gains, 1, 2)
-    E = F - h * C[:count] + h * (Kt @ W[:count])
-    rhs = np.empty((count, n, n + 1))
-    rhs[:, :, :n] = F
-    data = h * np.einsum("kij,kj->ki", HtQ2[:count], y[1 : count + 1])
-    rhs[:, :, n] = np.einsum("kij,kj->ki", Kt, data)
+    N, n = dae.horizon, dae.state_dim
+    P = np.empty((N + 1, n, n))
     try:
-        return np.linalg.solve(E, rhs)
-    except np.linalg.LinAlgError:
-        for j in range(count):
-            try:
-                np.linalg.solve(E[j], rhs[j])
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficient(
-                    f"implicit state step matrix at t={ts[j + 1]} is singular"
-                ) from exc
-        raise
+        run = filter_run(dae, dbounds, y, ell, P)
+    except RankDeficient as exc:
+        raise RankDeficient(f"{N}-step chain: {exc}") from exc
+    noise = per_entry(
+        lambda B, Q: B @ np.linalg.inv(Q) @ np.swapaxes(B, 1, 2), dae.B_seq, dbounds.Q1_seq
+    )
+    with np.errstate(all="ignore"):
+        try:
+            T = np.linalg.inv(dae.F_seq[1:])
+        except np.linalg.LinAlgError:  # some F_k is exactly singular: its T is not finite
+            U, s, Vt = np.linalg.svd(dae.F_seq[1:])
+            T = np.swapaxes(Vt, 1, 2) @ (np.swapaxes(U, 1, 2) / s[:, :, None])
+        prior = dae.C_seq @ P[:-1] @ np.swapaxes(dae.C_seq, 1, 2) + noise
+        P[1:] = symmetrize(T @ prior @ np.swapaxes(T, 1, 2))
+    P[0] = P0
+    return run, P

@@ -26,7 +26,7 @@ class NumericalBreakdown(EstimationError):
 
 
 class RiccatiBlowup(EstimationError):
-    """The gain of the differential Riccati recursion left the trust region."""
+    """A gain of the continuous endpoint filter left the trust region."""
 
 
 class SolveFailure(EstimationError):

@@ -111,19 +111,25 @@ def _whitened(B: np.ndarray, Q: np.ndarray, label: str, *rows: np.ndarray) -> tu
 
     A disturbance f with B f = r carries energy (Q f, f) = ||L r||^2. L
     comes from one batched solve B'L' = chol(Q), so no inverse weight is
-    formed. Raises InvalidInput naming the first entry k, as
-    ``label.format(k)``, whose B is not square invertible, then
-    NumericalBreakdown naming the first whose whitened rows are not finite.
+    formed; when B and Q are both constant, L and the check on B are
+    computed once, even where the rows vary (a continuous grid's chain).
+    Raises InvalidInput naming the first entry k, as ``label.format(k)``,
+    whose B is not square invertible, then NumericalBreakdown naming the
+    first whose whitened rows are not finite.
     """
     count, m, p = B.shape
-    invertible = _invertible(B) if m == p else np.zeros(count, dtype=bool)
+    invertible = per_entry(_invertible, B) if m == p else np.zeros(count, dtype=bool)
     if not invertible.all():
         raise InvalidInput(f"{label.format(np.argmin(invertible))} is not square invertible")
     if count == 0:
         return tuple(np.zeros((0, m, r.shape[2])) for r in rows)
+
+    def whitening(B, Q):
+        return np.swapaxes(np.linalg.solve(np.swapaxes(B, 1, 2), np.linalg.cholesky(Q)), 1, 2)
+
     # a B near the underflow threshold overflows L: the check below names it
     with np.errstate(over="ignore", invalid="ignore"):
-        L = np.swapaxes(np.linalg.solve(np.swapaxes(B, 1, 2), np.linalg.cholesky(Q)), 1, 2)
+        L = per_entry(whitening, B, Q)
         out = tuple(L @ r for r in rows)
     finite = np.isfinite(L).all(axis=(1, 2))
     for r in out:
@@ -211,7 +217,7 @@ def _norm1(M: np.ndarray) -> np.ndarray:
     return np.abs(M).sum(axis=1).max(axis=1)
 
 
-def _information_sweep(model: FilterModel, Vy: np.ndarray, out):
+def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
     """The filter as the forward half of a banded Cholesky factor of A.
 
     A = Phi'G^{-1}Phi + H'Q2H is the block-tridiagonal information matrix
@@ -242,7 +248,8 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out):
     coupling) are always factored, as is every block of a time-varying
     chain.
 
-    The centers go into ``out``. Returns (P_N, rcond, blocks): rcond is the
+    The centers go into ``out``, and each filtered P_k = J_k^{-1} into
+    ``P_out`` when it is given. Returns (P_N, rcond, blocks): rcond is the
     smallest figure judged over the blocks, and blocks is the
     ``{"blocks", "blocks_factored"}`` count. P_N is None, and ``out`` partly
     written, unless every block's reciprocal condition estimate and every
@@ -273,6 +280,8 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out):
             if half.P is None:
                 return None, rcond, None
             z = _block_data(model, start, Vy, out, half, U, z)
+            if P_out is not None:
+                P_out[start:stop] = half.P
             U = half.U_next
             if interior:
                 cached = half
@@ -397,7 +406,7 @@ def _block_data(model: FilterModel, start: int, Vy, out, half: _BlockFactor, U, 
     return z[-1]
 
 
-def _qr_steps(model: FilterModel, Vy: np.ndarray, out) -> np.ndarray:
+def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> np.ndarray:
     """The filter as one QR factorization per step; returns P_N.
 
     Step k factors the (n + m + l) x (2n + 1) matrix of the module
@@ -409,8 +418,9 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out) -> np.ndarray:
     SVD judges every R_k, which is singular when s_min <= sqrt(DEFAULT_TOL)
     s_max (J_k = R_k'R_k, never formed, then has s_min <= DEFAULT_TOL
     s_max), and one batched solve writes x_hat_k = R_k^{-1}z_k into
-    ``out``. Raises RankDeficient at the first singular R_k, naming its
-    s_min/s_max and the cutoff.
+    ``out`` (and, when ``P_out`` is given, one more writes
+    P_k = R_k^{-1}R_k^{-T} into it). Raises RankDeficient at the first
+    singular R_k, naming its s_min/s_max and the cutoff.
     """
     N = model.horizon
     m, n = model.LF0.shape
@@ -453,13 +463,16 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out) -> np.ndarray:
                 f"s_min/s_max of R_{start + i} is {ratio:.1e}, cutoff {cutoff:g}"
             )
         out[start:stop] = np.linalg.solve(Rs, zs[:, :, None])[:, :, 0]
+        if P_out is not None:
+            R_inv = np.linalg.inv(Rs)
+            P_out[start:stop] = symmetrize(R_inv @ np.swapaxes(R_inv, 1, 2))
         R, z = Rs[-1], zs[-1]
     R_inv = scipy.linalg.solve_triangular(R, np.eye(n), check_finite=False)
     return symmetrize(R_inv @ R_inv.T)
 
 
 def filter_run(
-    dae: DiscreteDAE, bounds: DAEEllipsoid, y_seq: Sequence, ell
+    dae: DiscreteDAE, bounds: DAEEllipsoid, y_seq: Sequence, ell, P_seq=None
 ) -> Estimate:
     """Run the filter across the horizon and read out (ell, x_N).
 
@@ -468,7 +481,9 @@ def filter_run(
     and as outputs the final center ``x_hat_final``, the filtered centers
     ``x_hat_seq`` at every step and ``P_final`` = P_N. Note the
     intermediate x_hat_k use only y_0 .. y_k; they match the batch center
-    of the truncated problem, not of the full horizon.
+    of the truncated problem, not of the full horizon. When ``P_seq`` is
+    given, an (N + 1, n, n) array, the run also writes every filtered P_k
+    into it.
 
     The run first tries :func:`_information_sweep`. When one of its
     checks fails, it restarts on :func:`_qr_steps`, which alone decides
@@ -481,9 +496,9 @@ def filter_run(
     model = prepare_filter(dae, bounds)
     Vy = (model.V @ Y[:, :, None])[:, :, 0]
     x_seq = np.empty((count, dae.state_dim))
-    P, rcond, blocks = _information_sweep(model, Vy, x_seq)
+    P, rcond, blocks = _information_sweep(model, Vy, x_seq, P_seq)
     if P is None:
-        P = _qr_steps(model, Vy, x_seq)
+        P = _qr_steps(model, Vy, x_seq, P_seq)
         solver = solver_record("recursive", rcond, INFORMATION_RCOND_FLOOR)
     else:
         solver = solver_record("information", rcond, INFORMATION_RCOND_FLOOR) | blocks

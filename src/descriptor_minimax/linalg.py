@@ -65,8 +65,8 @@ CURVATURE_SCALE_FLOOR = 1e-300
 CHEBYSHEV_SLACK = 1e-9
 # Time grids: an endpoint may miss the system horizon by this times its length.
 GRID_SPAN_TOL = 1e-9
-# Riccati flow: a gain whose spectral norm is above this (or not finite) has
-# escaped in finite time.
+# Continuous endpoint filter: an extrapolated gain whose spectral norm is
+# above this (or not finite) has escaped.
 RICCATI_NORM_CAP = 1e12
 
 

@@ -138,11 +138,9 @@ class Estimate:
     when an a priori estimator has no data to apply its readout to, or no
     finite readout. The a priori estimators and the Riccati filter also set
     ``worst_case_mse``, the minimal worst-case mean-squared error, of which
-    ``radius`` is the square root. Two radii are not yet the attained
-    worst case (README, introduction): the filter's leaves out the data's
-    share of the budget, so the data may leave it unattained, and the
-    Riccati filter's drops the algebraic states of a singular F, so it
-    can fall below the worst case.
+    ``radius`` is the square root. The radius of the two filters is not yet
+    the attained worst case (README, introduction): it leaves out the
+    data's share of the budget, so the data may leave it unattained.
 
     ``outputs`` holds the arrays a report writes, under its names and
     shapes, and ``solver`` the report's ``diagnostics.solver`` entry

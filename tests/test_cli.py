@@ -280,18 +280,36 @@ def test_riccati_scalar(tmp_path, capsys):
     )
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert report["sigma_hat"] == pytest.approx(1.0, abs=1e-9)
+    # the extrapolated chains are second order: within h^2 of K = 1
+    assert report["sigma_hat"] == pytest.approx(1.0, abs=2.4e-4)
+
+
+def test_riccati_refuses_an_odd_grid(tmp_path, capsys):
+    # the chain of every other node reads y at those nodes only
+    config = write_doc(tmp_path, continuous_doc("riccati"))
+    for steps, code in ((63, EXIT_ERROR), (64, EXIT_OK)):
+        obs = write_obs(tmp_path, np.zeros((steps + 1, 1)))
+        argv = ["riccati", "--config", config, "--observations", obs, "--grid-steps", str(steps)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == EXIT_ERROR:
+            assert captured.err == (
+                "error: riccati_filter needs an even number of grid steps, got 63: "
+                "the chain of every other node reads y at those nodes\n"
+            )
 
 
 def test_riccati_reports_its_largest_gain_norm(tmp_path, capsys):
-    # unit weights hold the scalar gain on its fixed point K = 1
+    # unit weights hold the scalar gain on its fixed point K = 1, and the
+    # record is the grid chain's filter record plus the extrapolation's
     argv = ["riccati", "--config", write_doc(tmp_path, continuous_doc("riccati"))]
     argv += ["--observations", write_obs(tmp_path, np.zeros((65, 1)))]
     assert main(argv) == EXIT_OK
     solver = json.loads(capsys.readouterr().out)["diagnostics"]["solver"]
-    assert solver.keys() == {"max_gain_norm", "gain_norm_cap"}
-    assert solver["max_gain_norm"] == pytest.approx(1.0, abs=1e-12)
+    assert solver.keys() >= {"path", "rcond_estimate", "rcond_floor"}
+    assert solver["max_gain_norm"] == pytest.approx(1.0, abs=2.4e-4)
     assert solver["gain_norm_cap"] == 1e12
+    assert 0.0 < solver["extrapolation_gap"] < 0.1
 
 
 def test_riccati_nonrepresentable_exits_2(tmp_path, capsys):
@@ -714,6 +732,18 @@ def _verdict_docs():
     continuous_prior["estimation"]["ell"] = [0.0, 1.0]
     for doc in (bad_weight, endpoint, continuous_prior):
         doc["grid"]["steps"] = 4
+    # index 1, and H reads x2, which the algebraic row ties to x1
+    singular = {}
+    for mode in ("riccati", "filter"):
+        singular[mode] = continuous_doc(mode)
+        singular[mode]["model"].update(
+            F=[[1.0, 0.0], [0.0, 0.0]], C=[[20.0, 1.0], [0.5, -2.0]], H=[[0.0, 1.0]]
+        )
+        eye = np.eye(2).tolist()
+        singular[mode]["bounds"] = {"Q0": eye, "Q1": eye, "Q2": [[1.0]]}
+        singular[mode]["estimation"]["ell"] = [1.0, 0.0]
+        singular[mode]["grid"]["steps"] = 500
+    nodes = np.zeros((501, 1))
     ok, inf, err = EXIT_OK, EXIT_INFEASIBLE, EXIT_ERROR
     return {
         "a": (static, [[0.5]], {"estimate": inf, "validate": inf, "check": ok}),
@@ -730,10 +760,13 @@ def _verdict_docs():
         # simulate steps forward through regular F_k only
         "g": (chain_prior, [[0.5], [0.5]], {"estimate": inf, "simulate": err, "check": ok}),
         "h": (continuous_prior, np.zeros((5, 1)), {"estimate": inf, "simulate": err, "check": ok}),
+        # riccati and filter answer the same problem finitely
+        "i": (singular["riccati"], nodes, {"riccati": ok, "simulate": err, "check": ok}),
+        "j": (singular["filter"], nodes, {"filter": ok, "simulate": err, "check": ok}),
     }
 
 
-@pytest.mark.parametrize("name", "abcdefgh")
+@pytest.mark.parametrize("name", "abcdefghij")
 def test_every_command_gives_the_same_verdict(tmp_path, capsys, name):
     # 0 finite, 2 infinite, 1 any error: decided in run() from the report
     doc, rows, codes = _verdict_docs()[name]

@@ -1,5 +1,5 @@
 """Continuous-time machinery: implicit-Euler reduction, the two a priori
-solution paths, the regularized approximation, and the gain-integrating
+solution paths, the regularized approximation, and the extrapolated
 endpoint filter.
 
 The workhorse example is the scalar system x' = f, y = x + g on [0, 1]
@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-import scipy.linalg
+from scipy.integrate import solve_ivp
 
 from descriptor_minimax import (
     ConstantFunction,
@@ -38,13 +38,7 @@ from descriptor_minimax import (
 from descriptor_minimax import continuous, discrete
 from descriptor_minimax.continuous import _sampled_functional
 from descriptor_minimax.discrete import flatten, flatten_bounds
-from descriptor_minimax.linalg import (
-    pseudo_inverse,
-    require_spd,
-    solve_least_squares,
-    spd_inverse,
-    symmetrize,
-)
+from descriptor_minimax.linalg import solve_least_squares
 from descriptor_minimax.static import _saddle_matrix
 
 from conftest import rng_for
@@ -547,12 +541,14 @@ def test_each_alpha_is_one_apriori_estimate(monkeypatch):
 
 
 def test_riccati_scalar_fixed_point():
+    # the gain equation sits on K = 1; the extrapolated chains are second
+    # order, so they stay within h^2 = 1e-6 of it at every node
     system, bounds = scalar_system()
     grid = TimeGrid(0.0, 1.0, 1000)
     y = np.zeros((1001, 1))
     out = riccati_filter(system, bounds, [1.0], y, grid)
-    assert np.max(np.abs(out.K_nodes - 1.0)) <= 1e-12
-    assert out.worst_case_mse == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(out.K_nodes - 1.0)) <= 1e-6
+    assert out.worst_case_mse == pytest.approx(1.0, abs=1e-6)
     assert out.estimate == pytest.approx(0.0, abs=1e-12)
 
 
@@ -608,40 +604,55 @@ def test_riccati_rejects_rectangular_f():
 
 def test_riccati_blowup_detected():
     # strong antistable drift with no observations: the gain grows like
-    # e^{100 t} and must trip the norm cap rather than return garbage,
-    # at the step where the per-step oracle trips it
+    # e^{100 t}. The chains' QR steps answer finite wrong radii here, so
+    # the cap on the extrapolated gains must trip rather than return them
     system = ContinuousDAE(
         F=[[1.0]], C=[[50.0]], H=[[0.0]], t_start=0.0, t_end=1.0
     )
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
     grid = TimeGrid(0.0, 1.0, 1000)
     y = np.zeros((1001, 1))
-    with pytest.raises(RiccatiBlowup) as oracle:
-        _reference_riccati(system, bounds, [1.0], y, grid)
-    where = re.search(r"at t=\S+ ", str(oracle.value)).group(0)
-    assert where == "at t=0.263 "
-    with pytest.raises(RiccatiBlowup, match=re.escape(where)):
+    with pytest.raises(RiccatiBlowup, match=r"^gain norm \S+ at t=0\.\d+ exceeds "):
         riccati_filter(system, bounds, [1.0], y, grid)
 
 
 def test_riccati_exactly_singular_step_is_rank_deficient():
-    # F = 1, C = 2, H = 0 and h = 1/4 make the first step's operator
-    # 1 - 2 h A exactly 0. solve_sylvester perturbs such a step silently,
-    # so the per-step oracle runs on and trips the gain cap instead; the
-    # linear solve names the singular step
+    # F = 1, C = 2, H = 0 and h = 1/4: the chain of every other node has
+    # the step matrix F - 2hC = 0 at its step 1, so nothing pins x there
     system = ContinuousDAE(F=[[1.0]], C=[[2.0]], H=[[0.0]], t_start=0.0, t_end=1.0)
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
     grid = TimeGrid(0.0, 1.0, 4)
     y = np.zeros((5, 1))
-    with pytest.raises(RiccatiBlowup, match=r"gain norm 1\.126e\+16 at t=0\.25 "):
-        _reference_riccati(system, bounds, [1.0], y, grid)
-    with pytest.raises(RankDeficient, match=r"^implicit Riccati step matrix at t=0\.25 is singular$"):
+    message = r"^2-step chain: information matrix at step 1 is singular"
+    with pytest.raises(RankDeficient, match=message):
         riccati_filter(system, bounds, [1.0], y, grid)
 
 
+def test_riccati_unbounded_prediction_trips_the_cap():
+    # C = 4 from t = 0.25 and h = 1/4: the grid chain's step matrix F - hC
+    # is 0 at its step 1, so x there is unbounded until y absorbs it; the
+    # filter answers, and the gain at that node is not finite
+    C = TableFunction([0.0, 0.25, 0.5], [[[0.0]], [[4.0]], [[0.0]]])
+    system = ContinuousDAE(F=[[1.0]], C=C, H=[[1.0]], t_start=0.0, t_end=1.0)
+    bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
+    with pytest.raises(RiccatiBlowup, match=r"^gain norm inf at t=0\.25 "):
+        riccati_filter(system, bounds, [1.0], np.zeros((5, 1)), TimeGrid(0.0, 1.0, 4))
+
+
+def test_riccati_negative_extrapolation_is_a_breakdown():
+    # C = 1.9, H = 0 and h = 1/4: the chain of every other node nearly
+    # loses its step (1 - 2hC = 0.05), so 2 X(h) - X(2h) < 0 while no gain
+    # reaches the cap
+    system = ContinuousDAE(F=[[1.0]], C=[[1.9]], H=[[0.0]], t_start=0.0, t_end=1.0)
+    bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
+    message = r"^extrapolated squared radius is negative: 2 x 2\.327259e\+02 \(M=4\) - 2\.402"
+    with pytest.raises(NumericalBreakdown, match=message):
+        riccati_filter(system, bounds, [1.0], np.zeros((5, 1)), TimeGrid(0.0, 1.0, 4))
+
+
 def test_riccati_consistent_with_discretized_filter():
-    # F = I: the discretized information filter and the continuous gain
-    # integration approach the same endpoint radius at first order in h
+    # F = I: the discretized information filter approaches the
+    # extrapolated endpoint radius at first order in h
     system, _ = scalar_system()
     bounds = ContinuousEllipsoid(Q0=[[4.0]], Q1=[[1.0]], Q2=[[1.0]])
     diffs = []
@@ -696,7 +707,7 @@ def test_riccati_estimate_reads_data():
 
 
 # ---------------------------------------------------------------------------
-# node sampling hoisted out of the Riccati loop
+# node sampling, and the references for the endpoint filter
 
 
 def test_node_sampling_matches_pointwise_evaluation():
@@ -733,48 +744,96 @@ def test_node_sampling_matches_pointwise_evaluation():
     assert poly(0.7) == pytest.approx(direct, rel=1e-12)
 
 
-def _reference_riccati(system, bounds, ell0, y, grid):
-    """The Riccati flow one step at a time: every coefficient evaluated
-    and checked at its node inside the loop, one solve_sylvester per
-    implicit step, then the gain cap and the state solve of that step,
-    each raising its verdict; the oracle for :func:`riccati_filter`."""
-    F = system.F
-    n = F.shape[1]
-    Fp = pseudo_inverse(F)
-    proj = F @ Fp
-    S = symmetrize(proj @ spd_inverse(bounds.Q0) @ proj)
-    x_hat = np.zeros(n)
-    h = grid.h
-    ts = grid.nodes()
-    gains = [Fp @ S]
-    for j in range(grid.steps):
-        t = ts[j + 1]
+def _kalman_bucy(system, bounds, y_fn, breaks=()):
+    """Reference for :func:`riccati_filter` on a diagonal F, independent of
+    the chains: the Kalman-Bucy filter of the ODE that is left once the
+    algebraic states are eliminated, integrated by ``solve_ivp`` at rtol
+    1e-12, piece by piece between the coefficients' ``breaks``.
+
+    With r the indices of F's nonzero diagonal d and a the others, the
+    algebraic rows 0 = C_ar x_r + C_aa x_a + f_a give x_a = -C_aa^{-1}
+    (C_ar x_r + f_a), so that
+
+        x_r' = A x_r + G f,    y = H_r x_r + D f + g,
+
+    where f has covariance Q1^{-1} and g has Q2^{-1}: the process and the
+    observation noise are correlated through f_a. x0g = F x(0) lies in
+    range(F), so x_r(0) carries the weight d (Q0)_rr d. A regular F has no
+    a, and this is the plain Kalman-Bucy filter. Returns P(t), the (n, n)
+    covariance with zeros outside the r block, and the center at t_end.
+    """
+    d = np.diag(system.F)
+    r, a = np.flatnonzero(d), np.flatnonzero(d == 0)
+    n, nr = d.size, r.size
+
+    def terms(t):
         C, H = np.asarray(system.C(t), float), np.asarray(system.H(t), float)
-        Q2 = require_spd(bounds.Q2(t), "Q2(t)")
-        W = H.T @ Q2 @ H
-        K = Fp @ S
-        A = (C - 0.5 * (K.T @ W)) @ Fp
-        rhs = S + h * spd_inverse(require_spd(bounds.Q1(t), "Q1(t)"))
-        S = symmetrize(scipy.linalg.solve_sylvester(np.eye(n) - h * A, -h * A.T, rhs))
-        K = Fp @ S
-        norm = float(np.linalg.norm(K, 2))
-        if not np.isfinite(norm) or norm > continuous.RICCATI_NORM_CAP:
-            raise RiccatiBlowup(
-                f"gain norm {norm:.3e} at t={t} exceeds {continuous.RICCATI_NORM_CAP}"
-            )
-        gains.append(K)
-        rhs_x = F @ x_hat + h * (K.T @ (H.T @ (Q2 @ y[j + 1])))
-        try:
-            x_hat = np.linalg.solve(F - h * C + h * (K.T @ W), rhs_x)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"implicit state step matrix at t={t} is singular") from exc
-    v = Fp.T @ np.asarray(ell0, float)
-    return np.array(gains), float(v @ S @ v), float((F @ x_hat) @ v)
+        Q1_inv = np.linalg.inv(bounds.Q1(t))
+        E = np.linalg.solve(C[np.ix_(a, a)], np.hstack([C[np.ix_(a, r)], np.eye(a.size)]))
+        G = np.zeros((nr, n))  # f into d x_r'
+        G[:, r] = np.eye(nr)
+        G[:, a] = -C[np.ix_(r, a)] @ E[:, nr:]
+        D = np.zeros((H.shape[0], n))  # f into y
+        D[:, a] = -H[:, a] @ E[:, nr:]
+        A = (C[np.ix_(r, r)] - C[np.ix_(r, a)] @ E[:, :nr]) / d[r, None]
+        G /= d[r, None]
+        H_r = H[:, r] - H[:, a] @ E[:, :nr]
+        R = D @ Q1_inv @ D.T + np.linalg.inv(bounds.Q2(t))
+        return A, H_r, G @ Q1_inv @ G.T, R, G @ Q1_inv @ D.T
+
+    def rhs(t, z, lo, hi):
+        # a piece uses the values left of its right end
+        A, H_r, Qw, R, S = terms(min(max(t, lo), np.nextafter(hi, lo)))
+        P, x = z[: nr * nr].reshape(nr, nr), z[nr * nr :]
+        K = np.linalg.solve(R, (P @ H_r.T + S).T).T
+        dP = A @ P + P @ A.T + Qw - K @ R @ K.T
+        return np.concatenate([dP.ravel(), A @ x + K @ (y_fn(t) - H_r @ x)])
+
+    Q0 = d[r, None] * bounds.Q0[np.ix_(r, r)] * d[r]
+    z = np.concatenate([np.linalg.inv(Q0).ravel(), np.zeros(nr)])
+    edges = [system.t_start, *breaks, system.t_end]
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(
+            rhs, (lo, hi), z, "DOP853", rtol=1e-12, atol=1e-14, dense_output=True, args=(lo, hi)
+        )
+        pieces.append((hi, sol.sol))
+        z = sol.y[:, -1]
+
+    def P(t):
+        dense = next(sol for hi, sol in pieces if t <= hi)
+        out = np.zeros((n, n))
+        out[np.ix_(r, r)] = dense(t)[: nr * nr].reshape(nr, nr)
+        return out
+
+    x_end = np.zeros(n)
+    x_end[r] = z[nr * nr :]
+    return P, x_end
+
+
+def _assert_matches_kalman_bucy(out, reference, ell0, grid, every=1):
+    """The extrapolated chains against the reference: the squared radius
+    within 5 h^2 and the gains at every ``every``-th node within 20 h^2,
+    relative to 1 plus their size, and the center, which is not
+    extrapolated, within 2 h."""
+    P, x_end = reference
+    h = grid.h
+    gains = np.array([P(t) for t in grid.nodes()])
+    sigma = float(ell0 @ gains[-1] @ ell0)
+    center = float(ell0 @ x_end)
+    assert abs(out.worst_case_mse - sigma) <= 5.0 * h * h * (1.0 + sigma)
+    gap = np.abs(out.K_nodes - gains)[::every].max()
+    assert gap <= 20.0 * h * h * (1.0 + np.abs(gains).max())
+    assert abs(out.estimate - center) <= 2.0 * h * (1.0 + abs(center))
 
 
 @pytest.mark.parametrize("singular", [False, True])
 def test_riccati_with_table_and_polynomial_coefficients_matches_reference(singular):
-    rng = rng_for(21)
+    # every table breakpoint is a node of both chains, so the step in
+    # which a chain reads the new value moves its answer by O(h), and the
+    # extrapolation cancels that too. An odd node next to a breakpoint
+    # interpolates the chains' error across the jump, so there the gain
+    # is first order: the gains are compared at the even nodes
     F = np.diag([1.0, 0.0]) if singular else np.eye(2)
     system = ContinuousDAE(
         F=F,
@@ -789,13 +848,12 @@ def test_riccati_with_table_and_polynomial_coefficients_matches_reference(singul
         Q2=PolynomialFunction([[[1.0]], [[0.5]], [[0.25]]]),
     )
     grid = TimeGrid(0.0, 1.0, 300)
-    y = 0.1 * rng.standard_normal((301, 1))
-    ell0 = [1.0, 0.0]
-    gains, sigma, estimate = _reference_riccati(system, bounds, ell0, y, grid)
+    y_fn = lambda t: np.array([0.3 * np.sin(2.0 * t) + 0.1])
+    y = np.array([y_fn(t) for t in grid.nodes()])
+    ell0 = np.array([1.0, 0.0])
     out = riccati_filter(system, bounds, ell0, y, grid)
-    assert out.K_nodes == pytest.approx(gains, rel=1e-12, abs=1e-12 * np.abs(gains).max())
-    assert out.worst_case_mse == pytest.approx(sigma, rel=1e-12)
-    assert out.estimate == pytest.approx(estimate, rel=1e-12, abs=1e-14)
+    reference = _kalman_bucy(system, bounds, y_fn, (0.3, 0.4, 0.8))
+    _assert_matches_kalman_bucy(out, reference, ell0, grid, every=2)
 
 
 def test_riccati_checks_each_used_table_value():
@@ -823,89 +881,182 @@ def test_riccati_checks_each_used_table_value():
 
 
 def _random_coefficient(rng, kind, make):
-    """A constant, table or polynomial coefficient on [0, 1] whose every
-    value ``make(rng, scale)`` draws."""
+    """A constant or polynomial coefficient on [0, 1] whose every value
+    ``make(rng, scale)`` draws."""
     if kind == "constant":
         return make(rng, 1.0)
-    if kind == "table":
-        times = np.sort(rng.uniform(0.05, 0.95, 2))
-        return TableFunction([0.0, *times], [make(rng, 1.0) for _ in range(3)])
     return PolynomialFunction([make(rng, 1.0), make(rng, 0.5), make(rng, 0.25)])
 
 
+def _spd_weight(size):
+    def make(r, s):
+        a = r.standard_normal((size, size))
+        return s * (a @ a.T + 0.5 * np.eye(size))
+
+    return make
+
+
 def _random_riccati_problem(seed):
+    """n in {1, 2, 3}, regular and singular diagonal F, constant and
+    polynomial coefficients and weights, an even grid and smooth data.
+    The drift's diagonal shift keeps C_aa(t) invertible on every draw,
+    so a singular F stays index 1."""
     rng = rng_for(seed)
     n, l = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-    kinds = ("constant", "table", "polynomial")
+    kinds = ("constant", "polynomial")
     diag = rng.uniform(0.5, 2.0, n)
     if seed % 2 and n > 1:
         diag[rng.permutation(n)[: int(rng.integers(1, n))]] = 0.0  # singular F
-    drift = lambda r, s: s * (r.standard_normal((n, n)) - 1.5 * np.eye(n))
+    drift = lambda r, s: s * (0.5 * r.standard_normal((n, n)) - 1.5 * np.eye(n))
     readout = lambda r, s: s * r.standard_normal((l, n))
-
-    def weight(size):
-        def make(r, s):
-            a = r.standard_normal((size, size))
-            return s * (a @ a.T + 0.5 * np.eye(size))
-        return make
-
     system = ContinuousDAE(
         F=np.diag(diag),
-        C=_random_coefficient(rng, kinds[seed % 3], drift),
-        H=_random_coefficient(rng, kinds[(seed + 1) % 3], readout),
+        C=_random_coefficient(rng, kinds[seed % 2], drift),
+        H=_random_coefficient(rng, kinds[seed // 2 % 2], readout),
         t_start=0.0,
         t_end=1.0,
     )
     bounds = ContinuousEllipsoid(
-        Q0=weight(n)(rng, 1.0),
-        Q1=_random_coefficient(rng, kinds[(seed + 2) % 3], weight(n)),
-        Q2=_random_coefficient(rng, kinds[seed % 3], weight(l)),
+        Q0=_spd_weight(n)(rng, 1.0),
+        Q1=_random_coefficient(rng, kinds[seed // 4 % 2], _spd_weight(n)),
+        Q2=_random_coefficient(rng, kinds[seed // 2 % 2], _spd_weight(l)),
     )
-    grid = TimeGrid(0.0, 1.0, int(rng.integers(20, 120)))
+    grid = TimeGrid(0.0, 1.0, 2 * int(rng.integers(10, 60)))
     ell0 = np.diag(diag) @ rng.standard_normal(n)  # in range(F')
-    y = rng.standard_normal((grid.steps + 1, l))
-    return system, bounds, ell0, y, grid
+    w = rng.standard_normal((3, l))
+    y_fn = lambda t: w[0] + w[1] * np.sin(2.0 * t) + w[2] * t * t
+    return system, bounds, ell0, y_fn, grid
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_riccati_matches_the_per_step_oracle_on_random_problems(seed):
-    # n in {1, 2, 3}, regular and singular diagonal F, and constant,
-    # table and polynomial coefficients and weights
-    system, bounds, ell0, y, grid = _random_riccati_problem(seed)
-    gains, sigma, estimate = _reference_riccati(system, bounds, ell0, y, grid)
+    # the oracle is the Kalman-Bucy filter of each draw, with the
+    # algebraic states of a singular F eliminated, on the grid's nodes
+    system, bounds, ell0, y_fn, grid = _random_riccati_problem(seed)
+    y = np.array([y_fn(t) for t in grid.nodes()])
     out = riccati_filter(system, bounds, ell0, y, grid)
-    assert out.K_nodes == pytest.approx(gains, rel=1e-12, abs=1e-12 * np.abs(gains).max())
-    assert out.worst_case_mse == pytest.approx(sigma, rel=1e-12)
-    assert out.estimate == pytest.approx(estimate, rel=1e-12)
+    _assert_matches_kalman_bucy(out, _kalman_bucy(system, bounds, y_fn), ell0, grid)
     assert out.solver["max_gain_norm"] == pytest.approx(
-        np.linalg.norm(gains[1:], 2, axis=(1, 2)).max(), rel=1e-12
+        np.linalg.norm(out.K_nodes, 2, axis=(1, 2)).max(), rel=1e-12
     )
     assert out.solver["gain_norm_cap"] == continuous.RICCATI_NORM_CAP
 
 
+def _index_one_problem(seed):
+    """F = diag(I_r, 0) with n in {2, 3}, and constant full coefficients
+    and weights; the drift's diagonal shift keeps C_aa invertible."""
+    rng = rng_for(seed)
+    n = 2 + seed % 2
+    r = int(rng.integers(1, n))
+    C = 0.5 * rng.standard_normal((n, n)) - 1.5 * np.eye(n)
+    system = ContinuousDAE(
+        F=np.diag([1.0] * r + [0.0] * (n - r)),
+        C=C,
+        H=rng.standard_normal((1 + seed % 2, n)),
+        t_start=0.0,
+        t_end=1.0,
+    )
+    weight = lambda size: _spd_weight(size)(rng, 1.0)
+    bounds = ContinuousEllipsoid(Q0=weight(n), Q1=weight(n), Q2=weight(1 + seed % 2))
+    ell0 = np.concatenate([rng.standard_normal(r), np.zeros(n - r)])
+    return system, bounds, ell0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_riccati_matches_the_reduced_ode_on_index_one_problems(seed):
+    # the algebraic states enter x_r's dynamics, y and the cross-weights;
+    # at M = 2048 the squared radius is within 1e-6 of the reduced ODE's,
+    # relative to 1 plus its size
+    system, bounds, ell0 = _index_one_problem(seed)
+    grid = TimeGrid(0.0, 1.0, 2048)
+    out = riccati_filter(system, bounds, ell0, np.zeros((2049, system.observation_dim)), grid)
+    P, _ = _kalman_bucy(system, bounds, lambda t: np.zeros(system.observation_dim))
+    sigma = float(ell0 @ P(1.0) @ ell0)
+    assert out.worst_case_mse == pytest.approx(sigma, abs=1e-6 * (1.0 + sigma))
+
+
+def test_riccati_on_the_benchmark_index_one_problem():
+    # perfbench's singular_continuous(default_rng(3)), read out at x1(1):
+    # the flow that dropped x2 answered 0.4155 here. The move per doubling
+    # of M falls about 4x, as a second-order method's does
+    system = ContinuousDAE(
+        F=np.diag([1.0, 0.0]),
+        C=[[-0.9314806662851005, -0.2631894934039003], [0.3012744652063969, -1.0924865747549426]],
+        H=[[1.0, 0.5470643211201995]],
+        t_start=0.0,
+        t_end=1.0,
+    )
+    bounds = ContinuousEllipsoid(
+        Q0=[[0.8938514979054567, -0.2076131784167516], [-0.2076131784167516, 0.8634988177201413]],
+        Q1=[[1.145979341184219, 0.41617129698090083], [0.41617129698090083, 1.7147232866931157]],
+        Q2=[[1.5443239950052332]],
+    )
+    ell0 = np.array([1.0, 0.0])
+    P, _ = _kalman_bucy(system, bounds, lambda t: np.zeros(1))
+    assert float(ell0 @ P(1.0) @ ell0) == pytest.approx(0.49802, abs=1e-5)
+    sigma = {}
+    for M in (512, 1024, 2048, 4096, 8192):
+        grid = TimeGrid(0.0, 1.0, M)
+        sigma[M] = riccati_filter(system, bounds, ell0, np.zeros((M + 1, 1)), grid).worst_case_mse
+    assert sigma[2048] == pytest.approx(float(ell0 @ P(1.0) @ ell0), abs=1e-5)
+    moves = [abs(sigma[2 * M] - sigma[M]) for M in (512, 1024, 2048, 4096)]
+    assert all(a >= 3.0 * b for a, b in zip(moves, moves[1:]))
+
+
 VERDICT_CASES = {
-    # the cap trips after interior steps, with regular and singular F
-    # (the scalar case is test_riccati_blowup_detected)
-    "regular 2-D": (np.eye(2), [[30.0, 1.0], [0.0, -2.0]], [[0.0, 1.0]], 500),
-    "singular 2-D": (np.diag([1.0, 0.0]), [[20.0, 1.0], [0.5, -2.0]], [[0.0, 1.0]], 500),
-    "late drift": ([[1.0]], TableFunction([0.0, 0.5], [[[-1.0]], [[60.0]]]), [[0.0]], 400),
-    # h = 1/4: state step 0 (C = 4) and Sylvester step 1 (C = 2) are
-    # both singular; the state step comes first
-    "state first": ([[1.0]], TableFunction([0.0, 0.25, 0.5], [[[0.0]], [[4.0]], [[2.0]]]), [[0.0]], 4),
+    # the cap trips on the extrapolated gains, where both chains answer
+    # finite radii (the scalar case is test_riccati_blowup_detected)
+    "late drift": (
+        [[1.0]],
+        TableFunction([0.0, 0.5], [[[-1.0]], [[60.0]]]),
+        [[0.0]],
+        400,
+        RiccatiBlowup,
+    ),
+    # h = 1/4: the chain of every other node has F - 2hC = 0 at its step 1
+    "state first": (
+        [[1.0]],
+        TableFunction([0.0, 0.25, 0.5], [[[0.0]], [[4.0]], [[2.0]]]),
+        [[0.0]],
+        4,
+        RankDeficient,
+    ),
+    "regular 2-D": (np.eye(2), [[30.0, 1.0], [0.0, -2.0]], [[0.0, 1.0]], 500, RankDeficient),
+    # H reads x2, which the algebraic row ties to x1: a finite radius
+    "singular 2-D": (np.diag([1.0, 0.0]), [[20.0, 1.0], [0.5, -2.0]], [[0.0, 1.0]], 500, None),
 }
 
 
 @pytest.mark.parametrize("case", VERDICT_CASES)
 def test_riccati_verdicts_match_the_per_step_oracle(case):
-    F, C, H, steps = VERDICT_CASES[case]
+    # the oracle is the filter run step by step on the two chains: a rank
+    # verdict of either is riccati's, the gain cap is riccati's own, and a
+    # finite answer is the chains' extrapolation
+    F, C, H, steps, verdict = VERDICT_CASES[case]
     n, l = np.shape(F)[0], np.shape(H)[0]
     system = ContinuousDAE(F=F, C=C, H=H, t_start=0.0, t_end=1.0)
     bounds = ContinuousEllipsoid(Q0=np.eye(n), Q1=np.eye(n), Q2=np.eye(l))
-    args = (system, bounds, np.eye(n)[0], np.zeros((steps + 1, l)), TimeGrid(0.0, 1.0, steps))
-    with pytest.raises((RiccatiBlowup, RankDeficient)) as oracle:
-        _reference_riccati(*args)
-    with pytest.raises((RiccatiBlowup, RankDeficient)) as fast:
+    ell0, y = np.eye(n)[0], np.zeros((steps + 1, l))
+    chains = []
+    for M in (steps, steps // 2):
+        dae, dbounds = discretize(system, bounds, TimeGrid(0.0, 1.0, M))
+        try:
+            chains.append(filter_run(dae, dbounds, y[:: steps // M], ell0).radius ** 2)
+        except RankDeficient:
+            chains.append(None)
+    args = (system, bounds, ell0, y, TimeGrid(0.0, 1.0, steps))
+    if verdict is None:
+        assert chains == pytest.approx([791.7, 775.4], abs=0.05)
+        assert riccati_filter(*args).worst_case_mse == pytest.approx(
+            2.0 * chains[0] - chains[1], rel=1e-12
+        )
+        return
+    with pytest.raises(verdict) as raised:
         riccati_filter(*args)
-    assert type(fast.value) is type(oracle.value)
-    assert str(fast.value) == str(oracle.value)
-    assert re.search(r"at t=0\.[1-9]", str(fast.value))  # after an interior step
+    if verdict is RankDeficient:
+        assert None in chains
+        failed = steps if chains[0] is None else steps // 2
+        assert str(raised.value).startswith(f"{failed}-step chain: ")
+    else:
+        assert None not in chains
+        assert re.search(r"at t=0\.[1-9]", str(raised.value))  # after an interior step

@@ -935,16 +935,23 @@ def test_per_matrix_checks_do_not_grow_with_the_horizon(monkeypatch):
     system = ContinuousDAE(F=[[1.0]], C=[[-0.5]], H=[[1.0]], t_start=0.0, t_end=1.0)
     cbounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[2.0]])
     counts = _count_checks(monkeypatch)
-    seen = []
+    seen, riccati = [], []
     for N in (10, 1000):
         dae, bounds = _constant_chain(N)
         counts.clear()
         filter_run(dae, bounds, np.zeros((N + 1, 1)), np.ones(2))
         simulate(dae, bounds, seed=1)
-        riccati_filter(system, cbounds, [1.0], np.zeros((N + 1, 1)), TimeGrid(0.0, 1.0, N))
         seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert "allclose" not in seen[1]
+    # riccati runs the filter on two chains; the QR steps judge each block
+    # of steps by one SVD, so compare two grids whose chains take the sweep
+    for M in (10, 200):
+        counts.clear()
+        grid = TimeGrid(0.0, 1.0, M)
+        out = riccati_filter(system, cbounds, [1.0], np.zeros((M + 1, 1)), grid)
+        assert out.solver["path"] == "information"
+        riccati.append(dict(counts))
+    assert seen[0] == seen[1] and riccati[0] == riccati[1]
+    assert "allclose" not in seen[1] and "allclose" not in riccati[1]
     assert all(count <= 5 for count in seen[1].values())
 
 
