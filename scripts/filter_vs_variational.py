@@ -158,8 +158,9 @@ def main():
         x_ref, P_ref = dense_reference(dae, bounds, y_seq)
         center, radius = ell @ x_ref, ell @ P_ref @ ell
         center_gap = abs(filt.estimate - center) / (1.0 + abs(center))
+        filt_radius = ell @ filt.outputs["P_final"] @ ell
         gaps = {
-            "filter_run": max(center_gap, abs(filt.radius**2 - radius) / radius),
+            "filter_run": max(center_gap, abs(filt_radius - radius) / radius),
             "variational_estimate": abs(var.estimate - center) / (1.0 + abs(center)),
             "apriori_horizon_estimate": abs(squared - radius) / radius,
         }

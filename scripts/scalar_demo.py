@@ -40,8 +40,8 @@ def main():
     print(f"center estimate        x_hat = {post.outputs['x_hat'][0]:.6f}")
     print(f"worst-case radius      radius = {post.radius:.6f}")
 
-    samples = sample_reachability(model, bounds, y, args.samples, seed=args.seed)
-    check = chebyshev_check(samples, ell, post.estimate, post.radius)
+    samples = sample_reachability(model, bounds, y, args.samples, seed=args.seed, readout=ell[None])
+    check = chebyshev_check(samples, [1.0], post.estimate, post.radius)
     print(f"sampled states         {check.samples_checked}")
     print(f"radius violations      {check.violation_count}")
     print(

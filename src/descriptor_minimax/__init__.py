@@ -43,7 +43,6 @@ from .errors import (
     RankDeficient,
     RiccatiBlowup,
     SchemaError,
-    SingularNormalEquations,
     SingularStep,
     SolveFailure,
 )
@@ -51,7 +50,6 @@ from .filtering import filter_run
 from .linalg import (
     LinearSolveResult,
     RangeMembership,
-    pseudo_inverse,
     range_membership,
     solve_least_squares,
 )
@@ -59,7 +57,6 @@ from .oracle import (
     ChebyshevCheck,
     ReachabilitySampleSet,
     chebyshev_check,
-    quadratic_center_oracle,
     sample_reachability,
 )
 from .simulate import SimulationResult, simulate
@@ -70,7 +67,6 @@ from .static import (
     aposteriori_estimate,
     apriori_estimate,
     representable,
-    worst_case_error_of,
 )
 
 __version__ = "0.1.0"
@@ -106,19 +102,16 @@ __all__ = [
     "RankDeficient",
     "RiccatiBlowup",
     "SchemaError",
-    "SingularNormalEquations",
     "SingularStep",
     "SolveFailure",
     "filter_run",
     "LinearSolveResult",
     "RangeMembership",
-    "pseudo_inverse",
     "range_membership",
     "solve_least_squares",
     "ChebyshevCheck",
     "ReachabilitySampleSet",
     "chebyshev_check",
-    "quadratic_center_oracle",
     "sample_reachability",
     "SimulationResult",
     "simulate",
@@ -128,6 +121,5 @@ __all__ = [
     "aposteriori_estimate",
     "apriori_estimate",
     "representable",
-    "worst_case_error_of",
     "__version__",
 ]

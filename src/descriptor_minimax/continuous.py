@@ -54,11 +54,11 @@ from .errors import (
 from .linalg import (
     BVP_RESIDUAL_TOL,
     GRID_SPAN_TOL,
+    MEMBERSHIP_TOL,
     RICCATI_NORM_CAP,
     _distinct,
     as_matrix,
     per_entry,
-    range_membership,
     require_spd,
     sized_vector,
     solve_least_squares,
@@ -656,10 +656,13 @@ def riccati_filter(
     match the model, F is square, ell_0 has n entries, y has one row per
     node, and M is even (InvalidGrid otherwise: y exists only at the
     nodes). Then :func:`discretize` samples and checks every node. Only
-    then is ell_0 tested against range(F'): outside it no endpoint readout
-    has a finite radius, and the result is infeasible, with an infinite
-    radius, and nothing is run. The chains' verdicts come next, the M-step
-    chain's first; then the first node whose gain norm is not finite or
+    then is ell_0 tested against range(F'), by the residual ||K'ell_0||
+    with K spanning ker F, held to MEMBERSHIP_TOL as in
+    :func:`.linalg.range_membership`: outside it no endpoint readout has a
+    finite radius, and the result is infeasible, with an infinite radius,
+    and nothing is run. The chains' verdicts come next (a singular
+    information matrix, or data outside the bound), the M-step chain's
+    first; then the first node whose gain norm is not finite or
     exceeds the cap raises RiccatiBlowup, naming its time, since on an
     unstable chain the filter's QR steps can answer finite wrong values;
     and a negative extrapolated radius raises NumericalBreakdown.
@@ -677,13 +680,13 @@ def riccati_filter(
             "the chain of every other node reads y at those nodes"
         )
     fine = discretize(system, bounds, grid)
-    if not range_membership(system.F.T, ell0).member:
+    rows = svd_subspaces(system.F)
+    V, kernel = rows.row_basis, rows.kernel_basis
+    if np.linalg.norm(kernel.T @ ell0) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(ell0)):
         cap = {"max_gain_norm": None, "gain_norm_cap": RICCATI_NORM_CAP}
         return Estimate(False, None, math.inf, math.inf, solver=cap)
     coarse = discretize(system, bounds, replace(grid, steps=grid.steps // 2))
     # (F'Q0F)^+, the covariance of x(t_start) on range(F')
-    rows = svd_subspaces(system.F)
-    V, kernel = rows.row_basis, rows.kernel_basis
     FV = system.F @ V
     P0 = V @ spd_inverse(symmetrize(FV.T @ bounds.Q0 @ FV)) @ V.T
     run, K = _chain_run(*fine, y, ell0, P0)

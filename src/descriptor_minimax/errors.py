@@ -35,10 +35,6 @@ class SolveFailure(EstimationError):
     a regularized one included, raises NumericalBreakdown instead."""
 
 
-class SingularNormalEquations(EstimationError):
-    """The cross-check normal equations are singular."""
-
-
 class DimensionTooLarge(EstimationError):
     """Problem size exceeds what the brute-force oracle will attempt."""
 

@@ -6,12 +6,15 @@ one step at a time when every filtered information matrix J_k is
 invertible; with S and every B_k square invertible, that is when every
 [F_k; H_k] has full column rank. The filter yields the pair
 (x_hat_k, P_k), where P_k is the k-th diagonal block of the inverse of
-the full-horizon information matrix, so terminal functionals satisfy
+the full-horizon information matrix, and x_hat_k equals the k-th block of
+the batch center restricted to the data seen so far. With beta_k the least
+energy of a trajectory that explains y_0 .. y_k, terminal functionals
+satisfy
 
-    radius(ell)^2 = ell' P_N ell        (a priori radius at step N)
+    radius(ell) = sqrt(1 - beta_N) sqrt(ell' P_N ell),
 
-and x_hat_k equals the k-th block of the batch center restricted to the
-data seen so far.
+the attained radius, as in :func:`.discrete.variational_estimate`; data
+with beta_k > 1 (beyond NEGATIVE_FLOOR) at some step are inconsistent.
 
 Both paths solve one least-squares problem. :func:`prepare_filter`
 whitens every row of it once: with L_0 = chol(Q0)'S^{-1},
@@ -54,16 +57,20 @@ one it took.
        [ 0,         V_{k+1}H_{k+1},   V_{k+1}y_{k+1} ]],
 
   whose second block row of the triangular result is [R_{k+1}, z_{k+1}]
-  (step 0 is the same with R_{-1} = 0). Per block of steps, one batched
-  SVD judges every R_k and one batched solve gives x_hat_k =
-  R_k^{-1}z_k; then P_N = R_N^{-1}R_N^{-T}. J_k is never formed. The
-  test on R_k, s_min <= sqrt(DEFAULT_TOL) s_max, is the filter's one
-  rank verdict, and it reads no absolute scale.
+  (step 0 is the same with R_{-1} = 0) and whose entry (2n, 2n), e_k,
+  is the residual of the data, so beta_k = sum_{j<=k} e_j^2. Per block
+  of steps, one batched SVD judges every R_k and one batched solve gives
+  x_hat_k = R_k^{-1}z_k; then P_N = R_N^{-1}R_N^{-T}. J_k is never
+  formed. The test on R_k, s_min <= sqrt(DEFAULT_TOL) s_max, is the
+  filter's one rank verdict, and it reads no absolute scale.
 
-Of the two paths only the QR steps raise errors after
-:func:`prepare_filter`, so a chain the sweep turns down gets their
-verdict, message and failing step. Beyond its outputs and the per-step
-model arrays, either path holds O(block) memory.
+After :func:`prepare_filter` only the QR steps raise a rank verdict, so
+a chain the sweep turns down gets their verdict, message and failing
+step. Both paths raise InconsistentData at the first step whose beta_k
+exceeds 1; the sweep keeps only blocks whose J_k pass the QR steps' rank
+test, so a step it reaches has the same verdict on either path. Beyond
+its outputs and the per-step model arrays, either path holds O(block)
+memory.
 """
 
 from __future__ import annotations
@@ -77,10 +84,11 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds
-from .errors import InvalidInput, NumericalBreakdown, RankDeficient
+from .errors import InconsistentData, InvalidInput, NumericalBreakdown, RankDeficient
 from .linalg import (
     DEFAULT_TOL,
     INFORMATION_RCOND_FLOOR,
+    NEGATIVE_FLOOR,
     STEADY_STATE_TOL,
     _distinct,
     factor_spd_banded,
@@ -217,6 +225,18 @@ def _norm1(M: np.ndarray) -> np.ndarray:
     return np.abs(M).sum(axis=1).max(axis=1)
 
 
+def _check_energy(beta: np.ndarray, start: int) -> None:
+    """Raise InconsistentData at the first step of a block, starting at
+    ``start``, whose least data energy beta_k exceeds 1 + NEGATIVE_FLOOR."""
+    over = beta > 1.0 + NEGATIVE_FLOOR
+    if over.any():
+        i = int(np.argmax(over))
+        raise InconsistentData(
+            f"observations are inconsistent with the disturbance bound at step "
+            f"{start + i} (energy overshoot {beta[i] - 1.0:.3e})"
+        )
+
+
 def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
     """The filter as the forward half of a banded Cholesky factor of A.
 
@@ -249,12 +269,14 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
     chain.
 
     The centers go into ``out``, and each filtered P_k = J_k^{-1} into
-    ``P_out`` when it is given. Returns (P_N, rcond, blocks): rcond is the
-    smallest figure judged over the blocks, and blocks is the
-    ``{"blocks", "blocks_factored"}`` count. P_N is None, and ``out`` partly
-    written, unless every block's reciprocal condition estimate and every
-    1/((||T_k|| + ||U_k'U_k||) ||J_k^-1||), with T_k = F_k'G_{k-1}^{-1}F_k +
-    W_k, reach INFORMATION_RCOND_FLOOR. In the 1-norm ||J_k|| <= ||T_k|| +
+    ``P_out`` when it is given. Each block's data half also gives beta_k
+    (:func:`_block_data`), checked by :func:`_check_energy`. Returns
+    (P_N, beta_N, rcond, blocks): rcond is the smallest figure judged over
+    the blocks, and blocks is the ``{"blocks", "blocks_factored"}`` count.
+    P_N and beta_N are None, and ``out`` partly written, unless every
+    block's reciprocal condition estimate and every 1/((||T_k|| +
+    ||U_k'U_k||) ||J_k^-1||), with T_k = F_k'G_{k-1}^{-1}F_k + W_k, reach
+    INFORMATION_RCOND_FLOOR. In the 1-norm ||J_k|| <= ||T_k|| +
     ||U_k'U_k||, and the 2-norm of a symmetric matrix is at most its
     1-norm, so a kept J_k has cond_2(J_k) <= 1/INFORMATION_RCOND_FLOOR =
     1e6 and R_k = chol(J_k) has cond_2(R_k) <= 1e3, inside the QR steps'
@@ -266,7 +288,7 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
     blocks = factored = 0
     # a chain with huge whitened rows may overflow here; the checks catch it
     with np.errstate(all="ignore"):
-        U, z = np.zeros((n, n)), np.zeros(n)
+        U, z, energy = np.zeros((n, n)), np.zeros(n), 0.0
         steps = _block_steps(2 * n * n)
         for start in range(0, N + 1, steps):
             stop = min(start + steps, N + 1)
@@ -278,14 +300,16 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
             blocks += 1
             rcond = half.rcond if rcond is None else min(rcond, half.rcond)
             if half.P is None:
-                return None, rcond, None
-            z = _block_data(model, start, Vy, out, half, U, z)
+                return None, None, rcond, None
+            z, energy, beta = _block_data(model, start, Vy, out, half, U, z, energy)
+            _check_energy(beta, start)
             if P_out is not None:
                 P_out[start:stop] = half.P
             U = half.U_next
             if interior:
                 cached = half
-    return symmetrize(half.P[-1]), rcond, {"blocks": blocks, "blocks_factored": factored}
+    blocks = {"blocks": blocks, "blocks_factored": factored}
+    return symmetrize(half.P[-1]), float(beta[-1]), rcond, blocks
 
 
 @dataclass(frozen=True)
@@ -388,13 +412,21 @@ def _block_factor(model: FilterModel, start: int, stop: int, U: np.ndarray) -> _
     return _BlockFactor(U, rcond, R, Ut, P, U_next)
 
 
-def _block_data(model: FilterModel, start: int, Vy, out, half: _BlockFactor, U, z_before):
+def _block_data(
+    model: FilterModel, start: int, Vy, out, half: _BlockFactor, U, z_before, energy
+):
     """The data half of one block of :func:`_information_sweep`.
 
     With the carried (U_start, z_{start-1}), zeros at step 0, solves R'z =
-    b over the block by one dtbtrs on the factor of ``half``, writes the
-    centers x_hat_k = P_k (b_k - U_k'z_{k-1}) into ``out`` and returns
-    z_{stop-1}.
+    b over the block by one dtbtrs on the factor of ``half`` and writes the
+    centers x_hat_k = P_k (b_k - U_k'z_{k-1}) into ``out``. The least data
+    energy of y_0 .. y_k is
+
+        beta_k = sum_{j<=k} |V_jy_j|^2 - sum_{j<k} |z_j|^2 - x_hat_k'J_kx_hat_k,
+
+    the data's energy less the part the truncated chain's R'z = b explains.
+    With the carried ``energy`` = sum_{j<start} (|V_jy_j|^2 - |z_j|^2),
+    returns (z_{stop-1}, the same sum to stop - 1, beta over the block).
     """
     count, n = half.count, model.VH.shape[2]
     stop = start + count
@@ -402,12 +434,16 @@ def _block_data(model: FilterModel, start: int, Vy, out, half: _BlockFactor, U, 
     b[0] -= U.T @ z_before
     z = lapack.dtbtrs(half.R, b.reshape(-1, 1), trans="T")[0].reshape(count, n)
     b[1:] -= (half.Ut @ z[:-1, :, None])[:, :, 0]
-    out[start:stop] = (half.P @ b[:, :, None])[:, :, 0]
-    return z[-1]
+    x = (half.P @ b[:, :, None])[:, :, 0]
+    out[start:stop] = x
+    zz = np.einsum("ki,ki->k", z, z)
+    vy = Vy[start:stop]
+    energy = energy + np.cumsum(np.einsum("ki,ki->k", vy, vy) - zz)
+    return z[-1], float(energy[-1]), energy + zz - np.einsum("ki,ki->k", b, x)
 
 
-def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> np.ndarray:
-    """The filter as one QR factorization per step; returns P_N.
+def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
+    """The filter as one QR factorization per step; returns (P_N, beta_N).
 
     Step k factors the (n + m + l) x (2n + 1) matrix of the module
     docstring, with columns (x_{k-1}, x_k, data), by one LAPACK dgeqrf;
@@ -419,15 +455,18 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> np.ndarray
     s_max (J_k = R_k'R_k, never formed, then has s_min <= DEFAULT_TOL
     s_max), and one batched solve writes x_hat_k = R_k^{-1}z_k into
     ``out`` (and, when ``P_out`` is given, one more writes
-    P_k = R_k^{-1}R_k^{-T} into it). Raises RankDeficient at the first
-    singular R_k, naming its s_min/s_max and the cutoff.
+    P_k = R_k^{-1}R_k^{-T} into it). Each step's residual entry e_k is
+    read from its matrix after the block; a step with at most 2n rows has
+    none. Raises InconsistentData at the first step whose beta_k exceeds
+    1 (:func:`_check_energy`), and RankDeficient at the first singular
+    R_k, naming its s_min/s_max and the cutoff, whichever comes first.
     """
     N = model.horizon
     m, n = model.LF0.shape
     l = model.V.shape[1]
     rows = n + m + l
     upper = np.tri(n, dtype=bool)  # R's upper triangle, transposed
-    R, z = np.zeros((n, n)), np.zeros(n)
+    R, z, beta = np.zeros((n, n)), np.zeros(n), 0.0
     steps = _block_steps(rows * (2 * n + 1))
     cutoff = math.sqrt(DEFAULT_TOL)
     for start in range(0, N + 1, steps):
@@ -452,11 +491,14 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> np.ndarray
             if i + 1 < count:
                 np.copyto(work[i + 1, :n, :n], a[n : 2 * n, n : 2 * n], where=upper)
                 work[i + 1, 2 * n, :n] = zs[i]
+        residual = work[:, 2 * n, 2 * n] if rows > 2 * n else np.zeros(count)
+        betas = beta + np.cumsum(residual * residual)
         Rs = np.triu(Rs)
         s = np.linalg.svd(Rs, compute_uv=False)
         singular = s[:, -1] <= cutoff * s[:, 0]
-        if singular.any():
-            i = int(np.argmax(singular))
+        i = int(np.argmax(singular)) if singular.any() else count
+        _check_energy(betas[:i], start)  # beta_i is a floor only at a singular R_i
+        if i < count:
             ratio = s[i, -1] / s[i, 0] if s[i, 0] > 0 else 0.0
             raise RankDeficient(
                 f"information matrix at step {start + i} is singular: "
@@ -466,9 +508,9 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> np.ndarray
         if P_out is not None:
             R_inv = np.linalg.inv(Rs)
             P_out[start:stop] = symmetrize(R_inv @ np.swapaxes(R_inv, 1, 2))
-        R, z = Rs[-1], zs[-1]
+        R, z, beta = Rs[-1], zs[-1], float(betas[-1])
     R_inv = scipy.linalg.solve_triangular(R, np.eye(n), check_finite=False)
-    return symmetrize(R_inv @ R_inv.T)
+    return symmetrize(R_inv @ R_inv.T), beta
 
 
 def filter_run(
@@ -476,8 +518,9 @@ def filter_run(
 ) -> Estimate:
     """Run the filter across the horizon and read out (ell, x_N).
 
-    Returns the terminal readout with the radius sqrt(ell' P_N ell), the
-    ``solver`` record (:func:`.static.solver_record`) of the path taken,
+    Returns the terminal readout with the attained radius
+    sqrt(1 - beta_N) sqrt(ell' P_N ell) (module docstring), the ``solver``
+    record (:func:`.static.solver_record`) of the path taken,
     and as outputs the final center ``x_hat_final``, the filtered centers
     ``x_hat_seq`` at every step and ``P_final`` = P_N. Note the
     intermediate x_hat_k use only y_0 .. y_k; they match the batch center
@@ -487,8 +530,9 @@ def filter_run(
 
     The run first tries :func:`_information_sweep`. When one of its
     checks fails, it restarts on :func:`_qr_steps`, which alone decides
-    every error after :func:`prepare_filter`: S and B_k verdicts come
-    before any rank verdict.
+    every rank verdict after :func:`prepare_filter`: S and B_k verdicts
+    come before any rank or data verdict. Data whose beta_k exceeds 1 at
+    some step raise InconsistentData, naming the first such step.
     """
     count = dae.horizon + 1
     Y = vector_stack(y_seq, "y_seq", count, dae.observation_dim, "observation vectors")
@@ -496,16 +540,17 @@ def filter_run(
     model = prepare_filter(dae, bounds)
     Vy = (model.V @ Y[:, :, None])[:, :, 0]
     x_seq = np.empty((count, dae.state_dim))
-    P, rcond, blocks = _information_sweep(model, Vy, x_seq, P_seq)
+    P, beta, rcond, blocks = _information_sweep(model, Vy, x_seq, P_seq)
     if P is None:
-        P = _qr_steps(model, Vy, x_seq, P_seq)
+        P, beta = _qr_steps(model, Vy, x_seq, P_seq)
         solver = solver_record("recursive", rcond, INFORMATION_RCOND_FLOOR)
     else:
         solver = solver_record("information", rcond, INFORMATION_RCOND_FLOOR) | blocks
+    prior = max(float(ell @ (P @ ell)), 0.0)
     return Estimate(
         feasible=True,
         estimate=float(ell @ x_seq[-1]),
-        radius=math.sqrt(max(float(ell @ (P @ ell)), 0.0)),
+        radius=math.sqrt(max(1.0 - beta, 0.0)) * math.sqrt(prior),
         outputs={"x_hat_final": x_seq[-1], "x_hat_seq": x_seq, "P_final": P},
         solver=solver,
     )

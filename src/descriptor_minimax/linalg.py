@@ -57,8 +57,6 @@ STEADY_STATE_TOL = 2e-14
 SYMMETRY_TOL = 1e-12
 # Simulation: a step matrix F_k with 1/cond(F_k) below this is singular.
 STEP_RCOND = 1e-12
-# Center oracle: normal equations are singular if min eig <= this * max(max eig, 1).
-NORMAL_EQUATION_TOL = 1e-12
 # Sampler: least scale behind the curvature cutoff, so the cutoff stays positive.
 CURVATURE_SCALE_FLOOR = 1e-300
 # Chebyshev check: deviations above sigma * (1 + this) + this are violations.
@@ -268,14 +266,6 @@ def spd_inverse(q: np.ndarray) -> np.ndarray:
     return symmetrize(spd_solve(q, np.eye(q.shape[0])))
 
 
-def pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose pseudoinverse, singular values below DEFAULT_TOL*s_max dropped."""
-    m = as_matrix(a, "pseudo_inverse argument")
-    if m.size == 0:
-        return m.T.copy()
-    return np.linalg.pinv(m, rcond=DEFAULT_TOL)
-
-
 @dataclass(frozen=True)
 class LinearSolveResult:
     """Minimum-norm least-squares solution together with solve diagnostics."""
@@ -366,24 +356,6 @@ def svd_subspaces(a) -> SvdSubspaces:
         kernel_basis=vt[rank:].T,
         rank=rank,
     )
-
-
-def null_basis(a, scale: Optional[float] = None) -> np.ndarray:
-    """Orthonormal basis of ker(a), thresholding against an external scale.
-
-    When ``a`` is itself a product of larger matrices, its entries can be
-    pure rounding dust; thresholding against its own largest singular value
-    would then invent spurious rank. Passing the norm of the parent problem
-    as ``scale`` keeps the rank decision anchored to the data.
-    """
-    m = as_matrix(a, "matrix")
-    n = m.shape[1]
-    if m.shape[0] == 0 or n == 0:
-        return np.eye(n)
-    _, s, vt = np.linalg.svd(m)
-    anchor = max(s[0] if s.size else 0.0, scale if scale is not None else 0.0)
-    rank = int(np.sum(s > DEFAULT_TOL * anchor)) if anchor > 0.0 else 0
-    return vt[rank:].T
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,15 @@
 Independent machinery that re-derives what the estimators claim, the
 slow and explicit way:
 
-* ``sample_reachability`` draws points from the set of states that are
-  consistent with an observation and the ellipsoidal bound, by reducing
-  the constraint F x = B f to a parametrized ellipsoid and sampling its
-  boundary and interior directly. With a ``readout`` L it returns values
-  L x instead, drawn from their exact distribution with about as many
-  random numbers per draw as L has rows, so no state is formed.
+* ``sample_reachability`` draws values L x, for a readout L, over the
+  states that are consistent with an observation and the ellipsoidal
+  bound. It reduces the constraint F x = B f to a parametrized ellipsoid
+  and samples its boundary and interior directly, from the exact
+  distribution of L x, with about as many random numbers per draw as L
+  has rows, so no state is formed. L = I draws the states themselves.
 * ``chebyshev_check`` tests a reported center/radius pair against such
   samples: no consistent state may put the functional further than the
   radius from the reported value.
-* ``quadratic_center_oracle`` recomputes the center through plain dense
-  normal equations, sharing no code path with the saddle-point solver.
 
 The state dimension is capped at ``MAX_ORACLE_DIM``.
 """
@@ -25,24 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    EmptySet,
-    InvalidInput,
-    SingularNormalEquations,
-)
+from .errors import DimensionTooLarge, EmptySet, InvalidInput
 from .linalg import (
     CHEBYSHEV_SLACK,
     CURVATURE_SCALE_FLOOR,
     DEFAULT_TOL,
     NEGATIVE_FLOOR,
-    NORMAL_EQUATION_TOL,
     as_matrix,
     as_vector,
     block_diag,
-    null_basis,
     sized_vector,
     solve_least_squares,
+    svd_subspaces,
     symmetrize,
 )
 from .static import StaticEllipsoid, StaticModel
@@ -57,7 +49,8 @@ _CHUNK = 2048
 
 @dataclass(frozen=True)
 class ReachabilitySampleSet:
-    """States consistent with the data; ``boundary`` flags extremal draws.
+    """Readouts L x of states consistent with the data, one row per draw;
+    ``boundary`` flags extremal draws.
 
     ``empty`` is True when no state at all is consistent, in which case
     the arrays have zero rows.
@@ -87,7 +80,7 @@ def _reduced_quadratic(model: StaticModel, bounds: StaticEllipsoid, y: np.ndarra
     xi'M xi - 2 b'xi + c. Returns (Z, M, b, c).
     """
     constraint = np.hstack([model.F, -model.B])
-    Z = null_basis(constraint)
+    Z = svd_subspaces(constraint).kernel_basis
     weight = block_diag(model.H.T @ bounds.Q2 @ model.H, bounds.Q1)
     drive = np.concatenate(
         [model.H.T @ (bounds.Q2 @ y), np.zeros(model.disturbance_dim)]
@@ -104,9 +97,9 @@ def sample_reachability(
     y,
     count: int,
     seed: int,
-    readout=None,
+    readout,
 ) -> ReachabilitySampleSet:
-    """Draw ``count`` states consistent with observation ``y``.
+    """Draw ``count`` values L x over the states consistent with ``y``.
 
     The consistency set is the projection onto x of an ellipsoid in the
     reduced coordinates xi. Its positive-curvature directions are
@@ -117,18 +110,17 @@ def sample_reachability(
     the chunks are drawn one after another, each from its own substream,
     straight into the returned arrays.
 
-    With ``readout`` L, a k x n matrix, ``x`` holds values L x, shape
-    (count, k), with the distribution of L x over the states drawn
-    without a readout. L is folded into the two draw maps once, so
-    neither the states nor the reduced coordinates are formed: memory is
-    O(count k), not O(count n). A map with more rows r than k columns is
-    cut to R of its thin QR, map = Q R: a direction g/|g| with
-    g ~ N(0, I_r) enters only through g Q ~ N(0, I_k) and
+    ``readout`` L is a k x n matrix, and ``x`` holds the values L x,
+    shape (count, k); L = I gives the states. L is folded into the two
+    draw maps once, so neither the states nor the reduced coordinates are
+    formed: memory is O(count k), not O(count n). A map with more rows r
+    than k columns is cut to R of its thin QR, map = Q R: a direction
+    g/|g| with g ~ N(0, I_r) enters only through g Q ~ N(0, I_k) and
     |g|^2 = |g Q|^2 + chi^2_{r-k}, the two independent (Cochran), so a
     draw takes k normals and one chi^2 variate in place of r normals, and
-    the flat part k normals in place of r. The values are then other
-    draws than the states', though still fixed by the seed; with no map
-    cut they are the states' own draws, projected.
+    the flat part k normals in place of r. The values then have the
+    distribution of L x, though they are not L times the draws of a
+    readout with more rows.
     """
     if model.state_dim > MAX_ORACLE_DIM:
         raise DimensionTooLarge(
@@ -139,13 +131,10 @@ def sample_reachability(
     y = sized_vector(y, "y", model.observation_dim)
 
     n = model.state_dim
-    if readout is not None:
-        readout = as_matrix(readout, "readout")
-        if readout.shape[1] != n:
-            raise InvalidInput(
-                f"readout has {readout.shape[1]} columns, expected {n}"
-            )
-    width = n if readout is None else readout.shape[0]
+    readout = as_matrix(readout, "readout")
+    if readout.shape[1] != n:
+        raise InvalidInput(f"readout has {readout.shape[1]} columns, expected {n}")
+    width = readout.shape[0]
     Z, M, b, c = _reduced_quadratic(model, bounds, y)
     r = Z.shape[1]
 
@@ -180,22 +169,20 @@ def sample_reachability(
     if count == 0:
         return ReachabilitySampleSet(np.zeros((0, width)), np.zeros(0, bool), False)
 
-    # Normals per draw for each part: r_pd and r_null for states, at most
-    # k for a readout.
+    # The draw maps followed by the lift and the readout, as one product
+    # each: row draws times these give L x directly. Normals per draw for
+    # each part: r_pd and r_null, at most k once a map is cut.
+    LZ = readout @ Z[:n]
+    center = LZ @ xi_star
+    pd_map = radius * (inv_sqrt[:, None] * (V_pd.T @ LZ.T))
+    null_map = null_amp * (V_null.T @ LZ.T)
     pd_dim, null_dim = r_pd, r_null
-    if readout is not None:
-        # The draw maps followed by the lift and the readout, as one
-        # product each: row draws times these give L x directly.
-        LZ = readout @ Z[:n]
-        center = LZ @ xi_star
-        pd_map = radius * (inv_sqrt[:, None] * (V_pd.T @ LZ.T))
-        null_map = null_amp * (V_null.T @ LZ.T)
-        if r_pd > width:
-            pd_map = np.linalg.qr(pd_map, mode="r")
-            pd_dim = width
-        if r_null > width:
-            null_map = np.linalg.qr(null_map, mode="r")
-            null_dim = width
+    if r_pd > width:
+        pd_map = np.linalg.qr(pd_map, mode="r")
+        pd_dim = width
+    if r_null > width:
+        null_map = np.linalg.qr(null_map, mode="r")
+        null_dim = width
 
     xs = np.empty((count, width))
     flags = np.zeros(count, dtype=bool)
@@ -222,19 +209,11 @@ def sample_reachability(
         if r_null > 0:
             flat = rng.standard_normal((size, null_dim))
         out = xs[lo : lo + size]
-        if readout is None:
-            xi = np.tile(xi_star, (size, 1))
-            if r_pd > 0:
-                xi += radius * (dirs * inv_sqrt[None, :]) @ V_pd.T
-            if r_null > 0:
-                xi += (null_amp * flat) @ V_null.T
-            out[:] = (Z[:n] @ xi.T).T
-        else:
-            out[:] = center
-            if r_pd > 0:
-                out += dirs @ pd_map
-            if r_null > 0:
-                out += flat @ null_map
+        out[:] = center
+        if r_pd > 0:
+            out += dirs @ pd_map
+        if r_null > 0:
+            out += flat @ null_map
     return ReachabilitySampleSet(x=xs, boundary=flags, empty=False)
 
 
@@ -269,38 +248,3 @@ def chebyshev_check(
         max_abs_deviation=max_dev,
         radius=float(radius),
     )
-
-
-def quadratic_center_oracle(
-    model: StaticModel, bounds: StaticEllipsoid, y
-) -> np.ndarray:
-    """Center of the consistency set by direct normal equations.
-
-    Only for invertible B: then f = B^{-1} F x is forced and the energy
-    is an explicit quadratic in x, minimized by
-
-        (F'B^{-T} Q1 B^{-1} F + H'Q2 H) x = H'Q2 y.
-
-    Dense solve, no saddle systems, no pseudoinverses; exists purely to
-    cross-examine the estimators.
-    """
-    y = sized_vector(y, "y", model.observation_dim)
-    m = model.equation_dim
-    if model.B.shape != (m, m):
-        raise InvalidInput("quadratic_center_oracle needs square invertible B")
-    if model.state_dim > MAX_ORACLE_DIM:
-        raise DimensionTooLarge(
-            f"state dimension {model.state_dim} exceeds oracle cap {MAX_ORACLE_DIM}"
-        )
-    try:
-        G = np.linalg.solve(model.B, model.F)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidInput("quadratic_center_oracle needs square invertible B") from exc
-    A = G.T @ bounds.Q1 @ G + model.H.T @ bounds.Q2 @ model.H
-    A = symmetrize(A)
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= NORMAL_EQUATION_TOL * max(float(eigs[-1]), 1.0):
-        raise SingularNormalEquations(
-            "normal equations are singular; the center is not unique"
-        )
-    return np.linalg.solve(A, model.H.T @ (bounds.Q2 @ y))

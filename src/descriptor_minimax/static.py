@@ -41,20 +41,15 @@ import numpy as np
 
 from .errors import InconsistentData, InvalidInput, NumericalBreakdown
 from .linalg import (
-    MEMBERSHIP_TOL,
     NEGATIVE_FLOOR,
     RCOND_FLOOR,
     SADDLE_RESIDUAL_TOL,
     as_matrix,
-    null_basis,
-    pseudo_inverse,
     range_membership,
     require_spd,
     sized_vector,
     solve_least_squares,
     spd_solve,
-    svd_subspaces,
-    symmetrize,
 )
 
 
@@ -138,9 +133,9 @@ class Estimate:
     when an a priori estimator has no data to apply its readout to, or no
     finite readout. The a priori estimators and the Riccati filter also set
     ``worst_case_mse``, the minimal worst-case mean-squared error, of which
-    ``radius`` is the square root. The radius of the two filters is not yet
-    the attained worst case (README, introduction): it leaves out the
-    data's share of the budget, so the data may leave it unattained.
+    ``radius`` is the square root. So the Riccati filter's radius is the a
+    priori one: it leaves out the data's share of the budget, which
+    :func:`.filtering.filter_run` takes into its attained radius.
 
     ``outputs`` holds the arrays a report writes, under its names and
     shapes, and ``solver`` the report's ``diagnostics.solver`` entry
@@ -307,62 +302,3 @@ def aposteriori_estimate(
         solver=solver_record("dense"),
         p=p,
     )
-
-
-def worst_case_error_of(
-    model: StaticModel,
-    bounds: StaticEllipsoid,
-    ell,
-    u,
-    c: float = 0.0,
-) -> float:
-    """Exact worst-case squared error of an arbitrary affine readout u'y + c.
-
-    The error of the readout against (ell, x) splits into a bias part,
-    maximized over all (x, f) with F x = B f and (Q1 f, f) <= 1, and a
-    noise part (Q2^{-1} u, u). Writing v = ell - H'u, the bias at a model
-    solution is (v, x) - (B'w, f) for any w with F'w = v, plus c. The
-    supremum is computed in closed form:
-
-    * if v has a component in ker(F)' ... i.e. v is not in range(F'),
-      states exist that move (v, x) freely and the value is +inf;
-    * otherwise take w = F^{+'} v. Over f restricted by B f in range(F)
-      (basis Z of ker(U_perp' B), U_perp spanning range(F)^perp) and by
-      the energy bound, sup (B'w, f) = sqrt(g' (Z'Q1Z)^{-1} g) with
-      g = Z'B'w.
-
-    The rank decisions for the restriction matrix U_perp' B are anchored
-    to ||B|| rather than to the product's own (possibly vanishing) scale.
-    """
-    _check_pair(model, bounds)
-    target = sized_vector(ell, "ell", model.state_dim)
-    u = sized_vector(u, "u", model.observation_dim)
-
-    v = target - model.H.T @ u
-    spaces = svd_subspaces(model.F)
-
-    # Bias escapes to infinity along ker F unless v kills those directions.
-    if spaces.kernel_basis.shape[1] > 0:
-        kernel_part = float(np.linalg.norm(spaces.kernel_basis.T @ v))
-        if kernel_part > MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(v))):
-            return math.inf
-
-    w = pseudo_inverse(model.F).T @ v
-
-    # Admissible disturbances must keep B f inside range(F).
-    restriction = spaces.range_complement.T @ model.B
-    if restriction.shape[0] == 0:
-        basis = np.eye(model.disturbance_dim)
-    else:
-        b_scale = float(np.linalg.norm(model.B, 2)) if model.B.size else 0.0
-        basis = null_basis(restriction, scale=b_scale)
-
-    if basis.shape[1] == 0:
-        sup_bias = 0.0
-    else:
-        g = basis.T @ (model.B.T @ w)
-        reduced = symmetrize(basis.T @ bounds.Q1 @ basis)
-        sup_bias = math.sqrt(max(float(g @ spd_solve(reduced, g)), 0.0))
-
-    noise = float(u @ spd_solve(bounds.Q2, u))
-    return (sup_bias + abs(c)) ** 2 + noise

@@ -6,7 +6,10 @@ and functionals are forced into the representable range when a finite
 radius is required.
 """
 
+import math
+
 import numpy as np
+import scipy.linalg
 
 from descriptor_minimax import (
     DAEEllipsoid,
@@ -14,6 +17,7 @@ from descriptor_minimax import (
     StaticEllipsoid,
     StaticModel,
 )
+from descriptor_minimax.linalg import DEFAULT_TOL, MEMBERSHIP_TOL, spd_solve, svd_subspaces
 
 
 def rng_for(seed):
@@ -61,6 +65,22 @@ def feasible_observation(rng, model, bounds, budget=0.81):
     sf = np.sqrt(0.5 * budget / max(float(f @ (bounds.Q1 @ f)), 1e-300))
     sg = np.sqrt(0.5 * budget / max(float(g @ (bounds.Q2 @ g)), 1e-300))
     return model.H @ (sf * x) + sg * g
+
+
+def data_energy(y_seq, bounds):
+    """sum_k y_k'Q2_k y_k, the energy of the zero trajectory on a chain's
+    data: at least beta_N, the least energy that explains them."""
+    y = np.asarray(y_seq, dtype=float)
+    return float(np.einsum("ki,kij,kj->", y, bounds.Q2_seq, y))
+
+
+def within_bound(y_seq, bounds, energy=0.5):
+    """``y_seq`` as an array, scaled down where its :func:`data_energy`
+    exceeds ``energy`` < 1. The data are then consistent: the filter and
+    the one-shot answer rather than raise InconsistentData."""
+    y = np.asarray(y_seq, dtype=float)
+    total = data_energy(y, bounds)
+    return y * math.sqrt(energy / total) if total > energy else y
 
 
 def make_discrete(rng, n=2, m=None, p=None, l=2, N=3, identity_b=False):
@@ -127,3 +147,85 @@ def scalar_chain():
         Q0=one, Q1_seq=np.stack([one]), Q2_seq=np.stack([one, one])
     )
     return dae, bounds
+
+
+def dense_reference(dae, bounds, y_seq, k):
+    """x_hat_k, P_k and beta_k from one QR of the chain cut after step k.
+
+    Every row is whitened, L = chol(Q)'B^{-1}, and the rows are stacked
+    into one least-squares problem over (x_0, .., x_k) with the data as a
+    last column; no saddle system is formed. In R of its QR the last
+    column gives the solution, whose last block is x_hat_k, the last
+    diagonal block R_kk gives P_k = R_kk^{-1}R_kk^{-T}, and the corner
+    entry squared is beta_k, the least energy that explains y_0 .. y_k.
+    None when the states' columns of R are singular at the package's rank
+    cut, s_min <= DEFAULT_TOL s_max, so that the center is not unique.
+    """
+    n, m, l = dae.state_dim, dae.equation_dim, dae.observation_dim
+
+    def white(B, Q):
+        return np.linalg.solve(B.T, np.linalg.cholesky(Q)).T
+
+    A = np.zeros(((k + 1) * m + (k + 1) * l, (k + 1) * n + 1))
+    A[:m, :n] = white(dae.S, bounds.Q0) @ dae.F_seq[0]
+    for j in range(k):
+        L = white(dae.B_seq[j], bounds.Q1_seq[j])
+        rows = slice((j + 1) * m, (j + 2) * m)
+        A[rows, j * n : (j + 1) * n] = -L @ dae.C_seq[j]
+        A[rows, (j + 1) * n : (j + 2) * n] = L @ dae.F_seq[j + 1]
+    for j in range(k + 1):
+        V = np.linalg.cholesky(bounds.Q2_seq[j]).T
+        rows = slice((k + 1) * m + j * l, (k + 1) * m + (j + 1) * l)
+        A[rows, j * n : (j + 1) * n] = V @ dae.H_seq[j]
+        A[rows, -1] = V @ y_seq[j]
+    R = np.linalg.qr(A, mode="r")
+    s = np.linalg.svd(R[:-1, :-1], compute_uv=False)
+    if s[-1] <= DEFAULT_TOL * s[0]:
+        return None
+    x = scipy.linalg.solve_triangular(R[:-1, :-1], R[:-1, -1])
+    R_inv = np.linalg.inv(R[-n - 1 : -1, -n - 1 : -1])
+    beta = R[-1, -1] ** 2 if R.shape[0] == R.shape[1] else 0.0
+    return x[-n:], R_inv @ R_inv.T, beta
+
+
+def worst_case_error_of(model, bounds, ell, u, c=0.0):
+    """Exact worst-case squared error of an arbitrary affine readout u'y + c.
+
+    The error of the readout against (ell, x) splits into a bias part,
+    maximized over all (x, f) with F x = B f and (Q1 f, f) <= 1, and a
+    noise part (Q2^{-1} u, u). Writing v = ell - H'u, the bias at a model
+    solution is (v, x) - (B'w, f) for any w with F'w = v, plus c. The
+    supremum is computed in closed form:
+
+    * if v is not in range(F') (its part in ker F exceeds MEMBERSHIP_TOL),
+      states exist that move (v, x) freely and the value is +inf;
+    * otherwise take w = F^{+'} v. Over f restricted by B f in range(F)
+      (basis Z of ker(U_perp' B), U_perp spanning range(F)^perp) and by
+      the energy bound, sup (B'w, f) = sqrt(g' (Z'Q1Z)^{-1} g) with
+      g = Z'B'w.
+
+    Ranks are cut at DEFAULT_TOL; the cut for the restriction U_perp' B is
+    anchored to ||B||, not to the product's own (possibly vanishing)
+    scale, whose entries can be pure rounding dust.
+    """
+    ell, u = np.asarray(ell, dtype=float), np.asarray(u, dtype=float)
+    v = ell - model.H.T @ u
+    spaces = svd_subspaces(model.F)
+    if np.linalg.norm(spaces.kernel_basis.T @ v) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(v)):
+        return math.inf
+    w = np.linalg.pinv(model.F, rcond=DEFAULT_TOL).T @ v
+
+    restriction = spaces.range_complement.T @ model.B
+    basis = np.eye(model.disturbance_dim)
+    if restriction.shape[0]:
+        _, s, vt = np.linalg.svd(restriction)
+        anchor = max(s[0] if s.size else 0.0, np.linalg.norm(model.B, 2))
+        basis = vt[int(np.sum(s > DEFAULT_TOL * anchor)) :].T
+
+    sup_bias = 0.0
+    if basis.shape[1]:
+        g = basis.T @ (model.B.T @ w)
+        reduced = basis.T @ bounds.Q1 @ basis
+        sup_bias = math.sqrt(max(float(g @ spd_solve(reduced, g)), 0.0))
+    noise = float(u @ spd_solve(bounds.Q2, u))
+    return (sup_bias + abs(c)) ** 2 + noise

@@ -193,23 +193,25 @@ def test_missing_observations_for_aposteriori_exits_1(tmp_path, capsys):
 
 
 def test_filter_chain(tmp_path, capsys):
-    code = main(
-        [
-            "filter",
-            "--config",
-            write_doc(tmp_path, chain_doc("filter")),
-            "--observations",
-            write_obs(tmp_path, [[1.0], [1.0]]),
-        ]
-    )
-    assert code == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
+    # the attained radius: ell'P_N ell = 0.6 and the data use beta_N = 0.6
+    # of the budget, so sqrt(0.4 * 0.6); estimate reports the same on the
+    # same chain and data
+    obs = write_obs(tmp_path, [[1.0], [1.0]])
+    reports = []
+    for command, doc in (("filter", chain_doc("filter")), ("estimate", chain_doc())):
+        code = main([command, "--config", write_doc(tmp_path, doc), "--observations", obs])
+        assert code == EXIT_OK
+        reports.append(json.loads(capsys.readouterr().out))
+    report, one_shot = reports
     assert report["estimate"] == pytest.approx(0.8, abs=1e-12)
-    assert report["sigma_hat"] == pytest.approx(math.sqrt(0.6), abs=1e-12)
+    assert report["sigma_hat"] == pytest.approx(math.sqrt(0.24), abs=1e-12)
+    assert one_shot["estimate"] == pytest.approx(report["estimate"], abs=1e-12)
+    assert one_shot["sigma_hat"] == pytest.approx(report["sigma_hat"], abs=1e-12)
 
 
 def test_filter_at_horizon_zero_reports_its_solver(tmp_path, capsys):
-    # one step and no transition: P_0 = (1 + 1)^-1, x_hat_0 = P_0 y_0
+    # one step and no transition: P_0 = (1 + 1)^-1, x_hat_0 = P_0 y_0, and
+    # y_0 = 1 uses beta = 1/2 of the budget
     doc = chain_doc("filter")
     doc["model"] = {"horizon": 0, "F": [[1.0]], "H": [[1.0]]}
     doc["bounds"] = {"Q0": [[1.0]], "Q2": [[1.0]]}
@@ -217,7 +219,7 @@ def test_filter_at_horizon_zero_reports_its_solver(tmp_path, capsys):
     assert main(argv + ["--observations", write_obs(tmp_path, [[1.0]])]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["estimate"] == pytest.approx(0.5, abs=1e-15)
-    assert report["sigma_hat"] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert report["sigma_hat"] == pytest.approx(0.5, abs=1e-15)
     config = parse_config(doc)
     run = filter_run(config.model, config.bounds, [[1.0]], [1.0])
     assert report["diagnostics"]["solver"] == run.solver
@@ -745,6 +747,7 @@ def _verdict_docs():
         singular[mode]["grid"]["steps"] = 500
     nodes = np.zeros((501, 1))
     ok, inf, err = EXIT_OK, EXIT_INFEASIBLE, EXIT_ERROR
+    no_disturbance = [[10.0], [10.0]]  # no admissible disturbance explains these
     return {
         "a": (static, [[0.5]], {"estimate": inf, "validate": inf, "check": ok}),
         "b": (bad_weight, np.zeros((5, 1)), {"riccati": err, "simulate": err, "check": err}),
@@ -753,7 +756,7 @@ def _verdict_docs():
         "d": (endpoint, np.zeros((5, 1)), {"riccati": inf, "simulate": err, "check": ok}),
         "e": (
             chain_doc(),
-            [[10.0], [10.0]],  # no admissible disturbance explains these
+            no_disturbance,
             {"estimate": err, "validate": err, "simulate": ok, "check": ok},
         ),
         "f": (static_prior, [[0.5]], {"estimate": inf, "check": ok}),
@@ -763,10 +766,12 @@ def _verdict_docs():
         # riccati and filter answer the same problem finitely
         "i": (singular["riccati"], nodes, {"riccati": ok, "simulate": err, "check": ok}),
         "j": (singular["filter"], nodes, {"filter": ok, "simulate": err, "check": ok}),
+        # e's chain and data, which filter rejects as estimate does
+        "k": (chain_doc("filter"), no_disturbance, {"filter": err, "simulate": ok, "check": ok}),
     }
 
 
-@pytest.mark.parametrize("name", "abcdefghij")
+@pytest.mark.parametrize("name", "abcdefghijk")
 def test_every_command_gives_the_same_verdict(tmp_path, capsys, name):
     # 0 finite, 2 infinite, 1 any error: decided in run() from the report
     doc, rows, codes = _verdict_docs()[name]
@@ -785,6 +790,8 @@ def test_every_command_gives_the_same_verdict(tmp_path, capsys, name):
             assert captured.err.startswith("error: ") and captured.out == ""
             if name == "c":
                 assert "estimation.ell_seq" in captured.err
+            if name in "ek":
+                assert "inconsistent with the disturbance bound" in captured.err
         else:
             report = json.loads(captured.out)
             assert report["feasible"] is (expected == EXIT_OK)

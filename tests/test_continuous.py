@@ -8,6 +8,7 @@ boundary value problem solves in closed form (p(t) combines 1 and
 e^{+-t}), giving sigma = 1 - (e - 1)/(2 e^2) - (1 - 1/e)/2.
 """
 
+import math
 import re
 
 import numpy as np
@@ -41,7 +42,7 @@ from descriptor_minimax.discrete import flatten, flatten_bounds
 from descriptor_minimax.linalg import solve_least_squares
 from descriptor_minimax.static import _saddle_matrix
 
-from conftest import rng_for
+from conftest import data_energy, rng_for
 
 SIGMA_EXACT = 1.0 - (np.e - 1.0) / (2.0 * np.e**2) - (1.0 - 1.0 / np.e) / 2.0
 SIGMA_H_MILLI = 0.5684389435893746  # frozen flattened value at h = 1e-3
@@ -685,7 +686,7 @@ def test_fine_grid_filter_matches_the_one_shot(steps):
     center = variational_estimate(dae, dbounds, ell_seq, y).estimate
     squared = discrete.apriori_horizon_estimate(dae, dbounds, ell_seq).worst_case_mse
     assert run.estimate == pytest.approx(center, abs=1e-10)
-    assert run.radius**2 == pytest.approx(squared, abs=1e-10)
+    assert run.outputs["P_final"][0, 0] == pytest.approx(squared, abs=1e-10)
 
 
 def test_riccati_estimate_reads_data():
@@ -925,6 +926,9 @@ def _random_riccati_problem(seed):
     ell0 = np.diag(diag) @ rng.standard_normal(n)  # in range(F')
     w = rng.standard_normal((3, l))
     y_fn = lambda t: w[0] + w[1] * np.sin(2.0 * t) + w[2] * t * t
+    # data inside the bound on the grid's chain, and so on the coarse one
+    energy = data_energy([y_fn(t) for t in grid.nodes()], discretize(system, bounds, grid)[1])
+    w *= min(1.0, math.sqrt(0.25 / energy))
     return system, bounds, ell0, y_fn, grid
 
 
@@ -1041,7 +1045,8 @@ def test_riccati_verdicts_match_the_per_step_oracle(case):
     for M in (steps, steps // 2):
         dae, dbounds = discretize(system, bounds, TimeGrid(0.0, 1.0, M))
         try:
-            chains.append(filter_run(dae, dbounds, y[:: steps // M], ell0).radius ** 2)
+            P = filter_run(dae, dbounds, y[:: steps // M], ell0).outputs["P_final"]
+            chains.append(ell0 @ P @ ell0)
         except RankDeficient:
             chains.append(None)
     args = (system, bounds, ell0, y, TimeGrid(0.0, 1.0, steps))

@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import descriptor_minimax.continuous as continuous_mod
 import descriptor_minimax.discrete as discrete_mod
@@ -39,7 +38,14 @@ from descriptor_minimax import (
 from descriptor_minimax.filtering import prepare_filter
 from descriptor_minimax.linalg import spd_solve, symmetrize
 
-from conftest import make_discrete, random_spd, rng_for, scalar_chain
+from conftest import (
+    dense_reference,
+    make_discrete,
+    random_spd,
+    rng_for,
+    scalar_chain,
+    within_bound,
+)
 
 
 def _full_column_rank(F, H):
@@ -131,6 +137,7 @@ def test_filter_matches_variational_on_random_systems():
         run = filter_run(dae, bounds, y_seq, ell)
         scale = 1.0 + abs(var.estimate)
         assert abs(run.estimate - var.estimate) <= 1e-8 * scale
+        assert run.radius == pytest.approx(var.radius, rel=1e-10)
         done += 1
 
 
@@ -158,7 +165,7 @@ def test_information_filter_against_full_normal_equations():
         Q1_seq=np.broadcast_to(Q1, (N, n, n)).copy(),
         Q2_seq=np.broadcast_to(Q2, (N + 1, l, l)).copy(),
     )
-    y_seq = [rng.standard_normal(l) for _ in range(N + 1)]
+    y_seq = within_bound([rng.standard_normal(l) for _ in range(N + 1)], bounds)
 
     dim = n * (N + 1)
     A = np.zeros((dim, dim))
@@ -270,7 +277,7 @@ def test_filter_is_scale_free(scale, monkeypatch):
         m = n + 1 if trial % 2 else n
         N = int(rng.integers(1, 40))
         dae, bounds = make_discrete(rng, n=n, m=m, l=int(rng.integers(1, 4)), N=N)
-        y_seq = rng.standard_normal((N + 1, dae.observation_dim)) * 0.1
+        y_seq = within_bound(rng.standard_normal((N + 1, dae.observation_dim)) * 0.1, bounds)
         ell = rng.standard_normal(n)
         scaled = DAEEllipsoid(
             Q0=scale * bounds.Q0, Q1_seq=scale * bounds.Q1_seq, Q2_seq=scale * bounds.Q2_seq
@@ -393,7 +400,7 @@ def test_prepared_filter_matches_per_step_formulas():
             dae = _with_b(dae, rng.standard_normal((N, n, n)) + 3.0 * np.eye(n))
         else:
             dae = _with_b(dae, np.broadcast_to(np.eye(n), (N, n, n)))
-        y_seq = [rng.standard_normal(l) * 0.1 for _ in range(N + 1)]
+        y_seq = within_bound([rng.standard_normal(l) * 0.1 for _ in range(N + 1)], bounds)
         x_ref, P_ref = _reference_filter(dae, bounds, y_seq)
         run = filter_run(dae, bounds, y_seq, np.ones(n))
         x_hat, P = run.outputs["x_hat_seq"], run.outputs["P_final"]
@@ -465,7 +472,8 @@ def _block_edge_chain(rng, N, descriptor):
         S=dae.S,
         H_seq=dae.H_seq,
     )
-    return dae, bounds, rng.standard_normal((N + 1, l)) * 0.1, rng.standard_normal(n)
+    y_seq = within_bound(rng.standard_normal((N + 1, l)) * 0.1, bounds)
+    return dae, bounds, y_seq, rng.standard_normal(n)
 
 
 def _assert_matches_reference(dae, bounds, y_seq, ell, rel=1e-12):
@@ -476,7 +484,7 @@ def _assert_matches_reference(dae, bounds, y_seq, ell, rel=1e-12):
     assert P == pytest.approx(P_ref, rel=rel, abs=rel * np.abs(P_ref).max())
     scale = np.abs(ell) @ np.abs(x_ref[-1])
     assert run.estimate == pytest.approx(ell @ x_ref[-1], rel=rel, abs=rel * scale)
-    assert run.radius == pytest.approx(np.sqrt(ell @ P_ref @ ell), rel=rel)
+    assert np.sqrt(ell @ P @ ell) == pytest.approx(np.sqrt(ell @ P_ref @ ell), rel=rel)
     return run
 
 
@@ -589,7 +597,7 @@ def test_breakdown_chains_answer_as_the_one_shot(fault):
     center = variational_estimate(dae, bounds, ell_seq, y_seq).estimate
     squared = apriori_horizon_estimate(dae, bounds, ell_seq).worst_case_mse
     assert run.estimate == pytest.approx(center, rel=1e-11, abs=1e-14)
-    assert run.radius**2 == pytest.approx(squared, rel=1e-11)
+    assert ell @ run.outputs["P_final"] @ ell == pytest.approx(squared, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -604,47 +612,17 @@ def _conditioned(rng, count, m, cond):
     return (u * np.geomspace(cond**0.5, cond**-0.5, m)) @ np.swapaxes(v, 1, 2)
 
 
-def _dense_reference(dae, bounds, y_seq, k):
-    """x_hat_k and P_k from one QR of the chain cut after step k, flattened.
-
-    Every row is whitened, L = chol(Q)'B^{-1}, and the rows are stacked
-    into one least-squares problem over (x_0, .., x_k) with the data as a
-    last column. In R of its QR the last column gives the solution, whose
-    last block is x_hat_k, and the last diagonal block R_kk gives
-    P_k = R_kk^{-1}R_kk^{-T}.
-    """
-    n, m, l = dae.state_dim, dae.equation_dim, dae.observation_dim
-
-    def white(B, Q):
-        return np.linalg.solve(B.T, np.linalg.cholesky(Q)).T
-
-    A = np.zeros(((k + 1) * m + (k + 1) * l, (k + 1) * n + 1))
-    A[:m, :n] = white(dae.S, bounds.Q0) @ dae.F_seq[0]
-    for j in range(k):
-        L = white(dae.B_seq[j], bounds.Q1_seq[j])
-        rows = slice((j + 1) * m, (j + 2) * m)
-        A[rows, j * n : (j + 1) * n] = -L @ dae.C_seq[j]
-        A[rows, (j + 1) * n : (j + 2) * n] = L @ dae.F_seq[j + 1]
-    for j in range(k + 1):
-        V = np.linalg.cholesky(bounds.Q2_seq[j]).T
-        rows = slice((k + 1) * m + j * l, (k + 1) * m + (j + 1) * l)
-        A[rows, j * n : (j + 1) * n] = V @ dae.H_seq[j]
-        A[rows, -1] = V @ y_seq[j]
-    R = np.linalg.qr(A, mode="r")
-    x = scipy.linalg.solve_triangular(R[:-1, :-1], R[:-1, -1])
-    R_inv = np.linalg.inv(R[-n - 1 : -1, -n - 1 : -1])
-    return x[-n:], R_inv @ R_inv.T
-
-
 def _assert_near_reference(run, refs, ell, rel):
-    """The run's centers at the steps of ``refs``, {k: (x_hat_k, P_k)} from
-    :func:`_dense_reference` with k = N last, and its P_N and readout."""
-    for k, (x_ref, P_ref) in refs.items():
+    """The run's centers at the steps of ``refs``, {k: (x_hat_k, P_k, beta_k)}
+    from :func:`conftest.dense_reference` with k = N last, and its P_N,
+    readout and attained radius sqrt(1 - beta_N) sqrt(ell'P_N ell)."""
+    for k, (x_ref, P_ref, beta) in refs.items():
         assert np.abs(run.outputs["x_hat_seq"][k] - x_ref).max() <= rel * np.abs(x_ref).max()
     assert np.abs(run.outputs["P_final"] - P_ref).max() <= rel * np.abs(P_ref).max()
     scale = np.abs(ell) @ np.abs(x_ref)
     assert run.estimate == pytest.approx(ell @ x_ref, rel=rel, abs=rel * scale)
-    assert run.radius == pytest.approx(np.sqrt(ell @ P_ref @ ell), rel=rel)
+    prior = np.sqrt(ell @ P_ref @ ell)
+    assert run.radius == pytest.approx(np.sqrt(1.0 - beta) * prior, rel=rel, abs=rel * prior)
 
 
 def test_information_sweep_matches_the_recursion_on_an_ensemble(monkeypatch):
@@ -664,9 +642,9 @@ def test_information_sweep_matches_the_recursion_on_an_ensemble(monkeypatch):
         m = n + 1 if trial % 4 >= 2 else n
         dae, bounds = make_discrete(rng, n=n, m=m, p=m, l=l, N=N)
         dae = _with_b(dae, _conditioned(rng, N, m, 10 ** rng.uniform(0, 6)))
-        y_seq = rng.standard_normal((N + 1, l)) * 0.1
+        y_seq = within_bound(rng.standard_normal((N + 1, l)) * 0.1, bounds)
         ell = rng.standard_normal(n)
-        refs = {k: _dense_reference(dae, bounds, y_seq, k) for k in (int(rng.integers(0, N)), N)}
+        refs = {k: dense_reference(dae, bounds, y_seq, k) for k in (int(rng.integers(0, N)), N)}
         steps = int(rng.integers(1, 20)) if trial % 2 else None
         runs = []
         for floor, per_step in ((default_floor, 2 * n * n), (np.inf, (n + m + l) * (2 * n + 1))):
@@ -701,7 +679,8 @@ def _n32_chain():
         Q1_seq=np.broadcast_to(random_spd(rng, n, floor=1.0), (N, n, n)),
         Q2_seq=np.broadcast_to(random_spd(rng, n, floor=1.0), (N + 1, n, n)),
     )
-    return dae, bounds, rng.standard_normal((N + 1, n)) * 0.1, rng.standard_normal(n)
+    y_seq = within_bound(rng.standard_normal((N + 1, n)) * 0.1, bounds)
+    return dae, bounds, y_seq, rng.standard_normal(n)
 
 
 def test_information_sweep_holds_one_block_at_a_time(monkeypatch):
@@ -757,7 +736,8 @@ def _constant_draw(rng, n, descriptor, slow):
         Q1_seq=steps(random_spd(rng, m), N),
         Q2_seq=steps(random_spd(rng, l), N + 1),
     )
-    return dae, bounds, rng.standard_normal((N + 1, l)) * 0.1, rng.standard_normal(n)
+    y_seq = within_bound(rng.standard_normal((N + 1, l)) * 0.1, bounds)
+    return dae, bounds, y_seq, rng.standard_normal(n)
 
 
 def _materialized(dae, bounds):
@@ -822,17 +802,22 @@ def test_steady_state_reuse_skips_time_varying_chains(monkeypatch):
 
 def test_steady_state_declined_chains_reach_the_qr_steps(monkeypatch):
     # constant chains the sweep turns down answer as their materialized
-    # copies do: cond(B_k) = 1e5 on the QR steps, and a second state that no
-    # row sees raises at step 0
+    # copies do: cond(B_k) = 1e5 on the QR steps, with the one-shot's
+    # attained radius, and a second state that no row sees raises at step 0
     monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * 2 * 2 * 3)
     dae, bounds = _constant_chain(30)
     ill = _with_b(dae, np.broadcast_to(np.diag([1.0, 1e-5]), (30, 2, 2)))
-    y_seq = np.linspace(-1.0, 1.0, 31)[:, None]
+    y_seq = within_bound(np.linspace(-1.0, 1.0, 31)[:, None], bounds)
     run = filter_run(ill, bounds, y_seq, np.ones(2))
     ref = filter_run(*_materialized(ill, bounds), y_seq, np.ones(2))
     assert run.solver == ref.solver and run.solver["path"] == "recursive"
     assert np.array_equal(run.outputs["x_hat_seq"], ref.outputs["x_hat_seq"])
     assert np.array_equal(run.outputs["P_final"], ref.outputs["P_final"])
+    assert run.radius == ref.radius
+    ell_seq = np.zeros((31, 2))
+    ell_seq[-1] = 1.0
+    one_shot = variational_estimate(ill, bounds, ell_seq, y_seq)
+    assert run.radius == pytest.approx(one_shot.radius, rel=1e-10)
     blind = DiscreteDAE(
         F_seq=np.broadcast_to(np.diag([1.0, 0.0]), (31, 2, 2)),
         C_seq=dae.C_seq,
@@ -860,7 +845,8 @@ def test_filter_run_at_horizon_zero():
     assert run.outputs["P_final"] == pytest.approx(P, abs=1e-15)
     assert run.outputs["x_hat_seq"] == pytest.approx((P @ H.T)[:, 0][None], abs=1e-15)
     assert run.estimate == pytest.approx(P[0] @ H[0], abs=1e-15)
-    assert run.radius == pytest.approx(np.sqrt(P[0, 0]), abs=1e-15)
+    # y_0 = 1 needs energy beta = (1 + HH')^-1 = 1/3, and P[0, 0] = 2/3
+    assert run.radius == pytest.approx(np.sqrt(1.0 - 1.0 / 3.0) * np.sqrt(P[0, 0]), abs=1e-15)
 
 
 def test_solver_record_names_the_path():
@@ -962,17 +948,13 @@ def test_constant_model_terms_are_computed_once():
 
 
 # ---------------------------------------------------------------------------
-# known defects of the filter's radius and verdict (strict: each must start
-# failing as an xfail the day its fix lands, and then become a plain test)
+# the filter's radius and data verdict are the one-shot's; the strict xfail
+# holds a known defect (it must start failing as an xfail the day its fix
+# lands, and then become a plain test)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the filter reports sqrt(ell'P_N ell) without the "
-    "sqrt(1 - beta_N) factor of the data's share of the budget",
-)
 def test_filter_radius_is_the_one_shot_radius():
-    # today 0.774597 against the one-shot's attained 0.746994
+    # the attained 0.746994, where sqrt(ell'P_N ell) is 0.774597
     dae, bounds = scalar_chain()
     y_seq = [np.array([0.3]), np.array([0.4])]
     run = filter_run(dae, bounds, y_seq, np.ones(1))
@@ -980,18 +962,17 @@ def test_filter_radius_is_the_one_shot_radius():
     assert run.radius == pytest.approx(one_shot.radius, rel=1e-10)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the filter does not test the data against the "
-    "energy bound, so it accepts data the one-shot rejects",
-)
-def test_filter_rejects_data_outside_the_bound():
-    # the one-shot raises InconsistentData; today the filter answers 30 ± 0.7746
+@pytest.mark.parametrize("floor", [filtering_mod.INFORMATION_RCOND_FLOOR, np.inf])
+def test_filter_rejects_data_outside_the_bound(floor, monkeypatch):
+    # both raise InconsistentData, the filter on either path at the first
+    # step: y_0 = 30 alone needs energy 30^2/2 = 450 (an infinite floor
+    # sends the run to the QR steps)
     dae, bounds = scalar_chain()
     y_seq = [np.array([30.0]), np.array([40.0])]
     with pytest.raises(InconsistentData):
         variational_estimate(dae, bounds, [np.zeros(1), np.ones(1)], y_seq)
-    with pytest.raises(InconsistentData):
+    monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", floor)
+    with pytest.raises(InconsistentData, match=r"at step 0 \(energy overshoot 4\.490e\+02\)"):
         filter_run(dae, bounds, y_seq, np.ones(1))
 
 

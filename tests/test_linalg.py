@@ -15,8 +15,6 @@ from descriptor_minimax.linalg import (
     block_diag,
     factor_banded,
     inverse_norm1_estimate,
-    null_basis,
-    pseudo_inverse,
     range_membership,
     as_matrix_stack,
     per_entry,
@@ -26,29 +24,6 @@ from descriptor_minimax.linalg import (
     svd_subspaces,
     symmetrize,
 )
-
-matrix_shapes = st.tuples(st.integers(1, 8), st.integers(1, 8))
-
-
-@st.composite
-def random_matrix(draw):
-    rows, cols = draw(matrix_shapes)
-    seed = draw(st.integers(0, 2**32 - 1))
-    rank_cap = draw(st.integers(1, 8))
-    rng = np.random.default_rng(seed)
-    r = min(rows, cols, rank_cap)
-    return rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
-
-
-@settings(max_examples=200, deadline=None)
-@given(random_matrix())
-def test_penrose_identities(a):
-    ap = pseudo_inverse(a)
-    na = np.linalg.norm(a)
-    nap = np.linalg.norm(ap)
-    assert np.linalg.norm(a @ ap @ a - a) <= 10 * DEFAULT_TOL * max(na, 1e-30)
-    assert np.linalg.norm(ap @ a @ ap - ap) <= 10 * DEFAULT_TOL * max(nap, 1e-30)
-
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
@@ -112,21 +87,6 @@ def test_svd_subspaces_orthonormal_and_complementary():
     )
     assert np.linalg.norm(a @ sub.kernel_basis) <= 1e-12
     assert np.linalg.norm(sub.range_complement.T @ a) <= 1e-12
-
-
-def test_null_basis_external_scale_anchor():
-    # A matrix of pure rounding dust (norm ~1e-18) is full rank relative
-    # to itself but must count as zero next to a parent problem of norm 1.
-    dust = 1e-18 * np.random.default_rng(0).standard_normal((3, 3))
-    z_self = null_basis(dust)
-    z_anchored = null_basis(dust, scale=1.0)
-    assert z_self.shape[1] == 0
-    assert z_anchored.shape[1] == 3
-
-
-def test_null_basis_empty_matrix():
-    z = null_basis(np.zeros((0, 3)), scale=1.0)
-    assert z.shape == (3, 3)
 
 
 def test_require_spd_rejects_asymmetric():
@@ -379,13 +339,15 @@ def test_no_function_takes_a_tolerance():
     import inspect
 
     import descriptor_minimax
-    from descriptor_minimax import discrete, linalg
+    from descriptor_minimax import discrete, filtering, linalg
 
     callables = [getattr(descriptor_minimax, name) for name in descriptor_minimax.__all__]
     callables += [
         discrete.horizon_saddle,
+        filtering.prepare_filter,
         linalg.factor_banded,
-        linalg.null_basis,
+        linalg.factor_spd_banded,
+        linalg.inverse_norm1_estimate,
         linalg.svd_subspaces,
     ]
     checked = 0

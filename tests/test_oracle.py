@@ -1,8 +1,9 @@
-"""Brute-force reachability sampling and the independent center oracle.
+"""Brute-force reachability sampling and the Chebyshev check.
 
-Membership is re-verified here from scratch: for each sampled state x
-the minimum disturbance energy consistent with x and y is computed by a
-projection that shares no code with the sampler.
+The states are drawn through the identity readout. Membership is
+re-verified here from scratch: for each sampled state x the minimum
+disturbance energy consistent with x and y is computed by a projection
+that shares no code with the sampler.
 """
 
 import math
@@ -17,12 +18,10 @@ from descriptor_minimax import (
     DiscreteDAE,
     EmptySet,
     InvalidInput,
-    SingularNormalEquations,
     StaticEllipsoid,
     StaticModel,
     aposteriori_estimate,
     chebyshev_check,
-    quadratic_center_oracle,
     sample_reachability,
 )
 from descriptor_minimax.discrete import flatten, flatten_bounds
@@ -62,7 +61,7 @@ def test_samples_satisfy_membership():
         y = feasible_observation(rng, model, bounds)
         if y is None:
             continue
-        samples = sample_reachability(model, bounds, y, 500, seed=done)
+        samples = sample_reachability(model, bounds, y, 500, seed=done, readout=np.eye(2))
         assert len(samples) == 500
         for x in samples.x:
             assert _membership_energy(model, bounds, y, x) <= 1.0 + 1e-12
@@ -71,7 +70,7 @@ def test_samples_satisfy_membership():
 
 def test_boundary_samples_sit_on_the_shell():
     model, bounds = scalar_static()
-    samples = sample_reachability(model, bounds, [1.0], 400, seed=3)
+    samples = sample_reachability(model, bounds, [1.0], 400, seed=3, readout=[[1.0]])
     energies = np.array(
         [_membership_energy(model, bounds, np.array([1.0]), x) for x in samples.x]
     )
@@ -82,7 +81,7 @@ def test_boundary_samples_sit_on_the_shell():
 def test_scalar_deviation_attains_radius():
     model, bounds = scalar_static()
     out = aposteriori_estimate(model, bounds, [1.0], [1.0])
-    samples = sample_reachability(model, bounds, [1.0], 2000, seed=0)
+    samples = sample_reachability(model, bounds, [1.0], 2000, seed=0, readout=[[1.0]])
     report = chebyshev_check(samples, [1.0], out.estimate, out.radius)
     assert report.violation_count == 0
     assert report.samples_checked == 2000
@@ -101,7 +100,7 @@ def test_no_violations_across_random_instances():
         out = aposteriori_estimate(model, bounds, ell, y)
         if not out.feasible:
             continue
-        samples = sample_reachability(model, bounds, y, 400, seed=done)
+        samples = sample_reachability(model, bounds, y, 400, seed=done, readout=np.eye(2))
         if len(samples) == 0:
             continue
         report = chebyshev_check(samples, ell, out.estimate, out.radius)
@@ -113,10 +112,11 @@ def test_determinism_same_seed():
     rng = rng_for(5)
     model, bounds = make_static(rng)
     y = np.zeros(model.observation_dim)
-    a = sample_reachability(model, bounds, y, 1000, seed=42)
-    b = sample_reachability(model, bounds, y, 1000, seed=42)
+    states = np.eye(model.state_dim)
+    a = sample_reachability(model, bounds, y, 1000, seed=42, readout=states)
+    b = sample_reachability(model, bounds, y, 1000, seed=42, readout=states)
     assert np.array_equal(a.x, b.x)
-    c = sample_reachability(model, bounds, y, 1000, seed=43)
+    c = sample_reachability(model, bounds, y, 1000, seed=43, readout=states)
     assert not np.array_equal(a.x, c.x)
 
 
@@ -125,15 +125,15 @@ def test_frozen_stream_across_chunks():
     # and the per-chunk substreams; the scalar model keeps every product a
     # single rounding, so they hold on every BLAS.
     model, bounds = scalar_static()
-    samples = sample_reachability(model, bounds, [1.0], 5000, seed=11)
+    samples = sample_reachability(model, bounds, [1.0], 5000, seed=11, readout=[[1.0]])
     frozen = {
         0: 0.0,
         1: 0.12627225442038398,
         2047: 0.8651940092854086,
         2048: 0.9999999999999998,
-        4095: 0.436523051422308,
+        4095: 0.43652305142230796,
         4096: 0.9999999999999998,
-        4999: 0.5087235421743945,
+        4999: 0.5087235421743944,
     }
     for row, value in frozen.items():
         assert samples.x[row, 0] == value
@@ -151,7 +151,7 @@ def test_sampler_memory_stays_near_its_output():
     y = np.zeros(model.observation_dim)
     tracemalloc.start()
     try:
-        samples = sample_reachability(model, flat_bounds, y, 20_000, seed=0)
+        samples = sample_reachability(model, flat_bounds, y, 20_000, seed=0, readout=np.eye(64))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -215,7 +215,7 @@ def test_readout_matches_the_states_it_projects(name, k, count):
     # distribution is tested below), so they are checked against its bounds.
     model, bounds, y = READOUT_PROBLEMS[name]
     L = rng_for(k).standard_normal((k, model.state_dim))
-    states = sample_reachability(model, bounds, y, count, seed=5)
+    states = sample_reachability(model, bounds, y, count, seed=5, readout=np.eye(model.state_dim))
     values = sample_reachability(model, bounds, y, count, seed=5, readout=L)
     assert values.x.shape == (count, k)
     assert np.array_equal(values.boundary, states.boundary)
@@ -247,7 +247,7 @@ def test_reduced_readout_has_the_distribution_of_the_projected_states(name, k):
     model, bounds, y = problem
     L = rng_for(k).standard_normal((k, model.state_dim))
     count = 20_000
-    states = sample_reachability(model, bounds, y, count, seed=5)
+    states = sample_reachability(model, bounds, y, count, seed=5, readout=np.eye(model.state_dim))
     values = sample_reachability(model, bounds, y, count, seed=6, readout=L)
     reference = states.x @ L.T
     assert np.array_equal(values.boundary, states.boundary)
@@ -289,7 +289,7 @@ def test_readout_memory_stays_near_its_output():
 
 def test_empty_set_detected():
     model, bounds = scalar_static()
-    samples = sample_reachability(model, bounds, [10.0], 100, seed=0)
+    samples = sample_reachability(model, bounds, [10.0], 100, seed=0, readout=[[1.0]])
     assert samples.empty
     assert len(samples) == 0
     with pytest.raises(EmptySet):
@@ -298,7 +298,7 @@ def test_empty_set_detected():
 
 def test_infinite_radius_never_violated():
     model, bounds = scalar_static()
-    samples = sample_reachability(model, bounds, [1.0], 100, seed=0)
+    samples = sample_reachability(model, bounds, [1.0], 100, seed=0, readout=[[1.0]])
     report = chebyshev_check(samples, [1.0], 0.0, np.inf)
     assert report.violation_count == 0
 
@@ -308,43 +308,4 @@ def test_dimension_cap():
     model = StaticModel(F=np.eye(n), B=np.eye(n), H=np.eye(n))
     bounds = StaticEllipsoid(Q1=np.eye(n), Q2=np.eye(n))
     with pytest.raises(DimensionTooLarge):
-        sample_reachability(model, bounds, np.zeros(n), 10, seed=0)
-
-
-def test_quadratic_center_oracle_scalar():
-    model, bounds = scalar_static()
-    assert quadratic_center_oracle(model, bounds, [1.0]) == pytest.approx(
-        [0.5], abs=1e-14
-    )
-
-
-def test_quadratic_center_oracle_matches_center():
-    rng = rng_for(31)
-    done = 0
-    while done < 40:
-        n = int(rng.integers(1, 4))
-        m = n + int(rng.integers(0, 2))
-        l = int(rng.integers(1, 4))
-        model, bounds = make_static(rng, n=n, m=m, p=m, l=l)
-        # square invertible B with a safe margin
-        B = rng.standard_normal((m, m)) + 3.0 * np.eye(m)
-        model = StaticModel(F=model.F, B=B, H=model.H)
-        y = feasible_observation(rng, model, bounds)
-        if y is None:
-            continue
-        try:
-            center = quadratic_center_oracle(model, bounds, y)
-        except SingularNormalEquations:
-            continue
-        out = aposteriori_estimate(model, bounds, np.zeros(n), y)
-        assert np.linalg.norm(center - out.outputs["x_hat"]) <= 1e-8 * (
-            1.0 + np.linalg.norm(center)
-        )
-        done += 1
-
-
-def test_quadratic_center_oracle_rejects_singular_information():
-    model = StaticModel(F=[[0.0]], B=[[1.0]], H=[[0.0]])
-    bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]])
-    with pytest.raises(SingularNormalEquations):
-        quadratic_center_oracle(model, bounds, [0.0])
+        sample_reachability(model, bounds, np.zeros(n), 10, seed=0, readout=np.eye(n))

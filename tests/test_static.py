@@ -20,7 +20,6 @@ from descriptor_minimax import (
     aposteriori_estimate,
     apriori_estimate,
     representable,
-    worst_case_error_of,
 )
 from descriptor_minimax.static import _saddle_matrix
 
@@ -30,6 +29,7 @@ from conftest import (
     representable_functional,
     rng_for,
     scalar_static,
+    worst_case_error_of,
 )
 
 
