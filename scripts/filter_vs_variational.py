@@ -5,9 +5,11 @@ Draws random multi-step problems whose B_k and S have condition numbers
 spread log-uniformly over [1, 10^MAX_LOG_COND] (every [F_k; H_k] of full
 column rank by construction) and runs the filter and the one-shot solves.
 Each answer is compared with one dense QR solve of the flattened, whitened
-chain, as in tests/test_filtering.py: the center ell'x_N of ``filter_run``
-and ``variational_estimate``, and the squared radius ell'P_N ell of
-``filter_run`` and ``apriori_horizon_estimate``. Per filter path
+chain, ``dense_reference`` of tests/conftest.py: the center ell'x_N of
+``filter_run`` and ``variational_estimate``, the squared radius ell'P_N ell
+of ``filter_run`` and ``apriori_horizon_estimate``, and the attained radius
+sqrt(1 - beta_N) sqrt(ell'P_N ell) of ``filter_run``. A chain on which the
+reference finds the center not unique is an error. Per filter path
 ("information" or "recursive", see ``Estimate.solver``) it reports
 the chain count and each solver's worst relative gap, then wall-clock
 totals and the filter's time per step. Horizons are drawn up to 192 steps.
@@ -17,11 +19,12 @@ Exits 1 when a gap exceeds 1e-9, naming the solver that is off.
 """
 
 import argparse
+import math
+import os
 import sys
 import time
 
 import numpy as np
-import scipy.linalg
 
 from descriptor_minimax import (
     DAEEllipsoid,
@@ -33,6 +36,9 @@ from descriptor_minimax import (
     variational_estimate,
 )
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests"))
+from conftest import dense_reference, random_spd  # noqa: E402
+
 GAP_LIMIT = 1e-9
 # cond(B_k) and cond(S) reach 10^MAX_LOG_COND. Neither filter path squares
 # cond(B_k) in a step it keeps: the QR steps whiten each row by one solve,
@@ -42,43 +48,6 @@ GAP_LIMIT = 1e-9
 # the dense reference with a two-thread OpenBLAS (5.5e-10 with one thread),
 # while every filter answer of that seed is within 3e-13.
 MAX_LOG_COND = 6.0
-
-
-def dense_reference(dae, bounds, y_seq):
-    """x_N and P_N from one QR of the whole chain, flattened.
-
-    Every row is whitened, L = chol(Q)'B^{-1}, and the rows are stacked
-    into one least-squares problem over (x_0, .., x_N) with the data as a
-    last column. In R of its QR the last column gives the solution, whose
-    last block is x_N, and the last diagonal block R_NN gives
-    P_N = R_NN^{-1}R_NN^{-T}.
-    """
-    n, m, l, N = dae.state_dim, dae.equation_dim, dae.observation_dim, dae.horizon
-
-    def white(B, Q):
-        return np.linalg.solve(B.T, np.linalg.cholesky(Q)).T
-
-    A = np.zeros(((N + 1) * (m + l), (N + 1) * n + 1))
-    A[:m, :n] = white(dae.S, bounds.Q0) @ dae.F_seq[0]
-    for j in range(N):
-        L = white(dae.B_seq[j], bounds.Q1_seq[j])
-        rows = slice((j + 1) * m, (j + 2) * m)
-        A[rows, j * n : (j + 1) * n] = -L @ dae.C_seq[j]
-        A[rows, (j + 1) * n : (j + 2) * n] = L @ dae.F_seq[j + 1]
-    for j in range(N + 1):
-        V = np.linalg.cholesky(bounds.Q2_seq[j]).T
-        rows = slice((N + 1) * m + j * l, (N + 1) * m + (j + 1) * l)
-        A[rows, j * n : (j + 1) * n] = V @ dae.H_seq[j]
-        A[rows, -1] = V @ y_seq[j]
-    R = np.linalg.qr(A, mode="r")
-    x = scipy.linalg.solve_triangular(R[:-1, :-1], R[:-1, -1])
-    R_inv = np.linalg.inv(R[-n - 1 : -1, -n - 1 : -1])
-    return x[-n:], R_inv @ R_inv.T
-
-
-def random_spd(rng, n, floor=0.3):
-    a = rng.standard_normal((n, n))
-    return a @ a.T + floor * np.eye(n)
 
 
 def conditioned(rng, count, n, cond):
@@ -155,12 +124,21 @@ def main():
         squared = apriori_horizon_estimate(dae, bounds, ell_seq).worst_case_mse
         t_var += t1 - t0
         t_filter += t2 - t1
-        x_ref, P_ref = dense_reference(dae, bounds, y_seq)
+        reference = dense_reference(dae, bounds, y_seq, N)
+        if reference is None:
+            sys.exit(f"error: the dense reference has no unique center on a chain of N={N}")
+        x_ref, P_ref, beta = reference
         center, radius = ell @ x_ref, ell @ P_ref @ ell
+        attained = math.sqrt(max(1.0 - beta, 0.0)) * math.sqrt(radius)
         center_gap = abs(filt.estimate - center) / (1.0 + abs(center))
         filt_radius = ell @ filt.outputs["P_final"] @ ell
+        filt_gaps = (
+            center_gap,
+            abs(filt_radius - radius) / radius,
+            abs(filt.radius - attained) / attained,
+        )
         gaps = {
-            "filter_run": max(center_gap, abs(filt_radius - radius) / radius),
+            "filter_run": max(filt_gaps),
             "variational_estimate": abs(var.estimate - center) / (1.0 + abs(center)),
             "apriori_horizon_estimate": abs(squared - radius) / radius,
         }

@@ -166,9 +166,7 @@ def _tikhonov(config, observations, grid, **_) -> ResultReport:
 
 def _simulate(config, observations, grid, *, seed, output, **_) -> ResultReport:
     dae, dbounds = _discrete(config, grid)
-    result = simulate_dae(
-        dae, dbounds, disturbance=config.simulation.disturbance, seed=seed
-    )
+    result = simulate_dae(dae, dbounds, disturbance=config.disturbance, seed=seed)
     os.makedirs(output, exist_ok=True)
     states_path = os.path.join(output, "states.csv")
     obs_path = os.path.join(output, "observations.csv")
@@ -179,7 +177,7 @@ def _simulate(config, observations, grid, *, seed, output, **_) -> ResultReport:
         outputs={"states": states_path, "observations": obs_path},
         diagnostics={
             "quad_form": result.quad_form,
-            "disturbance": config.simulation.disturbance,
+            "disturbance": config.disturbance,
             "seed": seed,
             "steps": dae.horizon,
         },

@@ -169,11 +169,6 @@ class EstimationSpec:
 
 
 @dataclass(frozen=True)
-class SimulationSpec:
-    disturbance: str = "boundary"
-
-
-@dataclass(frozen=True)
 class ProblemConfig:
     kind: str
     model: Union[StaticModel, DiscreteDAE, ContinuousDAE]
@@ -181,7 +176,7 @@ class ProblemConfig:
     estimation: EstimationSpec
     grid: Optional[TimeGrid]
     seed: int
-    simulation: SimulationSpec
+    disturbance: str  # simulation.disturbance, one of simulate.DISTURBANCES
 
 
 def _parse_static(model_block, bounds_block, path="model") -> tuple:
@@ -385,7 +380,7 @@ def parse_config(source) -> ProblemConfig:
         estimation=estimation,
         grid=grid,
         seed=seed,
-        simulation=SimulationSpec(disturbance=disturbance),
+        disturbance=disturbance,
     )
 
 

@@ -512,7 +512,6 @@ class TikhonovResult:
     cauchy_seq: np.ndarray
     constraint_residual_seq: np.ndarray
     residual_seq: np.ndarray
-    grid: TimeGrid
 
 
 def _check_alphas(alphas) -> tuple:
@@ -605,7 +604,6 @@ def tikhonov_approximate(
         cauchy_seq=cauchy,
         constraint_residual_seq=constraint,
         residual_seq=residual,
-        grid=grid,
     )
 
 

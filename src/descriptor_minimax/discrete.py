@@ -49,13 +49,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InconsistentData, InvalidInput, NumericalBreakdown
+from .errors import InvalidInput
 from .linalg import (
-    NEGATIVE_FLOOR,
     as_matrix,
     as_matrix_stack,
     block_diag,
+    check_energy,
     factor_banded,
+    nonnegative_mse,
     read_only,
     require_spd,
     require_spd_stack,
@@ -188,13 +189,6 @@ def _check_bounds(dae: DiscreteDAE, bounds: DAEEllipsoid) -> None:
     _check_stack_shape(bounds.Q2_seq, "Q2_seq", (l, l))
 
 
-def observation_information(H: np.ndarray, Q2: np.ndarray) -> tuple:
-    """Per step, H_k'Q2_k (which maps y_k to its information) and the
-    information H_k'Q2_kH_k of observation k."""
-    HtQ2 = np.swapaxes(H, 1, 2) @ Q2
-    return HtQ2, HtQ2 @ H
-
-
 def flatten(dae: DiscreteDAE) -> StaticModel:
     """Stack the horizon into one static algebraic model.
 
@@ -268,7 +262,7 @@ def horizon_saddle(dae: DiscreteDAE, bounds: DAEEllipsoid, adjoint: np.ndarray) 
     band = np.zeros((2 * kl + ku + 1, dim), order="F")
 
     F = dae.F_seq
-    _, W = observation_information(dae.H_seq, bounds.Q2_seq)
+    W = np.swapaxes(dae.H_seq, 1, 2) @ bounds.Q2_seq @ dae.H_seq
     G = np.empty((N + 1, m, m))
     G[0] = dae.S @ spd_solve(bounds.Q0, dae.S.T)
     if N:
@@ -344,17 +338,13 @@ def variational_estimate(
         )
 
     x_seq, p_seq = states
-    slack = 1.0 - float(np.sum((ys - np.einsum("kij,kj->ki", H, x_seq)) * q2y))
-    if slack < -NEGATIVE_FLOOR:
-        raise InconsistentData(
-            f"observations are inconsistent with the disturbance bound "
-            f"(energy overshoot {-slack:.3e})"
-        )
+    beta = float(np.sum((ys - np.einsum("kij,kj->ki", H, x_seq)) * q2y))
+    check_energy(beta)
     sigma_sq = max(float(np.sum(ells * p_seq)), 0.0)
     return Estimate(
         feasible=True,
         estimate=float(np.sum(ells * x_seq)),
-        radius=math.sqrt(max(slack, 0.0)) * math.sqrt(sigma_sq),
+        radius=math.sqrt(max(1.0 - beta, 0.0)) * math.sqrt(sigma_sq),
         outputs={"x_hat_seq": x_seq},
         solver=solver,
         p=p_seq,
@@ -389,12 +379,7 @@ def apriori_horizon_estimate(
         )
 
     p_seq = states[0]
-    sigma_sq = float(np.sum(ells * p_seq))
-    if sigma_sq < -NEGATIVE_FLOOR * (float(ell @ ell) + 1.0):
-        raise NumericalBreakdown(
-            f"worst-case mean-squared error came out negative ({sigma_sq:.3e})"
-        )
-    sigma_sq = max(sigma_sq, 0.0)
+    sigma_sq = nonnegative_mse(float(np.sum(ells * p_seq)), ell)
     hp = np.einsum("kij,kj->ki", dae.H_seq, p_seq)
     u_seq = np.einsum("kij,kj->ki", bounds.Q2_seq, hp)
     return Estimate(

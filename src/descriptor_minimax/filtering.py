@@ -59,7 +59,8 @@ one it took.
   whose second block row of the triangular result is [R_{k+1}, z_{k+1}]
   (step 0 is the same with R_{-1} = 0) and whose entry (2n, 2n), e_k,
   is the residual of the data, so beta_k = sum_{j<=k} e_j^2. Per block
-  of steps, one batched SVD judges every R_k and one batched solve gives
+  of steps, R_k, z_k and e_k are read where dgeqrf left them, one batched
+  SVD judges every R_k and one batched solve gives
   x_hat_k = R_k^{-1}z_k; then P_N = R_N^{-1}R_N^{-T}. J_k is never
   formed. The test on R_k, s_min <= sqrt(DEFAULT_TOL) s_max, is the
   filter's one rank verdict, and it reads no absolute scale.
@@ -84,14 +85,15 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds
-from .errors import InconsistentData, InvalidInput, NumericalBreakdown, RankDeficient
+from .errors import InvalidInput, NumericalBreakdown, RankDeficient
 from .linalg import (
     DEFAULT_TOL,
     INFORMATION_RCOND_FLOOR,
-    NEGATIVE_FLOOR,
     STEADY_STATE_TOL,
     _distinct,
+    check_energy,
     factor_spd_banded,
+    invertible,
     per_entry,
     sized_vector,
     symmetrize,
@@ -103,15 +105,6 @@ from .static import Estimate, solver_record
 # sweep's band of A (one block at n=2 and N=10^4, 64 steps at n=32), or the
 # matrices of the QR steps (14563 steps at n=1, 21 at n=m=l=32).
 _BAND_ENTRIES = 2**17
-
-
-def _invertible(B: np.ndarray) -> np.ndarray:
-    """Per entry of a stack of square matrices, whether it is invertible:
-    one batched SVD."""
-    if B.shape[1] == 0:
-        return np.ones(B.shape[0], dtype=bool)
-    s = np.linalg.svd(B, compute_uv=False)
-    return s[:, -1] > DEFAULT_TOL * s[:, 0]
 
 
 def _whitened(B: np.ndarray, Q: np.ndarray, label: str, *rows: np.ndarray) -> tuple:
@@ -126,9 +119,9 @@ def _whitened(B: np.ndarray, Q: np.ndarray, label: str, *rows: np.ndarray) -> tu
     first whose whitened rows are not finite.
     """
     count, m, p = B.shape
-    invertible = per_entry(_invertible, B) if m == p else np.zeros(count, dtype=bool)
-    if not invertible.all():
-        raise InvalidInput(f"{label.format(np.argmin(invertible))} is not square invertible")
+    regular = invertible(B) if m == p else np.zeros(count, dtype=bool)
+    if not regular.all():
+        raise InvalidInput(f"{label.format(np.argmin(regular))} is not square invertible")
     if count == 0:
         return tuple(np.zeros((0, m, r.shape[2])) for r in rows)
 
@@ -225,18 +218,6 @@ def _norm1(M: np.ndarray) -> np.ndarray:
     return np.abs(M).sum(axis=1).max(axis=1)
 
 
-def _check_energy(beta: np.ndarray, start: int) -> None:
-    """Raise InconsistentData at the first step of a block, starting at
-    ``start``, whose least data energy beta_k exceeds 1 + NEGATIVE_FLOOR."""
-    over = beta > 1.0 + NEGATIVE_FLOOR
-    if over.any():
-        i = int(np.argmax(over))
-        raise InconsistentData(
-            f"observations are inconsistent with the disturbance bound at step "
-            f"{start + i} (energy overshoot {beta[i] - 1.0:.3e})"
-        )
-
-
 def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
     """The filter as the forward half of a banded Cholesky factor of A.
 
@@ -270,7 +251,7 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
 
     The centers go into ``out``, and each filtered P_k = J_k^{-1} into
     ``P_out`` when it is given. Each block's data half also gives beta_k
-    (:func:`_block_data`), checked by :func:`_check_energy`. Returns
+    (:func:`_block_data`), checked by :func:`.linalg.check_energy`. Returns
     (P_N, beta_N, rcond, blocks): rcond is the smallest figure judged over
     the blocks, and blocks is the ``{"blocks", "blocks_factored"}`` count.
     P_N and beta_N are None, and ``out`` partly written, unless every
@@ -302,7 +283,7 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
             if half.P is None:
                 return None, None, rcond, None
             z, energy, beta = _block_data(model, start, Vy, out, half, U, z, energy)
-            _check_energy(beta, start)
+            check_energy(beta, start)
             if P_out is not None:
                 P_out[start:stop] = half.P
             U = half.U_next
@@ -449,17 +430,18 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
     docstring, with columns (x_{k-1}, x_k, data), by one LAPACK dgeqrf;
     step 0 has R_{-1} = 0 and no transition. The matrices of a block of
     :func:`_block_steps` steps are filled at once, transposed, so that
-    each is a Fortran-ordered view that dgeqrf overwrites in place; only
-    [R_k, z_k] is copied into the next one. After the block one batched
-    SVD judges every R_k, which is singular when s_min <= sqrt(DEFAULT_TOL)
-    s_max (J_k = R_k'R_k, never formed, then has s_min <= DEFAULT_TOL
-    s_max), and one batched solve writes x_hat_k = R_k^{-1}z_k into
-    ``out`` (and, when ``P_out`` is given, one more writes
-    P_k = R_k^{-1}R_k^{-T} into it). Each step's residual entry e_k is
-    read from its matrix after the block; a step with at most 2n rows has
-    none. Raises InconsistentData at the first step whose beta_k exceeds
-    1 (:func:`_check_energy`), and RankDeficient at the first singular
-    R_k, naming its s_min/s_max and the cutoff, whichever comes first.
+    each is a Fortran-ordered view that dgeqrf overwrites in place; the
+    loop over steps only copies [R_k, z_k] into the next one. After the
+    block, R_k, z_k and the residual entry e_k (none where a step has at
+    most 2n rows) are read from the block's workspace, where dgeqrf left
+    them. One batched SVD judges every R_k, which is singular when s_min
+    <= sqrt(DEFAULT_TOL) s_max (J_k = R_k'R_k, never formed, then has
+    s_min <= DEFAULT_TOL s_max), and one batched solve writes x_hat_k =
+    R_k^{-1}z_k into ``out`` (and, when ``P_out`` is given, one more
+    writes P_k = R_k^{-1}R_k^{-T} into it). Raises InconsistentData at the
+    first step whose beta_k exceeds 1 (:func:`.linalg.check_energy`), and
+    RankDeficient at the first singular R_k, naming its s_min/s_max and
+    the cutoff, whichever comes first.
     """
     N = model.horizon
     m, n = model.LF0.shape
@@ -482,22 +464,20 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
         work[:, 2 * n, n + m :] = Vy[start:stop]
         work[0, :n, :n] = R.T
         work[0, 2 * n, :n] = z
-        Rs, zs = np.empty((count, n, n)), np.empty((count, n))
         for i in range(count):
             a = work[i]
             lapack.dgeqrf(a.T, overwrite_a=1)
-            Rs[i] = a[n : 2 * n, n : 2 * n].T
-            zs[i] = a[2 * n, n : 2 * n]
             if i + 1 < count:
                 np.copyto(work[i + 1, :n, :n], a[n : 2 * n, n : 2 * n], where=upper)
-                work[i + 1, 2 * n, :n] = zs[i]
+                work[i + 1, 2 * n, :n] = a[2 * n, n : 2 * n]
+        Rs = np.triu(np.swapaxes(work[:, n : 2 * n, n : 2 * n], 1, 2))
+        zs = work[:, 2 * n, n : 2 * n]
         residual = work[:, 2 * n, 2 * n] if rows > 2 * n else np.zeros(count)
         betas = beta + np.cumsum(residual * residual)
-        Rs = np.triu(Rs)
         s = np.linalg.svd(Rs, compute_uv=False)
         singular = s[:, -1] <= cutoff * s[:, 0]
         i = int(np.argmax(singular)) if singular.any() else count
-        _check_energy(betas[:i], start)  # beta_i is a floor only at a singular R_i
+        check_energy(betas[:i], start)  # beta_i is a floor only at a singular R_i
         if i < count:
             ratio = s[i, -1] / s[i, 0] if s[i, 0] > 0 else 0.0
             raise RankDeficient(

@@ -3,8 +3,9 @@
 Everything here wraps numpy/scipy routines behind the conventions the
 estimators rely on: one table of tolerances, minimum-norm least
 squares as the default solver, a banded LU that is trusted only where
-it provably agrees with that solver, and explicit result types instead
-of bare tuples.
+it provably agrees with that solver, explicit result types instead of
+bare tuples, and the verdicts the estimators share: inconsistent data,
+a negative a priori error and a singular square matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import lapack
 
-from .errors import InvalidBounds, InvalidInput
+from .errors import InconsistentData, InvalidBounds, InvalidInput, NumericalBreakdown
 
 # Every rank, residual, regularity and breakdown decision reads one of these
 # constants; no function takes a tolerance. README.md "Tolerances" lists them.
@@ -55,8 +56,6 @@ INFORMATION_RCOND_FLOOR = 1e-6
 STEADY_STATE_TOL = 2e-14
 # SPD checks: symmetric when |a_ij - a_ji| <= this times 1 + max |a_ij|.
 SYMMETRY_TOL = 1e-12
-# Simulation: a step matrix F_k with 1/cond(F_k) below this is singular.
-STEP_RCOND = 1e-12
 # Sampler: least scale behind the curvature cutoff, so the cutoff stays positive.
 CURVATURE_SCALE_FLOOR = 1e-300
 # Chebyshev check: deviations above sigma * (1 + this) + this are violations.
@@ -254,6 +253,47 @@ def require_spd_stack(value, name: str = "weights") -> np.ndarray:
     if error is not None:
         raise error[1]
     return a
+
+
+def invertible(stack: np.ndarray) -> np.ndarray:
+    """Per entry of a stack of square matrices, whether s_min > DEFAULT_TOL
+    s_max: one batched SVD, run once for a broadcast stack."""
+    if stack.shape[1] == 0:
+        return np.ones(stack.shape[0], dtype=bool)
+
+    def regular(B):
+        s = np.linalg.svd(B, compute_uv=False)
+        return s[:, -1] > DEFAULT_TOL * s[:, 0]
+
+    return per_entry(regular, stack)
+
+
+def check_energy(beta, start: Optional[int] = None) -> None:
+    """Raise InconsistentData at the first least data energy beta_k above
+    1 + NEGATIVE_FLOOR: no admissible disturbance explains the data. A
+    filter passes a block of steps with its first step ``start``."""
+    beta = np.atleast_1d(beta)
+    over = beta > 1.0 + NEGATIVE_FLOOR
+    if over.any():
+        i = int(np.argmax(over))
+        where = "" if start is None else f" at step {start + i}"
+        raise InconsistentData(
+            f"observations are inconsistent with the disturbance bound{where} "
+            f"(energy overshoot {beta[i] - 1.0:.3e})"
+        )
+
+
+def nonnegative_mse(sigma_sq: float, ell: np.ndarray) -> float:
+    """An a priori worst-case mean-squared error (ell, p), clamped at 0.
+
+    Raises NumericalBreakdown when it falls below 0 by more than
+    NEGATIVE_FLOOR (1 + ||ell||^2): rounding cannot explain that.
+    """
+    if sigma_sq < -NEGATIVE_FLOOR * (1.0 + float(ell @ ell)):
+        raise NumericalBreakdown(
+            f"worst-case mean-squared error came out negative ({sigma_sq:.3e})"
+        )
+    return max(sigma_sq, 0.0)
 
 
 def spd_solve(q: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .discrete import DAEEllipsoid, DiscreteDAE
 from .errors import InvalidInput, SingularStep
-from .linalg import STEP_RCOND, per_entry
+from .linalg import invertible, per_entry
 
 DISTURBANCES = ("boundary", "uniform", "zero")
 
@@ -52,15 +52,15 @@ def _unwhiten(Q: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def _check_steps(F: np.ndarray) -> None:
-    """Raise SingularStep at the first F_k that cannot be solved forward."""
+    """Raise SingularStep at the first F_k that cannot be solved forward:
+    one that is not square, or not invertible (:func:`.linalg.invertible`)."""
     if F.shape[1] != F.shape[2]:
         raise SingularStep(
             f"forward simulation needs square F_0, got shape {F.shape[1:]}"
         )
-    singular = per_entry(np.linalg.cond, F) > 1.0 / STEP_RCOND
-    if singular.any():
-        k = int(np.argmax(singular))
-        raise SingularStep(f"F_{k} is singular; cannot propagate forward")
+    regular = invertible(F)
+    if not regular.all():
+        raise SingularStep(f"F_{np.argmin(regular)} is singular; cannot propagate forward")
 
 
 def _energy(Q: np.ndarray, v: np.ndarray) -> float:

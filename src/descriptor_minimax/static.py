@@ -39,12 +39,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import InconsistentData, InvalidInput, NumericalBreakdown
+from .errors import InvalidInput, NumericalBreakdown
 from .linalg import (
-    NEGATIVE_FLOOR,
     RCOND_FLOOR,
     SADDLE_RESIDUAL_TOL,
     as_matrix,
+    check_energy,
+    nonnegative_mse,
     range_membership,
     require_spd,
     sized_vector,
@@ -231,13 +232,7 @@ def apriori_estimate(
 
     p, _ = _solve_saddle(model, bounds, target[:, None])(0)
     u_hat = bounds.Q2 @ (model.H @ p)
-    sigma_sq = float(target @ p)
-    scale = float(np.linalg.norm(target)) ** 2 + 1.0
-    if sigma_sq < -NEGATIVE_FLOOR * scale:
-        raise NumericalBreakdown(
-            f"worst-case mean-squared error came out negative ({sigma_sq:.3e})"
-        )
-    sigma_sq = max(sigma_sq, 0.0)
+    sigma_sq = nonnegative_mse(float(target @ p), target)
     return Estimate(
         feasible=True,
         estimate=float(u_hat @ y) if y is not None else None,
@@ -279,13 +274,9 @@ def aposteriori_estimate(
     x_hat, _ = column(0)
     estimate = float(target @ x_hat)
 
-    slack = 1.0 - float((y - model.H @ x_hat) @ (bounds.Q2 @ y))
-    if slack < -NEGATIVE_FLOOR:
-        raise InconsistentData(
-            f"observations are inconsistent with the disturbance bound "
-            f"(energy overshoot {-slack:.3e})"
-        )
-    slack = max(slack, 0.0)
+    beta = float((y - model.H @ x_hat) @ (bounds.Q2 @ y))
+    check_energy(beta)
+    slack = max(1.0 - beta, 0.0)
 
     if not feasible:
         return Estimate(

@@ -433,10 +433,13 @@ def test_non_finite_rows_are_refused_before_any_solve(monkeypatch):
 
 def test_inconsistent_chain_data():
     dae, bounds = scalar_chain()
-    with pytest.raises(InconsistentData):
+    with pytest.raises(InconsistentData) as info:
         variational_estimate(
             dae, bounds, [np.zeros(1), np.ones(1)], [np.ones(1) * 9, np.ones(1) * -9]
         )
+    assert str(info.value) == (
+        "observations are inconsistent with the disturbance bound (energy overshoot 1.124e+02)"
+    )
 
 
 def test_shape_validation():

@@ -345,9 +345,12 @@ def test_no_function_takes_a_tolerance():
     callables += [
         discrete.horizon_saddle,
         filtering.prepare_filter,
+        linalg.check_energy,
         linalg.factor_banded,
         linalg.factor_spd_banded,
         linalg.inverse_norm1_estimate,
+        linalg.invertible,
+        linalg.nonnegative_mse,
         linalg.svd_subspaces,
     ]
     checked = 0

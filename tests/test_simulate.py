@@ -152,3 +152,21 @@ def test_singular_step_names_the_first_singular_matrix():
     dae = DiscreteDAE(F_seq=F, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=dae.H_seq)
     with pytest.raises(SingularStep, match="F_12 is singular"):
         simulate(dae, bounds, disturbance="boundary", seed=0)
+
+
+def test_step_rank_is_judged_at_the_default_tolerance():
+    # s_min/s_max = 1e-11 is singular by the rank cut DEFAULT_TOL = 1e-10
+    # that judges S and the B_k, although cond(F_k) = 1e11 is finite;
+    # 1e-9 passes
+    rng = rng_for(6)
+    dae, bounds = make_discrete(rng, n=2, m=2, l=2, N=8)
+    rotation = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    for ratio, singular in ((1e-11, True), (1e-9, False)):
+        F = np.array(dae.F_seq)
+        F[5] = rotation @ np.diag([3.0, 3.0 * ratio])
+        chain = DiscreteDAE(F_seq=F, C_seq=dae.C_seq, B_seq=dae.B_seq, S=dae.S, H_seq=dae.H_seq)
+        if singular:
+            with pytest.raises(SingularStep, match=r"^F_5 is singular; cannot propagate forward$"):
+                simulate(chain, bounds, disturbance="boundary", seed=0)
+        else:
+            assert np.isfinite(simulate(chain, bounds, disturbance="boundary", seed=0).states).all()

@@ -188,9 +188,13 @@ def test_estimate_independent_of_dual_solution():
 
 
 def test_inconsistent_data_raises():
+    # x_hat = 5 needs beta = (10 - 5) * 10 = 50 of the unit budget
     model, bounds = scalar_static()
-    with pytest.raises(InconsistentData):
+    with pytest.raises(InconsistentData) as info:
         aposteriori_estimate(model, bounds, [1.0], [10.0])
+    assert str(info.value) == (
+        "observations are inconsistent with the disturbance bound (energy overshoot 4.900e+01)"
+    )
 
 
 def test_nonrepresentable_is_flagged_not_raised():
