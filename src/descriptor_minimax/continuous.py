@@ -17,9 +17,9 @@ is generically regular. Four entry points:
 * ``discretize``           the implicit-Euler reduction itself,
 * ``apriori_estimate_continuous``  worst-case optimal readout of the
   integral functional int (ell(t), x(t)) dt: the a priori estimate
-  :func:`.discrete.apriori_horizon_estimate` of the discretized chain,
-  or dense assembly of the discretized two-point boundary value problem
-  (both paths kept, they must agree),
+  :func:`.discrete.apriori_horizon_estimate` of the discretized chain
+  (``method='bvp'`` is its dense route, kept for perfbench's baseline
+  until ROADMAP item 3a),
 * ``tikhonov_approximate`` regularized solves for alpha -> 0, whose
   residual decay diagnoses whether the functional is representable.
   The penalty alpha int (x, x) dt is one more observation of the whole
@@ -42,6 +42,7 @@ import numpy as np
 from .discrete import (
     DAEEllipsoid,
     DiscreteDAE,
+    _dense_apriori,
     apriori_horizon_estimate,
 )
 from .errors import (
@@ -52,7 +53,6 @@ from .errors import (
     RiccatiBlowup,
 )
 from .linalg import (
-    BVP_RESIDUAL_TOL,
     GRID_SPAN_TOL,
     MEMBERSHIP_TOL,
     RICCATI_NORM_CAP,
@@ -61,7 +61,6 @@ from .linalg import (
     per_entry,
     require_spd,
     sized_vector,
-    solve_least_squares,
     spd_inverse,
     spd_stack_error,
     svd_subspaces,
@@ -69,7 +68,7 @@ from .linalg import (
     vector_stack,
 )
 from .filtering import filter_run
-from .static import Estimate, solver_record
+from .static import Estimate
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +97,8 @@ class TableFunction:
         self.values = [np.asarray(v, dtype=float) for v in values]
         if self.times.ndim != 1 or len(self.values) != self.times.shape[0]:
             raise InvalidInput("table function needs one value per breakpoint")
+        if not np.isfinite(self.times).all():
+            raise InvalidInput("table breakpoints must be finite")
         if np.any(np.diff(self.times) <= 0):
             raise InvalidInput("table breakpoints must be strictly increasing")
         if any(v.shape != self.values[0].shape for v in self.values):
@@ -169,9 +170,13 @@ class TimeGrid:
             raise InvalidGrid("grid endpoints must be finite")
         if self.end <= self.start:
             raise InvalidGrid(f"grid end {self.end} must exceed start {self.start}")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise InvalidGrid(f"steps must be a positive integer, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
+        steps = self.steps
+        integral = isinstance(steps, (int, np.integer)) or (
+            isinstance(steps, float) and steps.is_integer()
+        )
+        if isinstance(steps, bool) or not integral or steps < 1:
+            raise InvalidGrid(f"steps must be a positive integer, got {steps}")
+        object.__setattr__(self, "steps", int(steps))
 
     @property
     def h(self) -> float:
@@ -373,48 +378,6 @@ def _check_samples(system: ContinuousDAE, y_samples, grid: TimeGrid) -> np.ndarr
 # A priori estimation of integral functionals
 
 
-def _bvp_system(system, bounds, grid):
-    """Discretized two-point boundary value problem, assembled nodewise.
-
-    Unknowns (p_0..p_M, z_0..z_M). Forward rows discretize
-    d/dt(F p) = C p + Q1^{-1} z with F p(a) = Q0^{-1} z_0 (z_0 soaks up
-    both boundary terms, since range(F) plus its complement is all of
-    R^m); adjoint rows discretize -d/dt(F'z) - C'z + H'Q2H p = ell with
-    terminal condition F'z = 0 beyond the horizon.
-    """
-    h = grid.h
-    ts = grid.nodes()
-    M = grid.steps
-    m, n = system.F.shape
-    F = system.F
-    dim = (M + 1) * (n + m)
-    A = np.zeros((dim, dim))
-    poff = lambda k: k * n
-    zoff = lambda k: (M + 1) * n + k * m
-
-    step = F - h * _nodes(system.C, ts, "C(t)")[1:]
-    H = _nodes(system.H, ts, "H(t)")
-    Q1 = _spd_nodes(bounds.Q1, ts, "Q1(t)")[1:]
-    Q2 = _spd_nodes(bounds.Q2, ts, "Q2(t)")
-
-    A[0:m, poff(0) : poff(0) + n] = F
-    A[0:m, zoff(0) : zoff(0) + m] = -spd_inverse(bounds.Q0)
-    for k in range(M):
-        r0 = (k + 1) * m
-        A[r0 : r0 + m, poff(k + 1) : poff(k + 1) + n] = step[k]
-        A[r0 : r0 + m, poff(k) : poff(k) + n] = -F
-        A[r0 : r0 + m, zoff(k + 1) : zoff(k + 1) + m] = -h * spd_inverse(Q1[k])
-
-    base = (M + 1) * m
-    for k in range(M + 1):
-        r0 = base + k * n
-        A[r0 : r0 + n, poff(k) : poff(k) + n] = H[k].T @ Q2[k] @ H[k]
-        A[r0 : r0 + n, zoff(k) : zoff(k) + m] = (step[k - 1].T if k > 0 else F.T) / h
-        if k < M:
-            A[r0 : r0 + n, zoff(k + 1) : zoff(k + 1) + m] = -F.T / h
-    return A
-
-
 def apriori_estimate_continuous(
     system: ContinuousDAE,
     bounds: ContinuousEllipsoid,
@@ -430,13 +393,14 @@ def apriori_estimate_continuous(
     for the functional h ell(t_k): one banded factorization, with the
     flattened static solver as its fallback. Its radius, direction p and
     estimate are returned as they are, and its readout (which weights
-    y_k) divided by h as the density. ``method='bvp'`` assembles the
-    discretized optimality boundary value problem densely from the
-    continuous coefficients. Both produce the node values of the readout
-    density u_hat(t) = Q2(t) H(t) p(t), the output ``u_hat_samples``, and
-    the worst-case mean-squared error sum_k h (ell(t_k), p_k); they must
-    agree to solver precision, which the test suite enforces on random
-    systems.
+    y_k) divided by h as the density: the node values of the readout
+    density u_hat(t) = Q2(t) H(t) p(t), the output ``u_hat_samples``.
+    The worst-case mean-squared error is sum_k h (ell(t_k), p_k).
+
+    The discretized optimality boundary value problem is the chain's
+    saddle system with its adjoint rows times h. ``method='bvp'`` is
+    therefore the dense route of the same chain, that fallback taken
+    always; it is kept for perfbench's baseline until ROADMAP item 3a.
     """
     _check_grid(system, grid)
     _check_pair(system, bounds)
@@ -446,45 +410,13 @@ def apriori_estimate_continuous(
     ell_nodes = _sampled_functional(system, ell, grid)
     if y_samples is not None:
         y_samples = _check_samples(system, y_samples, grid)
-    if method == "bvp":
-        return _bvp_estimate(system, bounds, ell_nodes, grid, y_samples)
-
     dae, dbounds = discretize(system, bounds, grid)
-    horizon = apriori_horizon_estimate(dae, dbounds, h * ell_nodes, y_samples)
+    solve = apriori_horizon_estimate if method == "flattened" else _dense_apriori
+    horizon = solve(dae, dbounds, h * ell_nodes, y_samples)
     if not horizon.feasible:
         return horizon
     u_hat = horizon.outputs["u_hat"].reshape(grid.steps + 1, system.observation_dim)
     return replace(horizon, outputs={"u_hat_samples": u_hat / h})
-
-
-def _bvp_estimate(system, bounds, ell_nodes, grid, y_samples) -> Estimate:
-    """The ``bvp`` method: least squares on :func:`_bvp_system`, with the
-    readout density Q2(t_k) H(t_k) p_k and the radius read off its p-blocks."""
-    h, M, n = grid.h, grid.steps, system.state_dim
-    ts = grid.nodes()
-    solver = solver_record("dense")
-    A = _bvp_system(system, bounds, grid)
-    rhs = np.zeros(A.shape[0])
-    rhs[(M + 1) * system.equation_dim :] = ell_nodes.reshape(-1)
-    fit = solve_least_squares(A, rhs)
-    if fit.residual_norm > BVP_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(ell_nodes))):
-        return Estimate(False, None, math.inf, math.inf, solver=solver)
-    p_nodes = fit.solution[: (M + 1) * n].reshape(M + 1, n)
-    hp = np.einsum("kij,kj->ki", _nodes(system.H, ts, "H(t)"), p_nodes)
-    u_nodes = np.einsum("kij,kj->ki", _nodes(bounds.Q2, ts, "Q2(t)"), hp)
-    sigma = max(float((h * ell_nodes).reshape(-1) @ p_nodes.reshape(-1)), 0.0)
-    estimate = None
-    if y_samples is not None:
-        estimate = float(np.sum(h * np.einsum("kj,kj->k", u_nodes, y_samples)))
-    return Estimate(
-        feasible=True,
-        estimate=estimate,
-        radius=math.sqrt(sigma),
-        worst_case_mse=sigma,
-        outputs={"u_hat_samples": u_nodes},
-        solver=solver,
-        p=p_nodes,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -367,16 +367,10 @@ def apriori_horizon_estimate(
     With ``y_seq`` the readout is applied to the data as ``estimate``.
     """
     _check_bounds(dae, bounds)
-    ell, y, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
+    ell, _, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
     states, solver = horizon_saddle(dae, bounds, ells[None])
     if states is None:
-        dense = apriori_estimate(flatten(dae), flatten_bounds(dae, bounds), ell, y)
-        return replace(
-            dense,
-            outputs={"u_hat": dense.outputs["u_hat"]} if dense.feasible else {},
-            solver=solver,
-            p=None if dense.p is None else dense.p.reshape(ells.shape),
-        )
+        return replace(_dense_apriori(dae, bounds, ell_seq, y_seq), solver=solver)
 
     p_seq = states[0]
     sigma_sq = nonnegative_mse(float(np.sum(ells * p_seq)), ell)
@@ -390,4 +384,19 @@ def apriori_horizon_estimate(
         outputs={"u_hat": u_seq.reshape(-1)},
         solver=solver,
         p=p_seq,
+    )
+
+
+def _dense_apriori(dae: DiscreteDAE, bounds: DAEEllipsoid, ell_seq, y_seq=None) -> Estimate:
+    """:func:`.static.apriori_estimate` on the flattened chain, the route
+    of :func:`apriori_horizon_estimate` when its band factor is not
+    trusted: SVD decides representability, and ``p`` holds one row per
+    step. The output ``u_hat`` is the readout of every step concatenated.
+    """
+    ell, y, ells, _ = _stacked_inputs(dae, ell_seq, y_seq)
+    dense = apriori_estimate(flatten(dae), flatten_bounds(dae, bounds), ell, y)
+    return replace(
+        dense,
+        outputs={"u_hat": dense.outputs["u_hat"]} if dense.feasible else {},
+        p=None if dense.p is None else dense.p.reshape(ells.shape),
     )

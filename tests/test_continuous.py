@@ -39,7 +39,7 @@ from descriptor_minimax import (
 from descriptor_minimax import continuous, discrete
 from descriptor_minimax.continuous import _sampled_functional
 from descriptor_minimax.discrete import flatten, flatten_bounds
-from descriptor_minimax.linalg import solve_least_squares
+from descriptor_minimax.linalg import RCOND_FLOOR, solve_least_squares
 from descriptor_minimax.static import _saddle_matrix
 
 from conftest import data_energy, rng_for
@@ -75,6 +75,32 @@ def test_time_grid_rejects_bad_input():
         TimeGrid(0.0, 0.0, 4)
     with pytest.raises(InvalidGrid):
         TimeGrid(0.0, 1.0, 0)
+
+
+STEPS_MESSAGE = "^steps must be a positive integer, got "
+
+
+@pytest.mark.parametrize("steps", [math.nan, math.inf], ids=["nan", "inf"])
+def test_time_grid_refuses_non_finite_steps(steps):
+    # int(nan) raised a bare ValueError and int(inf) an OverflowError
+    with pytest.raises(InvalidGrid, match=STEPS_MESSAGE + re.escape(repr(steps))):
+        TimeGrid(0.0, 1.0, steps)
+
+
+def test_time_grid_refuses_boolean_steps():
+    # True == 1 once passed as one step; the config refuses booleans too
+    with pytest.raises(InvalidGrid, match=STEPS_MESSAGE + "True$"):
+        TimeGrid(0.0, 1.0, True)
+    assert TimeGrid(0.0, 1.0, np.int64(3)).steps == 3
+    assert TimeGrid(0.0, 1.0, 4.0).steps == 4
+
+
+def test_table_function_refuses_non_finite_breakpoint():
+    # a NaN breakpoint passed the increasing test, and at(0.7) then
+    # silently returned the first value
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidInput, match="^table breakpoints must be finite$"):
+            TableFunction([0.0, bad], [np.zeros((1, 1)), np.ones((1, 1))])
 
 
 def test_table_function_lookup():
@@ -342,6 +368,10 @@ def test_estimate_against_observations():
     # to roughly the same mass the exact solution carries
     quadrature = float(np.sum(grid.h * out.outputs["u_hat_samples"][:, 0]))
     assert out.estimate == pytest.approx(quadrature, rel=1e-12)
+    dense = apriori_estimate_continuous(
+        system, bounds, ell_one, grid, y_samples=y, method="bvp"
+    )
+    assert dense.estimate == pytest.approx(out.estimate, rel=1e-12)
 
 
 def test_grid_convergence_first_order():
@@ -413,6 +443,50 @@ def test_banded_and_dense_fallback_agree(monkeypatch):
     for u_b, u_d in zip(reg_banded.u_samples_seq, reg_dense.u_samples_seq):
         assert u_b == pytest.approx(u_d, abs=1e-10)
     assert reg_banded.residual_seq == pytest.approx(reg_dense.residual_seq, abs=1e-10)
+
+
+def test_bvp_is_the_refused_band_route(monkeypatch):
+    # method="bvp" is the discretized chain's dense route: with every band
+    # factor refused, the default method takes it too, bit for bit. Only
+    # the solver record differs: the default carries the refused factor's
+    # condition estimate, while bvp attempts no band factor.
+    import descriptor_minimax.linalg as linalg_mod
+
+    rng = rng_for(61)
+    y = rng.standard_normal((33, 2))
+    system = ContinuousDAE(
+        F=np.diag([1.0, 0.0]),
+        C=[[-1.0, 0.5], [0.3, -1.0]],
+        H=TableFunction([0.0, 0.5], rng.standard_normal((2, 2, 2))),
+        t_start=0.0,
+        t_end=1.0,
+    )
+    bounds = ContinuousEllipsoid(Q0=np.eye(2), Q1=np.eye(2), Q2=2.0 * np.eye(2))
+    grid = TimeGrid(0.0, 1.0, 32)
+
+    def ell(t):
+        return np.array([np.cos(t), 1.0 - t])
+
+    bvp = apriori_estimate_continuous(system, bounds, ell, grid, y, method="bvp")
+    monkeypatch.setattr(linalg_mod, "RCOND_FLOOR", np.inf)
+    refused = apriori_estimate_continuous(system, bounds, ell, grid, y)
+    assert bvp.feasible and refused.feasible
+    assert bvp.worst_case_mse == refused.worst_case_mse
+    assert bvp.radius == refused.radius
+    assert bvp.estimate == refused.estimate
+    assert np.array_equal(bvp.p, refused.p)
+    assert bvp.outputs.keys() == refused.outputs.keys() == {"u_hat_samples"}
+    assert np.array_equal(bvp.outputs["u_hat_samples"], refused.outputs["u_hat_samples"])
+    assert refused.solver["path"] == "dense" and refused.solver["rcond_floor"] == np.inf
+    assert bvp.solver == {"path": "dense", "rcond_estimate": None, "rcond_floor": RCOND_FLOOR}
+
+
+def test_bvp_keeps_its_method_check():
+    system, bounds = scalar_system()
+    with pytest.raises(InvalidInput, match=r"^unknown method 'band'$"):
+        apriori_estimate_continuous(
+            system, bounds, ell_one, TimeGrid(0.0, 1.0, 4), method="band"
+        )
 
 
 def test_tikhonov_breakdown_names_its_alpha():

@@ -389,3 +389,29 @@ def test_tolerance_table_matches_the_constants():
         if name.isupper() and isinstance(value, float)
     }
     assert table == constants
+
+
+def test_every_tolerance_is_read():
+    # A constant of linalg that no code in src/ reads (an import is no
+    # read) is an orphan: its decision is gone, and so should it be
+    import ast
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    tree = ast.parse((src / "descriptor_minimax" / "linalg.py").read_text(encoding="utf-8"))
+    constants = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    assert "RCOND_FLOOR" in constants
+    read = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted(constants - read) == []
