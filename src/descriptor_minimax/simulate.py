@@ -21,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .discrete import DAEEllipsoid, DiscreteDAE
 from .errors import InvalidInput, SingularStep
+from .filtering import _block_steps
 from .linalg import invertible, per_entry
 
 DISTURBANCES = ("boundary", "uniform", "zero")
@@ -63,6 +65,30 @@ def _check_steps(F: np.ndarray) -> None:
         raise SingularStep(f"F_{np.argmin(regular)} is singular; cannot propagate forward")
 
 
+def _propagate(A: np.ndarray, u: np.ndarray, states: np.ndarray) -> None:
+    """Fill states[1:] with x_{k+1} = A_k x_k + u_k from states[0].
+
+    The steps of a block of :func:`.filtering._block_steps` steps solve one
+    unit lower banded system, x_{k+1} - A_k x_k = u_k, with A_k below the
+    diagonal (bandwidth 2n - 1), by one LAPACK dtbtrs: a forward
+    substitution with no Python loop over steps. The first equation of a
+    block carries A_k x_k of the state before it, so memory is O(block).
+    """
+    N, n = u.shape
+    steps = _block_steps(2 * n * n)
+    for start in range(0, N, steps):
+        stop = min(start + steps, N)
+        count = stop - start
+        # LAPACK lower band storage: band[n + a - c, i n + c] = -A_{start+i+1}[a, c]
+        band = np.zeros((2 * n, count * n))
+        for c in range(n):
+            band[n - c : 2 * n - c, c : (count - 1) * n : n] = -A[start + 1 : stop, :, c].T
+        rhs = np.array(u[start:stop])
+        rhs[0] += A[start] @ states[start]
+        x = lapack.dtbtrs(band, rhs.reshape(-1, 1), uplo="L", diag="U")[0]
+        states[start + 1 : stop + 1] = x.reshape(count, n)
+
+
 def _energy(Q: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("ki,kij,kj->", v, Q, v))
 
@@ -75,11 +101,12 @@ def simulate(
 ) -> SimulationResult:
     """Propagate one admissible disturbance draw through the recursion.
 
-    Everything but the state recursion itself runs on whole stacks: the
-    unwhitening, the step regularity test, the transition maps
-    A_k = F_{k+1}^{-1} C_k and u_k = F_{k+1}^{-1} B_k f_k (one batched
-    solve each), the observations and the energy. The recursion is then
-    x_{k+1} = A_k x_k + u_k, one matvec per step.
+    Everything runs on whole stacks: the unwhitening, the step regularity
+    test, the transition maps A_k = F_{k+1}^{-1} C_k and u_k =
+    F_{k+1}^{-1} B_k f_k (one batched solve each), the recursion, the
+    observations and the energy. The recursion x_{k+1} = A_k x_k + u_k is
+    a unit lower block-bidiagonal system in (x_1, .., x_N), solved by
+    :func:`_propagate`.
     """
     if disturbance not in DISTURBANCES:
         raise InvalidInput(
@@ -111,10 +138,9 @@ def simulate(
     A = per_entry(np.linalg.solve, F_next, dae.C_seq)
     forcing = np.einsum("kij,kj->ki", dae.B_seq, process)
     u = np.linalg.solve(F_next, forcing[:, :, None])[:, :, 0]
-    states = np.zeros((N + 1, dae.state_dim))
+    states = np.empty((N + 1, dae.state_dim))
     states[0] = np.linalg.solve(dae.F_seq[0], dae.S @ x0g)
-    for k in range(N):
-        states[k + 1] = A[k] @ states[k] + u[k]
+    _propagate(A, u, states)
 
     observations = np.einsum("kij,kj->ki", dae.H_seq, states) + noise
     energy = (

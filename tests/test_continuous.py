@@ -36,7 +36,7 @@ from descriptor_minimax import (
     variational_estimate,
 )
 
-from descriptor_minimax import continuous, discrete
+from descriptor_minimax import continuous, discrete, filtering
 from descriptor_minimax.continuous import _sampled_functional
 from descriptor_minimax.discrete import flatten, flatten_bounds
 from descriptor_minimax.linalg import RCOND_FLOOR, solve_least_squares
@@ -745,22 +745,28 @@ def test_riccati_consistent_with_discretized_filter():
 
 
 @pytest.mark.parametrize("steps", [4096, 10_000])
-def test_fine_grid_filter_matches_the_one_shot(steps):
-    # the unit scalar problem's chain is too ill-conditioned for the
-    # information sweep at these grids; the QR steps answer as the
-    # one-shot solves do
+def test_fine_grid_filter_matches_the_one_shot(steps, monkeypatch):
+    # the unit scalar problem's band reads an rcond below the floor at
+    # these grids. At M=4096 the sweep answers with one corrected step of
+    # relative size 8e-11; at M=10^4 that step reads 1.1e-8, above
+    # CORRECTION_TOL, and the QR steps answer. Both paths answer as the
+    # one-shot solves do; an unreachable floor sends the chain to the QR
+    # steps
     system, bounds = scalar_system()
     grid = TimeGrid(0.0, 1.0, steps)
     y = 0.3 * np.sin(3.0 * grid.nodes()).reshape(-1, 1)
     dae, dbounds = discretize(system, bounds, grid)
-    run = filter_run(dae, dbounds, y, np.ones(1))
-    assert run.solver["path"] == "recursive"
     ell_seq = np.zeros((steps + 1, 1))
     ell_seq[-1] = 1.0
     center = variational_estimate(dae, dbounds, ell_seq, y).estimate
     squared = discrete.apriori_horizon_estimate(dae, dbounds, ell_seq).worst_case_mse
-    assert run.estimate == pytest.approx(center, abs=1e-10)
-    assert run.outputs["P_final"][0, 0] == pytest.approx(squared, abs=1e-10)
+    path = "information" if steps == 4096 else "recursive"
+    for floor, expected in ((filtering.INFORMATION_RCOND_FLOOR, path), (np.inf, "recursive")):
+        monkeypatch.setattr(filtering, "INFORMATION_RCOND_FLOOR", floor)
+        run = filter_run(dae, dbounds, y, np.ones(1))
+        assert run.solver["path"] == expected
+        assert run.estimate == pytest.approx(center, abs=1e-10)
+        assert run.outputs["P_final"][0, 0] == pytest.approx(squared, abs=1e-10)
 
 
 def test_riccati_estimate_reads_data():

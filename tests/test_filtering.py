@@ -6,6 +6,7 @@ P_1 = (2/3 + 1)^-1 = 3/5, and x_hat_1 = P_1 (D x_hat_0 + y_1)
 = 0.6 (2/3 * 0.5 y_0 + y_1) = 0.2 y_0 + 0.6 y_1.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from descriptor_minimax import (
     RankDeficient,
     ContinuousDAE,
     ContinuousEllipsoid,
+    TableFunction,
     TimeGrid,
     apriori_horizon_estimate,
     discretize,
@@ -577,11 +579,14 @@ def test_blocked_filter_fails_at_the_step_that_fails(fault, error, message, monk
 
 
 @pytest.mark.parametrize("fault", ["breakdown", "overflow", "two-step"])
-def test_breakdown_chains_answer_as_the_one_shot(fault):
+def test_breakdown_chains_answer_as_the_one_shot(fault, monkeypatch):
     # the covariance recursion raised NumericalBreakdown on these chains
-    # while the one-shot solve answered; the QR steps answer as it does.
-    # On the two-step chain its inner matrix B^2/Q1 = 1e-16 was below its
-    # breakdown floor
+    # while the one-shot solve answered; both filter paths answer as it
+    # does. On the two-step chain its inner matrix B^2/Q1 = 1e-16 was below
+    # its breakdown floor. The band of the breakdown and two-step chains
+    # reads an rcond of 9e-17 and 2e-16, so the sweep answers with one
+    # corrected step; on the overflow chain F'G^{-1}F overflows and only
+    # the QR steps answer. An unreachable floor sends every chain to them
     if fault == "two-step":
         dae, bounds = _two_step_vanishing_inner_matrix(1.0, 1e16)
     else:
@@ -592,12 +597,15 @@ def test_breakdown_chains_answer_as_the_one_shot(fault):
     ell = rng.standard_normal(n)
     ell_seq = np.zeros((N + 1, n))
     ell_seq[-1] = ell
-    run = filter_run(dae, bounds, y_seq, ell)
-    assert run.solver["path"] == "recursive"
     center = variational_estimate(dae, bounds, ell_seq, y_seq).estimate
     squared = apriori_horizon_estimate(dae, bounds, ell_seq).worst_case_mse
-    assert run.estimate == pytest.approx(center, rel=1e-11, abs=1e-14)
-    assert ell @ run.outputs["P_final"] @ ell == pytest.approx(squared, rel=1e-11)
+    path = "recursive" if fault == "overflow" else "information"
+    for floor, expected in ((filtering_mod.INFORMATION_RCOND_FLOOR, path), (np.inf, "recursive")):
+        monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", floor)
+        run = filter_run(dae, bounds, y_seq, ell)
+        assert run.solver["path"] == expected
+        assert run.estimate == pytest.approx(center, rel=1e-11, abs=1e-14)
+        assert ell @ run.outputs["P_final"] @ ell == pytest.approx(squared, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +841,175 @@ def test_steady_state_declined_chains_reach_the_qr_steps(monkeypatch):
     assert messages[0] == messages[1]
 
 
+# ---------------------------------------------------------------------------
+# Fine grids: below the band's condition floor the sweep answers with one
+# corrected semi-normal step, checked against the QR steps of the same chain
+
+
+def _fine_chain(problem, steps):
+    """The implicit-Euler chain of the unit scalar problem x' = f, y = x + g,
+    or of an index-1 problem (F = diag(1, 0), H reading both states), on
+    ``steps`` steps of [0, 1], with y = 0.3 sin(3t) and readout e_1."""
+    if problem == "scalar":
+        F, C, H = [[1.0]], [[0.0]], [[1.0]]
+    else:
+        F, C, H = np.diag([1.0, 0.0]), [[-1.0, 0.2], [0.3, -1.0]], [[1.0, 0.5]]
+    system = ContinuousDAE(F=F, C=C, H=H, t_start=0.0, t_end=1.0)
+    n = system.state_dim
+    bounds = ContinuousEllipsoid(Q0=np.eye(n), Q1=np.eye(n), Q2=np.eye(1))
+    grid = TimeGrid(0.0, 1.0, steps)
+    dae, dbounds = discretize(system, bounds, grid)
+    y_seq = 0.3 * np.sin(3.0 * grid.nodes())[:, None]
+    return system, bounds, grid, dae, dbounds, y_seq, np.eye(n)[0]
+
+
+def _assert_corrected_matches_qr(dae, bounds, y_seq, ell, monkeypatch):
+    """The run as it is takes the corrected sweep; with an unreachable floor
+    the same chain takes the QR steps. Returns the sweep's solver record."""
+    model = prepare_filter(dae, bounds)
+    Vy = (model.V @ y_seq[:, :, None])[:, :, 0]
+    centers = np.empty((dae.horizon + 1, dae.state_dim))
+    run = filter_run(dae, bounds, y_seq, ell)
+    beta = filtering_mod._information_sweep(model, Vy, centers)[1]
+    monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", np.inf)
+    ref = filter_run(dae, bounds, y_seq, ell)
+    beta_ref = filtering_mod._qr_steps(model, Vy, centers)[1]
+    assert run.solver["path"] == "information" and ref.solver["path"] == "recursive"
+    # the band's estimate is below the floor, and the step was small enough
+    assert run.solver["rcond_estimate"] < run.solver["rcond_floor"]
+    assert 0.0 <= run.solver["correction"] <= linalg_mod.CORRECTION_TOL
+    assert ref.solver["correction"] is None
+    assert run.radius == pytest.approx(ref.radius, rel=1e-11)
+    assert beta == pytest.approx(beta_ref, rel=1e-11)
+    P, P_ref = run.outputs["P_final"], ref.outputs["P_final"]
+    assert np.abs(P - P_ref).max() <= 1e-11 * np.abs(P_ref).max()
+    x, x_ref = run.outputs["x_hat_seq"], ref.outputs["x_hat_seq"]
+    assert np.abs(x[-1] - x_ref[-1]).max() <= 1e-11 * ref.radius
+    assert np.array_equal(run.outputs["x_hat_final"], x[-1])
+    assert np.abs(x[:-1] - x_ref[:-1]).max() <= 1e-9 * np.abs(x_ref).max()
+    return run.solver
+
+
+@pytest.mark.parametrize(
+    "problem, steps",
+    [("scalar", 1024), ("scalar", 4096), ("scalar", 16384), ("index-1", 512), ("index-1", 2048)],
+)
+def test_corrected_sweep_matches_the_qr_steps_on_fine_grids(problem, steps, monkeypatch):
+    # the band's rcond estimate falls like h^2 (3.8e-7 to 1.5e-9 on the
+    # scalar grids); one corrected step gives back the terminal digits, and
+    # the interior centers, which it does not correct, keep nine
+    *_, dae, dbounds, y_seq, ell = _fine_chain(problem, steps)
+    solver = _assert_corrected_matches_qr(dae, dbounds, y_seq, ell, monkeypatch)
+    assert solver["blocks"] == solver["blocks_factored"] == 1
+
+
+@pytest.mark.parametrize("problem, steps, block", [("scalar", 4096, 1024), ("index-1", 2048, 512)])
+def test_corrected_sweep_across_block_edges(problem, steps, block, monkeypatch):
+    # blocks of ``block`` steps, each with a band estimate below the floor:
+    # the step runs its two substitutions across the block edges
+    *_, dae, dbounds, y_seq, ell = _fine_chain(problem, steps)
+    n = dae.state_dim
+    monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * n * n * block)
+    solver = _assert_corrected_matches_qr(dae, dbounds, y_seq, ell, monkeypatch)
+    assert solver["blocks"] == solver["blocks_factored"] == steps // block + 1
+
+
+def test_corrected_sweep_factors_again_the_blocks_it_did_not_keep(monkeypatch):
+    # the sweep keeps the model halves from the first block whose band
+    # estimate is below the floor; when that is not the first block, the
+    # step factors the earlier blocks again, from the U each was factored
+    # with, to the same factor. Here the first block's estimate is read as
+    # 1, so that block is factored once in the sweep and once per
+    # substitution of the step, and the answers are bitwise those of
+    # keeping it
+    *_, dae, dbounds, y_seq, ell = _fine_chain("scalar", 4096)
+    monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * 1024)
+    kept = filter_run(dae, dbounds, y_seq, ell)
+    real = filtering_mod._block_factor
+    starts = []
+
+    def first_block_passes(model, start, stop, U):
+        starts.append(start)
+        half = real(model, start, stop, U)
+        return dataclasses.replace(half, band=1.0) if start == 0 else half
+
+    monkeypatch.setattr(filtering_mod, "_block_factor", first_block_passes)
+    again = filter_run(dae, dbounds, y_seq, ell)
+    assert starts.count(0) == 3 and len(starts) == 5 + 2
+    assert again.solver["correction"] == kept.solver["correction"] is not None
+    for name in ("x_hat_seq", "P_final"):
+        assert np.array_equal(again.outputs[name], kept.outputs[name])
+    assert again.radius == kept.radius and again.estimate == kept.estimate
+
+
+@pytest.mark.parametrize("problem, steps", [("scalar", 4096), ("index-1", 2048)])
+def test_riccati_on_the_corrected_sweep_matches_the_qr_steps(problem, steps, monkeypatch):
+    # both chains of riccati take the corrected sweep; the gains read the
+    # interior P_k, which the step does not correct
+    system, bounds, grid, *_, y_seq, ell = _fine_chain(problem, steps)
+    out = riccati_filter(system, bounds, ell, y_seq, grid)
+    monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", np.inf)
+    ref = riccati_filter(system, bounds, ell, y_seq, grid)
+    assert out.solver["path"] == "information" and ref.solver["path"] == "recursive"
+    assert out.solver["correction"] <= linalg_mod.CORRECTION_TOL
+    assert out.worst_case_mse == pytest.approx(ref.worst_case_mse, rel=1e-11)
+    assert np.abs(out.K_nodes - ref.K_nodes).max() <= 1e-8 * np.abs(ref.K_nodes).max()
+    assert out.estimate == pytest.approx(ref.estimate, abs=1e-11 * ref.radius)
+
+
+def _unstable_chain(case):
+    """ROADMAP item 18's chains, with unit weights: F = 1, C = 50, H = 0 on
+    1000 steps; "late drift", C = -1 then 60 from t = 0.5, H = 0 on 400;
+    "regular 2-D", C = [[30, 1], [0, -2]], H = [0, 1] on 500."""
+    F, C, H, steps = {
+        "C=50": ([[1.0]], [[50.0]], [[0.0]], 1000),
+        "late drift": ([[1.0]], TableFunction([0.0, 0.5], [[[-1.0]], [[60.0]]]), [[0.0]], 400),
+        "regular 2-D": (np.eye(2), [[30.0, 1.0], [0.0, -2.0]], [[0.0, 1.0]], 500),
+    }[case]
+    system = ContinuousDAE(F=F, C=C, H=H, t_start=0.0, t_end=1.0)
+    n, l = system.state_dim, system.observation_dim
+    bounds = ContinuousEllipsoid(Q0=np.eye(n), Q1=np.eye(n), Q2=np.eye(l))
+    dae, dbounds = discretize(system, bounds, TimeGrid(0.0, 1.0, steps))
+    return dae, dbounds, np.zeros((steps + 1, l)), np.eye(n)[0]
+
+
+@pytest.mark.parametrize("case", ["C=50", "late drift"])
+def test_corrected_sweep_leaves_unstable_chains_to_the_qr_steps(case):
+    # J_k = T_k - U_k'U_k cancels by more than 1e14-fold, and a 1 x 1 J_k
+    # reads the same Jacobi-scaled: the digits figure turns the sweep down
+    # before any correction (cond_1(J_k) is 1)
+    run = filter_run(*_unstable_chain(case))
+    assert run.solver["path"] == "recursive" and run.solver["correction"] is None
+    assert run.solver["rcond_estimate"] < 1e-16
+
+
+@pytest.mark.parametrize(
+    "chain, message",
+    [
+        ("rank", SINGULAR_150),
+        (
+            "regular 2-D",
+            "information matrix at step 178 is singular: "
+            "s_min/s_max of R_178 is 1.0e-05, cutoff 1e-05",
+        ),
+    ],
+)
+def test_corrected_sweep_keeps_the_rank_verdicts(chain, message):
+    # the rank tie reads cond_1(J_k) itself, and the chains whose J_k it
+    # turns down reach the QR steps, which alone raise the rank verdict,
+    # with the same step and margin. On the rank chain it decides alone:
+    # cond_1(J_150) is 9e11, while the Jacobi-scaled digits figure reads an
+    # amplification of 3.2
+    if chain == "rank":
+        dae, bounds = _chain_breaking_at_150("rank")
+        args = (dae, bounds, np.zeros((dae.horizon + 1, 2)), np.ones(2))
+    else:
+        args = _unstable_chain(chain)
+    with pytest.raises(RankDeficient) as raised:
+        filter_run(*args)
+    assert str(raised.value) == message
+
+
 def test_filter_run_at_horizon_zero():
     # no transition: the B and Q1 stacks are empty, P_0 = (F'Q0F + H'Q2H)^-1
     # and x_hat_0 = P_0 H'Q2 y_0
@@ -852,12 +1029,15 @@ def test_filter_run_at_horizon_zero():
 def test_solver_record_names_the_path():
     dae, bounds = _constant_chain(30)
     run = filter_run(dae, bounds, np.zeros((31, 1)), np.ones(2))
-    assert run.solver["path"] == "information"
+    assert run.solver["path"] == "information" and run.solver["correction"] is None
     assert run.solver["rcond_estimate"] >= run.solver["rcond_floor"] == 1e-6
-    # cond(B_k) = 1e5 becomes 1e10 in A: the QR steps answer
+    # cond(B_k) = 1e5 becomes 1e10 in A, and J_k = T_k - U_k'U_k cancels
+    # 2.6e10-fold, unscaled or Jacobi-scaled (cond_1(J_k) is only 27): the
+    # digits figure turns the sweep down before any corrected step, and the
+    # QR steps answer
     B = np.broadcast_to(np.diag([1.0, 1e-5]), (30, 2, 2))
     run = filter_run(_with_b(dae, B), bounds, np.zeros((31, 1)), np.ones(2))
-    assert run.solver["path"] == "recursive"
+    assert run.solver["path"] == "recursive" and run.solver["correction"] is None
     assert run.solver["rcond_estimate"] < 1e-6
 
 

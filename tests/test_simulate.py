@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import descriptor_minimax.filtering as filtering_mod
+
 from descriptor_minimax import (
     DAEEllipsoid,
     DiscreteDAE,
@@ -141,6 +143,20 @@ def test_batched_simulation_matches_step_by_step_reference():
         assert out.observations == pytest.approx(observations, rel=1e-12, abs=1e-12 * scale)
         assert out.quad_form == pytest.approx(energy, rel=1e-12)
         assert out.quad_form == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 7, 40])
+def test_simulation_carries_the_state_across_block_edges(steps, monkeypatch):
+    # the recursion runs as one banded solve per block of ``steps`` steps,
+    # each started from the state the block before ended on (40: one block)
+    rng = rng_for(7)
+    dae, bounds = make_discrete(rng, n=3, m=3, l=2, N=40)
+    states, observations, _ = _reference_simulation(dae, bounds, 3)
+    monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * 3 * 3 * steps)
+    out = simulate(dae, bounds, disturbance="boundary", seed=3)
+    scale = 1.0 + np.abs(states).max()
+    assert out.states == pytest.approx(states, rel=1e-12, abs=1e-12 * scale)
+    assert out.observations == pytest.approx(observations, rel=1e-12, abs=1e-12 * scale)
 
 
 def test_singular_step_names_the_first_singular_matrix():
