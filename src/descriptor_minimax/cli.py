@@ -38,6 +38,7 @@ from typing import Callable, Optional, Tuple
 from .config import (
     KINDS,
     MODES,
+    SEED_LIMIT,
     ProblemConfig,
     ResultReport,
     estimate_report,
@@ -316,6 +317,8 @@ def run(
             raise InvalidInput(f"--{name} applies to {readers}; the command is {command}")
     if seed is not None and seed < 0:
         raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
+    if seed is not None and seed >= SEED_LIMIT:
+        raise InvalidInput(f"seed must be below 2**64, got {seed}")
     kind, mode = config.kind, config.estimation.mode
     if mode not in spec.modes or kind not in spec.kinds:
         raise InvalidInput(

@@ -9,26 +9,33 @@ row-major lists; time-varying coefficients are tagged objects
     {"type": "table",      "times": [t0, ...], "values": [[[...]], ...]}
     {"type": "polynomial", "coefficients": [[[...]], ...]}
 
+Documents are read and reports written by ``orjson``, which keeps to
+RFC 8259: a ``NaN``, ``Infinity`` or out-of-range number token in a file
+is a syntax error, and an integer literal outside [-2**63, 2**64 - 1]
+reads as a float.
+
 Validation is layered: JSON syntax errors raise ParseError, layout
 violations raise SchemaError with the offending field path, and shape
 mismatches raise DimensionError (a SchemaError subclass). Matrices and
 vectors pass the checks of :mod:`.linalg`, in its wording. All checks
 run before any solve is attempted.
 
-Reports are written, never read back. They serialize an infinite float,
-such as an infinite ``sigma_hat``, as the string "infinite", never as a
-bare non-numeric float token. Both JSON and CSV emit shortest repr, so
-``json`` and ``np.loadtxt`` parse a float back to the identical double.
+Reports are written, never read back. They serialize an infinite float
+outside an array, such as an infinite ``sigma_hat``, as the string
+"infinite"; a non-finite entry of an output array is ``null``. No report
+holds a bare non-numeric float token. Both JSON and CSV emit a float's
+shortest round-trip digits, so any JSON reader and ``np.loadtxt`` parse
+it back to the identical double.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
+import orjson
 
 from . import continuous, static
 from .continuous import (
@@ -54,6 +61,9 @@ from .static import Estimate, StaticEllipsoid, StaticModel
 
 KINDS = ("static", "discrete_dae", "continuous_dae")
 MODES = ("apriori", "aposteriori", "filter", "riccati", "tikhonov")
+# numpy's generators take any non-negative integer, but a report that
+# echoes the seed holds integers below 2**64 only
+SEED_LIMIT = 2**64
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +328,13 @@ def parse_config(source) -> ProblemConfig:
         raw = source
     else:
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(source, "rb") as fh:
+                document = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read {source}: {exc}") from exc
         try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+            raw = orjson.loads(document)  # bytes: no cached UTF-8 copy of a str
+        except orjson.JSONDecodeError as exc:
             raise ParseError(
                 f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}"
@@ -365,6 +375,8 @@ def parse_config(source) -> ProblemConfig:
         raise SchemaError("grid is only meaningful for continuous_dae problems")
 
     seed = _integer(raw.get("seed", 0), "seed", 0)
+    if seed >= SEED_LIMIT:
+        raise SchemaError(f"seed must be below 2**64, got {seed}")
 
     sim_block = raw.get("simulation", {}) or {}
     disturbance = sim_block.get("disturbance", "boundary")
@@ -417,9 +429,9 @@ class ResultReport:
         }
 
     def to_json(self) -> str:
-        """The report as one line of JSON with sorted keys. Without
-        ``indent`` json runs its C encoder."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """The report as one line of JSON with sorted keys and compact
+        separators; a non-finite array entry is ``null``."""
+        return orjson.dumps(self.to_dict(), option=orjson.OPT_SORT_KEYS).decode()
 
 
 def estimate_report(command: str, result: Estimate, diagnostics: Dict[str, Any]) -> ResultReport:
@@ -497,6 +509,8 @@ def read_trajectory_csv(path, prefix: Optional[str] = None) -> np.ndarray:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
     if not lines:
         raise ParseError(f"{path}: empty trajectory file")
     header = lines[0].split(",")

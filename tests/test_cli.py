@@ -10,6 +10,7 @@ import gc
 import json
 import math
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -474,6 +475,39 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
     assert main(["--help"]) == EXIT_OK
     assert main(["estimate", "--help"]) == EXIT_OK
+
+
+def test_seed_option_is_an_exact_integer_below_2_64(tmp_path, capsys):
+    # a report echoes the seed, and it holds integers below 2**64 only
+    chain = write_doc(tmp_path, chain_doc())
+    simulate = ["simulate", "--config", chain, "--output", str(tmp_path / "out")]
+    validate = ["validate", "--config", chain, "--samples", "10"]
+    validate += ["--observations", write_obs(tmp_path, [[1.0], [1.0]])]
+    for argv in (simulate, validate):
+        assert main(argv + ["--seed", str(2**64 - 1)]) == EXIT_OK
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert diagnostics.get("oracle", diagnostics)["seed"] == 2**64 - 1
+        assert main(argv + ["--seed", str(2**64)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be below 2**64, got {2**64}\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("option", ["--config", "--observations"])
+def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, option):
+    latin1 = {
+        "--config": json.dumps(scalar_doc()).encode().replace(b'"static"', b'"st\xe4tic"'),
+        "--observations": b"k,y0\n0,1.0\xff\n",
+    }
+    path = tmp_path / "latin1"
+    path.write_bytes(latin1[option])
+    files = {"--config": write_doc(tmp_path, scalar_doc()), "--observations": write_obs(tmp_path, [[1.0]])}
+    files[option] = str(path)
+    argv = ["estimate", "--config", files["--config"], "--observations", files["--observations"]]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 OPTIONS = {
@@ -1136,3 +1170,61 @@ def test_a_report_is_one_line_of_json_equal_to_its_dict():
         assert "\n" not in text
         assert json.loads(text) == report.to_dict()
         assert list(json.loads(text)) == sorted(report.to_dict())
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values of equal types, floats compared bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bits(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    return a == b
+
+
+def _sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+def _report_command_lines(tmp_path):
+    """Every command on every accepted kind/mode pair, and each estimator
+    on a finite and an infinite document."""
+    for kind, mode in PAIRS:
+        make, rows = DOCS[kind]
+        config = write_doc(tmp_path, make(mode), f"{kind}-{mode}.json")
+        obs = write_obs(tmp_path, np.zeros((rows, 1)), f"{kind}.csv")
+        for command, spec in COMMANDS.items():
+            if mode in spec.modes and kind in spec.kinds:
+                argv = [command, "--config", config, "--observations", obs]
+                argv += ["--samples", "50"] if "samples" in spec.options else []
+                yield argv + (["--output", str(tmp_path / "out")] if spec.output_dir else [])
+    for case, (command, doc, rows) in _one_meaning_cases().items():
+        argv = [command, "--config", write_doc(tmp_path, doc, f"{case}.json")]
+        argv += ["--observations", write_obs(tmp_path, rows, f"{case}.csv")]
+        yield argv + (["--samples", "50"] if command == "validate" else [])
+
+
+def test_json_reads_every_report_back_bit_for_bit(tmp_path, capsys, monkeypatch):
+    written = []
+    to_json = ResultReport.to_json
+
+    def recorded(report):
+        text = to_json(report)
+        written.append((report.to_dict(), text))
+        return text
+
+    monkeypatch.setattr(ResultReport, "to_json", recorded)
+    commands = set()
+    for argv in _report_command_lines(tmp_path):
+        assert main(argv) in (EXIT_OK, EXIT_INFEASIBLE), capsys.readouterr().err
+        assert capsys.readouterr().out == written[-1][1] + "\n"
+        commands.add(argv[0])
+    assert commands == set(COMMANDS)
+    assert any(data["sigma_hat"] == "infinite" for data, _ in written)
+    for data, text in written:
+        assert _same_bits(json.loads(text, object_pairs_hook=_sorted_object), data), text

@@ -197,7 +197,7 @@ def test_schema_errors():
         doc["seed"] = value
         with pytest.raises(SchemaError, match=r"seed must be an integer"):
             parse_config(doc)
-    # json reads NaN as a float; a non-finite horizon endpoint is rejected
+    # a dict built in Python may hold NaN; a non-finite horizon endpoint is rejected
     for field in ("t_start", "t_end"):
         doc = continuous_doc()
         doc["model"][field] = float("nan")
@@ -287,6 +287,69 @@ def test_parse_error_reports_position(tmp_path):
     assert "line 3" in str(err.value)
 
 
+# one spelling per line; json and the package's reader must agree on each
+EDGE_VALUES = (
+    "-0.0", "5e-324", "4.9406564584124654e-324", "1.7976931348623157e308",
+    "-1.7976931348623157e+308", "0.1", "1e16", "1E+16", "1e-05", "0.00001",
+    "9007199254740993",
+)
+
+
+def _edge_document() -> str:
+    row = ", ".join(EDGE_VALUES)
+    return (
+        '{"kind": "static",\n'
+        f' "model": {{"F": [[{row}]], "B": [[1.0]], "H": [[{row}]]}},\n'
+        ' "bounds": {"Q1": [[1.0]], "Q2": [[1.0]]},\n'
+        f' "estimation": {{"mode": "aposteriori", "ell": [{row}]}},\n'
+        ' "seed": 9007199254740993}\n'
+    )
+
+
+def test_a_config_file_reads_the_doubles_json_reads(tmp_path):
+    path = tmp_path / "edges.json"
+    path.write_text(_edge_document())
+    from_file = parse_config(str(path))
+    from_json = parse_config(json.loads(_edge_document()))
+    for got, want in (
+        (from_file.model.F, from_json.model.F),
+        (from_file.model.H, from_json.model.H),
+        (from_file.estimation.ell, from_json.estimation.ell),
+    ):
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    assert from_file.seed == from_json.seed == 2**53 + 1
+    assert np.signbit(from_file.estimation.ell[0])
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_a_non_finite_token_in_a_file_is_a_parse_error(tmp_path, token):
+    # RFC 8259 has no such number; a dict built in Python still reaches
+    # the finiteness checks (test_schema_errors)
+    path = tmp_path / "nan.json"
+    doc = json.dumps(continuous_doc(), indent=1).replace('"t_end": 1.0', f'"t_end": {token}')
+    assert token in doc
+    path.write_text(doc)
+    line = doc[: doc.index(token)].count("\n") + 1
+    with pytest.raises(ParseError, match=rf"invalid JSON at line {line}, column \d+: "):
+        parse_config(str(path))
+
+
+def test_seed_is_an_exact_integer_below_2_64(tmp_path):
+    path = tmp_path / "seed.json"
+    doc = json.dumps(static_doc())
+    path.write_text(doc.replace('"seed": 7', '"seed": 18446744073709551615'))
+    assert parse_config(str(path)).seed == 2**64 - 1
+    # orjson reads 2**64 as the double 1.8446744073709552e19, which is
+    # integral; the seed must not silently become another integer
+    path.write_text(doc.replace('"seed": 7', '"seed": 18446744073709551616'))
+    with pytest.raises(SchemaError, match=r"^seed must be below 2\*\*64, got 18446744073709551616$"):
+        parse_config(str(path))
+    for value in (2**64, float(2**64), 2**70):
+        with pytest.raises(SchemaError, match=r"^seed must be below 2\*\*64"):
+            parse_config({**static_doc(), "seed": value})
+
+
 def test_report_round_trip_finite():
     report = ResultReport(
         command="estimate",
@@ -303,15 +366,25 @@ def test_report_round_trip_finite():
     assert again["outputs"]["x_hat"] == [0.5]
 
 
+def _refuse_constant(token):
+    raise AssertionError(f"report holds the non-JSON token {token}")
+
+
 def test_report_serializes_infinite_radius_as_string():
+    # a report is strict JSON: an infinite scalar is "infinite", and a
+    # non-finite array entry null
     report = ResultReport(
-        command="estimate", estimate=None, sigma_hat=math.inf, feasible=False
+        command="filter",
+        estimate=0.5,
+        sigma_hat=math.inf,
+        feasible=False,
+        outputs={"x_hat_seq": np.array([[1.0, math.inf], [-math.inf, math.nan]])},
     )
-    data = json.loads(report.to_json())
+    text = report.to_json()
+    data = json.loads(text, parse_constant=_refuse_constant)
     assert data["sigma_hat"] == "infinite"
-    assert "inf" not in json.dumps(data["sigma_hat"]).lower().replace(
-        "infinite", ""
-    )
+    assert data["outputs"]["x_hat_seq"] == [[1.0, None], [None, None]]
+    assert ", " not in text and ": " not in text
 
 
 def test_trajectory_csv_round_trip(tmp_path):
