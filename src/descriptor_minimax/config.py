@@ -12,7 +12,8 @@ row-major lists; time-varying coefficients are tagged objects
 Documents are read and reports written by ``orjson``, which keeps to
 RFC 8259: a ``NaN``, ``Infinity`` or out-of-range number token in a file
 is a syntax error, and an integer literal outside [-2**63, 2**64 - 1]
-reads as a float.
+reads as a float. A file that is not UTF-8 is a ParseError naming the
+line of its first bad byte.
 
 Validation is layered: JSON syntax errors raise ParseError, layout
 violations raise SchemaError with the offending field path, and shape
@@ -23,9 +24,11 @@ run before any solve is attempted.
 Reports are written, never read back. They serialize an infinite float
 outside an array, such as an infinite ``sigma_hat``, as the string
 "infinite"; a non-finite entry of an output array is ``null``. No report
-holds a bare non-numeric float token. Both JSON and CSV emit a float's
-shortest round-trip digits, so any JSON reader and ``np.loadtxt`` parse
-it back to the identical double.
+holds a bare non-numeric float token. Trajectory CSV files are written
+by ``orjson`` too and hold finite values only: the writer refuses a
+non-finite entry. Both JSON and CSV emit a float's shortest round-trip
+digits in one spelling (``1e16``, ``0.00001``), so any JSON reader and
+``np.loadtxt`` parse it back to the identical double.
 """
 
 from __future__ import annotations
@@ -335,6 +338,14 @@ def parse_config(source) -> ProblemConfig:
         try:
             raw = orjson.loads(document)  # bytes: no cached UTF-8 copy of a str
         except orjson.JSONDecodeError as exc:
+            # orjson reports bad UTF-8 at line 1, column 1; name its line
+            try:
+                document.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                line = document.count(b"\n", 0, bad.start) + 1
+                raise ParseError(
+                    f"{source}: not UTF-8 text at line {line} ({bad.reason})"
+                ) from bad
             raise ParseError(
                 f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}"
@@ -480,19 +491,29 @@ def _jsonable(value):
 def write_trajectory_csv(path, prefix: str, data) -> None:
     """Write rows of a trajectory with header ``k,<prefix>0,...``.
 
-    Values are emitted as shortest round-trip decimal strings, so a
-    read-back reproduces every double bit for bit.
+    One ``orjson.dumps`` of the rows ``[k, *row]`` formats every value
+    in native code; its outer brackets are cut and each ``],[`` becomes
+    a line break. Floats take their shortest round-trip digits in the
+    reports' spelling (``1e16``, ``0.00001``), so a read-back reproduces
+    every double bit for bit. A non-finite entry, which JSON would write
+    as ``null``, is an InvalidInput naming its row, raised before the
+    file is opened.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise InvalidInput("trajectory data must be 1-D or 2-D")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        raise InvalidInput(f"{path}: row {np.argmin(finite)} contains non-finite entries")
     header = ",".join(["k"] + [f"{prefix}{j}" for j in range(arr.shape[1])])
-    lines = [header]
-    lines += [f"{k},{','.join(map(repr, row))}" for k, row in enumerate(arr.tolist())]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = header.encode() + b"\n"
+    if len(arr):
+        rows = orjson.dumps([[k, *row] for k, row in enumerate(arr.tolist())])
+        text += rows[2:-2].replace(b"],[", b"\n") + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def read_trajectory_csv(path, prefix: Optional[str] = None) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .discrete import DAEEllipsoid, DiscreteDAE
-from .errors import InvalidInput, SingularStep
+from .errors import InvalidInput, NumericalBreakdown, SingularStep
 from .filtering import _block_steps
 from .linalg import invertible, per_entry
 
@@ -89,6 +89,18 @@ def _propagate(A: np.ndarray, u: np.ndarray, states: np.ndarray) -> None:
         states[start + 1 : stop + 1] = x.reshape(count, n)
 
 
+def _check_finite(states: np.ndarray, observations: np.ndarray) -> None:
+    """Raise NumericalBreakdown at the first step whose state or
+    observation overflowed: such a trajectory is no admissible ground
+    truth, and its file could not be read back as data."""
+    finite = np.isfinite(states).all(axis=1) & np.isfinite(observations).all(axis=1)
+    if not finite.all():
+        raise NumericalBreakdown(
+            f"state or observation at step {np.argmin(finite)} is not finite; "
+            "the forward recursion overflowed"
+        )
+
+
 def _energy(Q: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("ki,kij,kj->", v, Q, v))
 
@@ -106,7 +118,8 @@ def simulate(
     F_{k+1}^{-1} B_k f_k (one batched solve each), the recursion, the
     observations and the energy. The recursion x_{k+1} = A_k x_k + u_k is
     a unit lower block-bidiagonal system in (x_1, .., x_N), solved by
-    :func:`_propagate`.
+    :func:`_propagate`. A state or observation that overflowed is a
+    NumericalBreakdown naming its step.
     """
     if disturbance not in DISTURBANCES:
         raise InvalidInput(
@@ -143,6 +156,7 @@ def simulate(
     _propagate(A, u, states)
 
     observations = np.einsum("kij,kj->ki", dae.H_seq, states) + noise
+    _check_finite(states, observations)
     energy = (
         float(x0g @ (bounds.Q0 @ x0g))
         + _energy(bounds.Q1_seq, process)

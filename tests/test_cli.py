@@ -412,6 +412,23 @@ def test_simulate_writes_csv_deterministically(tmp_path, capsys):
     assert states.shape == (2, 1)
 
 
+def test_simulate_refuses_an_overflowed_draw(tmp_path, capsys):
+    # x_{k+1} = 1e200 x_k overflows at step 2; no file is written
+    doc = chain_doc("filter")
+    doc["model"]["horizon"] = 3
+    doc["model"]["C"] = [[1e200]]
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", write_doc(tmp_path, doc), "--output", str(out)]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: state or observation at step 2 is not finite; "
+        "the forward recursion overflowed\n"
+    )
+    assert not (out / "states.csv").exists()
+
+
 def test_simulate_seed_override_changes_draw(tmp_path, capsys):
     doc = chain_doc()
     out_a = tmp_path / "a"
@@ -495,9 +512,10 @@ def test_seed_option_is_an_exact_integer_below_2_64(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", ["--config", "--observations"])
 def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, option):
+    # the bad byte is on line 3 of each file
     latin1 = {
-        "--config": json.dumps(scalar_doc()).encode().replace(b'"static"', b'"st\xe4tic"'),
-        "--observations": b"k,y0\n0,1.0\xff\n",
+        "--config": b"\n\n" + json.dumps(scalar_doc()).encode().replace(b'"static"', b'"st\xe4tic"'),
+        "--observations": b"k,y0\n\n0,1.0\xff\n",
     }
     path = tmp_path / "latin1"
     path.write_bytes(latin1[option])
@@ -508,6 +526,10 @@ def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, option):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and str(path) in captured.err
     assert captured.err.count("\n") == 1 and captured.out == ""
+    if option == "--config":
+        assert captured.err == (
+            f"error: {path}: not UTF-8 text at line 3 (invalid continuation byte)\n"
+        )
 
 
 OPTIONS = {

@@ -13,7 +13,13 @@ from descriptor_minimax.config import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from descriptor_minimax import ConstantFunction, DimensionError, ParseError, SchemaError
+from descriptor_minimax import (
+    ConstantFunction,
+    DimensionError,
+    InvalidInput,
+    ParseError,
+    SchemaError,
+)
 
 
 def static_doc():
@@ -408,22 +414,34 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 
 def test_trajectory_csv_text_is_pinned(tmp_path):
-    # the exact bytes of edge values: signed zero, the least subnormal,
-    # +-max, the non-finite values and two that print with an exponent
+    # the exact bytes of edge values, in the reports' spelling: signed
+    # zero, the least subnormal, +-max and values that print with an
+    # exponent or without one
     path = tmp_path / "x.csv"
     big = np.finfo(float).max
-    data = [[-0.0, 5e-324], [big, -big], [np.inf, np.nan], [0.1, 1e16], [-np.inf, 1.0]]
+    data = [[-0.0, 5e-324], [big, -big], [0.1, 1e16], [0.00001, -2.0]]
     write_trajectory_csv(path, "x", data)
-    assert path.read_text(encoding="utf-8") == (
-        "k,x0,x1\n"
-        "0,-0.0,5e-324\n"
-        "1,1.7976931348623157e+308,-1.7976931348623157e+308\n"
-        "2,inf,nan\n"
-        "3,0.1,1e+16\n"
-        "4,-inf,1.0\n"
+    assert path.read_bytes() == (
+        b"k,x0,x1\n"
+        b"0,-0.0,5e-324\n"
+        b"1,1.7976931348623157e308,-1.7976931348623157e308\n"
+        b"2,0.1,1e16\n"
+        b"3,0.00001,-2.0\n"
     )
     write_trajectory_csv(path, "y", [0.5, -2.0])
-    assert path.read_text(encoding="utf-8") == "k,y0\n0,0.5\n1,-2.0\n"
+    assert path.read_bytes() == b"k,y0\n0,0.5\n1,-2.0\n"
+    write_trajectory_csv(path, "y", np.zeros((0, 2)))
+    assert path.read_bytes() == b"k,y0,y1\n"
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+def test_trajectory_csv_refuses_a_non_finite_row(tmp_path, bad):
+    # JSON would write null, which read_trajectory_csv cannot read back
+    path = tmp_path / "x.csv"
+    data = [[1.0, 2.0], [3.0, 4.0], [5.0, bad], [bad, 1.0]]
+    with pytest.raises(InvalidInput, match=f"^{re.escape(str(path))}: row 2 contains non-finite entries$"):
+        write_trajectory_csv(path, "x", data)
+    assert not path.exists()
 
 
 def test_trajectory_csv_validation(tmp_path):

@@ -10,6 +10,7 @@ from descriptor_minimax import (
     DAEEllipsoid,
     DiscreteDAE,
     InvalidInput,
+    NumericalBreakdown,
     SingularStep,
     simulate,
 )
@@ -186,3 +187,18 @@ def test_step_rank_is_judged_at_the_default_tolerance():
                 simulate(chain, bounds, disturbance="boundary", seed=0)
         else:
             assert np.isfinite(simulate(chain, bounds, disturbance="boundary", seed=0).states).all()
+
+
+def test_an_overflowed_observation_is_refused():
+    # the states stay finite and H_1 x_1 overflows; an overflowed state is
+    # test_cli.py::test_simulate_refuses_an_overflowed_draw's case
+    dae, bounds = scalar_chain()
+    blind = DiscreteDAE(
+        F_seq=dae.F_seq, C_seq=dae.C_seq, B_seq=dae.B_seq, S=1e5 * dae.S,
+        H_seq=np.stack([dae.H_seq[0], 1e308 * dae.H_seq[1]]),
+    )
+    with pytest.raises(
+        NumericalBreakdown,
+        match=r"^state or observation at step 1 is not finite; the forward recursion overflowed$",
+    ):
+        simulate(blind, bounds, disturbance="boundary", seed=0)
