@@ -27,8 +27,12 @@ outside an array, such as an infinite ``sigma_hat``, as the string
 holds a bare non-numeric float token. Trajectory CSV files are written
 by ``orjson`` too and hold finite values only: the writer refuses a
 non-finite entry. Both JSON and CSV emit a float's shortest round-trip
-digits in one spelling (``1e16``, ``0.00001``), so any JSON reader and
-``np.loadtxt`` parse it back to the identical double.
+digits in one spelling (``1e16``, ``0.00001``), so any JSON reader parses
+it back to the identical double. The CSV reader is ``orjson`` as well:
+it reads the file once as bytes and parses the rows as one JSON array of
+arrays, so a field is a number in JSON's grammar (``nan``, ``inf``,
+``.1``, ``+0.2`` and ``1.`` are not), and spaces and tabs around header
+and row fields, blank lines and ``\r\n`` line ends are skipped.
 """
 
 from __future__ import annotations
@@ -516,25 +520,33 @@ def write_trajectory_csv(path, prefix: str, data) -> None:
         fh.write(text)
 
 
+# JSON's whitespace, and the bytes a line of numbers may hold in JSON's
+# grammar: digits, the signs of a number, commas and that whitespace.
+_SPACE = b" \t\r\n"
+_ROW_BYTES = b"0123456789.eE+-," + _SPACE
+
+
 def read_trajectory_csv(path, prefix: Optional[str] = None) -> np.ndarray:
     """Read a trajectory written by :func:`write_trajectory_csv`.
 
     Returns the (rows, columns) array of values in index order, zero rows
     included; the k column must be the consecutive integers from 0.
-    Blank lines and spaces around fields are ignored. One ``np.loadtxt``
-    reads the rows; only if it or the index test fails are they scanned,
-    so the ParseError names the first bad row.
+    Fields are numbers in JSON's grammar, the one the writer emits, so
+    ``nan``, ``inf``, ``.1``, ``+0.2`` and ``1.`` are not numeric. Blank
+    lines, spaces and tabs around fields (header fields too) and ``\r\n``
+    line ends are skipped. The file is read once as bytes, and the rows
+    are parsed by one ``orjson.loads`` of the rows as a JSON array of
+    arrays; only if that or the shape and index test fails are they
+    scanned, so the ParseError names the first bad row.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        with open(path, "rb") as fh:
+            head, _, rows = fh.read().lstrip(_SPACE).partition(b"\n")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
-    if not lines:
+    if not head:
         raise ParseError(f"{path}: empty trajectory file")
-    header = lines[0].split(",")
+    header = [name.strip(" \t\r") for name in _utf8(path, head).split(",")]
     if header[0] != "k" or len(header) < 2:
         raise ParseError(f"{path}: header must start with 'k' and name columns")
     if prefix is not None:
@@ -543,32 +555,63 @@ def read_trajectory_csv(path, prefix: Optional[str] = None) -> np.ndarray:
             raise ParseError(
                 f"{path}: expected columns {expected}, found {header[1:]}"
             )
-    rows = lines[1:]
+    rows = rows.strip(_SPACE)
     if not rows:
         return np.zeros((0, len(header) - 1))
-    try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        _find_bad_row(path, rows, len(header))
-        # a spelling Python's float reads and numpy's does not, such as 1_0
-        raise ParseError(f"{path}: {exc}") from exc
-    if data.shape[1] != len(header) or not np.array_equal(
-        data[:, 0], np.arange(len(rows))
+    data = _parsed(rows)
+    if (
+        data is None
+        or data.shape[1] != len(header)
+        or not np.array_equal(data[:, 0], np.arange(len(data)))
     ):
-        _find_bad_row(path, rows, len(header))
+        _find_bad_row(path, _utf8(path, rows), len(header))
     return np.ascontiguousarray(data[:, 1:])
 
 
-def _find_bad_row(path, rows: list, fields: int) -> None:
-    """Raise a ParseError naming the first row with the wrong field
-    count, a non-numeric field or an index other than its position."""
+def _parsed(rows: bytes) -> Optional[np.ndarray]:
+    """The lines of ``rows`` as one float array, from one ``orjson.loads``
+    of them as a JSON array of arrays; None when a byte is outside the
+    grammar of JSON numbers, or the lines are not JSON or are ragged."""
+    if rows.translate(None, _ROW_BYTES):
+        return None
+    try:
+        values = orjson.loads(b"".join((b"[[", rows.replace(b"\n", b"],["), b"]]")))
+        try:
+            return np.array(values, dtype=float)
+        except ValueError:  # ragged, if only by the empty rows of blank lines
+            return np.array([row for row in values if row], dtype=float)
+    except ValueError:  # not JSON, or ragged
+        return None
+
+
+def _utf8(path, text: bytes) -> str:
+    """``text``, bytes read from ``path``, decoded as UTF-8, or a ParseError."""
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _find_bad_row(path, body: str, fields: int) -> None:
+    """Raise a ParseError naming the first row of ``body`` with the wrong
+    field count, a field that is not a JSON number or an index other than
+    its position."""
+    rows = [line for line in body.split("\n") if line.strip(" \t\r")]
     for i, line in enumerate(rows):
         parts = line.split(",")
         if len(parts) != fields:
             raise ParseError(f"{path}: row {i} has {len(parts)} fields, expected {fields}")
-        try:
-            values = [float(v) for v in parts]
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {i} is not numeric: {exc}") from exc
+        values = []
+        for part in parts:
+            try:
+                value = orjson.loads(part)
+            except orjson.JSONDecodeError:
+                value = None
+            if type(value) not in (int, float):
+                raise ParseError(
+                    f"{path}: row {i} is not numeric: {part.strip()!r} is not a JSON number"
+                )
+            values.append(value)
         if values[0] != i:
-            raise ParseError(f"{path}: row {i} has index {parts[0]}, expected {i}")
+            raise ParseError(f"{path}: row {i} has index {parts[0].strip()}, expected {i}")
+    raise ParseError(f"{path}: the rows do not form a trajectory")

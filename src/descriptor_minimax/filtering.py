@@ -37,10 +37,15 @@ record names the path it took.
   with no Python loop over steps. A block has a model half (the band, its
   factor and the J_k^{-1}) and a data half (the dtbtrs and the centers).
   On a constant chain the carried pivot settles to the steady state of
-  the Riccati recursion: once it moves between blocks by less than
-  STEADY_STATE_TOL allows (:func:`_settled`), an interior block reuses the
-  model half before it and runs its data half only. The ``solver`` record
-  counts the blocks and those factored.
+  the Riccati recursion, and the sweep factors blocks only until one has
+  settled. Its tail, the trailing steps whose entry U is within
+  STEADY_STATE_TOL of the block's exit U (:func:`_settled`), is the exact
+  factor of an interior block; every later block is placed from copies
+  of it end to end, each seam coupled by the tail's exit U, and runs its
+  data half only. The interior blocks share one placed factor and one
+  band estimate; the last block is placed up to step N - 1 and factors
+  step N's pivot alone. The ``solver`` record counts the blocks and those
+  factored.
 
   Every filtered information J_k = T_k - U_k'U_k is judged by two
   per-pivot readings (:func:`_pivot_figure`), each held to
@@ -123,6 +128,7 @@ from .linalg import (
     invertible,
     per_entry,
     sized_vector,
+    spd_banded_rcond,
     symmetrize,
     vector_stack,
 )
@@ -279,17 +285,21 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
     beyond the outputs, z and the per-step model arrays memory is O(block)
     unless the correction below runs.
 
-    On a constant chain (every whitened stack a stride-0 broadcast) the
-    model half of an interior block (start > 0, stop <= N) depends on the
-    carried U alone, and U settles to the square-root solution of the
-    discrete algebraic Riccati equation. Such a block reuses the model half
-    of the interior block before it when :func:`_settled` finds the two
-    blocks' U close: the reused factor is exact for a first diagonal block
-    of A off by E = U_old'U_old - U'U, and the test keeps ||J^-1 E||_1
-    within STEADY_STATE_TOL. A reused half carries the figures it passed.
-    The first block (it holds L_0F_0) and the last (step N has no
-    coupling) are always factored, as is every block of a time-varying
-    chain.
+    On a constant chain (every whitened stack a stride-0 broadcast) U
+    settles to the square-root solution of the discrete algebraic Riccati
+    equation, and the sweep factors blocks only until one has settled: its
+    tail (:func:`_settled`), the trailing steps whose entry U is close to
+    the block's exit U, is the exact factor of an interior block entered
+    with the U of its first step. Every later block is placed from copies
+    of that tail end to end (:func:`_placed`), so each seam joins a copy's
+    last pivot to the next copy's first by the tail's exit U, the exact
+    coupling after that pivot; the next pivot is then the one of a
+    diagonal block off by E = U_a'U_a - U'U, which the tail's test keeps
+    within STEADY_STATE_TOL. Every interior block has the same length and
+    is placed once; the last block is placed up to step N - 1 and factors
+    step N's pivot alone. Each placed block gets a band estimate of its
+    own, and carries the figures its tail passed. Every block of a
+    time-varying chain is factored.
 
     The centers go into ``out``, and each filtered P_k = J_k^{-1} into
     ``P_out`` when it is given. Each block's data half also gives beta_k
@@ -297,19 +307,19 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
     some block's reciprocal condition estimate is below
     INFORMATION_RCOND_FLOOR, :func:`_corrected` replaces P_N, beta_N and
     the last center by one corrected semi-normal step; from the first such
-    block on the sweep keeps each block's model half for it, and it
-    factors an earlier block again from the U that block was factored
-    with. Returns (P_N, beta_N, rcond, record): rcond is the smallest
-    figure judged over the blocks and record holds ``correction``, the
-    step's relative size (None when none ran), and on success the
-    ``{"blocks", "blocks_factored"}`` count. P_N and beta_N are None, and
-    ``out`` partly written, when a block's per-pivot figure
-    (:func:`_block_factor`) is below INFORMATION_RCOND_FLOOR or the
-    correction exceeds CORRECTION_TOL.
+    block on the sweep keeps each block's model half for it (a placed half
+    is kept anyway), and it factors an earlier block again from the U that
+    block was factored with. Returns (P_N, beta_N, rcond, record): rcond
+    is the smallest figure judged over the blocks and record holds
+    ``correction``, the step's relative size (None when none ran), and on
+    success the ``{"blocks", "blocks_factored"}`` count, where a placed
+    block is not factored. P_N and beta_N are None, and ``out`` partly
+    written, when a block's per-pivot figure (:func:`_block_factor`) is
+    below INFORMATION_RCOND_FLOOR or the correction exceeds CORRECTION_TOL.
     """
     N, n = model.horizon, model.VH.shape[2]
     constant = all(_distinct(s).shape[0] == 1 for s in (model.LF, model.LC, model.VH))
-    rcond = cached = None
+    rcond = tail = interior = None
     blocks = factored = 0
     correct = False  # some block's band estimate is below the floor
     spans = []  # per block: start, stop, entry U, and the half or the U it was factored with
@@ -320,24 +330,28 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
         steps = _block_steps(2 * n * n)
         for start in range(0, N + 1, steps):
             stop = min(start + steps, N + 1)
-            interior = constant and start > 0 and stop <= N
-            half = cached if interior and _settled(cached, U, stop - start) else None
-            if half is None:
+            placed = tail is not None
+            if not placed:
                 half = _block_factor(model, start, stop, U)
                 factored += 1
+                if constant and stop <= N and half.P is not None:
+                    tail = _settled(half, start)
+            elif stop > N:
+                half = _placed(model, tail, start, stop)
+            else:  # every interior block has ``steps`` steps
+                interior = interior or _placed(model, tail, start, stop)
+                half = interior
             blocks += 1
             rcond = half.rcond if rcond is None else min(rcond, half.rcond)
             if half.P is None:
                 return None, None, rcond, {"correction": None}
             correct = correct or not half.band >= INFORMATION_RCOND_FLOOR
-            spans.append((start, stop, U, half if correct else half.U))
+            spans.append((start, stop, U, half if correct or placed else half.U))
             energy, beta = _block_data(model, start, Vy, out, Z, half, U, energy)
             check_energy(beta, start)
             if P_out is not None:
                 P_out[start:stop] = half.P
             U = half.U_next
-            if interior:
-                cached = half
         record = {"blocks": blocks, "blocks_factored": factored, "correction": None}
         P, beta = symmetrize(half.P[-1]), float(beta[-1])
         if correct:
@@ -355,7 +369,7 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
 class _BlockFactor:
     """The model half of one block of :func:`_information_sweep`.
 
-    ``U`` is the carried U_start it was factored with, ``band`` the
+    ``U`` is the carried U_start it was factored (or placed) with, ``band`` the
     reciprocal condition estimate of the block's band, ``R`` the band's
     factor in dpbtrf storage, ``Ut[i - 1]`` = R_{i-1,i}' within the
     block, ``P[i]`` = J_{start+i}^{-1}, ``U_next`` = U_stop (None at step
@@ -376,21 +390,93 @@ class _BlockFactor:
         return self.P.shape[0]
 
 
-def _settled(half: Optional[_BlockFactor], U: np.ndarray, count: int) -> bool:
-    """Whether the model half ``half`` serves a block of ``count`` steps
-    entered with ``U``.
+@dataclass(frozen=True)
+class _Tail:
+    """The settled tail of a factored block of a constant chain, as the
+    copies of :func:`_placed` read it.
 
-    It must have the same length, and it must be close. With U_old =
-    ``half.U``, its factor is exact for a first diagonal block of A off by
-    E = U_old'U_old - U'U, so the block's first filtered information is
-    J = J_old + E, with P = J_old^{-1} = ``half.P[0]``. When
-    ||PE||_1 <= STEADY_STATE_TOL, J^{-1} = (I + PE)^{-1}P is within
-    STEADY_STATE_TOL / (1 - STEADY_STATE_TOL) of P, relative in the 1-norm.
+    Per tail position j: ``cols[j]`` the factor's columns in the layout
+    of :func:`_block_factor`, ``Ut[j]`` = U' of the coupling into it and
+    ``P[j]`` its J^{-1}. Position 0 enters from the last pivot of a copy
+    before it, so its coupling, rows and ``Ut[0]``, is the exit ``U``.
+    ``rcond`` is the smallest figure judged on the factored block.
     """
-    if half is None or half.count != count:
-        return False
-    E = half.U.T @ half.U - U.T @ U
-    return _norm1(half.P[:1] @ E)[0] <= STEADY_STATE_TOL
+
+    cols: np.ndarray
+    Ut: np.ndarray
+    P: np.ndarray
+    U: np.ndarray
+    rcond: float
+
+
+def _settled(half: _BlockFactor, start: int) -> Optional[_Tail]:
+    """The settled tail of the factored block ``half`` from ``start``, or
+    None when its last step has not settled.
+
+    Step a of the block is settled when its entry U_a is close to the
+    block's exit U = U_stop: with E = U_a'U_a - U'U and P_a = J_a^{-1},
+    ||P_aE||_1 <= STEADY_STATE_TOL, so that the J of a diagonal block off
+    by E has its inverse within STEADY_STATE_TOL / (1 - STEADY_STATE_TOL)
+    of P_a, relative in the 1-norm. The tail is the longest trailing run
+    of settled steps; step 0 of the horizon, which holds L_0F_0, is never
+    in it. Rows a .. of a band Cholesky factor are the factor of the
+    trailing block of the band with its first diagonal block reduced by
+    U_a'U_a, so on a constant chain the tail is the exact factor of an
+    interior block entered with U_a.
+    """
+    n, count = half.P.shape[1], half.count
+    exit_U = half.U_next
+    UtU = np.empty((count, n, n))
+    UtU[0] = half.U.T @ half.U
+    UtU[1:] = half.Ut @ np.swapaxes(half.Ut, 1, 2)
+    settled = _norm1(half.P @ (UtU - exit_U.T @ exit_U)) <= STEADY_STATE_TOL
+    settled[0] &= start > 0
+    a = count - int(np.argmin(settled[::-1])) if not settled.all() else 0
+    if a == count:
+        return None
+    cols = np.array(half.R.T.reshape(count, n, 2 * n)[a:])
+    for c in range(n):
+        cols[0, c, n - 1 - c : 2 * n - 1 - c] = exit_U[:, c]
+    Ut = np.concatenate([exit_U.T[None], half.Ut[a:]])
+    return _Tail(cols, Ut, half.P[a:], exit_U, half.rcond)
+
+
+def _placed(model: FilterModel, tail: _Tail, start: int, stop: int) -> _BlockFactor:
+    """The model half of steps start .. stop - 1 of a constant chain, from
+    copies of ``tail`` end to end.
+
+    The block is entered with the tail's exit U, and its steps before N
+    are the last ones of a run of whole copies, so a block before the last
+    leaves with that U too. Step N (in the last block) has no coupling
+    after it: it takes the exit U as its coupling and factors its own
+    pivot, J_N = T_N - U'U, judged by :func:`_pivot_figure`. The placed
+    factor, built in Fortran order for dtbtrs, gets the band estimate
+    (:func:`.linalg.spd_banded_rcond`) against the 1-norm of the block's
+    own band.
+    """
+    N, n = model.horizon, model.VH.shape[2]
+    count, U = stop - start, tail.U
+    before_N = count - (stop > N)
+    at = (np.arange(count) - before_N) % tail.P.shape[0]  # tail position per step
+    cols, Ut, P = tail.cols[at], tail.Ut[at[1:]], tail.P[at]
+    T, diag, off = _band_terms(model, start, stop, U)
+    rcond = tail.rcond
+    if stop > N:
+        UtU = U.T @ U
+        J = symmetrize(T[-1] - UtU)
+        pivot, info = lapack.dpotrf(J)
+        if info:
+            return _BlockFactor(U, 0.0, 0.0)
+        P[-1] = np.linalg.inv(J)
+        figure = _pivot_figure(T[-1:], UtU[None], J[None], P[-1:])
+        rcond = min(rcond, figure)
+        if not figure >= INFORMATION_RCOND_FLOOR:
+            return _BlockFactor(U, rcond, 0.0)
+        for c in range(n):
+            cols[-1, c, 2 * n - 1 - c :] = pivot[: c + 1, c]
+    R = cols.reshape(count * n, 2 * n).T
+    band = spd_banded_rcond(R, _band_norm1(diag, off[: count - 1]))
+    return _BlockFactor(U, min(rcond, band), band, R, Ut, P, None if stop > N else U)
 
 
 def _last_pivot(R: np.ndarray, n: int) -> np.ndarray:
@@ -429,6 +515,31 @@ def _pivot_figure(T: np.ndarray, UtU: np.ndarray, J: np.ndarray, P: np.ndarray) 
     return 1.0 / worst if worst < np.inf else 0.0
 
 
+def _band_terms(model: FilterModel, start: int, stop: int, U: np.ndarray) -> tuple:
+    """Steps start .. stop - 1 of A for the carried U = U_start: (T_k,
+    A's diagonal blocks with the first reduced by U'U, A's blocks
+    (k, k + 1) of the transitions start .. min(stop, N) - 1)."""
+    N = model.horizon
+    last, lo = min(stop, N), max(start, 1)  # transitions start .. last - 1
+    T = per_entry(_information, model.LF[lo - 1 : stop - 1], model.VH[lo:stop])
+    if start == 0:
+        T = np.concatenate([_information(model.LF0[None], model.VH[:1]), T])
+    Cn, off = per_entry(_coupling, model.LC[start:last], model.LF[start:last])
+    diag = np.array(T)
+    diag[0] -= U.T @ U
+    diag[: last - start] += Cn
+    return T, diag, off
+
+
+def _band_norm1(diag: np.ndarray, inner: np.ndarray) -> float:
+    """||A||_1 of a block's band: its diagonal blocks and the blocks
+    (i, i + 1) within it, a constant stack of them summed once."""
+    column = np.abs(diag).sum(axis=1)
+    column[1:] += per_entry(lambda a: np.abs(a).sum(axis=1), inner)
+    column[:-1] += per_entry(lambda a: np.abs(a).sum(axis=2), inner)
+    return float(column.max())
+
+
 def _block_factor(model: FilterModel, start: int, stop: int, U: np.ndarray) -> _BlockFactor:
     """The model half of steps start .. stop - 1 of :func:`_information_sweep`.
 
@@ -440,18 +551,9 @@ def _block_factor(model: FilterModel, start: int, stop: int, U: np.ndarray) -> _
     the next block.
     """
     N, n = model.horizon, model.VH.shape[2]
-    count, last = stop - start, min(stop, N)  # transitions start .. last - 1
-    lo = max(start, 1)
-    T = per_entry(_information, model.LF[lo - 1 : stop - 1], model.VH[lo:stop])
-    if start == 0:
-        T = np.concatenate([_information(model.LF0[None], model.VH[:1]), T])
-    Cn, off = per_entry(_coupling, model.LC[start:last], model.LF[start:last])
+    count = stop - start
+    T, diag, off = _band_terms(model, start, stop, U)
     inner = off[: count - 1]
-    UtU = np.empty((count, n, n))  # U_k'U_k
-    UtU[0] = U.T @ U
-    diag = np.array(T)  # A's diagonal blocks, the first reduced by the blocks before
-    diag[0] -= UtU[0]
-    diag[: last - start] += Cn
     # The band, column by column: cols[i, c, r] = A[i n + c + r - 2n + 1, i n + c],
     # so rows r = n - 1 + a - c hold block (i - 1, i) and rows r = 2n - 1 + a - c,
     # a <= c, the upper triangle of block (i, i).
@@ -459,16 +561,15 @@ def _block_factor(model: FilterModel, start: int, stop: int, U: np.ndarray) -> _
     for c in range(n):
         cols[:, c, 2 * n - 1 - c :] = diag[:, : c + 1, c]
         cols[1:, c, n - 1 - c : 2 * n - 1 - c] = inner[:, :, c]
-    column = np.abs(diag).sum(axis=1)
-    column[1:] += np.abs(inner).sum(axis=1)
-    column[:-1] += np.abs(inner).sum(axis=2)
-    R, band = factor_spd_banded(cols.reshape(count * n, 2 * n).T, float(column.max()))
+    R, band = factor_spd_banded(cols.reshape(count * n, 2 * n).T, _band_norm1(diag, inner))
     if R is None:
         return _BlockFactor(U, 0.0, 0.0)
     cols = R.T.reshape(count, n, 2 * n)
     Ut = np.empty((count - 1, n, n))  # Ut[i - 1] = R_{i-1,i}'
     for c in range(n):
         Ut[:, c] = cols[1:, c, n - 1 - c : 2 * n - 1 - c]
+    UtU = np.empty((count, n, n))  # U_k'U_k
+    UtU[0] = U.T @ U
     UtU[1:] = Ut @ np.ascontiguousarray(np.swapaxes(Ut, 1, 2))
     J = symmetrize(T - UtU)
     try:

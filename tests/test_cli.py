@@ -241,7 +241,8 @@ OBSERVATION_READERS = [
 @pytest.mark.parametrize("fault", ["count", "width", "nan", "ragged"])
 def test_filter_rejects_bad_observation_rows(tmp_path, capsys, fault):
     # every command refuses the same rows where its estimator reads them:
-    # a chain's vector_stack, a grid's sample check, a static sized_vector
+    # a chain's vector_stack, a grid's sample check, a static sized_vector.
+    # A nan is no JSON number, so the reader refuses it, naming its row
     obs = tmp_path / "y.csv"
     for command, doc, count, name in OBSERVATION_READERS:
         header, rows = "k,y0", [f"{k},1.0" for k in range(count)]
@@ -257,8 +258,7 @@ def test_filter_rejects_bad_observation_rows(tmp_path, capsys, fault):
             message = f"{name}{'[0]' if count > 1 else ''} has length 2, expected 1"
         elif fault == "nan":
             rows[last] = f"{last},nan"
-            where = f"[{last}]" if count > 1 else ""
-            message = f"{name}{where} contains non-finite entries"
+            message = f"{obs}: row {last} is not numeric: 'nan' is not a JSON number"
         else:
             rows[last] += ",2.0"
             message = f"{obs}: row {last} has 3 fields, expected 2"

@@ -413,6 +413,24 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert np.array_equal(back.view(np.uint64), data.view(np.uint64))
 
 
+def test_trajectory_csv_reads_the_repr_spelling(tmp_path):
+    # a file of Python's float repr (1e-05, 1e+16), as benchmarks and other
+    # tools write it, reads back bit for bit
+    rng = np.random.default_rng(1)
+    data = np.vstack(
+        [
+            rng.standard_normal((50, 2)) * 10.0 ** rng.integers(-20, 20, (50, 2)),
+            [[1e-05, 1e16], [-0.0, 5e-324], [np.finfo(float).max, 0.1]],
+        ]
+    )
+    lines = ["k,y0,y1"] + [f"{k},{a!r},{b!r}" for k, (a, b) in enumerate(data.tolist())]
+    assert "1e-05" in lines[-3] and "1e+16" in lines[-3]
+    path = tmp_path / "y.csv"
+    path.write_text("\n".join(lines) + "\n")
+    back = read_trajectory_csv(path, prefix="y")
+    assert np.array_equal(back.view(np.uint64), data.view(np.uint64))
+
+
 def test_trajectory_csv_text_is_pinned(tmp_path):
     # the exact bytes of edge values, in the reports' spelling: signed
     # zero, the least subnormal, +-max and values that print with an
@@ -450,8 +468,18 @@ def test_trajectory_csv_validation(tmp_path):
         ("k,x0\n0,1.0\n2,2.0\n", "row 1 has index 2, expected 1"),
         ("k,x0\n0,1.0\n1.5,2.0\n", "row 1 has index 1.5, expected 1"),
         ("k,x0\n0,1.0,5.0\n", "row 0 has 3 fields, expected 2"),
-        ("k,x0\n0,1.0\n1,abc\n", "row 1 is not numeric"),
-        ("k,x0\n0,1.0\n1,\n", "row 1 is not numeric"),
+        ("k,x0\n0,1.0\n1,abc\n", "row 1 is not numeric: 'abc' is not a JSON number"),
+        ("k,x0\n0,1.0\n1,\n", "row 1 is not numeric: '' is not a JSON number"),
+        # fields are JSON numbers, the writer's grammar: no nan or inf (the
+        # writer refuses them), no bare or trailing point, no plus sign
+        ("k,x0\n0,1.0\n1,nan\n", "row 1 is not numeric: 'nan' is not a JSON number"),
+        ("k,x0\n0,-inf\n", "row 0 is not numeric: '-inf' is not a JSON number"),
+        ("k,x0\n0,.1\n", "row 0 is not numeric: '.1' is not a JSON number"),
+        ("k,x0\n0,+0.2\n", "row 0 is not numeric: '+0.2' is not a JSON number"),
+        ("k,x0\n0, 1.\n", "row 0 is not numeric: '1.' is not a JSON number"),
+        ("k,x0\n0,true\n", "row 0 is not numeric: 'true' is not a JSON number"),
+        ("k,x0\n0,\"1\"\n", "row 0 is not numeric: '\"1\"' is not a JSON number"),
+        ("k,x0\n\n0,1.0\n\n1,2.0,3.0\n", "row 1 has 3 fields, expected 2"),
     ):
         path.write_text(text)
         with pytest.raises(ParseError, match=f": {re.escape(message)}"):
@@ -462,6 +490,9 @@ def test_trajectory_csv_validation(tmp_path):
     path.write_text("k,z0\n0,1.0\n")
     with pytest.raises(ParseError):
         read_trajectory_csv(path, prefix="x")  # prefix mismatch
+    # spaces around header fields are skipped as around row fields
+    path.write_text("k, y0 ,\ty1\n0, 1.5,2\n")
+    assert read_trajectory_csv(path, prefix="y").tolist() == [[1.5, 2.0]]
     path.write_text("")
     with pytest.raises(ParseError):
         read_trajectory_csv(path)
@@ -470,5 +501,10 @@ def test_trajectory_csv_validation(tmp_path):
     # blank lines and spaces around fields are skipped; an index is a number
     path.write_text("k,x0,x1\n\n 0 , 1.5 ,-2\n\n1e0,\t2.0,3 \n\n")
     assert read_trajectory_csv(path).tolist() == [[1.5, -2.0], [2.0, 3.0]]
+    path.write_bytes(b"\r\nk,x0\r\n0,1.5\r\n \t\r\n1,-2\r\n")
+    assert read_trajectory_csv(path, prefix="x").tolist() == [[1.5], [-2.0]]
+    path.write_bytes(b"k,x0\n0,1.0\xff\n")
+    with pytest.raises(ParseError, match=r": not UTF-8 text \(invalid start byte\)$"):
+        read_trajectory_csv(path)
     with pytest.raises(ParseError):
         read_trajectory_csv(tmp_path / "missing.csv")

@@ -718,13 +718,13 @@ def test_information_sweep_holds_one_block_at_a_time(monkeypatch):
 # Steady state: an interior block of a constant chain reuses a settled factor
 
 
-def _constant_draw(rng, n, descriptor, slow):
-    """A constant chain of 40 to 120 steps, each stack one broadcast matrix,
-    with S and B not the identity. A descriptor draw has m = n + 1; a slow
-    one (||C|| = 0.999, H scaled by 0.05) settles slowly."""
+def _constant_draw(rng, n, descriptor, slow, N=None):
+    """A constant chain of N steps, 40 to 120 unless given, each stack one
+    broadcast matrix, with S and B not the identity. A descriptor draw has
+    m = n + 1; a slow one (||C|| = 0.999, H scaled by 0.05) settles slowly."""
     m = n + 1 if descriptor else n
     l = int(rng.integers(1, 4))
-    N = int(rng.integers(40, 121))
+    N = int(rng.integers(40, 121)) if N is None else N
     C = rng.standard_normal((m, n))
     C *= (0.999 if slow else 0.8) / np.linalg.norm(C, 2)
     H = rng.standard_normal((l, n)) / np.sqrt(n) * (0.05 if slow else 1.0)
@@ -788,15 +788,183 @@ def test_steady_state_reuse_matches_factoring_every_block(monkeypatch):
     assert reused >= 0.4 * blocks, (reused, blocks)
 
 
-def test_steady_state_reuse_on_the_benchmark_shape():
-    # the first block, the second (the first interior one) and the last are
-    # factored: after the second, the carried pivot's shift reads
-    # ||J^-1 E||_1 = 3.6e-15, a fifth of STEADY_STATE_TOL
+def test_steady_state_reuse_on_the_benchmark_shape(monkeypatch):
+    # one dpbtrf, on the first block: its last steps have settled (51 of 64
+    # with one BLAS thread), and the other 15 blocks are placed from copies
+    # of them, the last with step N's pivot factored alone. Each placed
+    # block has a band estimate of its own, so the smallest figure is the
+    # one of factoring every block
     dae, bounds, y_seq, ell = _n32_chain()
+    real = filtering_mod.factor_spd_banded
+    factored = []
+
+    def counting(band, norm1):
+        factored.append(band.shape)
+        return real(band, norm1)
+
+    monkeypatch.setattr(filtering_mod, "factor_spd_banded", counting)
     run = filter_run(dae, bounds, y_seq, ell)
+    assert factored == [(64, 64 * 32)]
     assert run.solver["blocks"] == 16
-    assert run.solver["blocks_factored"] == 3
-    _assert_same_answer(run, filter_run(*_materialized(dae, bounds), y_seq, ell))
+    assert run.solver["blocks_factored"] == 1
+    ref = filter_run(*_materialized(dae, bounds), y_seq, ell)
+    _assert_same_answer(run, ref, rel=1e-13)
+    assert run.solver["rcond_estimate"] == pytest.approx(ref.solver["rcond_estimate"], rel=1e-9)
+
+
+def _run_with_every_P(dae, bounds, y_seq, ell):
+    """The run, and every filtered P_k it wrote."""
+    P = np.empty((dae.horizon + 1, dae.state_dim, dae.state_dim))
+    return filter_run(dae, bounds, y_seq, ell, P_seq=P), P
+
+
+def _gap(one, other) -> float:
+    """The largest relative difference between two (run, every P_k) pairs:
+    of the centers, of the P_k and of the radius."""
+    (run, P), (ref, P_ref) = one, other
+    x, x_ref = run.outputs["x_hat_seq"], ref.outputs["x_hat_seq"]
+    return max(
+        np.abs(x - x_ref).max() / np.abs(x_ref).max(),
+        np.abs(P - P_ref).max() / np.abs(P_ref).max(),
+        abs(run.radius - ref.radius) / ref.radius,
+    )
+
+
+def _placed_and_factored(dae, bounds, y_seq, ell):
+    """The runs of a constant chain and of its materialized copy, after
+    checking that they take the same path with the same correction
+    verdict."""
+    placed = _run_with_every_P(dae, bounds, y_seq, ell)
+    factored = _run_with_every_P(*_materialized(dae, bounds), y_seq, ell)
+    solver, ref = placed[0].solver, factored[0].solver
+    assert solver["path"] == ref["path"]
+    assert (solver["correction"] is None) == (ref["correction"] is None)
+    return placed, factored
+
+
+def _assert_placed_as_factored(dae, bounds, y_seq, ell):
+    """Every center, every P_k and the radius of a constant chain's run
+    within 1e-13 of factoring every block; returns the solver record."""
+    placed, factored = _placed_and_factored(dae, bounds, y_seq, ell)
+    assert _gap(placed, factored) <= 1e-13
+    return placed[0].solver
+
+
+def _tail_lengths(monkeypatch) -> list:
+    """Per block the sweep factors on a constant chain, the length of its
+    settled tail (None when it has none), appended as the run goes."""
+    real = filtering_mod._settled
+    lengths = []
+
+    def settled(half, start):
+        tail = real(half, start)
+        lengths.append(None if tail is None else tail.P.shape[0])
+        return tail
+
+    monkeypatch.setattr(filtering_mod, "_settled", settled)
+    return lengths
+
+
+def test_steady_state_placed_blocks_on_an_ensemble(monkeypatch):
+    # 120 constant draws with blocks of 2 to 11 steps, a third slow to
+    # settle: every center and P_k of a placed block is within 1e-13 of
+    # factoring every block, with the same path and correction verdict.
+    # Where the factored run's own rounding is larger than that, the placed
+    # run must be as close as it to the QR steps: draw 93 has an rcond
+    # estimate of 2.6e-6 and cond(J_k) = 8.2e3, and there the two differ
+    # by 4.7e-13 while the QR steps are 1.0e-12 from the placed run and
+    # 1.4e-12 from the factored one
+    rng = rng_for(23)
+    blocks = placed_blocks = beyond = 0
+    for trial in range(120):
+        n = 1 + trial % 5
+        dae, bounds, y_seq, ell = _constant_draw(rng, n, trial % 2 == 1, trial % 3 == 0)
+        monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * n * n * int(rng.integers(2, 12)))
+        placed, factored = _placed_and_factored(dae, bounds, y_seq, ell)
+        if _gap(placed, factored) > 1e-13:
+            with monkeypatch.context() as qr_only:
+                qr_only.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", np.inf)
+                qr = _run_with_every_P(*_materialized(dae, bounds), y_seq, ell)
+            assert _gap(placed, qr) <= _gap(factored, qr) + 1e-13
+            beyond += 1
+        solver = placed[0].solver
+        if solver["path"] == "information":
+            blocks += solver["blocks"]
+            placed_blocks += solver["blocks"] - solver["blocks_factored"]
+    assert beyond <= 2
+    assert placed_blocks >= 0.5 * blocks, (placed_blocks, blocks)
+
+
+def test_steady_state_tail_settles_in_a_later_block(monkeypatch):
+    # a slow chain in blocks of 10: the first blocks have not settled by
+    # their last step, so the sweep factors on until one has
+    dae, bounds, y_seq, ell = _constant_draw(rng_for(0), 3, True, True, N=80)
+    monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * 3 * 3 * 10)
+    tails = _tail_lengths(monkeypatch)
+    solver = _assert_placed_as_factored(dae, bounds, y_seq, ell)
+    assert 1 < solver["blocks_factored"] < solver["blocks"] == 9
+    assert tails[:-1] == [None] * (len(tails) - 1) and tails[-1] is not None
+
+
+def test_steady_state_tail_shorter_than_a_block(monkeypatch):
+    # tails of one to three steps: each placed block of 10 holds several
+    # seams, each joined by the tail's exit U
+    cases = [(rng_for(0), 2, False), (rng_for(4), 3, True), (rng_for(10), 3, True)]
+    for rng, n, descriptor in cases:
+        dae, bounds, y_seq, ell = _constant_draw(rng, n, descriptor, False, N=80)
+        monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * n * n * 10)
+        tails = _tail_lengths(monkeypatch)
+        solver = _assert_placed_as_factored(dae, bounds, y_seq, ell)
+        assert solver["blocks_factored"] == len(tails) == 1 and tails[0] <= 5
+
+
+@pytest.mark.parametrize("after", [0, 1, 4])
+def test_steady_state_last_block_lengths(after, monkeypatch):
+    # N + 1 = 8 blocks of 9 steps plus ``after``: the last block is a full
+    # one (0), step N alone (1) or a short one (4)
+    dae, bounds, y_seq, ell = _constant_draw(rng_for(0), 2, False, False, N=8 * 9 + after - 1)
+    monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * 2 * 2 * 9)
+    solver = _assert_placed_as_factored(dae, bounds, y_seq, ell)
+    assert solver["blocks"] == 8 + (after > 0)
+    assert solver["blocks_factored"] == 1
+
+
+def test_steady_state_last_block_below_the_floor(monkeypatch):
+    # the placed last block keeps a band estimate of its own. Where it is
+    # the smallest, a floor between it and every other block's sends the
+    # sweep to the corrected step, as on the materialized chain
+    bands = []  # per block: whether it is a placed last block, its estimate
+    real_placed, real_factor = filtering_mod._placed, filtering_mod._block_factor
+
+    def placed(model, tail, start, stop):
+        half = real_placed(model, tail, start, stop)
+        bands.append((stop > model.horizon, half.band))
+        return half
+
+    def factored(model, start, stop, U):
+        half = real_factor(model, start, stop, U)
+        bands.append((False, half.band))
+        return half
+
+    monkeypatch.setattr(filtering_mod, "_placed", placed)
+    monkeypatch.setattr(filtering_mod, "_block_factor", factored)
+    floor = filtering_mod.INFORMATION_RCOND_FLOOR
+    rng = rng_for(41)
+    corrected = 0
+    for trial in range(40):
+        n = 1 + trial % 5
+        dae, bounds, y_seq, ell = _constant_draw(rng, n, trial % 2 == 1, trial % 3 == 0)
+        monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * n * n * int(rng.integers(2, 12)))
+        bands.clear()
+        filter_run(dae, bounds, y_seq, ell)
+        (last, band), others = bands[-1], [b for _, b in bands[:-1]]
+        if not (last and others and band < min(others)):
+            continue
+        monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", math.sqrt(band * min(others)))
+        solver = _assert_placed_as_factored(dae, bounds, y_seq, ell)
+        monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", floor)
+        corrected += solver["correction"] is not None
+    assert corrected >= 5
 
 
 def test_steady_state_reuse_skips_time_varying_chains(monkeypatch):
