@@ -3,7 +3,10 @@
 A problem lives in one JSON document with top-level keys ``kind``,
 ``model``, ``bounds``, ``estimation``, optional ``grid`` (continuous
 problems), optional ``simulation``, and ``seed``. Matrices are nested
-row-major lists; time-varying coefficients are tagged objects
+row-major lists and vectors are lists, of JSON numbers: a string, a
+boolean, a null or an object as an entry is a SchemaError naming it,
+as is any of them in place of a number such as ``t_start``. Time-varying
+coefficients are tagged objects
 
     {"type": "constant",   "value": [[...]]}
     {"type": "table",      "times": [t0, ...], "values": [[[...]], ...]}
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -94,21 +98,85 @@ def _integer(value, path: str, least: Optional[int] = None) -> int:
     return int(value)
 
 
-def _schema(check):
-    """``check(value, path)`` from :mod:`.linalg` with its InvalidInput
-    raised as a SchemaError: a document's layout is a schema matter."""
+# JSON values that are not numbers: a matrix or vector entry that is one of
+# these is refused, where ``np.asarray(..., dtype=float)`` would take "1",
+# true and false as numbers and null as NaN.
+_NOT_NUMBERS = (str, bool, type(None), dict)
+_NUMBERS = {int, float}
+
+
+def _numbers(value, depth: int) -> Optional[np.ndarray]:
+    """``value``, lists nested ``depth`` deep with one length per level and
+    int or float entries, as one float array; None if it is not that.
+
+    One ``np.fromiter`` over the entries, after one length test per level
+    and one type test: ``type``, not ``isinstance``, as ``bool`` is an
+    ``int``. A string or an object in place of a list is flattened into
+    its characters or keys, which fail the type test, and a number in
+    place of a list has no length.
+    """
+    shape = []
+    level = [value]
+    try:
+        for _ in range(depth):
+            lengths = set(map(len, level))
+            if len(lengths) != 1:
+                return None
+            shape.append(lengths.pop())
+            level = list(chain.from_iterable(level))
+    except TypeError:
+        return None
+    if not level or not set(map(type, level)) <= _NUMBERS:
+        return None
+    return np.fromiter(level, float, len(level)).reshape(shape)
+
+
+def _typed(value, depth: int, path: str):
+    """The entries of document field ``path`` as one float array (see
+    :func:`_numbers`); otherwise ``value`` itself, for the checks of
+    :mod:`.linalg` to word, once no entry is a string, a boolean, a null
+    or an object: a SchemaError names the first that is."""
+    typed = _numbers(value, depth)
+    if typed is not None:
+        return typed
+    if isinstance(value, (list, tuple)):
+        _refuse_non_numbers(value, path)
+    return value
+
+
+def _refuse_non_numbers(entries, path: str) -> None:
+    for i, entry in enumerate(entries):
+        where = f"{path}[{i}]"
+        if isinstance(entry, (list, tuple)):
+            _refuse_non_numbers(entry, where)
+        elif isinstance(entry, _NOT_NUMBERS):
+            raise SchemaError(f"{where} is not a number, got {entry!r}")
+
+
+def _number(value, path: str) -> float:
+    """A scalar field that must be a number, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path} must be a number, got {value!r}")
+    return float(value)
+
+
+def _schema(check, depth: int):
+    """``check(value, path)`` from :mod:`.linalg` on a document field whose
+    entries are numbers ``depth`` lists deep (:func:`_typed`), with its
+    InvalidInput raised as a SchemaError: a document's layout is a schema
+    matter."""
 
     def checked(value, path: str) -> np.ndarray:
         try:
-            return check(value, path)
+            return check(_typed(value, depth, path), path)
         except InvalidInput as exc:
             raise SchemaError(str(exc)) from exc
 
     return checked
 
 
-_matrix = _schema(as_matrix)
-_vector = _schema(as_vector)
+_matrix = _schema(as_matrix, 2)
+_vector = _schema(as_vector, 1)
 
 
 def _time_function(obj, path: str, vector: bool = False):
@@ -158,8 +226,11 @@ def _matrix_seq(block: dict, name: str, count: int, path: str):
         raw = block[seq_key]
         if not isinstance(raw, list) or len(raw) != count:
             raise SchemaError(f"{path}.{seq_key} must be a list of {count} matrices")
+        stack = _typed(raw, 3, f"{path}.{seq_key}")
+        if isinstance(stack, np.ndarray):
+            stack.flags.writeable = False  # fresh: as_matrix_stack need not copy it
         try:
-            return as_matrix_stack(raw, f"{path}.{seq_key}", check=_matrix)
+            return as_matrix_stack(stack, f"{path}.{seq_key}", check=_matrix)
         except InvalidInput as exc:
             raise DimensionError(str(exc)) from exc
     if name in block:
@@ -248,14 +319,10 @@ def _parse_continuous(model_block, bounds_block) -> tuple:
     F = _matrix(_require(model_block, "F", "model"), "model.F")
     C = _time_function(_require(model_block, "C", "model"), "model.C")
     H = _time_function(_require(model_block, "H", "model"), "model.H")
-    t_start = _require(model_block, "t_start", "model")
-    t_end = _require(model_block, "t_end", "model")
-    if not isinstance(t_start, (int, float)) or not isinstance(t_end, (int, float)):
-        raise SchemaError("model.t_start and model.t_end must be numbers")
+    t_start = _number(_require(model_block, "t_start", "model"), "model.t_start")
+    t_end = _number(_require(model_block, "t_end", "model"), "model.t_end")
     try:
-        model = ContinuousDAE(
-            F=F, C=C, H=H, t_start=float(t_start), t_end=float(t_end)
-        )
+        model = ContinuousDAE(F=F, C=C, H=H, t_start=t_start, t_end=t_end)
     except InvalidInput as exc:
         raise DimensionError(f"model: {exc}") from exc
     Q0 = _matrix(_require(bounds_block, "Q0", "bounds"), "bounds.Q0")
@@ -320,7 +387,7 @@ def _parse_estimation(block, kind: str, model) -> EstimationSpec:
     if mode == "tikhonov":
         raw = _require(block, "alphas", "estimation")
         try:
-            alphas = list(continuous._check_alphas(raw))
+            alphas = list(continuous._check_alphas(_typed(raw, 1, "estimation.alphas")))
         except InvalidInput as exc:
             raise SchemaError(f"estimation.{exc}") from exc
     return EstimationSpec(mode=mode, ell=ell, alphas=alphas)
@@ -378,12 +445,10 @@ def parse_config(source) -> ProblemConfig:
         gb = _require(raw, "grid", "config")
         try:
             grid = TimeGrid(
-                start=float(_require(gb, "start", "grid")),
-                end=float(_require(gb, "end", "grid")),
+                start=_number(_require(gb, "start", "grid"), "start"),
+                end=_number(_require(gb, "end", "grid"), "end"),
                 steps=_integer(_require(gb, "steps", "grid"), "steps"),
             )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"grid: {exc}") from exc
         except EstimationError as exc:
             raise SchemaError(f"grid: {exc}") from exc
     elif "grid" in raw and raw["grid"] is not None:

@@ -112,9 +112,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .discrete import DAEEllipsoid, DiscreteDAE, _check_bounds
 from .errors import InvalidInput, NumericalBreakdown, RankDeficient
 from .linalg import (
@@ -128,6 +127,7 @@ from .linalg import (
     invertible,
     per_entry,
     sized_vector,
+    solve_triangular,
     spd_banded_rcond,
     symmetrize,
     vector_stack,
@@ -582,9 +582,7 @@ def _block_factor(model: FilterModel, start: int, stop: int, U: np.ndarray) -> _
         return _BlockFactor(U, rcond, band)
     U_next = None
     if stop <= N:
-        U_next = scipy.linalg.solve_triangular(
-            _last_pivot(R, n), off[-1], trans="T", check_finite=False
-        )
+        U_next = solve_triangular(_last_pivot(R, n), off[-1], trans=1)
     return _BlockFactor(U, rcond, band, R, Ut, P, U_next)
 
 
@@ -648,7 +646,7 @@ def _corrected(model: FilterModel, Vy: np.ndarray, Z: np.ndarray, spans: list) -
     pivot = _last_pivot(spans[-1][3].R, n)  # R_NN; the last block is always kept
     X = np.zeros((N + 1, n, n + 1))
     X[:, :, 0] = Z
-    X[N, :, 1:] = scipy.linalg.solve_triangular(pivot, np.eye(n), trans="T", check_finite=False)
+    X[N, :, 1:] = solve_triangular(pivot, np.eye(n), trans=1)
     after = None  # U_stop of the block after
     for start, stop, U, half in halves(reversed(spans)):
         b = X[start:stop].reshape(-1, n + 1)
@@ -673,7 +671,7 @@ def _corrected(model: FilterModel, Vy: np.ndarray, Z: np.ndarray, spans: list) -
         if start > 0:
             b[:n] -= U.T @ res[start - 1]
         res[start:stop] = lapack.dtbtrs(half.R, b, trans="T")[0].reshape(-1, n, n + 1)
-    step = scipy.linalg.solve_triangular(pivot, res[N], check_finite=False)
+    step = solve_triangular(pivot, res[N])
     P = symmetrize(X[N, :, 1:] + step[:, 1:])
     size = float(_norm1(step[None, :, 1:])[0] / _norm1(P[None])[0])
     return X[N, :, 0] + step[:, 0], P, beta, size
@@ -745,7 +743,7 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
             R_inv = np.linalg.inv(Rs)
             P_out[start:stop] = symmetrize(R_inv @ np.swapaxes(R_inv, 1, 2))
         R, z, beta = Rs[-1], zs[-1], float(betas[-1])
-    R_inv = scipy.linalg.solve_triangular(R, np.eye(n), check_finite=False)
+    R_inv = solve_triangular(R, np.eye(n))
     return symmetrize(R_inv @ R_inv.T), beta
 
 

@@ -1,11 +1,13 @@
 """Shared linear-algebra helpers.
 
-Everything here wraps numpy/scipy routines behind the conventions the
-estimators rely on: one table of tolerances, minimum-norm least
-squares as the default solver, a banded LU that is trusted only where
-it provably agrees with that solver, explicit result types instead of
-bare tuples, and the verdicts the estimators share: inconsistent data,
-a negative a priori error and a singular square matrix.
+Everything here wraps numpy routines and scipy's LAPACK wrappers (loaded
+by :mod:`._lapack` without importing ``scipy.linalg``) behind the
+conventions the estimators rely on: one table of tolerances,
+minimum-norm least squares as the default solver, a banded LU that is
+trusted only where it provably agrees with that solver, explicit result
+types instead of bare tuples, and the verdicts the estimators share:
+inconsistent data, a negative a priori error and a singular square
+matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .errors import InconsistentData, InvalidBounds, InvalidInput, NumericalBreakdown
 
 # Every rank, residual, regularity and breakdown decision reads one of these
@@ -303,9 +304,39 @@ def nonnegative_mse(sigma_sq: float, ell: np.ndarray) -> float:
 
 
 def spd_solve(q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve q @ x = b for symmetric positive definite q."""
-    c, low = scipy.linalg.cho_factor(symmetrize(q))
-    return scipy.linalg.cho_solve((c, low), b)
+    """Solve q @ x = b for symmetric positive definite q.
+
+    The calls and checks of ``scipy.linalg.cho_factor`` and ``cho_solve``:
+    dpotrf on the upper triangle of the symmetrized q, then dpotrs. A
+    non-finite entry is a ValueError, a q that is not positive definite
+    a LinAlgError.
+    """
+    c, info = lapack.dpotrf(np.asarray_chkfinite(symmetrize(q)), lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    return lapack.dpotrs(c, np.asarray_chkfinite(b), lower=0)[0]
+
+
+def solve_triangular(
+    a: np.ndarray, b: np.ndarray, trans: int = 0, lower: bool = False
+) -> np.ndarray:
+    """x with a @ x = b, or a' @ x = b for ``trans=1``, a triangular.
+
+    The dtrtrs call of ``scipy.linalg.solve_triangular`` with
+    ``check_finite=False``: a C-ordered ``a`` is passed as the Fortran-ordered
+    ``a.T`` with ``lower`` and ``trans`` flipped. A zero pivot is a LinAlgError.
+    """
+    if a.flags.f_contiguous:
+        x, info = lapack.dtrtrs(a, b, lower=lower, trans=trans)
+    else:
+        x, info = lapack.dtrtrs(a.T, b, lower=not lower, trans=not trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    return x
 
 
 def spd_inverse(q: np.ndarray) -> np.ndarray:

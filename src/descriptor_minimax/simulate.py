@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .discrete import DAEEllipsoid, DiscreteDAE
 from .errors import InvalidInput, NumericalBreakdown, SingularStep
 from .filtering import _block_steps

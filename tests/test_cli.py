@@ -510,6 +510,24 @@ def test_seed_option_is_an_exact_integer_below_2_64(tmp_path, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "block, field, value, entry",
+    [
+        ("model", "F", [["1"]], "model.F[0][0] is not a number, got '1'"),
+        ("model", "B", [[True]], "model.B[0][0] is not a number, got True"),
+        ("estimation", "ell", ["2"], "estimation.ell[0] is not a number, got '2'"),
+    ],
+)
+def test_a_string_or_boolean_entry_is_one_error_line(tmp_path, capsys, block, field, value, entry):
+    # np.asarray(..., dtype=float) would read each of these as a number
+    doc = scalar_doc()
+    doc[block][field] = value
+    argv = ["estimate", "--config", write_doc(tmp_path, doc)]
+    assert main(argv + ["--observations", write_obs(tmp_path, [[0.5]])]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {entry}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("option", ["--config", "--observations"])
 def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, option):
     # the bad byte is on line 3 of each file
@@ -1102,12 +1120,19 @@ def test_apriori_reports_carry_solver_path(tmp_path):
 
 
 def test_cli_import_leaves_scipy_sparse_out():
-    probe = "import sys, descriptor_minimax.cli; print('scipy.sparse' in sys.modules)"
+    # and scipy.linalg: the LAPACK shim loads scipy's extension from its
+    # file; if scipy's layout changes, its fallback imports scipy.linalg
+    probe = (
+        "import sys, descriptor_minimax.cli\n"
+        "from descriptor_minimax import _lapack\n"
+        "print([name for name in ('scipy.sparse', 'scipy.linalg') if name in sys.modules])\n"
+        "print(_lapack.lapack.__name__)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n")[:2] == ["[]", "scipy.linalg._flapack"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import descriptor_minimax.config as config_mod
 from descriptor_minimax.config import (
     ResultReport,
     parse_config,
@@ -283,6 +285,122 @@ def test_interior_failures_keep_their_class_and_name_their_entry():
     doc["bounds"]["Q0"] = [[1.0, 0.0], [0.0, 1.0]]
     with pytest.raises(DimensionError, match="Q0"):
         parse_config(doc)
+
+
+# ---------------------------------------------------------------------------
+# matrix and vector entries are JSON numbers
+
+
+def _tagged_doc():
+    """continuous_doc with a table, a polynomial and a Tikhonov schedule."""
+    doc = continuous_doc()
+    doc["model"]["C"] = {"type": "table", "times": [0.0, 0.5], "values": [[[0.0]], [[1.0]]]}
+    doc["bounds"]["Q2"] = {"type": "polynomial", "coefficients": [[[1.0]], [[1.0]]]}
+    doc["estimation"] = {"mode": "tikhonov", "ell": [1.0], "alphas": [0.5, 0.25]}
+    return doc
+
+
+def _stack_with(value):
+    stack = [[[1.0]] for _ in range(21)]
+    stack[3] = [[value]]
+    return stack
+
+
+# document, the field's keys, its value with the entry, the entry's name
+NON_NUMBER_FIELDS = [
+    (static_doc, ("model", "F"), lambda v: [[v]], "model.F[0][0]"),
+    (static_doc, ("bounds", "Q2"), lambda v: [[v]], "bounds.Q2[0][0]"),
+    (static_doc, ("estimation", "ell"), lambda v: [v], "estimation.ell[0]"),
+    (_long_discrete_doc, ("model", "F_seq"), _stack_with, "model.F_seq[3][0][0]"),
+    (_long_discrete_doc, ("model", "S"), lambda v: [[v]], "model.S[0][0]"),
+    (discrete_doc, ("estimation", "ell_seq"), lambda v: [[0.0], [v]], "estimation.ell_seq[1][0]"),
+    (_tagged_doc, ("model", "C", "times"), lambda v: [0.0, v], "model.C.times[1]"),
+    (_tagged_doc, ("model", "C", "values"), lambda v: [[[0.0]], [[v]]], "model.C.values[1][0][0]"),
+    (_tagged_doc, ("bounds", "Q2", "coefficients"), lambda v: [[[v]]], "bounds.Q2.coefficients[0][0][0]"),
+    (_tagged_doc, ("estimation", "alphas"), lambda v: [0.5, v], "estimation.alphas[1]"),
+]
+
+
+@pytest.mark.parametrize("value", ["1", True, False, None, {"a": 1.0}])
+@pytest.mark.parametrize("make, keys, field_value, entry", NON_NUMBER_FIELDS)
+def test_an_entry_that_is_not_a_number_is_named(make, keys, field_value, entry, value):
+    doc = make()
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = field_value(value)
+    with pytest.raises(SchemaError) as err:
+        parse_config(doc)
+    assert str(err.value) == f"{entry} is not a number, got {value!r}"
+
+
+@pytest.mark.parametrize("field", ["t_start", "t_end"])
+@pytest.mark.parametrize("value", ["0", True, None])
+def test_scalar_numbers_are_json_numbers(field, value):
+    doc = continuous_doc()
+    doc["model"][field] = value
+    with pytest.raises(SchemaError, match=rf"^model\.{field} must be a number, got "):
+        parse_config(doc)
+    doc = continuous_doc()
+    doc["grid"][field[2:]] = value
+    with pytest.raises(SchemaError, match=rf"^grid: {field[2:]} must be a number, got "):
+        parse_config(doc)
+
+
+def _convert_as_asarray(monkeypatch) -> list:
+    """Check every array the typed conversion returns against
+    ``np.asarray(..., dtype=float)``, bit for bit; returns their sizes."""
+    sizes = []
+    numbers = config_mod._numbers
+
+    def checked(value, depth):
+        got = numbers(value, depth)
+        if got is not None:
+            want = np.asarray(value, dtype=float)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            sizes.append(got.size)
+        return got
+
+    monkeypatch.setattr(config_mod, "_numbers", checked)
+    return sizes
+
+
+def test_test_documents_convert_as_asarray(tmp_path, monkeypatch):
+    from test_cli import DOCS, _verdict_docs
+
+    sizes = _convert_as_asarray(monkeypatch)
+    docs = [static_doc(), discrete_doc(), continuous_doc(), _long_discrete_doc(), _tagged_doc()]
+    docs += [make(mode) for make, _ in DOCS.values() for mode in ("apriori", "filter", "riccati")]
+    docs += [doc for doc, *_ in _verdict_docs().values()]
+    parsed = 0
+    for doc in docs:
+        try:
+            parse_config(doc)
+            parsed += 1
+        except SchemaError:  # a pair of kind and mode parse_config refuses
+            pass
+    path = tmp_path / "edges.json"
+    path.write_text(_edge_document())
+    parse_config(str(path))
+    assert parsed >= 12 and len(sizes) >= 100
+
+
+def test_benchmark_documents_convert_as_asarray(tmp_path, monkeypatch):
+    # the documents of one round of each perfbench workload, seeds 1 to 3
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng([seed, 0])
+        for workload in workloads.WORKLOADS.values():
+            workload().round_requests(rng, str(tmp_path), f"s{seed}", 0)
+    sizes = _convert_as_asarray(monkeypatch)
+    documents = sorted(tmp_path.glob("*.json"))
+    for path in documents:
+        parse_config(str(path))
+    # 28 documents a seed; the largest array is an N=10^4 stack of 2x2 matrices
+    assert len(documents) == 3 * 28 and max(sizes) == 10001 * 2 * 2
 
 
 def test_parse_error_reports_position(tmp_path):
