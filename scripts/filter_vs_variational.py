@@ -9,8 +9,12 @@ chain, ``dense_reference`` of tests/conftest.py: the center ell'x_N of
 ``filter_run`` and ``variational_estimate``, the squared radius ell'P_N ell
 of ``filter_run`` and ``apriori_horizon_estimate``, and the attained radius
 sqrt(1 - beta_N) sqrt(ell'P_N ell) of ``filter_run``. A chain on which the
-reference finds the center not unique is an error. Per filter path
-("information" or "recursive", see ``Estimate.solver``) it reports
+reference finds the center not unique is an error. A solver may refuse a
+chain (InconsistentData, NumericalBreakdown or RankDeficient): the
+solvers that answered it are still compared, the refusals are counted
+per solver and printed, and only chains that every solver answered count
+toward ``--count``. Per filter path ("information" or "recursive", see
+``Estimate.solver``, or "refused" where the filter refused) it reports
 the chain count and each solver's worst relative gap, then wall-clock
 totals and the filter's time per step. Horizons are drawn up to 192 steps.
 Exits 1 when a gap exceeds 1e-9, naming the solver that is off.
@@ -23,6 +27,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from descriptor_minimax import (
     DiscreteDAE,
     InconsistentData,
     NumericalBreakdown,
+    RankDeficient,
     apriori_horizon_estimate,
     filter_run,
     variational_estimate,
@@ -40,13 +46,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 from conftest import dense_reference, random_spd  # noqa: E402
 
 GAP_LIMIT = 1e-9
+REFUSALS = (InconsistentData, NumericalBreakdown, RankDeficient)
 # cond(B_k) and cond(S) reach 10^MAX_LOG_COND. Neither filter path squares
 # cond(B_k) in a step it keeps: the QR steps whiten each row by one solve,
 # and the information sweep turns down chains whose squared condition
-# reaches its floor. The one-shot a priori radius does lose digits there:
-# on a chain of seed 2 (n=2, N=173) apriori_horizon_estimate is 1.3e-9 off
-# the dense reference with a two-thread OpenBLAS (5.5e-10 with one thread),
-# while every filter answer of that seed is within 3e-13.
+# reaches its floor. The one-shot's band saddle turns down such chains at
+# RCOND_FLOOR, and the flattened chain then goes to the static estimators,
+# which whiten each weight by its Cholesky factor on the null space of
+# [F, -B] and so square no condition either.
 MAX_LOG_COND = 6.0
 
 
@@ -99,10 +106,11 @@ def main():
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    chains = {"information": 0, "recursive": 0}
+    chains = {"information": 0, "recursive": 0, "refused": 0}
     solvers = ("filter_run", "variational_estimate", "apriori_horizon_estimate")
     worst = {path: dict.fromkeys(solvers, 0.0) for path in chains}
-    t_filter = t_var = 0.0
+    refusals = {solver: Counter() for solver in solvers}
+    seconds = dict.fromkeys(solvers, 0.0)
     done = steps = 0
     while done < args.count:
         n = int(rng.integers(1, 5))
@@ -113,50 +121,61 @@ def main():
         y_seq = [0.1 / np.sqrt(N + 1) * rng.standard_normal(l) for _ in range(N + 1)]
         ell = rng.standard_normal(n)
         ell_seq = [np.zeros(n) for _ in range(N)] + [ell]
-        try:
+        calls = {
+            "filter_run": lambda: filter_run(dae, bounds, y_seq, ell),
+            "variational_estimate": lambda: variational_estimate(dae, bounds, ell_seq, y_seq),
+            "apriori_horizon_estimate": lambda: apriori_horizon_estimate(dae, bounds, ell_seq),
+        }
+        answers = {}
+        for solver, call in calls.items():
             t0 = time.perf_counter()
-            var = variational_estimate(dae, bounds, ell_seq, y_seq)
-            t1 = time.perf_counter()
-            filt = filter_run(dae, bounds, y_seq, ell)
-            t2 = time.perf_counter()
-        except (InconsistentData, NumericalBreakdown):
+            try:
+                answers[solver] = call()
+            except REFUSALS as exc:
+                refusals[solver][type(exc).__name__] += 1
+                continue
+            seconds[solver] += time.perf_counter() - t0
+        if not answers:
             continue
-        squared = apriori_horizon_estimate(dae, bounds, ell_seq).worst_case_mse
-        t_var += t1 - t0
-        t_filter += t2 - t1
         reference = dense_reference(dae, bounds, y_seq, N)
         if reference is None:
             sys.exit(f"error: the dense reference has no unique center on a chain of N={N}")
         x_ref, P_ref, beta = reference
         center, radius = ell @ x_ref, ell @ P_ref @ ell
         attained = math.sqrt(max(1.0 - beta, 0.0)) * math.sqrt(radius)
-        center_gap = abs(filt.estimate - center) / (1.0 + abs(center))
-        filt_radius = ell @ filt.outputs["P_final"] @ ell
-        filt_gaps = (
-            center_gap,
-            abs(filt_radius - radius) / radius,
-            abs(filt.radius - attained) / attained,
-        )
-        gaps = {
-            "filter_run": max(filt_gaps),
-            "variational_estimate": abs(var.estimate - center) / (1.0 + abs(center)),
-            "apriori_horizon_estimate": abs(squared - radius) / radius,
-        }
-        path = filt.solver["path"]
+        gaps = {}
+        if "filter_run" in answers:
+            filt = answers["filter_run"]
+            filt_radius = ell @ filt.outputs["P_final"] @ ell
+            gaps["filter_run"] = max(
+                abs(filt.estimate - center) / (1.0 + abs(center)),
+                abs(filt_radius - radius) / radius,
+                abs(filt.radius - attained) / attained,
+            )
+            steps += N + 1
+        if "variational_estimate" in answers:
+            var = answers["variational_estimate"]
+            gaps["variational_estimate"] = abs(var.estimate - center) / (1.0 + abs(center))
+        if "apriori_horizon_estimate" in answers:
+            squared = answers["apriori_horizon_estimate"].worst_case_mse
+            gaps["apriori_horizon_estimate"] = abs(squared - radius) / radius
+        path = answers["filter_run"].solver["path"] if "filter_run" in answers else "refused"
         chains[path] += 1
         for solver, value in gaps.items():
             worst[path][solver] = max(worst[path][solver], value)
-        done += 1
-        steps += N + 1
+        done += len(answers) == len(solvers)
 
     print("worst relative gap to the dense reference")
     print(f"{'path':<12} {'chains':>6}" + "".join(f"  {solver:>24}" for solver in solvers))
     for path in chains:
         row = "".join(f"  {worst[path][solver]:24.3e}" for solver in solvers)
         print(f"{path:<12} {chains[path]:6d}{row}")
-    print(f"one-shot total       {t_var:.3f}s")
-    print(f"filter total         {t_filter:.3f}s")
-    print(f"filter per step      {1e6 * t_filter / steps:.1f}us")
+    for solver in solvers:
+        named = ", ".join(f"{count} {name}" for name, count in sorted(refusals[solver].items()))
+        print(f"{solver} refused {sum(refusals[solver].values())} chains" + (f" ({named})" if named else ""))
+    print(f"one-shot total       {seconds['variational_estimate']:.3f}s")
+    print(f"filter total         {seconds['filter_run']:.3f}s")
+    print(f"filter per step      {1e6 * seconds['filter_run'] / max(steps, 1):.1f}us")
     overall = {solver: max(by_path[solver] for by_path in worst.values()) for solver in solvers}
     for solver, value in overall.items():
         if value > GAP_LIMIT:

@@ -136,7 +136,10 @@ def _typed(value, depth: int, path: str):
     :func:`_numbers`); otherwise ``value`` itself, for the checks of
     :mod:`.linalg` to word, once no entry is a string, a boolean, a null
     or an object: a SchemaError names the first that is."""
-    typed = _numbers(value, depth)
+    try:
+        typed = _numbers(value, depth)
+    except OverflowError:  # an int beyond the float range: the scan names it
+        typed = None
     if typed is not None:
         return typed
     if isinstance(value, (list, tuple)):
@@ -151,13 +154,26 @@ def _refuse_non_numbers(entries, path: str) -> None:
             _refuse_non_numbers(entry, where)
         elif isinstance(entry, _NOT_NUMBERS):
             raise SchemaError(f"{where} is not a number, got {entry!r}")
+        elif isinstance(entry, int):
+            _as_float(entry, where)
+
+
+def _as_float(value, path: str) -> float:
+    """An int or float as a float; an int beyond the float range (a
+    document given as a dict may hold 10**400) is a SchemaError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(
+            f"{path} is out of the range of a float, got an integer of {value.bit_length()} bits"
+        ) from None
 
 
 def _number(value, path: str) -> float:
     """A scalar field that must be a number, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path} must be a number, got {value!r}")
-    return float(value)
+    return _as_float(value, path)
 
 
 def _schema(check, depth: int):

@@ -176,6 +176,8 @@ class TimeGrid:
         )
         if isinstance(steps, bool) or not integral or steps < 1:
             raise InvalidGrid(f"steps must be a positive integer, got {steps}")
+        if steps >= np.iinfo(np.intp).max:  # the steps + 1 nodes must be indexable
+            raise InvalidGrid(f"steps must be below {np.iinfo(np.intp).max}, got {steps:g}")
         object.__setattr__(self, "steps", int(steps))
 
     @property
@@ -484,11 +486,14 @@ def tikhonov_approximate(
     alpha h I to every H_k'Q2_k H_k, which makes the saddle system
     uniquely solvable. Each alpha is then one
     :func:`.discrete.apriori_horizon_estimate` on this penalized chain:
-    one banded factorization, with the flattened static solver as its
-    fallback. The first l components of its readout, divided by h, are
-    the density Q2(t_k) H(t_k) p_k. When the functional is representable
-    the readouts converge to the minimax readout and residual_seq
-    decays; otherwise residual_seq stays bounded away from zero.
+    one banded factorization, with the static estimators on the
+    flattened chain as its fallback; the penalty observes every state,
+    so that fallback answers every alpha, however small. The first l
+    components of its readout, divided by h, are the density
+    Q2(t_k) H(t_k) p_k. When the functional is representable the
+    readouts converge to the minimax readout and residual_seq decays;
+    otherwise residual_seq stays bounded away from zero. A
+    NumericalBreakdown of one solve is re-raised naming its alpha.
     """
     _check_grid(system, grid)
     alphas = _check_alphas(alphas)

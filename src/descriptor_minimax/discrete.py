@@ -27,14 +27,16 @@ here solve the same saddle-point system without forming it densely:
   no zero pivot, the estimated reciprocal condition number reaches
   :data:`.linalg.RCOND_FLOOR`, and every solution passes the
   deterministic size check of :meth:`.linalg.BandedFactor.solve`. The
-  floor rejects every matrix the dense minimum-norm least-squares solver
-  would treat as rank-deficient. A regular saddle matrix implies
+  floor rejects every saddle matrix that an SVD cut at DEFAULT_TOL would
+  call rank-deficient. A regular saddle matrix implies
   ker F ∩ ker H = {0}, so every functional is representable and no
   separate representability test is needed.
 * **Fallback.** Otherwise (singular dynamics, non-representable
-  functionals, rank-deficient [F_k; H_k] or [F_k, B_k] stacks) the
-  flattened model goes to the dense static solver, which decides rank
-  and representability by SVD. That path is cubic in N.
+  functionals, rank-deficient [F_k; H_k] or [F_k, B_k] stacks, weights
+  or B_k far from unit scale) the flattened model goes to the static
+  estimators, which solve on the null space of [F, -B] and decide rank
+  and representability by one SVD of the whitened rows. That path is
+  cubic in N.
 
 Each estimate (:class:`.static.Estimate`) carries a ``solver`` record
 (:func:`.static.solver_record`) naming the path taken and the condition

@@ -31,8 +31,8 @@ class RiccatiBlowup(EstimationError):
 
 class SolveFailure(EstimationError):
     """A reported radius that sampled consistent states exceed (the
-    check of CLI ``validate``). A saddle-point solve that breaks down,
-    a regularized one included, raises NumericalBreakdown instead."""
+    check of CLI ``validate``). A solve that breaks down, a regularized
+    one included, raises NumericalBreakdown instead."""
 
 
 class DimensionTooLarge(EstimationError):

@@ -29,8 +29,6 @@ DEFAULT_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-8
 # Budget slack and squared radii: how far below 0 (per unit scale) is rounding.
 NEGATIVE_FLOOR = 1e-9
-# Saddle-point solves: a residual above this times 1 + ||rhs|| is a breakdown.
-SADDLE_RESIDUAL_TOL = 1e-6
 # Banded LU: trusted when both estimates of 1/(||A||_1 ||A^-1||_1) and
 # 1/(||A||_inf ||A^-1||_inf) reach this. As ||M||_2^2 <= ||M||_1 ||M||_inf,
 # the true values bound sigma_min/sigma_max from below; 1000x above

@@ -18,17 +18,30 @@ Two estimates are provided.
   attached error radius is exact, not a bound: the consistency set is an
   ellipsoid and x_hat is its center, so the reported radius is attained.
 
-Both reduce to one saddle-point system. With ``G = B Q1^{-1} B'``,
+Both solve on the solution set of the model, reduced once and factored
+once (the null-space method; Golub & Van Loan, *Matrix Computations*,
+4th ed., 2013, section 6.2). Z spans ker [F, -B], so every solution is
+(x, f) = Z xi, split as Z_x = Z[:n] and Z_f = Z[n:]. With V = chol(Q)'
+for each weight, the energy of xi against data y is ||d - K xi||^2, where
 
-    [ F      -G   ] [ a ]   [ 0 ]
-    [ H'Q2H   F'  ] [ b ] = [ r ]
+    K = [V2 H Z_x; V1 Z_f],    d = [V2 y; 0].
 
-solved in the minimum-norm least-squares sense. With r = ell the
-solution (p, z) gives the a priori readout u_hat = Q2 H p and squared
-radius (ell, p). With r = H'Q2 y it gives (x_hat, p_hat) for the center.
-The system is singular whenever the model leaves x underdetermined, but
-every solution yields the same u_hat, (ell, p) and (ell, x_hat); only
-those invariants are exposed.
+One thin SVD K = U diag(s) W', with rank cut at DEFAULT_TOL times the
+largest singular value, gives every answer:
+
+* ell is representable iff g = Z_x'ell lies in the row space of K, that
+  is ||g - W W'g|| <= MEMBERSHIP_TOL (1 + ||ell||);
+* the a priori direction is p = Z_x W diag(s)^-2 W'g, the worst-case
+  mean-squared error (ell, p) = ||diag(s)^-1 W'g||^2, a sum of squares,
+  and the readout u_hat = Q2 H p;
+* the center is x_hat = Z_x K^+ d, and beta = ||d - U U'd||^2, summed
+  from the residual vector, is the least energy that explains y.
+
+Weights scaled by s and data by 1/sqrt(s) scale K by sqrt(s) and leave
+d, Z, U and W as they were, so no decision reads an absolute scale. When
+F x = B f leaves x underdetermined, x_hat is one of many centers;
+(ell, x_hat), u_hat and (ell, p) are the same for all of them wherever
+ell is representable.
 """
 
 from __future__ import annotations
@@ -39,18 +52,17 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalBreakdown
+from .errors import InvalidInput
 from .linalg import (
+    DEFAULT_TOL,
+    MEMBERSHIP_TOL,
     RCOND_FLOOR,
-    SADDLE_RESIDUAL_TOL,
     as_matrix,
     check_energy,
-    nonnegative_mse,
     range_membership,
     require_spd,
     sized_vector,
-    solve_least_squares,
-    spd_solve,
+    svd_subspaces,
 )
 
 
@@ -160,8 +172,9 @@ def solver_record(
 ) -> dict:
     """The ``diagnostics.solver`` entry of a report.
 
-    ``path`` names the route taken: "banded" or "dense" for a saddle
-    solve, "information" or "recursive" for the filter. ``rcond_estimate``
+    ``path`` names the route taken: "banded" for the band saddle solve
+    of a chain, "dense" for the static estimators (a chain's fallback),
+    "information" or "recursive" for the filter. ``rcond_estimate``
     is the estimated reciprocal condition number of the factored matrix
     (None where no band factorization was attempted) and ``rcond_floor``
     the level it had to reach for the fast route.
@@ -180,36 +193,31 @@ def representable(model: StaticModel, ell) -> bool:
     return range_membership(stacked, target).member
 
 
-def _saddle_matrix(model: StaticModel, bounds: StaticEllipsoid) -> np.ndarray:
-    """The dense saddle matrix [[F, -G], [H'Q2H, F']] of the module docstring."""
-    gram = model.B @ spd_solve(bounds.Q1, model.B.T)
-    observed = model.H.T @ bounds.Q2 @ model.H
-    return np.block([[model.F, -gram], [observed, model.F.T]])
+def _reduce(model: StaticModel, bounds: StaticEllipsoid):
+    """The reduction of the module docstring, factored once: Z_x, the
+    thin SVD of K cut at DEFAULT_TOL s_max as U, s and W, and V2, which
+    whitens the data."""
+    n = model.state_dim
+    Z = svd_subspaces(np.hstack([model.F, -model.B])).kernel_basis
+    V1 = np.linalg.cholesky(bounds.Q1).T
+    V2 = np.linalg.cholesky(bounds.Q2).T
+    K = np.vstack([V2 @ (model.H @ Z[:n]), V1 @ Z[n:]])
+    U, s, Wt = np.linalg.svd(K, full_matrices=False)
+    rank = int(np.sum(s > DEFAULT_TOL * s[0])) if s.size else 0
+    return Z[:n], U[:, :rank], s[:rank], Wt[:rank].T, V2
 
 
-def _solve_saddle(model, bounds, rhs_bottom):
-    """Solve the saddle system for every column of ``rhs_bottom`` (n, k).
-
-    One assembly and one least-squares solve serve all k right-hand
-    sides. Returns ``column(j)``, which gives the (primal, dual) blocks
-    of solution j after raising NumericalBreakdown if its residual
-    exceeds SADDLE_RESIDUAL_TOL; callers check each column where its
-    verdict is due.
-    """
-    m, n = model.F.shape
-    rhs = np.vstack([np.zeros((m, rhs_bottom.shape[1])), rhs_bottom])
-    fit = solve_least_squares(_saddle_matrix(model, bounds), rhs)
-
-    def column(j):
-        scale = 1.0 + float(np.linalg.norm(rhs_bottom[:, j]))
-        if fit.residual_norm[j] > SADDLE_RESIDUAL_TOL * scale:
-            raise NumericalBreakdown(
-                f"saddle system residual {fit.residual_norm[j]:.3e} exceeds tolerance; "
-                "the assembled system is inconsistent"
-            )
-        return fit.solution[:n, j], fit.solution[n:, j]
-
-    return column
+def _readout(Zx, s, W, target):
+    """p = Z_x W diag(s)^-2 W'g and (ell, p) = ||diag(s)^-1 W'g||^2 for
+    g = Z_x'ell, or None when g leaves the row space of K, the range
+    membership test of :func:`.linalg.range_membership`: ell is then not
+    representable."""
+    g = Zx.T @ target
+    coef = W.T @ g
+    if np.linalg.norm(g - W @ coef) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(target)):
+        return None
+    c = coef / s
+    return Zx @ (W @ (c / s)), float(c @ c)
 
 
 def apriori_estimate(
@@ -218,21 +226,22 @@ def apriori_estimate(
     """Minimax linear readout for (ell, x) chosen before seeing data.
 
     The readout vector u_hat = Q2 H p and its worst-case mean-squared
-    error (ell, p) come from the saddle solve for ell; the outputs are
-    ``u_hat`` and ``p``. When ell is not representable the estimate is
-    infeasible, with an infinite radius. If ``y`` is given the scalar
-    readout u_hat' y is filled in as ``estimate``.
+    error (ell, p) come from the reduced problem of the module docstring;
+    the outputs are ``u_hat`` and ``p``. When ell is not representable
+    the estimate is infeasible, with an infinite radius. If ``y`` is
+    given the scalar readout u_hat' y is filled in as ``estimate``.
     """
     _check_pair(model, bounds)
     target = sized_vector(ell, "ell", model.state_dim)
     if y is not None:
         y = sized_vector(y, "y", model.observation_dim)
-    if not representable(model, target):
+    Zx, _, s, W, _ = _reduce(model, bounds)
+    readout = _readout(Zx, s, W, target)
+    if readout is None:
         return Estimate(False, None, math.inf, math.inf, solver=solver_record("dense"))
 
-    p, _ = _solve_saddle(model, bounds, target[:, None])(0)
+    p, sigma_sq = readout
     u_hat = bounds.Q2 @ (model.H @ p)
-    sigma_sq = nonnegative_mse(float(target @ p), target)
     return Estimate(
         feasible=True,
         estimate=float(u_hat @ y) if y is not None else None,
@@ -249,46 +258,43 @@ def aposteriori_estimate(
 ) -> Estimate:
     """Chebyshev-center estimate of (ell, x) given one observation vector.
 
-    x_hat minimizes the total disturbance energy needed to explain y, so
-    it is the center of the ellipsoid of consistent states. The radius
-    for (ell, x) factors as
+    x_hat = Z_x K^+ d minimizes the total disturbance energy needed to
+    explain y, so it is the center of the ellipsoid of consistent states.
+    The radius for (ell, x) factors as
 
-        radius = sqrt(1 - (y - H x_hat, Q2 y)) * sqrt((ell, p))
+        radius = sqrt(1 - beta) * sqrt((ell, p))
 
-    with p from the a priori system: the first factor is the part of the
+    with beta = ||d - U U'd||^2 the least energy that explains y and p
+    from the a priori readout: the first factor is the part of the
     uncertainty budget the data left unused, the second is the a priori
-    radius of the functional. A first factor below zero (beyond rounding)
-    means no admissible disturbance explains y at all, which raises
+    radius of the functional. A beta above 1 (beyond rounding) means no
+    admissible disturbance explains y at all, which raises
     InconsistentData. The outputs are ``x_hat`` and, when the radius is
     finite, the a priori readout ``u_hat`` = Q2 H p.
     """
     _check_pair(model, bounds)
     target = sized_vector(ell, "ell", model.state_dim)
     y = sized_vector(y, "y", model.observation_dim)
-
-    # The a priori system for ell is solved alongside the center only
-    # when ell is representable; otherwise its radius is infinite anyway.
-    feasible = representable(model, target)
-    rhs = [model.H.T @ (bounds.Q2 @ y)] + ([target] if feasible else [])
-    column = _solve_saddle(model, bounds, np.column_stack(rhs))
-    x_hat, _ = column(0)
+    Zx, U, s, W, V2 = _reduce(model, bounds)
+    d = np.concatenate([V2 @ y, np.zeros(model.disturbance_dim)])
+    coef = U.T @ d
+    x_hat = Zx @ (W @ (coef / s))
     estimate = float(target @ x_hat)
-
-    beta = float((y - model.H @ x_hat) @ (bounds.Q2 @ y))
+    residual = d - U @ coef
+    beta = float(residual @ residual)
     check_energy(beta)
-    slack = max(1.0 - beta, 0.0)
 
-    if not feasible:
+    readout = _readout(Zx, s, W, target)
+    if readout is None:
         return Estimate(
             False, estimate, math.inf, outputs={"x_hat": x_hat}, solver=solver_record("dense")
         )
 
-    p, _ = column(1)
-    sigma_sq = max(float(target @ p), 0.0)
+    p, sigma_sq = readout
     return Estimate(
         feasible=True,
         estimate=estimate,
-        radius=math.sqrt(slack) * math.sqrt(sigma_sq),
+        radius=math.sqrt(max(1.0 - beta, 0.0)) * math.sqrt(sigma_sq),
         outputs={"x_hat": x_hat, "u_hat": bounds.Q2 @ (model.H @ p)},
         solver=solver_record("dense"),
         p=p,

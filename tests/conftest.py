@@ -16,8 +16,15 @@ from descriptor_minimax import (
     DiscreteDAE,
     StaticEllipsoid,
     StaticModel,
+    representable,
 )
-from descriptor_minimax.linalg import DEFAULT_TOL, MEMBERSHIP_TOL, spd_solve, svd_subspaces
+from descriptor_minimax.linalg import (
+    DEFAULT_TOL,
+    MEMBERSHIP_TOL,
+    solve_least_squares,
+    spd_solve,
+    svd_subspaces,
+)
 
 
 def rng_for(seed):
@@ -81,6 +88,39 @@ def within_bound(y_seq, bounds, energy=0.5):
     y = np.asarray(y_seq, dtype=float)
     total = data_energy(y, bounds)
     return y * math.sqrt(energy / total) if total > energy else y
+
+
+def saddle_matrix(model, bounds):
+    """The dense saddle matrix [[F, -G], [H'Q2H, F']] with G = B Q1^{-1} B'.
+
+    With r = ell its minimum-norm least-squares solution (p, z) gives the
+    a priori readout u_hat = Q2 H p and worst-case mean-squared error
+    (ell, p); with r = H'Q2 y its primal block is a center x_hat. Every
+    solution gives the same u_hat, (ell, p) and (ell, x_hat). The
+    reference for the estimators of :mod:`descriptor_minimax.static`.
+    """
+    gram = model.B @ spd_solve(bounds.Q1, model.B.T)
+    observed = model.H.T @ bounds.Q2 @ model.H
+    return np.block([[model.F, -gram], [observed, model.F.T]])
+
+
+def saddle_reference(model, bounds, ell, y):
+    """(feasible, mse, center, beta) from one least-squares solve of the
+    saddle system of :func:`saddle_matrix` with both right-hand sides:
+    the a priori (ell, p) and the center (ell, x_hat) with its least data
+    energy beta = (y - H x_hat, Q2 y). ``feasible`` is
+    :func:`descriptor_minimax.representable`, and mse is inf without it.
+    """
+    m, n = model.F.shape
+    ell = np.asarray(ell, dtype=float)
+    q2y = bounds.Q2 @ y
+    rhs = np.zeros((m + n, 2))
+    rhs[m:, 0], rhs[m:, 1] = model.H.T @ q2y, ell
+    solution = solve_least_squares(saddle_matrix(model, bounds), rhs).solution[:n]
+    x_hat, p = solution[:, 0], solution[:, 1]
+    feasible = representable(model, ell)
+    beta = float((y - model.H @ x_hat) @ q2y)
+    return feasible, float(ell @ p) if feasible else math.inf, float(ell @ x_hat), beta
 
 
 def make_discrete(rng, n=2, m=None, p=None, l=2, N=3, identity_b=False):

@@ -494,6 +494,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["estimate", "--help"]) == EXIT_OK
 
 
+def test_a_step_count_numpy_cannot_index_is_one_error_line(tmp_path, capsys):
+    # orjson reads 10**25 as 1e25, an integral float that parsed as a step
+    # count; estimate then ended in a ValueError traceback from np.linspace
+    doc = continuous_doc()
+    doc["grid"]["steps"] = 10**25
+    assert main(["estimate", "--config", write_doc(tmp_path, doc)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    limit = np.iinfo(np.intp).max
+    assert captured.err == f"error: grid: steps must be below {limit}, got 1e+25\n"
+    assert captured.out == ""
+
+
 def test_seed_option_is_an_exact_integer_below_2_64(tmp_path, capsys):
     # a report echoes the seed, and it holds integers below 2**64 only
     chain = write_doc(tmp_path, chain_doc())

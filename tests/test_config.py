@@ -347,6 +347,24 @@ def test_scalar_numbers_are_json_numbers(field, value):
         parse_config(doc)
 
 
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("model", "F"), [[10**400]], "model.F[0][0] is out of the range of a float"),
+        (("model", "t_start"), 10**400, "model.t_start is out of the range of a float"),
+        (("grid", "end"), 10**400, "grid: end is out of the range of a float"),
+        (("estimation", "ell"), [-(10**309)], "estimation.ell[0] is out of the range of a float"),
+    ],
+)
+def test_an_integer_beyond_the_float_range_is_named(keys, value, message):
+    # a document given as a dict may hold any Python int; converting one
+    # beyond the float range raised a bare OverflowError
+    doc = continuous_doc()
+    doc[keys[0]][keys[1]] = value
+    with pytest.raises(SchemaError, match="^" + re.escape(message) + ", got an integer of"):
+        parse_config(doc)
+
+
 def _convert_as_asarray(monkeypatch) -> list:
     """Check every array the typed conversion returns against
     ``np.asarray(..., dtype=float)``, bit for bit; returns their sizes."""

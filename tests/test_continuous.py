@@ -40,9 +40,8 @@ from descriptor_minimax import continuous, discrete, filtering
 from descriptor_minimax.continuous import _sampled_functional
 from descriptor_minimax.discrete import flatten, flatten_bounds
 from descriptor_minimax.linalg import RCOND_FLOOR, solve_least_squares
-from descriptor_minimax.static import _saddle_matrix
 
-from conftest import data_energy, rng_for
+from conftest import data_energy, rng_for, saddle_matrix
 
 SIGMA_EXACT = 1.0 - (np.e - 1.0) / (2.0 * np.e**2) - (1.0 - 1.0 / np.e) / 2.0
 SIGMA_H_MILLI = 0.5684389435893746  # frozen flattened value at h = 1e-3
@@ -93,6 +92,15 @@ def test_time_grid_refuses_boolean_steps():
         TimeGrid(0.0, 1.0, True)
     assert TimeGrid(0.0, 1.0, np.int64(3)).steps == 3
     assert TimeGrid(0.0, 1.0, 4.0).steps == 4
+
+
+def test_time_grid_refuses_steps_numpy_cannot_index():
+    # 10**25 steps passed, and nodes() then raised a bare ValueError
+    # (Maximum allowed size exceeded) from np.linspace
+    limit = np.iinfo(np.intp).max
+    for steps in (10**25, 1e25, limit):
+        with pytest.raises(InvalidGrid, match=rf"^steps must be below {limit}, got "):
+            TimeGrid(0.0, 1.0, steps)
 
 
 def test_table_function_refuses_non_finite_breakpoint():
@@ -489,13 +497,30 @@ def test_bvp_keeps_its_method_check():
         )
 
 
-def test_tikhonov_breakdown_names_its_alpha():
-    # a penalty below rounding leaves the witness singular: the dense
-    # fallback's residual check raises, as for every other saddle solve
+def test_tikhonov_below_rounding_is_answered():
+    # F = C = H = 0: the penalty is the only observation, so p = ell/(alpha h)
+    # at every node and the defect alpha h p = h ell does not decay with
+    # alpha, the non-representable signature, sqrt(h (M + 1)) for ell = 1.
+    # A penalty of 1e-300 is far below rounding next to the unit weights;
+    # the reduced solve answers it exactly instead of refusing it
     system = ContinuousDAE(F=[[0.0]], C=[[0.0]], H=[[0.0]], t_start=0.0, t_end=1.0)
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
-    with pytest.raises(NumericalBreakdown, match=r"^regularized solve at alpha=1e-300: saddle"):
-        tikhonov_approximate(system, bounds, ell_one, TimeGrid(0.0, 1.0, 16), [1e-300])
+    out = tikhonov_approximate(system, bounds, ell_one, TimeGrid(0.0, 1.0, 4), [1e-3, 1e-300])
+    assert out.constraint_residual_seq == pytest.approx([1.118033988749895] * 2, rel=1e-12)
+    assert out.residual_seq == pytest.approx([1.118033988749895], rel=1e-12)
+
+
+def test_tikhonov_breakdown_names_its_alpha(monkeypatch):
+    # a breakdown of one regularized solve is re-raised with its alpha
+    def breaks(*args, **kwargs):
+        raise NumericalBreakdown("worst-case mean-squared error came out negative")
+
+    system, bounds = scalar_system()
+    monkeypatch.setattr(continuous, "apriori_horizon_estimate", breaks)
+    with pytest.raises(
+        NumericalBreakdown, match=r"^regularized solve at alpha=0.25: worst-case mean-squared"
+    ):
+        tikhonov_approximate(system, bounds, ell_one, TimeGrid(0.0, 1.0, 4), [0.25])
 
 
 def test_tikhonov_validates_alphas(monkeypatch):
@@ -521,7 +546,7 @@ def _shifted_saddle_oracle(system, bounds, ell, grid, alphas):
     :func:`tikhonov_approximate`."""
     h, M, n = grid.h, grid.steps, system.state_dim
     dae, dbounds = discretize(system, bounds, grid)
-    saddle = _saddle_matrix(flatten(dae), flatten_bounds(dae, dbounds))
+    saddle = saddle_matrix(flatten(dae), flatten_bounds(dae, dbounds))
     dim = (M + 1) * n
     rows = saddle.shape[0] - dim
     ell_flat = h * _sampled_functional(system, ell, grid).reshape(-1)

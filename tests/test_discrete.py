@@ -14,6 +14,9 @@ whose unique minimizer is (0.6, 0.8); the radius in the x1 direction is
 sqrt((1 - J_min) * p_terminal) = sqrt(0.4 * 0.6) = sqrt(0.24).
 """
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -246,9 +249,8 @@ def _regular_chain(rng, N, n=2):
 def test_regular_chain_makes_no_dense_solve(monkeypatch):
     import descriptor_minimax.discrete as discrete_mod
     import descriptor_minimax.linalg as linalg_mod
-    import descriptor_minimax.static as static_mod
 
-    calls = {"lstsq": 0, "factor": 0}
+    calls = {"lstsq": 0, "dense": 0, "factor": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -259,8 +261,10 @@ def test_regular_chain_makes_no_dense_solve(monkeypatch):
 
     lstsq = counted("lstsq", linalg_mod.solve_least_squares)
     monkeypatch.setattr(linalg_mod, "solve_least_squares", lstsq)
-    monkeypatch.setattr(static_mod, "solve_least_squares", lstsq)
     monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    # the dense route enters through the static estimators
+    for name in ("aposteriori_estimate", "apriori_estimate"):
+        monkeypatch.setattr(discrete_mod, name, counted("dense", getattr(discrete_mod, name)))
     monkeypatch.setattr(
         discrete_mod, "factor_banded", counted("factor", discrete_mod.factor_banded)
     )
@@ -272,7 +276,80 @@ def test_regular_chain_makes_no_dense_solve(monkeypatch):
     out = variational_estimate(dae, bounds, ell_seq, y_seq)
     assert out.solver["path"] == "banded"
     assert out.feasible and np.isfinite(out.radius)
-    assert calls == {"lstsq": 0, "factor": 1}
+    assert calls == {"lstsq": 0, "dense": 0, "factor": 1}
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-5, 1e6, 1e12])
+def test_one_shot_is_scale_free_on_the_dense_route(scale, monkeypatch):
+    # perfbench's chain(default_rng(1), 20) with its trajectory of energy
+    # 0.5, read out at (1, 1)/sqrt(2) on x_N: weights times s and data times
+    # 1/sqrt(s) leave center * sqrt(s) and radius * sqrt(s) as they were.
+    # The band refuses the scaled chains, so this is the static reduction
+    # on the flattened chain
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import instances
+
+    rng = np.random.default_rng(1)
+    c = instances.chain(rng, 20)
+    _, y_seq = instances.trajectory(rng, c, 0.5)
+    eye = np.broadcast_to(np.eye(2), (20, 2, 2))
+    dae = DiscreteDAE(F_seq=c.F, C_seq=c.C, B_seq=eye, S=np.eye(2), H_seq=c.H)
+    ell_seq = np.zeros((21, 2))
+    ell_seq[-1] = 1.0 / math.sqrt(2.0)
+
+    def answers(s):
+        bounds = DAEEllipsoid(Q0=s * c.Q0, Q1_seq=s * c.Q1, Q2_seq=s * c.Q2)
+        y = y_seq / math.sqrt(s)
+        post = variational_estimate(dae, bounds, ell_seq, y)
+        prior = apriori_horizon_estimate(dae, bounds, ell_seq, y)
+        paths = {post.solver["path"], prior.solver["path"]}
+        return np.array([post.estimate, post.radius, prior.estimate, prior.radius]) * math.sqrt(s), paths
+
+    base, paths = answers(1.0)
+    assert paths == {"banded"}
+    assert base[:2] == pytest.approx([0.0159102, 0.582085], abs=5e-7)
+    scaled, paths = answers(scale)
+    assert paths == {"dense"}
+    assert np.abs(scaled - base).max() <= 1e-10 * np.abs(base).max()
+
+
+def _one_parameter_mse(dae, bounds):
+    """The a priori worst-case MSE of x_N on a chain with n = p = 1, m = 2
+    and every [F_{k+1}, -B_k] invertible, from a float64 recursion. Its
+    solutions are x = t v: x0g = S^-1 F_0 t, and step k gives
+    (v_{k+1}, f_k / t) = [F_{k+1}, -B_k]^-1 C_k v_k. With y = 0 the
+    energy is t^2 times the sum of positive terms a, and the MSE is
+    v_N^2 / a, accurate to a few ulps even where v_N is tiny."""
+    w0 = np.linalg.solve(dae.S, dae.F_seq[0][:, 0])
+    energy = float(w0 @ bounds.Q0 @ w0)
+    v = 1.0
+    for k in range(dae.horizon + 1):
+        h = dae.H_seq[k][:, 0] * v
+        energy += float(h @ bounds.Q2_seq[k] @ h)
+        if k < dae.horizon:
+            step = np.column_stack([dae.F_seq[k + 1][:, 0], -dae.B_seq[k][:, 0]])
+            a, b = np.linalg.solve(step, dae.C_seq[k][:, 0])
+            energy += bounds.Q1_seq[k][0, 0] * (b * v) ** 2
+            v *= a
+    return v * v / energy
+
+
+@pytest.mark.parametrize("N", [60, 100, 150, 200])
+def test_radius_is_not_below_the_one_parameter_recursion(N):
+    # chains with more equations than state and disturbance columns go
+    # dense; their solution set is one line, whose radius at x_N is known
+    # from a recursion. No estimator may report less. They may report
+    # more until ROADMAP item 12's per-step hard rows land
+    dae, bounds = make_discrete(rng_for(5), n=1, m=2, p=1, N=N)
+    exact = _one_parameter_mse(dae, bounds)
+    ell_seq = np.zeros((N + 1, 1))
+    ell_seq[-1] = 1.0
+    y_seq = np.zeros((N + 1, 2))
+    prior = apriori_horizon_estimate(dae, bounds, ell_seq)
+    post = variational_estimate(dae, bounds, ell_seq, y_seq)
+    for out in (prior, post):
+        assert out.solver["path"] == "dense"
+        assert out.radius**2 >= (1.0 - 1e-9) * exact
 
 
 def test_size_check_catches_a_low_condition_estimate(monkeypatch):

@@ -7,6 +7,8 @@ the consistency set for y = 1 is the interval [0, 1] with center 1/2 and
 radius 1/2, and for y = 0 it is [-1/sqrt(2), 1/sqrt(2)].
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +23,16 @@ from descriptor_minimax import (
     apriori_estimate,
     representable,
 )
-from descriptor_minimax.static import _saddle_matrix
+from descriptor_minimax.linalg import svd_subspaces
 
 from conftest import (
     feasible_observation,
     make_static,
+    random_spd,
     representable_functional,
     rng_for,
+    saddle_matrix,
+    saddle_reference,
     scalar_static,
     worst_case_error_of,
 )
@@ -168,7 +173,7 @@ def test_estimate_independent_of_dual_solution():
         ell = representable_functional(rng, model)
         out = apriori_estimate(model, bounds, ell)
         assert out.feasible
-        A = _saddle_matrix(model, bounds)
+        A = saddle_matrix(model, bounds)
         _, s, vt = np.linalg.svd(A)
         null_count = int(np.sum(s <= 1e-10 * s[0]))
         assert null_count >= 1
@@ -185,6 +190,72 @@ def test_estimate_independent_of_dual_solution():
             u_other = bounds.Q2 @ model.H @ p_other
             assert u_other == pytest.approx(out.outputs["u_hat"], abs=1e-7)
             assert float(ell @ p_other) == pytest.approx(out.worst_case_mse, abs=1e-7)
+
+
+def test_estimates_are_scale_free():
+    # weights times s and data times 1/sqrt(s) leave every center * sqrt(s)
+    # and radius * sqrt(s) as they were: the reduction's rank cut and
+    # membership test read no absolute scale
+    scales = (1e-12, 1e-6, 1e6, 1e12)
+    for seed in range(100, 140):
+        rng = rng_for(seed)
+        model, bounds = make_static(rng, n=3, m=3, p=3, l=2)
+        ell = rng.standard_normal(3)
+        y = rng.standard_normal(2)
+        y *= math.sqrt(0.5 / float(y @ bounds.Q2 @ y))
+
+        def answers(s):
+            scaled = StaticEllipsoid(Q1=s * bounds.Q1, Q2=s * bounds.Q2)
+            post = aposteriori_estimate(model, scaled, ell, y / math.sqrt(s))
+            prior = apriori_estimate(model, scaled, ell, y / math.sqrt(s))
+            values = [post.estimate, post.radius, prior.estimate, prior.radius]
+            return np.array(values) * math.sqrt(s)
+
+        base = answers(1.0)
+        for s in scales:
+            assert np.abs(answers(s) - base).max() <= 1e-12 * (1.0 + np.abs(base).max())
+
+
+def _ensemble_problem(rng, i):
+    """Problem i of a mixed ensemble: shapes 1 to 4, F of deficient rank
+    on every third draw, B rarely square, a random (so sometimes not
+    representable) functional, and data of energy 0.5."""
+    n, m, p, l = (int(v) for v in rng.integers(1, 5, 4))
+    F = rng.standard_normal((m, n))
+    if i % 3 == 0 and min(m, n) > 1:
+        r = int(rng.integers(1, min(m, n)))
+        F = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    model = StaticModel(F=F, B=rng.standard_normal((m, p)), H=rng.standard_normal((l, n)))
+    bounds = StaticEllipsoid(Q1=random_spd(rng, p), Q2=random_spd(rng, l))
+    y = rng.standard_normal(l)
+    return model, bounds, rng.standard_normal(n), y * math.sqrt(0.5 / float(y @ bounds.Q2 @ y))
+
+
+def test_estimates_match_the_saddle_reference():
+    # 400 draws through both estimators against one least-squares solve of
+    # the dense saddle: the same verdict as representable(), and on a finite
+    # radius the same (ell, p), center and squared radius. Where ker [F, -B]
+    # is {0} the only model solution is x = 0, and the radius is exactly 0
+    rng = rng_for(43)
+    verdicts, trivial = {True: 0, False: 0}, 0
+    for i in range(400):
+        model, bounds, ell, y = _ensemble_problem(rng, i)
+        feasible, mse, center, beta = saddle_reference(model, bounds, ell, y)
+        prior = apriori_estimate(model, bounds, ell)
+        post = aposteriori_estimate(model, bounds, ell, y)
+        assert prior.feasible == post.feasible == feasible == representable(model, ell)
+        verdicts[feasible] += 1
+        if not feasible:
+            assert prior.radius == post.radius == math.inf
+            continue
+        assert prior.worst_case_mse == pytest.approx(mse, rel=1e-9, abs=1e-9)
+        assert post.estimate == pytest.approx(center, rel=1e-9, abs=1e-9)
+        squared = (1.0 - beta) * mse
+        assert post.radius**2 == pytest.approx(squared, rel=1e-9, abs=1e-9)
+        if not svd_subspaces(np.hstack([model.F, -model.B])).kernel_basis.shape[1]:
+            assert prior.worst_case_mse == post.radius == post.estimate == 0.0
+            trivial += 1
+    assert min(verdicts.values()) >= 20 and trivial >= 5
 
 
 def test_inconsistent_data_raises():
@@ -214,30 +285,33 @@ def test_nonrepresentable_is_flagged_not_raised():
     assert "u_hat" not in prior.outputs
 
 
-def test_aposteriori_assembles_and_solves_once(monkeypatch):
-    # The center and the a priori solution share one saddle assembly and
-    # one least-squares solve; the other solve is the representability test
+def test_aposteriori_reduces_once_and_factors_once(monkeypatch):
+    # One null-space basis of [F, -B] and one thin SVD of the whitened rows
+    # give the center, beta, the verdict and the radius: no least-squares
+    # solve and no separate representability test run
     import descriptor_minimax.linalg as linalg_mod
     import descriptor_minimax.static as static_mod
 
-    calls = {"assemble": 0, "solve": 0}
-    assemble, solve = static_mod._saddle_matrix, linalg_mod.solve_least_squares
+    calls = {"reduce": 0, "svd": 0, "lstsq": 0, "representable": 0}
 
-    def counted_assemble(*args):
-        calls["assemble"] += 1
-        return assemble(*args)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    def counted_solve(*args, **kwargs):
-        calls["solve"] += 1
-        return solve(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(static_mod, "_saddle_matrix", counted_assemble)
-    monkeypatch.setattr(static_mod, "solve_least_squares", counted_solve)
-    monkeypatch.setattr(linalg_mod, "solve_least_squares", counted_solve)
+    monkeypatch.setattr(static_mod, "svd_subspaces", counted("reduce", static_mod.svd_subspaces))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
+    monkeypatch.setattr(
+        linalg_mod, "solve_least_squares", counted("lstsq", linalg_mod.solve_least_squares)
+    )
+    monkeypatch.setattr(static_mod, "representable", counted("representable", representable))
     model, bounds = scalar_static()
     out = aposteriori_estimate(model, bounds, [1.0], [1.0])
     assert out.feasible and out.radius == pytest.approx(0.5)
-    assert calls == {"assemble": 1, "solve": 2}
+    assert calls == {"reduce": 1, "svd": 2, "lstsq": 0, "representable": 0}
 
 
 def test_bad_bounds_rejected():
