@@ -47,12 +47,6 @@ from .errors import (
     SolveFailure,
 )
 from .filtering import filter_run
-from .linalg import (
-    LinearSolveResult,
-    RangeMembership,
-    range_membership,
-    solve_least_squares,
-)
 from .oracle import (
     ChebyshevCheck,
     ReachabilitySampleSet,
@@ -105,10 +99,6 @@ __all__ = [
     "SingularStep",
     "SolveFailure",
     "filter_run",
-    "LinearSolveResult",
-    "RangeMembership",
-    "range_membership",
-    "solve_least_squares",
     "ChebyshevCheck",
     "ReachabilitySampleSet",
     "chebyshev_check",

@@ -54,10 +54,10 @@ from .errors import (
 )
 from .linalg import (
     GRID_SPAN_TOL,
-    MEMBERSHIP_TOL,
     RICCATI_NORM_CAP,
     _distinct,
     as_matrix,
+    in_span,
     per_entry,
     require_spd,
     sized_vector,
@@ -493,7 +493,9 @@ def tikhonov_approximate(
     Q2(t_k) H(t_k) p_k. When the functional is representable the
     readouts converge to the minimax readout and residual_seq decays;
     otherwise residual_seq stays bounded away from zero. A
-    NumericalBreakdown of one solve is re-raised naming its alpha.
+    NumericalBreakdown of one solve is re-raised naming its alpha, and so
+    is an infeasible solve: the penalty observes every state, so only
+    rounding that cut its rows can leave the functional unrepresentable.
     """
     _check_grid(system, grid)
     alphas = _check_alphas(alphas)
@@ -523,6 +525,10 @@ def tikhonov_approximate(
             horizon = apriori_horizon_estimate(
                 penalized, replace(dbounds, Q2_seq=Q2_seq), ell_seq
             )
+            if not horizon.feasible:
+                raise NumericalBreakdown(
+                    "the functional came out not representable: rounding cut the penalty rows"
+                )
         except NumericalBreakdown as exc:
             raise NumericalBreakdown(f"regularized solve at alpha={alpha}: {exc}") from exc
         u_list.append(horizon.outputs["u_hat"].reshape(grid.steps + 1, l + n)[:, :l] / h)
@@ -591,11 +597,12 @@ def riccati_filter(
     match the model, F is square, ell_0 has n entries, y has one row per
     node, and M is even (InvalidGrid otherwise: y exists only at the
     nodes). Then :func:`discretize` samples and checks every node. Only
-    then is ell_0 tested against range(F'), by the residual ||K'ell_0||
-    with K spanning ker F, held to MEMBERSHIP_TOL as in
-    :func:`.linalg.range_membership`: outside it no endpoint readout has a
-    finite radius, and the result is infeasible, with an infinite radius,
-    and nothing is run. The chains' verdicts come next (a singular
+    then is ell_0 tested against range(F'), by :func:`.linalg.in_span` on
+    the row basis of F: outside it no endpoint readout has a finite
+    radius, and the result is infeasible, with an infinite radius, and
+    nothing is run. A (F'Q0F)^+ that is not finite, or an F'Q0F that is
+    not positive definite in floating point, raises NumericalBreakdown.
+    The chains' verdicts come next (a singular
     information matrix, or data outside the bound), the M-step chain's
     first; then the first node whose gain norm is not finite or
     exceeds the cap raises RiccatiBlowup, naming its time, since on an
@@ -617,13 +624,22 @@ def riccati_filter(
     fine = discretize(system, bounds, grid)
     rows = svd_subspaces(system.F)
     V, kernel = rows.row_basis, rows.kernel_basis
-    if np.linalg.norm(kernel.T @ ell0) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(ell0)):
+    if not in_span(V, ell0, np.linalg.norm(ell0)):
         cap = {"max_gain_norm": None, "gain_norm_cap": RICCATI_NORM_CAP}
         return Estimate(False, None, math.inf, math.inf, solver=cap)
     coarse = discretize(system, bounds, replace(grid, steps=grid.steps // 2))
-    # (F'Q0F)^+, the covariance of x(t_start) on range(F')
+    # (F'Q0F)^+, the covariance of x(t_start) on range(F'); an F near the
+    # overflow or underflow threshold leaves F'Q0F not finite or not definite
     FV = system.F @ V
-    P0 = V @ spd_inverse(symmetrize(FV.T @ bounds.Q0 @ FV)) @ V.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            P0 = V @ spd_inverse(symmetrize(FV.T @ bounds.Q0 @ FV)) @ V.T
+        except (ValueError, np.linalg.LinAlgError):
+            P0 = None
+    if P0 is None or not np.isfinite(P0).all():
+        raise NumericalBreakdown(
+            "(F'Q0F)^+, the covariance of x(t_start), is not finite in floating point"
+        )
     run, K = _chain_run(*fine, y, ell0, P0)
     coarse_run, P_coarse = _chain_run(*coarse, y[::2], ell0, P0)
     with np.errstate(invalid="ignore"):  # an unbounded P^- fails the cap below

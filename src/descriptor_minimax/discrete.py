@@ -62,7 +62,6 @@ from .linalg import (
     read_only,
     require_spd,
     require_spd_stack,
-    spd_solve,
     vector_stack,
 )
 from .static import (
@@ -264,9 +263,12 @@ def horizon_saddle(dae: DiscreteDAE, bounds: DAEEllipsoid, adjoint: np.ndarray) 
     band = np.zeros((2 * kl + ku + 1, dim), order="F")
 
     F = dae.F_seq
-    W = np.swapaxes(dae.H_seq, 1, 2) @ bounds.Q2_seq @ dae.H_seq
+    # an overflowed W fails the regularity test, and the dense path's
+    # finiteness check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = np.swapaxes(dae.H_seq, 1, 2) @ bounds.Q2_seq @ dae.H_seq
     G = np.empty((N + 1, m, m))
-    G[0] = dae.S @ spd_solve(bounds.Q0, dae.S.T)
+    G[0] = dae.S @ np.linalg.solve(bounds.Q0, dae.S.T)
     if N:
         B = dae.B_seq
         G[1:] = B @ np.linalg.solve(bounds.Q1_seq, np.swapaxes(B, 1, 2))
@@ -317,8 +319,10 @@ def variational_estimate(
     Solves the saddle system twice on one band factorization: with the
     data H_k'Q2_k y_k for the center x_hat, and with ell_k for the a
     priori direction p. The radius is sqrt(slack) * sqrt((ell, p)) as in
-    :func:`.static.aposteriori_estimate`. A regular saddle matrix has
-    ker F ∩ ker H = {0}, so every functional is representable there.
+    :func:`.static.aposteriori_estimate`, with (ell, p) judged by
+    :func:`.linalg.nonnegative_mse` as in :func:`apriori_horizon_estimate`.
+    A regular saddle matrix has ker F ∩ ker H = {0}, so every functional
+    is representable there.
     When the band factorization is not trusted, the flattened model goes
     to the dense static solver, which decides representability itself.
     The output ``x_hat_seq`` and the direction ``p`` hold one row per step.
@@ -342,7 +346,7 @@ def variational_estimate(
     x_seq, p_seq = states
     beta = float(np.sum((ys - np.einsum("kij,kj->ki", H, x_seq)) * q2y))
     check_energy(beta)
-    sigma_sq = max(float(np.sum(ells * p_seq)), 0.0)
+    sigma_sq = nonnegative_mse(float(np.sum(ells * p_seq)), ell)
     return Estimate(
         feasible=True,
         estimate=float(np.sum(ells * x_seq)),

@@ -693,9 +693,10 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
     s_min <= DEFAULT_TOL s_max), and one batched solve writes x_hat_k =
     R_k^{-1}z_k into ``out`` (and, when ``P_out`` is given, one more
     writes P_k = R_k^{-1}R_k^{-T} into it). Raises InconsistentData at the
-    first step whose beta_k exceeds 1 (:func:`.linalg.check_energy`), and
+    first step whose beta_k exceeds 1 (:func:`.linalg.check_energy`),
     RankDeficient at the first singular R_k, naming its s_min/s_max and
-    the cutoff, whichever comes first.
+    the cutoff, and NumericalBreakdown at the first R_k or z_k that rows
+    near the overflow threshold left not finite, whichever comes first.
     """
     N = model.horizon
     m, n = model.LF0.shape
@@ -728,15 +729,22 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
         zs = work[:, 2 * n, n : 2 * n]
         residual = work[:, 2 * n, 2 * n] if rows > 2 * n else np.zeros(count)
         betas = beta + np.cumsum(residual * residual)
-        s = np.linalg.svd(Rs, compute_uv=False)
+        # finite rows near the overflow threshold can overflow the QR
+        finite = np.isfinite(Rs).all(axis=(1, 2)) & np.isfinite(zs).all(axis=1)
+        good = count if finite.all() else int(np.argmin(finite))
+        s = np.linalg.svd(Rs[:good], compute_uv=False)
         singular = s[:, -1] <= cutoff * s[:, 0]
-        i = int(np.argmax(singular)) if singular.any() else count
+        i = int(np.argmax(singular)) if singular.any() else good
         check_energy(betas[:i], start)  # beta_i is a floor only at a singular R_i
-        if i < count:
+        if i < good:
             ratio = s[i, -1] / s[i, 0] if s[i, 0] > 0 else 0.0
             raise RankDeficient(
                 f"information matrix at step {start + i} is singular: "
                 f"s_min/s_max of R_{start + i} is {ratio:.1e}, cutoff {cutoff:g}"
+            )
+        if good < count:
+            raise NumericalBreakdown(
+                f"information matrix at step {start + good} is not finite in floating point"
             )
         out[start:stop] = np.linalg.solve(Rs, zs[:, :, None])[:, :, 0]
         if P_out is not None:

@@ -2,18 +2,18 @@
 
 Everything here wraps numpy routines and scipy's LAPACK wrappers (loaded
 by :mod:`._lapack` without importing ``scipy.linalg``) behind the
-conventions the estimators rely on: one table of tolerances,
-minimum-norm least squares as the default solver, a banded LU that is
-trusted only where it provably agrees with that solver, explicit result
-types instead of bare tuples, and the verdicts the estimators share:
-inconsistent data, a negative a priori error and a singular square
-matrix.
+conventions the estimators rely on: one table of tolerances, SVD
+bases of the fundamental subspaces with one rank cut, one range
+membership test on such a basis, a banded LU that is trusted only where
+it provably agrees with an SVD solve, explicit result types instead of
+bare tuples, and the verdicts the estimators share: inconsistent data, a
+negative a priori error and a singular square matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -25,14 +25,15 @@ from .errors import InconsistentData, InvalidBounds, InvalidInput, NumericalBrea
 # constants; no function takes a tolerance. README.md "Tolerances" lists them.
 # Rank: singular values above this times the largest (or a given scale) count.
 DEFAULT_TOL = 1e-10
-# Range membership: a least-squares residual up to this times 1 + ||target||.
+# Range membership (in_span alone): a residual off an orthonormal basis up
+# to this times 1 + ||ell||, the norm of the functional tested.
 MEMBERSHIP_TOL = 1e-8
 # Budget slack and squared radii: how far below 0 (per unit scale) is rounding.
 NEGATIVE_FLOOR = 1e-9
 # Banded LU: trusted when both estimates of 1/(||A||_1 ||A^-1||_1) and
 # 1/(||A||_inf ||A^-1||_inf) reach this. As ||M||_2^2 <= ||M||_1 ||M||_inf,
 # the true values bound sigma_min/sigma_max from below; 1000x above
-# DEFAULT_TOL, the floor rejects every matrix least squares would truncate
+# DEFAULT_TOL, the floor rejects every matrix an SVD cut there would truncate
 # even if the estimate (never above the true norm of A^-1) is that far low.
 RCOND_FLOOR = 1e-7
 # Information-form filter: its sweep is kept when each filtered information
@@ -307,14 +308,18 @@ def spd_solve(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     The calls and checks of ``scipy.linalg.cho_factor`` and ``cho_solve``:
     dpotrf on the upper triangle of the symmetrized q, then dpotrs. A
     non-finite entry is a ValueError, a q that is not positive definite
-    a LinAlgError.
+    a LinAlgError. An empty system has the empty solution, which dpotrs
+    would refuse.
     """
     c, info = lapack.dpotrf(np.asarray_chkfinite(symmetrize(q)), lower=0, clean=0)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite"
         )
-    return lapack.dpotrs(c, np.asarray_chkfinite(b), lower=0)[0]
+    b = np.asarray_chkfinite(b)
+    if not b.size:
+        return np.empty_like(b, dtype=float)
+    return lapack.dpotrs(c, b, lower=0)[0]
 
 
 def solve_triangular(
@@ -341,65 +346,16 @@ def spd_inverse(q: np.ndarray) -> np.ndarray:
     return symmetrize(spd_solve(q, np.eye(q.shape[0])))
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
-    """Minimum-norm least-squares solution together with solve diagnostics."""
-
-    solution: np.ndarray
-    residual_norm: Union[float, np.ndarray]
-    rank: int
-
-
-def solve_least_squares(a, b) -> LinearSolveResult:
-    """Minimum-norm least-squares solution of a @ x = b, rank cut at DEFAULT_TOL.
-
-    ``b`` is one right-hand side (rows,) or k of them as the columns of a
-    (rows, k) array, which share one factorization; the solution then has
-    k columns and ``residual_norm`` is an array of k norms. The residual
-    reported is ||a @ x - b||_2 recomputed from the solution, not the one
-    numpy returns, so it is meaningful in rank-deficient cases.
+def in_span(basis: np.ndarray, target: np.ndarray, scale: float) -> bool:
+    """Whether ``target`` lies in the span of the orthonormal columns of
+    ``basis``: its residual ||target - B B'target|| is at most
+    MEMBERSHIP_TOL * (1 + scale), with ``scale`` the norm of the functional
+    being tested. The projection onto an orthonormal basis (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., 2013, section 6.2) is the whole
+    test.
     """
-    am = as_matrix(a, "coefficient matrix")
-    bv = (as_matrix if np.ndim(b) == 2 else as_vector)(b, "right-hand side")
-    if am.shape[0] != bv.shape[0]:
-        raise InvalidInput(
-            f"incompatible solve: matrix has {am.shape[0]} rows, rhs has {bv.shape[0]}"
-        )
-    x, _, rank, _ = np.linalg.lstsq(am, bv, rcond=DEFAULT_TOL)
-    r = am @ x - bv
-    residual = float(np.linalg.norm(r)) if bv.ndim == 1 else np.linalg.norm(r, axis=0)
-    return LinearSolveResult(solution=x, residual_norm=residual, rank=int(rank))
-
-
-@dataclass(frozen=True)
-class RangeMembership:
-    """Outcome of testing whether a vector lies in the span of given columns."""
-
-    member: bool
-    coefficients: Optional[np.ndarray]
-    residual: float
-
-
-def range_membership(columns, target) -> RangeMembership:
-    """Decide whether ``target`` is in the column span of ``columns``.
-
-    Membership holds when the least-squares residual is at most
-    MEMBERSHIP_TOL * (1 + ||target||), which keeps the test meaningful for both
-    tiny and large targets.
-    """
-    a = as_matrix(columns, "columns")
-    t = as_vector(target, "target")
-    if a.shape[0] != t.shape[0]:
-        raise InvalidInput("columns and target have incompatible heights")
-    if a.shape[1] == 0:
-        residual = float(np.linalg.norm(t))
-        ok = residual <= MEMBERSHIP_TOL * (1.0 + residual)
-        return RangeMembership(ok, np.zeros(0) if ok else None, residual)
-    fit = solve_least_squares(a, t)
-    threshold = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(t)))
-    if fit.residual_norm <= threshold:
-        return RangeMembership(True, fit.solution, fit.residual_norm)
-    return RangeMembership(False, None, fit.residual_norm)
+    residual = target - basis @ (basis.T @ target)
+    return bool(np.linalg.norm(residual) <= MEMBERSHIP_TOL * (1.0 + scale))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ slow and explicit way:
 
 * ``sample_reachability`` draws values L x, for a readout L, over the
   states that are consistent with an observation and the ellipsoidal
-  bound. It reduces the constraint F x = B f to a parametrized ellipsoid
+  bound. It reduces the constraint F x = B f to a parametrized ellipsoid,
+  whose center and axes come from one eigendecomposition of its energy,
   and samples its boundary and interior directly, from the exact
   distribution of L x, with about as many random numbers per draw as L
   has rows, so no state is formed. L = I draws the states themselves.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, EmptySet, InvalidInput
+from .errors import DimensionTooLarge, EmptySet, InvalidInput, NumericalBreakdown
 from .linalg import (
     CHEBYSHEV_SLACK,
     CURVATURE_SCALE_FLOOR,
@@ -33,7 +34,6 @@ from .linalg import (
     as_vector,
     block_diag,
     sized_vector,
-    solve_least_squares,
     svd_subspaces,
     symmetrize,
 )
@@ -77,17 +77,22 @@ def _reduced_quadratic(model: StaticModel, bounds: StaticEllipsoid, y: np.ndarra
 
     Every consistent pair (x, f) is Z @ xi for Z spanning ker [F, -B];
     on that subspace the energy (Q1 f, f) + (Q2 (y - Hx), y - Hx) is
-    xi'M xi - 2 b'xi + c. Returns (Z, M, b, c).
+    xi'M xi - 2 b'xi + c. Returns (Z, M, b, c). Raises
+    NumericalBreakdown when M, b or c is not finite.
     """
     constraint = np.hstack([model.F, -model.B])
     Z = svd_subspaces(constraint).kernel_basis
-    weight = block_diag(model.H.T @ bounds.Q2 @ model.H, bounds.Q1)
-    drive = np.concatenate(
-        [model.H.T @ (bounds.Q2 @ y), np.zeros(model.disturbance_dim)]
-    )
-    M = symmetrize(Z.T @ weight @ Z)
-    b = Z.T @ drive
-    c = float(y @ (bounds.Q2 @ y))
+    # entries near the overflow threshold overflow the energy: the check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = block_diag(model.H.T @ bounds.Q2 @ model.H, bounds.Q1)
+        drive = np.concatenate(
+            [model.H.T @ (bounds.Q2 @ y), np.zeros(model.disturbance_dim)]
+        )
+        M = symmetrize(Z.T @ weight @ Z)
+        b = Z.T @ drive
+        c = float(y @ (bounds.Q2 @ y))
+    if not (np.isfinite(M).all() and np.isfinite(b).all() and math.isfinite(c)):
+        raise NumericalBreakdown("the oracle's reduced energy is not finite")
     return Z, M, b, c
 
 
@@ -146,21 +151,24 @@ def sample_reachability(
             np.zeros((count, width)), np.zeros(count, bool), False
         )
 
-    center_fit = solve_least_squares(M, b)
-    xi_star = center_fit.solution
-    j_min = max(c - float(b @ xi_star), 0.0)
-    if j_min > 1.0 + NEGATIVE_FLOOR:
-        return ReachabilitySampleSet(np.zeros((0, width)), np.zeros(0, bool), True)
-    radius = math.sqrt(max(1.0 - j_min, 0.0))
-
     # Split curvature directions from flat ones, anchoring the rank
-    # decision to the scale of the full weight matrix.
+    # decision to the scale of the full weight matrix. The center
+    # xi* = V_pd diag(1/lambda) V_pd'b minimizes the energy: for PSD M, the
+    # minimum-norm least-squares solution of M xi = b at the same rank cut.
     evals, evecs = np.linalg.eigh(M)
     weight_scale = max(float(evals[-1]), 0.0)
     cutoff = DEFAULT_TOL * max(weight_scale, CURVATURE_SCALE_FLOOR)
     pd_mask = evals > cutoff
     V_pd = evecs[:, pd_mask]
     V_null = evecs[:, ~pd_mask]
+    xi_star = V_pd @ ((V_pd.T @ b) / evals[pd_mask])
+    # the least energy c - b'xi*, summed from the residuals at xi*: the
+    # difference cancels to the rounding of c when the data are large
+    r, f_star = y - model.H @ (Z[:n] @ xi_star), Z[n:] @ xi_star
+    j_min = max(float(r @ (bounds.Q2 @ r) + f_star @ (bounds.Q1 @ f_star)), 0.0)
+    if j_min > 1.0 + NEGATIVE_FLOOR:
+        return ReachabilitySampleSet(np.zeros((0, width)), np.zeros(0, bool), True)
+    radius = math.sqrt(max(1.0 - j_min, 0.0))
     inv_sqrt = 1.0 / np.sqrt(evals[pd_mask])
     r_pd = V_pd.shape[1]
     r_null = V_null.shape[1]

@@ -30,7 +30,8 @@ One thin SVD K = U diag(s) W', with rank cut at DEFAULT_TOL times the
 largest singular value, gives every answer:
 
 * ell is representable iff g = Z_x'ell lies in the row space of K, that
-  is ||g - W W'g|| <= MEMBERSHIP_TOL (1 + ||ell||);
+  is ||g - W W'g|| <= MEMBERSHIP_TOL (1 + ||ell||), the test of
+  :func:`.linalg.in_span`;
 * the a priori direction is p = Z_x W diag(s)^-2 W'g, the worst-case
   mean-squared error (ell, p) = ||diag(s)^-1 W'g||^2, a sum of squares,
   and the readout u_hat = Q2 H p;
@@ -38,7 +39,9 @@ largest singular value, gives every answer:
   from the residual vector, is the least energy that explains y.
 
 Weights scaled by s and data by 1/sqrt(s) scale K by sqrt(s) and leave
-d, Z, U and W as they were, so no decision reads an absolute scale. When
+d, Z, U and W as they were, so no decision reads an absolute scale. A K
+that is not finite (rows or weights near the overflow threshold) raises
+NumericalBreakdown before it is factored. When
 F x = B f leaves x underdetermined, x_hat is one of many centers;
 (ell, x_hat), u_hat and (ell, p) are the same for all of them wherever
 ell is representable.
@@ -52,14 +55,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalBreakdown
 from .linalg import (
     DEFAULT_TOL,
-    MEMBERSHIP_TOL,
     RCOND_FLOOR,
     as_matrix,
     check_energy,
-    range_membership,
+    in_span,
     require_spd,
     sized_vector,
     svd_subspaces,
@@ -186,22 +188,27 @@ def representable(model: StaticModel, ell) -> bool:
     """Whether (ell, x) admits a finite worst-case error.
 
     True iff ell lies in range([F' H']), i.e. some combination of model
-    rows and observation rows reproduces the functional.
+    rows and observation rows reproduces the functional: the test of
+    :func:`.linalg.in_span` on the range basis of [F' H'].
     """
     target = sized_vector(ell, "ell", model.state_dim)
-    stacked = np.hstack([model.F.T, model.H.T])
-    return range_membership(stacked, target).member
+    rows = svd_subspaces(np.hstack([model.F.T, model.H.T])).range_basis
+    return in_span(rows, target, np.linalg.norm(target))
 
 
 def _reduce(model: StaticModel, bounds: StaticEllipsoid):
     """The reduction of the module docstring, factored once: Z_x, the
     thin SVD of K cut at DEFAULT_TOL s_max as U, s and W, and V2, which
-    whitens the data."""
+    whitens the data. Raises NumericalBreakdown when K is not finite."""
     n = model.state_dim
     Z = svd_subspaces(np.hstack([model.F, -model.B])).kernel_basis
     V1 = np.linalg.cholesky(bounds.Q1).T
     V2 = np.linalg.cholesky(bounds.Q2).T
-    K = np.vstack([V2 @ (model.H @ Z[:n]), V1 @ Z[n:]])
+    # rows or weights near the overflow threshold overflow K: the check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.vstack([V2 @ (model.H @ Z[:n]), V1 @ Z[n:]])
+    if not np.isfinite(K).all():
+        raise NumericalBreakdown("the whitened rows of the reduced model are not finite")
     U, s, Wt = np.linalg.svd(K, full_matrices=False)
     rank = int(np.sum(s > DEFAULT_TOL * s[0])) if s.size else 0
     return Z[:n], U[:, :rank], s[:rank], Wt[:rank].T, V2
@@ -209,14 +216,12 @@ def _reduce(model: StaticModel, bounds: StaticEllipsoid):
 
 def _readout(Zx, s, W, target):
     """p = Z_x W diag(s)^-2 W'g and (ell, p) = ||diag(s)^-1 W'g||^2 for
-    g = Z_x'ell, or None when g leaves the row space of K, the range
-    membership test of :func:`.linalg.range_membership`: ell is then not
-    representable."""
+    g = Z_x'ell, or None when g leaves the row space of K by the test of
+    :func:`.linalg.in_span`: ell is then not representable."""
     g = Zx.T @ target
-    coef = W.T @ g
-    if np.linalg.norm(g - W @ coef) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(target)):
+    if not in_span(W, g, np.linalg.norm(target)):
         return None
-    c = coef / s
+    c = (W.T @ g) / s
     return Zx @ (W @ (c / s)), float(c @ c)
 
 

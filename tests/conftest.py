@@ -21,7 +21,6 @@ from descriptor_minimax import (
 from descriptor_minimax.linalg import (
     DEFAULT_TOL,
     MEMBERSHIP_TOL,
-    solve_least_squares,
     spd_solve,
     svd_subspaces,
 )
@@ -116,7 +115,7 @@ def saddle_reference(model, bounds, ell, y):
     q2y = bounds.Q2 @ y
     rhs = np.zeros((m + n, 2))
     rhs[m:, 0], rhs[m:, 1] = model.H.T @ q2y, ell
-    solution = solve_least_squares(saddle_matrix(model, bounds), rhs).solution[:n]
+    solution = np.linalg.lstsq(saddle_matrix(model, bounds), rhs, rcond=DEFAULT_TOL)[0][:n]
     x_hat, p = solution[:, 0], solution[:, 1]
     feasible = representable(model, ell)
     beta = float((y - model.H @ x_hat) @ q2y)

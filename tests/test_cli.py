@@ -5,18 +5,23 @@ subprocess to cover the console entry point.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import math
 import re
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from descriptor_minimax import InvalidInput, SchemaError, filter_run
 from descriptor_minimax.cli import (
@@ -1287,3 +1292,155 @@ def test_json_reads_every_report_back_bit_for_bit(tmp_path, capsys, monkeypatch)
     assert any(data["sigma_hat"] == "infinite" for data, _ in written)
     for data, text in written:
         assert _same_bits(json.loads(text, object_pairs_hook=_sorted_object), data), text
+
+
+# ---------------------------------------------------------------------------
+# numbers at the edge of the float range: one error line, never a traceback
+
+
+def two_state_doc(mode):
+    """F = diag(1, 0), C = [[-1, 0.2], [0.3, -1]], H = [1, 0.5], unit
+    weights and ell = [1, 0], on [0, 1] with M = 8."""
+    doc = continuous_doc(mode)
+    doc["model"].update(F=[[1.0, 0.0], [0.0, 0.0]], C=[[-1.0, 0.2], [0.3, -1.0]], H=[[1.0, 0.5]])
+    doc["bounds"].update(Q0=np.eye(2).tolist(), Q1=np.eye(2).tolist())
+    doc["estimation"]["ell"] = [1.0, 0.0]
+    doc["grid"]["steps"] = 8
+    if mode == "tikhonov":
+        doc["estimation"]["alphas"] = [0.1, 0.01]
+    return doc
+
+
+def _edge_docs():
+    """(command, document, observation rows, error message or None) per case."""
+    rank0 = continuous_doc("riccati")
+    rank0["model"].update(F=[[0.0]], C=[[-1.0]])
+    rank0["estimation"]["ell"] = [0.0]
+    rank0["grid"]["steps"] = 4
+    yield "riccati-rank-0", "riccati", rank0, np.zeros((5, 1)), None
+    covariance = r"\(F'Q0F\)\^\+, the covariance of x\(t_start\), is not finite in floating point"
+    for name, F in (
+        ("overflow", [[1.0, 0.0], [1e300, 0.0]]),
+        ("underflow", [[5e-324, 0.0], [0.0, 0.0]]),
+    ):
+        doc = two_state_doc("riccati")
+        doc["model"]["F"] = F
+        yield f"riccati-p0-{name}", "riccati", doc, np.full((9, 1), 0.01), covariance
+    whitened = "the whitened rows of the reduced model are not finite"
+    for mode, message in (
+        ("apriori", whitened),
+        ("tikhonov", f"regularized solve at alpha=0.1: {whitened}"),
+    ):
+        doc = two_state_doc(mode)
+        doc["model"]["H"], doc["bounds"]["Q2"] = [[1e300, 0.5]], [[1e300]]
+        yield f"{mode}-huge-rows", "estimate" if mode == "apriori" else mode, doc, None, message
+    static = scalar_doc("apriori", ell=(1.0, 1.0))
+    static["model"] = {"F": [[1.0, 0.0]], "B": [[1.0]], "H": [[1e300, 1.0]]}
+    static["bounds"]["Q2"] = [[1e300]]
+    yield "static-huge-rows", "estimate", static, None, whitened
+    cut = two_state_doc("tikhonov")
+    cut["model"]["F"] = [[1e-12, 0.0], [0.0, 0.0]]
+    cut["bounds"]["Q0"] = [[1e300, 0.0], [0.0, 1.0]]
+    message = r"regularized solve at alpha=0.1: the functional came out not representable: .+"
+    yield "tikhonov-cut-penalty", "tikhonov", cut, None, message
+    chain = chain_doc()
+    eye = np.eye(2).tolist()
+    chain["model"] = {
+        "horizon": 3, "F": eye, "C": [[0.5, 0.0], [0.1, 0.5]], "B": eye, "H": [[1.0, 1e300]]
+    }
+    chain["bounds"] = {"Q0": eye, "Q1": eye, "Q2": [[1.0]]}
+    chain["estimation"] = {"mode": "aposteriori", "ell_seq": [[0.0, 0.0]] * 4}
+    message = "the oracle's reduced energy is not finite"
+    yield "validate-huge-H", "validate", chain, np.zeros((4, 1)), message
+
+
+@pytest.mark.parametrize("case", list(_edge_docs()), ids=lambda case: case[0])
+def test_numbers_at_the_float_edge_end_in_one_error_line(tmp_path, capsys, case):
+    # under error::RuntimeWarning: an overflow is named by the check next to
+    # it, and a rank-0 F gives the empty P0 and the radius 0
+    _, command, doc, rows, message = case
+    argv = [command, "--config", write_doc(tmp_path, doc)]
+    argv += ["--observations", write_obs(tmp_path, rows)] if rows is not None else []
+    argv += ["--samples", "50"] if command == "validate" else []
+    code = main(argv)
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == EXIT_OK, captured.err
+        report = json.loads(captured.out)
+        assert (report["estimate"], report["sigma_hat"]) == (0.0, 0.0)
+    else:
+        assert code == EXIT_ERROR and captured.out == ""
+        assert re.fullmatch(f"error: {message}\n", captured.err), captured.err
+
+
+_FUZZ_VALUES = (0.0, 1.0, -1.0, 1e12, 1e-12, 1e300, 1e-300, 5e-324)
+
+
+def _number_slots(node):
+    """(container, key) of every number in a document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, float):
+            yield node, key
+        elif isinstance(value, (dict, list)):
+            yield from _number_slots(value)
+
+
+def _fuzz_doc(kind, mode, steps):
+    if kind == "static":
+        doc = scalar_doc(mode, ell=(1.0, 1.0))
+        doc["model"] = {"F": [[1.0, 0.0]], "B": [[1.0]], "H": [[1.0, 1.0]]}
+        return doc, 1
+    if kind == "discrete_dae":
+        eye = np.eye(2).tolist  # a new list per call, so that no edit reaches two entries
+        doc = chain_doc(mode)
+        doc["model"] = {
+            "horizon": steps, "F": eye(), "C": [[0.5, 0.0], [0.1, 0.5]], "B": eye(), "H": [[1.0, 1.0]]
+        }
+        doc["bounds"] = {"Q0": eye(), "Q1": eye(), "Q2": [[1.0]]}
+        doc["estimation"] = {"mode": mode, "ell": [1.0, 0.0]}
+        return doc, steps + 1
+    doc = two_state_doc(mode)
+    doc["grid"]["steps"] = steps
+    return doc, steps + 1
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    st.sampled_from(PAIRS),
+    st.integers(0, 4),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(_FUZZ_VALUES + ("up", "down"))),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_degenerate_numbers_never_end_in_a_traceback(pair, steps, edits):
+    # every command on a document some of whose numbers, the data's
+    # included, became 0, +-1, 1e+-12, 1e+-300 or 5e-324, or were scaled by
+    # 1e+-8: an exit code, never a raised exception. The warnings an
+    # overflow sets off are not what this pins
+    kind, mode = pair
+    doc, rows = _fuzz_doc(kind, mode, steps)
+    data = [0.01]
+    slots = list(_number_slots(doc)) + [(data, 0)]
+    for index, edit in edits:
+        holder, key = slots[index % len(slots)]
+        scale = {"up": 1e8, "down": 1e-8}
+        holder[key] = holder[key] * scale[edit] if edit in scale else edit
+    with tempfile.TemporaryDirectory() as folder, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        base = [
+            "--config", write_doc(Path(folder), doc),
+            "--observations", write_obs(Path(folder), np.full((rows, 1), data[0])),
+        ]
+        for command, spec in COMMANDS.items():
+            argv = [command] + base
+            argv += ["--samples", "50"] if "samples" in spec.options else []
+            argv += ["--output", str(Path(folder) / "out")] if spec.output_dir else []
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (EXIT_OK, EXIT_ERROR, EXIT_INFEASIBLE), (command, doc)
+            if code == EXIT_ERROR:
+                assert re.fullmatch(r"error: [^\n]+\n", err.getvalue()), (command, err.getvalue())

@@ -39,7 +39,7 @@ from descriptor_minimax import (
 from descriptor_minimax import continuous, discrete, filtering
 from descriptor_minimax.continuous import _sampled_functional
 from descriptor_minimax.discrete import flatten, flatten_bounds
-from descriptor_minimax.linalg import RCOND_FLOOR, solve_least_squares
+from descriptor_minimax.linalg import DEFAULT_TOL, RCOND_FLOOR
 
 from conftest import data_energy, rng_for, saddle_matrix
 
@@ -557,7 +557,7 @@ def _shifted_saddle_oracle(system, bounds, ell, grid, alphas):
     for alpha in alphas:
         A = saddle.copy()
         A[rows + np.arange(dim), np.arange(dim)] += alpha * h
-        p = solve_least_squares(A, rhs).solution[:dim].reshape(M + 1, n)
+        p = np.linalg.lstsq(A, rhs, rcond=DEFAULT_TOL)[0][:dim].reshape(M + 1, n)
         readouts.append(np.einsum("kij,kj->ki", Q2, np.einsum("kij,kj->ki", H, p)))
         defects.append(np.linalg.norm(alpha * h * p) / np.sqrt(h))
     return readouts, np.array(defects)
@@ -689,6 +689,15 @@ def test_riccati_nonrepresentable_endpoint():
     bad = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[-1.0]], Q2=[[1.0]])
     with pytest.raises(InvalidBounds, match=r"Q1\(t\) at t=0 is not positive definite"):
         riccati_filter(system, bad, [1.0], np.zeros((11, 1)), grid)
+
+
+def test_riccati_on_a_rank_zero_f_answers_zero():
+    # F = 0: range(F') = {0} holds ell_0 = 0, (F'Q0F)^+ is the empty
+    # inverse lifted to 0, and the readout is 0 with radius 0
+    system = ContinuousDAE(F=[[0.0]], C=[[-1.0]], H=[[1.0]], t_start=0.0, t_end=1.0)
+    bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
+    out = riccati_filter(system, bounds, [0.0], np.zeros((5, 1)), TimeGrid(0.0, 1.0, 4))
+    assert out.feasible and (out.estimate, out.radius) == (0.0, 0.0)
 
 
 def test_riccati_rejects_rectangular_f():

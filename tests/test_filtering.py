@@ -267,6 +267,24 @@ def test_rank_precondition_detects_deficiency():
     )
 
 
+def test_qr_steps_name_a_step_whose_factor_overflows():
+    # F_1 and H_1 both read x_1 at 1e308, finite rows whose QR overflows:
+    # the step is named instead of its factor going to the SVD
+    eye = np.eye(2)
+    big = np.diag([1e308, 1.0])
+    dae = DiscreteDAE(
+        F_seq=np.stack([eye, big]),
+        C_seq=np.array([[[0.0, 1.0], [0.0, 0.5]]]),
+        B_seq=np.stack([eye]),
+        S=eye,
+        H_seq=np.stack([eye, big]),
+    )
+    bounds = DAEEllipsoid(Q0=eye, Q1_seq=np.stack([eye]), Q2_seq=np.stack([eye, eye]))
+    with pytest.raises(NumericalBreakdown) as error:
+        filter_run(dae, bounds, np.full((2, 2), 0.01), [1.0, 0.0])
+    assert str(error.value) == "information matrix at step 1 is not finite in floating point"
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e6, 1e12])
 def test_filter_is_scale_free(scale, monkeypatch):
     # weights times s and data times 1/sqrt(s) leave every center * sqrt(s)

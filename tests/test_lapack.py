@@ -18,7 +18,7 @@ import pytest
 import scipy.linalg
 
 from descriptor_minimax import _lapack
-from descriptor_minimax.linalg import solve_triangular, spd_solve
+from descriptor_minimax.linalg import solve_triangular, spd_inverse, spd_solve
 
 
 # Prints the route the shim took and the ensemble's digest. The package is
@@ -149,6 +149,16 @@ def test_spd_solve_is_cho_factor_and_cho_solve_bit_for_bit():
             want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(0.5 * (q + q.T)), b)
             got = spd_solve(q, b)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_spd_solve_of_an_empty_system_is_the_empty_solution():
+    # cho_factor and cho_solve answer a 0 x 0 system; dpotrs alone refuses it
+    q = np.zeros((0, 0))
+    for b in (np.zeros(0), np.zeros((0, 0)), np.zeros((0, 3))):
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(q), b)
+        got = spd_solve(q, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+    assert spd_inverse(q).shape == (0, 0)
 
 
 def test_solve_triangular_raises_on_a_zero_pivot():

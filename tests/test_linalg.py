@@ -14,62 +14,135 @@ from descriptor_minimax.linalg import (
     band_matvec,
     block_diag,
     factor_banded,
+    in_span,
     inverse_norm1_estimate,
-    range_membership,
     as_matrix_stack,
     per_entry,
     require_spd,
     require_spd_stack,
-    solve_least_squares,
     svd_subspaces,
     symmetrize,
 )
 
+
+def span(a):
+    """An orthonormal basis of the column span of ``a``."""
+    return svd_subspaces(a).range_basis
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
-def test_lstsq_exact_on_nonsingular_square(seed, n):
+def test_in_span_holds_on_a_nonsingular_square(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
-    x_true = rng.standard_normal(n)
-    out = solve_least_squares(a, a @ x_true)
-    assert np.linalg.norm(out.solution - x_true) <= 1e-10 * (
-        1.0 + np.linalg.norm(x_true)
-    )
+    target = a @ rng.standard_normal(n)
+    assert in_span(span(a), target, np.linalg.norm(target))
+    assert span(a).shape == (n, n)
 
 
-def test_lstsq_inconsistent_residual():
-    out = solve_least_squares(np.array([[1.0], [1.0]]), np.array([0.0, 2.0]))
-    assert out.solution == pytest.approx([1.0], abs=1e-12)
-    assert out.residual_norm == pytest.approx(np.sqrt(2.0), abs=1e-12)
-
-
-def test_lstsq_solves_each_column_of_a_matrix_rhs():
+def test_in_span_rejects_an_inconsistent_target():
+    # [0, 2] is 1 from [1, 1], well beyond MEMBERSHIP_TOL (1 + 2)
     a = np.array([[1.0], [1.0]])
-    out = solve_least_squares(a, np.array([[0.0, 1.0], [2.0, 1.0]]))
-    assert out.solution == pytest.approx(np.array([[1.0, 1.0]]), abs=1e-12)
-    assert out.residual_norm == pytest.approx([np.sqrt(2.0), 0.0], abs=1e-12)
-    with pytest.raises(InvalidInput):
-        solve_least_squares(a, np.zeros((3, 2)))
+    assert not in_span(span(a), np.array([0.0, 2.0]), 2.0)
+
+
+def test_in_span_judges_each_target_alone():
+    a = np.array([[1.0], [1.0]])
+    targets = np.array([[0.0, 1.0], [2.0, 1.0]])
+    verdicts = [in_span(span(a), t, np.linalg.norm(t)) for t in targets.T]
+    assert verdicts == [False, True]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_range_membership_holds_for_column_combinations(seed):
+def test_in_span_holds_for_column_combinations(seed):
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(1, 7))
     cols = int(rng.integers(1, 7))
     a = rng.standard_normal((rows, cols))
-    w = rng.standard_normal(cols)
-    out = range_membership(a, a @ w)
-    assert out.member
-    assert out.residual <= 1e-8 * (1.0 + np.linalg.norm(a @ w))
+    target = a @ rng.standard_normal(cols)
+    assert in_span(span(a), target, np.linalg.norm(target))
 
 
-def test_range_membership_rejects_orthogonal_target():
+def test_in_span_rejects_an_orthogonal_target():
     cols = np.array([[1.0], [0.0]])
-    out = range_membership(cols, np.array([0.0, 1.0]))
-    assert not out.member
-    assert out.residual == pytest.approx(1.0, abs=1e-12)
+    assert not in_span(span(cols), np.array([0.0, 1.0]), 1.0)
+    # an empty basis spans {0} alone
+    assert in_span(np.zeros((2, 0)), np.zeros(2), 0.0)
+    assert not in_span(np.zeros((2, 0)), np.array([0.0, 1e-6]), 1e-6)
+
+
+def test_every_membership_verdict_is_in_span():
+    # F = Q diag(d) Q' with rank r < n, B = I, C = -I and a static H in
+    # range(F'): representable(), the static a priori estimate, the Riccati
+    # endpoint filter (whose H = I reads every state) and in_span all test
+    # ell against range(F'), on targets 0.3x and 3x the tolerance off it
+    # along ker F
+    from descriptor_minimax import (
+        ContinuousDAE,
+        ContinuousEllipsoid,
+        StaticEllipsoid,
+        StaticModel,
+        TimeGrid,
+        apriori_estimate,
+        representable,
+        riccati_filter,
+    )
+    from descriptor_minimax.linalg import MEMBERSHIP_TOL
+
+    rng = np.random.default_rng(44)
+    grid = TimeGrid(0.0, 1.0, 4)
+    for _ in range(12):
+        n = int(rng.integers(2, 5))
+        r = int(rng.integers(0, n))
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        d = np.concatenate([rng.uniform(0.5, 2.0, r), np.zeros(n - r)])
+        F = (Q * d) @ Q.T
+        H = F[:1] if r else np.zeros((1, n))
+        model, bounds = StaticModel(F=F, B=np.eye(n), H=H), StaticEllipsoid(np.eye(n), [[1.0]])
+        system = ContinuousDAE(F=F, C=-np.eye(n), H=np.eye(n), t_start=0.0, t_end=1.0)
+        weights = ContinuousEllipsoid(Q0=np.eye(n), Q1=np.eye(n), Q2=np.eye(n))
+        y = np.zeros((5, n))
+        rows = span(np.hstack([F.T, H.T]))
+        for size in (0.0, 1e-3, 1.0, 1e3) if r else (0.0,):
+            member = F.T @ rng.standard_normal(n)
+            member *= size / np.linalg.norm(member) if r else 0.0
+            for factor in (0.3, 3.0):
+                ell = member + factor * MEMBERSHIP_TOL * (1.0 + size) * Q[:, -1]
+                verdicts = [
+                    representable(model, ell),
+                    apriori_estimate(model, bounds, ell).feasible,
+                    riccati_filter(system, weights, ell, y, grid).feasible,
+                    in_span(rows, ell, np.linalg.norm(ell)),
+                ]
+                assert verdicts == 4 * [factor < 1.0], (n, r, size, factor)
+
+
+def test_membership_tolerance_is_read_by_in_span_alone():
+    # one function decides range membership: no other code of the package
+    # imports or reads MEMBERSHIP_TOL
+    import ast
+    from pathlib import Path
+
+    import descriptor_minimax
+
+    readers = []
+    for path in sorted(Path(descriptor_minimax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]:
+            body = fn.body if fn is not tree else [
+                node for node in tree.body if not isinstance(node, ast.FunctionDef)
+            ]
+            for node in (inner for stmt in body for inner in ast.walk(stmt)):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name == "MEMBERSHIP_TOL":
+                    readers.append((path.name, getattr(fn, "name", None)))
+    assert sorted(set(readers)) == [("linalg.py", "in_span")]
 
 
 def test_svd_subspaces_orthonormal_and_complementary():
@@ -348,6 +421,7 @@ def test_no_function_takes_a_tolerance():
         linalg.check_energy,
         linalg.factor_banded,
         linalg.factor_spd_banded,
+        linalg.in_span,
         linalg.inverse_norm1_estimate,
         linalg.invertible,
         linalg.nonnegative_mse,
