@@ -10,10 +10,10 @@ chain, ``dense_reference`` of tests/conftest.py: the center ell'x_N of
 of ``filter_run`` and ``apriori_horizon_estimate``, and the attained radius
 sqrt(1 - beta_N) sqrt(ell'P_N ell) of ``filter_run``. A chain on which the
 reference finds the center not unique is an error. A solver may refuse a
-chain (InconsistentData, NumericalBreakdown or RankDeficient): the
-solvers that answered it are still compared, the refusals are counted
-per solver and printed, and only chains that every solver answered count
-toward ``--count``. Per filter path ("information" or "recursive", see
+chain (InconsistentData, NumericalBreakdown or RankDeficient, or an
+infinite radius): the solvers that answered it are still compared, the
+refusals are counted per solver and printed, and only chains that every
+solver answered count toward ``--count``. Per filter path ("information" or "recursive", see
 ``Estimate.solver``, or "refused" where the filter refused) it reports
 the chain count and each solver's worst relative gap, then wall-clock
 totals and the filter's time per step. Horizons are drawn up to 192 steps.
@@ -130,10 +130,14 @@ def main():
         for solver, call in calls.items():
             t0 = time.perf_counter()
             try:
-                answers[solver] = call()
+                answer = call()
             except REFUSALS as exc:
                 refusals[solver][type(exc).__name__] += 1
                 continue
+            if not answer.feasible:  # an infinite radius is a refusal to compare
+                refusals[solver]["infinite radius"] += 1
+                continue
+            answers[solver] = answer
             seconds[solver] += time.perf_counter() - t0
         if not answers:
             continue

@@ -41,7 +41,6 @@ from .errors import (
     NumericalBreakdown,
     ParseError,
     RankDeficient,
-    RiccatiBlowup,
     SchemaError,
     SingularStep,
     SolveFailure,
@@ -94,7 +93,6 @@ __all__ = [
     "NumericalBreakdown",
     "ParseError",
     "RankDeficient",
-    "RiccatiBlowup",
     "SchemaError",
     "SingularStep",
     "SolveFailure",

@@ -50,11 +50,9 @@ from .errors import (
     InvalidInput,
     NumericalBreakdown,
     RankDeficient,
-    RiccatiBlowup,
 )
 from .linalg import (
     GRID_SPAN_TOL,
-    RICCATI_NORM_CAP,
     _distinct,
     as_matrix,
     in_span,
@@ -589,9 +587,7 @@ def riccati_filter(
       x and y the error's rate does not vanish there. ``K_final`` is the
       last node's.
     * ``solver`` is the M-step chain's filter record with
-      ``extrapolation_gap`` = |X(h) - X(2h)| of the squared radius,
-      ``max_gain_norm`` over ``K_nodes`` and the ``gain_norm_cap``
-      :data:`RICCATI_NORM_CAP`.
+      ``extrapolation_gap`` = |X(h) - X(2h)| of the squared radius.
 
     Checks run in this order: the grid spans the horizon, the weights
     match the model, F is square, ell_0 has n entries, y has one row per
@@ -600,14 +596,14 @@ def riccati_filter(
     then is ell_0 tested against range(F'), by :func:`.linalg.in_span` on
     the row basis of F: outside it no endpoint readout has a finite
     radius, and the result is infeasible, with an infinite radius, and
-    nothing is run. A (F'Q0F)^+ that is not finite, or an F'Q0F that is
-    not positive definite in floating point, raises NumericalBreakdown.
-    The chains' verdicts come next (a singular
+    nothing is run (``solver`` None). A (F'Q0F)^+ that is not finite, or
+    an F'Q0F that is not positive definite in floating point, raises
+    NumericalBreakdown. The chains' verdicts come next (a singular
     information matrix, or data outside the bound), the M-step chain's
-    first; then the first node whose gain norm is not finite or
-    exceeds the cap raises RiccatiBlowup, naming its time, since on an
-    unstable chain the filter's QR steps can answer finite wrong values;
-    and a negative extrapolated radius raises NumericalBreakdown.
+    first. Then a chain that lost a direction to rounding gives an infinite
+    radius, with that chain's record and ``chain_steps``, its step count.
+    Last, a gain that is not finite (an exactly singular step matrix) and a
+    negative extrapolated radius raise NumericalBreakdown.
     """
     _check_grid(system, grid)
     _check_pair(system, bounds)
@@ -625,8 +621,7 @@ def riccati_filter(
     rows = svd_subspaces(system.F)
     V, kernel = rows.row_basis, rows.kernel_basis
     if not in_span(V, ell0, np.linalg.norm(ell0)):
-        cap = {"max_gain_norm": None, "gain_norm_cap": RICCATI_NORM_CAP}
-        return Estimate(False, None, math.inf, math.inf, solver=cap)
+        return Estimate(False, None, math.inf, math.inf)
     coarse = discretize(system, bounds, replace(grid, steps=grid.steps // 2))
     # (F'Q0F)^+, the covariance of x(t_start) on range(F'); an F near the
     # overflow or underflow threshold leaves F'Q0F not finite or not definite
@@ -642,7 +637,11 @@ def riccati_filter(
         )
     run, K = _chain_run(*fine, y, ell0, P0)
     coarse_run, P_coarse = _chain_run(*coarse, y[::2], ell0, P0)
-    with np.errstate(invalid="ignore"):  # an unbounded P^- fails the cap below
+    for chain, steps in ((run, grid.steps), (coarse_run, grid.steps // 2)):
+        if not chain.feasible:  # a direction lost to rounding
+            lost = chain.solver | {"chain_steps": steps}
+            return Estimate(False, None, math.inf, math.inf, solver=lost)
+    with np.errstate(invalid="ignore"):  # an unbounded P^- is named below
         E = K[::2] - P_coarse
         E[0] = 2.0 * E[1] - E[2] if E.shape[0] > 2 else E[1]
         K[2::2] += E[1:]
@@ -650,16 +649,10 @@ def riccati_filter(
         if kernel.shape[1]:
             proj = np.eye(n) - kernel @ kernel.T
             K = proj @ K @ proj
-    # the gains are symmetric: each norm is the largest |eigenvalue|
     finite = np.isfinite(K).all(axis=(1, 2))
-    norms = np.full(K.shape[0], math.inf)
-    norms[finite] = np.abs(np.linalg.eigvalsh(K[finite])).max(axis=1)
-    over = ~(norms <= RICCATI_NORM_CAP)
-    if over.any():
-        k = int(np.argmax(over))
-        raise RiccatiBlowup(
-            f"gain norm {norms[k]:.3e} at t={grid.nodes()[k]:.6g} exceeds {RICCATI_NORM_CAP}"
-        )
+    if not finite.all():
+        t = grid.nodes()[np.argmin(finite)]
+        raise NumericalBreakdown(f"the gain at t={t:.6g} is not finite")
 
     fine_sq, coarse_sq = (float(ell0 @ r.outputs["P_final"] @ ell0) for r in (run, coarse_run))
     sigma = 2.0 * fine_sq - coarse_sq
@@ -668,12 +661,7 @@ def riccati_filter(
             f"extrapolated squared radius is negative: 2 x {fine_sq:.6e} (M={grid.steps}) "
             f"- {coarse_sq:.6e} (M={grid.steps // 2})"
         )
-    solver = {
-        **run.solver,
-        "extrapolation_gap": abs(fine_sq - coarse_sq),
-        "max_gain_norm": float(norms.max()),
-        "gain_norm_cap": RICCATI_NORM_CAP,
-    }
+    solver = {**run.solver, "extrapolation_gap": abs(fine_sq - coarse_sq)}
     return Estimate(
         feasible=True,
         estimate=run.estimate,

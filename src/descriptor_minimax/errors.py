@@ -25,10 +25,6 @@ class NumericalBreakdown(EstimationError):
     """An intermediate matrix is too ill-conditioned to invert reliably."""
 
 
-class RiccatiBlowup(EstimationError):
-    """A gain of the continuous endpoint filter left the trust region."""
-
-
 class SolveFailure(EstimationError):
     """A reported radius that sampled consistent states exceed (the
     check of CLI ``validate``). A solve that breaks down, a regularized

@@ -93,7 +93,11 @@ record names the path it took.
   SVD judges every R_k and one batched solve gives
   x_hat_k = R_k^{-1}z_k; then P_N = R_N^{-1}R_N^{-T}. J_k is never
   formed. The test on R_k, s_min <= sqrt(DEFAULT_TOL) s_max, is the
-  filter's one rank verdict, and it reads no absolute scale.
+  filter's one rank verdict, and it reads no absolute scale. Nor does its
+  other (Householder QR is backward stable column by column; Higham 2002,
+  ch. 19): where R_k, each column j divided by the norm of the x_k column
+  j that dgeqrf received, has s_min <= DEFAULT_TOL, a direction is lost
+  to rounding, and every ell has an infinite radius.
 
 After :func:`prepare_filter` only the QR steps raise a rank verdict, so
 a chain the sweep turns down gets their verdict, message and failing
@@ -678,7 +682,7 @@ def _corrected(model: FilterModel, Vy: np.ndarray, Z: np.ndarray, spans: list) -
 
 
 def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
-    """The filter as one QR factorization per step; returns (P_N, beta_N).
+    """The filter as one QR factorization per step; returns (P_N, beta_N, lost).
 
     Step k factors the (n + m + l) x (2n + 1) matrix of the module
     docstring, with columns (x_{k-1}, x_k, data), by one LAPACK dgeqrf;
@@ -697,13 +701,15 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
     RankDeficient at the first singular R_k, naming its s_min/s_max and
     the cutoff, and NumericalBreakdown at the first R_k or z_k that rows
     near the overflow threshold left not finite, whichever comes first.
+    ``lost`` names the first step that lost a direction (module docstring)
+    and its figure, or is empty; a later verdict of the three still raises.
     """
     N = model.horizon
     m, n = model.LF0.shape
     l = model.V.shape[1]
     rows = n + m + l
     upper = np.tri(n, dtype=bool)  # R's upper triangle, transposed
-    R, z, beta = np.zeros((n, n)), np.zeros(n), 0.0
+    R, z, beta, lost = np.zeros((n, n)), np.zeros(n), 0.0, {}
     steps = _block_steps(rows * (2 * n + 1))
     cutoff = math.sqrt(DEFAULT_TOL)
     for start in range(0, N + 1, steps):
@@ -717,6 +723,7 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
             work[0, n : 2 * n, n : n + m] = model.LF0.T
         work[:, n : 2 * n, n + m :] = np.swapaxes(model.VH[start:stop], 1, 2)
         work[:, 2 * n, n + m :] = Vy[start:stop]
+        columns = np.array(work[:, n : 2 * n])  # the x_k columns dgeqrf receives
         work[0, :n, :n] = R.T
         work[0, 2 * n, :n] = z
         for i in range(count):
@@ -746,13 +753,21 @@ def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:
             raise NumericalBreakdown(
                 f"information matrix at step {start + good} is not finite in floating point"
             )
+        if not lost:  # s_min of R_k, each column divided by its norm, which is
+            # taken on the column divided by its largest entry so as not to overflow
+            big = np.abs(columns).max(axis=2)
+            scaled = Rs / big[:, None] / np.linalg.norm(columns / big[:, :, None], axis=2)[:, None]
+            s_min = np.linalg.svd(scaled, compute_uv=False)[:, -1]
+            k = int(np.argmax(s_min <= DEFAULT_TOL))
+            if s_min[k] <= DEFAULT_TOL:
+                lost = dict(lost_step=start + k, lost_figure=float(s_min[k]), lost_tol=DEFAULT_TOL)
         out[start:stop] = np.linalg.solve(Rs, zs[:, :, None])[:, :, 0]
         if P_out is not None:
             R_inv = np.linalg.inv(Rs)
             P_out[start:stop] = symmetrize(R_inv @ np.swapaxes(R_inv, 1, 2))
         R, z, beta = Rs[-1], zs[-1], float(betas[-1])
     R_inv = solve_triangular(R, np.eye(n))
-    return symmetrize(R_inv @ R_inv.T), beta
+    return symmetrize(R_inv @ R_inv.T), beta, lost
 
 
 def filter_run(
@@ -776,7 +791,9 @@ def filter_run(
     CORRECTION_TOL, it restarts on :func:`_qr_steps`, which alone decides
     every rank verdict after :func:`prepare_filter`: S and B_k verdicts
     come before any rank or data verdict. Data whose beta_k exceeds 1 at
-    some step raise InconsistentData, naming the first such step.
+    some step raise InconsistentData, naming the first such step. Where
+    the QR steps lost a direction the radius is infinite, with no center,
+    and ``solver`` adds ``lost_step``, ``lost_figure`` and ``lost_tol``.
     """
     count = dae.horizon + 1
     Y = vector_stack(y_seq, "y_seq", count, dae.observation_dim, "observation vectors")
@@ -785,11 +802,13 @@ def filter_run(
     Vy = (model.V @ Y[:, :, None])[:, :, 0]
     x_seq = np.empty((count, dae.state_dim))
     P, beta, rcond, record = _information_sweep(model, Vy, x_seq, P_seq)
-    path = "information"
+    path, lost = "information", {}
     if P is None:
-        P, beta = _qr_steps(model, Vy, x_seq, P_seq)
+        P, beta, lost = _qr_steps(model, Vy, x_seq, P_seq)
         path = "recursive"
-    solver = solver_record(path, rcond, INFORMATION_RCOND_FLOOR) | record
+    solver = solver_record(path, rcond, INFORMATION_RCOND_FLOOR) | record | lost
+    if lost:
+        return Estimate(False, None, math.inf, solver=solver)
     prior = max(float(ell @ (P @ ell)), 0.0)
     return Estimate(
         feasible=True,

@@ -68,9 +68,6 @@ CURVATURE_SCALE_FLOOR = 1e-300
 CHEBYSHEV_SLACK = 1e-9
 # Time grids: an endpoint may miss the system horizon by this times its length.
 GRID_SPAN_TOL = 1e-9
-# Continuous endpoint filter: an extrapolated gain whose spectral norm is
-# above this (or not finite) has escaped.
-RICCATI_NORM_CAP = 1e12
 
 
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -202,7 +199,8 @@ def as_matrix_stack(
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    """(a + a')/2 per matrix of a stack, as a/2 + a'/2 so as not to overflow."""
+    return 0.5 * a + 0.5 * a.swapaxes(-1, -2)
 
 
 def spd_stack_error(stack: np.ndarray, label: Callable[[int], str]):

@@ -36,7 +36,8 @@ largest singular value, gives every answer:
   mean-squared error (ell, p) = ||diag(s)^-1 W'g||^2, a sum of squares,
   and the readout u_hat = Q2 H p;
 * the center is x_hat = Z_x K^+ d, and beta = ||d - U U'd||^2, summed
-  from the residual vector, is the least energy that explains y.
+  from the residual vector (0 where K keeps full row rank), is the least
+  energy that explains y.
 
 Weights scaled by s and data by 1/sqrt(s) scale K by sqrt(s) and leave
 d, Z, U and W as they were, so no decision reads an absolute scale. A K
@@ -285,8 +286,8 @@ def aposteriori_estimate(
     coef = U.T @ d
     x_hat = Zx @ (W @ (coef / s))
     estimate = float(target @ x_hat)
-    residual = d - U @ coef
-    beta = float(residual @ residual)
+    residual = d - U @ coef  # with full row rank its rounding is no energy
+    beta = float(residual @ residual) if U.shape[1] < U.shape[0] else 0.0
     check_energy(beta)
 
     readout = _readout(Zx, s, W, target)

@@ -307,16 +307,14 @@ def test_riccati_refuses_an_odd_grid(tmp_path, capsys):
             )
 
 
-def test_riccati_reports_its_largest_gain_norm(tmp_path, capsys):
-    # unit weights hold the scalar gain on its fixed point K = 1, and the
-    # record is the grid chain's filter record plus the extrapolation's
+def test_riccati_reports_the_grid_chain_record(tmp_path, capsys):
+    # the record is the grid chain's filter record plus the extrapolation's
     argv = ["riccati", "--config", write_doc(tmp_path, continuous_doc("riccati"))]
     argv += ["--observations", write_obs(tmp_path, np.zeros((65, 1)))]
     assert main(argv) == EXIT_OK
     solver = json.loads(capsys.readouterr().out)["diagnostics"]["solver"]
-    assert solver.keys() >= {"path", "rcond_estimate", "rcond_floor"}
-    assert solver["max_gain_norm"] == pytest.approx(1.0, abs=2.4e-4)
-    assert solver["gain_norm_cap"] == 1e12
+    record = {"path", "rcond_estimate", "rcond_floor", "blocks", "blocks_factored", "correction"}
+    assert solver.keys() == record | {"extrapolation_gap"}
     assert 0.0 < solver["extrapolation_gap"] < 0.1
 
 
@@ -335,8 +333,8 @@ def test_riccati_nonrepresentable_exits_2(tmp_path, capsys):
     assert code == EXIT_INFEASIBLE
     report = json.loads(capsys.readouterr().out)
     assert report["sigma_hat"] == "infinite"
-    # nothing was integrated, so no gain was judged
-    assert report["diagnostics"]["solver"] == {"max_gain_norm": None, "gain_norm_cap": 1e12}
+    # no chain was run, so there is no solver record
+    assert report["diagnostics"]["solver"] is None
 
 
 def test_mismatched_continuous_weight_exits_1(tmp_path, capsys):
@@ -479,6 +477,19 @@ def test_validate_scalar_has_zero_violations(tmp_path, capsys):
     assert diag["violation_count"] == 0
     assert diag["samples_checked"] == 4000
     assert diag["attained_fraction"] >= 0.95
+
+
+def test_validate_passes_on_large_data_the_model_explains(tmp_path, capsys):
+    # x = (0, y) explains y = 1e14 with no energy: the radius is 1, and no
+    # sampled state lies beyond it
+    doc = scalar_doc(ell=(1.0, 1.0))
+    doc["model"] = {"F": [[1.0, 0.0]], "B": [[1.0]], "H": [[1.0, 1.0]]}
+    argv = ["validate", "--config", write_doc(tmp_path, doc)]
+    argv += ["--observations", write_obs(tmp_path, [[1e14]]), "--samples", "2000"]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["sigma_hat"] == pytest.approx(1.0, abs=1e-15)
+    assert report["diagnostics"]["oracle"]["violation_count"] == 0
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -859,10 +870,62 @@ def _verdict_docs():
         "j": (singular["filter"], nodes, {"filter": ok, "simulate": err, "check": ok}),
         # e's chain and data, which filter rejects as estimate does
         "k": (chain_doc("filter"), no_disturbance, {"filter": err, "simulate": ok, "check": ok}),
+        **_lost_docs(),
     }
 
 
-@pytest.mark.parametrize("name", "abcdefghijk")
+def _lost_docs():
+    """ROADMAP item 18's unstable chains, F = 1, H = 0 and unit weights:
+    C = 50 on 500 and 1000 steps, and "late drift" (C = -1, then 60 from
+    t = 0.5) on 400. Each is a continuous document in the modes of
+    estimate, filter and riccati, and its implicit-Euler chain a
+    discrete_dae document in those of estimate and filter; every one
+    gives an infinite radius."""
+    late = {"type": "table", "times": [0.0, 0.5], "values": [[[-1.0]], [[60.0]]]}
+    docs = {}
+    for label, C, steps in (("C50-M500", 50.0, 500), ("C50-M1000", 50.0, 1000), ("drift", None, 400)):
+        system = continuous_doc()
+        system["model"].update(C=late if C is None else [[C]], H=[[0.0]])
+        system["grid"]["steps"] = steps
+        h = 1.0 / steps
+        drift = np.full(steps + 1, -1.0 if C is None else C)
+        if C is None:
+            drift[steps // 2 :] = 60.0  # from t = 0.5 on
+        chain = {
+            "kind": "discrete_dae",
+            "model": {
+                "horizon": steps,
+                "F_seq": np.concatenate([[1.0], 1.0 - h * drift[1:]]).reshape(-1, 1, 1).tolist(),
+                "C": [[1.0]],
+                "B": [[h]],
+                "H": [[0.0]],
+            },
+            "bounds": {"Q0": [[1.0]], "Q1": [[h]], "Q2": [[h]]},
+        }
+        rows = np.zeros((steps + 1, 1))
+        for mode in ("apriori", "filter", "riccati"):
+            command = "estimate" if mode == "apriori" else mode
+            docs[f"lost-{label}-continuous-{mode}"] = (
+                dict(system, estimation={"mode": mode, "ell": [1.0]}),
+                rows,
+                {command: EXIT_INFEASIBLE, "simulate": EXIT_OK, "check": EXIT_OK},
+            )
+        terminal = np.zeros((steps + 1, 1))
+        terminal[-1] = 1.0
+        for mode, estimation in (
+            ("apriori", {"mode": "apriori", "ell_seq": terminal.tolist()}),
+            ("filter", {"mode": "filter", "ell": [1.0]}),
+        ):
+            command = "estimate" if mode == "apriori" else mode
+            docs[f"lost-{label}-chain-{mode}"] = (
+                dict(chain, estimation=estimation),
+                rows,
+                {command: EXIT_INFEASIBLE, "simulate": EXIT_OK, "check": EXIT_OK},
+            )
+    return docs
+
+
+@pytest.mark.parametrize("name", list(_verdict_docs()))
 def test_every_command_gives_the_same_verdict(tmp_path, capsys, name):
     # 0 finite, 2 infinite, 1 any error: decided in run() from the report
     doc, rows, codes = _verdict_docs()[name]
@@ -888,14 +951,18 @@ def test_every_command_gives_the_same_verdict(tmp_path, capsys, name):
             assert report["feasible"] is (expected == EXIT_OK)
             if expected == EXIT_INFEASIBLE:
                 assert report["sigma_hat"] == "infinite"
+            if name.startswith("lost-") and command in ("filter", "riccati"):
+                solver = report["diagnostics"]["solver"]  # the step that lost a direction
+                assert solver["lost_step"] > 0
+                assert 0.0 < solver["lost_figure"] <= solver["lost_tol"] == 1e-10
 
 
 def _one_meaning_cases():
     """(command, document, observation rows) for each estimator the CLI
     runs: the five estimate kind/mode pairs, filter, riccati and validate,
     each on a finite document and, under "-infinite", on one whose
-    functional has an infinite radius. filter has no infinite verdict (a
-    chain it cannot pin down is an error), so it has the finite one only."""
+    functional has an infinite radius (for filter, a chain whose QR steps
+    lose a direction to rounding)."""
     docs = _verdict_docs()
     blind_chain = dict(docs["g"][0], estimation={"mode": "aposteriori", "ell_seq": [[0.0], [1.0]]})
     nodes = np.full((continuous_doc()["grid"]["steps"] + 1, 1), 0.1)
@@ -911,6 +978,7 @@ def _one_meaning_cases():
         "estimate-continuous-apriori": ("estimate", continuous_doc(), nodes),
         "estimate-continuous-apriori-infinite": ("estimate", *docs["h"][:2]),
         "filter": ("filter", chain_doc("filter"), [[1.0], [1.0]]),
+        "filter-infinite": ("filter", *docs["lost-C50-M500-chain-filter"][:2]),
         "riccati": ("riccati", continuous_doc("riccati"), nodes),
         "riccati-infinite": ("riccati", *docs["d"][:2]),
         "validate": ("validate", scalar_doc(), [[1.0]]),

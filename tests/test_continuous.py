@@ -25,7 +25,6 @@ from descriptor_minimax import (
     NumericalBreakdown,
     PolynomialFunction,
     RankDeficient,
-    RiccatiBlowup,
     TableFunction,
     TimeGrid,
     apriori_estimate_continuous,
@@ -684,7 +683,7 @@ def test_riccati_nonrepresentable_endpoint():
     out = riccati_filter(system, bounds, [1.0], np.zeros((11, 1)), grid)
     assert out.feasible is False and out.worst_case_mse == np.inf
     assert (out.estimate, out.outputs, out.K_nodes) == (None, {}, None)
-    assert out.solver == {"max_gain_norm": None, "gain_norm_cap": continuous.RICCATI_NORM_CAP}
+    assert out.solver is None  # nothing was run
     # the weights are checked first: a bad Q1 raises whatever ell_0 is
     bad = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[-1.0]], Q2=[[1.0]])
     with pytest.raises(InvalidBounds, match=r"Q1\(t\) at t=0 is not positive definite"):
@@ -711,18 +710,23 @@ def test_riccati_rejects_rectangular_f():
         )
 
 
-def test_riccati_blowup_detected():
+@pytest.mark.parametrize("steps, lost_step", [(500, 191), (1000, 383)])
+def test_riccati_blowup_detected(steps, lost_step):
     # strong antistable drift with no observations: the gain grows like
-    # e^{100 t}. The chains' QR steps answer finite wrong radii here, so
-    # the cap on the extrapolated gains must trip rather than return them
+    # e^{100 t}, and past the lost step the chains' QR steps would answer
+    # finite radii 1e9 times too small. The grid chain's lost direction
+    # gives every ell_0 an infinite radius, and its record names the step
     system = ContinuousDAE(
         F=[[1.0]], C=[[50.0]], H=[[0.0]], t_start=0.0, t_end=1.0
     )
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
-    grid = TimeGrid(0.0, 1.0, 1000)
-    y = np.zeros((1001, 1))
-    with pytest.raises(RiccatiBlowup, match=r"^gain norm \S+ at t=0\.\d+ exceeds "):
-        riccati_filter(system, bounds, [1.0], y, grid)
+    grid = TimeGrid(0.0, 1.0, steps)
+    out = riccati_filter(system, bounds, [1.0], np.zeros((steps + 1, 1)), grid)
+    assert not out.feasible and out.radius == out.worst_case_mse == math.inf
+    assert (out.estimate, out.outputs, out.K_nodes) == (None, {}, None)
+    assert out.solver["chain_steps"] == steps and out.solver["path"] == "recursive"
+    assert out.solver["lost_step"] == lost_step
+    assert 0.0 < out.solver["lost_figure"] <= out.solver["lost_tol"] == DEFAULT_TOL
 
 
 def test_riccati_exactly_singular_step_is_rank_deficient():
@@ -737,21 +741,21 @@ def test_riccati_exactly_singular_step_is_rank_deficient():
         riccati_filter(system, bounds, [1.0], y, grid)
 
 
-def test_riccati_unbounded_prediction_trips_the_cap():
+def test_riccati_unbounded_prediction_is_a_breakdown():
     # C = 4 from t = 0.25 and h = 1/4: the grid chain's step matrix F - hC
     # is 0 at its step 1, so x there is unbounded until y absorbs it; the
     # filter answers, and the gain at that node is not finite
     C = TableFunction([0.0, 0.25, 0.5], [[[0.0]], [[4.0]], [[0.0]]])
     system = ContinuousDAE(F=[[1.0]], C=C, H=[[1.0]], t_start=0.0, t_end=1.0)
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
-    with pytest.raises(RiccatiBlowup, match=r"^gain norm inf at t=0\.25 "):
+    with pytest.raises(NumericalBreakdown, match=r"^the gain at t=0\.25 is not finite$"):
         riccati_filter(system, bounds, [1.0], np.zeros((5, 1)), TimeGrid(0.0, 1.0, 4))
 
 
 def test_riccati_negative_extrapolation_is_a_breakdown():
     # C = 1.9, H = 0 and h = 1/4: the chain of every other node nearly
-    # loses its step (1 - 2hC = 0.05), so 2 X(h) - X(2h) < 0 while no gain
-    # reaches the cap
+    # loses its step (1 - 2hC = 0.05), so 2 X(h) - X(2h) < 0 while every
+    # gain is finite
     system = ContinuousDAE(F=[[1.0]], C=[[1.9]], H=[[0.0]], t_start=0.0, t_end=1.0)
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
     message = r"^extrapolated squared radius is negative: 2 x 2\.327259e\+02 \(M=4\) - 2\.402"
@@ -801,6 +805,20 @@ def test_fine_grid_filter_matches_the_one_shot(steps, monkeypatch):
         assert run.solver["path"] == expected
         assert run.estimate == pytest.approx(center, abs=1e-10)
         assert run.outputs["P_final"][0, 0] == pytest.approx(squared, abs=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-13])
+def test_riccati_is_scale_free(scale):
+    # weights times s and data divided by sqrt(s) leave radius * sqrt(s) and
+    # estimate * sqrt(s) as they were: no decision reads an absolute scale,
+    # however large the gains grow
+    system, _ = scalar_system()
+    bounds = ContinuousEllipsoid(Q0=[[scale]], Q1=[[scale]], Q2=[[scale]])
+    grid = TimeGrid(0.0, 1.0, 64)
+    y = 0.3 * np.sin(3.0 * grid.nodes()).reshape(-1, 1)
+    out = riccati_filter(system, bounds, [1.0], y / math.sqrt(scale), grid)
+    assert out.radius * math.sqrt(scale) == pytest.approx(0.999945183737, abs=1e-12)
+    assert out.estimate * math.sqrt(scale) == pytest.approx(0.125526555547, abs=1e-12)
 
 
 def test_riccati_estimate_reads_data():
@@ -1054,10 +1072,6 @@ def test_riccati_matches_the_per_step_oracle_on_random_problems(seed):
     y = np.array([y_fn(t) for t in grid.nodes()])
     out = riccati_filter(system, bounds, ell0, y, grid)
     _assert_matches_kalman_bucy(out, _kalman_bucy(system, bounds, y_fn), ell0, grid)
-    assert out.solver["max_gain_norm"] == pytest.approx(
-        np.linalg.norm(out.K_nodes, 2, axis=(1, 2)).max(), rel=1e-12
-    )
-    assert out.solver["gain_norm_cap"] == continuous.RICCATI_NORM_CAP
 
 
 def _index_one_problem(seed):
@@ -1122,14 +1136,14 @@ def test_riccati_on_the_benchmark_index_one_problem():
 
 
 VERDICT_CASES = {
-    # the cap trips on the extrapolated gains, where both chains answer
-    # finite radii (the scalar case is test_riccati_blowup_detected)
+    # the grid chain loses a direction to rounding at its step 325: an
+    # infinite radius (the scalar case is test_riccati_blowup_detected)
     "late drift": (
         [[1.0]],
         TableFunction([0.0, 0.5], [[[-1.0]], [[60.0]]]),
         [[0.0]],
         400,
-        RiccatiBlowup,
+        math.inf,
     ),
     # h = 1/4: the chain of every other node has F - 2hC = 0 at its step 1
     "state first": (
@@ -1148,8 +1162,9 @@ VERDICT_CASES = {
 @pytest.mark.parametrize("case", VERDICT_CASES)
 def test_riccati_verdicts_match_the_per_step_oracle(case):
     # the oracle is the filter run step by step on the two chains: a rank
-    # verdict of either is riccati's, the gain cap is riccati's own, and a
-    # finite answer is the chains' extrapolation
+    # verdict of either is riccati's, a lost direction of either gives
+    # riccati an infinite radius, and a finite answer is the chains'
+    # extrapolation
     F, C, H, steps, verdict = VERDICT_CASES[case]
     n, l = np.shape(F)[0], np.shape(H)[0]
     system = ContinuousDAE(F=F, C=C, H=H, t_start=0.0, t_end=1.0)
@@ -1159,10 +1174,11 @@ def test_riccati_verdicts_match_the_per_step_oracle(case):
     for M in (steps, steps // 2):
         dae, dbounds = discretize(system, bounds, TimeGrid(0.0, 1.0, M))
         try:
-            P = filter_run(dae, dbounds, y[:: steps // M], ell0).outputs["P_final"]
-            chains.append(ell0 @ P @ ell0)
+            run = filter_run(dae, dbounds, y[:: steps // M], ell0)
         except RankDeficient:
             chains.append(None)
+            continue
+        chains.append(ell0 @ run.outputs["P_final"] @ ell0 if run.feasible else math.inf)
     args = (system, bounds, ell0, y, TimeGrid(0.0, 1.0, steps))
     if verdict is None:
         assert chains == pytest.approx([791.7, 775.4], abs=0.05)
@@ -1170,12 +1186,14 @@ def test_riccati_verdicts_match_the_per_step_oracle(case):
             2.0 * chains[0] - chains[1], rel=1e-12
         )
         return
+    if verdict == math.inf:
+        assert None not in chains and math.inf in chains
+        out = riccati_filter(*args)
+        assert not out.feasible and out.radius == math.inf
+        assert out.solver["chain_steps"] == (steps if chains[0] == math.inf else steps // 2)
+        return
     with pytest.raises(verdict) as raised:
         riccati_filter(*args)
-    if verdict is RankDeficient:
-        assert None in chains
-        failed = steps if chains[0] is None else steps // 2
-        assert str(raised.value).startswith(f"{failed}-step chain: ")
-    else:
-        assert None not in chains
-        assert re.search(r"at t=0\.[1-9]", str(raised.value))  # after an interior step
+    assert None in chains
+    failed = steps if chains[0] is None else steps // 2
+    assert str(raised.value).startswith(f"{failed}-step chain: ")

@@ -1159,14 +1159,37 @@ def _unstable_chain(case):
     return dae, dbounds, np.zeros((steps + 1, l)), np.eye(n)[0]
 
 
-@pytest.mark.parametrize("case", ["C=50", "late drift"])
-def test_corrected_sweep_leaves_unstable_chains_to_the_qr_steps(case):
+@pytest.mark.parametrize("case, lost_step", [("C=50", 383), ("late drift", 325)])
+def test_corrected_sweep_leaves_unstable_chains_to_the_qr_steps(case, lost_step):
     # J_k = T_k - U_k'U_k cancels by more than 1e14-fold, and a 1 x 1 J_k
     # reads the same Jacobi-scaled: the digits figure turns the sweep down
-    # before any correction (cond_1(J_k) is 1)
+    # before any correction (cond_1(J_k) is 1). The QR steps then lose x_k
+    # to rounding: R_k falls below 1e-10 of the norm of its column, and
+    # every functional gets an infinite radius
     run = filter_run(*_unstable_chain(case))
     assert run.solver["path"] == "recursive" and run.solver["correction"] is None
     assert run.solver["rcond_estimate"] < 1e-16
+    assert not run.feasible and run.radius == math.inf
+    assert (run.estimate, run.outputs) == (None, {})
+    assert run.solver["lost_step"] == lost_step
+    assert 9e-11 < run.solver["lost_figure"] <= run.solver["lost_tol"] == 1e-10
+
+
+@pytest.mark.parametrize("steps", [1, 50, 1001])
+def test_lost_direction_keeps_the_other_verdicts(steps, monkeypatch):
+    # The lost step and its figure do not depend on how the QR steps are
+    # blocked, and the run goes on past it: a step that no row sees (x_600
+    # of the C=50 chain with F_600 = 0) still raises its rank verdict, in
+    # a later block or in the lost step's own
+    dae, bounds, y_seq, ell = _unstable_chain("C=50")
+    _qr_blocks_of(steps, dae, monkeypatch)
+    run = filter_run(dae, bounds, y_seq, ell)
+    assert run.solver["lost_step"] == 383
+    assert run.solver["lost_figure"] == pytest.approx(9.732e-11, rel=1e-3)
+    F = np.array(dae.F_seq)
+    F[600] = 0.0
+    with pytest.raises(RankDeficient, match=r"^information matrix at step 600 is singular: "):
+        filter_run(dataclasses.replace(dae, F_seq=F), bounds, y_seq, ell)
 
 
 @pytest.mark.parametrize(
@@ -1314,9 +1337,7 @@ def test_constant_model_terms_are_computed_once():
 
 
 # ---------------------------------------------------------------------------
-# the filter's radius and data verdict are the one-shot's; the strict xfail
-# holds a known defect (it must start failing as an xfail the day its fix
-# lands, and then become a plain test)
+# the filter's radius and data verdict are the one-shot's
 
 
 def test_filter_radius_is_the_one_shot_radius():
@@ -1342,14 +1363,10 @@ def test_filter_rejects_data_outside_the_bound(floor, monkeypatch):
         filter_run(dae, bounds, y_seq, np.ones(1))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 14: on an exponentially unstable chain the QR steps "
-    "answer a radius 1e9 times too small, with no error",
-)
 def test_unstable_chain_radius_is_not_under_reported():
-    # the implicit-Euler chain of test_riccati_blowup_detected's problem;
-    # today the filter answers 7.9e12 where the exact radius is 1.9e22
+    # the implicit-Euler chain of test_riccati_blowup_detected's problem:
+    # past the step that loses x_k to rounding, the QR steps would answer
+    # 7.9e12 where the exact radius is 1.9e22; the filter answers infinite
     system = ContinuousDAE(F=[[1.0]], C=[[50.0]], H=[[0.0]], t_start=0.0, t_end=1.0)
     bounds = ContinuousEllipsoid(Q0=[[1.0]], Q1=[[1.0]], Q2=[[1.0]])
     grid = TimeGrid(0.0, 1.0, 1000)

@@ -193,6 +193,15 @@ def test_symmetrize():
     assert s[0, 1] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("a", [np.diag([1e308, 1.0]), [[1.5e308, 1e308], [1e308, 1.5e308]]])
+def test_symmetrize_does_not_overflow(a):
+    # (a + a')/2 summed whole turns entries above ~9e307 into inf, and
+    # require_spd then Cholesky-tests an infinite copy
+    s = symmetrize(np.array(a))
+    assert np.isfinite(s).all() and np.array_equal(s, np.array(a))
+    assert np.array_equal(require_spd(a, "Q"), np.array(a))
+
+
 def _to_band(a, kl, ku):
     """LAPACK dgbtrf storage of the band part of a square matrix."""
     dim = a.shape[0]
@@ -442,7 +451,9 @@ def test_no_function_takes_a_tolerance():
 
 def test_tolerance_table_matches_the_constants():
     # README's "Tolerances" table has one row per float constant of
-    # linalg, with its value, and names no other constant
+    # linalg, with its value, and names no other constant. Every decision
+    # is relative to a scale of the problem: the one absolute row is the
+    # sampler's floor under such a scale
     import re
     from pathlib import Path
 
@@ -450,19 +461,22 @@ def test_tolerance_table_matches_the_constants():
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
-    table = {}
+    table, absolute = {}, set()
     for line in section.splitlines():
         cells = line.split("|")
         names = re.findall(r"`([A-Z][A-Z0-9_]*)`", cells[1]) if len(cells) > 2 else []
         values = [float(v) for v in cells[2].split(",")] if names else []
         assert len(values) == len(names), line
         table.update(zip(names, values))
+        if names and cells[4].strip() == "absolute":
+            absolute.update(names)
     constants = {
         name: value
         for name, value in vars(linalg).items()
         if name.isupper() and isinstance(value, float)
     }
     assert table == constants
+    assert absolute == {"CURVATURE_SCALE_FLOOR"}
 
 
 def test_every_tolerance_is_read():

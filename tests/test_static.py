@@ -269,6 +269,20 @@ def test_inconsistent_data_raises():
     )
 
 
+@pytest.mark.parametrize("y", [1.0, 1e14, 1e100])
+def test_data_the_model_explains_exactly_needs_no_energy(y):
+    # x = (0, y) explains any y with f = 0: the whitened K has full row
+    # rank, so every d is in its range and beta is 0, not the rounding of
+    # the projection, about (eps y)^2
+    model = StaticModel(F=[[1.0, 0.0]], B=[[1.0]], H=[[1.0, 1.0]])
+    bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]])
+    at_zero = aposteriori_estimate(model, bounds, [1.0, 1.0], [0.0])
+    out = aposteriori_estimate(model, bounds, [1.0, 1.0], [y])
+    assert out.radius == pytest.approx(at_zero.radius, abs=1e-15)
+    assert at_zero.radius == pytest.approx(1.0, abs=1e-15)
+    assert out.estimate == pytest.approx(y, rel=1e-15)
+
+
 def test_nonrepresentable_is_flagged_not_raised():
     model = StaticModel(F=[[1.0, 0.0]], B=[[1.0]], H=[[1.0, 0.0]])
     bounds = StaticEllipsoid(Q1=[[1.0]], Q2=[[1.0]])
