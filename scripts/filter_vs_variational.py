@@ -47,13 +47,13 @@ from conftest import dense_reference, random_spd  # noqa: E402
 
 GAP_LIMIT = 1e-9
 REFUSALS = (InconsistentData, NumericalBreakdown, RankDeficient)
-# cond(B_k) and cond(S) reach 10^MAX_LOG_COND. Neither filter path squares
-# cond(B_k) in a step it keeps: the QR steps whiten each row by one solve,
-# and the information sweep turns down chains whose squared condition
-# reaches its floor. The one-shot's band saddle turns down such chains at
-# RCOND_FLOOR, and the flattened chain then goes to the static estimators,
-# which whiten each weight by its Cholesky factor on the null space of
-# [F, -B] and so square no condition either.
+# cond(B_k) and cond(S) reach 10^MAX_LOG_COND. No solver keeps an answer
+# that squaring cond(B_k) spoiled: the QR steps whiten each row by one solve;
+# the information sweep, whose factor the one-shots share, turns down chains
+# whose squared condition reaches its floor, or whose corrected step exceeds
+# CORRECTION_TOL; the one-shots then try the band saddle, which turns down
+# such chains at RCOND_FLOOR, and the static estimators, which whiten each
+# weight by its Cholesky factor on the null space of [F, -B].
 MAX_LOG_COND = 6.0
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from .discrete import (
     DAEEllipsoid,
     DiscreteDAE,
-    _dense_apriori,
+    _dense,
     apriori_horizon_estimate,
 )
 from .errors import (
@@ -390,11 +390,12 @@ def apriori_estimate_continuous(
 
     ``method='flattened'`` is the a priori estimate
     :func:`.discrete.apriori_horizon_estimate` of the discretized chain
-    for the functional h ell(t_k): one banded factorization, with the
-    flattened static solver as its fallback. Its radius, direction p and
-    estimate are returned as they are, and its readout (which weights
-    y_k) divided by h as the density: the node values of the readout
-    density u_hat(t) = Q2(t) H(t) p(t), the output ``u_hat_samples``.
+    for the functional h ell(t_k): one factorization of the chain, whose
+    B_k = hI is whitened, with the flattened static solver as the last
+    route. Its radius, direction p and estimate are returned as they are,
+    and its readout (which weights y_k) divided by h as the density: the
+    node values of the readout density u_hat(t) = Q2(t) H(t) p(t), the
+    output ``u_hat_samples``.
     The worst-case mean-squared error is sum_k h (ell(t_k), p_k).
 
     The discretized optimality boundary value problem is the chain's
@@ -411,7 +412,7 @@ def apriori_estimate_continuous(
     if y_samples is not None:
         y_samples = _check_samples(system, y_samples, grid)
     dae, dbounds = discretize(system, bounds, grid)
-    solve = apriori_horizon_estimate if method == "flattened" else _dense_apriori
+    solve = apriori_horizon_estimate if method == "flattened" else _dense
     horizon = solve(dae, dbounds, h * ell_nodes, y_samples)
     if not horizon.feasible:
         return horizon
@@ -484,9 +485,9 @@ def tikhonov_approximate(
     alpha h I to every H_k'Q2_k H_k, which makes the saddle system
     uniquely solvable. Each alpha is then one
     :func:`.discrete.apriori_horizon_estimate` on this penalized chain:
-    one banded factorization, with the static estimators on the
-    flattened chain as its fallback; the penalty observes every state,
-    so that fallback answers every alpha, however small. The first l
+    one factorization, with the static estimators on the flattened chain
+    as the last route; the penalty observes every state, so that route
+    answers every alpha, however small. The first l
     components of its readout, divided by h, are the density
     Q2(t_k) H(t_k) p_k. When the functional is representable the
     readouts converge to the minimax readout and residual_seq decays;

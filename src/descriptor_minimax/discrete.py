@@ -12,33 +12,31 @@ with the joint ellipsoidal bound
 
 Stacking all states into one vector (:func:`flatten`) turns this into a
 static algebraic model, so every result from :mod:`.static` applies
-verbatim to trajectory functionals sum_k (ell_k, x_k). The estimators
-here solve the same saddle-point system without forming it densely:
+verbatim to trajectory functionals sum_k (ell_k, x_k). The one-shot
+estimators solve it on the first of three routes that takes the chain
+(:func:`_solved`), the first two in time and memory linear in N:
 
-* **Band ordering.** Unknowns are ordered step by step as (x_k, w_k) and
-  rows as (dynamics_k, adjoint_k). Each row then touches only steps
-  k-1, k and k+1, so the (N+1)(n+m) square matrix is banded with
-  kl = n + 2m - 1 and ku = 2n + m - 1. :func:`horizon_saddle` alone knows
-  this layout: it assembles the band straight from the step matrices,
-  factors it once by LAPACK dgbtrf, solves all right-hand sides (center,
-  radius) in one dgbtrs pass and returns only their x-blocks. Time and
-  memory are linear in N.
-* **Regularity test.** The banded path is taken only when dgbtrf meets
-  no zero pivot, the estimated reciprocal condition number reaches
-  :data:`.linalg.RCOND_FLOOR`, and every solution passes the
-  deterministic size check of :meth:`.linalg.BandedFactor.solve`. The
-  floor rejects every saddle matrix that an SVD cut at DEFAULT_TOL would
-  call rank-deficient. A regular saddle matrix implies
-  ker F ∩ ker H = {0}, so every functional is representable and no
-  separate representability test is needed.
-* **Fallback.** Otherwise (singular dynamics, non-representable
-  functionals, rank-deficient [F_k; H_k] or [F_k, B_k] stacks, weights
-  or B_k far from unit scale) the flattened model goes to the static
-  estimators, which solve on the null space of [F, -B] and decide rank
-  and representability by one SVD of the whitened rows. That path is
-  cubic in N.
+* **Information.** Where :func:`.filtering.prepare_filter` whitens the
+  chain (S and every B_k square invertible), on the filter's banded
+  Cholesky factor of the information matrix A = K'K of the whitened rows
+  K (:func:`.filtering._one_shot`). Every entry of A scales with the
+  weights, so a uniform scaling leaves the route and its answers alone.
+* **Band saddle.** Otherwise :func:`horizon_saddle` factors the saddle
+  system [[F, -G], [H'Q2H, F']], ordered step by step into a band, once by
+  LAPACK dgbtrf. It is trusted when dgbtrf meets no zero pivot, the
+  estimated reciprocal condition number reaches :data:`.linalg.RCOND_FLOOR`
+  (which rejects every matrix that an SVD cut at DEFAULT_TOL would call
+  rank-deficient), and every solution passes the size check of
+  :meth:`.linalg.BandedFactor.solve`.
+* **Dense.** Otherwise (singular dynamics, non-representable
+  functionals, rank-deficient [F_k; H_k] or [F_k, B_k] stacks) the
+  flattened model goes to the static estimators, which solve on the null
+  space of [F, -B] and decide rank and representability by one SVD of
+  the whitened rows. That path is cubic in N.
 
-Each estimate (:class:`.static.Estimate`) carries a ``solver`` record
+A regular information or saddle matrix implies ker F ∩ ker H = {0}, so
+every functional is representable there. Each estimate
+(:class:`.static.Estimate`) carries a ``solver`` record
 (:func:`.static.solver_record`) naming the path taken and the condition
 estimate that chose it.
 """
@@ -311,40 +309,43 @@ def _stacked_inputs(dae: DiscreteDAE, ell_seq: Sequence, y_seq) -> tuple:
     return ell, y, ell.reshape(N + 1, n), (y.reshape(N + 1, l) if y is not None else None)
 
 
+def _solved(dae: DiscreteDAE, bounds: DAEEllipsoid, ells: np.ndarray, ys, dense) -> tuple:
+    """The routes of the module docstring in order, for the columns
+    [b, ell] (b_k = H_k'Q2_ky_k; [ell] alone when ``ys`` is None): the
+    solutions' x-blocks (columns, N + 1, n) and the solver record, or
+    ``dense()`` with the band's record."""
+    from .filtering import _one_shot  # filtering imports this module
+
+    solved = _one_shot(dae, bounds, ells, ys)
+    if solved is not None:
+        return solved
+    data = [] if ys is None else [np.einsum("kji,kjl,kl->ki", dae.H_seq, bounds.Q2_seq, ys)]
+    states, solver = horizon_saddle(dae, bounds, np.stack(data + [ells]))
+    return (states, solver) if states is not None else replace(dense(), solver=solver)
+
+
 def variational_estimate(
     dae: DiscreteDAE, bounds: DAEEllipsoid, ell_seq: Sequence, y_seq: Sequence
 ) -> Estimate:
     """Chebyshev-center estimate of sum_k (ell_k, x_k) over the horizon.
 
-    Solves the saddle system twice on one band factorization: with the
-    data H_k'Q2_k y_k for the center x_hat, and with ell_k for the a
-    priori direction p. The radius is sqrt(slack) * sqrt((ell, p)) as in
-    :func:`.static.aposteriori_estimate`, with (ell, p) judged by
-    :func:`.linalg.nonnegative_mse` as in :func:`apriori_horizon_estimate`.
-    A regular saddle matrix has ker F ∩ ker H = {0}, so every functional
-    is representable there.
-    When the band factorization is not trusted, the flattened model goes
-    to the dense static solver, which decides representability itself.
-    The output ``x_hat_seq`` and the direction ``p`` hold one row per step.
+    One factorization (:func:`_solved`) gives the center x_hat for the data
+    H_k'Q2_k y_k and the a priori direction p for ell_k, one row per step.
+    The radius is sqrt(1 - beta) sqrt((ell, p)) as in
+    :func:`.static.aposteriori_estimate`, with the least data energy beta =
+    sum_k (y_k - H_k x_k, Q2_k y_k) and (ell, p) judged by
+    :func:`.linalg.nonnegative_mse`.
     """
     _check_bounds(dae, bounds)
-    ell, y, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
-    H = dae.H_seq
+    ell, _, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
+    solved = _solved(
+        dae, bounds, ells, ys, lambda: _dense(dae, bounds, ell_seq, y_seq, aposteriori_estimate)
+    )
+    if isinstance(solved, Estimate):
+        return solved
+    (x_seq, p_seq), solver = solved
     q2y = np.einsum("kij,kj->ki", bounds.Q2_seq, ys)
-    data = np.einsum("kji,kj->ki", H, q2y)
-    states, solver = horizon_saddle(dae, bounds, np.stack([data, ells]))
-    if states is None:
-        dense = aposteriori_estimate(flatten(dae), flatten_bounds(dae, bounds), ell, y)
-        steps = (dae.horizon + 1, dae.state_dim)
-        return replace(
-            dense,
-            outputs={"x_hat_seq": dense.outputs["x_hat"].reshape(steps)},
-            solver=solver,
-            p=None if dense.p is None else dense.p.reshape(steps),
-        )
-
-    x_seq, p_seq = states
-    beta = float(np.sum((ys - np.einsum("kij,kj->ki", H, x_seq)) * q2y))
+    beta = float(np.sum((ys - np.einsum("kij,kj->ki", dae.H_seq, x_seq)) * q2y))
     check_energy(beta)
     sigma_sq = nonnegative_mse(float(np.sum(ells * p_seq)), ell)
     return Estimate(
@@ -365,20 +366,18 @@ def apriori_horizon_estimate(
 ) -> Estimate:
     """Minimax linear readout of sum_k (ell_k, x_k) chosen before data.
 
-    One banded solve with right-hand side ell gives p; the readout is
-    u_hat_k = Q2_k H_k p_k and its worst-case mean-squared error (ell, p).
-    When the band factorization is not trusted, the flattened model goes
-    to :func:`.static.apriori_estimate`. The output ``u_hat`` is the
-    readout of every step concatenated, and ``p`` holds one row per step.
-    With ``y_seq`` the readout is applied to the data as ``estimate``.
+    One solve with right-hand side ell (:func:`_solved`) gives p; the
+    readout is u_hat_k = Q2_k H_k p_k and its worst-case mean-squared
+    error (ell, p). The output ``u_hat`` is the readout of every step
+    concatenated, and ``p`` holds one row per step. With ``y_seq`` the
+    readout is applied to the data as ``estimate``.
     """
     _check_bounds(dae, bounds)
     ell, _, ells, ys = _stacked_inputs(dae, ell_seq, y_seq)
-    states, solver = horizon_saddle(dae, bounds, ells[None])
-    if states is None:
-        return replace(_dense_apriori(dae, bounds, ell_seq, y_seq), solver=solver)
-
-    p_seq = states[0]
+    solved = _solved(dae, bounds, ells, None, lambda: _dense(dae, bounds, ell_seq, y_seq))
+    if isinstance(solved, Estimate):
+        return solved
+    (p_seq,), solver = solved
     sigma_sq = nonnegative_mse(float(np.sum(ells * p_seq)), ell)
     hp = np.einsum("kij,kj->ki", dae.H_seq, p_seq)
     u_seq = np.einsum("kij,kj->ki", bounds.Q2_seq, hp)
@@ -393,16 +392,18 @@ def apriori_horizon_estimate(
     )
 
 
-def _dense_apriori(dae: DiscreteDAE, bounds: DAEEllipsoid, ell_seq, y_seq=None) -> Estimate:
-    """:func:`.static.apriori_estimate` on the flattened chain, the route
-    of :func:`apriori_horizon_estimate` when its band factor is not
-    trusted: SVD decides representability, and ``p`` holds one row per
-    step. The output ``u_hat`` is the readout of every step concatenated.
-    """
+def _dense(
+    dae: DiscreteDAE, bounds: DAEEllipsoid, ell_seq, y_seq=None, estimator=apriori_estimate
+) -> Estimate:
+    """``estimator`` (a priori, or a posteriori for ``x_hat_seq``) of
+    :mod:`.static` on the flattened chain, the one-shots' last route, with
+    ``p`` and ``x_hat_seq`` per step and ``u_hat`` of every step in one."""
     ell, y, ells, _ = _stacked_inputs(dae, ell_seq, y_seq)
-    dense = apriori_estimate(flatten(dae), flatten_bounds(dae, bounds), ell, y)
+    dense = estimator(flatten(dae), flatten_bounds(dae, bounds), ell, y)
+    x_hat = dense.outputs.get("x_hat")
+    outputs = {"u_hat": dense.outputs["u_hat"]} if dense.feasible else {}
     return replace(
         dense,
-        outputs={"u_hat": dense.outputs["u_hat"]} if dense.feasible else {},
+        outputs=outputs if x_hat is None else {"x_hat_seq": x_hat.reshape(ells.shape)},
         p=None if dense.p is None else dense.p.reshape(ells.shape),
     )

@@ -30,8 +30,10 @@ record names the path it took.
 * **Information sweep** (``"information"``). The filtered centers are
   the forward half of a banded Cholesky factor of the block-tridiagonal
   information matrix A = Phi'G^{-1}Phi + H'Q2H of the whole horizon,
-  formed from the whitened rows (G_k^{-1} = L_k'L_k); the back half
-  would be the Rauch-Tung-Striebel smoother (AIAA J. 3(8), 1965).
+  formed from the whitened rows (G_k^{-1} = L_k'L_k); its back half
+  (:func:`_back`) is the Rauch-Tung-Striebel smoother (AIAA J. 3(8), 1965),
+  which the one-shots of :mod:`.discrete` run on the same factor
+  (:func:`_one_shot`).
   :func:`_information_sweep` factors A in blocks whose band holds about
   ``_BAND_ENTRIES`` entries, one LAPACK dpbtrf and one dtbtrs per block,
   with no Python loop over steps. A block has a model half (the band, its
@@ -289,6 +291,62 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
     beyond the outputs, z and the per-step model arrays memory is O(block)
     unless the correction below runs.
 
+    The centers go into ``out``, and each filtered P_k = J_k^{-1} into
+    ``P_out`` when it is given. Each block's data half also gives beta_k
+    (:func:`_block_data`), checked by :func:`.linalg.check_energy`. When
+    some block's reciprocal condition estimate is below
+    INFORMATION_RCOND_FLOOR, :func:`_corrected` replaces P_N, beta_N and
+    the last center by one corrected semi-normal step, for which the sweep
+    keeps each block's model half from the first such block on (and every
+    placed half). Returns (P_N, beta_N, rcond, record): rcond is the
+    smallest figure judged over the blocks and record holds
+    ``correction``, the step's relative size (None when none ran), and on
+    success the ``{"blocks", "blocks_factored"}`` count, where a placed
+    block is not factored. P_N and beta_N are None, and ``out`` partly
+    written, when a block's per-pivot figure (:func:`_block_factor`) is
+    below INFORMATION_RCOND_FLOOR or the correction exceeds CORRECTION_TOL.
+    """
+    N, n = model.horizon, model.VH.shape[2]
+    rcond, factored = None, 0
+    correct = False  # some block's band estimate is below the floor
+    spans = []  # per block: start, stop, entry U, and the half or the U it was factored with
+    Z = np.empty((N + 1, n))
+    # a chain with huge whitened rows may overflow here; the checks catch it
+    with np.errstate(all="ignore"):
+        energy = 0.0
+        for start, stop, U, half, placed in _halves(model):
+            factored += not placed
+            rcond = half.rcond if rcond is None else min(rcond, half.rcond)
+            if half.P is None:
+                return None, None, rcond, {"correction": None}
+            correct = correct or not half.band >= INFORMATION_RCOND_FLOOR
+            spans.append((start, stop, U, half if correct or placed else half.U))
+            energy, beta = _block_data(model, start, Vy, out, Z, half, U, energy)
+            check_energy(beta, start)
+            if P_out is not None:
+                P_out[start:stop] = half.P
+        record = {"blocks": len(spans), "blocks_factored": factored, "correction": None}
+        P, beta = symmetrize(half.P[-1]), float(beta[-1])
+        if correct:  # the columns [b, E_N], forward-solved: z and R_NN^{-T} at step N
+            X = np.zeros((N + 1, n, n + 1))
+            X[:, :, 0] = Z
+            X[N, :, 1:] = solve_triangular(_last_pivot(half.R, n), np.eye(n), trans=1)
+            _back(model, spans, X)
+            beta, size = _corrected(model, Vy, spans, X, np.eye(n)[None])
+            if not size <= CORRECTION_TOL:
+                return None, None, rcond, {"correction": size}
+            check_energy(beta, N)
+            record["correction"] = size
+            out[-1], P = X[N, :, 0], symmetrize(X[N, :, 1:])
+            if P_out is not None:
+                P_out[-1] = P
+    return P, beta, rcond, record
+
+
+def _halves(model: FilterModel):
+    """The model half of each block of :func:`_information_sweep` in turn,
+    as (start, stop, U_start, half, placed), ending after one that failed.
+
     On a constant chain (every whitened stack a stride-0 broadcast) U
     settles to the square-root solution of the discrete algebraic Riccati
     equation, and the sweep factors blocks only until one has settled: its
@@ -299,74 +357,30 @@ def _information_sweep(model: FilterModel, Vy: np.ndarray, out, P_out=None):
     last pivot to the next copy's first by the tail's exit U, the exact
     coupling after that pivot; the next pivot is then the one of a
     diagonal block off by E = U_a'U_a - U'U, which the tail's test keeps
-    within STEADY_STATE_TOL. Every interior block has the same length and
-    is placed once; the last block is placed up to step N - 1 and factors
-    step N's pivot alone. Each placed block gets a band estimate of its
-    own, and carries the figures its tail passed. Every block of a
-    time-varying chain is factored.
-
-    The centers go into ``out``, and each filtered P_k = J_k^{-1} into
-    ``P_out`` when it is given. Each block's data half also gives beta_k
-    (:func:`_block_data`), checked by :func:`.linalg.check_energy`. When
-    some block's reciprocal condition estimate is below
-    INFORMATION_RCOND_FLOOR, :func:`_corrected` replaces P_N, beta_N and
-    the last center by one corrected semi-normal step; from the first such
-    block on the sweep keeps each block's model half for it (a placed half
-    is kept anyway), and it factors an earlier block again from the U that
-    block was factored with. Returns (P_N, beta_N, rcond, record): rcond
-    is the smallest figure judged over the blocks and record holds
-    ``correction``, the step's relative size (None when none ran), and on
-    success the ``{"blocks", "blocks_factored"}`` count, where a placed
-    block is not factored. P_N and beta_N are None, and ``out`` partly
-    written, when a block's per-pivot figure (:func:`_block_factor`) is
-    below INFORMATION_RCOND_FLOOR or the correction exceeds CORRECTION_TOL.
+    within STEADY_STATE_TOL. Each placed block gets a band estimate of its
+    own, and carries the figures its tail passed (module docstring).
     """
     N, n = model.horizon, model.VH.shape[2]
     constant = all(_distinct(s).shape[0] == 1 for s in (model.LF, model.LC, model.VH))
-    rcond = tail = interior = None
-    blocks = factored = 0
-    correct = False  # some block's band estimate is below the floor
-    spans = []  # per block: start, stop, entry U, and the half or the U it was factored with
-    Z = np.empty((N + 1, n))
-    # a chain with huge whitened rows may overflow here; the checks catch it
-    with np.errstate(all="ignore"):
-        U, energy = np.zeros((n, n)), 0.0
-        steps = _block_steps(2 * n * n)
-        for start in range(0, N + 1, steps):
-            stop = min(start + steps, N + 1)
-            placed = tail is not None
-            if not placed:
-                half = _block_factor(model, start, stop, U)
-                factored += 1
-                if constant and stop <= N and half.P is not None:
-                    tail = _settled(half, start)
-            elif stop > N:
-                half = _placed(model, tail, start, stop)
-            else:  # every interior block has ``steps`` steps
-                interior = interior or _placed(model, tail, start, stop)
-                half = interior
-            blocks += 1
-            rcond = half.rcond if rcond is None else min(rcond, half.rcond)
-            if half.P is None:
-                return None, None, rcond, {"correction": None}
-            correct = correct or not half.band >= INFORMATION_RCOND_FLOOR
-            spans.append((start, stop, U, half if correct or placed else half.U))
-            energy, beta = _block_data(model, start, Vy, out, Z, half, U, energy)
-            check_energy(beta, start)
-            if P_out is not None:
-                P_out[start:stop] = half.P
-            U = half.U_next
-        record = {"blocks": blocks, "blocks_factored": factored, "correction": None}
-        P, beta = symmetrize(half.P[-1]), float(beta[-1])
-        if correct:
-            out[-1], P, beta, size = _corrected(model, Vy, Z, spans)
-            if not size <= CORRECTION_TOL:
-                return None, None, rcond, {"correction": size}
-            check_energy(beta, N)
-            record["correction"] = size
-            if P_out is not None:
-                P_out[-1] = P
-    return P, beta, rcond, record
+    tail = interior = None
+    U = np.zeros((n, n))
+    steps = _block_steps(2 * n * n)
+    for start in range(0, N + 1, steps):
+        stop = min(start + steps, N + 1)
+        placed = tail is not None
+        if not placed:
+            half = _block_factor(model, start, stop, U)
+            if constant and stop <= N and half.P is not None:
+                tail = _settled(half, start)
+        elif stop > N:
+            half = _placed(model, tail, start, stop)
+        else:  # every interior block has ``steps`` steps
+            interior = interior or _placed(model, tail, start, stop)
+            half = interior
+        yield start, stop, U, half, placed
+        if half.P is None:
+            return
+        U = half.U_next
 
 
 @dataclass(frozen=True)
@@ -620,65 +634,104 @@ def _block_data(model: FilterModel, start: int, Vy, out, Z, half: _BlockFactor, 
     return float(energy[-1]), energy + zz - np.einsum("ki,ki->k", b, x)
 
 
-def _corrected(model: FilterModel, Vy: np.ndarray, Z: np.ndarray, spans: list) -> tuple:
-    """One corrected semi-normal step on the sweep's terminal answers.
+def _kept(model: FilterModel, spans):
+    """``spans`` with each half, a half the sweep did not keep factored again."""
+    for start, stop, U, kept in spans:
+        if not isinstance(kept, _BlockFactor):
+            kept = _block_factor(model, start, stop, kept)
+        yield start, stop, U, kept
 
-    The sweep's factor R of A = R'R was formed from A, which squares the
-    condition of the whitened rows K (A = K'K, c = (0, Vy) the whitened
-    data). The step computes, for the n + 1 columns of [b, E_N] (E_N the
-    identity at step N), X = R^{-1}R^{-T}[b, E_N] by one back substitution
-    from the sweep's z, the residual [b, E_N] - K'(KX) with two products
-    by K (never A), and the last block of R^{-1}R^{-T} of that residual
-    by one forward substitution: only the last step of the back half is
-    needed (Bjorck, Linear Algebra Appl. 88/89, 1987). Returns (x_N, P_N,
-    beta_N, size): the corrected last center and P_N, beta_N = ||KX_0 -
-    c||^2 for the smoothed center X_0 (its error is second order in X_0's),
-    and the step's relative size ||dP_N||_1 / ||P_N||_1.
 
-    ``spans`` lists per block (start, stop, U_start, half), with the half
-    replaced by the U it was factored with where the sweep did not keep
-    it; such a block is factored again, to the same factor.
-    """
-    N, n = Z.shape[0] - 1, Z.shape[1]
+def _forward(model: FilterModel, spans: list, W: np.ndarray) -> None:
+    """W <- R^{-T}W in place over every step, W of shape (N + 1, n, columns)."""
+    for start, stop, U, half in _kept(model, spans):
+        w = W[start:stop]
+        if start > 0:
+            w[0] -= U.T @ W[start - 1]
+        w[:] = lapack.dtbtrs(half.R, w.reshape(-1, W.shape[2]), trans="T")[0].reshape(w.shape)
 
-    def halves(order):
-        for start, stop, U, kept in order:
-            if not isinstance(kept, _BlockFactor):
-                kept = _block_factor(model, start, stop, kept)
-            yield start, stop, U, kept
 
-    pivot = _last_pivot(spans[-1][3].R, n)  # R_NN; the last block is always kept
-    X = np.zeros((N + 1, n, n + 1))
-    X[:, :, 0] = Z
-    X[N, :, 1:] = solve_triangular(pivot, np.eye(n), trans=1)
+def _back(model: FilterModel, spans: list, W: np.ndarray) -> None:
+    """W <- R^{-1}W in place on the last W.shape[0] steps, which read only
+    those steps of W (R is upper block-bidiagonal): the back half, over every
+    step the smoother, on step N alone one solve with R_NN."""
+    first = spans[-1][1] - W.shape[0]
     after = None  # U_stop of the block after
-    for start, stop, U, half in halves(reversed(spans)):
-        b = X[start:stop].reshape(-1, n + 1)
+    for start, stop, U, half in _kept(model, [s for s in reversed(spans) if s[1] > first]):
+        w = W[max(start, first) - first : stop - first]
         if after is not None:
-            b[-n:] -= after @ X[stop]
-        X[start:stop] = lapack.dtbtrs(half.R, b)[0].reshape(-1, n, n + 1)
+            w[-1] -= after @ W[stop - first]
+        R = half.R[:, W.shape[1] * max(first - start, 0) :]
+        w[:] = lapack.dtbtrs(R, w.reshape(-1, W.shape[2]))[0].reshape(w.shape)
         after = U
+
+
+def _corrected(model: FilterModel, Vy, spans: list, X: np.ndarray, rhs: np.ndarray) -> tuple:
+    """One corrected semi-normal step on X = A^{-1}[b, rhs] (Bjorck, Linear
+    Algebra Appl. 88/89, 1987), b = K'c for the whitened rows K and data
+    c = (0, Vy); no b without ``Vy``. Forming A = K'K squares K's
+    condition, so the residual [b, rhs] - K'(KX) takes two products with
+    K, and A is solved for it on the factor. ``rhs`` holds the other
+    right-hand sides on the last k steps (E_N of the filter, the
+    one-shots' ell on every step), and X takes the step there alone.
+    Returns beta = ||KX_0 - c||^2 and the step's 1-norm relative to the
+    corrected columns of ``rhs``."""
+    N, r = X.shape[0] - 1, X.shape[2]
+    first, d = N + 1 - rhs.shape[0], int(Vy is not None)
     # the residual rows of K X - [c, 0], then -K' of them
-    first = model.LF0 @ X[0]
+    head = model.LF0 @ X[0]
     moves = model.LF @ X[1:] - model.LC @ X[:-1]
     seen = model.VH @ X
-    seen[:, :, 0] -= Vy
-    beta = float(first[:, 0] @ first[:, 0] + np.vdot(moves[:, :, 0], moves[:, :, 0]))
-    beta += float(np.vdot(seen[:, :, 0], seen[:, :, 0]))
+    beta = None
+    if d:
+        seen[:, :, 0] -= Vy
+        beta = float(head[:, 0] @ head[:, 0] + np.vdot(moves[:, :, 0], moves[:, :, 0]))
+        beta += float(np.vdot(seen[:, :, 0], seen[:, :, 0]))
     res = -_gram(model.VH, seen)
-    res[0] -= model.LF0.T @ first
+    res[0] -= model.LF0.T @ head
     res[1:] -= _gram(model.LF, moves)
     res[:-1] += _gram(model.LC, moves)
-    res[N, :, 1:] += np.eye(n)
-    for start, stop, U, half in halves(spans):
-        b = res[start:stop].reshape(-1, n + 1)
-        if start > 0:
-            b[:n] -= U.T @ res[start - 1]
-        res[start:stop] = lapack.dtbtrs(half.R, b, trans="T")[0].reshape(-1, n, n + 1)
-    step = solve_triangular(pivot, res[N])
-    P = symmetrize(X[N, :, 1:] + step[:, 1:])
-    size = float(_norm1(step[None, :, 1:])[0] / _norm1(P[None])[0])
-    return X[N, :, 0] + step[:, 0], P, beta, size
+    res[first:, :, d:] += rhs
+    _forward(model, spans, res)
+    step = res[first:]
+    _back(model, spans, step)
+    X[first:] += step
+    moved, norm = (_norm1(a[:, :, d:].reshape(1, -1, r - d))[0] for a in (step, X[first:]))
+    return beta, float(moved / norm)
+
+
+def _one_shot(dae: DiscreteDAE, bounds: DAEEllipsoid, ells: np.ndarray, ys) -> Optional[tuple]:
+    """The one-shots' A X = [b, ell] (b_k = H_k'Q2_ky_k; [ell] alone
+    without ``ys``) on the sweep's model halves, by one forward and one
+    back pass; where a band estimate is below INFORMATION_RCOND_FLOOR,
+    :func:`_corrected` refines every step, kept at most CORRECTION_TOL.
+    Returns X as (columns, N + 1, n) and the solver record, or None where
+    the whitening, a half or the step refuses."""
+    spans, factored = [], 0
+    # a chain with huge whitened rows may overflow here; the checks catch it
+    with np.errstate(all="ignore"):
+        try:
+            model = prepare_filter(dae, bounds)
+        except (InvalidInput, NumericalBreakdown):
+            return None
+        for start, stop, U, half, placed in _halves(model):
+            if half.P is None:
+                return None
+            spans.append((start, stop, U, half))
+            factored += not placed
+        Vy = None if ys is None else (model.V @ ys[:, :, None])[:, :, 0]
+        rhs = ells[:, :, None]
+        X = np.concatenate(([] if Vy is None else [_gram(model.VH, Vy[:, :, None])]) + [rhs], 2)
+        _forward(model, spans, X)
+        _back(model, spans, X)
+        size = None
+        if not all(half.band >= INFORMATION_RCOND_FLOOR for *_, half in spans):
+            size = _corrected(model, Vy, spans, X, rhs)[1]
+        if size is not None and not size <= CORRECTION_TOL or not np.isfinite(X).all():
+            return None
+    record = {"blocks": len(spans), "blocks_factored": factored, "correction": size}
+    solver = solver_record("information", min(h.rcond for *_, h in spans), INFORMATION_RCOND_FLOOR)
+    return np.moveaxis(X, 2, 0), solver | record
 
 
 def _qr_steps(model: FilterModel, Vy: np.ndarray, out, P_out=None) -> tuple:

@@ -30,26 +30,29 @@ DEFAULT_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-8
 # Budget slack and squared radii: how far below 0 (per unit scale) is rounding.
 NEGATIVE_FLOOR = 1e-9
-# Banded LU: trusted when both estimates of 1/(||A||_1 ||A^-1||_1) and
+# Banded LU of the one-shots' saddle, where the information route refuses a
+# chain: trusted when both estimates of 1/(||A||_1 ||A^-1||_1) and
 # 1/(||A||_inf ||A^-1||_inf) reach this. As ||M||_2^2 <= ||M||_1 ||M||_inf,
 # the true values bound sigma_min/sigma_max from below; 1000x above
 # DEFAULT_TOL, the floor rejects every matrix an SVD cut there would truncate
 # even if the estimate (never above the true norm of A^-1) is that far low.
 RCOND_FLOOR = 1e-7
-# Information-form filter: its sweep is kept when each filtered information
-# J_k's 1/cond_1(J_k) and 1/((||T_k|| + ||U_k'U_k||) ||J_k^-1||), the latter
-# unscaled or Jacobi-scaled, reach this; where a block's reciprocal condition
-# estimate of the banded Cholesky of Phi'G^{-1}Phi + H'Q2H does not, the sweep
-# ends in one corrected step. Forming A from the whitened rows squares their
-# condition, which grows with cond(B_k): on 800 random chains with cond(B_k)
-# log-uniform up to 1e6 the uncorrected sweep stayed within 1.0e-11 of a
-# dense QR solve at 1e-6, but only within 6.8e-11 at 1e-7.
+# Information form (the filter's sweep, and the one-shots on its factor): kept
+# when each filtered information J_k's 1/cond_1(J_k) and 1/((||T_k|| +
+# ||U_k'U_k||) ||J_k^-1||), the latter unscaled or Jacobi-scaled, reach this;
+# where a block's reciprocal condition estimate of the banded Cholesky of
+# Phi'G^{-1}Phi + H'Q2H does not, the solve ends in one corrected step.
+# Forming A from the whitened rows squares their condition, which grows with
+# cond(B_k): on 800 random chains with cond(B_k) log-uniform up to 1e6 the
+# uncorrected sweep stayed within 1.0e-11 of a dense QR solve at 1e-6, but
+# only within 6.8e-11 at 1e-7.
 INFORMATION_RCOND_FLOOR = 1e-6
-# Information sweep below that floor: its one corrected semi-normal step is
-# kept when it moves P_N by at most this, relative in the 1-norm. The step's
-# size is about the error of the uncorrected P_N, and of the interior P_k it
-# leaves as they are: on the unit scalar problem it read 3e-12 to 1.2e-10 at
-# M = 1024 to 16384, 3e-9 at M = 8192 and 1.1e-8 at M = 10^4.
+# Information form below that floor: its one corrected semi-normal step is
+# kept when it moves the filter's P_N, or the one-shots' p over every step, by
+# at most this, relative in the 1-norm. The step's size is about the error of
+# the uncorrected P_N, and of the interior P_k the filter leaves as they are:
+# on the unit scalar problem it read 3e-12 to 1.2e-10 at M = 1024 to 16384,
+# 3e-9 at M = 8192 and 1.1e-8 at M = 10^4.
 CORRECTION_TOL = 1e-9
 # Information sweep on a constant chain: step a of a factored block has
 # settled when ||J_a^-1 E||_1 is at most this, with J_a its filtered

@@ -175,12 +175,14 @@ def solver_record(
 ) -> dict:
     """The ``diagnostics.solver`` entry of a report.
 
-    ``path`` names the route taken: "banded" for the band saddle solve
-    of a chain, "dense" for the static estimators (a chain's fallback),
-    "information" or "recursive" for the filter. ``rcond_estimate``
-    is the estimated reciprocal condition number of the factored matrix
-    (None where no band factorization was attempted) and ``rcond_floor``
-    the level it had to reach for the fast route.
+    ``path`` names the route taken: "information" for the filter's sweep
+    and a chain's one-shot on its factor, "banded" for the band saddle
+    solve of a chain the whitening or the sweep refuses, "dense" for the
+    static estimators (a chain's last route), "recursive" for the
+    filter's QR steps. ``rcond_estimate`` is the estimated reciprocal
+    condition number of the factored matrix (None where no band
+    factorization was attempted) and ``rcond_floor`` the level it had to
+    reach for the fast route.
     """
     return {"path": path, "rcond_estimate": rcond, "rcond_floor": floor}
 

@@ -18,6 +18,7 @@ from descriptor_minimax import (
     StaticModel,
     representable,
 )
+from descriptor_minimax.discrete import horizon_saddle
 from descriptor_minimax.linalg import (
     DEFAULT_TOL,
     MEMBERSHIP_TOL,
@@ -188,18 +189,12 @@ def scalar_chain():
     return dae, bounds
 
 
-def dense_reference(dae, bounds, y_seq, k):
-    """x_hat_k, P_k and beta_k from one QR of the chain cut after step k.
-
-    Every row is whitened, L = chol(Q)'B^{-1}, and the rows are stacked
-    into one least-squares problem over (x_0, .., x_k) with the data as a
-    last column; no saddle system is formed. In R of its QR the last
-    column gives the solution, whose last block is x_hat_k, the last
-    diagonal block R_kk gives P_k = R_kk^{-1}R_kk^{-T}, and the corner
-    entry squared is beta_k, the least energy that explains y_0 .. y_k.
-    None when the states' columns of R are singular at the package's rank
-    cut, s_min <= DEFAULT_TOL s_max, so that the center is not unique.
-    """
+def _whitened_qr(dae, bounds, y_seq, k):
+    """R of one QR of the whitened rows of the chain cut after step k, with
+    the data as a last column (:func:`dense_reference`), padded with zero
+    rows to a square where the rows run short; None when the states'
+    columns of R are singular at the package's rank cut, s_min <=
+    DEFAULT_TOL s_max, so that the center is not unique."""
     n, m, l = dae.state_dim, dae.equation_dim, dae.observation_dim
 
     def white(B, Q):
@@ -218,13 +213,70 @@ def dense_reference(dae, bounds, y_seq, k):
         A[rows, j * n : (j + 1) * n] = V @ dae.H_seq[j]
         A[rows, -1] = V @ y_seq[j]
     R = np.linalg.qr(A, mode="r")
+    R = np.pad(R, ((0, A.shape[1] - R.shape[0]), (0, 0)))
     s = np.linalg.svd(R[:-1, :-1], compute_uv=False)
-    if s[-1] <= DEFAULT_TOL * s[0]:
+    return None if s[-1] <= DEFAULT_TOL * s[0] else R
+
+
+def dense_reference(dae, bounds, y_seq, k):
+    """x_hat_k, P_k and beta_k from one QR of the chain cut after step k.
+
+    Every row is whitened, L = chol(Q)'B^{-1}, and the rows are stacked
+    into one least-squares problem over (x_0, .., x_k) with the data as a
+    last column; no saddle system is formed. In R of its QR the last
+    column gives the solution, whose last block is x_hat_k, the last
+    diagonal block R_kk gives P_k = R_kk^{-1}R_kk^{-T}, and the corner
+    entry squared is beta_k, the least energy that explains y_0 .. y_k.
+    None when the states' columns of R are singular at the package's rank
+    cut, s_min <= DEFAULT_TOL s_max, so that the center is not unique.
+    """
+    R = _whitened_qr(dae, bounds, y_seq, k)
+    if R is None:
         return None
+    n = dae.state_dim
     x = scipy.linalg.solve_triangular(R[:-1, :-1], R[:-1, -1])
     R_inv = np.linalg.inv(R[-n - 1 : -1, -n - 1 : -1])
-    beta = R[-1, -1] ** 2 if R.shape[0] == R.shape[1] else 0.0
-    return x[-n:], R_inv @ R_inv.T, beta
+    return x[-n:], R_inv @ R_inv.T, R[-1, -1] ** 2
+
+
+def dense_one_shot(dae, bounds, ell_seq, y_seq):
+    """The one-shot's answers from the QR of :func:`dense_reference` over
+    the whole horizon: every step's center x_hat, the a priori direction
+    p = (R'R)^{-1} ell per step, and beta_N."""
+    R = _whitened_qr(dae, bounds, y_seq, dae.horizon)
+    states = R[:-1, :-1]
+    ell = scipy.linalg.solve_triangular(states, np.ravel(ell_seq), trans=1)
+    x, p = scipy.linalg.solve_triangular(states, np.column_stack([R[:-1, -1], ell])).T
+    return x.reshape(dae.horizon + 1, -1), p.reshape(dae.horizon + 1, -1), R[-1, -1] ** 2
+
+
+def terminal_reference(dae, bounds, y_seq, ell):
+    """(center, radius) of ell'x_N from :func:`dense_reference` at step N,
+    the radius the attained sqrt(1 - beta_N) sqrt(ell'P_N ell); None where
+    that reference is."""
+    ref = dense_reference(dae, bounds, y_seq, dae.horizon)
+    if ref is None:
+        return None
+    x, P, beta = ref
+    return float(ell @ x), math.sqrt(max(1.0 - beta, 0.0) * float(ell @ P @ ell))
+
+
+def band_reference(dae, bounds, ell_seq, y_seq):
+    """Every step's center x_hat, the a priori direction p per step and
+    beta, as :func:`dense_one_shot` gives them, from the band LU of the
+    chain's saddle system (:func:`descriptor_minimax.discrete.horizon_saddle`)
+    solved directly, so that it is independent of the information route
+    of the one-shots; None where the band factor is not trusted."""
+    N = dae.horizon
+    ells = np.asarray(ell_seq, dtype=float).reshape(N + 1, -1)
+    ys = np.asarray(y_seq, dtype=float).reshape(N + 1, -1)
+    q2y = np.einsum("kij,kj->ki", bounds.Q2_seq, ys)
+    data = np.einsum("kji,kj->ki", dae.H_seq, q2y)
+    states, _ = horizon_saddle(dae, bounds, np.stack([data, ells]))
+    if states is None:
+        return None
+    x, p = states
+    return x, p, float(np.sum((ys - np.einsum("kij,kj->ki", dae.H_seq, x)) * q2y))
 
 
 def worst_case_error_of(model, bounds, ell, u, c=0.0):

@@ -42,6 +42,7 @@ from descriptor_minimax.config import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
+from descriptor_minimax.linalg import INFORMATION_RCOND_FLOOR
 
 
 def write_doc(tmp_path, doc, name="problem.json"):
@@ -1144,12 +1145,20 @@ def test_console_subprocess_round_trip(tmp_path):
 # solver path reporting
 
 
+def _wide_b(doc):
+    """The chain with B = [1, 0] and Q1 = I: the same problem, whose B the
+    whitening refuses, so that the one-shots take the band saddle."""
+    doc["model"]["B"] = [[1.0, 0.0]]
+    doc["bounds"]["Q1"] = [[1.0, 0.0], [0.0, 1.0]]
+    return doc
+
+
 def test_chain_estimate_reports_banded_solver(tmp_path, capsys):
     code = main(
         [
             "estimate",
             "--config",
-            write_doc(tmp_path, chain_doc()),
+            write_doc(tmp_path, _wide_b(chain_doc())),
             "--observations",
             write_obs(tmp_path, [[1.0], [1.0]]),
         ]
@@ -1161,6 +1170,20 @@ def test_chain_estimate_reports_banded_solver(tmp_path, capsys):
     assert solver["path"] == "banded"
     assert solver["rcond_estimate"] >= solver["rcond_floor"] > 0
     assert "block_path_max_center_gap" not in report["diagnostics"]
+
+
+def test_chain_estimate_reports_information_solver(tmp_path, capsys):
+    # square B: the one-shot solves on the filter's factor, and its record
+    # is the filter's
+    obs = write_obs(tmp_path, [[1.0], [1.0]])
+    code = main(["estimate", "--config", write_doc(tmp_path, chain_doc()), "--observations", obs])
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["estimate"] == pytest.approx(0.8)
+    solver = report["diagnostics"]["solver"]
+    assert solver["rcond_estimate"] >= solver["rcond_floor"] == INFORMATION_RCOND_FLOOR
+    del solver["rcond_estimate"], solver["rcond_floor"]
+    assert solver == {"path": "information", "blocks": 1, "blocks_factored": 1, "correction": None}
 
 
 def test_nonrepresentable_chain_falls_back_and_exits_2(tmp_path, capsys):
@@ -1190,8 +1213,12 @@ def test_nonrepresentable_chain_falls_back_and_exits_2(tmp_path, capsys):
 def test_apriori_reports_carry_solver_path(tmp_path):
     chain, code = run("estimate", parse_config(chain_doc("apriori")), np.ones((2, 1)))
     assert code == EXIT_OK
-    assert chain.diagnostics["solver"]["path"] == "banded"
+    assert chain.diagnostics["solver"]["path"] == "information"
     assert chain.outputs["u_hat"].shape == (2,)
+    wide, code = run("estimate", parse_config(_wide_b(chain_doc("apriori"))), np.ones((2, 1)))
+    assert code == EXIT_OK
+    assert wide.diagnostics["solver"]["path"] == "banded"
+    assert wide.outputs["u_hat"] == pytest.approx(chain.outputs["u_hat"], abs=1e-12)
     continuous = {
         "kind": "continuous_dae",
         "model": {"F": [[1.0]], "C": [[0.0]], "H": [[1.0]], "t_start": 0.0, "t_end": 1.0},
@@ -1201,7 +1228,7 @@ def test_apriori_reports_carry_solver_path(tmp_path):
     }
     report, code = run("estimate", parse_config(continuous))
     assert code == EXIT_OK
-    assert report.diagnostics["solver"]["path"] == "banded"
+    assert report.diagnostics["solver"]["path"] == "information"
 
 
 def test_cli_import_leaves_scipy_sparse_out():

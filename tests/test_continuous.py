@@ -40,7 +40,7 @@ from descriptor_minimax.continuous import _sampled_functional
 from descriptor_minimax.discrete import flatten, flatten_bounds
 from descriptor_minimax.linalg import DEFAULT_TOL, RCOND_FLOOR
 
-from conftest import data_energy, rng_for, saddle_matrix
+from conftest import band_reference, data_energy, rng_for, saddle_matrix
 
 SIGMA_EXACT = 1.0 - (np.e - 1.0) / (2.0 * np.e**2) - (1.0 - 1.0 / np.e) / 2.0
 SIGMA_H_MILLI = 0.5684389435893746  # frozen flattened value at h = 1e-3
@@ -430,31 +430,37 @@ def test_tikhonov_flags_nonrepresentable_functional():
 
 
 def test_banded_and_dense_fallback_agree(monkeypatch):
-    # An infinite floor rejects every band factorization, forcing the
-    # dense flattened route for both the a priori and the regularized solves
+    # The three routes of the a priori and the regularized solves agree: an
+    # infinite information floor turns the information route down, and an
+    # infinite band floor then rejects every band factorization, forcing
+    # the dense flattened route
     import descriptor_minimax.linalg as linalg_mod
 
     system, bounds = scalar_system()
     grid = TimeGrid(0.0, 1.0, 40)
     alphas = [0.5, 0.05, 0.005]
-    banded = apriori_estimate_continuous(system, bounds, ell_one, grid)
-    reg_banded = tikhonov_approximate(system, bounds, ell_one, grid, alphas)
-    monkeypatch.setattr(linalg_mod, "RCOND_FLOOR", np.inf)
-    dense = apriori_estimate_continuous(system, bounds, ell_one, grid)
-    reg_dense = tikhonov_approximate(system, bounds, ell_one, grid, alphas)
-    assert banded.solver["path"] == "banded" and dense.solver["path"] == "dense"
-    assert banded.worst_case_mse == pytest.approx(dense.worst_case_mse, rel=1e-10)
-    assert banded.outputs["u_hat_samples"] == pytest.approx(
-        dense.outputs["u_hat_samples"], abs=1e-10
-    )
-    for u_b, u_d in zip(reg_banded.u_samples_seq, reg_dense.u_samples_seq):
-        assert u_b == pytest.approx(u_d, abs=1e-10)
-    assert reg_banded.residual_seq == pytest.approx(reg_dense.residual_seq, abs=1e-10)
+    routes = []
+    for refused in ((), (filtering, "INFORMATION_RCOND_FLOOR"), (linalg_mod, "RCOND_FLOOR")):
+        if refused:  # the floors stay infinite from here on
+            monkeypatch.setattr(*refused, np.inf)
+        out = apriori_estimate_continuous(system, bounds, ell_one, grid)
+        routes.append((out, tikhonov_approximate(system, bounds, ell_one, grid, alphas)))
+    assert [out.solver["path"] for out, _ in routes] == ["information", "banded", "dense"]
+    (out, reg), *others = routes
+    for other, reg_other in others:
+        assert out.worst_case_mse == pytest.approx(other.worst_case_mse, rel=1e-10)
+        assert out.outputs["u_hat_samples"] == pytest.approx(
+            other.outputs["u_hat_samples"], abs=1e-10
+        )
+        for u_b, u_d in zip(reg.u_samples_seq, reg_other.u_samples_seq):
+            assert u_b == pytest.approx(u_d, abs=1e-10)
+        assert reg.residual_seq == pytest.approx(reg_other.residual_seq, abs=1e-10)
 
 
 def test_bvp_is_the_refused_band_route(monkeypatch):
-    # method="bvp" is the discretized chain's dense route: with every band
-    # factor refused, the default method takes it too, bit for bit. Only
+    # method="bvp" is the discretized chain's dense route: with the
+    # information route turned down and every band factor refused, the
+    # default method takes it too, bit for bit. Only
     # the solver record differs: the default carries the refused factor's
     # condition estimate, while bvp attempts no band factor.
     import descriptor_minimax.linalg as linalg_mod
@@ -475,6 +481,7 @@ def test_bvp_is_the_refused_band_route(monkeypatch):
         return np.array([np.cos(t), 1.0 - t])
 
     bvp = apriori_estimate_continuous(system, bounds, ell, grid, y, method="bvp")
+    monkeypatch.setattr(filtering, "INFORMATION_RCOND_FLOOR", np.inf)
     monkeypatch.setattr(linalg_mod, "RCOND_FLOOR", np.inf)
     refused = apriori_estimate_continuous(system, bounds, ell, grid, y)
     assert bvp.feasible and refused.feasible
@@ -587,8 +594,8 @@ def _random_continuous(rng, i):
 def test_tikhonov_matches_the_shifted_saddle_oracle(monkeypatch):
     # Each alpha is the a priori estimate of the chain observed once more
     # through the whole state with weight alpha*h: the same readouts and
-    # defects as the shifted dense saddle system, on the banded path and
-    # with every band factorization refused
+    # defects as the shifted dense saddle system, on the information route
+    # and with it turned down and every band factorization refused
     import descriptor_minimax.linalg as linalg_mod
 
     rng = rng_for(77)
@@ -599,6 +606,8 @@ def test_tikhonov_matches_the_shifted_saddle_oracle(monkeypatch):
         readouts, defects = _shifted_saddle_oracle(system, bounds, ell, grid, alphas)
         for floor in (linalg_mod.RCOND_FLOOR, np.inf):
             with monkeypatch.context() as patch:
+                if floor == np.inf:
+                    patch.setattr(filtering, "INFORMATION_RCOND_FLOOR", floor)
                 patch.setattr(linalg_mod, "RCOND_FLOOR", floor)
                 reg = tikhonov_approximate(system, bounds, ell, grid, alphas)
             for u, want in zip(reg.u_samples_seq, readouts):
@@ -613,26 +622,28 @@ def test_each_alpha_is_one_apriori_estimate(monkeypatch):
     import sys
 
     assert "shift" not in inspect.signature(discrete.horizon_saddle).parameters
-    calls = {"estimate": 0, "saddle": 0}
-    estimate, saddle = continuous.apriori_horizon_estimate, discrete.horizon_saddle
+    calls = {"estimate": 0, "solve": 0}
+    estimate, solved = continuous.apriori_horizon_estimate, discrete._solved
 
     def spy_estimate(*args, **kwargs):
         calls["estimate"] += 1
         return estimate(*args, **kwargs)
 
-    def spy_saddle(*args, **kwargs):
+    def spy_solved(*args, **kwargs):
         assert sys._getframe(1).f_code.co_name == "apriori_horizon_estimate"
-        calls["saddle"] += 1
-        return saddle(*args, **kwargs)
+        calls["solve"] += 1
+        out = solved(*args, **kwargs)
+        assert out[1]["path"] == "information"
+        return out
 
     monkeypatch.setattr(continuous, "apriori_horizon_estimate", spy_estimate)
-    monkeypatch.setattr(discrete, "horizon_saddle", spy_saddle)
+    monkeypatch.setattr(discrete, "_solved", spy_solved)
     system, bounds = scalar_system()
     grid = TimeGrid(0.0, 1.0, 32)
     tikhonov_approximate(system, bounds, ell_one, grid, [0.5, 0.05, 0.005, 0.0005])
-    assert calls == {"estimate": 4, "saddle": 4}
+    assert calls == {"estimate": 4, "solve": 4}
     apriori_estimate_continuous(system, bounds, ell_one, grid)
-    assert calls == {"estimate": 5, "saddle": 5}
+    assert calls == {"estimate": 5, "solve": 5}
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +809,11 @@ def test_fine_grid_filter_matches_the_one_shot(steps, monkeypatch):
     ell_seq[-1] = 1.0
     center = variational_estimate(dae, dbounds, ell_seq, y).estimate
     squared = discrete.apriori_horizon_estimate(dae, dbounds, ell_seq).worst_case_mse
+    # the one-shots solve on the sweep's factor too: the band saddle, solved
+    # directly, is the reference
+    x_ref, p_ref, _ = band_reference(dae, dbounds, ell_seq, y)
+    assert center == pytest.approx(x_ref[-1, 0], abs=1e-10)
+    assert squared == pytest.approx(p_ref[-1, 0], abs=1e-10)
     path = "information" if steps == 4096 else "recursive"
     for floor, expected in ((filtering.INFORMATION_RCOND_FLOOR, path), (np.inf, "recursive")):
         monkeypatch.setattr(filtering, "INFORMATION_RCOND_FLOOR", floor)

@@ -34,8 +34,9 @@ from descriptor_minimax import (
     flatten_bounds,
     variational_estimate,
 )
-from descriptor_minimax.discrete import stack_functional, stack_observations
+from descriptor_minimax.discrete import horizon_saddle, stack_functional, stack_observations
 from descriptor_minimax.static import apriori_estimate as static_apriori
+import descriptor_minimax.filtering as filtering_mod
 
 from conftest import make_discrete, rng_for, scalar_chain
 
@@ -75,14 +76,14 @@ def test_one_shots_judge_a_negative_mse_alike(monkeypatch, excess):
 
     ell = [np.zeros(1), np.ones(1)]
     forced = -excess * NEGATIVE_FLOOR * 2.0
-    saddle = discrete_mod.horizon_saddle
+    solved = discrete_mod._solved
 
-    def negative(dae, bounds, adjoint):
-        states, solver = saddle(dae, bounds, adjoint)
-        states[-1] = adjoint[-1] * (forced / np.sum(adjoint[-1] ** 2))
+    def negative(dae, bounds, ells, ys, dense):
+        states, solver = solved(dae, bounds, ells, ys, dense)
+        states[-1] = ells * (forced / np.sum(ells**2))
         return states, solver
 
-    monkeypatch.setattr(discrete_mod, "horizon_saddle", negative)
+    monkeypatch.setattr(discrete_mod, "_solved", negative)
     dae, bounds = scalar_chain()
     outcomes = []
     for solve in (
@@ -98,11 +99,17 @@ def test_one_shots_judge_a_negative_mse_alike(monkeypatch, excess):
 
 
 def test_chain_frozen_values_banded_path():
+    # the band saddle, solved directly: the one-shots take the information
+    # route on this chain
     dae, bounds = scalar_chain()
+    states, solver = horizon_saddle(dae, bounds, np.array([[[1.0], [1.0]], [[0.0], [1.0]]]))
+    assert solver["path"] == "banded"
+    assert states[0, :, 0] == pytest.approx([0.6, 0.8], abs=1e-12)
+    assert states[1, 1, 0] == pytest.approx(0.6, abs=1e-12)
     out = variational_estimate(
         dae, bounds, [np.zeros(1), np.ones(1)], [np.ones(1), np.ones(1)]
     )
-    assert out.solver["path"] == "banded"
+    assert out.solver["path"] == "information"
     assert out.feasible
     assert out.estimate == pytest.approx(0.8, abs=1e-12)
     assert out.radius == pytest.approx(SQRT024, abs=1e-12)
@@ -171,8 +178,9 @@ def test_banded_equals_dense_on_random_systems():
             continue  # empty set or numerically degenerate draw: redraw
         paths.append(path)
         done += 1
-    # the ensemble (m != n included) must mostly exercise the banded path
-    assert paths.count("banded") >= 50
+    # the ensemble exercises both fast routes: square invertible B_k take
+    # the information route, the others (m != p included) the band
+    assert paths.count("banded") >= 50 and paths.count("information") >= 25
 
 
 def _descriptor_chain(rng, n, l, N, blind_steps=()):
@@ -208,7 +216,17 @@ def _observations(rng, l, N):
     return [rng.standard_normal(l) * scale for _ in range(N + 1)]
 
 
-def test_descriptor_chains_match_dense():
+def _information_route(monkeypatch, route):
+    """Leave the information route on, or turn it down for route "banded":
+    an unreachable floor refuses every per-pivot figure of the sweep, and
+    the one-shots take the band saddle of these chains."""
+    if route == "banded":
+        monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", np.inf)
+
+
+@pytest.mark.parametrize("route", ["information", "banded"])
+def test_descriptor_chains_match_dense(route, monkeypatch):
+    _information_route(monkeypatch, route)
     rng = rng_for(1729)
     verdicts = []
     for _ in range(60):
@@ -220,7 +238,7 @@ def test_descriptor_chains_match_dense():
         verdicts.append(
             _compare_with_dense(dae, bounds, ell_seq, _observations(rng, l, N))
         )
-    assert ("finite", "banded") in verdicts
+    assert ("finite", route) in verdicts
     assert ("InconsistentData", None) in verdicts
 
 
@@ -238,9 +256,12 @@ def test_rank_deficient_stacks_match_dense():
             _compare_with_dense(dae, bounds, ell_seq, _observations(rng, l, N))
         )
     # a blind terminal step leaves ker F_N ∩ ker H_N in the kernel of the
-    # saddle matrix: those draws must fall back and come out infinite
+    # saddle matrix: those draws must fall back and come out infinite. A
+    # blind step leaves its filtered information singular, so the
+    # information route refuses every draw, and the band answers the rest
     assert ("infinite", "dense") in verdicts
     assert any(path == "banded" for _, path in verdicts)
+    assert not any(path == "information" for _, path in verdicts)
 
 
 def test_nonrepresentable_functionals_match_dense():
@@ -302,9 +323,9 @@ def test_regular_chain_makes_no_dense_solve(monkeypatch):
     ell_seq = [rng.standard_normal(2) for _ in range(N + 1)]
     y_seq = [rng.standard_normal(2) * 0.02 for _ in range(N + 1)]
     out = variational_estimate(dae, bounds, ell_seq, y_seq)
-    assert out.solver["path"] == "banded"
+    assert out.solver["path"] == "information"
     assert out.feasible and np.isfinite(out.radius)
-    assert calls == {"lstsq": 0, "dense": 0, "factor": 1}
+    assert calls == {"lstsq": 0, "dense": 0, "factor": 0}
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-5, 1e6, 1e12])
@@ -312,8 +333,9 @@ def test_one_shot_is_scale_free_on_the_dense_route(scale, monkeypatch):
     # perfbench's chain(default_rng(1), 20) with its trajectory of energy
     # 0.5, read out at (1, 1)/sqrt(2) on x_N: weights times s and data times
     # 1/sqrt(s) leave center * sqrt(s) and radius * sqrt(s) as they were.
-    # The band refuses the scaled chains, so this is the static reduction
-    # on the flattened chain
+    # With the information route turned down, the band refuses the scaled
+    # chains, so this is the static reduction on the flattened chain
+    _information_route(monkeypatch, "banded")
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import instances
 
@@ -384,8 +406,10 @@ def test_size_check_catches_a_low_condition_estimate(monkeypatch):
     # F_1 = 1e-4 leaves the saddle regular but 1/cond near 5e-9, below
     # RCOND_FLOOR. With the norm estimate forced low, the factor passes
     # the floor and only the size check of BandedFactor.solve refuses it.
+    # The information route, which would answer, is turned down.
     import descriptor_minimax.linalg as linalg_mod
 
+    _information_route(monkeypatch, "banded")
     one, zero = np.ones((1, 1)), np.zeros((1, 1))
     dae = DiscreteDAE(
         F_seq=np.stack([one, 1e-4 * one]),
@@ -413,9 +437,11 @@ def test_size_check_catches_a_low_condition_estimate(monkeypatch):
     assert prior.worst_case_mse == dense_prior.worst_case_mse
 
 
-def test_long_horizon_allocates_linear_memory():
+@pytest.mark.parametrize("route", ["information", "banded"])
+def test_long_horizon_allocates_linear_memory(route, monkeypatch):
     import tracemalloc
 
+    _information_route(monkeypatch, route)
     rng = rng_for(10_000)
     N, n = 10_000, 2
     dae, bounds = _regular_chain(rng, N, n)
@@ -428,7 +454,7 @@ def test_long_horizon_allocates_linear_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.solver["path"] == "banded"
+    assert out.solver["path"] == route
     dense_square = ((N + 1) * n) ** 2 * 8
     assert peak < dense_square / 100
 

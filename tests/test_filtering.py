@@ -41,11 +41,14 @@ from descriptor_minimax.filtering import prepare_filter
 from descriptor_minimax.linalg import spd_solve, symmetrize
 
 from conftest import (
+    band_reference,
+    dense_one_shot,
     dense_reference,
     make_discrete,
     random_spd,
     rng_for,
     scalar_chain,
+    terminal_reference,
     within_bound,
 )
 
@@ -137,9 +140,12 @@ def test_filter_matches_variational_on_random_systems():
         except InconsistentData:
             continue  # data energy exceeded the budget: redraw
         run = filter_run(dae, bounds, y_seq, ell)
-        scale = 1.0 + abs(var.estimate)
-        assert abs(run.estimate - var.estimate) <= 1e-8 * scale
-        assert run.radius == pytest.approx(var.radius, rel=1e-10)
+        # both solve on the sweep's factor here: the dense QR is the reference
+        center, radius = terminal_reference(dae, bounds, y_seq, ell)
+        scale = 1.0 + abs(center)
+        for out in (run, var):
+            assert abs(out.estimate - center) <= 1e-8 * scale
+            assert out.radius == pytest.approx(radius, rel=1e-10)
         done += 1
 
 
@@ -217,9 +223,10 @@ def test_filter_handles_invertible_b_and_s():
         except InconsistentData:
             continue
         run = filter_run(dae, bounds, y_seq, ell)
-        assert abs(run.estimate - var.estimate) <= 1e-8 * (
-            1.0 + abs(var.estimate)
-        )
+        center, radius = terminal_reference(dae, bounds, y_seq, ell)
+        for out in (run, var):
+            assert abs(out.estimate - center) <= 1e-8 * (1.0 + abs(center))
+            assert out.radius == pytest.approx(radius, rel=1e-10)
         done += 1
 
 
@@ -243,6 +250,8 @@ def test_near_identity_b_and_s_keep_the_radius():
     ell_seq[-1] = ell
     sigma = apriori_horizon_estimate(dae, bounds, ell_seq).worst_case_mse
     assert ell @ run.outputs["P_final"] @ ell == pytest.approx(sigma, rel=1e-12)
+    P_ref = dense_reference(dae, bounds, np.zeros((N + 1, 1)), N)[1]
+    assert sigma == pytest.approx(ell @ P_ref @ ell, rel=1e-12)
     assert run.radius == np.sqrt(ell @ run.outputs["P_final"] @ ell)
 
 
@@ -289,7 +298,8 @@ def test_qr_steps_name_a_step_whose_factor_overflows():
 def test_filter_is_scale_free(scale, monkeypatch):
     # weights times s and data times 1/sqrt(s) leave every center * sqrt(s)
     # and radius * sqrt(s) as they were, on both paths: no decision of the
-    # filter reads an absolute scale
+    # filter reads an absolute scale. Nor does either one-shot on a chain
+    # the sweep keeps: it solves on the sweep's factor at every scale
     rng = rng_for(19)
     default_floor = filtering_mod.INFORMATION_RCOND_FLOOR
     for trial in range(8):
@@ -302,7 +312,7 @@ def test_filter_is_scale_free(scale, monkeypatch):
         scaled = DAEEllipsoid(
             Q0=scale * bounds.Q0, Q1_seq=scale * bounds.Q1_seq, Q2_seq=scale * bounds.Q2_seq
         )
-        for floor in (default_floor, np.inf):
+        for floor in (np.inf, default_floor):
             monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", floor)
             base = filter_run(dae, bounds, y_seq, ell)
             run = filter_run(dae, scaled, y_seq / np.sqrt(scale), ell)
@@ -311,6 +321,27 @@ def test_filter_is_scale_free(scale, monkeypatch):
             size = np.abs(x_base).max()
             assert np.abs(run.outputs["x_hat_seq"] * np.sqrt(scale) - x_base).max() <= 1e-10 * size
             assert run.radius * np.sqrt(scale) == pytest.approx(base.radius, rel=1e-10)
+        if base.solver["path"] != "information":
+            continue  # the sweep turns the chain down, and so the one-shots' route
+        ell_seq = np.outer(np.cos(np.arange(N + 1)), ell)
+        one_shots = [
+            (
+                variational_estimate(dae, weights, ell_seq, y_seq / np.sqrt(s)),
+                apriori_horizon_estimate(dae, weights, ell_seq),
+            )
+            for weights, s in ((bounds, 1.0), (scaled, scale))
+        ]
+        for base, run in zip(*one_shots):
+            assert base.solver["path"] == run.solver["path"] == "information"
+            assert run.radius * np.sqrt(scale) == pytest.approx(base.radius, rel=1e-10)
+        (post, prior), (scaled_post, scaled_prior) = one_shots
+        x_base = post.outputs["x_hat_seq"]
+        size = np.abs(x_base).max()
+        x_scaled = scaled_post.outputs["x_hat_seq"] * np.sqrt(scale)
+        assert np.abs(x_scaled - x_base).max() <= 1e-10 * size
+        estimate = scaled_post.estimate * np.sqrt(scale)
+        assert estimate == pytest.approx(post.estimate, abs=1e-10 * size)
+        assert np.abs(scaled_prior.p * scale - prior.p).max() <= 1e-10 * np.abs(prior.p).max()
 
 
 def test_rectangular_b_rejected():
@@ -617,6 +648,11 @@ def test_breakdown_chains_answer_as_the_one_shot(fault, monkeypatch):
     ell_seq[-1] = ell
     center = variational_estimate(dae, bounds, ell_seq, y_seq).estimate
     squared = apriori_horizon_estimate(dae, bounds, ell_seq).worst_case_mse
+    # the one-shots solve on the sweep's factor of the breakdown and
+    # two-step chains: the band saddle, solved directly, is the reference
+    x_ref, p_ref, _ = band_reference(dae, bounds, ell_seq, y_seq)
+    assert center == pytest.approx(np.sum(ell_seq * x_ref), rel=1e-11, abs=1e-14)
+    assert squared == pytest.approx(np.sum(ell_seq * p_ref), rel=1e-11)
     path = "recursive" if fault == "overflow" else "information"
     for floor, expected in ((filtering_mod.INFORMATION_RCOND_FLOOR, path), (np.inf, "recursive")):
         monkeypatch.setattr(filtering_mod, "INFORMATION_RCOND_FLOOR", floor)
@@ -828,6 +864,26 @@ def test_steady_state_reuse_on_the_benchmark_shape(monkeypatch):
     ref = filter_run(*_materialized(dae, bounds), y_seq, ell)
     _assert_same_answer(run, ref, rel=1e-13)
     assert run.solver["rcond_estimate"] == pytest.approx(ref.solver["rcond_estimate"], rel=1e-9)
+
+
+def test_steady_state_reuse_serves_the_one_shots():
+    # the one-shots place the settled tail as the sweep does: on the
+    # benchmark's n=32 chain they factor one block of 16, and their answers
+    # are within 1e-12 of the materialized chain's, which factors every one
+    dae, bounds, y_seq, ell = _n32_chain()
+    ell_seq = np.outer(np.cos(np.arange(dae.horizon + 1)), ell)
+    (post, prior), (post_ref, prior_ref) = [
+        (variational_estimate(*chain, ell_seq, y_seq), apriori_horizon_estimate(*chain, ell_seq))
+        for chain in ((dae, bounds), _materialized(dae, bounds))
+    ]
+    for out, ref in ((post, post_ref), (prior, prior_ref)):
+        assert out.solver["path"] == ref.solver["path"] == "information"
+        assert out.solver["blocks_factored"] == 1
+        assert out.solver["blocks"] == ref.solver["blocks_factored"] == 16
+        assert out.radius == pytest.approx(ref.radius, rel=1e-12)
+    x, x_ref = post.outputs["x_hat_seq"], post_ref.outputs["x_hat_seq"]
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    assert post.estimate == pytest.approx(post_ref.estimate, abs=1e-12 * np.abs(x_ref).max())
 
 
 def _run_with_every_P(dae, bounds, y_seq, ell):
@@ -1128,6 +1184,59 @@ def test_corrected_sweep_factors_again_the_blocks_it_did_not_keep(monkeypatch):
     assert again.radius == kept.radius and again.estimate == kept.estimate
 
 
+@pytest.mark.parametrize(
+    "problem, steps, block",
+    [("scalar", 1024, None), ("scalar", 2048, 1024), ("index-1", 512, None)],
+)
+def test_corrected_one_shots_refine_every_step(problem, steps, block, monkeypatch):
+    # the band estimate of A is below the floor on these grids, so the
+    # one-shots take the corrected step, on every step: each center and
+    # p_k is within 1e-12 of the reference. That is the band saddle on the
+    # scalar grids, where the dense QR of the whitened chain is 3.2e-12 off
+    # both at M=2048, and that QR on the index-1 grid, where the band
+    # saddle is 4.7e-12 off both
+    *_, dae, dbounds, y_seq, ell = _fine_chain(problem, steps)
+    if block:
+        monkeypatch.setattr(filtering_mod, "_BAND_ENTRIES", 2 * dae.state_dim**2 * block)
+    ell_seq = np.outer(np.ones(steps + 1), ell)
+    post = variational_estimate(dae, dbounds, ell_seq, y_seq)
+    prior = apriori_horizon_estimate(dae, dbounds, ell_seq)
+    reference = band_reference if problem == "scalar" else dense_one_shot
+    x_ref, p_ref, beta = reference(dae, dbounds, ell_seq, y_seq)
+    for out in (post, prior):
+        assert out.solver["path"] == "information"
+        assert out.solver["rcond_estimate"] < out.solver["rcond_floor"]
+        assert 0.0 <= out.solver["correction"] <= linalg_mod.CORRECTION_TOL
+        blocks = steps // block + 1 if block else 1
+        assert out.solver["blocks"] == out.solver["blocks_factored"] == blocks
+        assert np.abs(out.p - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
+    x = post.outputs["x_hat_seq"]
+    assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    mse = float(np.sum(ell_seq * p_ref))
+    assert prior.worst_case_mse == pytest.approx(mse, rel=1e-12)
+    assert post.radius == pytest.approx(math.sqrt((1.0 - beta) * mse), rel=1e-12)
+
+
+def test_corrected_step_reads_as_deep_as_its_columns(monkeypatch):
+    # one back half serves both: the filter's step reads its columns E_N at
+    # step N alone, so its last back substitution solves that step only,
+    # while the one-shots' ell covers, and is read at, every step
+    *_, dae, dbounds, y_seq, ell = _fine_chain("scalar", 1024)
+    real = filtering_mod._back
+    depths = []
+
+    def back(model, spans, W):
+        depths.append(W.shape[0])
+        return real(model, spans, W)
+
+    monkeypatch.setattr(filtering_mod, "_back", back)
+    run = filter_run(dae, dbounds, y_seq, ell)
+    assert run.solver["correction"] is not None and depths == [1025, 1]
+    depths.clear()
+    apriori_horizon_estimate(dae, dbounds, np.outer(np.ones(1025), ell))
+    assert depths == [1025, 1025]
+
+
 @pytest.mark.parametrize("problem, steps", [("scalar", 4096), ("index-1", 2048)])
 def test_riccati_on_the_corrected_sweep_matches_the_qr_steps(problem, steps, monkeypatch):
     # both chains of riccati take the corrected sweep; the gains read the
@@ -1347,6 +1456,8 @@ def test_filter_radius_is_the_one_shot_radius():
     run = filter_run(dae, bounds, y_seq, np.ones(1))
     one_shot = variational_estimate(dae, bounds, [np.zeros(1), np.ones(1)], y_seq)
     assert run.radius == pytest.approx(one_shot.radius, rel=1e-10)
+    reference = terminal_reference(dae, bounds, y_seq, np.ones(1))[1]
+    assert one_shot.radius == pytest.approx(reference, rel=1e-12)
 
 
 @pytest.mark.parametrize("floor", [filtering_mod.INFORMATION_RCOND_FLOOR, np.inf])
